@@ -714,9 +714,8 @@ func BenchmarkDistributed(b *testing.B) {
 // coordinator-side pushdown and the compact v2 wire (the default), once
 // with pushdown disabled so every routed event ships in full. The
 // bytes/event metric comes from the coordinator's per-link transport
-// counters. Smoke-friendly at -benchtime=1x; the full mode sweep
-// (including the v1 wire and shared-stream dedup) lives in
-// cmd/spectre-bench -exp comms.
+// counters. Smoke-friendly at -benchtime=1x; the mode sweep with
+// shared-stream dedup lives in cmd/spectre-bench -exp comms.
 func BenchmarkComms(b *testing.B) {
 	data.init()
 	ctx := context.Background()

@@ -1,8 +1,7 @@
 // Communication efficiency (DESIGN.md §13): bytes shipped per source
 // event for an ingest-bound distributed workload — a plan-filterable
 // mixed-type NYSE stream feeding three queries attached to one shared
-// source. The v1 wire ships every routed event to every query's shard
-// in full; the v2 wire adds coordinator-side plan pushdown (irrelevant
+// source. The wire combines coordinator-side plan pushdown (irrelevant
 // events never framed), compact delta/varint encoding with plan-driven
 // field projection, and shared-stream page dedup (one physical copy per
 // link, per-query reference frames). Every mode's merged output is
@@ -200,7 +199,6 @@ var commsModes = []struct {
 	label string
 	opts  cluster.Options
 }{
-	{"2w v1 full-ship", cluster.Options{MaxProto: 1}},
 	{"2w v2 no-pushdown", cluster.Options{DisablePushdown: true}},
 	{"2w v2", cluster.Options{}},
 }
@@ -222,12 +220,10 @@ func commsCheck(label string, local [][]string, res commsResult) error {
 	return nil
 }
 
-// Comms measures bytes shipped per source event across wire modes: the
-// v1 protocol (full events, no filtering), the v2 protocol with
-// pushdown disabled (compact frames and page dedup only), and the full
-// v2 stack. Every mode must reproduce the local runs' match sets, and
-// the v2 modes must agree with each other byte-for-byte in merged
-// order.
+// Comms measures bytes shipped per source event across wire modes:
+// pushdown disabled (compact frames and page dedup only) and the full
+// stack. Every mode must reproduce the local runs' match sets, and the
+// modes must agree with each other byte-for-byte in merged order.
 func (o *Options) Comms() ([]Row, error) {
 	o.setDefaults()
 	reg := event.NewRegistry()
@@ -250,7 +246,7 @@ func (o *Options) Comms() ([]Row, error) {
 	o.printf("%-18s %14s %14s %10s %10s\n", "mode", "bytes/event", "med ev/s", "frames", "deduped")
 
 	var rows []Row
-	var refOut [][]string // first v2-family merged output, for cross-mode equality
+	var refOut [][]string // first mode's merged output, for cross-mode equality
 	for _, mode := range commsModes {
 		var series, tput stats.Series
 		var last commsResult
@@ -266,20 +262,18 @@ func (o *Options) Comms() ([]Row, error) {
 			tput.Add(res.eventsPerSec)
 			last = res
 		}
-		// The v2 modes run the same deterministic merge over the same
+		// The modes run the same deterministic merge over the same
 		// pre-stamped sequences; their merged orders must be identical.
-		if mode.opts.MaxProto != 1 {
-			if refOut == nil {
-				refOut = last.out
-			} else {
-				for i := range refOut {
-					if len(refOut[i]) != len(last.out[i]) {
-						return nil, fmt.Errorf("comms %s: merged order diverges from other v2 mode on query %d", mode.label, i)
-					}
-					for j := range refOut[i] {
-						if refOut[i][j] != last.out[i][j] {
-							return nil, fmt.Errorf("comms %s: merged order diverges from other v2 mode on query %d", mode.label, i)
-						}
+		if refOut == nil {
+			refOut = last.out
+		} else {
+			for i := range refOut {
+				if len(refOut[i]) != len(last.out[i]) {
+					return nil, fmt.Errorf("comms %s: merged order diverges from the other mode on query %d", mode.label, i)
+				}
+				for j := range refOut[i] {
+					if refOut[i][j] != last.out[i][j] {
+						return nil, fmt.Errorf("comms %s: merged order diverges from the other mode on query %d", mode.label, i)
 					}
 				}
 			}

@@ -437,6 +437,32 @@ func TestJoinRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestCloseDoesNotWaitForHeartbeat: Close wakes every link's heartbeat
+// loop instead of waiting out its tick (2 s by default).
+func TestCloseDoesNotWaitForHeartbeat(t *testing.T) {
+	c, err := Listen("127.0.0.1:0", event.NewRegistry(), Options{MinWorkers: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		w, err := Join(context.Background(), event.NewRegistry(), c.Addr().String(), WorkerOptions{Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		t.Cleanup(func() { w.Close(); _ = w.Wait() })
+	}
+	if err := c.WaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("Close took %v with a 2s heartbeat; it must not wait for the tick", d)
+	}
+}
+
 // TestOrderedMergeHolds: the merge must hold a buffered match while
 // another shard's bound is behind it, and release in global key order.
 func TestOrderedMergeHolds(t *testing.T) {

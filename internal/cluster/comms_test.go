@@ -1,19 +1,23 @@
 package cluster
 
-// Communication-efficiency behavior (DESIGN.md §13): protocol
-// negotiation fallback to v1, pushdown equivalence (filtering at the
+// Communication-efficiency behavior (DESIGN.md §13): the handshake's
+// version check, pushdown equivalence (filtering at the
 // coordinator must not change a single output byte), and shared-stream
 // page dedup across co-located queries.
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/spectrecep/spectre/internal/dataset"
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/transport"
 )
 
 // startClusterOpts is startCluster with coordinator/worker option
@@ -55,83 +59,62 @@ func startClusterOpts(t *testing.T, reg *event.Registry, n int, opts Options, wo
 	return tc
 }
 
-// TestProtoNegotiationFallback: a v1-capped peer on either side of the
-// handshake must drop the whole link to the v1 grammar — and the golden
-// output must still be byte-identical, via the classic full-ship path.
-func TestProtoNegotiationFallback(t *testing.T) {
-	cases := []struct {
-		name  string
-		opts  Options
-		wopts WorkerOptions
-	}{
-		{name: "old-worker", wopts: WorkerOptions{MaxProto: 1}},
-		{name: "old-coordinator", opts: Options{MaxProto: 1}},
-	}
-	gc := goldenCases[0] // Q1
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := event.NewRegistry()
-			events := gc.events(reg)
-			route := gc.route(reg)
-			want := refRun(t, reg, gc.text, route, distShards, events)
+// TestHandshakeRefusesOldPeer: the handshake carries a protocol version,
+// and a peer below minProtoVersion is refused on either side — an old
+// worker gets the coordinator's protocol-mismatch error frame and no
+// link, an old coordinator's welcome fails Join with a typed *Error.
+func TestHandshakeRefusesOldPeer(t *testing.T) {
+	old := uint32(minProtoVersion - 1)
 
-			cl := startClusterOpts(t, reg, 2, tc.opts, tc.wopts)
-			for _, ls := range cl.c.Stats() {
-				if ls.Proto != 1 {
-					t.Fatalf("link %d negotiated proto %d, want 1", ls.WorkerID, ls.Proto)
-				}
-			}
-			for _, w := range cl.workers {
-				if ws := w.Stats(); ws.Proto != 1 {
-					t.Fatalf("worker %d negotiated proto %d, want 1", w.ID(), ws.Proto)
-				}
-			}
-			h, got := distSubmit(t, cl.c, gc.name, gc.text, route, distShards)
-			feedAll(t, h, events)
-			drain(t, h)
-			compareRuns(t, tc.name, want, got())
-		})
-	}
-}
-
-// TestMixedProtoFleet: one v1 and one v2 worker in the same cluster. A
-// pushdown-eligible query must pin its shards to the v2 link and still
-// match the reference; the v1 link stays usable for the handshake.
-func TestMixedProtoFleet(t *testing.T) {
-	gc := goldenCases[0] // Q1
-	reg := event.NewRegistry()
-	events := gc.events(reg)
-	route := gc.route(reg)
-	want := refRun(t, reg, gc.text, route, distShards, events)
-
-	cl := startClusterOpts(t, reg, 1, Options{MinWorkers: 2}, WorkerOptions{MaxProto: 1})
-	w2, err := Join(context.Background(), event.NewRegistry(), cl.c.Addr().String(),
-		WorkerOptions{Heartbeat: 100 * time.Millisecond, Logf: t.Logf})
+	c, err := Listen("127.0.0.1:0", event.NewRegistry(), Options{Logf: t.Logf})
 	if err != nil {
-		t.Fatalf("join v2: %v", err)
+		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(func() { w2.Close(); _ = w2.Wait() })
+	defer c.Close()
+	conn, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	hello := helloMsg{Proto: old, Capacity: 1, Name: "old-worker"}
+	if err := transport.WriteFrame(conn, kindHello, hello.encode(nil)); err != nil {
+		t.Fatalf("send hello: %v", err)
+	}
+	kind, body, err := transport.ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatalf("read refusal: %v", err)
+	}
+	em, err := decodeError(body)
+	if kind != kindError || err != nil || !strings.Contains(em.Msg, "protocol mismatch") {
+		t.Fatalf("old worker got kind %d, %q (%v); want a protocol-mismatch error frame", kind, em.Msg, err)
+	}
+	if n := len(c.Stats()); n != 0 {
+		t.Fatalf("refused worker left %d link(s) registered", n)
+	}
 
-	h, got := distSubmit(t, cl.c, gc.name, gc.text, route, distShards)
-	cl.c.mu.Lock()
-	var q *queryState
-	for _, cand := range cl.c.queries {
-		q = cand
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	pre := q.preStamped
-	for i, s := range q.shards {
-		if pre && s.owner != nil && s.owner.proto < 2 {
-			cl.c.mu.Unlock()
-			t.Fatalf("pre-stamped shard %d placed on v1 link", i)
+	defer ln.Close()
+	go func() {
+		peer, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer peer.Close()
+		if _, _, err := transport.ReadFrame(peer, nil); err != nil {
+			return
+		}
+		welcome := welcomeMsg{Proto: old, WorkerID: 1}
+		_ = transport.WriteFrame(peer, kindWelcome, welcome.encode(nil))
+	}()
+	_, err = Join(context.Background(), event.NewRegistry(), ln.Addr().String(),
+		WorkerOptions{JoinAttempts: 1, Logf: t.Logf})
+	var ce *Error
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Fatalf("join to an old coordinator = %v, want a *cluster.Error naming the protocol mismatch", err)
 	}
-	cl.c.mu.Unlock()
-	if !pre {
-		t.Fatal("Q1 with a v2 worker present should run pre-stamped")
-	}
-	feedAll(t, h, events)
-	drain(t, h)
-	compareRuns(t, "mixed fleet", want, got())
 }
 
 // TestPushdownEquivalence: for every golden query on 2 and 4 workers,

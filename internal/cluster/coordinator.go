@@ -38,10 +38,6 @@ type Options struct {
 	// routed event ships to its shard owner even when the query's intake
 	// prefilter proves it irrelevant.
 	DisablePushdown bool
-	// MaxProto caps the negotiated wire protocol version (default: the
-	// newest this build speaks). Tests use it to exercise the v1
-	// compatibility path.
-	MaxProto int
 	// FlushInterval bounds how long a partial batch may sit staged before
 	// it is shipped anyway (default 2ms).
 	FlushInterval time.Duration
@@ -73,9 +69,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.BatchEvents > o.BatchMax {
 		o.BatchEvents = o.BatchMax
-	}
-	if o.MaxProto <= 0 || o.MaxProto > protoVersion {
-		o.MaxProto = protoVersion
 	}
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 2 * time.Millisecond
@@ -133,6 +126,7 @@ type workerLink struct {
 	qcond   *sync.Cond
 	queue   [][]byte
 	qclosed bool
+	qdone   chan struct{} // closed with the queue; wakes the heartbeat loop
 
 	// Coordinator-mutex guarded placement state.
 	load                  int
@@ -217,14 +211,14 @@ type queryState struct {
 	// preStamped marks the query as running in pre-stamped mode: workers
 	// trust the wire-carried raw sequence numbers instead of re-stamping
 	// at intake, which is what lets the coordinator drop (pushdown) or
-	// page-share events. Pre-stamped shards only run on proto ≥ 2 links.
+	// page-share events.
 	preStamped bool
 	// admit is the plan's intake prefilter when pushdown is on (nil
 	// otherwise): events it rejects spend their raw position but are
 	// never retained, encoded or shipped.
 	admit func(*event.Event) bool
 	// proj, when projected, lists the payload field indexes any query
-	// predicate can read; proto ≥ 2 links ship only those columns.
+	// predicate can read; only those columns are shipped.
 	proj      []int
 	projected bool
 	// stream, when non-nil, is the shared source this query is fed
@@ -430,9 +424,9 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	// Negotiate down to the newest version both sides speak: the worker
 	// advertises its maximum, the coordinator answers with the chosen
 	// version and every frame on the link follows it.
-	chosen := min(hello.Proto, uint32(c.opts.MaxProto))
+	chosen := min(hello.Proto, protoVersion)
 	if chosen < minProtoVersion {
-		msg := errorMsg{Msg: fmt.Sprintf("protocol mismatch: coordinator speaks v%d..v%d, worker v%d", minProtoVersion, c.opts.MaxProto, hello.Proto)}
+		msg := errorMsg{Msg: fmt.Sprintf("protocol mismatch: coordinator speaks v%d..v%d, worker v%d", minProtoVersion, protoVersion, hello.Proto)}
 		_ = transport.WriteFrame(conn, kindError, msg.encode(nil))
 		_ = conn.Close()
 		return
@@ -451,6 +445,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		w.name = conn.RemoteAddr().String()
 	}
 	w.qcond = sync.NewCond(&w.qmu)
+	w.qdone = make(chan struct{})
 
 	c.mu.Lock()
 	if c.closed {
@@ -513,7 +508,10 @@ func (w *workerLink) enqueue(kind byte, body []byte) {
 
 func (w *workerLink) closeQueue() {
 	w.qmu.Lock()
-	w.qclosed = true
+	if !w.qclosed {
+		w.qclosed = true
+		close(w.qdone)
+	}
 	w.qcond.Signal()
 	w.qmu.Unlock()
 }
@@ -550,14 +548,13 @@ func (w *workerLink) writeLoop() {
 func (c *Coordinator) heartbeatLink(w *workerLink) {
 	t := time.NewTicker(c.opts.Heartbeat)
 	defer t.Stop()
-	for range t.C {
-		w.qmu.Lock()
-		closed := w.qclosed
-		w.qmu.Unlock()
-		if closed {
+	for {
+		select {
+		case <-w.qdone:
 			return
+		case <-t.C:
+			w.enqueue(kindHeartbeat, nil)
 		}
-		w.enqueue(kindHeartbeat, nil)
 	}
 }
 
@@ -691,15 +688,8 @@ func (c *Coordinator) pickWorker() *workerLink {
 	return best
 }
 
-// eligible reports whether w may own shards of q: pre-stamped queries
-// (pushdown or shared-stream) need the v2 frame grammar, so they are
-// pinned to proto ≥ 2 links (c.mu held).
-func (q *queryState) eligible(w *workerLink) bool {
-	return !q.preStamped || w.proto >= 2
-}
-
-// pickWorkerFor returns the best live worker for a shard of q: eligible
-// links only, preferring — for shared-stream queries — the worker that
+// pickWorkerFor returns the best live worker for a shard of q,
+// preferring — for shared-stream queries — the worker that
 // already owns the most shards of the stream's other queries (so pages
 // dedup across them), then least load (c.mu held).
 func (c *Coordinator) pickWorkerFor(q *queryState) *workerLink {
@@ -715,7 +705,7 @@ func (c *Coordinator) pickWorkerFor(q *queryState) *workerLink {
 	}
 	var best *workerLink
 	for _, w := range c.workers {
-		if w.gone || w.load >= w.capacity || !q.eligible(w) {
+		if w.gone || w.load >= w.capacity {
 			continue
 		}
 		switch {
@@ -751,9 +741,6 @@ func (c *Coordinator) placePending(_ *workerLink) {
 // resume on the target.
 func (c *Coordinator) rebalance(target *workerLink) {
 	for _, q := range c.queries {
-		if !q.eligible(target) {
-			continue
-		}
 		for {
 			if target.load >= target.capacity {
 				return
@@ -841,16 +828,13 @@ func (c *Coordinator) assignShard(q *queryState, idx int, w *workerLink) {
 		Snapshot:   s.snap,
 		PreStamped: q.preStamped,
 	}
-	w.enqueue(kindAssign, m.encode(nil, w.proto))
+	w.enqueue(kindAssign, m.encode(nil))
 }
 
 // pump ships retained events to the shard's owner: full batches always,
 // the partial tail only when force is set (flusher tick, close, ready
-// catch-up). Proto ≥ 2 links get the compact columnar frame — delta
-// sequence numbers (sparse under pushdown) and projected fields; v1
-// links get the fixed-width grammar, which is only ever legal for
-// non-pre-stamped queries (contiguous positions the worker re-stamps).
-// Must run with c.mu held.
+// catch-up), in the compact columnar frame — delta sequence numbers
+// (sparse under pushdown) and projected fields. Must run with c.mu held.
 func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 	s := q.shards[idx]
 	if s.owner == nil || !s.ready || s.quiescing || s.drained {
@@ -866,18 +850,12 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 		n := min(avail, batch)
 		evs := s.retained[s.sent : s.sent+n]
 		c.ensureTables(w)
-		if w.proto >= 2 {
-			m := events2Msg{Query: q.id, Shard: uint32(idx), Events: evs}
-			if q.projected {
-				m.Proj = q.proj
-			}
-			c.encBuf = m.encode(c.encBuf[:0])
-			w.enqueue(kindEvents2, c.encBuf)
-		} else {
-			m := eventsMsg{Query: q.id, Shard: uint32(idx), Events: evs}
-			c.encBuf = m.encode(c.encBuf[:0])
-			w.enqueue(kindEvents, c.encBuf)
+		m := events2Msg{Query: q.id, Shard: uint32(idx), Events: evs}
+		if q.projected {
+			m.Proj = q.proj
 		}
+		c.encBuf = m.encode(c.encBuf[:0])
+		w.enqueue(kindEvents2, c.encBuf)
 		w.eventsSent.Add(uint64(n))
 		if n == batch {
 			w.fullSends++
@@ -1143,19 +1121,8 @@ func (c *Coordinator) Submit(ctx context.Context, sub Submission) (*QueryHandle,
 		shards:  make([]*shardRun, sub.NShards),
 		done:    make(chan struct{}),
 	}
-	// Pre-stamped mode needs at least one v2 worker to place shards on;
-	// in an all-v1 fleet the query falls back to the classic full-ship
-	// path (workers re-stamp contiguous positions), which stays portable
-	// across every link.
-	v2ok := false
-	for _, w := range c.workers {
-		if !w.gone && w.proto >= 2 {
-			v2ok = true
-			break
-		}
-	}
-	pushdown := v2ok && pl.IntakeActive() && !c.opts.DisablePushdown
-	q.preStamped = pushdown || (v2ok && sub.Stream != nil)
+	pushdown := pl.IntakeActive() && !c.opts.DisablePushdown
+	q.preStamped = pushdown || sub.Stream != nil
 	if pushdown {
 		q.admit = pl.Admit
 	}

@@ -62,8 +62,8 @@ type pageStage struct {
 }
 
 // FeedBatch routes a batch of source events into every attached query.
-// Events whose routed shard currently lives on a proto ≥ 2 link are
-// staged for page dedup; everything else ships through the plain pump.
+// Events whose routed shard is owned and ready are staged for page
+// dedup; everything else ships through the plain pump.
 func (st *Stream) FeedBatch(evs []event.Event) error {
 	c := st.c
 	c.mu.Lock()
@@ -85,7 +85,7 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			}
 			s := q.shards[idx]
 			w := s.owner
-			if w == nil || !s.ready || s.quiescing || w.proto < 2 {
+			if w == nil || !s.ready || s.quiescing {
 				continue
 			}
 			if w.stage == nil {

@@ -23,7 +23,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/spectrecep/spectre/internal/event"
 )
@@ -31,12 +30,12 @@ import (
 // protoVersion is the newest frame grammar this build speaks;
 // minProtoVersion the oldest it still accepts. The handshake negotiates
 // per link: the worker's hello advertises its maximum, the coordinator
-// answers with min(worker max, coordinator max), and both sides then
-// frame according to the chosen version (wire2.go holds the v2
-// additions). Bump protoVersion on any wire-incompatible change.
+// answers with min(worker max, coordinator max), and a peer below
+// minProtoVersion is refused. Bump protoVersion on any wire-incompatible
+// change.
 const (
 	protoVersion    = 2
-	minProtoVersion = 1
+	minProtoVersion = 2
 )
 
 // Frame kinds on a cluster link (transport frame layer, internal/transport
@@ -48,7 +47,7 @@ const (
 	kindTables    byte = 4  // coordinator → worker: full type/field name tables
 	kindAssign    byte = 5  // coordinator → worker: run this shard (opt. snapshot)
 	kindReady     byte = 6  // worker → coordinator: shard recovered, resume position
-	kindEvents    byte = 7  // coordinator → worker: one shard's event batch
+	_             byte = 7  // retired (the fixed-width event batch); never reuse
 	kindEmit      byte = 8  // worker → coordinator: one match, with global ordinal
 	kindProgress  byte = 9  // worker → coordinator: root-pop boundary watermark
 	kindClose     byte = 10 // coordinator → worker: end of stream for shard
@@ -91,8 +90,7 @@ type assignMsg struct {
 	Name     string
 	Text     string
 	Snapshot []byte
-	// PreStamped (proto ≥ 2 only, carried in a trailing flags byte)
-	// tells the worker that the coordinator runs the plan's intake
+	// PreStamped (carried in a trailing flags byte) tells the worker that the coordinator runs the plan's intake
 	// prefilter before shipping: wire sequence numbers are raw
 	// substream positions and must be trusted, not re-stamped.
 	PreStamped bool
@@ -102,12 +100,6 @@ type readyMsg struct {
 	Query  uint32
 	Shard  uint32
 	Resume uint64
-}
-
-type eventsMsg struct {
-	Query  uint32
-	Shard  uint32
-	Events []event.Event
 }
 
 type emitMsg struct {
@@ -193,7 +185,7 @@ func (m *tablesMsg) encode(b []byte) []byte {
 	return appendStrs(b, m.Fields)
 }
 
-func (m *assignMsg) encode(b []byte, proto uint32) []byte {
+func (m *assignMsg) encode(b []byte) []byte {
 	b = appendU32(b, m.Query)
 	b = appendU32(b, m.Shard)
 	b = appendU32(b, m.NShards)
@@ -201,36 +193,17 @@ func (m *assignMsg) encode(b []byte, proto uint32) []byte {
 	b = appendStr(b, m.Name)
 	b = appendStr(b, m.Text)
 	b = appendBytes(b, m.Snapshot)
-	if proto >= 2 {
-		var flags byte
-		if m.PreStamped {
-			flags |= assignPreStamped
-		}
-		b = append(b, flags)
+	var flags byte
+	if m.PreStamped {
+		flags |= assignPreStamped
 	}
-	return b
+	return append(b, flags)
 }
 
 func (m *readyMsg) encode(b []byte) []byte {
 	b = appendU32(b, m.Query)
 	b = appendU32(b, m.Shard)
 	return appendU64(b, m.Resume)
-}
-
-func (m *eventsMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	b = appendU32(b, m.Shard)
-	b = appendU32(b, uint32(len(m.Events)))
-	for i := range m.Events {
-		ev := &m.Events[i]
-		b = appendU32(b, uint32(ev.Type))
-		b = appendU64(b, uint64(ev.TS))
-		b = appendU32(b, uint32(len(ev.Fields)))
-		for _, f := range ev.Fields {
-			b = appendU64(b, math.Float64bits(f))
-		}
-	}
-	return b
 }
 
 func (m *emitMsg) encode(b []byte) []byte {
@@ -394,7 +367,7 @@ func decodeTables(b []byte) (tablesMsg, error) {
 	return m, r.finish()
 }
 
-func decodeAssign(b []byte, proto uint32) (assignMsg, error) {
+func decodeAssign(b []byte) (assignMsg, error) {
 	r := wireReader{b: b}
 	m := assignMsg{
 		Query:    r.u32(),
@@ -405,45 +378,13 @@ func decodeAssign(b []byte, proto uint32) (assignMsg, error) {
 		Text:     r.str(),
 		Snapshot: r.bytes(),
 	}
-	if proto >= 2 {
-		m.PreStamped = r.u8()&assignPreStamped != 0
-	}
+	m.PreStamped = r.u8()&assignPreStamped != 0
 	return m, r.finish()
 }
 
 func decodeReady(b []byte) (readyMsg, error) {
 	r := wireReader{b: b}
 	m := readyMsg{Query: r.u32(), Shard: r.u32(), Resume: r.u64()}
-	return m, r.finish()
-}
-
-func decodeEvents(b []byte) (eventsMsg, error) {
-	r := wireReader{b: b}
-	m := eventsMsg{Query: r.u32(), Shard: r.u32()}
-	n := r.count()
-	if r.err == nil && n > 0 {
-		m.Events = make([]event.Event, 0, min(n, 1<<16))
-		for i := 0; i < n && r.err == nil; i++ {
-			var ev event.Event
-			ev.Type = event.Type(r.u32())
-			ev.TS = int64(r.u64())
-			nf := r.count()
-			if r.err != nil {
-				break
-			}
-			if nf > 0 {
-				if nf*8 > len(r.b)-r.off {
-					r.fail("field list of %d overruns frame", nf)
-					break
-				}
-				ev.Fields = make([]float64, nf)
-				for j := range ev.Fields {
-					ev.Fields[j] = math.Float64frombits(r.u64())
-				}
-			}
-			m.Events = append(m.Events, ev)
-		}
-	}
 	return m, r.finish()
 }
 

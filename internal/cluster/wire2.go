@@ -1,10 +1,7 @@
 package cluster
 
-// Protocol version 2: the communication-minimizing frame grammar
-// (DESIGN.md §13). Negotiated per link at handshake — the coordinator
-// answers a worker's hello with min(worker proto, coordinator proto),
-// so v1 workers keep speaking the fixed-width grammar of wire.go while
-// v2 links move the event volume onto three compact frame kinds:
+// The communication-minimizing part of the frame grammar (DESIGN.md
+// §13): the event volume travels on three compact frame kinds.
 //
 //   - kindEvents2: one shard's batch with varint scalars, delta-coded
 //     sequence numbers and timestamps, and optional field projection
@@ -15,8 +12,7 @@ package cluster
 //   - kindPageRefs: one consumer's view of a page — indexes into the
 //     page plus that shard's sequence numbers for them.
 //
-// All other frame kinds keep their v1 bodies on v2 links, except
-// kindAssign which gains a trailing flags byte (preStamped).
+// Control frames (wire.go) are fixed-width: they are rare.
 
 import (
 	"encoding/binary"
@@ -25,7 +21,7 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 )
 
-// v2 frame kinds (coordinator → worker only).
+// Event-carrying frame kinds (coordinator → worker only).
 const (
 	kindEvents2  byte = 16 // compact per-shard event batch
 	kindPage     byte = 17 // shared event page (sent once per worker)
@@ -38,7 +34,7 @@ const (
 	ev2Projected byte = 1 << 1 // fields carry a fixed projection column set
 )
 
-// assign flags (trailing byte of kindAssign on proto ≥ 2 links).
+// assign flags (trailing byte of kindAssign).
 const assignPreStamped byte = 1 << 0
 
 // maxProjFields bounds a projection list; maxProjIndex bounds each
@@ -60,7 +56,7 @@ const (
 // them, so the decoded total is budgeted independently of frame size.
 const maxFrameFloats = 1 << 22
 
-// events2Msg is the proto-2 replacement for eventsMsg. Events must be in
+// events2Msg is the wire form of one shard's event batch. Events must be in
 // strictly increasing Seq order (the coordinator's retained buffer
 // guarantees it). Proj, when non-nil, lists the payload field indexes
 // actually shipped; the decoder reconstructs dense Fields arrays with
@@ -318,12 +314,11 @@ func (m *events2Msg) encode(b []byte) []byte {
 	return appendEventCols(b, m.Events, m.Proj)
 }
 
-// decodeEvents2 returns the batch as a plain eventsMsg (with Seq set on
-// every event) so the worker's dispatch path is shared across protocol
-// versions.
-func decodeEvents2(b []byte) (eventsMsg, error) {
+// decodeEvents2 returns the batch with Seq set on every event and the
+// projection already undone (dense Fields, Proj nil).
+func decodeEvents2(b []byte) (events2Msg, error) {
 	r := wireReader{b: b}
-	m := eventsMsg{Query: uint32(r.uvarint()), Shard: uint32(r.uvarint())}
+	m := events2Msg{Query: uint32(r.uvarint()), Shard: uint32(r.uvarint())}
 	flags := r.u8()
 	n := r.uvcount()
 	var proj []int

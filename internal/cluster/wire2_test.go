@@ -139,24 +139,18 @@ func TestPageRefsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAssignRoundTripBothProtos(t *testing.T) {
+func TestAssignRoundTrip(t *testing.T) {
 	m := assignMsg{
 		Query: 2, Shard: 1, NShards: 4, EmitBase: 99,
 		Name: "Q", Text: "QUERY Q ...", Snapshot: []byte{1, 2, 3},
 		PreStamped: true,
 	}
-	for _, proto := range []uint32{1, 2} {
-		got, err := decodeAssign(m.encode(nil, proto), proto)
-		if err != nil {
-			t.Fatalf("proto %d decode: %v", proto, err)
-		}
-		want := m
-		if proto < 2 {
-			want.PreStamped = false // flag does not exist on the v1 wire
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("proto %d: %+v != %+v", proto, got, want)
-		}
+	got, err := decodeAssign(m.encode(nil))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("%+v != %+v", got, m)
 	}
 }
 
@@ -184,14 +178,11 @@ func TestDecodeEvents2Corrupt(t *testing.T) {
 }
 
 // FuzzDecodeFrame drives every cluster body decoder with arbitrary
-// bytes: first byte selects the frame kind (and the negotiated proto for
-// kindAssign), the rest is the body. Decoders must return structured
+// bytes: first byte selects the frame kind, the rest is the body. Decoders must return structured
 // errors — never panic — and the proportionality guards must keep
 // allocations bounded by the input size.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{kindHello})
-	f.Add(append([]byte{kindEvents},
-		(&eventsMsg{Query: 1, Events: []event.Event{ev(0, 1, 2, 3)}}).encode(nil)...))
 	f.Add(append([]byte{kindEvents2},
 		(&events2Msg{Query: 1, Events: []event.Event{ev(5, 1, 2, 3), ev(9, 2, 2)}}).encode(nil)...))
 	f.Add(append([]byte{kindEvents2},
@@ -201,7 +192,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(append([]byte{kindPageRefs},
 		(&pageRefsMsg{Query: 1, PageID: 1, Idx: []uint32{0, 4}, Seqs: []uint64{7, 9}}).encode(nil)...))
 	f.Add(append([]byte{kindAssign},
-		(&assignMsg{Query: 1, NShards: 2, Text: "t", PreStamped: true}).encode(nil, 2)...))
+		(&assignMsg{Query: 1, NShards: 2, Text: "t", PreStamped: true}).encode(nil)...))
 	f.Add(append([]byte{kindHandoff},
 		(&handoffMsg{Query: 1, Snapshot: []byte{1}}).encode(nil)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -221,22 +212,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		case kindTables:
 			_, err = decodeTables(body)
 		case kindAssign:
-			// Exercise both negotiated framings.
-			if _, e1 := decodeAssign(body, 1); e1 != nil {
-				err = e1
-			}
-			_, err2 := decodeAssign(body, 2)
-			if err2 != nil {
-				err = err2
-			}
+			_, err = decodeAssign(body)
 		case kindReady:
 			_, err = decodeReady(body)
-		case kindEvents:
-			var m eventsMsg
-			m, err = decodeEvents(body)
-			checkEventBudget(t, m.Events, len(body))
 		case kindEvents2:
-			var m eventsMsg
+			var m events2Msg
 			m, err = decodeEvents2(body)
 			checkEventBudget(t, m.Events, len(body))
 			for i := 1; i < len(m.Events); i++ {

@@ -29,10 +29,6 @@ type WorkerOptions struct {
 	// JoinAttempts caps the dial+handshake retries before Join gives up
 	// with a *Error (default 5).
 	JoinAttempts int
-	// MaxProto caps the wire protocol version advertised in the hello
-	// (default: the newest this build speaks). Tests use it to emulate
-	// old workers against a new coordinator.
-	MaxProto int
 	// Logf receives worker lifecycle logs (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -46,9 +42,6 @@ func (o *WorkerOptions) setDefaults() {
 	}
 	if o.JoinAttempts <= 0 {
 		o.JoinAttempts = 5
-	}
-	if o.MaxProto <= 0 || o.MaxProto > protoVersion {
-		o.MaxProto = protoVersion
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -86,9 +79,8 @@ type Worker struct {
 	typeMap  []event.Type
 	fieldMap []int
 	identity bool
-	// pages holds shared event pages awaiting their reference frames
-	// (proto ≥ 2); each page is freed after refsLeft kindPageRefs frames
-	// consumed it.
+	// pages holds shared event pages awaiting their reference frames;
+	// each page is freed after refsLeft kindPageRefs frames consumed it.
 	pages map[uint64]*workerPage
 
 	closed  atomic.Bool
@@ -217,10 +209,8 @@ func Join(ctx context.Context, reg *event.Registry, addr string, opts WorkerOpti
 
 // dialCoordinator performs one dial + hello/welcome handshake. The hello
 // advertises the worker's newest protocol version; the coordinator
-// answers with the version the link will actually speak (at most the
-// advertised one — older coordinators echo their own fixed version,
-// which the range check below accepts only when this build still speaks
-// it).
+// answers with the version the link will actually speak, which the range
+// check below accepts only when this build speaks it.
 func dialCoordinator(ctx context.Context, addr string, opts *WorkerOptions) (net.Conn, uint32, uint32, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -229,8 +219,7 @@ func dialCoordinator(ctx context.Context, addr string, opts *WorkerOptions) (net
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	_ = conn.SetDeadline(deadline)
-	maxProto := uint32(opts.MaxProto)
-	hello := helloMsg{Proto: maxProto, Capacity: uint32(opts.Capacity), Name: opts.Name}
+	hello := helloMsg{Proto: protoVersion, Capacity: uint32(opts.Capacity), Name: opts.Name}
 	if err := transport.WriteFrame(conn, kindHello, hello.encode(nil)); err != nil {
 		conn.Close()
 		return nil, 0, 0, fmt.Errorf("send hello: %w", err)
@@ -255,9 +244,9 @@ func dialCoordinator(ctx context.Context, addr string, opts *WorkerOptions) (net
 		conn.Close()
 		return nil, 0, 0, err
 	}
-	if wm.Proto < minProtoVersion || wm.Proto > maxProto {
+	if wm.Proto < minProtoVersion || wm.Proto > protoVersion {
 		conn.Close()
-		return nil, 0, 0, fmt.Errorf("protocol mismatch: coordinator chose v%d, worker speaks v%d..v%d", wm.Proto, minProtoVersion, maxProto)
+		return nil, 0, 0, fmt.Errorf("protocol mismatch: coordinator chose v%d, worker speaks v%d..v%d", wm.Proto, minProtoVersion, protoVersion)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	return conn, wm.WorkerID, wm.Proto, nil
@@ -386,39 +375,24 @@ func (w *Worker) dispatch(kind byte, body []byte) error {
 		w.applyTables(&m)
 		return nil
 	case kindAssign:
-		m, err := decodeAssign(body, w.proto)
+		m, err := decodeAssign(body)
 		if err != nil {
 			return err
 		}
 		return w.handleAssign(&m)
-	case kindEvents:
-		m, err := decodeEvents(body)
-		if err != nil {
-			return err
-		}
-		return w.handleEvents(&m)
 	case kindEvents2:
-		if w.proto < 2 {
-			return &Error{Op: "serve", Err: fmt.Errorf("events2 frame on a v%d link", w.proto)}
-		}
 		m, err := decodeEvents2(body)
 		if err != nil {
 			return err
 		}
 		return w.handleEvents(&m)
 	case kindPage:
-		if w.proto < 2 {
-			return &Error{Op: "serve", Err: fmt.Errorf("page frame on a v%d link", w.proto)}
-		}
 		m, err := decodePage(body)
 		if err != nil {
 			return err
 		}
 		return w.handlePage(&m)
 	case kindPageRefs:
-		if w.proto < 2 {
-			return &Error{Op: "serve", Err: fmt.Errorf("page-refs frame on a v%d link", w.proto)}
-		}
 		m, err := decodePageRefs(body)
 		if err != nil {
 			return err
@@ -613,7 +587,7 @@ func (w *Worker) drop(query, shard uint32) {
 // handleEvents feeds one batch. Feeding blocks when the shard's intake
 // queue is full — the link reader stalling is exactly the backpressure
 // the coordinator's TCP window propagates to its batcher.
-func (w *Worker) handleEvents(m *eventsMsg) error {
+func (w *Worker) handleEvents(m *events2Msg) error {
 	ws := w.lookup(m.Query, m.Shard)
 	if ws == nil {
 		// A batch can race a completed handoff; the new owner replays it.
@@ -651,7 +625,7 @@ func (w *Worker) handlePage(m *pageMsg) error {
 }
 
 // handlePageRefs resolves one consumer's view of a page into a plain
-// event batch and feeds it like any kindEvents frame. Reference frames
+// event batch and feeds it like any kindEvents2 frame. Reference frames
 // beyond the page's announced count, or indexes past its length, are
 // protocol errors.
 func (w *Worker) handlePageRefs(m *pageRefsMsg) error {
@@ -684,7 +658,7 @@ func (w *Worker) handlePageRefs(m *pageRefsMsg) error {
 		delete(w.pages, m.PageID)
 	}
 	w.mu.Unlock()
-	em := eventsMsg{Query: m.Query, Shard: m.Shard, Events: evs}
+	em := events2Msg{Query: m.Query, Shard: m.Shard, Events: evs}
 	ws := w.lookup(em.Query, em.Shard)
 	if ws == nil {
 		return nil // raced a completed handoff; the new owner replays

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,26 +111,18 @@ func (p *program) newPredictor() (markov.Predictor, error) {
 // claims busy processes the next batch with the slot's scratch state.
 //
 // The slot pool is resizable: only the first activeSlots slots take
-// assignments. A dedicated slot goroutine whose index moves past the
-// active count parks on wake (zero wake-ups until the pool grows back);
-// pool workers simply skip parked slots.
+// assignments; pool workers skip the parked ones entirely.
 type slot struct {
 	wv   atomic.Pointer[deptree.WindowVersion]
 	busy atomic.Bool
 	w    *worker
-	// wake unparks the slot's dedicated goroutine after a pool grow
-	// (buffered so a grow that races the park is never lost).
-	wake chan struct{}
-	// loops counts scheduling-loop iterations while active. White-box
-	// tests assert a parked slot's counter freezes.
-	loops atomic.Uint64
 }
 
 // shardState is the complete per-(query, shard) run state of the SPECTRE
 // runtime: the event arena, window manager, dependency tree, feedback
-// queue, predictor and the scheduling slots. A shardState is driven either
-// by a dedicated splitter goroutine plus k instance goroutines (Engine.Run)
-// or cooperatively by a shared worker Pool (Runtime).
+// queue, predictor and the scheduling slots. A shardState is driven
+// cooperatively by the workers of a Pool: whichever worker claims the
+// splitter runs one cycle, whichever claims a slot runs one batch.
 type shardState struct {
 	prog *program
 
@@ -148,8 +138,8 @@ type shardState struct {
 	// assigned mirrors the slots for the splitter's bookkeeping (Fig. 7).
 	assigned []*deptree.WindowVersion
 	// activeSlots is the effective slot-pool size k; slots beyond it are
-	// parked. Written by the splitter (policy decisions), read by slot
-	// goroutines and pool workers.
+	// parked. Written by the splitter (policy decisions), read by pool
+	// workers.
 	activeSlots atomic.Int32
 	// policy is the scheduling policy (splitter only).
 	policy sched.Policy
@@ -194,7 +184,7 @@ type shardState struct {
 	cancelled atomic.Bool // abort requested; the next splitter cycle finishes
 	parked    atomic.Bool // durable pause requested; stop without stream-end semantics
 	finished  atomic.Bool // run fully processed; done is closed
-	splitBusy atomic.Bool // cooperative-splitter claim (Pool mode)
+	splitBusy atomic.Bool // cooperative-splitter claim
 	done      chan struct{}
 
 	// Durability state (Config.Durable; DESIGN.md §11). persist is nil
@@ -225,8 +215,8 @@ type shardState struct {
 	recoveredNextSeq uint64
 	journalBuf       []event.Event
 
-	feed feeder
-	emit func(event.Complex)
+	queue *shardQueue
+	emit  func(event.Complex)
 
 	metrics metricsBox
 
@@ -236,8 +226,7 @@ type shardState struct {
 }
 
 // newShard builds one shard of prog. ctl is the shard's admission-
-// arbiter handle on a shared runtime (nil for dedicated engines and
-// unarbitrated queries).
+// arbiter handle (nil for unarbitrated queries).
 func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
 	pred, err := prog.newPredictor()
 	if err != nil {
@@ -259,7 +248,6 @@ func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
 	s.lagP99.Q = 0.99
 	for i := range s.slots {
 		s.slots[i].w = newWorker(s)
-		s.slots[i].wake = make(chan struct{}, 1)
 	}
 	if prog.cfg.SchedFactory != nil {
 		s.policy = prog.cfg.SchedFactory()
@@ -286,11 +274,11 @@ func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
 }
 
 // begin wires the shard's intake and output before it is driven.
-func (s *shardState) begin(feed feeder, emit func(event.Complex)) {
+func (s *shardState) begin(queue *shardQueue, emit func(event.Complex)) {
 	if emit == nil {
 		emit = func(event.Complex) {}
 	}
-	s.feed = feed
+	s.queue = queue
 	s.emit = emit
 }
 
@@ -318,37 +306,11 @@ func (s *shardState) newVersion(win *window.Window, suppressed []*deptree.CG) *d
 	return wv
 }
 
-// splitLoop drives the splitter to completion on the calling goroutine:
-// ingest → apply feedback → advance/emit → schedule, repeated until the
-// stream is drained (paper §3.2.2) or ctx is done. Used by the dedicated
-// Engine.Run path.
-func (s *shardState) splitLoop(ctx context.Context) {
-	idle := 0
-	for {
-		if ctx.Err() != nil {
-			s.cancel()
-		}
-		worked := s.splitCycle()
-		if s.runComplete() {
-			s.finishRun()
-			return
-		}
-		if worked {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 32 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
-
-// splitterStep runs one cooperative splitter cycle if no other worker is
-// inside it. It reports whether any progress was made. Pool workers call
-// this; the claim keeps the splitter's single-threaded state safe.
+// splitterStep runs one splitter cycle — ingest → apply feedback →
+// advance/emit → schedule (paper §3.2.2) — if no other worker is inside
+// it, and finishes the run once the stream is drained. It reports whether
+// any progress was made. The claim keeps the splitter's single-threaded
+// state safe.
 func (s *shardState) splitterStep() bool {
 	if s.finished.Load() {
 		return false
@@ -358,10 +320,25 @@ func (s *shardState) splitterStep() bool {
 	}
 	worked := s.splitCycle()
 	if s.runComplete() {
+		// The claim is never released: a worker that read finished as
+		// false just before this must not get in and finish a second time.
 		s.finishRun()
-		worked = true
+		return true
 	}
 	s.splitBusy.Store(false)
+	return worked
+}
+
+// step is one pool-worker visit: the splitter cycle if unclaimed, then one
+// batch on every active slot. Only the active prefix of the slot pool
+// takes assignments; parked slots are skipped entirely (zero wake-ups).
+func (s *shardState) step() bool {
+	worked := s.splitterStep()
+	for i, n := 0, int(s.activeSlots.Load()); i < n; i++ {
+		if s.slotStep(i) {
+			worked = true
+		}
+	}
 	return worked
 }
 
@@ -405,14 +382,12 @@ func (s *shardState) runComplete() bool {
 	return s.inputDone.Load() && s.tree.Empty() && s.fq.empty()
 }
 
-// cancel requests an abort: the next splitter cycle (dedicated or
-// pool-driven) observes it, skips the remaining work and finishes the
-// run. Pending and future intake is discarded. Idempotent.
+// cancel requests an abort: the next splitter cycle observes it, skips
+// the remaining work and finishes the run. Pending and future intake is
+// discarded. Idempotent.
 func (s *shardState) cancel() {
 	if s.cancelled.CompareAndSwap(false, true) {
-		if q, ok := s.feed.(*shardQueue); ok {
-			q.discard()
-		}
+		s.queue.discard()
 		s.inputDone.Store(true)
 	}
 }
@@ -427,9 +402,7 @@ func (s *shardState) cancel() {
 // them from the recovered position. Idempotent.
 func (s *shardState) park() {
 	if s.parked.CompareAndSwap(false, true) {
-		if q, ok := s.feed.(*shardQueue); ok {
-			q.discard()
-		}
+		s.queue.discard()
 		s.inputDone.Store(true)
 	}
 }
@@ -471,7 +444,7 @@ func (s *shardState) rootNeedsIngest() bool {
 func (s *shardState) ingest() int {
 	n := 0
 	for ; n < s.prog.cfg.IngestBatch; n++ {
-		ev, ok, done := s.feed.next()
+		ev, ok, done := s.queue.next()
 		if !ok {
 			if done {
 				s.winMgr.Finish(s.ar.Len())
@@ -841,7 +814,7 @@ func (s *shardState) schedule() {
 		SlotsActive:  active,
 		SlotsBusy:    busy,
 		Selected:     s.lastSelected,
-		QueueDepth:   s.feed.depth(),
+		QueueDepth:   s.queue.depth(),
 		QueueCap:     s.prog.cfg.QueueCap,
 		TreeSize:     s.tree.Size(),
 		SpecBudget:   s.tree.CapSize,
@@ -975,7 +948,7 @@ func (s *shardState) applyDecision(dec sched.Decision) {
 		n = len(s.slots)
 	}
 	if n != int(s.activeSlots.Load()) {
-		s.setActiveSlots(n)
+		s.activeSlots.Store(int32(n))
 		resized = true
 	}
 	if b := dec.Spec; b >= 1 && b != s.tree.CapSize {
@@ -992,27 +965,15 @@ func (s *shardState) applyDecision(dec sched.Decision) {
 	}
 }
 
-// setActiveSlots publishes the new effective pool size and unparks the
-// dedicated goroutines of newly activated slots. Splitter only.
-func (s *shardState) setActiveSlots(n int) {
-	old := int(s.activeSlots.Swap(int32(n)))
-	for i := old; i < n; i++ {
-		select {
-		case s.slots[i].wake <- struct{}{}:
-		default: // a wake token is already pending
-		}
-	}
-}
-
-// Engine is the SPECTRE runtime for a single query over a single stream: a
-// thin wrapper around one shardState driven by a dedicated splitter
-// goroutine (the caller of Run) and k instance goroutines. Multi-query,
-// key-partitioned deployments use Runtime instead, which multiplexes many
-// shards onto a shared worker pool.
+// Engine is the SPECTRE runtime for a single query over a single stream:
+// a one-shard Handle on a private Runtime whose pool has one worker per
+// role of the paper's Fig. 8 — the splitter plus the slot ceiling. The
+// query's PARTITION BY clause is ignored: an engine sees one substream.
+// Multi-query, key-partitioned deployments Submit to a shared Runtime
+// instead.
 type Engine struct {
-	prog  *program
-	shard *shardState
-	ran   bool
+	prog *program
+	h    atomic.Pointer[Handle] // set by Run; nil before
 }
 
 // New builds an engine for the query.
@@ -1020,15 +981,14 @@ func New(q *pattern.Query, cfg Config) (*Engine, error) {
 	if cfg.Durable != nil {
 		return nil, errors.New("core: durability requires the Runtime path (Submit)")
 	}
+	// The blocking source is the engine's backpressure; shedding would
+	// break the sequential-equivalence contract of Run.
+	cfg.Shed = false
 	prog, err := compile(q, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s, err := newShard(prog, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{prog: prog, shard: s}, nil
+	return &Engine{prog: prog}, nil
 }
 
 // Run ingests the source, processes it with k operator instances and
@@ -1039,7 +999,7 @@ func New(q *pattern.Query, cfg Config) (*Engine, error) {
 // splitter cycle; already-emitted output stands, the rest is discarded).
 // An engine runs once.
 func (e *Engine) Run(ctx context.Context, src stream.Source, emit func(event.Complex)) error {
-	if e.ran {
+	if e.h.Load() != nil {
 		return ErrAlreadyRan
 	}
 	// A context that is already done rejects the call without consuming
@@ -1047,39 +1007,33 @@ func (e *Engine) Run(ctx context.Context, src stream.Source, emit func(event.Com
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	e.ran = true
-	s := e.shard
-	var feed feeder = &sourceFeeder{ctx: ctx, src: src}
-	if s.prog.stamped && !s.prog.cfg.PreStamped {
-		// Intake prefilter: stamp raw positions, drop irrelevant events
-		// before they reach the arena. Pre-stamped input skips this — an
-		// upstream stage already filtered and spent the positions.
-		feed = &filterFeeder{inner: feed, pl: s.prog.plan, shard: s}
+	cfg := &e.prog.cfg
+	rt := NewRuntime(RuntimeConfig{Workers: cfg.Sched.SlotCeiling(cfg.Instances) + 1})
+	defer rt.Close()
+	// No arbiter registration: an engine shares its pool with nobody, so
+	// the adaptive policy keeps the machine's Procs ceiling, and a latency
+	// target only cuts speculation.
+	h, err := rt.start(e.prog, nil, nil, 1, emit, nil)
+	if err != nil {
+		return err
 	}
-	s.begin(feed, emit)
-
-	// One goroutine per slot up to the pool ceiling; slots beyond the
-	// current active count park until a policy decision grows the pool.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range s.slots {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.slotLoop(i, stop)
-		}(i)
-	}
-	s.splitLoop(ctx)
-	close(stop)
-	wg.Wait()
-	if s.cancelled.Load() {
-		return ctx.Err()
-	}
-	return nil
+	e.h.Store(h)
+	// Runtime.Run alone would drain what it admitted before the
+	// cancellation; aborting the handle discards it instead.
+	stop := context.AfterFunc(ctx, h.Abort)
+	defer stop()
+	return rt.Run(ctx, src)
 }
 
-// MetricsSnapshot returns a copy of the runtime counters.
-func (e *Engine) MetricsSnapshot() Metrics { return e.shard.metricsSnapshot() }
+// MetricsSnapshot returns a copy of the runtime counters (zero before
+// Run).
+func (e *Engine) MetricsSnapshot() Metrics {
+	h := e.h.Load()
+	if h == nil {
+		return Metrics{}
+	}
+	return h.Metrics()
+}
 
 // Plan returns the engine's evaluation plan, or nil when planning is
 // disabled.

@@ -1,55 +1,13 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"time"
 
 	"github.com/spectrecep/spectre/internal/deptree"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/matcher"
 	"github.com/spectrecep/spectre/internal/window"
 )
-
-// slotLoop drives one scheduling slot with a dedicated goroutine until
-// stop: pick up the scheduled version, process a batch, push feedback.
-// Used by the dedicated Engine.Run path (paper Fig. 8's k operator
-// instances); the Pool drives the same slots cooperatively via slotStep.
-//
-// A slot whose index is at or past the active pool size is parked: the
-// goroutine blocks on its wake channel — zero wake-ups, zero CPU — until
-// a policy decision grows the pool back over it (or the run ends).
-func (s *shardState) slotLoop(i int, stop chan struct{}) {
-	sl := &s.slots[i]
-	idle := 0
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if int(s.activeSlots.Load()) <= i {
-			select {
-			case <-sl.wake:
-			case <-stop:
-				return
-			}
-			idle = 0
-			continue
-		}
-		sl.loops.Add(1)
-		if s.slotStep(i) {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
 
 // slotStep processes one batch of slot i's assigned window version, if any
 // and if no other worker currently owns the slot. It reports whether any

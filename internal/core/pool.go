@@ -104,15 +104,8 @@ func (p *Pool) worker(id int) {
 				sawFinished = true
 				continue
 			}
-			if s.splitterStep() {
+			if s.step() {
 				worked = true
-			}
-			// Only the active prefix of the slot pool takes assignments;
-			// parked slots are skipped entirely (zero wake-ups).
-			for i, n := 0, int(s.activeSlots.Load()); i < n; i++ {
-				if s.slotStep(i) {
-					worked = true
-				}
 			}
 		}
 		if sawFinished {

@@ -5,104 +5,20 @@ import (
 	"sync"
 
 	"github.com/spectrecep/spectre/internal/event"
-	"github.com/spectrecep/spectre/internal/plan"
-	"github.com/spectrecep/spectre/internal/stream"
 )
-
-// feeder abstracts the splitter's event intake so the same splitter code
-// serves both a dedicated blocking run (Engine.Run over a stream.Source)
-// and a pool-driven shard fed asynchronously through a queue.
-type feeder interface {
-	// next returns the next event. ok=false with done=false means no
-	// event is available right now (queue feeders; the splitter carries
-	// on with its cycle); ok=false with done=true means the stream has
-	// ended for good. A source-backed feeder may block in next, exactly
-	// like the historical splitter blocked in Source.Next.
-	next() (ev event.Event, ok bool, done bool)
-	// depth reports the pending backlog — the queue-pressure signal of
-	// the scheduling control plane. Pull-based feeders report 0.
-	depth() int
-}
-
-// sourceFeeder adapts a blocking stream.Source, honouring the run's
-// context: a done context ends the stream, and sources that implement
-// stream.ContextSource (e.g. ChanSource) unblock mid-read.
-type sourceFeeder struct {
-	ctx context.Context
-	src stream.Source
-	eos bool
-}
-
-func (f *sourceFeeder) next() (event.Event, bool, bool) {
-	if f.eos {
-		return event.Event{}, false, true
-	}
-	if f.ctx.Err() != nil {
-		f.eos = true
-		return event.Event{}, false, true
-	}
-	var (
-		ev event.Event
-		ok bool
-	)
-	if cs, ctxAware := f.src.(stream.ContextSource); ctxAware {
-		ev, ok = cs.NextCtx(f.ctx)
-	} else {
-		ev, ok = f.src.Next()
-	}
-	if !ok {
-		f.eos = true
-		return event.Event{}, false, true
-	}
-	return ev, true, false
-}
-
-// depth implements feeder: a pull-based source has no backlog.
-func (f *sourceFeeder) depth() int { return 0 }
-
-// filterFeeder applies the planner's intake prefilter to a dedicated
-// engine run. Every raw event consumes a sequence position; admitted
-// events are stamped with theirs (AppendAt preserves it), rejected ones
-// leave a gap and are counted as filtered. Runs on the splitter
-// goroutine only, like the feeder it wraps.
-type filterFeeder struct {
-	inner feeder
-	pl    *plan.Plan
-	shard *shardState
-	seq   uint64
-}
-
-func (f *filterFeeder) next() (event.Event, bool, bool) {
-	for {
-		ev, ok, done := f.inner.next()
-		if !ok {
-			return ev, ok, done
-		}
-		seq := f.seq
-		f.seq++
-		if f.pl.Admit(&ev) {
-			ev.Seq = seq
-			return ev, true, false
-		}
-		f.pl.CountFiltered(1)
-		f.shard.filteredIn.Add(1)
-	}
-}
-
-func (f *filterFeeder) depth() int { return f.inner.depth() }
 
 // defaultQueueCap bounds the pending backlog of one shard queue. A full
 // queue blocks push, so backpressure propagates from a slow shard to
 // Handle.Feed and, through it, to whatever drives the stream (for the
 // TCP server: the connection's read loop, and thus the client's send
-// window) — mirroring the blocking-source ingest of a dedicated engine.
+// window; for an Engine: the goroutine pulling its source).
 const defaultQueueCap = 1 << 16
 
-// shardQueue is the asynchronous intake of one pool-driven shard: the
-// routing side pushes events or whole batches (blocking while the shard
-// is cap events behind, unblocking early when the pusher's context is
-// cancelled), the shard's splitter pops them without ever blocking.
-// Closing marks end of stream once the backlog drains.
+// shardQueue is the asynchronous intake of one shard: the routing side
+// pushes events or whole batches (blocking while the shard is cap events
+// behind, unblocking early when the pusher's context is cancelled), the
+// shard's splitter pops them without ever blocking. Closing marks end of
+// stream once the backlog drains.
 type shardQueue struct {
 	mu     sync.Mutex
 	space  sync.Cond // signalled when the backlog drops below capacity
@@ -231,15 +147,19 @@ func (q *shardQueue) discard() {
 	q.mu.Unlock()
 }
 
-// depth implements feeder: the pending backlog.
+// depth reports the pending backlog — the queue-pressure signal of the
+// scheduling control plane.
 func (q *shardQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.buf) - q.head
 }
 
-// next implements feeder. It never blocks.
-func (q *shardQueue) next() (event.Event, bool, bool) {
+// next pops the next event without ever blocking. ok=false with
+// done=false means no event is available right now (the splitter carries
+// on with its cycle); ok=false with done=true means the stream has ended
+// for good.
+func (q *shardQueue) next() (ev event.Event, ok bool, done bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.head < len(q.buf) {

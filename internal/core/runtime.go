@@ -141,7 +141,22 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 			return nil, errors.New("core: durability requires Config.Reg (WAL records carry the registry's name tables)")
 		}
 	}
-	h := &Handle{rt: rt, name: q.Name, route: route, onDrain: onDrain}
+	// A weight or latency target opts the query into the cross-query
+	// admission arbiter; unarbitrated queries keep the historical
+	// whole-machine Procs ceiling.
+	var qc *sched.QueryCtl
+	if prog.cfg.Weight > 0 || prog.cfg.Sched.LatencyTarget > 0 {
+		qc = rt.arb.Register(q.Name, prog.cfg.Weight, prog.cfg.Sched.LatencyTarget, nShards)
+	}
+	return rt.start(prog, qc, route, nShards, emit, onDrain)
+}
+
+// start builds the handle of a compiled query — shards, queues, WAL
+// attachment — and attaches its shards to the pool. qc is the query's
+// arbiter registration (nil: unarbitrated); the handle owns it from here.
+func (rt *Runtime) start(prog *program, qc *sched.QueryCtl, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
+	name := prog.query.Name
+	h := &Handle{rt: rt, name: name, route: route, onDrain: onDrain, qc: qc}
 	h.plan = prog.plan
 	if h.intake = prog.stamped && !prog.cfg.PreStamped; h.intake {
 		h.stamp = make([]uint64, nShards)
@@ -150,12 +165,6 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 	}
 	if emit == nil {
 		emit = func(event.Complex) {}
-	}
-	// A weight or latency target opts the query into the cross-query
-	// admission arbiter; unarbitrated queries keep the historical
-	// whole-machine Procs ceiling.
-	if prog.cfg.Weight > 0 || prog.cfg.Sched.LatencyTarget > 0 {
-		h.qc = rt.arb.Register(q.Name, prog.cfg.Weight, prog.cfg.Sched.LatencyTarget, nShards)
 	}
 	// release undoes a partially built handle: the arbiter registration
 	// and any persisters already running (their WAL shard locks must be
@@ -192,7 +201,7 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 		if prog.cfg.Durable != nil {
 			// Open (and recover) the shard's WAL before it runs; the
 			// recovered journal suffix is preloaded ahead of live input.
-			rec, err = attachDurability(s, q.Name, i)
+			rec, err = attachDurability(s, name, i)
 			if err != nil {
 				release()
 				return nil, err

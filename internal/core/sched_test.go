@@ -77,6 +77,10 @@ func schedPolicies(k int) []struct {
 // scheduling policy — including mid-run shrinks and grows of the slot
 // pool and the speculation budget. The scheduling layer sits above the
 // §4.2 validation gate, so it may only change performance, never output.
+// Each workload runs either as an Engine (workers 0: one pool worker per
+// role) or as a one-shard handle fed event by event on a shared pool with
+// fewer workers than roles, where every worker alternates between the
+// splitter and the slots.
 func TestPolicyEquivalence(t *testing.T) {
 	reg := event.NewRegistry()
 	nyse := dataset.NYSE(reg, dataset.NYSEConfig{Symbols: 40, Leaders: 4, Minutes: 120, Seed: 11})
@@ -90,28 +94,59 @@ func TestPolicyEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	regP := event.NewRegistry()
+	nyseP := dataset.NYSE(regP, dataset.NYSEConfig{Symbols: 30, Leaders: 3, Minutes: 100, Seed: 19})
+	q1P, err := queries.Q1(regP, queries.Q1Config{Q: 6, WindowSize: 250, Leaders: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	workloads := []struct {
-		label  string
-		q      *pattern.Query
-		events []event.Event
+		label   string
+		q       *pattern.Query
+		events  []event.Event
+		cfg     Config
+		workers int // 0: Engine; otherwise the shared pool's size
 	}{
-		{"q1", q1, nyse},
-		{"q3-consume-all", q3, random},
+		{"q1", q1, nyse, Config{Instances: 4, BatchSize: 32, ConsistencyCheckEvery: 8}, 0},
+		{"q3-consume-all", q3, random, Config{Instances: 4, BatchSize: 32, ConsistencyCheckEvery: 8}, 0},
+		{"q1-2workers", q1P, nyseP, Config{Instances: 3, BatchSize: 32}, 2},
 	}
-	const k = 4
 	for _, wl := range workloads {
 		want := runSequential(t, wl.q, wl.events)
 		if len(want) == 0 {
 			t.Fatalf("%s produced no matches; test is vacuous", wl.label)
 		}
-		for _, pol := range schedPolicies(k) {
+		for _, pol := range schedPolicies(wl.cfg.Instances) {
 			t.Run(wl.label+"/"+pol.label, func(t *testing.T) {
-				cfg := Config{Instances: k, BatchSize: 32, ConsistencyCheckEvery: 8}
+				cfg := wl.cfg
 				pol.apply(&cfg)
-				got, eng := runSpectre(t, wl.q, wl.events, cfg)
+				var (
+					got []event.Complex
+					m   Metrics
+				)
+				if wl.workers == 0 {
+					var eng *Engine
+					got, eng = runSpectre(t, wl.q, wl.events, cfg)
+					m = eng.MetricsSnapshot()
+				} else {
+					rt := NewRuntime(RuntimeConfig{Workers: wl.workers})
+					defer rt.Close()
+					h, err := rt.Submit(wl.q, cfg, nil, 1, func(ce event.Complex) {
+						got = append(got, ce)
+					}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ev := range wl.events {
+						if err := h.Feed(t.Context(), ev); err != nil {
+							t.Fatal(err)
+						}
+					}
+					h.Drain()
+					m = h.Metrics()
+				}
 				assertSameOutput(t, pol.label, got, want)
-				m := eng.MetricsSnapshot()
 				if m.SlotCyclesActive == 0 {
 					t.Fatal("slot-utilization counters must be populated")
 				}
@@ -123,45 +158,6 @@ func TestPolicyEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPolicyEquivalencePool runs the same cross-policy check through the
-// pool-driven Runtime path (cooperative splitter + slot steps instead of
-// dedicated goroutines).
-func TestPolicyEquivalencePool(t *testing.T) {
-	reg := event.NewRegistry()
-	events := dataset.NYSE(reg, dataset.NYSEConfig{Symbols: 30, Leaders: 3, Minutes: 100, Seed: 19})
-	q, err := queries.Q1(reg, queries.Q1Config{Q: 6, WindowSize: 250, Leaders: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runSequential(t, q, events)
-	if len(want) == 0 {
-		t.Fatal("workload produced no matches; test is vacuous")
-	}
-	const k = 3
-	for _, pol := range schedPolicies(k) {
-		t.Run(pol.label, func(t *testing.T) {
-			cfg := Config{Instances: k, BatchSize: 32}
-			pol.apply(&cfg)
-			rt := NewRuntime(RuntimeConfig{Workers: 2})
-			defer rt.Close()
-			var got []event.Complex
-			h, err := rt.Submit(q, cfg, nil, 1, func(ce event.Complex) {
-				got = append(got, ce)
-			}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range events {
-				if err := h.Feed(t.Context(), ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			h.Drain()
-			assertSameOutput(t, pol.label, got, want)
-		})
 	}
 }
 
@@ -249,24 +245,41 @@ func TestEndBoundaryEligibleAfterShrink(t *testing.T) {
 	s := stuckShard(t, func() sched.Policy {
 		return &oscPolicy{inner: sched.Config{}.New(1, 256), period: 1 << 30, loK: 1, hiK: 1, loSpec: 256, hiSpec: 256}
 	})
-	for i := 0; i < 10000 && !s.runComplete(); i++ {
-		s.splitCycle()
-		for j, n := 0, int(s.activeSlots.Load()); j < n; j++ {
-			s.slotStep(j)
-		}
+	for i := 0; i < 10000 && !s.finished.Load(); i++ {
+		s.step()
 	}
-	if !s.runComplete() {
+	if !s.finished.Load() {
 		root := s.tree.Root()
 		t.Fatalf("run deadlocked; root version pos=%d end=%d finished=%v",
 			root.WV.Pos(), root.WV.Win.EndSeq(), root.WV.Finished())
 	}
 }
 
-// TestSlotPoolParksIdleSlots is the white-box park check: when the
-// adaptive policy shrinks the pool, the dedicated goroutines of the
-// withdrawn slots must block on their wake channels — zero loop
-// iterations, zero wake-ups — until the pool grows back.
-func TestSlotPoolParksIdleSlots(t *testing.T) {
+// TestFinishedShardKeepsSplitterClaim: a pool worker that read finished
+// as false just before another worker ended the run must not get into the
+// splitter and finish it a second time (done would be closed twice).
+func TestFinishedShardKeepsSplitterClaim(t *testing.T) {
+	s := stuckShard(t, func() sched.Policy { return sched.Config{}.New(1, 256) })
+	for i := 0; i < 10000 && !s.finished.Load(); i++ {
+		s.step()
+	}
+	if !s.finished.Load() {
+		t.Fatal("run did not drain")
+	}
+	s.finished.Store(false) // the late worker's stale read
+	if s.step() {
+		t.Fatal("a finished shard still took a splitter cycle")
+	}
+}
+
+// TestParkedSlotsNeverStep is the white-box park check: across a shrink
+// and a grow of the slot pool, a pool-worker visit (step) must never run
+// slotStep on an index at or past activeSlots. A sentinel version planted
+// directly on a parked slot — behind the splitter's back, so no schedule
+// pass strips it — must stay untouched while the active slot keeps
+// working; after the grow the withdrawn slots take assignments again and
+// the run drains.
+func TestParkedSlotsNeverStep(t *testing.T) {
 	var grow atomic.Bool
 	factory := func() sched.Policy {
 		return policyFunc(func() sched.Decision {
@@ -299,54 +312,58 @@ func TestSlotPoolParksIdleSlots(t *testing.T) {
 	}
 	queue := newShardQueue(1024)
 	s.begin(queue, nil)
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := range s.slots {
-			go s.slotLoop(i, stop)
+	// 16 independent windows of 8 events; one batch finishes one window,
+	// so a single slot needs 16 visits to drain them.
+	for i := 0; i < 128; i++ {
+		if err := queue.push(t.Context(), event.Event{TS: int64(i), Type: ta}); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	<-done
-	defer close(stop)
+	}
 
-	// One scheduling cycle applies the shrink to 1 slot.
-	s.splitCycle()
+	// The first visit ingests everything and applies the shrink to 1 slot.
+	s.step()
 	if got := int(s.activeSlots.Load()); got != 1 {
 		t.Fatalf("active slots = %d, want 1", got)
 	}
-	// Give the withdrawn goroutines time to observe the shrink and park.
-	time.Sleep(20 * time.Millisecond)
-	var parked [4]uint64
-	for i := 1; i < 4; i++ {
-		parked[i] = s.slots[i].loops.Load()
+	sentinel := deptree.NewWindowVersion(1<<40, s.tree.Root().WV.Win, nil)
+	s.slots[3].wv.Store(sentinel)
+	before := s.metricsSnapshot().EventsProcessed
+	for i := 0; i < 4; i++ {
+		s.step()
 	}
-	active0 := s.slots[0].loops.Load()
-	time.Sleep(50 * time.Millisecond)
+	if sentinel.State != nil {
+		t.Fatal("slotStep ran on a parked slot")
+	}
 	for i := 1; i < 4; i++ {
-		if now := s.slots[i].loops.Load(); now != parked[i] {
-			t.Fatalf("parked slot %d iterated (%d -> %d); wake-ups must be zero", i, parked[i], now)
+		if s.assigned[i] != nil {
+			t.Fatalf("parked slot %d holds an assignment", i)
 		}
 	}
-	if now := s.slots[0].loops.Load(); now == active0 {
-		t.Fatal("the active slot must keep iterating while parked slots freeze")
+	if now := s.metricsSnapshot().EventsProcessed; now == before {
+		t.Fatal("the active slot must keep working while the others are parked")
 	}
+	s.slots[3].wv.Store(nil)
 
-	// Grow back: the parked goroutines must wake and iterate again.
+	// Grow back: the next visit hands the withdrawn slots work again.
 	grow.Store(true)
-	s.splitCycle()
+	s.step()
 	if got := int(s.activeSlots.Load()); got != 4 {
 		t.Fatalf("active slots after grow = %d, want 4", got)
 	}
-	deadline := time.Now().Add(2 * time.Second)
 	for i := 1; i < 4; i++ {
-		for s.slots[i].loops.Load() == parked[i] {
-			if time.Now().After(deadline) {
-				t.Fatalf("slot %d did not wake after the pool grew", i)
-			}
-			time.Sleep(time.Millisecond)
+		if s.assigned[i] == nil {
+			t.Fatalf("slot %d took no assignment after the pool grew", i)
 		}
+	}
+	queue.close()
+	for i := 0; i < 10000 && !s.finished.Load(); i++ {
+		s.step()
+	}
+	if !s.finished.Load() {
+		t.Fatal("run did not drain after the grow")
+	}
+	if m := s.metricsSnapshot(); m.WindowsOpened != 16 || m.Matches == 0 {
+		t.Fatalf("opened %d windows, %d matches; want 16 windows and matches", m.WindowsOpened, m.Matches)
 	}
 }
 
@@ -364,6 +381,10 @@ func TestAdaptiveEngineShrinksOnThisMachine(t *testing.T) {
 	want := runSequential(t, q, events)
 	cfg := Config{Instances: 4}
 	cfg.Sched = sched.Config{Kind: sched.Adaptive, MinSlots: 1, MaxSlots: 4, AdjustEvery: 8, Procs: 1}
+	// A latency target (never missed here) must not enroll the engine in
+	// its private runtime's arbiter: a sole tenant would be granted the
+	// whole pool and the grant would override Procs.
+	cfg.Sched.LatencyTarget = time.Hour
 	got, eng := runSpectre(t, q, events, cfg)
 	assertSameOutput(t, "adaptive", got, want)
 	m := eng.MetricsSnapshot()

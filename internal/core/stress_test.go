@@ -336,28 +336,31 @@ func TestRandomizedEquivalence(t *testing.T) {
 // frequent and almost always seeded. Output must equal the sequential
 // reference, and on this workload the seeding path must actually fire.
 func TestCheckpointSeededEquivalence(t *testing.T) {
-	reg := event.NewRegistry()
-	events := dataset.Rand(reg, dataset.RandConfig{Symbols: 6, Events: 8000, Seed: 5})
-	q, err := queries.Q3(reg, queries.Q3Config{SetSize: 3, WindowSize: 120, Slide: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runSequential(t, q, events)
-	if len(want) == 0 {
-		t.Fatal("workload produced no matches; test is vacuous")
-	}
 	seeded := uint64(0)
 	// Intervals must fit inside the 120-event window for checkpoints to
-	// be due at all.
-	for _, ckpt := range []int{1, 16, 64} {
-		t.Run(fmt.Sprintf("ckpt=%d", ckpt), func(t *testing.T) {
+	// be due at all, and a speculative version must live that many events:
+	// on the 6-symbol stream a group completes (and drops the versions
+	// that bet against it) every few events, so one window in the whole
+	// run gives a version 64 events; the 40-symbol stream gives hundreds.
+	for _, tc := range []struct{ ckpt, symbols int }{{1, 6}, {16, 6}, {64, 40}} {
+		t.Run(fmt.Sprintf("ckpt=%d", tc.ckpt), func(t *testing.T) {
+			reg := event.NewRegistry()
+			events := dataset.Rand(reg, dataset.RandConfig{Symbols: tc.symbols, Events: 8000, Seed: 5})
+			q, err := queries.Q3(reg, queries.Q3Config{SetSize: 3, WindowSize: 120, Slide: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runSequential(t, q, events)
+			if len(want) == 0 {
+				t.Fatal("workload produced no matches; test is vacuous")
+			}
 			got, eng := runSpectre(t, q, events, Config{
 				Instances:             4,
 				ConsistencyCheckEvery: 4,
 				BatchSize:             32,
-				CheckpointEvery:       ckpt,
+				CheckpointEvery:       tc.ckpt,
 			})
-			assertSameOutput(t, fmt.Sprintf("ckpt=%d", ckpt), got, want)
+			assertSameOutput(t, fmt.Sprintf("ckpt=%d", tc.ckpt), got, want)
 			m := eng.MetricsSnapshot()
 			if m.Checkpoints == 0 {
 				t.Fatal("no checkpoints recorded on a speculation-heavy workload")

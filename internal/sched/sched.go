@@ -49,10 +49,9 @@ type Signals struct {
 	// Selected is how many versions the previous Select handed out.
 	// Selected == SlotsActive means demand is at least the pool size.
 	Selected int
-	// QueueDepth is the shard intake queue's pending backlog (0 for
-	// dedicated source-fed engines, which pull instead of queue).
+	// QueueDepth is the shard intake queue's pending backlog.
 	QueueDepth int
-	// QueueCap is the intake queue's capacity (0 when unbounded/pull).
+	// QueueCap is the intake queue's capacity.
 	QueueCap int
 	// TreeSize is the number of window versions in the dependency tree.
 	TreeSize int

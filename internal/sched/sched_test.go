@@ -121,7 +121,7 @@ func TestConfigNormalization(t *testing.T) {
 	}
 
 	// The configured MaxSpeculation is the hard ceiling: adaptive bounds
-	// beyond it are clamped down (a later WithMaxSpeculation wins).
+	// beyond it are clamped down.
 	c = Config{Kind: Adaptive, MinSpec: 16, MaxSpec: 4096}.normalized(4, 64)
 	if c.MaxSpec != 64 {
 		t.Fatalf("MaxSpec %d exceeds the configured hard ceiling 64", c.MaxSpec)

@@ -54,8 +54,8 @@ func FixedProbScheduler(p float64) Scheduler {
 // so the root chain gets the cycles, and it recovers once the shard is
 // healthy. Bound the adaptation with WithAdaptiveInstances and
 // WithAdaptiveSpeculation; without explicit bounds the slot pool adapts
-// within [1, WithInstances] and the budget within
-// [max(16, WithMaxSpeculation/8), WithMaxSpeculation].
+// within [1, WithInstances] and the budget within [32, 256] window
+// versions.
 func AdaptiveScheduler() Scheduler {
 	return Scheduler{cfg: sched.Config{Kind: sched.Adaptive}}
 }
@@ -97,10 +97,8 @@ func WithAdaptiveInstances(min, max int) Option {
 // WithAdaptiveSpeculation selects the adaptive scheduler and bounds its
 // speculation budget: the dependency tree's version cap is cut toward
 // min under overload and rollback storms and recovers toward max while
-// the shard is healthy. max doubles as WithMaxSpeculation(max) — the
-// absolute ceiling on speculative growth. Options apply in order: a
-// later WithMaxSpeculation lowers (or raises) the hard ceiling and the
-// adaptive budget never exceeds it.
+// the shard is healthy. max is also the absolute ceiling on speculative
+// growth (256 window versions without this option).
 func WithAdaptiveSpeculation(min, max int) Option {
 	return func(c *core.Config) {
 		if min <= 0 || max < min || max > maxOptionValue {

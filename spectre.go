@@ -80,8 +80,9 @@
 //   - Runtime.Shutdown(ctx) drains every query gracefully and aborts
 //     whatever misses the deadline.
 //
-// An Engine serves one query over one stream. Long-lived, multi-tenant
-// deployments use Runtime instead: it hosts many concurrent queries,
+// An Engine serves one query over one stream — a one-shard submission on
+// a private runtime. Long-lived, multi-tenant deployments use Runtime
+// directly: it hosts many concurrent queries,
 // partitions each input stream by a key attribute (`PARTITION BY` in the
 // query text, or WithPartitionBy/WithPartitionByType) and multiplexes
 // every (query, shard) SPECTRE pipeline onto one shared worker pool —
@@ -174,8 +175,6 @@ type (
 	Source = stream.Source
 	// Metrics are the runtime counters of an Engine run.
 	Metrics = core.Metrics
-	// Predictor predicts consumption-group completion probabilities.
-	Predictor = markov.Predictor
 	// QueryPlan is the cost-based evaluation plan of a compiled query:
 	// the intake type filter, the selectivity-ordered predicate programs
 	// and the planner-chosen deployment. Obtain one from Engine.Plan or
@@ -256,14 +255,9 @@ func WithRegistry(reg *Registry) Option {
 	}
 }
 
-// WithPredictor replaces the completion-probability model (default: the
-// paper's Markov model with α = 0.7, ℓ = 10).
-func WithPredictor(p Predictor) Option {
-	return func(c *core.Config) { c.Predictor = p }
-}
-
 // WithFixedProbability uses a constant completion probability for every
-// consumption group (the baseline of the paper's Figure 11).
+// consumption group (the baseline of the paper's Figure 11) instead of
+// the paper's Markov model (α = 0.7, ℓ = 10; see WithMarkov).
 func WithFixedProbability(p float64) Option {
 	return func(c *core.Config) { c.Predictor = markov.Fixed{P: p} }
 }
@@ -281,15 +275,6 @@ func WithMarkov(alpha float64, stepSize int) Option {
 // in processed events (paper Fig. 8; default 64).
 func WithConsistencyCheckEvery(n int) Option {
 	return func(c *core.Config) { c.ConsistencyCheckEvery = n }
-}
-
-// WithMaxSpeculation caps the dependency tree's speculative growth
-// (default 256 window versions). Beyond the cap new consumption groups
-// are not speculated on; the final validation gate keeps the output
-// exactly sequential regardless, so the cap only trades throughput for
-// bounded memory on adversarial consume-heavy workloads.
-func WithMaxSpeculation(n int) Option {
-	return func(c *core.Config) { c.MaxSpeculation = n }
 }
 
 // WithBatchSize sets how many events an operator instance processes per
@@ -330,7 +315,7 @@ func WithoutCheckpoints() Option {
 // (default 65536 events). A full queue blocks Feed/FeedBatch and rejects
 // TryFeed with an *OverloadError, so the cap is the admission-control
 // knob: smaller caps surface overload sooner, larger caps absorb bursts.
-// A standalone Engine ignores it.
+// On an Engine it bounds how far Run reads ahead of the splitter.
 func WithQueueCap(n int) Option {
 	return func(c *core.Config) {
 		if n <= 0 {
