@@ -158,7 +158,7 @@ func (cl *Cluster) Submit(ctx context.Context, text string, sink Sink, opts ...O
 		return nil, queryErr(q, cfg.Err)
 	}
 	switch {
-	case cfg.Shed || cfg.ShedScorer != nil:
+	case cfg.Shed:
 		return nil, queryErr(q, fmt.Errorf("WithShedding is node-local and does not apply to a distributed query"))
 	case cfg.Weight != 0:
 		return nil, queryErr(q, fmt.Errorf("WithWeight is node-local and does not apply to a distributed query"))

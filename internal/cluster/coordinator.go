@@ -850,12 +850,12 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 		n := min(avail, batch)
 		evs := s.retained[s.sent : s.sent+n]
 		c.ensureTables(w)
-		m := events2Msg{Query: q.id, Shard: uint32(idx), Events: evs}
+		m := eventsMsg{Query: q.id, Shard: uint32(idx), Events: evs}
 		if q.projected {
 			m.Proj = q.proj
 		}
 		c.encBuf = m.encode(c.encBuf[:0])
-		w.enqueue(kindEvents2, c.encBuf)
+		w.enqueue(kindEvents, c.encBuf)
 		w.eventsSent.Add(uint64(n))
 		if n == batch {
 			w.fullSends++

@@ -1,7 +1,7 @@
 package cluster
 
-// Protocol-2 codec coverage: round-trips for the compact frame bodies
-// (events2, page, pageRefs, assign flags) and a fuzz target over every
+// Codec coverage: round-trips for the compact frame bodies (events,
+// page, pageRefs, assign flags) and a fuzz target over every
 // body decoder — corrupt input must come back as a structured error, no
 // panics and no allocations disproportionate to the delivered bytes.
 
@@ -37,19 +37,19 @@ func wantProjected(evs []event.Event, proj []int) []event.Event {
 	return out
 }
 
-func TestEvents2RoundTrip(t *testing.T) {
+func TestEventsRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
-		msg  events2Msg
+		msg  eventsMsg
 		want []event.Event // nil: expect msg.Events back unchanged
 	}{
-		{name: "empty", msg: events2Msg{Query: 7, Shard: 3}},
-		{name: "contig", msg: events2Msg{Query: 1, Shard: 0, Events: []event.Event{
+		{name: "empty", msg: eventsMsg{Query: 7, Shard: 3}},
+		{name: "contig", msg: eventsMsg{Query: 1, Shard: 0, Events: []event.Event{
 			ev(10, 100, 2, 1.5, -2.5),
 			ev(11, 100, 2, 3.25),
 			ev(12, 90, 4), // TS may go backwards: deltas are signed
 		}}},
-		{name: "sparse", msg: events2Msg{Query: 1, Shard: 2, Events: []event.Event{
+		{name: "sparse", msg: eventsMsg{Query: 1, Shard: 2, Events: []event.Event{
 			ev(0, 5, 1, 9),
 			ev(7, 6, 1),
 			ev(8, 1000, 3, 0.5),
@@ -57,7 +57,7 @@ func TestEvents2RoundTrip(t *testing.T) {
 		}}},
 		{
 			name: "projected",
-			msg: events2Msg{Query: 9, Shard: 1, Proj: []int{0, 3}, Events: []event.Event{
+			msg: eventsMsg{Query: 9, Shard: 1, Proj: []int{0, 3}, Events: []event.Event{
 				ev(5, 1, 2, 10, 20, 30, 40),
 				ev(6, 2, 2, 11, 21), // short fields: Field(3) reads as 0
 				ev(9, 3, 5),
@@ -72,7 +72,7 @@ func TestEvents2RoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.msg.encode(nil)
-			got, err := decodeEvents2(b)
+			got, err := decodeEvents(b)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -154,8 +154,8 @@ func TestAssignRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeEvents2Corrupt(t *testing.T) {
-	base := events2Msg{Query: 1, Shard: 0, Events: []event.Event{
+func TestDecodeEventsCorrupt(t *testing.T) {
+	base := eventsMsg{Query: 1, Shard: 0, Events: []event.Event{
 		ev(10, 100, 2, 1.5), ev(20, 101, 2, 2.5),
 	}}
 	valid := base.encode(nil)
@@ -166,11 +166,11 @@ func TestDecodeEvents2Corrupt(t *testing.T) {
 		// count far beyond the bytes backing it
 		"count overrun": {1, 0, 0, 0xFF, 0xFF, 0xFF, 0x07},
 		// projected flag with a projection list longer than maxProjFields
-		"proj overrun": {1, 0, ev2Projected, 1, 0xFF, 0xFF, 0x7F},
+		"proj overrun": {1, 0, evProjected, 1, 0xFF, 0xFF, 0x7F},
 	}
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := decodeEvents2(b); err == nil {
+			if _, err := decodeEvents(b); err == nil {
 				t.Fatalf("corrupt frame decoded without error")
 			}
 		})
@@ -183,10 +183,10 @@ func TestDecodeEvents2Corrupt(t *testing.T) {
 // allocations bounded by the input size.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{kindHello})
-	f.Add(append([]byte{kindEvents2},
-		(&events2Msg{Query: 1, Events: []event.Event{ev(5, 1, 2, 3), ev(9, 2, 2)}}).encode(nil)...))
-	f.Add(append([]byte{kindEvents2},
-		(&events2Msg{Query: 1, Proj: []int{1}, Events: []event.Event{ev(5, 1, 2, 3, 4)}}).encode(nil)...))
+	f.Add(append([]byte{kindEvents},
+		(&eventsMsg{Query: 1, Events: []event.Event{ev(5, 1, 2, 3), ev(9, 2, 2)}}).encode(nil)...))
+	f.Add(append([]byte{kindEvents},
+		(&eventsMsg{Query: 1, Proj: []int{1}, Events: []event.Event{ev(5, 1, 2, 3, 4)}}).encode(nil)...))
 	f.Add(append([]byte{kindPage},
 		(&pageMsg{PageID: 1, Refs: 2, Events: []event.Event{ev(0, 1, 2, 3)}}).encode(nil)...))
 	f.Add(append([]byte{kindPageRefs},
@@ -215,9 +215,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, err = decodeAssign(body)
 		case kindReady:
 			_, err = decodeReady(body)
-		case kindEvents2:
-			var m events2Msg
-			m, err = decodeEvents2(body)
+		case kindEvents:
+			var m eventsMsg
+			m, err = decodeEvents(body)
 			checkEventBudget(t, m.Events, len(body))
 			for i := 1; i < len(m.Events); i++ {
 				if err == nil && m.Events[i].Seq <= m.Events[i-1].Seq {

@@ -380,8 +380,8 @@ func (w *Worker) dispatch(kind byte, body []byte) error {
 			return err
 		}
 		return w.handleAssign(&m)
-	case kindEvents2:
-		m, err := decodeEvents2(body)
+	case kindEvents:
+		m, err := decodeEvents(body)
 		if err != nil {
 			return err
 		}
@@ -587,7 +587,7 @@ func (w *Worker) drop(query, shard uint32) {
 // handleEvents feeds one batch. Feeding blocks when the shard's intake
 // queue is full — the link reader stalling is exactly the backpressure
 // the coordinator's TCP window propagates to its batcher.
-func (w *Worker) handleEvents(m *events2Msg) error {
+func (w *Worker) handleEvents(m *eventsMsg) error {
 	ws := w.lookup(m.Query, m.Shard)
 	if ws == nil {
 		// A batch can race a completed handoff; the new owner replays it.
@@ -625,7 +625,7 @@ func (w *Worker) handlePage(m *pageMsg) error {
 }
 
 // handlePageRefs resolves one consumer's view of a page into a plain
-// event batch and feeds it like any kindEvents2 frame. Reference frames
+// event batch and feeds it like any kindEvents frame. Reference frames
 // beyond the page's announced count, or indexes past its length, are
 // protocol errors.
 func (w *Worker) handlePageRefs(m *pageRefsMsg) error {
@@ -658,7 +658,7 @@ func (w *Worker) handlePageRefs(m *pageRefsMsg) error {
 		delete(w.pages, m.PageID)
 	}
 	w.mu.Unlock()
-	em := events2Msg{Query: m.Query, Shard: m.Shard, Events: evs}
+	em := eventsMsg{Query: m.Query, Shard: m.Shard, Events: evs}
 	ws := w.lookup(em.Query, em.Shard)
 	if ws == nil {
 		return nil // raced a completed handoff; the new owner replays

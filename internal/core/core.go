@@ -140,10 +140,6 @@ type Config struct {
 	// blocking Feed or failing TryFeed. Off by default — shedding trades
 	// completeness for bounded latency, which only the caller may decide.
 	Shed bool
-	// ShedScorer overrides the shedder's utility estimator with a fixed
-	// per-type score (benchmarks: a constant scorer is the uniform
-	// random-drop baseline). Only read when Shed is set.
-	ShedScorer func(event.Type) float64
 	// Weight is the query's share of a shared runtime's processors under
 	// the admission arbiter (WithWeight). 0 means the query does not
 	// opt into arbitration unless it sets a latency target.

@@ -190,7 +190,7 @@ func (rt *Runtime) start(prog *program, qc *sched.QueryCtl, route func(*event.Ev
 			return nil, err
 		}
 		if prog.cfg.Shed {
-			scfg := shed.Config{QueueCap: prog.cfg.QueueCap, Scorer: prog.cfg.ShedScorer}
+			scfg := shed.Config{QueueCap: prog.cfg.QueueCap}
 			if prog.plan != nil {
 				scfg.Prior = prog.plan.UtilityPrior
 			}

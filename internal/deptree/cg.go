@@ -287,27 +287,3 @@ func (wv *WindowVersion) ScheduledOn() int { return int(wv.scheduled.Load()) - 1
 
 // SetScheduledOn records the assigned instance (-1 to clear).
 func (wv *WindowVersion) SetScheduledOn(instance int) { wv.scheduled.Store(int32(instance + 1)) }
-
-// UsesAny reports whether any of seqs (ascending) is in wv.Used. Caller
-// must hold Mu or otherwise own the version.
-func (wv *WindowVersion) UsesAny(seqs []uint64) bool {
-	return intersects(wv.Used, seqs)
-}
-
-// intersects reports whether two ascending uint64 slices share an element.
-func intersects(a, b []uint64) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return false
-	}
-	// Walk the shorter slice, binary-searching the longer one.
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for _, x := range a {
-		i := sort.Search(len(b), func(i int) bool { return b[i] >= x })
-		if i < len(b) && b[i] == x {
-			return true
-		}
-	}
-	return false
-}

@@ -13,9 +13,16 @@ import (
 // larger is treated as corruption, not allocated.
 const maxRecordBytes = 64 << 20
 
-// maxDecodeCount bounds any single decoded collection length, so a
-// corrupt-but-CRC-colliding count cannot drive a huge allocation.
-const maxDecodeCount = 1 << 26
+// Minimum encoded size of one element of each decoded collection, the
+// per argument of decoder.count: a collection is only allocated once the
+// unread record still holds that many bytes for every element it claims.
+const (
+	minStringBytes  = 4             // length prefix
+	minU64Bytes     = 8             // also one payload field, one matcher span
+	minEventBytes   = 8 + 8 + 4 + 4 // seq, ts, type, field count
+	minComplexBytes = 4 + 8 + 4 + 4 + 8
+	minRunBytes     = 8 + 4 + 4 + 8 + 4 + 4 + 4
+)
 
 // encodeRecord appends rec's payload (kind byte + body) to buf.
 func encodeRecord(buf []byte, rec *Record) ([]byte, error) {
@@ -59,7 +66,7 @@ func decodeRecord(p []byte) (*Record, error) {
 	case KindFields:
 		rec.Fields = d.strings()
 	case KindEvents:
-		n := d.count()
+		n := d.count(minEventBytes)
 		if d.err == nil && n > 0 {
 			rec.Events = make([]event.Event, n)
 			for i := range rec.Events {
@@ -215,10 +222,14 @@ func (d *decoder) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *decoder) count() int {
+// count reads a collection length and checks that n elements of at least
+// per encoded bytes each still fit in the unread record, so a corrupt but
+// CRC-valid count cannot drive an allocation out of proportion to the
+// bytes actually there (the cluster wire's wireReader.need).
+func (d *decoder) count(per int) int {
 	n := d.u32()
-	if n > maxDecodeCount {
-		d.fail("count %d exceeds limit", n)
+	if d.err == nil && uint64(n)*uint64(per) > uint64(len(d.p)) {
+		d.fail("collection of %d×≥%dB overruns record (%d bytes left)", n, per, len(d.p))
 		return 0
 	}
 	return int(n)
@@ -226,11 +237,14 @@ func (d *decoder) count() int {
 
 func (d *decoder) boolean() bool {
 	b := d.take(1)
-	return b != nil && b[0] != 0
+	if b != nil && b[0] > 1 {
+		d.fail("bad bool byte %d", b[0])
+	}
+	return b != nil && b[0] == 1
 }
 
 func (d *decoder) str() string {
-	n := d.count()
+	n := d.count(1)
 	b := d.take(n)
 	if b == nil {
 		return ""
@@ -239,7 +253,7 @@ func (d *decoder) str() string {
 }
 
 func (d *decoder) strings() []string {
-	n := d.count()
+	n := d.count(minStringBytes)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -251,7 +265,7 @@ func (d *decoder) strings() []string {
 }
 
 func (d *decoder) u64s() []uint64 {
-	n := d.count()
+	n := d.count(minU64Bytes)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -268,7 +282,7 @@ func (d *decoder) event() event.Event {
 		TS:   int64(d.u64()),
 		Type: event.Type(d.u32()),
 	}
-	if nf := d.count(); d.err == nil && nf > 0 {
+	if nf := d.count(minU64Bytes); d.err == nil && nf > 0 {
 		ev.Fields = make([]float64, nf)
 		for i := range ev.Fields {
 			ev.Fields[i] = math.Float64frombits(d.u64())
@@ -297,7 +311,7 @@ func (d *decoder) checkpoint() *CheckpointRecord {
 		Skipped:       d.u64s(),
 		LocalConsumed: d.u64s(),
 	}
-	if n := d.count(); d.err == nil && n > 0 {
+	if n := d.count(minComplexBytes); d.err == nil && n > 0 {
 		ck.Buffered = make([]event.Complex, n)
 		for i := range ck.Buffered {
 			ck.Buffered[i] = d.complex()
@@ -305,7 +319,7 @@ func (d *decoder) checkpoint() *CheckpointRecord {
 	}
 	ck.Matcher.NextID = int(d.u64())
 	ck.Matcher.Stopped = d.boolean()
-	if n := d.count(); d.err == nil && n > 0 {
+	if n := d.count(minRunBytes); d.err == nil && n > 0 {
 		ck.Matcher.Runs = make([]matcher.RunSnapshot, n)
 		for i := range ck.Matcher.Runs {
 			r := &ck.Matcher.Runs[i]
@@ -314,13 +328,13 @@ func (d *decoder) checkpoint() *CheckpointRecord {
 			r.KCount = int(d.u32())
 			r.SetMask = d.u64()
 			r.LastFlat = int32(d.u32())
-			if ne := d.count(); d.err == nil && ne > 0 {
+			if ne := d.count(minEventBytes); d.err == nil && ne > 0 {
 				r.Events = make([]event.Event, ne)
 				for j := range r.Events {
 					r.Events[j] = d.event()
 				}
 			}
-			if ns := d.count(); d.err == nil && ns > 0 {
+			if ns := d.count(minU64Bytes); d.err == nil && ns > 0 {
 				r.Spans = make([]matcher.Span, ns)
 				for j := range r.Spans {
 					r.Spans[j] = matcher.Span{Start: int32(d.u32()), N: int32(d.u32())}

@@ -1,0 +1,111 @@
+package durable
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/matcher"
+)
+
+// sampleRecords is one record of every Kind, each collection populated.
+func sampleRecords() []*Record {
+	evs := []event.Event{
+		{Seq: 5, TS: 100, Type: 2, Fields: []float64{1.5, -2}},
+		{Seq: 6, TS: 101, Type: 3},
+	}
+	return []*Record{
+		{Kind: KindTypes, Types: []string{"AAPL", "", "MSFT"}},
+		{Kind: KindFields, Fields: []string{"open", "close"}},
+		{Kind: KindEvents, Events: evs},
+		{Kind: KindCheckpoint, Checkpoint: &CheckpointRecord{
+			WindowID: 3, WindowStart: 5, WindowStartTS: 100, Pos: 7,
+			Used: []uint64{5, 6}, LocalConsumed: []uint64{6},
+			Buffered: []event.Complex{{Query: "q", WindowID: 3, Constituents: []uint64{5, 6}, Consumed: []uint64{6}, DetectedAt: 6}},
+			Matcher: matcher.Snapshot{NextID: 2, Stopped: true, Runs: []matcher.RunSnapshot{{
+				ID: 1, Elem: 1, KCount: 2, SetMask: 3, LastFlat: -1,
+				Events: evs, Spans: []matcher.Span{{Start: 0, N: 2}},
+			}}},
+		}},
+		{Kind: KindCut, Cut: &CutRecord{Boundary: 9, NextWindowID: 4, Watermark: 2, Consumed: []uint64{6, 8}}},
+		{Kind: KindWatermark, Watermark: 11},
+	}
+}
+
+// allocatedBy reports the heap bytes f allocates (freed or not).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeRecordHostileCount: a CRC-valid body that claims a huge
+// collection and carries none of it is an error, found before anything
+// is allocated for it.
+func TestDecodeRecordHostileCount(t *testing.T) {
+	huge := binary.LittleEndian.AppendUint32(nil, 1<<26)
+	zeros := make([]byte, 32)
+	for _, tc := range []struct {
+		label string
+		body  []byte
+	}{
+		{"events", append([]byte{byte(KindEvents)}, huge...)},
+		{"types", append([]byte{byte(KindTypes)}, huge...)},
+		{"cut consumed", append(append([]byte{byte(KindCut)}, zeros[:24]...), huge...)},
+		{"checkpoint used", append(append([]byte{byte(KindCheckpoint)}, zeros[:32]...), huge...)},
+		{"event fields", append(append(append([]byte{byte(KindEvents)}, 1, 0, 0, 0), zeros[:20]...), huge...)},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			var err error
+			got := allocatedBy(func() { _, err = decodeRecord(tc.body) })
+			if err == nil {
+				t.Fatal("a count with no payload behind it must be an error")
+			}
+			if got > 8<<10 {
+				t.Fatalf("decoding %d hostile bytes allocated %d bytes", len(tc.body), got)
+			}
+		})
+	}
+}
+
+// FuzzDecodeRecord drives the WAL record decoder with arbitrary bytes.
+// It must never panic; whatever it accepts must re-encode to exactly the
+// bytes it was given (the codec is canonical); and, accepted or not, the
+// decode may only allocate in proportion to the input.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range sampleRecords() {
+		b, err := encodeRecord(nil, rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:len(b)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			rec *Record
+			err error
+		)
+		// Decoded values are at most a few times their encoded size at
+		// each of four nesting levels; the constant covers the error value
+		// and what the fuzz worker's own goroutines allocate meanwhile.
+		if got, limit := allocatedBy(func() { rec, err = decodeRecord(data) }), uint64(32*len(data)+(64<<10)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := encodeRecord(nil, rec)
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding changed the record:\n in  %x\n out %x", data, again)
+		}
+	})
+}

@@ -314,13 +314,6 @@ func (s *State) OpenRuns() int { return len(s.runs) }
 // (StopAfterMatch fired).
 func (s *State) Stopped() bool { return s.stopped }
 
-// EachRun calls f with every open run's id and current δ.
-func (s *State) EachRun(f func(id, delta int)) {
-	for _, r := range s.runs {
-		f(r.id, s.delta(r))
-	}
-}
-
 // RunInfo describes an open run.
 type RunInfo struct{ ID, Delta int }
 

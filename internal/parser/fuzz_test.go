@@ -17,7 +17,7 @@ import (
 //     structurally identical query (lowering is deterministic, and
 //     interned ids depend only on first-use order).
 //
-// CI runs it as a short -fuzztime smoke next to the bench smokes.
+// CI runs it as a short -fuzztime smoke.
 func FuzzParseQuery(f *testing.F) {
 	seeds := []string{
 		`PATTERN (A B) WITHIN 10 EVENTS FROM A`,

@@ -161,13 +161,3 @@ func (e *Engine) SplitWindows(events []event.Event) []*window.Window {
 	mgr.Finish(uint64(len(events)))
 	return windows
 }
-
-// GroundTruth runs the engine and returns only the ground-truth completion
-// probability (Figures 10(d)/(e)).
-func (e *Engine) GroundTruth(events []event.Event) (float64, error) {
-	_, stats, err := e.Run(events)
-	if err != nil {
-		return 0, err
-	}
-	return stats.CompletionProbability(), nil
-}

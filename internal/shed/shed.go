@@ -25,8 +25,7 @@
 // everything is dropped, which bounds the queue depth strictly below its
 // capacity: a producer can always make progress, and the blocking Feed
 // path never waits on a saturated queue. Ties within a histogram bucket
-// break uniformly at random, so a constant utility score degenerates to
-// exactly the uniform random-drop baseline.
+// break uniformly at random.
 //
 // Shedding never reorders kept events: the decision is made at admission
 // time, in stream order, before the event is stamped and queued, so the
@@ -81,11 +80,6 @@ type Config struct {
 	// [0, 1] from query-plan knowledge. Nil uses a neutral 0.5 — the
 	// estimator then learns from contribution feedback alone.
 	Prior func(event.Type) float64
-	// Scorer, when non-nil, replaces the utility estimator entirely:
-	// every offered event of type t scores Scorer(t). A constant scorer
-	// yields uniform random dropping — the baseline the shed benchmark
-	// compares against.
-	Scorer func(event.Type) float64
 	// Seed seeds the drop-decision PRNG; 0 selects a fixed default, so
 	// runs are reproducible unless the caller randomizes.
 	Seed uint64
@@ -105,7 +99,6 @@ type typeStat struct {
 type Shedder struct {
 	low, high int
 	prior     func(event.Type) float64
-	scorer    func(event.Type) float64
 
 	// tab is indexed by event type and grown copy-on-write so NoteMatch
 	// can run concurrently with growth.
@@ -145,7 +138,7 @@ func New(cfg Config) *Shedder {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	s := &Shedder{low: low, high: high, prior: cfg.Prior, scorer: cfg.Scorer, rng: seed}
+	s := &Shedder{low: low, high: high, prior: cfg.Prior, rng: seed}
 	empty := make([]*typeStat, 0)
 	s.tab.Store(&empty)
 	return s
@@ -218,7 +211,7 @@ func (s *Shedder) note(t event.Type, keep bool) {
 }
 
 // ensure grows the per-type state to cover t and seeds its utility from
-// the prior (or the override scorer).
+// the prior.
 func (s *Shedder) ensure(t event.Type) {
 	n := int(t) + 1
 	if n <= len(s.utility) {
@@ -254,9 +247,6 @@ func (s *Shedder) priorOf(t event.Type) float64 {
 // score computes the published utility of t from the cached prior and
 // the contribution EWMA.
 func (s *Shedder) score(t event.Type) float64 {
-	if s.scorer != nil {
-		return clamp01(s.scorer(t))
-	}
 	p := s.priors[t]
 	if !s.contrib[t].Seeded() {
 		return p

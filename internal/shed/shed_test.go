@@ -89,25 +89,6 @@ func TestUtilityPrefersContributingType(t *testing.T) {
 	}
 }
 
-func TestConstantScorerIsUniformRandomDrop(t *testing.T) {
-	// The random-drop baseline: every type scores the same, so both
-	// types shed at the same rate — the shed fraction.
-	s := New(Config{QueueCap: testCap, Scorer: func(event.Type) float64 { return 0.5 }})
-	shedBy := [2]int{}
-	const n = 40_000
-	for i := 0; i < n; i++ {
-		tp := event.Type(1 + i%2)
-		if !s.Offer(tp, 700) {
-			shedBy[i%2]++
-		}
-	}
-	f1 := float64(shedBy[0]) / float64(n/2)
-	f2 := float64(shedBy[1]) / float64(n/2)
-	if f1 < 0.40 || f1 > 0.60 || f2 < 0.40 || f2 > 0.60 {
-		t.Fatalf("constant scorer shed rates %.3f/%.3f, want both ~0.5", f1, f2)
-	}
-}
-
 func TestPriorSeedsUtilityBeforeFeedback(t *testing.T) {
 	prior := func(tp event.Type) float64 {
 		if tp == 1 {

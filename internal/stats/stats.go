@@ -1,117 +1,9 @@
-// Package stats provides the small statistics toolkit used by the
-// evaluation harness: candlestick percentiles (0/25/50/75/100, as in the
-// paper's figures), summary statistics, and throughput measurement.
+// Package stats provides the streaming estimators the engine keeps
+// always-on: an exponentially weighted moving average and a quantile
+// tracker built on it.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"time"
-)
-
-// Candles holds the five percentiles the paper's candlestick plots report.
-type Candles struct {
-	Min, P25, Median, P75, Max float64
-}
-
-// Candlesticks computes the 0th, 25th, 50th, 75th and 100th percentiles of
-// samples. It returns the zero value for an empty input.
-func Candlesticks(samples []float64) Candles {
-	if len(samples) == 0 {
-		return Candles{}
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return Candles{
-		Min:    s[0],
-		P25:    Percentile(s, 0.25),
-		Median: Percentile(s, 0.50),
-		P75:    Percentile(s, 0.75),
-		Max:    s[len(s)-1],
-	}
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted, using linear
-// interpolation between closest ranks. sorted must be ascending and
-// non-empty.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of samples (0 for empty input).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than two
-// samples).
-func StdDev(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	m := Mean(samples)
-	var ss float64
-	for _, v := range samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(samples)-1))
-}
-
-// String renders the candles in the compact form used by the bench harness.
-func (c Candles) String() string {
-	return fmt.Sprintf("min=%.0f p25=%.0f med=%.0f p75=%.0f max=%.0f",
-		c.Min, c.P25, c.Median, c.P75, c.Max)
-}
-
-// Throughput converts an event count and elapsed duration into events per
-// second. It returns 0 for non-positive durations.
-func Throughput(events uint64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(events) / elapsed.Seconds()
-}
-
-// Series accumulates repeated measurements of one experimental
-// configuration (the paper repeats each experiment 10 times).
-type Series struct {
-	Name    string
-	Samples []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(v float64) { s.Samples = append(s.Samples, v) }
-
-// Candles returns the candlestick percentiles of the series.
-func (s *Series) Candles() Candles { return Candlesticks(s.Samples) }
-
-// Median returns the median of the series.
-func (s *Series) Median() float64 { return s.Candles().Median }
+import "math"
 
 // EWMA is an exponentially weighted moving average with the same
 // fixed-alpha update idiom as the scheduler's adaptive controller

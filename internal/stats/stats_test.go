@@ -1,101 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-	"testing"
-	"testing/quick"
-	"time"
-)
-
-func TestCandlesticks(t *testing.T) {
-	c := Candlesticks([]float64{5, 1, 3, 2, 4})
-	if c.Min != 1 || c.Max != 5 || c.Median != 3 {
-		t.Fatalf("candles = %+v", c)
-	}
-	if c.P25 != 2 || c.P75 != 4 {
-		t.Fatalf("quartiles = %g / %g, want 2 / 4", c.P25, c.P75)
-	}
-	if got := Candlesticks(nil); got != (Candles{}) {
-		t.Fatal("empty input must return zero candles")
-	}
-	single := Candlesticks([]float64{7})
-	if single.Min != 7 || single.Median != 7 || single.Max != 7 {
-		t.Fatalf("single sample candles = %+v", single)
-	}
-}
-
-// TestPercentileProperties: percentiles are monotone in p and bounded by
-// min/max.
-func TestPercentileProperties(t *testing.T) {
-	check := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		s := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				s = append(s, v)
-			}
-		}
-		if len(s) == 0 {
-			return true
-		}
-		sort.Float64s(s)
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 1.0; p += 0.05 {
-			v := Percentile(s, p)
-			if v < s[0]-1e-9 || v > s[len(s)-1]+1e-9 {
-				return false
-			}
-			if v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMeanStdDev(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty input must be 0")
-	}
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Fatalf("mean = %g, want 4", got)
-	}
-	if got := StdDev([]float64{2, 4, 6}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("stddev = %g, want 2", got)
-	}
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("one sample has no deviation")
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	if got := Throughput(1000, time.Second); got != 1000 {
-		t.Fatalf("throughput = %g, want 1000", got)
-	}
-	if got := Throughput(100, 0); got != 0 {
-		t.Fatalf("zero duration must be 0, got %g", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	for _, v := range []float64{10, 30, 20} {
-		s.Add(v)
-	}
-	if s.Median() != 20 {
-		t.Fatalf("median = %g, want 20", s.Median())
-	}
-	if s.Candles().Max != 30 {
-		t.Fatal("candles must reflect the samples")
-	}
-}
+import "testing"
 
 func TestQuantileEWMA(t *testing.T) {
 	// Pseudo-shuffled uniform samples on [0, 1): the p50 estimate must

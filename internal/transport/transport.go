@@ -93,6 +93,11 @@ func NewWriter(w io.Writer, reg *event.Registry) *Writer {
 // WriteEvent encodes one event.
 func (w *Writer) WriteEvent(ev *event.Event) error {
 	name := w.reg.TypeName(ev.Type)
+	// The same per-field limits the Reader enforces: past them the peer
+	// drops the connection, and past 65535 the uint16 counts wrap.
+	if len(name) > maxTypeLen || len(ev.Fields) > maxFieldLen {
+		return ErrFrameTooLarge
+	}
 	need := 8 + 2 + len(name) + 2 + 8*len(ev.Fields)
 	if need > maxFrame {
 		return ErrFrameTooLarge

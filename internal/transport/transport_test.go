@@ -65,6 +65,56 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteEventLimits: the Writer refuses what its own Reader would
+// reject (type name or field count past 4096) and what would wrap the
+// uint16 counts, before anything reaches the stream.
+func TestWriteEventLimits(t *testing.T) {
+	for _, tc := range []struct {
+		label           string
+		nameLen, fields int
+		ok              bool
+	}{
+		{"name=4096", maxTypeLen, 1, true},
+		{"name=4097", maxTypeLen + 1, 1, false},
+		{"fields=4096", 4, maxFieldLen, true},
+		{"fields=4097", 4, maxFieldLen + 1, false},
+		{"fields=65536", 4, 1 << 16, false},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			reg := event.NewRegistry()
+			name := string(bytes.Repeat([]byte{'n'}, tc.nameLen))
+			ev := event.Event{TS: 7, Type: reg.TypeID(name), Fields: make([]float64, tc.fields)}
+			ev.Fields[tc.fields-1] = 2.5
+			var buf bytes.Buffer
+			w := NewWriter(&buf, reg)
+			err := w.WriteEvent(&ev)
+			if ferr := w.Flush(); ferr != nil {
+				t.Fatal(ferr)
+			}
+			if !tc.ok {
+				if !errors.Is(err, ErrFrameTooLarge) {
+					t.Fatalf("want ErrFrameTooLarge, got %v", err)
+				}
+				if buf.Len() != 0 {
+					t.Fatalf("rejected event put %d bytes on the stream", buf.Len())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			recvReg := event.NewRegistry()
+			got, err := NewReader(&buf, recvReg).ReadEvent()
+			if err != nil {
+				t.Fatalf("the writer's own frame was rejected: %v", err)
+			}
+			if recvReg.TypeName(got.Type) != name || len(got.Fields) != tc.fields || got.Fields[tc.fields-1] != 2.5 {
+				t.Fatalf("round trip lost the event: name %d bytes, %d fields", len(recvReg.TypeName(got.Type)), len(got.Fields))
+			}
+		})
+	}
+}
+
 func TestCorruptFrames(t *testing.T) {
 	reg := event.NewRegistry()
 	// Oversized frame length.

@@ -69,11 +69,11 @@ func diffKeys(t *testing.T, label string, planned, unplanned []string) {
 // the planner, on both the standalone engine and a runtime submission.
 func checkPlannerEquivalence(t *testing.T, reg *spectre.Registry, q *spectre.Query, events []spectre.Event, opts ...spectre.Option) {
 	t.Helper()
-	planned := collectEngine(t, q, events, append([]spectre.Option{spectre.WithPlanner()}, opts...)...)
+	planned := collectEngine(t, q, events, opts...)
 	unplanned := collectEngine(t, q, events, append([]spectre.Option{spectre.WithoutPlanner()}, opts...)...)
 	diffKeys(t, "engine", planned, unplanned)
 
-	rtPlanned := collectRuntime(t, reg, q, events, append([]spectre.Option{spectre.WithPlanner()}, opts...)...)
+	rtPlanned := collectRuntime(t, reg, q, events, opts...)
 	rtUnplanned := collectRuntime(t, reg, q, events, append([]spectre.Option{spectre.WithoutPlanner()}, opts...)...)
 	diffKeys(t, "runtime", rtPlanned, rtUnplanned)
 	diffKeys(t, "engine-vs-runtime", planned, rtPlanned)
@@ -167,7 +167,7 @@ func TestPlannerEquivalencePartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned := collectRuntime(t, reg, q, events, spectre.WithPlanner())
+	planned := collectRuntime(t, reg, q, events)
 	unplanned := collectRuntime(t, reg, q, events, spectre.WithoutPlanner())
 	sort.Strings(planned)
 	sort.Strings(unplanned)

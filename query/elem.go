@@ -78,9 +78,9 @@ func (sb *StepBuilder) Where(p Predicate) *StepBuilder {
 
 // WhereEvent attaches a binding-free payload predicate: a function of the
 // candidate event alone. Semantically identical to Where with the binder
-// ignored, but the declaration lets the planner (see internal/plan and
-// spectre.WithPlanner) evaluate it before binding-dependent conjuncts and
-// hoist it into the type-indexed intake prefilter where legal. The
+// ignored, but the declaration lets the planner (internal/plan, on by
+// default) evaluate it before binding-dependent conjuncts and hoist it
+// into the type-indexed intake prefilter where legal. The
 // predicate must be pure — it may be re-evaluated during rollbacks.
 func (sb *StepBuilder) WhereEvent(p func(*Event) bool) *StepBuilder {
 	if p == nil {

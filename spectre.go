@@ -257,24 +257,9 @@ func WithRegistry(reg *Registry) Option {
 
 // WithFixedProbability uses a constant completion probability for every
 // consumption group (the baseline of the paper's Figure 11) instead of
-// the paper's Markov model (α = 0.7, ℓ = 10; see WithMarkov).
+// the paper's Markov model (α = 0.7, ℓ = 10).
 func WithFixedProbability(p float64) Option {
 	return func(c *core.Config) { c.Predictor = markov.Fixed{P: p} }
-}
-
-// WithMarkov tunes the Markov model: alpha is the exponential-smoothing
-// weight, stepSize is ℓ (precomputed power spacing).
-func WithMarkov(alpha float64, stepSize int) Option {
-	return func(c *core.Config) {
-		c.Markov.Alpha = alpha
-		c.Markov.StepSize = stepSize
-	}
-}
-
-// WithConsistencyCheckEvery sets the periodic consistency-check frequency
-// in processed events (paper Fig. 8; default 64).
-func WithConsistencyCheckEvery(n int) Option {
-	return func(c *core.Config) { c.ConsistencyCheckEvery = n }
 }
 
 // WithBatchSize sets how many events an operator instance processes per
@@ -285,30 +270,6 @@ func WithBatchSize(n int) Option {
 			c.BatchSize = n
 		}
 	}
-}
-
-// WithCheckpointEvery sets the matcher-state checkpoint interval in
-// stream positions (default: the batch size). While a window version is
-// processed, the engine periodically snapshots its matcher state; new
-// speculative versions of the same window fork from the deepest valid
-// checkpoint instead of reprocessing the window from the start, and
-// rollbacks restart from the latest still-consistent prefix. Smaller
-// intervals make forks and rollbacks cheaper at the cost of more
-// snapshot work; the delivered output is identical for every setting.
-// Use WithoutCheckpoints to disable snapshotting entirely.
-func WithCheckpointEvery(n int) Option {
-	return func(c *core.Config) {
-		if validCount(c, "WithCheckpointEvery", n) {
-			c.CheckpointEvery = n
-		}
-	}
-}
-
-// WithoutCheckpoints disables matcher-state checkpointing: speculative
-// forks and rollbacks reprocess their window from the start (the
-// verbatim behaviour of the paper's Fig. 4).
-func WithoutCheckpoints() Option {
-	return func(c *core.Config) { c.CheckpointEvery = -1 }
 }
 
 // WithQueueCap bounds the per-shard intake queue of a Runtime submission
@@ -382,27 +343,24 @@ func WithLatencyTarget(d time.Duration) Option {
 	}
 }
 
-// WithPlanner enables the cost-based query planner (the default). The
-// planner derives, per query, a closed set of acceptable event types and
-// hoists purely type- and field-based guards into an intake prefilter
-// that drops irrelevant events before they are sharded or buffered;
-// splits each step's conjunctive predicate into binding-free and
-// binding-dependent parts and reorders them by observed selectivity; and,
-// when the deployment is not pinned by explicit options, picks the shard
-// count and scheduling policy from the query's estimated per-event cost.
-// Plans never change the delivered output — only where work is avoided.
-// Inspect the chosen plan with Engine.Plan/Handle.Plan (QueryPlan.Explain
-// renders it; spectre-server serves it as JSON per query at
-// /debug/spectre/metrics). DESIGN.md §9 documents the legality rules.
-func WithPlanner() Option {
-	return func(c *core.Config) { c.PlanDisabled = false }
-}
-
-// WithoutPlanner disables the cost-based query planner: every event
-// reaches every shard's splitter, predicates run in declaration order
-// and the deployment uses only the explicit options and their static
-// defaults. The delivered output is identical either way; use this to
-// benchmark the planner or to rule it out while debugging.
+// WithoutPlanner disables the cost-based query planner, which is on by
+// default. The planner derives, per query, a closed set of acceptable
+// event types and hoists purely type- and field-based guards into an
+// intake prefilter that drops irrelevant events before they are sharded
+// or buffered; splits each step's conjunctive predicate into binding-free
+// and binding-dependent parts and reorders them by observed selectivity;
+// and, when the deployment is not pinned by explicit options, picks the
+// shard count and scheduling policy from the query's estimated per-event
+// cost. Plans never change the delivered output — only where work is
+// avoided. Inspect the chosen plan with Engine.Plan/Handle.Plan
+// (QueryPlan.Explain renders it; spectre-server serves it as JSON per
+// query at /debug/spectre/metrics). DESIGN.md §9 documents the legality
+// rules.
+//
+// Without it every event reaches every shard's splitter, predicates run
+// in declaration order and the deployment uses only the explicit options
+// and their static defaults; use this to measure the planner or to rule
+// it out while debugging.
 func WithoutPlanner() Option {
 	return func(c *core.Config) { c.PlanDisabled = true }
 }

@@ -3,6 +3,7 @@ package spectre_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	spectre "github.com/spectrecep/spectre"
 )
@@ -23,8 +24,16 @@ const durableQuerySrc = `
 // a connection breaks), a second runtime against the same state
 // directory recovers, resumes from Handle.Recovered and finishes the
 // stream — and the concatenated output is byte-identical to an
-// uninterrupted sequential run.
+// uninterrupted sequential run. It parks twice: straight after the
+// asynchronous FeedBatch, so whatever is still queued is discarded and
+// must be re-fed, and once everything fed has been ingested, so the
+// second life must have a journal to replay.
 func TestDurableRestartRoundTrip(t *testing.T) {
+	t.Run("park at once", func(t *testing.T) { durableRestartRoundTrip(t, false) })
+	t.Run("park once ingested", func(t *testing.T) { durableRestartRoundTrip(t, true) })
+}
+
+func durableRestartRoundTrip(t *testing.T, ingestBeforePark bool) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	reg := spectre.NewRegistry()
@@ -74,6 +83,16 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	if err := h1.FeedBatch(ctx, events[:len(events)/2]); err != nil {
 		t.Fatal(err)
 	}
+	if ingestBeforePark {
+		deadline := time.Now().Add(30 * time.Second)
+		for m := h1.Metrics(); m.EventsIngested+m.FilteredEvents < uint64(len(events)/2); m = h1.Metrics() {
+			if time.Now().After(deadline) {
+				t.Fatalf("ingestion stalled before park: %d ingested + %d filtered of %d fed",
+					m.EventsIngested, m.FilteredEvents, len(events)/2)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
 	h1.Park()
 	if err := rt1.Close(); err != nil {
 		t.Fatal(err)
@@ -102,6 +121,9 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 	if pos[0] > uint64(len(events)/2) {
 		t.Fatalf("resume position %d beyond the %d events ever fed", pos[0], len(events)/2)
+	}
+	if ingestBeforePark && pos[0] == 0 {
+		t.Fatal("recovery replayed nothing: resume position 0 after a fully ingested first life")
 	}
 	if err := h2.FeedBatch(ctx, events[pos[0]:]); err != nil {
 		t.Fatal(err)

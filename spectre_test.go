@@ -37,7 +37,6 @@ func TestPublicAPIFigure1(t *testing.T) {
 
 	eng, err := spectre.NewEngine(query,
 		spectre.WithInstances(3),
-		spectre.WithConsistencyCheckEvery(4),
 		spectre.WithBatchSize(2),
 	)
 	if err != nil {
@@ -122,7 +121,6 @@ func TestFixedProbabilityOption(t *testing.T) {
 		eng, err := spectre.NewEngine(query,
 			spectre.WithInstances(2),
 			spectre.WithFixedProbability(p),
-			spectre.WithMarkov(0.5, 20), // ignored by the fixed predictor; exercises the option
 		)
 		if err != nil {
 			t.Fatal(err)
