@@ -6,12 +6,10 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"time"
 
 	"github.com/spectrecep/spectre/internal/cluster"
 	"github.com/spectrecep/spectre/internal/core"
 	"github.com/spectrecep/spectre/internal/event"
-	"github.com/spectrecep/spectre/internal/shard"
 )
 
 // ClusterError is the structured failure of a cluster operation — a join
@@ -29,36 +27,7 @@ var ErrClusterClosed = cluster.ErrClosed
 // ClusterOptions configures a coordinator started with ListenCluster.
 // The zero value is usable: one worker, 256-event link batches, 2ms
 // flush, 2s heartbeats.
-type ClusterOptions struct {
-	// MinWorkers makes Submit block until at least this many workers
-	// have joined (default 1).
-	MinWorkers int
-	// BatchEvents is the per-shard event batch size on a worker link
-	// (default 256).
-	BatchEvents int
-	// FlushInterval bounds how long a partial batch may sit staged
-	// before it is shipped anyway (default 2ms).
-	FlushInterval time.Duration
-	// Heartbeat is the idle keepalive interval on worker links (default
-	// 2s); a link that stays silent for ten intervals is declared dead
-	// and its shards are rebalanced.
-	Heartbeat time.Duration
-	// BatchMin and BatchMax bound the adaptive per-link batch size
-	// (defaults 64 and 4096). The controller grows a link's batch when
-	// its frames keep filling and shrinks it when the link's shards hold
-	// the ordered merge back.
-	BatchMin int
-	BatchMax int
-	// StaticBatch disables the adaptive controller: every link keeps
-	// BatchEvents for the lifetime of the cluster.
-	StaticBatch bool
-	// DisablePushdown turns off coordinator-side plan pushdown: every
-	// routed event ships to its worker even when the query's intake
-	// filter would discard it there.
-	DisablePushdown bool
-	// Logf receives coordinator lifecycle logs (default: discard).
-	Logf func(format string, args ...any)
-}
+type ClusterOptions = cluster.Options
 
 // ClusterWorkerOptions configures a worker process started with
 // JoinCluster: advertised capacity, heartbeat interval and the join
@@ -89,17 +58,7 @@ type Cluster struct {
 // built against; workers intern their own registries against the
 // coordinator's type and field tables, so theirs need not match.
 func ListenCluster(addr string, reg *Registry, opts ClusterOptions) (*Cluster, error) {
-	c, err := cluster.Listen(addr, reg, cluster.Options{
-		MinWorkers:      opts.MinWorkers,
-		BatchEvents:     opts.BatchEvents,
-		FlushInterval:   opts.FlushInterval,
-		Heartbeat:       opts.Heartbeat,
-		BatchMin:        opts.BatchMin,
-		BatchMax:        opts.BatchMax,
-		StaticBatch:     opts.StaticBatch,
-		DisablePushdown: opts.DisablePushdown,
-		Logf:            opts.Logf,
-	})
+	c, err := cluster.Listen(addr, reg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -168,36 +127,11 @@ func (cl *Cluster) Submit(ctx context.Context, text string, sink Sink, opts ...O
 		return nil, queryErr(q, fmt.Errorf("distributed queries are durable on their workers; WithDurability does not apply"))
 	}
 
-	// Partition resolution mirrors Runtime.Submit, minus the planner:
-	// shard counts default to GOMAXPROCS, not the cost model.
-	spec := cfg.Partition
-	if spec == nil {
-		spec = q.Partition
-	}
-	nShards := 1
-	var route func(*event.Event) int
-	if spec != nil {
-		resolved := *spec
-		if !resolved.ByType && resolved.Field < 0 {
-			if resolved.FieldName == "" {
-				return nil, queryErr(q, fmt.Errorf("partition spec names no key"))
-			}
-			resolved.Field = cl.reg.FieldIndex(resolved.FieldName)
-		}
-		nShards = cfg.Shards
-		if nShards <= 0 {
-			nShards = resolved.Shards
-		}
-		if nShards <= 0 {
-			nShards = runtime.GOMAXPROCS(0)
-		}
-		key, err := shard.FromSpec(&resolved)
-		if err != nil {
-			return nil, queryErr(q, err)
-		}
-		route = shard.NewRouter(nShards, key).Route
-	} else if cfg.Shards > 1 {
-		return nil, queryErr(q, fmt.Errorf("%d shards requested but the query has no partition key (use PARTITION BY or WithPartitionBy)", cfg.Shards))
+	// No planner here: an unpinned shard count defaults to GOMAXPROCS,
+	// not the cost model.
+	nShards, route, _, err := resolvePartition(q, &cfg, cl.reg, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, queryErr(q, err)
 	}
 
 	h := &ClusterHandle{sink: sink, name: q.Name, shards: nShards}
@@ -287,9 +221,7 @@ func (h *ClusterHandle) Drain(ctx context.Context) error {
 // independent durable single-shard pipeline, and hands its state back
 // (write-ahead log export) when the coordinator rebalances a shard
 // away.
-type ClusterWorker struct {
-	w *cluster.Worker
-}
+type ClusterWorker = cluster.Worker
 
 // JoinCluster dials the coordinator at addr and joins as a worker,
 // retrying with jittered exponential backoff up to opts.JoinAttempts
@@ -297,29 +229,10 @@ type ClusterWorker struct {
 // count. The registry may be empty: workers learn the coordinator's
 // type and field tables over the wire.
 func JoinCluster(ctx context.Context, reg *Registry, addr string, opts ClusterWorkerOptions) (*ClusterWorker, error) {
-	w, err := cluster.Join(ctx, reg, addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterWorker{w: w}, nil
+	return cluster.Join(ctx, reg, addr, opts)
 }
-
-// ID returns the coordinator-assigned worker id.
-func (w *ClusterWorker) ID() uint32 { return w.w.ID() }
 
 // ClusterWorkerStats is a snapshot of a worker's coordinator-link
 // transport counters: negotiated protocol version, bytes and frames in
 // each direction, and events received through shared-page references.
 type ClusterWorkerStats = cluster.WorkerStats
-
-// Stats snapshots the worker's transport counters.
-func (w *ClusterWorker) Stats() ClusterWorkerStats { return w.w.Stats() }
-
-// Wait blocks until the worker stops: coordinator link lost, or Close.
-// A link failure is returned as a *ClusterError.
-func (w *ClusterWorker) Wait() error { return w.w.Wait() }
-
-// Close detaches the worker from the cluster, aborting its assigned
-// shards. The coordinator observes the link drop and reassigns them
-// from its retained event buffers.
-func (w *ClusterWorker) Close() { w.w.Close() }

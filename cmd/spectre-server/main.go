@@ -138,7 +138,7 @@ func parseSchedFlags(sched string, schedExplicit bool, instances, speculation st
 		if !(p >= 0 && p <= 1) { // rejects NaN too
 			return nil, fmt.Errorf("-sched %q: probability must be in [0, 1]", sched)
 		}
-		opts = append(opts, spectre.WithScheduler(spectre.FixedProbScheduler(p)))
+		opts = append(opts, spectre.WithScheduler(spectre.TopKScheduler()), spectre.WithFixedProbability(p))
 	default:
 		return nil, fmt.Errorf("-sched %q: want topk, fixed=<p> or adaptive", sched)
 	}

@@ -17,7 +17,7 @@ import (
 
 	"github.com/spectrecep/spectre/internal/dataset"
 	"github.com/spectrecep/spectre/internal/event"
-	"github.com/spectrecep/spectre/internal/transport"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // startClusterOpts is startCluster with coordinator/worker option
@@ -64,7 +64,12 @@ func startClusterOpts(t *testing.T, reg *event.Registry, n int, opts Options, wo
 // worker gets the coordinator's protocol-mismatch error frame and no
 // link, an old coordinator's welcome fails Join with a typed *Error.
 func TestHandshakeRefusesOldPeer(t *testing.T) {
-	old := uint32(minProtoVersion - 1)
+	// v2 was the big-endian link; the little-endian one is v3 and nothing
+	// older is spoken.
+	const old = uint32(2)
+	if protoVersion != 3 || minProtoVersion != 3 {
+		t.Fatalf("proto range v%d..v%d, want v3 only", minProtoVersion, protoVersion)
+	}
 
 	c, err := Listen("127.0.0.1:0", event.NewRegistry(), Options{Logf: t.Logf})
 	if err != nil {
@@ -77,10 +82,10 @@ func TestHandshakeRefusesOldPeer(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := helloMsg{Proto: old, Capacity: 1, Name: "old-worker"}
-	if err := transport.WriteFrame(conn, kindHello, hello.encode(nil)); err != nil {
+	if err := writeFrame(conn, kindHello, hello.encode(nil)); err != nil {
 		t.Fatalf("send hello: %v", err)
 	}
-	kind, body, err := transport.ReadFrame(conn, nil)
+	kind, body, err := wire.ReadFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("read refusal: %v", err)
 	}
@@ -103,11 +108,11 @@ func TestHandshakeRefusesOldPeer(t *testing.T) {
 			return
 		}
 		defer peer.Close()
-		if _, _, err := transport.ReadFrame(peer, nil); err != nil {
+		if _, _, err := wire.ReadFrame(peer, nil); err != nil {
 			return
 		}
 		welcome := welcomeMsg{Proto: old, WorkerID: 1}
-		_ = transport.WriteFrame(peer, kindWelcome, welcome.encode(nil))
+		_ = writeFrame(peer, kindWelcome, welcome.encode(nil))
 	}()
 	_, err = Join(context.Background(), event.NewRegistry(), ln.Addr().String(),
 		WorkerOptions{JoinAttempts: 1, Logf: t.Logf})

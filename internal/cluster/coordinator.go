@@ -12,7 +12,7 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/parser"
 	"github.com/spectrecep/spectre/internal/plan"
-	"github.com/spectrecep/spectre/internal/transport"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // Options parameterizes a Coordinator.
@@ -41,8 +41,9 @@ type Options struct {
 	// FlushInterval bounds how long a partial batch may sit staged before
 	// it is shipped anyway (default 2ms).
 	FlushInterval time.Duration
-	// Heartbeat is the idle keepalive interval (default 2s); a link is
-	// declared dead after linkTimeoutFactor missed beats.
+	// Heartbeat is the idle keepalive interval on worker links (default
+	// 2s); a link that stays silent for ten intervals (linkTimeoutFactor)
+	// is declared dead and its shards are rebalanced.
 	Heartbeat time.Duration
 	// Logf receives coordinator lifecycle logs (default: discard).
 	Logf func(format string, args ...any)
@@ -411,7 +412,7 @@ func (c *Coordinator) accept() {
 func (c *Coordinator) handshake(conn net.Conn) {
 	deadline := time.Now().Add(10 * time.Second)
 	_ = conn.SetDeadline(deadline)
-	kind, body, err := transport.ReadFrame(conn, nil)
+	kind, body, err := wire.ReadFrame(conn, nil)
 	if err != nil || kind != kindHello {
 		_ = conn.Close()
 		return
@@ -427,7 +428,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	chosen := min(hello.Proto, protoVersion)
 	if chosen < minProtoVersion {
 		msg := errorMsg{Msg: fmt.Sprintf("protocol mismatch: coordinator speaks v%d..v%d, worker v%d", minProtoVersion, protoVersion, hello.Proto)}
-		_ = transport.WriteFrame(conn, kindError, msg.encode(nil))
+		_ = writeFrame(conn, kindError, msg.encode(nil))
 		_ = conn.Close()
 		return
 	}
@@ -459,7 +460,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	c.mu.Unlock()
 
 	welcome := welcomeMsg{Proto: w.proto, WorkerID: w.id}
-	if err := transport.WriteFrame(conn, kindWelcome, welcome.encode(nil)); err != nil {
+	if err := writeFrame(conn, kindWelcome, welcome.encode(nil)); err != nil {
 		c.mu.Lock()
 		delete(c.workers, w.id)
 		c.mu.Unlock()
@@ -493,7 +494,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 // reuse their encode scratch.
 func (w *workerLink) enqueue(kind byte, body []byte) {
 	buf, _ := framePool.Get().([]byte)
-	frame, err := transport.AppendFrame(buf[:0], kind, body)
+	frame, err := wire.AppendFrame(buf[:0], kind, body)
 	if err != nil {
 		framePool.Put(frame) //nolint:staticcheck // same backing array
 		return
@@ -564,12 +565,12 @@ func (c *Coordinator) readLink(w *workerLink) {
 	var scratch []byte
 	for {
 		_ = w.conn.SetReadDeadline(time.Now().Add(linkTimeoutFactor * c.opts.Heartbeat))
-		kind, body, err := transport.ReadFrame(w.conn, scratch)
+		kind, body, err := wire.ReadFrame(w.conn, scratch)
 		if err != nil {
 			c.workerLost(w, err)
 			return
 		}
-		w.bytesRecv.Add(uint64(frameOverhead + len(body)))
+		w.bytesRecv.Add(uint64(wire.FrameOverhead + len(body)))
 		w.framesRecv.Add(1)
 		scratch = body[:0]
 		if err := c.dispatch(w, kind, body); err != nil {

@@ -21,11 +21,11 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"fmt"
+	"io"
 	"math"
 
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // protoVersion is the newest frame grammar this build speaks;
@@ -35,12 +35,12 @@ import (
 // minProtoVersion is refused. Bump protoVersion on any wire-incompatible
 // change.
 const (
-	protoVersion    = 2
-	minProtoVersion = 2
+	protoVersion    = 3 // v3: fixed-width integers little-endian (internal/wire)
+	minProtoVersion = 3
 )
 
-// Frame kinds on a cluster link (transport frame layer, internal/transport
-// frame.go). Control frames are fixed-width: they are rare. The event
+// Frame kinds on a cluster link (the internal/wire frame; DESIGN.md "Wire
+// formats"). Control frames are fixed-width: they are rare. The event
 // volume travels on three compact kinds, coordinator → worker only
 // (DESIGN.md §13):
 //
@@ -73,13 +73,9 @@ const (
 	kindPageRefs  byte = 18 // per-(query,shard) references into a page
 )
 
-// maxWireCount bounds every decoded collection length so a corrupt frame
-// cannot demand a huge allocation before its (length-capped) body runs out.
-const maxWireCount = 1 << 24
-
-// frameOverhead is the transport framing cost per frame: length and CRC
-// words plus the kind byte (used by the link byte counters).
-const frameOverhead = 9
+// maxPageIndex bounds a page reference's event index, far above any page a
+// coordinator builds (a page is one frame).
+const maxPageIndex = 1 << 24
 
 type helloMsg struct {
 	Proto    uint32
@@ -161,7 +157,7 @@ const assignPreStamped byte = 1 << 0
 // projected field index. Registry field tables are tiny, so the index
 // bound is deliberately harsh: the decoder reconstructs dense Fields
 // arrays of width max(proj)+1 per event, and capping the width at 256
-// keeps the slab proportional to the wire bytes backing it (need(n,
+// keeps the slab proportional to the wire bytes backing it (Need(n,
 // len(proj)*8) ⇒ slab ≤ 32× the unread body). The coordinator never
 // projects a query whose plan reads a field at or above the bound
 // (Submit falls back to full field shipping).
@@ -170,10 +166,10 @@ const (
 	maxProjIndex  = 1 << 8
 )
 
-// maxFrameFloats is the maxWireCount analog for decoded payload floats:
-// a projected batch reconstructs dense field arrays (n events ×
-// (maxProjIndex+1) floats), which can exceed the wire bytes that back
-// them, so the decoded total is budgeted independently of frame size.
+// maxFrameFloats budgets decoded payload floats: a projected batch
+// reconstructs dense field arrays (n events × (maxProjIndex+1) floats),
+// which can exceed the wire bytes that back them, so the decoded total is
+// budgeted independently of frame size.
 const maxFrameFloats = 1 << 22
 
 // eventsMsg is the wire form of one shard's event batch. Events must be in
@@ -213,67 +209,30 @@ type pageRefsMsg struct {
 
 // --- encoding -----------------------------------------------------------
 
-func appendU32(b []byte, v uint32) []byte {
-	return binary.BigEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(b, v)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b []byte, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-func appendStrs(b []byte, ss []string) []byte {
-	b = appendU32(b, uint32(len(ss)))
-	for _, s := range ss {
-		b = appendStr(b, s)
-	}
-	return b
-}
-
-func appendU64s(b []byte, vs []uint64) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendU64(b, v)
-	}
-	return b
-}
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-
 func (m *helloMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Proto)
-	b = appendU32(b, m.Capacity)
-	return appendStr(b, m.Name)
+	b = wire.AppendU32(b, m.Proto)
+	b = wire.AppendU32(b, m.Capacity)
+	return wire.AppendStr(b, m.Name)
 }
 
 func (m *welcomeMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Proto)
-	return appendU32(b, m.WorkerID)
+	b = wire.AppendU32(b, m.Proto)
+	return wire.AppendU32(b, m.WorkerID)
 }
 
 func (m *tablesMsg) encode(b []byte) []byte {
-	b = appendStrs(b, m.Types)
-	return appendStrs(b, m.Fields)
+	b = wire.AppendStrs(b, m.Types)
+	return wire.AppendStrs(b, m.Fields)
 }
 
 func (m *assignMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	b = appendU32(b, m.Shard)
-	b = appendU32(b, m.NShards)
-	b = appendU64(b, m.EmitBase)
-	b = appendStr(b, m.Name)
-	b = appendStr(b, m.Text)
-	b = appendBytes(b, m.Snapshot)
+	b = wire.AppendU32(b, m.Query)
+	b = wire.AppendU32(b, m.Shard)
+	b = wire.AppendU32(b, m.NShards)
+	b = wire.AppendU64(b, m.EmitBase)
+	b = wire.AppendStr(b, m.Name)
+	b = wire.AppendStr(b, m.Text)
+	b = wire.AppendBytes(b, m.Snapshot)
 	var flags byte
 	if m.PreStamped {
 		flags |= assignPreStamped
@@ -282,42 +241,42 @@ func (m *assignMsg) encode(b []byte) []byte {
 }
 
 func (m *readyMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	b = appendU32(b, m.Shard)
-	return appendU64(b, m.Resume)
+	b = wire.AppendU32(b, m.Query)
+	b = wire.AppendU32(b, m.Shard)
+	return wire.AppendU64(b, m.Resume)
 }
 
 func (m *emitMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	b = appendU32(b, m.Shard)
-	b = appendU64(b, m.Ordinal)
-	b = appendStr(b, m.Match.Query)
-	b = appendU64(b, m.Match.WindowID)
-	b = appendU64(b, m.Match.DetectedAt)
-	b = appendU64s(b, m.Match.Constituents)
-	return appendU64s(b, m.Match.Consumed)
+	b = wire.AppendU32(b, m.Query)
+	b = wire.AppendU32(b, m.Shard)
+	b = wire.AppendU64(b, m.Ordinal)
+	b = wire.AppendStr(b, m.Match.Query)
+	b = wire.AppendU64(b, m.Match.WindowID)
+	b = wire.AppendU64(b, m.Match.DetectedAt)
+	b = wire.AppendU64s(b, m.Match.Constituents)
+	return wire.AppendU64s(b, m.Match.Consumed)
 }
 
 func (m *progressMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	b = appendU32(b, m.Shard)
-	return appendU64(b, m.Boundary)
+	b = wire.AppendU32(b, m.Query)
+	b = wire.AppendU32(b, m.Shard)
+	return wire.AppendU64(b, m.Boundary)
 }
 
 func (m *shardMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	return appendU32(b, m.Shard)
+	b = wire.AppendU32(b, m.Query)
+	return wire.AppendU32(b, m.Shard)
 }
 
 func (m *handoffMsg) encode(b []byte) []byte {
-	b = appendU32(b, m.Query)
-	b = appendU32(b, m.Shard)
-	b = appendU64(b, m.Watermark)
-	return appendBytes(b, m.Snapshot)
+	b = wire.AppendU32(b, m.Query)
+	b = wire.AppendU32(b, m.Shard)
+	b = wire.AppendU64(b, m.Watermark)
+	return wire.AppendBytes(b, m.Snapshot)
 }
 
 func (m *errorMsg) encode(b []byte) []byte {
-	return appendStr(b, m.Msg)
+	return wire.AppendStr(b, m.Msg)
 }
 
 // appendEventCols encodes n events column-major: types (uvarint), then
@@ -326,33 +285,33 @@ func (m *errorMsg) encode(b []byte) []byte {
 // length-prefixed full field lists.
 func appendEventCols(b []byte, evs []event.Event, proj []int) []byte {
 	for i := range evs {
-		b = appendUvarint(b, uint64(evs[i].Type))
+		b = wire.AppendUvarint(b, uint64(evs[i].Type))
 	}
 	var prev int64
 	for i := range evs {
-		b = appendVarint(b, evs[i].TS-prev)
+		b = wire.AppendVarint(b, evs[i].TS-prev)
 		prev = evs[i].TS
 	}
 	if proj != nil {
 		for i := range evs {
 			for _, f := range proj {
-				b = appendU64(b, math.Float64bits(evs[i].Field(f)))
+				b = wire.AppendU64(b, math.Float64bits(evs[i].Field(f)))
 			}
 		}
 		return b
 	}
 	for i := range evs {
-		b = appendUvarint(b, uint64(len(evs[i].Fields)))
+		b = wire.AppendUvarint(b, uint64(len(evs[i].Fields)))
 		for _, v := range evs[i].Fields {
-			b = appendU64(b, math.Float64bits(v))
+			b = wire.AppendU64(b, math.Float64bits(v))
 		}
 	}
 	return b
 }
 
 func (m *eventsMsg) encode(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Query))
-	b = appendUvarint(b, uint64(m.Shard))
+	b = wire.AppendUvarint(b, uint64(m.Query))
+	b = wire.AppendUvarint(b, uint64(m.Shard))
 	contig := true
 	for i := 1; i < len(m.Events); i++ {
 		if m.Events[i].Seq != m.Events[i-1].Seq+1 {
@@ -368,294 +327,138 @@ func (m *eventsMsg) encode(b []byte) []byte {
 		flags |= evProjected
 	}
 	b = append(b, flags)
-	b = appendUvarint(b, uint64(len(m.Events)))
+	b = wire.AppendUvarint(b, uint64(len(m.Events)))
 	if m.Proj != nil {
-		b = appendUvarint(b, uint64(len(m.Proj)))
+		b = wire.AppendUvarint(b, uint64(len(m.Proj)))
 		for _, f := range m.Proj {
-			b = appendUvarint(b, uint64(f))
+			b = wire.AppendUvarint(b, uint64(f))
 		}
 	}
 	if len(m.Events) == 0 {
 		return b
 	}
-	b = appendUvarint(b, m.Events[0].Seq)
+	b = wire.AppendUvarint(b, m.Events[0].Seq)
 	if !contig {
 		for i := 1; i < len(m.Events); i++ {
-			b = appendUvarint(b, m.Events[i].Seq-m.Events[i-1].Seq-1)
+			b = wire.AppendUvarint(b, m.Events[i].Seq-m.Events[i-1].Seq-1)
 		}
 	}
 	return appendEventCols(b, m.Events, m.Proj)
 }
 
 func (m *pageMsg) encode(b []byte) []byte {
-	b = appendUvarint(b, m.PageID)
-	b = appendUvarint(b, uint64(m.Refs))
-	b = appendUvarint(b, uint64(len(m.Events)))
+	b = wire.AppendUvarint(b, m.PageID)
+	b = wire.AppendUvarint(b, uint64(m.Refs))
+	b = wire.AppendUvarint(b, uint64(len(m.Events)))
 	return appendEventCols(b, m.Events, nil)
 }
 
 func (m *pageRefsMsg) encode(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Query))
-	b = appendUvarint(b, uint64(m.Shard))
-	b = appendUvarint(b, m.PageID)
-	b = appendUvarint(b, uint64(len(m.Idx)))
+	b = wire.AppendUvarint(b, uint64(m.Query))
+	b = wire.AppendUvarint(b, uint64(m.Shard))
+	b = wire.AppendUvarint(b, m.PageID)
+	b = wire.AppendUvarint(b, uint64(len(m.Idx)))
 	for i, v := range m.Idx {
 		if i == 0 {
-			b = appendUvarint(b, uint64(v))
+			b = wire.AppendUvarint(b, uint64(v))
 		} else {
-			b = appendUvarint(b, uint64(v-m.Idx[i-1]-1))
+			b = wire.AppendUvarint(b, uint64(v-m.Idx[i-1]-1))
 		}
 	}
 	for i, s := range m.Seqs {
 		if i == 0 {
-			b = appendUvarint(b, s)
+			b = wire.AppendUvarint(b, s)
 		} else {
-			b = appendUvarint(b, s-m.Seqs[i-1]-1)
+			b = wire.AppendUvarint(b, s-m.Seqs[i-1]-1)
 		}
 	}
 	return b
 }
 
+// writeFrame sends one unqueued frame (handshake and rejection paths).
+func writeFrame(w io.Writer, kind byte, body []byte) error {
+	frame, err := wire.AppendFrame(nil, kind, body)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 // --- decoding -----------------------------------------------------------
 
-// wireReader is a sticky-error cursor over one frame body (mirrors the
-// durable codec's decoder): the first malformed field poisons the reader
-// and every later accessor returns a zero value, so message decoders read
-// straight through and check err once.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("cluster: bad frame: "+format, args...)
-	}
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b)-r.off {
-		r.fail("need %d bytes at offset %d, have %d", n, r.off, len(r.b)-r.off)
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-func (r *wireReader) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(p)
-}
-
-func (r *wireReader) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
-}
-
-func (r *wireReader) u8() byte {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// uvcount reads a uvarint collection length, bounded like count().
-func (r *wireReader) uvcount() int {
-	v := r.uvarint()
-	if v > maxWireCount {
-		r.fail("count %d exceeds limit %d", v, maxWireCount)
-		return 0
-	}
-	return int(v)
-}
-
-// need verifies that n entries of at least per bytes each can still fit
-// in the unread frame body, so collection sizes stay proportional to
-// bytes actually delivered.
-func (r *wireReader) need(n, per int) bool {
-	if r.err != nil {
-		return false
-	}
-	if n*per > len(r.b)-r.off {
-		r.fail("collection of %d×≥%dB overruns frame", n, per)
-		return false
-	}
-	return true
-}
-
-func (r *wireReader) count() int {
-	n := r.u32()
-	if n > maxWireCount {
-		r.fail("count %d exceeds limit %d", n, maxWireCount)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) str() string {
-	n := r.count()
-	return string(r.take(n))
-}
-
-func (r *wireReader) bytes() []byte {
-	n := r.count()
-	p := r.take(n)
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
-func (r *wireReader) strs() []string {
-	n := r.count()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]string, 0, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.str())
-	}
-	return out
-}
-
-func (r *wireReader) u64s() []uint64 {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n*8 > len(r.b)-r.off {
-		r.fail("u64 list of %d overruns frame", n)
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
-	}
-	return out
-}
-
-// finish reports the sticky error, or a trailing-garbage error when the
-// frame body was not fully consumed.
-func (r *wireReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("cluster: bad frame: %d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
-}
-
 func decodeHello(b []byte) (helloMsg, error) {
-	r := wireReader{b: b}
-	m := helloMsg{Proto: r.u32(), Capacity: r.u32(), Name: r.str()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := helloMsg{Proto: r.U32(), Capacity: r.U32(), Name: r.Str()}
+	return m, r.Finish()
 }
 
 func decodeWelcome(b []byte) (welcomeMsg, error) {
-	r := wireReader{b: b}
-	m := welcomeMsg{Proto: r.u32(), WorkerID: r.u32()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := welcomeMsg{Proto: r.U32(), WorkerID: r.U32()}
+	return m, r.Finish()
 }
 
 func decodeTables(b []byte) (tablesMsg, error) {
-	r := wireReader{b: b}
-	m := tablesMsg{Types: r.strs(), Fields: r.strs()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := tablesMsg{Types: r.Strs(), Fields: r.Strs()}
+	return m, r.Finish()
 }
 
 func decodeAssign(b []byte) (assignMsg, error) {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	m := assignMsg{
-		Query:    r.u32(),
-		Shard:    r.u32(),
-		NShards:  r.u32(),
-		EmitBase: r.u64(),
-		Name:     r.str(),
-		Text:     r.str(),
-		Snapshot: r.bytes(),
+		Query:    r.U32(),
+		Shard:    r.U32(),
+		NShards:  r.U32(),
+		EmitBase: r.U64(),
+		Name:     r.Str(),
+		Text:     r.Str(),
+		Snapshot: r.Bytes(),
 	}
-	m.PreStamped = r.u8()&assignPreStamped != 0
-	return m, r.finish()
+	m.PreStamped = r.U8()&assignPreStamped != 0
+	return m, r.Finish()
 }
 
 func decodeReady(b []byte) (readyMsg, error) {
-	r := wireReader{b: b}
-	m := readyMsg{Query: r.u32(), Shard: r.u32(), Resume: r.u64()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := readyMsg{Query: r.U32(), Shard: r.U32(), Resume: r.U64()}
+	return m, r.Finish()
 }
 
 func decodeEmit(b []byte) (emitMsg, error) {
-	r := wireReader{b: b}
-	m := emitMsg{Query: r.u32(), Shard: r.u32(), Ordinal: r.u64()}
-	m.Match.Query = r.str()
-	m.Match.WindowID = r.u64()
-	m.Match.DetectedAt = r.u64()
-	m.Match.Constituents = r.u64s()
-	m.Match.Consumed = r.u64s()
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := emitMsg{Query: r.U32(), Shard: r.U32(), Ordinal: r.U64()}
+	m.Match.Query = r.Str()
+	m.Match.WindowID = r.U64()
+	m.Match.DetectedAt = r.U64()
+	m.Match.Constituents = r.U64s()
+	m.Match.Consumed = r.U64s()
+	return m, r.Finish()
 }
 
 func decodeProgress(b []byte) (progressMsg, error) {
-	r := wireReader{b: b}
-	m := progressMsg{Query: r.u32(), Shard: r.u32(), Boundary: r.u64()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := progressMsg{Query: r.U32(), Shard: r.U32(), Boundary: r.U64()}
+	return m, r.Finish()
 }
 
 func decodeShardMsg(b []byte) (shardMsg, error) {
-	r := wireReader{b: b}
-	m := shardMsg{Query: r.u32(), Shard: r.u32()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := shardMsg{Query: r.U32(), Shard: r.U32()}
+	return m, r.Finish()
 }
 
 func decodeHandoff(b []byte) (handoffMsg, error) {
-	r := wireReader{b: b}
-	m := handoffMsg{Query: r.u32(), Shard: r.u32(), Watermark: r.u64(), Snapshot: r.bytes()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := handoffMsg{Query: r.U32(), Shard: r.U32(), Watermark: r.U64(), Snapshot: r.Bytes()}
+	return m, r.Finish()
 }
 
 func decodeError(b []byte) (errorMsg, error) {
-	r := wireReader{b: b}
-	m := errorMsg{Msg: r.str()}
-	return m, r.finish()
+	r := wire.NewReader(b)
+	m := errorMsg{Msg: r.Str()}
+	return m, r.Finish()
 }
 
 // decodeEventCols is the inverse of appendEventCols: it fills evs (len
@@ -663,22 +466,22 @@ func decodeError(b []byte) (errorMsg, error) {
 // reconstruct dense Fields arrays out of one slab; the decoded float
 // total is budgeted by maxFrameFloats because dense reconstruction can
 // exceed the wire bytes backing it.
-func (r *wireReader) decodeEventCols(evs []event.Event, proj []int) {
+func decodeEventCols(r *wire.Reader, evs []event.Event, proj []int) {
 	n := len(evs)
-	for i := 0; i < n && r.err == nil; i++ {
-		t := r.uvarint()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		t := r.Uvarint()
 		if t > math.MaxUint32 {
-			r.fail("event type %d out of range", t)
+			r.Fail("event type %d out of range", t)
 			return
 		}
 		evs[i].Type = event.Type(t)
 	}
 	var prev int64
-	for i := 0; i < n && r.err == nil; i++ {
-		prev += r.varint()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		prev += r.Varint()
 		evs[i].TS = prev
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return
 	}
 	if proj != nil {
@@ -689,33 +492,30 @@ func (r *wireReader) decodeEventCols(evs []event.Event, proj []int) {
 			}
 		}
 		if n*width > maxFrameFloats {
-			r.fail("projected batch of %d×%d floats exceeds limit %d", n, width, maxFrameFloats)
+			r.Fail("projected batch of %d×%d floats exceeds limit %d", n, width, maxFrameFloats)
 			return
 		}
-		if !r.need(n, len(proj)*8) {
+		if !r.Need(n, len(proj)*8) {
 			return
 		}
 		slab := make([]float64, n*width)
 		for i := 0; i < n; i++ {
 			fields := slab[i*width : (i+1)*width : (i+1)*width]
 			for _, f := range proj {
-				fields[f] = math.Float64frombits(r.u64())
+				fields[f] = math.Float64frombits(r.U64())
 			}
 			evs[i].Fields = fields
 		}
 		return
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		nf := r.uvcount()
-		if nf == 0 || r.err != nil {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		nf := r.Uvcount(8)
+		if nf == 0 {
 			continue
-		}
-		if !r.need(nf, 8) {
-			return
 		}
 		fields := make([]float64, nf)
 		for j := range fields {
-			fields[j] = math.Float64frombits(r.u64())
+			fields[j] = math.Float64frombits(r.U64())
 		}
 		evs[i].Fields = fields
 	}
@@ -723,23 +523,20 @@ func (r *wireReader) decodeEventCols(evs []event.Event, proj []int) {
 
 // decodeProj reads a projection field-index list (strictly bounded; the
 // legal lists come from a registry field table).
-func (r *wireReader) decodeProj() []int {
-	np := r.uvcount()
+func decodeProj(r *wire.Reader) []int {
+	np := r.Uvcount(1)
 	if np > maxProjFields {
-		r.fail("projection of %d fields exceeds limit %d", np, maxProjFields)
+		r.Fail("projection of %d fields exceeds limit %d", np, maxProjFields)
 		return nil
 	}
-	if r.err != nil || np == 0 {
-		return nil
-	}
-	if !r.need(np, 1) {
+	if np == 0 {
 		return nil
 	}
 	proj := make([]int, np)
 	for i := range proj {
-		f := r.uvarint()
+		f := r.Uvarint()
 		if f >= maxProjIndex {
-			r.fail("projected field index %d exceeds limit %d", f, maxProjIndex)
+			r.Fail("projected field index %d exceeds limit %d", f, maxProjIndex)
 			return nil
 		}
 		proj[i] = int(f)
@@ -750,104 +547,95 @@ func (r *wireReader) decodeProj() []int {
 // decodeEvents returns the batch with Seq set on every event and the
 // projection already undone (dense Fields, Proj nil).
 func decodeEvents(b []byte) (eventsMsg, error) {
-	r := wireReader{b: b}
-	m := eventsMsg{Query: uint32(r.uvarint()), Shard: uint32(r.uvarint())}
-	flags := r.u8()
-	n := r.uvcount()
-	var proj []int
-	if flags&evProjected != 0 {
-		proj = r.decodeProj()
-	}
-	if r.err != nil || n == 0 {
-		return m, r.finish()
-	}
+	r := wire.NewReader(b)
+	m := eventsMsg{Query: uint32(r.Uvarint()), Shard: uint32(r.Uvarint())}
+	flags := r.U8()
 	// Every event costs at least one type byte and one TS byte, so the
 	// allocation below is proportional to delivered bytes.
-	if !r.need(n, 2) {
-		return m, r.finish()
+	n := r.Uvcount(2)
+	var proj []int
+	if flags&evProjected != 0 {
+		proj = decodeProj(&r)
+	}
+	if r.Err() != nil || n == 0 {
+		return m, r.Finish()
 	}
 	evs := make([]event.Event, n)
-	seq := r.uvarint()
+	seq := r.Uvarint()
 	evs[0].Seq = seq
-	for i := 1; i < n && r.err == nil; i++ {
+	for i := 1; i < n && r.Err() == nil; i++ {
 		if flags&evContig != 0 {
 			seq++
 		} else {
-			gap := r.uvarint()
+			gap := r.Uvarint()
 			if gap > 1<<48 {
-				r.fail("seq gap %d out of range", gap)
+				r.Fail("seq gap %d out of range", gap)
 				break
 			}
 			seq += gap + 1
 		}
 		evs[i].Seq = seq
 	}
-	r.decodeEventCols(evs, proj)
+	decodeEventCols(&r, evs, proj)
 	m.Events = evs
-	return m, r.finish()
+	return m, r.Finish()
 }
 
 func decodePage(b []byte) (pageMsg, error) {
-	r := wireReader{b: b}
-	m := pageMsg{PageID: r.uvarint()}
-	refs := r.uvarint()
-	if refs > maxWireCount {
-		r.fail("page ref count %d exceeds limit %d", refs, maxWireCount)
+	r := wire.NewReader(b)
+	m := pageMsg{PageID: r.Uvarint()}
+	refs := r.Uvarint()
+	if refs > math.MaxUint32 {
+		r.Fail("page ref count %d out of range", refs)
 	}
 	m.Refs = uint32(refs)
-	n := r.uvcount()
-	if r.err != nil || n == 0 {
-		return m, r.finish()
-	}
 	// Type byte + TS byte + field-count byte minimum per event.
-	if !r.need(n, 3) {
-		return m, r.finish()
+	n := r.Uvcount(3)
+	if n == 0 {
+		return m, r.Finish()
 	}
 	evs := make([]event.Event, n)
-	r.decodeEventCols(evs, nil)
+	decodeEventCols(&r, evs, nil)
 	m.Events = evs
-	return m, r.finish()
+	return m, r.Finish()
 }
 
 func decodePageRefs(b []byte) (pageRefsMsg, error) {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	m := pageRefsMsg{
-		Query:  uint32(r.uvarint()),
-		Shard:  uint32(r.uvarint()),
-		PageID: r.uvarint(),
-	}
-	n := r.uvcount()
-	if r.err != nil || n == 0 {
-		return m, r.finish()
+		Query:  uint32(r.Uvarint()),
+		Shard:  uint32(r.Uvarint()),
+		PageID: r.Uvarint(),
 	}
 	// One index byte and one seq byte minimum per entry.
-	if !r.need(n, 2) {
-		return m, r.finish()
+	n := r.Uvcount(2)
+	if n == 0 {
+		return m, r.Finish()
 	}
 	m.Idx = make([]uint32, n)
 	var idx uint64
-	for i := 0; i < n && r.err == nil; i++ {
-		gap := r.uvarint()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		gap := r.Uvarint()
 		if i == 0 {
 			idx = gap
 		} else {
 			idx += gap + 1
 		}
-		if idx > maxWireCount {
-			r.fail("page index %d exceeds limit %d", idx, maxWireCount)
+		if idx > maxPageIndex {
+			r.Fail("page index %d exceeds limit %d", idx, maxPageIndex)
 			break
 		}
 		m.Idx[i] = uint32(idx)
 	}
-	if r.err != nil {
-		return m, r.finish()
+	if r.Err() != nil {
+		return m, r.Finish()
 	}
 	m.Seqs = make([]uint64, n)
 	var seq uint64
-	for i := 0; i < n && r.err == nil; i++ {
-		gap := r.uvarint()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		gap := r.Uvarint()
 		if i > 0 && gap > 1<<48 {
-			r.fail("seq gap %d out of range", gap)
+			r.Fail("seq gap %d out of range", gap)
 			break
 		}
 		if i == 0 {
@@ -857,5 +645,5 @@ func decodePageRefs(b []byte) (pageRefsMsg, error) {
 		}
 		m.Seqs[i] = seq
 	}
-	return m, r.finish()
+	return m, r.Finish()
 }

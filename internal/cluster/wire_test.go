@@ -234,8 +234,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			m, err = decodePageRefs(body)
 			if err == nil {
 				for _, ix := range m.Idx {
-					if ix > maxWireCount {
-						t.Fatalf("page index %d above maxWireCount", ix)
+					if ix > maxPageIndex {
+						t.Fatalf("page index %d above maxPageIndex", ix)
 					}
 				}
 			}
@@ -269,13 +269,5 @@ func checkEventBudget(t *testing.T, evs []event.Event, bodyLen int) {
 	}
 	if len(evs) > bodyLen {
 		t.Fatalf("decoded %d events from %dB frame", len(evs), bodyLen)
-	}
-}
-
-func TestFrameOverheadMatchesTransport(t *testing.T) {
-	// frameOverhead mirrors internal/transport framing: 4B length + 4B
-	// CRC + 1B kind. Guard against drift with a literal check.
-	if frameOverhead != 4+4+1 {
-		t.Fatalf("frameOverhead %d != 9", frameOverhead)
 	}
 }

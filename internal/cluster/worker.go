@@ -13,6 +13,7 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/parser"
 	"github.com/spectrecep/spectre/internal/transport"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // WorkerOptions parameterizes Join.
@@ -220,11 +221,11 @@ func dialCoordinator(ctx context.Context, addr string, opts *WorkerOptions) (net
 	deadline := time.Now().Add(10 * time.Second)
 	_ = conn.SetDeadline(deadline)
 	hello := helloMsg{Proto: protoVersion, Capacity: uint32(opts.Capacity), Name: opts.Name}
-	if err := transport.WriteFrame(conn, kindHello, hello.encode(nil)); err != nil {
+	if err := writeFrame(conn, kindHello, hello.encode(nil)); err != nil {
 		conn.Close()
 		return nil, 0, 0, fmt.Errorf("send hello: %w", err)
 	}
-	kind, body, err := transport.ReadFrame(conn, nil)
+	kind, body, err := wire.ReadFrame(conn, nil)
 	if err != nil {
 		conn.Close()
 		return nil, 0, 0, fmt.Errorf("read welcome: %w", err)
@@ -302,7 +303,7 @@ func (w *Worker) heartbeat() {
 func (w *Worker) send(kind byte, body []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	buf, err := transport.AppendFrame(w.wbuf[:0], kind, body)
+	buf, err := wire.AppendFrame(w.wbuf[:0], kind, body)
 	if err != nil {
 		return err
 	}
@@ -345,14 +346,14 @@ func (w *Worker) serve() {
 	var scratch []byte
 	for {
 		_ = w.conn.SetReadDeadline(time.Now().Add(linkTimeoutFactor * w.opts.Heartbeat))
-		kind, body, err := transport.ReadFrame(w.conn, scratch)
+		kind, body, err := wire.ReadFrame(w.conn, scratch)
 		if err != nil {
 			if !w.closed.Load() {
 				w.fail(&Error{Op: "serve", Addr: w.conn.RemoteAddr().String(), Err: err})
 			}
 			return
 		}
-		w.bytesRecv.Add(uint64(frameOverhead + len(body)))
+		w.bytesRecv.Add(uint64(wire.FrameOverhead + len(body)))
 		w.framesRecv.Add(1)
 		scratch = body[:0]
 		if err := w.dispatch(kind, body); err != nil {

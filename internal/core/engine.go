@@ -799,9 +799,9 @@ func (s *shardState) drainOutputs(wv *deptree.WindowVersion) bool {
 
 // schedule is one control-plane round: feed the cycle's signals to the
 // policy, apply its sizing decision (resizing the slot pool and the
-// speculation budget), then let the policy pick the window versions for
-// the active slots and assign the difference (paper Fig. 7:
-// already-scheduled versions stay put).
+// speculation budget), then walk the tree for the top-k window versions
+// under the predictor and assign the difference to the active slots
+// (paper Fig. 7: already-scheduled versions stay put).
 func (s *shardState) schedule() {
 	active := int(s.activeSlots.Load())
 	busy := 0
@@ -875,9 +875,7 @@ func (s *shardState) schedule() {
 		return inputDone && pos >= arenaLen
 	}
 
-	s.topkBuf = s.policy.Select(
-		sched.Env{Tree: s.tree, Prob: probOf, Eligible: eligible},
-		active, s.topkBuf[:0])
+	s.topkBuf = s.tree.TopK(active, probOf, eligible, s.topkBuf[:0])
 	s.lastSelected = len(s.topkBuf)
 	s.schedMark++
 

@@ -8,24 +8,19 @@ import (
 	"github.com/spectrecep/spectre/internal/dataset"
 	"github.com/spectrecep/spectre/internal/deptree"
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/markov"
 	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/internal/queries"
 	"github.com/spectrecep/spectre/internal/sched"
 )
 
-// oscPolicy is a scripted control plane for tests: top-k selection, but
-// the slot pool and speculation budget oscillate between two sizes on a
-// fixed cycle period — the hardest resize schedule (shrink and grow
-// mid-run, over and over).
+// oscPolicy is a scripted control plane for tests: the slot pool and
+// speculation budget oscillate between two sizes on a fixed cycle period
+// — the hardest resize schedule (shrink and grow mid-run, over and over).
 type oscPolicy struct {
-	inner          sched.Policy
 	cycle, period  int
 	loK, hiK       int
 	loSpec, hiSpec int
-}
-
-func (p *oscPolicy) Select(env sched.Env, k int, out []*deptree.WindowVersion) []*deptree.WindowVersion {
-	return p.inner.Select(env, k, out)
 }
 
 func (p *oscPolicy) Tune(sched.Signals) sched.Decision {
@@ -49,9 +44,9 @@ func schedPolicies(k int) []struct {
 		apply func(*Config)
 	}{
 		{"topk", func(*Config) {}},
-		{"fixedprob=0", func(c *Config) { c.Sched = sched.Config{Kind: sched.FixedProb, FixedP: 0} }},
-		{"fixedprob=0.5", func(c *Config) { c.Sched = sched.Config{Kind: sched.FixedProb, FixedP: 0.5} }},
-		{"fixedprob=1", func(c *Config) { c.Sched = sched.Config{Kind: sched.FixedProb, FixedP: 1} }},
+		{"fixedprob=0", func(c *Config) { c.Predictor = markov.Fixed{P: 0} }},
+		{"fixedprob=0.5", func(c *Config) { c.Predictor = markov.Fixed{P: 0.5} }},
+		{"fixedprob=1", func(c *Config) { c.Predictor = markov.Fixed{P: 1} }},
 		{"adaptive", func(c *Config) {
 			c.Sched = sched.Config{
 				Kind: sched.Adaptive, MinSlots: 1, MaxSlots: k + 2,
@@ -62,7 +57,6 @@ func schedPolicies(k int) []struct {
 			c.Sched = sched.Config{MaxSlots: k + 2} // raises the pool ceiling
 			c.SchedFactory = func() sched.Policy {
 				return &oscPolicy{
-					inner:  sched.Config{}.New(k, 256),
 					period: 16,
 					loK:    1, hiK: k + 2,
 					loSpec: 16, hiSpec: 256,
@@ -243,7 +237,7 @@ func stuckShard(t *testing.T, factory func() sched.Policy) *shardState {
 func TestEndBoundaryEligibleAfterShrink(t *testing.T) {
 	// The policy pins the pool to a single slot: the shrunken regime.
 	s := stuckShard(t, func() sched.Policy {
-		return &oscPolicy{inner: sched.Config{}.New(1, 256), period: 1 << 30, loK: 1, hiK: 1, loSpec: 256, hiSpec: 256}
+		return &oscPolicy{period: 1 << 30, loK: 1, hiK: 1, loSpec: 256, hiSpec: 256}
 	})
 	for i := 0; i < 10000 && !s.finished.Load(); i++ {
 		s.step()
@@ -399,12 +393,7 @@ func TestAdaptiveEngineShrinksOnThisMachine(t *testing.T) {
 	}
 }
 
-// policyFunc adapts a decision function into a sched.Policy with top-k
-// selection.
+// policyFunc adapts a decision function into a sched.Policy.
 type policyFunc func() sched.Decision
-
-func (f policyFunc) Select(env sched.Env, k int, out []*deptree.WindowVersion) []*deptree.WindowVersion {
-	return env.Tree.TopK(k, env.Prob, env.Eligible, out)
-}
 
 func (f policyFunc) Tune(sched.Signals) sched.Decision { return f() }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -293,8 +294,8 @@ func TestCorruptionMidFileFatal(t *testing.T) {
 	// Flip a byte inside the first frame's payload AND fix up its CRC so
 	// the frame passes framing but fails decoding (CRC-valid garbage).
 	n := binary.LittleEndian.Uint32(data)
-	payload := data[frameHeader : frameHeader+int(n)]
-	payload[0] ^= 0xff // record kind becomes implausible
+	payload := data[8 : 8+int(n)] // past the [len][crc] header
+	payload[0] ^= 0xff            // record kind becomes implausible
 	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -405,5 +406,41 @@ func TestAppendBeforeLoad(t *testing.T) {
 				t.Fatalf("Append before Load = %v, want ErrNotLoaded", err)
 			}
 		})
+	}
+}
+
+// walGolden is the segment TestWALBytesStable's records produce, taken at
+// the commit before internal/wire existed.
+const walGolden = "0f0000002dcabd2e0102000000010000004101000000420e0000000e0b6016020100000005000000707269636565000000d83bf04d03030000000700000000000000070000000000000001000000010000000000000000001c4008000000000000000800000000000000020000000100000000000000000020400900000000000000090000000000000001000000010000000000000000002240f7000000a907f0fb04030000000000000005000000000000006400000000000000070000000000000002000000050000000000000006000000000000000000000001000000060000000000000001000000010000007103000000000000000200000005000000000000000600000000000000010000000600000000000000060000000000000002000000000000000101000000010000000000000001000000020000000300000000000000ffffffff02000000050000000000000064000000000000000200000002000000000000000000f83f00000000000000c00600000000000000650000000000000003000000000000000100000000000000020000002d00000010971a760509000000000000000400000000000000020000000000000002000000060000000000000008000000000000000900000042f3c411060b00000000000000"
+
+// TestWALBytesStable: the bytes FileStore puts on disk for a fixed record
+// sequence do not move, so a -state-dir written by an older build still
+// recovers.
+func TestWALBytesStable(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := event.NewRegistry()
+	evs := testEvents(reg, 7, 3)
+	recs := sampleRecords()
+	log, _ := openShard(t, fs, reg)
+	appendAll(t, log,
+		TypesRecord(reg),
+		FieldsRecord(reg),
+		&Record{Kind: KindEvents, Events: evs},
+		recs[3], // checkpoint
+		recs[4], // cut
+		recs[5], // watermark
+	)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segFiles(t, fs)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != walGolden {
+		t.Fatalf("WAL bytes moved:\n got  %s\n want %s", got, walGolden)
 	}
 }

@@ -1,10 +1,10 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // Shard export/import turns one shard's folded WAL state into a portable
@@ -14,10 +14,10 @@ import (
 // frame to the shard's next owner, which imports them into its own store
 // and recovers through the ordinary crash-recovery path.
 //
-// The blob is a sequence of length-prefixed records in the WAL's own
-// encoding, always led by the registry name tables, so an import into a
-// process that interned names in a different order remaps exactly like a
-// restart does.
+// The blob is a sequence of wire frames holding records in the WAL's own
+// encoding — what a segment file holds — always led by the registry name
+// tables, so an import into a process that interned names in a different
+// order remaps exactly like a restart does.
 
 // ExportShard loads the (query, shard) log from st and renders its folded
 // state as a self-describing record blob. The shard log must be closed
@@ -56,14 +56,12 @@ func ExportShard(st Store, reg *event.Registry, query string, shard int) ([]byte
 	var blob []byte
 	scratch := make([]byte, 0, 4096)
 	for _, rec := range recs {
-		scratch, err = encodeRecord(scratch[:0], rec)
+		if scratch, err = encodeRecord(scratch[:0], rec); err == nil {
+			blob, err = wire.AppendFrame(blob, scratch[0], scratch[1:])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("durable: export %s/%d: %w", query, shard, err)
 		}
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(scratch)))
-		blob = append(blob, n[:]...)
-		blob = append(blob, scratch...)
 	}
 	return blob, nil
 }
@@ -106,21 +104,16 @@ func ImportShard(st Store, reg *event.Registry, query string, shard int, blob []
 // decodeExport splits a blob back into records.
 func decodeExport(blob []byte) ([]*Record, error) {
 	var recs []*Record
-	for off := 0; off < len(blob); {
-		if len(blob)-off < 4 {
-			return nil, fmt.Errorf("truncated export blob at offset %d", off)
-		}
-		n := int(binary.BigEndian.Uint32(blob[off : off+4]))
-		off += 4
-		if n <= 0 || n > maxRecordBytes || n > len(blob)-off {
-			return nil, fmt.Errorf("corrupt export record length %d at offset %d", n, off-4)
-		}
-		rec, err := decodeRecord(blob[off : off+n])
+	for len(blob) > 0 {
+		payload, rest, err := wire.NextFrame(blob)
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, rec)
-		off += n
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return nil, err
+		}
+		recs, blob = append(recs, rec), rest
 	}
 	return recs, nil
 }

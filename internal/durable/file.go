@@ -2,10 +2,7 @@ package durable
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -15,20 +12,14 @@ import (
 	"sync"
 
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
-// crcTable selects the Castagnoli polynomial for frame checksums: same
-// error detection class as IEEE, but hardware-accelerated (SSE4.2 /
-// ARMv8 CRC instructions) — on small machines the software IEEE path
-// costs a measurable slice of ingest throughput.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Frame layout: [len:u32][crc32c(payload):u32][payload]. A frame whose
-// header or payload is short, whose CRC mismatches, or whose length is
-// absurd is a torn tail when it is the last thing in the last segment —
+// A segment is a run of wire frames, one record each. A frame that
+// wire.NextFrame rejects (short header or payload, CRC mismatch, absurd
+// length) is a torn tail when it is the last thing in the last segment —
 // the write was cut mid-flight and the file is truncated there on open.
 // Anywhere else it is corruption.
-const frameHeader = 8
 
 // defaultSegmentBytes is the rotation threshold: a cut record arriving
 // once the live segment exceeds it starts a new segment (seeded with the
@@ -138,7 +129,8 @@ type fileLog struct {
 	lastTypes  []string
 	lastFields []string
 
-	scratch []byte
+	scratch []byte // encodeRecord's buffer
+	frame   []byte // the frame built around it
 	loaded  bool
 	closed  bool
 }
@@ -235,31 +227,16 @@ func (l *fileLog) scanSegment(seg *segInfo, last bool, f *folder) error {
 	if err != nil {
 		return err
 	}
-	off := 0
-	torn := func(cause error) error {
-		if !last {
-			return &Corrupt{Path: seg.path, Off: int64(off), Err: cause}
-		}
-		if err := os.Truncate(seg.path, int64(off)); err != nil {
-			return fmt.Errorf("durable: truncate torn tail of %s: %w", seg.path, err)
-		}
-		return nil
-	}
-	for off < len(data) {
-		if len(data)-off < frameHeader {
-			return torn(errors.New("short frame header"))
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxRecordBytes {
-			return torn(fmt.Errorf("implausible frame length %d", n))
-		}
-		if len(data)-off-frameHeader < int(n) {
-			return torn(errors.New("short frame payload"))
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(n)]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return torn(errors.New("frame CRC mismatch"))
+	for off := 0; off < len(data); {
+		payload, rest, err := wire.NextFrame(data[off:])
+		if err != nil {
+			if !last {
+				return &Corrupt{Path: seg.path, Off: int64(off), Err: err}
+			}
+			if err := os.Truncate(seg.path, int64(off)); err != nil {
+				return fmt.Errorf("durable: truncate torn tail of %s: %w", seg.path, err)
+			}
+			return nil
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
@@ -276,7 +253,7 @@ func (l *fileLog) scanSegment(seg *segInfo, last bool, f *folder) error {
 		if err := f.add(rec); err != nil {
 			return &Corrupt{Path: seg.path, Off: int64(off), Err: err}
 		}
-		off += frameHeader + int(n)
+		off = len(data) - len(rest)
 	}
 	return nil
 }
@@ -306,19 +283,13 @@ func (l *fileLog) writeFrame(rec *Record) error {
 		return err
 	}
 	l.scratch = payload[:0]
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("durable: record of %d bytes exceeds limit", len(payload))
+	if l.frame, err = wire.AppendFrame(l.frame[:0], payload[0], payload[1:]); err != nil {
+		return fmt.Errorf("durable: %w", err)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := l.bw.Write(hdr[:]); err != nil {
+	if _, err := l.bw.Write(l.frame); err != nil {
 		return err
 	}
-	if _, err := l.bw.Write(payload); err != nil {
-		return err
-	}
-	l.curSize += int64(frameHeader + len(payload))
+	l.curSize += int64(len(l.frame))
 	if rec.Kind == KindEvents && len(rec.Events) > 0 {
 		l.cur.hasEvents = true
 		if s := rec.Events[len(rec.Events)-1].Seq; s > l.cur.maxSeq {

@@ -1,10 +1,8 @@
 package sched
 
-import "github.com/spectrecep/spectre/internal/deptree"
-
 // Adaptation thresholds. Utilization is the EWMA fraction of active
 // slots holding an assignment; demand is the EWMA of how many versions
-// Select actually handed out.
+// the top-k walk actually handed out.
 const (
 	// ewmaAlpha is the per-cycle smoothing weight of the observed
 	// signals. Cycles are microseconds apart, so a small weight still
@@ -53,12 +51,6 @@ func newAdaptive(cfg Config, k, spec int) *adaptive {
 		utilEWMA:   1,
 		demandEWMA: float64(slots),
 	}
-}
-
-// Select is the paper's top-k walk under the learned model — adaptation
-// changes how many slots there are, not who deserves them.
-func (a *adaptive) Select(env Env, k int, out []*deptree.WindowVersion) []*deptree.WindowVersion {
-	return env.Tree.TopK(k, env.Prob, env.Eligible, out)
 }
 
 func (a *adaptive) Tune(sig Signals) Decision {

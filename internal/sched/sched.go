@@ -1,43 +1,28 @@
 // Package sched is the scheduling control plane of the SPECTRE runtime:
-// it decides, once per splitter maintenance cycle, which window versions
-// occupy the k operator-instance slots and how large k and the
-// speculation budget should be.
+// it decides, once per splitter maintenance cycle, how many operator-
+// instance slots run and how large the speculation budget is.
 //
-// The paper freezes both decisions at submission time: k is the
-// Instances parameter and the slot assignment is the fixed top-k walk of
-// Fig. 7. This package names that code path (TopK), its Fig. 11 baseline
-// (FixedProb — the constant completion probability previously buried in
-// markov.Fixed) and adds an Adaptive policy that resizes the effective
-// slot count and the speculation budget at runtime from observed load —
-// slot utilization, rollback rate and shard-queue depth — following the
-// adaptive-parallelization-degree argument of Xiao & Aritsugi and the
-// graceful-degradation-under-overload argument of eSPICE.
+// The paper freezes both at submission time: k is the Instances parameter
+// and the slot assignment is the fixed top-k walk of Fig. 7. Who gets the
+// slots is not a policy here either: the splitter always runs that walk
+// (deptree.Tree.TopK) under its completion predictor, and the Fig. 11
+// constant-probability baseline is a predictor (markov.Fixed). A Policy
+// only sizes: TopK keeps the paper's constants, Adaptive resizes the
+// effective slot count and the speculation budget at runtime from
+// observed load — slot utilization, rollback rate and shard-queue depth —
+// following the adaptive-parallelization-degree argument of Xiao &
+// Aritsugi and the graceful-degradation-under-overload argument of
+// eSPICE.
 //
-// Every policy sits strictly above the §4.2 validation gate: the policy
-// chooses what to work on and with how much parallelism, never what is
-// emitted. The delivered output is byte-identical for every policy.
+// Every policy sits strictly above the §4.2 validation gate: it chooses
+// with how much parallelism to work, never what is emitted. The delivered
+// output is byte-identical for every policy.
 package sched
 
 import (
 	"runtime"
 	"time"
-
-	"github.com/spectrecep/spectre/internal/deptree"
 )
-
-// Env is the read-only view of a shard the splitter exposes to Select.
-// All fields are owned by the calling splitter for the duration of the
-// call.
-type Env struct {
-	// Tree is the shard's dependency tree.
-	Tree *deptree.Tree
-	// Prob returns the completion probability of a consumption group:
-	// certain (1 or 0) for resolved groups, model-predicted for open
-	// ones.
-	Prob func(cg *deptree.CG) float64
-	// Eligible filters window versions that actually need processing.
-	Eligible func(wv *deptree.WindowVersion) bool
-}
 
 // Signals summarizes one maintenance cycle's observations for Tune.
 // Counter fields are cumulative over the run; gauges are instantaneous.
@@ -46,8 +31,9 @@ type Signals struct {
 	SlotsActive int
 	// SlotsBusy counts active slots that currently hold an assignment.
 	SlotsBusy int
-	// Selected is how many versions the previous Select handed out.
-	// Selected == SlotsActive means demand is at least the pool size.
+	// Selected is how many versions the previous cycle's top-k walk
+	// handed out. Selected == SlotsActive means demand is at least the
+	// pool size.
 	Selected int
 	// QueueDepth is the shard intake queue's pending backlog.
 	QueueDepth int
@@ -79,14 +65,10 @@ type Decision struct {
 	Spec  int
 }
 
-// Policy decides slot assignment and control-plane sizing for one shard.
-// A Policy instance is owned by its shard's splitter: calls are
-// single-threaded, but implementations may keep mutable state.
+// Policy decides control-plane sizing for one shard. A Policy instance is
+// owned by its shard's splitter: calls are single-threaded, but
+// implementations may keep mutable state.
 type Policy interface {
-	// Select appends the window versions that should occupy the k slots,
-	// most deserving first, to out and returns it. Fewer than k results
-	// means fewer than k versions are eligible.
-	Select(env Env, k int, out []*deptree.WindowVersion) []*deptree.WindowVersion
 	// Tune observes one cycle's signals and returns the sizing decision
 	// for the next cycle. Static policies return a constant.
 	Tune(sig Signals) Decision
@@ -100,9 +82,6 @@ const (
 	// assigned to the k most probable window versions under the learned
 	// completion model.
 	TopK Kind = iota
-	// FixedProb is the Fig. 11 baseline: top-k selection under a
-	// constant completion probability for every open consumption group.
-	FixedProb
 	// Adaptive is top-k selection under the learned model, with the
 	// effective slot count and the speculation budget resized at runtime
 	// from observed load.
@@ -114,8 +93,6 @@ func (k Kind) String() string {
 	switch k {
 	case TopK:
 		return "topk"
-	case FixedProb:
-		return "fixedprob"
 	case Adaptive:
 		return "adaptive"
 	}
@@ -128,8 +105,6 @@ func (k Kind) String() string {
 type Config struct {
 	// Kind selects the policy.
 	Kind Kind
-	// FixedP is the constant completion probability of FixedProb.
-	FixedP float64
 	// MinSlots/MaxSlots bound the Adaptive slot pool. Unset (0) values
 	// default to 1 and the configured instance count respectively.
 	// MaxSlots also raises the engine's slot-pool ceiling above the
@@ -220,8 +195,6 @@ func (c Config) InitialSlots(k int) int {
 // to fill unset bounds.
 func (c Config) New(k, spec int) Policy {
 	switch c.Kind {
-	case FixedProb:
-		return newFixedProb(c.FixedP, k, spec)
 	case Adaptive:
 		return newAdaptive(c.normalized(k, spec), k, spec)
 	default:
@@ -229,56 +202,13 @@ func (c Config) New(k, spec int) Policy {
 	}
 }
 
-// outcomeOr returns the certain probability of a resolved group, or p
-// for open groups. Resolved outcomes must stay certain under every
-// policy: a completed group's dependents are facts, not speculation.
-func outcomeOr(cg *deptree.CG, p float64) float64 {
-	switch cg.Outcome() {
-	case deptree.CGCompleted:
-		return 1
-	case deptree.CGAbandoned:
-		return 0
-	}
-	return p
-}
-
-// topK is the paper's fixed scheduling policy (Fig. 7), extracted from
-// the splitter verbatim: the k most probable versions under the model,
-// constant sizing.
+// topK is the paper's fixed sizing (Fig. 7): k slots and the configured
+// speculation budget, whatever the load.
 type topK struct {
 	dec Decision
 }
 
-func (p *topK) Select(env Env, k int, out []*deptree.WindowVersion) []*deptree.WindowVersion {
-	return env.Tree.TopK(k, env.Prob, env.Eligible, out)
-}
-
 func (p *topK) Tune(Signals) Decision { return p.dec }
-
-// fixedProb is the Fig. 11 baseline: top-k selection under a constant
-// completion probability.
-type fixedProb struct {
-	dec  Decision
-	prob func(cg *deptree.CG) float64
-}
-
-func newFixedProb(p float64, k, spec int) *fixedProb {
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	return &fixedProb{
-		dec:  Decision{Slots: k, Spec: spec},
-		prob: func(cg *deptree.CG) float64 { return outcomeOr(cg, p) },
-	}
-}
-
-func (p *fixedProb) Select(env Env, k int, out []*deptree.WindowVersion) []*deptree.WindowVersion {
-	return env.Tree.TopK(k, p.prob, env.Eligible, out)
-}
-
-func (p *fixedProb) Tune(Signals) Decision { return p.dec }
 
 func clamp(v, lo, hi int) int {
 	if v < lo {

@@ -11,17 +11,15 @@ func tuneN(p Policy, sig Signals, n int) Decision {
 	return d
 }
 
-func TestStaticPoliciesAreConstant(t *testing.T) {
-	for _, cfg := range []Config{{Kind: TopK}, {Kind: FixedProb, FixedP: 0.3}} {
-		p := cfg.New(4, 256)
-		want := Decision{Slots: 4, Spec: 256}
-		for _, sig := range []Signals{
-			{},
-			{SlotsActive: 4, SlotsBusy: 4, Selected: 4, QueueDepth: 1 << 20, QueueCap: 1, TreeSize: 1 << 20, Rollbacks: 1 << 30},
-		} {
-			if got := tuneN(p, sig, 500); got != want {
-				t.Fatalf("%v: decision %+v, want %+v", cfg.Kind, got, want)
-			}
+func TestStaticPolicyIsConstant(t *testing.T) {
+	p := Config{Kind: TopK}.New(4, 256)
+	want := Decision{Slots: 4, Spec: 256}
+	for _, sig := range []Signals{
+		{},
+		{SlotsActive: 4, SlotsBusy: 4, Selected: 4, QueueDepth: 1 << 20, QueueCap: 1, TreeSize: 1 << 20, Rollbacks: 1 << 30},
+	} {
+		if got := tuneN(p, sig, 500); got != want {
+			t.Fatalf("decision %+v, want %+v", got, want)
 		}
 	}
 }
@@ -129,14 +127,5 @@ func TestConfigNormalization(t *testing.T) {
 	c = Config{Kind: Adaptive, MinSpec: 128, MaxSpec: 4096}.normalized(4, 64)
 	if c.MaxSpec != 64 || c.MinSpec != 64 {
 		t.Fatalf("bounds [%d, %d] not clamped to the 64 ceiling", c.MinSpec, c.MaxSpec)
-	}
-}
-
-func TestFixedProbClampsProbability(t *testing.T) {
-	for _, p := range []float64{-1, 2} {
-		pol := Config{Kind: FixedProb, FixedP: p}.New(2, 64)
-		if pol == nil {
-			t.Fatal("policy must be constructed with a clamped probability")
-		}
 	}
 }

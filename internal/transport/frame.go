@@ -1,120 +1,15 @@
 package transport
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
+
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
-// The cluster control plane (internal/cluster) runs on a second, CRC-guarded
-// framing layer, separate from the event wire format above: worker links
-// carry long-lived multiplexed traffic (assignments, event batches, emission
-// streams, shard handoffs), so every frame is integrity-checked and
-// length-bounded before any of its body is interpreted.
-//
-// Frame layout, all integers big-endian:
-//
-//	[len u32][crc u32][kind u8][body ...]
-//
-// len counts the kind byte plus the body (so it is at least 1); crc is
-// CRC-32C (Castagnoli) over the kind byte and the body. Frames larger than
-// MaxFrameBytes are rejected without allocating their claimed size.
-
-// MaxFrameBytes bounds a single frame's payload (kind + body). Large enough
-// for a full shard-handoff snapshot, small enough that a corrupt or hostile
-// length prefix cannot exhaust memory.
-const MaxFrameBytes = 64 << 20
-
-// frameReadChunk is the allocation step while reading a frame body: the
-// buffer grows as bytes actually arrive, so a frame that claims a huge
-// length but delivers a short body never costs more than one chunk beyond
-// the data received.
-const frameReadChunk = 1 << 20
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// FrameError reports a structurally invalid frame (bad length, checksum
-// mismatch). It is distinct from io errors: a FrameError means the peer (or
-// the path to it) is corrupting the stream and the link must be dropped.
-type FrameError struct {
-	Reason string
-}
-
-func (e *FrameError) Error() string { return "transport: bad frame: " + e.Reason }
-
-// AppendFrame appends one encoded frame to buf and returns the extended
-// slice. It fails when the payload exceeds MaxFrameBytes.
+// AppendFrame and ReadFrame forward to internal/wire, where the CRC frame
+// lives; their one remaining caller is benchmark/layers.go (ROADMAP item 7).
 func AppendFrame(buf []byte, kind byte, body []byte) ([]byte, error) {
-	n := len(body) + 1
-	if n > MaxFrameBytes {
-		return buf, &FrameError{Reason: fmt.Sprintf("payload %d bytes exceeds limit %d", n, MaxFrameBytes)}
-	}
-	var hdr [9]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-	hdr[8] = kind
-	crc := crc32.Checksum(hdr[8:9], crcTable)
-	crc = crc32.Update(crc, crcTable, body)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-	return buf, nil
+	return wire.AppendFrame(buf, kind, body)
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, kind byte, body []byte) error {
-	buf, err := AppendFrame(nil, kind, body)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadFrame reads the next frame from r. buf is an optional reusable
-// buffer; the returned body aliases it when it is large enough. A frame
-// whose length prefix is zero or exceeds MaxFrameBytes, or whose checksum
-// does not match, returns a *FrameError; short reads surface the underlying
-// io error (io.EOF only when the stream ends exactly on a frame boundary).
-func ReadFrame(r io.Reader, buf []byte) (kind byte, body []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[0:4]))
-	want := binary.BigEndian.Uint32(hdr[4:8])
-	if n < 1 {
-		return 0, nil, &FrameError{Reason: "zero-length frame"}
-	}
-	if n > MaxFrameBytes {
-		return 0, nil, &FrameError{Reason: fmt.Sprintf("payload %d bytes exceeds limit %d", n, MaxFrameBytes)}
-	}
-	// Read incrementally: allocation tracks delivered bytes, not the
-	// claimed length, so a corrupt length prefix on a short stream cannot
-	// force a huge allocation.
-	if cap(buf) >= n {
-		buf = buf[:0]
-	} else {
-		buf = make([]byte, 0, min(n, frameReadChunk))
-	}
-	for len(buf) < n {
-		step := min(n-len(buf), frameReadChunk)
-		if cap(buf)-len(buf) < step {
-			grown := make([]byte, len(buf), min(n, len(buf)+2*frameReadChunk))
-			copy(grown, buf)
-			buf = grown
-		}
-		chunk := buf[len(buf) : len(buf)+step]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, err
-		}
-		buf = buf[:len(buf)+step]
-	}
-	if got := crc32.Checksum(buf, crcTable); got != want {
-		return 0, nil, &FrameError{Reason: fmt.Sprintf("checksum mismatch: frame says %08x, payload is %08x", want, got)}
-	}
-	return buf[0], buf[1:], nil
-}
+func ReadFrame(r io.Reader, buf []byte) (byte, []byte, error) { return wire.ReadFrame(r, buf) }

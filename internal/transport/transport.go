@@ -195,6 +195,7 @@ func (r *Reader) ReadQuery() (query string, resume bool, ok bool, err error) {
 	if n&ctrlFlag == 0 {
 		return "", false, false, nil
 	}
+	_, _ = r.r.Discard(4) // just peeked, so buffered
 	if err := r.readCtrl(n); err != nil {
 		return "", false, false, err
 	}
@@ -220,6 +221,7 @@ func (r *Reader) ReadResume() (uint64, error) {
 		if n&ctrlFlag == 0 {
 			return 0, fmt.Errorf("transport: expected resume frame, got an event frame")
 		}
+		_, _ = r.r.Discard(4) // just peeked, so buffered
 		if err := r.readCtrl(n); err != nil {
 			return 0, err
 		}
@@ -237,42 +239,19 @@ func (r *Reader) ReadResume() (uint64, error) {
 	}
 }
 
-// readCtrl consumes one control frame (whose length word n was peeked)
-// into r.buf.
+// readCtrl reads into r.buf the body of a control frame whose length word
+// n is already off the stream.
 func (r *Reader) readCtrl(n uint32) error {
 	n &^= ctrlFlag
 	if n > maxFrame || n < 1 {
 		return fmt.Errorf("transport: bad control frame length %d", n)
 	}
-	if _, err := r.r.Discard(4); err != nil {
-		return err
-	}
 	if cap(r.buf) < int(n) {
 		r.buf = make([]byte, n)
 	}
 	r.buf = r.buf[:n]
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
 		return fmt.Errorf("transport: short control frame: %w", err)
-	}
-	return nil
-}
-
-// skipCtrl consumes the body of a control frame whose length word was
-// already read off the stream; only heartbeats are legal mid-stream.
-func (r *Reader) skipCtrl(n uint32) error {
-	n &^= ctrlFlag
-	if n > maxFrame || n < 1 {
-		return fmt.Errorf("transport: bad control frame length %d", n)
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return fmt.Errorf("transport: short control frame: %w", err)
-	}
-	if r.buf[0] != ctrlHeartbeat {
-		return fmt.Errorf("transport: unexpected control kind %d mid-stream", r.buf[0])
 	}
 	return nil
 }
@@ -291,8 +270,12 @@ func (r *Reader) ReadEvent() (event.Event, error) {
 		}
 		n = binary.LittleEndian.Uint32(lenBuf[:])
 		if n&ctrlFlag != 0 {
-			if err := r.skipCtrl(n); err != nil {
+			// Only heartbeats are legal mid-stream.
+			if err := r.readCtrl(n); err != nil {
 				return event.Event{}, err
+			}
+			if r.buf[0] != ctrlHeartbeat {
+				return event.Event{}, fmt.Errorf("transport: unexpected control kind %d mid-stream", r.buf[0])
 			}
 			continue
 		}

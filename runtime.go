@@ -137,6 +137,43 @@ type Handle struct {
 	stop    func() bool // cancels the submission-context watcher
 }
 
+// resolvePartition turns a submission's partition spec (the option's, else
+// the query text's) into a shard count and a router, for Runtime.Submit
+// and Cluster.Submit alike. The count is WithShards, else the spec's, else
+// defaultShards (defaulted reports that last case). An unpartitioned query
+// runs on one shard with a nil router.
+func resolvePartition(q *Query, cfg *core.Config, reg *Registry, defaultShards int) (nShards int, route func(*event.Event) int, defaulted bool, err error) {
+	spec := cfg.Partition
+	if spec == nil {
+		spec = q.Partition
+	}
+	if spec == nil {
+		if cfg.Shards > 1 {
+			return 0, nil, false, fmt.Errorf("%d shards requested but the query has no partition key (use PARTITION BY or WithPartitionBy)", cfg.Shards)
+		}
+		return 1, nil, false, nil
+	}
+	resolved := *spec
+	if !resolved.ByType && resolved.Field < 0 {
+		if resolved.FieldName == "" {
+			return 0, nil, false, fmt.Errorf("partition spec names no key")
+		}
+		resolved.Field = reg.FieldIndex(resolved.FieldName)
+	}
+	nShards = cfg.Shards
+	if nShards <= 0 {
+		nShards = resolved.Shards
+	}
+	if nShards <= 0 {
+		nShards, defaulted = defaultShards, true
+	}
+	key, err := shard.FromSpec(&resolved)
+	if err != nil {
+		return 0, nil, false, err
+	}
+	return nShards, shard.NewRouter(nShards, key).Route, defaulted, nil
+}
+
 // Submit compiles and starts q on the runtime. The sink receives the
 // query's output (serialized per handle; within a shard the match order
 // is canonical — exactly a standalone Engine's order over that
@@ -166,7 +203,7 @@ func (rt *Runtime) Submit(ctx context.Context, q *Query, sink Sink, opts ...Opti
 	// count and scheduling policy follow the query's estimated per-event
 	// cost.
 	var est plan.Estimate
-	autoSched, autoShards := false, false
+	autoSched := false
 	if !cfg.PlanDisabled {
 		est = plan.EstimateQuery(q)
 		if !cfg.SchedSet {
@@ -175,42 +212,17 @@ func (rt *Runtime) Submit(ctx context.Context, q *Query, sink Sink, opts ...Opti
 		}
 	}
 
-	spec := cfg.Partition
-	if spec == nil {
-		spec = q.Partition
+	// When neither WithShards nor the query pins a count: the planner's
+	// recommendation when available, GOMAXPROCS otherwise.
+	defaultShards := runtime.GOMAXPROCS(0)
+	if !cfg.PlanDisabled {
+		defaultShards = est.RecommendedShards
 	}
-	nShards := 1
-	var route func(*event.Event) int
-	if spec != nil {
-		resolved := *spec
-		if !resolved.ByType && resolved.Field < 0 {
-			if resolved.FieldName == "" {
-				return nil, queryErr(q, fmt.Errorf("partition spec names no key"))
-			}
-			resolved.Field = rt.reg.FieldIndex(resolved.FieldName)
-		}
-		nShards = cfg.Shards
-		if nShards <= 0 {
-			nShards = resolved.Shards
-		}
-		if nShards <= 0 {
-			// Neither WithShards nor the query pinned a count: planner's
-			// recommendation when available, GOMAXPROCS otherwise.
-			if !cfg.PlanDisabled {
-				nShards = est.RecommendedShards
-				autoShards = true
-			} else {
-				nShards = runtime.GOMAXPROCS(0)
-			}
-		}
-		key, err := shard.FromSpec(&resolved)
-		if err != nil {
-			return nil, queryErr(q, err)
-		}
-		route = shard.NewRouter(nShards, key).Route
-	} else if cfg.Shards > 1 {
-		return nil, queryErr(q, fmt.Errorf("%d shards requested but the query has no partition key (use PARTITION BY or WithPartitionBy)", cfg.Shards))
+	nShards, route, defaulted, err := resolvePartition(q, &cfg, rt.reg, defaultShards)
+	if err != nil {
+		return nil, queryErr(q, err)
 	}
+	autoShards := defaulted && !cfg.PlanDisabled
 
 	h := &Handle{sink: sink}
 	var emit func(event.Complex)

@@ -8,10 +8,11 @@ import (
 )
 
 // Scheduler selects the scheduling policy of an engine or a submitted
-// query: which window versions occupy the k operator-instance slots each
-// maintenance cycle, and how the slot pool and the speculation budget
-// are sized at runtime. Obtain one from TopKScheduler,
-// FixedProbScheduler or AdaptiveScheduler and install it with
+// query: how the pool of operator-instance slots and the speculation
+// budget are sized at runtime. (Which window versions occupy the slots is
+// always the paper's top-k walk under the completion model; see
+// WithFixedProbability for the Figure 11 constant-probability baseline.)
+// Obtain one from TopKScheduler or AdaptiveScheduler and install it with
 // WithScheduler.
 //
 // Every policy sits above the engine's final validation gate: the
@@ -20,7 +21,6 @@ import (
 // never results.
 type Scheduler struct {
 	cfg sched.Config
-	err error
 }
 
 // String names the scheduler.
@@ -32,18 +32,6 @@ func (s Scheduler) String() string { return s.cfg.Kind.String() }
 // learned completion model.
 func TopKScheduler() Scheduler {
 	return Scheduler{cfg: sched.Config{Kind: sched.TopK}}
-}
-
-// FixedProbScheduler is the baseline of the paper's Figure 11: top-k
-// scheduling under a constant completion probability p in [0, 1] for
-// every open consumption group, instead of the learned Markov model.
-// Resolved groups keep their certain outcome. Use it to reproduce the
-// figure or as a model-free reference point.
-func FixedProbScheduler(p float64) Scheduler {
-	if !(p >= 0 && p <= 1) { // negated form rejects NaN too
-		return Scheduler{err: fmt.Errorf("spectre: FixedProbScheduler(%g): probability must be in [0, 1]", p)}
-	}
-	return Scheduler{cfg: sched.Config{Kind: sched.FixedProb, FixedP: p}}
 }
 
 // AdaptiveScheduler selects versions like TopKScheduler but resizes the
@@ -67,12 +55,7 @@ func AdaptiveScheduler() Scheduler {
 // bounds, and vice versa.
 func WithScheduler(s Scheduler) Option {
 	return func(c *core.Config) {
-		if s.err != nil {
-			c.SetError(s.err)
-			return
-		}
 		c.Sched.Kind = s.cfg.Kind
-		c.Sched.FixedP = s.cfg.FixedP
 		c.SchedSet = true
 	}
 }

@@ -20,9 +20,6 @@ func TestSchedulerOptions(t *testing.T) {
 	}
 
 	t.Run("invalid", func(t *testing.T) {
-		if _, err := spectre.NewEngine(q, spectre.WithScheduler(spectre.FixedProbScheduler(1.5))); err == nil {
-			t.Fatal("FixedProbScheduler(1.5) must fail validation")
-		}
 		if _, err := spectre.NewEngine(q, spectre.WithAdaptiveInstances(0, 4)); err == nil {
 			t.Fatal("WithAdaptiveInstances(0, 4) must fail validation")
 		}
@@ -48,7 +45,7 @@ func TestSchedulerOptions(t *testing.T) {
 		opts  []spectre.Option
 	}{
 		{"topk", []spectre.Option{spectre.WithScheduler(spectre.TopKScheduler())}},
-		{"fixedprob", []spectre.Option{spectre.WithScheduler(spectre.FixedProbScheduler(0.5))}},
+		{"fixedprob", []spectre.Option{spectre.WithFixedProbability(0.5)}},
 		{"adaptive", []spectre.Option{
 			spectre.WithScheduler(spectre.AdaptiveScheduler()),
 			spectre.WithAdaptiveInstances(1, 6),

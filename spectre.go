@@ -92,8 +92,7 @@
 //
 // Which window versions get the k operator slots — and how large k and
 // the speculation budget are — is a pluggable policy (see Scheduler):
-// TopKScheduler is the paper's fixed top-k default, FixedProbScheduler
-// the Figure 11 constant-probability baseline, and AdaptiveScheduler
+// TopKScheduler is the paper's fixed top-k default and AdaptiveScheduler
 // resizes the slot pool and the speculation budget at runtime from
 // observed load (WithAdaptiveInstances / WithAdaptiveSpeculation bound
 // it). Policies never change the delivered output, only performance;
@@ -255,11 +254,18 @@ func WithRegistry(reg *Registry) Option {
 	}
 }
 
-// WithFixedProbability uses a constant completion probability for every
-// consumption group (the baseline of the paper's Figure 11) instead of
-// the paper's Markov model (α = 0.7, ℓ = 10).
+// WithFixedProbability uses a constant completion probability p in [0, 1]
+// for every open consumption group (the baseline of the paper's Figure
+// 11) instead of the paper's Markov model (α = 0.7, ℓ = 10). Resolved
+// groups keep their certain outcome.
 func WithFixedProbability(p float64) Option {
-	return func(c *core.Config) { c.Predictor = markov.Fixed{P: p} }
+	return func(c *core.Config) {
+		if !(p >= 0 && p <= 1) { // negated form rejects NaN too
+			c.SetError(fmt.Errorf("spectre: WithFixedProbability(%g): probability must be in [0, 1]", p))
+			return
+		}
+		c.Predictor = markov.Fixed{P: p}
+	}
 }
 
 // WithBatchSize sets how many events an operator instance processes per

@@ -2,6 +2,7 @@ package spectre_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -131,6 +132,39 @@ func TestFixedProbabilityOption(t *testing.T) {
 		}
 		if count != len(want) {
 			t.Fatalf("p=%g: %d matches, want %d", p, count, len(want))
+		}
+	}
+}
+
+// TestFixedProbabilityValidated: a probability outside [0, 1] is an error
+// from both entry points, never an engine whose top-k heap compares NaNs.
+func TestFixedProbabilityValidated(t *testing.T) {
+	reg := spectre.NewRegistry()
+	query, err := buildQ3(reg, 3, 200, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := spectre.NewRuntime(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, tc := range []struct {
+		p  float64
+		ok bool
+	}{
+		{math.NaN(), false}, {-0.1, false}, {1.5, false},
+		{0, true}, {0.6, true}, {1, true},
+	} {
+		if _, err := spectre.NewEngine(query, spectre.WithFixedProbability(tc.p)); (err == nil) != tc.ok {
+			t.Errorf("NewEngine with p=%g: err = %v, want ok=%v", tc.p, err, tc.ok)
+		}
+		h, err := rt.Submit(context.Background(), query, nil, spectre.WithFixedProbability(tc.p))
+		if (err == nil) != tc.ok {
+			t.Errorf("Submit with p=%g: err = %v, want ok=%v", tc.p, err, tc.ok)
+		}
+		if err == nil {
+			h.Drain()
 		}
 	}
 }
