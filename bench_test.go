@@ -2,7 +2,7 @@
 // API: operator instances k, pattern-size/window-size (completion) ratio,
 // window size and fixed-vs-Markov completion prediction. Every other
 // measurement — throughput per workload, the sequential and T-REX
-// baselines, intake, checkpointing, the planner, durability, the cluster
+// baselines, intake, the planner, durability, the cluster
 // wire — is a BENCHMARK.json workload or per-layer row produced by
 // benchmark/run.sh; these sweeps are the axes no workload there covers.
 // Each iteration runs a complete engine over a cached dataset and reports

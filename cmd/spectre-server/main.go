@@ -40,8 +40,8 @@
 // co-located queries by weight and boosts queries missing their
 // latency SLO.
 //
-// -state-dir makes every hosted query durable (DESIGN.md §11): matcher
-// checkpoints, the ingest journal and emission watermarks persist to
+// -state-dir makes every hosted query durable (DESIGN.md §11): the
+// ingest journal, root-pop cuts and emission watermarks persist to
 // per-shard WALs under the directory. A restarted server recovers each
 // query's state when its client reconnects and re-submits (same query
 // name, spectre-client -reconnect), answers the client's resume

@@ -82,16 +82,6 @@ type Config struct {
 	// BatchSize is the number of events an operator instance processes
 	// per lock acquisition (default 256).
 	BatchSize int
-	// CheckpointEvery is the matcher-state checkpoint interval in raw
-	// stream positions: while processing a window version, a deep-copy
-	// checkpoint of the matcher state (plus the consumption bookkeeping
-	// prefix) is recorded every CheckpointEvery positions. Fresh
-	// speculative versions of the same window are seeded from the latest
-	// checkpoint at or before their divergence point and replay only the
-	// suffix, and rollbacks restart from the latest still-consistent
-	// prefix instead of the window start. 0 selects the default
-	// (BatchSize); negative disables checkpointing entirely.
-	CheckpointEvery int
 	// IngestBatch is the number of events the splitter ingests per cycle
 	// (default 1024).
 	IngestBatch int
@@ -156,9 +146,9 @@ type Config struct {
 	// Reg optionally resolves event-type names in plan explanations
 	// (plan.Explain / the metrics endpoint). Never read on the hot path.
 	Reg *event.Registry
-	// Durable persists per-shard query state (ingest journal, matcher
-	// checkpoints, root-pop cuts, emission watermarks) through a
-	// write-ahead log so the query survives a crash (DESIGN.md §11).
+	// Durable persists per-shard query state (ingest journal, root-pop
+	// cuts, emission watermarks) through a write-ahead log so the query
+	// survives a crash (DESIGN.md §11).
 	// Persistence runs on a per-shard persister goroutine off the hot
 	// path; only the pre-delivery watermark commit synchronizes with the
 	// splitter. Requires Reg (records carry the type/field name tables)
@@ -207,9 +197,6 @@ func (c *Config) setDefaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
 	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = c.BatchSize
-	}
 	if c.IngestBatch <= 0 {
 		c.IngestBatch = 1024
 	}
@@ -251,10 +238,12 @@ type Metrics struct {
 	GateReprocessed uint64 // final-gate deterministic reprocessing (≈0)
 	MaxTreeSize     int    // high-water mark of window versions (Fig. 10(f))
 	SchedulesIssued uint64 // top-k assignments handed to instances
-	Checkpoints     uint64 // matcher-state checkpoints recorded
-	VersionsSeeded  uint64 // fresh versions seeded from a checkpoint
-	SeededEvents    uint64 // window positions skipped through seeding
-	PartialRolls    uint64 // rollbacks restarted from a checkpoint
+	// Deprecated: always 0; matcher-state checkpoints no longer exist.
+	Checkpoints uint64
+	// Deprecated: always 0; every fresh version starts at its window start.
+	VersionsSeeded uint64
+	// Deprecated: always 0; every rollback restarts at the window start.
+	PartialRolls uint64
 
 	// Control-plane counters (the scheduling layer).
 	PolicyResizes    uint64 // slot-pool / speculation-budget resizes applied
@@ -265,9 +254,10 @@ type Metrics struct {
 
 	// Durability counters (WithDurability, DESIGN.md §11). All zero when
 	// no durable store is configured.
-	DurableAppends     uint64 // WAL records handed to the store
-	DurableSyncs       uint64 // explicit WAL fsyncs (watermark commits)
-	DurableCkptDropped uint64 // checkpoint persists skipped: persister behind
+	DurableAppends uint64 // WAL records handed to the store
+	DurableSyncs   uint64 // explicit WAL fsyncs (watermark commits)
+	// Deprecated: always 0; the WAL no longer carries checkpoints.
+	DurableCkptDropped uint64
 	DurableErrors      uint64 // WAL write errors; first one breaks durability
 	ReplayedEvents     uint64 // journal events replayed on recovery
 	SuppressedMatches  uint64 // already-delivered matches suppressed on recovery
@@ -314,10 +304,6 @@ func (m *Metrics) Merge(o *Metrics) {
 		m.MaxTreeSize = o.MaxTreeSize
 	}
 	m.SchedulesIssued += o.SchedulesIssued
-	m.Checkpoints += o.Checkpoints
-	m.VersionsSeeded += o.VersionsSeeded
-	m.SeededEvents += o.SeededEvents
-	m.PartialRolls += o.PartialRolls
 	m.PolicyResizes += o.PolicyResizes
 	m.SlotCyclesActive += o.SlotCyclesActive
 	m.SlotCyclesBusy += o.SlotCyclesBusy
@@ -325,7 +311,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.CurSpeculation += o.CurSpeculation
 	m.DurableAppends += o.DurableAppends
 	m.DurableSyncs += o.DurableSyncs
-	m.DurableCkptDropped += o.DurableCkptDropped
 	m.DurableErrors += o.DurableErrors
 	m.ReplayedEvents += o.ReplayedEvents
 	m.SuppressedMatches += o.SuppressedMatches

@@ -140,7 +140,7 @@ func TestCrashPointCatalog(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Reset()
 	reg, q, events := recoveryFixture(t)
-	cfg := Config{Instances: 2, CheckpointEvery: 1}
+	cfg := Config{Instances: 2}
 	store := durable.NewMemStore()
 	var sink = func(event.Complex) {}
 	runCrashLife(t, store, reg, q, cfg, events, len(events)/2, sink)
@@ -153,7 +153,7 @@ func TestCrashPointCatalog(t *testing.T) {
 }
 
 // TestCrashRecoveryEquivalence is the exhaustive matrix: every crash
-// point x checkpoint interval {1, default, 4096} x {Q1, QE}. Each cell
+// point x {Q1, QE}. Each cell
 // kills the process at the armed point, recovers from the WAL, and
 // asserts the concatenated delivered stream is byte-identical to the
 // uninterrupted run — exactly-once, no loss, no duplicates.
@@ -167,34 +167,30 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 	for _, f := range fixtures {
 		reg, q, events := f.fix(t)
-		for _, every := range []int{1, 0, 4096} {
-			cfg := Config{Instances: 2, CheckpointEvery: every}
-			faultinject.Reset()
-			want := referenceRun(t, reg, q, cfg, events)
-			if len(want) == 0 {
-				t.Fatalf("%s: fixture produced no matches", f.name)
-			}
-			for _, point := range faultinject.Catalog {
-				t.Run(fmt.Sprintf("%s/every=%d/%s", f.name, every, point), func(t *testing.T) {
-					got := crashCycle(t, reg, q, cfg, events, point, 2)
-					assertKeysEqual(t, "crash equivalence", got, want)
-				})
-			}
+		cfg := Config{Instances: 2}
+		faultinject.Reset()
+		want := referenceRun(t, reg, q, cfg, events)
+		if len(want) == 0 {
+			t.Fatalf("%s: fixture produced no matches", f.name)
+		}
+		for _, point := range faultinject.Catalog {
+			t.Run(fmt.Sprintf("%s/%s", f.name, point), func(t *testing.T) {
+				got := crashCycle(t, reg, q, cfg, events, point, 2)
+				assertKeysEqual(t, "crash equivalence", got, want)
+			})
 		}
 	}
 }
 
 // TestCrashRecoverySoak is the randomized kill-and-recover soak: many
-// iterations, each arming a random crash point at a random future hit
-// with a random checkpoint interval, asserting byte-identical output
-// every time.
+// iterations, each arming a random crash point at a random future hit,
+// asserting byte-identical output every time.
 func TestCrashRecoverySoak(t *testing.T) {
 	iterations := 100
 	if testing.Short() {
 		iterations = 15
 	}
 	rng := rand.New(rand.NewSource(4217))
-	intervals := []int{1, 0, 256, 4096}
 
 	q1reg, q1, q1events := recoveryFixture(t)
 	qereg, qe, qeevents := qeFixture(t)
@@ -203,34 +199,31 @@ func TestCrashRecoverySoak(t *testing.T) {
 		reg    *event.Registry
 		q      *pattern.Query
 		events []event.Event
-		refs   map[int][]string
+		want   []string
 	}
 	fixtures := []*fixture{
-		{reg: q1reg, q: q1, events: q1events, refs: map[int][]string{}},
-		{reg: qereg, q: qe, events: qeevents, refs: map[int][]string{}},
+		{reg: q1reg, q: q1, events: q1events},
+		{reg: qereg, q: qe, events: qeevents},
 	}
+	cfg := Config{Instances: 2}
 
 	for i := 0; i < iterations; i++ {
 		f := fixtures[rng.Intn(len(fixtures))]
-		every := intervals[rng.Intn(len(intervals))]
 		point := faultinject.Catalog[rng.Intn(len(faultinject.Catalog))]
 		hitN := 1 + rng.Intn(8)
-		cfg := Config{Instances: 2, CheckpointEvery: every}
-		want, ok := f.refs[every]
-		if !ok {
+		if f.want == nil {
 			faultinject.Reset()
-			want = referenceRun(t, f.reg, f.q, cfg, f.events)
-			f.refs[every] = want
+			f.want = referenceRun(t, f.reg, f.q, cfg, f.events)
 		}
 		got := crashCycle(t, f.reg, f.q, cfg, f.events, point, hitN)
-		if len(got) != len(want) {
-			t.Fatalf("iteration %d (%s hit %d, every %d): %d matches, want %d",
-				i, point, hitN, every, len(got), len(want))
+		if len(got) != len(f.want) {
+			t.Fatalf("iteration %d (%s hit %d): %d matches, want %d",
+				i, point, hitN, len(got), len(f.want))
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("iteration %d (%s hit %d, every %d): match %d = %s, want %s",
-					i, point, hitN, every, j, got[j], want[j])
+		for j := range f.want {
+			if got[j] != f.want[j] {
+				t.Fatalf("iteration %d (%s hit %d): match %d = %s, want %s",
+					i, point, hitN, j, got[j], f.want[j])
 			}
 		}
 	}

@@ -131,7 +131,6 @@ type shardState struct {
 	tree     *deptree.Tree
 	winMgr   *window.Manager
 	pred     markov.Predictor
-	ckpts    *ckptStore
 
 	fq    feedbackQueue
 	slots []slot // capacity: the config's slot ceiling
@@ -143,11 +142,9 @@ type shardState struct {
 	activeSlots atomic.Int32
 	// policy is the scheduling policy (splitter only).
 	policy sched.Policy
-	// rollbacks/partialRolls duplicate the metrics counters as cheap
-	// atomics for the per-cycle policy signals (instances write, the
-	// splitter reads).
+	// rollbacks duplicates the metrics counter as a cheap atomic for the
+	// per-cycle policy signals (instances write, the splitter reads).
 	rollbacks    atomic.Uint64
-	partialRolls atomic.Uint64
 	lastSelected int   // versions handed out by the previous Select (splitter only)
 	freeBuf      []int // schedule() scratch (splitter only)
 
@@ -239,7 +236,6 @@ func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
 		consumed: arena.NewConsumedSet(),
 		winMgr:   window.NewManager(prog.query.Window),
 		pred:     pred,
-		ckpts:    newCkptStore(),
 		slots:    make([]slot, ceiling),
 		assigned: make([]*deptree.WindowVersion, ceiling),
 		done:     make(chan struct{}),
@@ -282,26 +278,12 @@ func (s *shardState) begin(queue *shardQueue, emit func(event.Complex)) {
 	s.emit = emit
 }
 
-// newVersion is the dependency tree's window-version factory. When
-// checkpointing is enabled, the fresh version is seeded from the deepest
-// valid checkpoint of an earlier version of the same window — the
-// paper's "modified copy" made incremental: the fork replays only the
-// suffix past the checkpoint instead of the whole window.
+// newVersion is the dependency tree's window-version factory: the paper's
+// "modified copy" (Fig. 4), which starts at its window start.
 func (s *shardState) newVersion(win *window.Window, suppressed []*deptree.CG) *deptree.WindowVersion {
 	s.versionSeq++
 	wv := deptree.NewWindowVersion(s.versionSeq, win, suppressed)
 	wv.SetPos(win.StartSeq)
-	wv.LastCkpt = win.StartSeq
-	if s.prog.cfg.CheckpointEvery > 0 {
-		if ck, vers := s.ckpts.bestFor(wv, s.consumed); ck != nil {
-			wv.Restore(ck)
-			copy(wv.LastChecked, vers)
-			s.metrics.add(func(m *Metrics) {
-				m.VersionsSeeded++
-				m.SeededEvents += ck.Pos - win.StartSeq
-			})
-		}
-	}
 	s.metrics.add(func(m *Metrics) { m.VersionsCreated++ })
 	return wv
 }
@@ -415,7 +397,6 @@ func (s *shardState) finishRun() {
 	for i := range s.slots {
 		s.slots[i].wv.Store(nil)
 	}
-	s.ckpts.clear()
 	if s.persist != nil {
 		// Drain, final-sync and close the WAL before publishing
 		// completion: <-done then implies the durable state is final and
@@ -565,9 +546,6 @@ func (s *shardState) advanceRoots() bool {
 		}
 		s.drainOutputs(wv)
 		s.tree.PopRoot()
-		// The window is fully resolved: no further versions of it can be
-		// created, so its checkpoints are dead weight.
-		s.ckpts.drop(wv.Win.ID)
 		if s.persist != nil {
 			s.persistCut()
 		}
@@ -627,11 +605,10 @@ func (s *shardState) notifyAdvance() {
 // After a root pop, every live window version starts at or after the new
 // root's start sequence (windows open — and therefore pop — in stream
 // order), so chunks wholly below that boundary are unreachable: workers
-// only read positions inside their version's window span, checkpoints of
-// the popped window were just dropped, and emitted complex events carry
-// sequence numbers, not arena pointers. With an empty tree everything
-// appended so far is released; windows opened later start at future
-// positions.
+// only read positions inside their version's window span, and emitted
+// complex events carry sequence numbers, not arena pointers. With an
+// empty tree everything appended so far is released; windows opened
+// later start at future positions.
 func (s *shardState) releaseArena() {
 	boundary := s.ar.Len()
 	if root := s.tree.Root(); root != nil {
@@ -811,18 +788,14 @@ func (s *shardState) schedule() {
 		}
 	}
 	dec := s.policy.Tune(sched.Signals{
-		SlotsActive:  active,
-		SlotsBusy:    busy,
-		Selected:     s.lastSelected,
-		QueueDepth:   s.queue.depth(),
-		QueueCap:     s.prog.cfg.QueueCap,
-		TreeSize:     s.tree.Size(),
-		SpecBudget:   s.tree.CapSize,
-		Rollbacks:    s.rollbacks.Load(),
-		PartialRolls: s.partialRolls.Load(),
-		EmitLagP50:   s.lagP50.Value(),
-		EmitLagP99:   s.lagP99.Value(),
-		InputDone:    s.inputDone.Load(),
+		SlotsActive: active,
+		SlotsBusy:   busy,
+		Selected:    s.lastSelected,
+		QueueDepth:  s.queue.depth(),
+		QueueCap:    s.prog.cfg.QueueCap,
+		TreeSize:    s.tree.Size(),
+		Rollbacks:   s.rollbacks.Load(),
+		EmitLagP99:  s.lagP99.Value(),
 	})
 	s.applyDecision(dec)
 	// busy was measured against the pre-resize pool; keep the
@@ -1048,7 +1021,6 @@ func (s *shardState) metricsSnapshot() Metrics {
 	if p := s.persist; p != nil {
 		m.DurableAppends = p.appends.Load()
 		m.DurableSyncs = p.syncs.Load()
-		m.DurableCkptDropped = p.ckptDropped.Load()
 		m.DurableErrors = p.errs.Load()
 	}
 	return m

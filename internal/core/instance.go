@@ -122,10 +122,6 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 
 	processed := 0
 	checkEvery := s.prog.cfg.ConsistencyCheckEvery
-	ckptEvery := uint64(0)
-	if ce := s.prog.cfg.CheckpointEvery; ce > 0 {
-		ckptEvery = uint64(ce)
-	}
 	stamped := s.prog.stamped
 	seq0 := stamped && s.seq0.Load()
 	typeFilter := s.prog.typeFilter
@@ -209,16 +205,6 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 				w.flushMetrics(processed)
 				return true
 			}
-		}
-		// Periodic checkpoint: a deep-copy snapshot of the matcher state
-		// and consumption bookkeeping, from which later forks of this
-		// window (and this version's own rollbacks) replay only the
-		// suffix. Validated versions are skipped — no new version of a
-		// root window is ever created. Positions at or past the window
-		// end are skipped too: a version seeded there would never be
-		// eligible for scheduling and could not run its window-end logic.
-		if ckptEvery > 0 && pos < end && pos-wv.LastCkpt >= ckptEvery && !wv.Validated() {
-			w.checkpoint(wv)
 		}
 	}
 
@@ -383,58 +369,19 @@ func (w *worker) consistencyCheck(wv *deptree.WindowVersion) bool {
 	return true
 }
 
-// checkpoint records a snapshot of wv's current processing prefix in the
-// shard's checkpoint store. The caller must hold wv.Mu. Suppression-free
-// checkpoints are additionally offered to the durability layer (deep
-// copies, so the persister never reads arena memory that a later root
-// pop may recycle).
-func (w *worker) checkpoint(wv *deptree.WindowVersion) {
-	wv.LastCkpt = wv.Pos()
-	ck := wv.Capture()
-	w.s.ckpts.record(ck)
-	w.s.metrics.add(func(m *Metrics) { m.Checkpoints++ })
-	if p := w.s.persist; p != nil && len(ck.Sup) == 0 {
-		p.offerCheckpoint(ck)
-	}
-}
-
-// rollback resets the version (paper: "the state of the window version
-// is rolled back to the start") — but only as far as necessary: when a
-// checkpoint of a still-consistent prefix exists, the version restarts
-// from it and replays only the suffix. Its own consumption groups are
-// discarded either way; the splitter rebuilds the dependent subtree on
+// rollback resets the version to its window start (paper: "the state of
+// the window version is rolled back to the start"). Its own consumption
+// groups are discarded; the splitter rebuilds the dependent subtree on
 // the rollback message.
 func (w *worker) rollback(wv *deptree.WindowVersion) {
 	s := w.s
-	partial := false
-	if s.prog.cfg.CheckpointEvery > 0 {
-		// Partial rollback: the inconsistency invalidates the suffix past
-		// the offending event only; bestFor rejects any checkpoint whose
-		// prefix used a now-claimed event, so the deepest surviving one
-		// is a sound restart point.
-		if ck, vers := s.ckpts.bestFor(wv, s.consumed); ck != nil {
-			wv.Restore(ck)
-			copy(wv.LastChecked, vers)
-			partial = true
-		}
-	}
-	if !partial {
-		wv.ResetToStart(s.prog.compiled.NewState())
-	}
+	wv.ResetToStart(s.prog.compiled.NewState())
 	wv.Rollbacks++
 	clear(w.stats)
 	w.statsSet = 0
 	w.msgs = append(w.msgs, msg{kind: msgRolledBack, wv: wv})
 	s.rollbacks.Add(1)
-	if partial {
-		s.partialRolls.Add(1)
-	}
-	s.metrics.add(func(m *Metrics) {
-		m.Rollbacks++
-		if partial {
-			m.PartialRolls++
-		}
-	})
+	s.metrics.add(func(m *Metrics) { m.Rollbacks++ })
 }
 
 // suppressedBy reports whether seq is currently in any suppressed group of

@@ -5,25 +5,21 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/spectrecep/spectre/internal/deptree"
 	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/faultinject"
-	"github.com/spectrecep/spectre/internal/window"
 )
 
-// persistQueueCap bounds the persister's request backlog. Blocking
-// requests (event batches, cuts, watermark commits) backpressure the
-// splitter when the store is persistently slow; checkpoint persists are
-// droppable and are skipped instead of queued when the persister is
-// behind. The cap is sized to ride out an individual slow fsync (tens
-// of milliseconds on a contended disk) without stalling ingest — at
-// full splitter speed a too-small queue turns every fsync hiccup into
-// a throughput cliff.
+// persistQueueCap bounds the persister's request backlog. Requests (event
+// batches, cuts, watermark commits) backpressure the splitter when the
+// store is persistently slow. The cap is sized to ride out an individual
+// slow fsync (tens of milliseconds on a contended disk) without stalling
+// ingest — at full splitter speed a too-small queue turns every fsync
+// hiccup into a throughput cliff.
 const persistQueueCap = 2048
 
 // persistReq is one unit of WAL work, in splitter order. Exactly one of
-// events/ck/cut is set — or emit, which marks a commit-and-deliver: the
+// events/cut is set — or emit, which marks a commit-and-deliver: the
 // persister appends the watermark record, fsyncs everything buffered
 // before it and only then hands the batch to the sink, so a match is
 // never delivered before its suppression point is durable. Delivery
@@ -32,7 +28,6 @@ const persistQueueCap = 2048
 // keeps sink order canonical.
 type persistReq struct {
 	events    []event.Event
-	ck        *durable.CheckpointRecord
 	cut       *durable.CutRecord
 	watermark uint64
 	deliver   []event.Complex
@@ -66,11 +61,10 @@ type persister struct {
 	once sync.Once
 	done chan struct{}
 
-	broken      atomic.Bool
-	appends     atomic.Uint64
-	syncs       atomic.Uint64
-	ckptDropped atomic.Uint64
-	errs        atomic.Uint64
+	broken  atomic.Bool
+	appends atomic.Uint64
+	syncs   atomic.Uint64
+	errs    atomic.Uint64
 
 	// typesDone/fieldsDone track how much of the registry's name tables
 	// has been written, so growth re-emits them before dependent records.
@@ -152,7 +146,7 @@ func (p *persister) handle(req persistReq) {
 	p.appendReq(req)
 }
 
-// appendReq journals one non-commit record (events, checkpoint, cut).
+// appendReq journals one non-commit record (events, cut).
 func (p *persister) appendReq(req persistReq) {
 	if p.broken.Load() {
 		return
@@ -172,9 +166,6 @@ func (p *persister) appendReq(req persistReq) {
 			default:
 			}
 		}
-	case req.ck != nil:
-		faultinject.Hit("wal.ckpt.persist")
-		err = p.log.Append(&durable.Record{Kind: durable.KindCheckpoint, Checkpoint: req.ck})
 	case req.cut != nil:
 		faultinject.Hit("wal.cut.append")
 		err = p.log.Append(&durable.Record{Kind: durable.KindCut, Cut: req.cut})
@@ -370,38 +361,6 @@ func (p *persister) commitAndDeliver(watermark uint64, deliver []event.Complex, 
 	p.ch <- persistReq{watermark: watermark, deliver: deliver, emit: emit}
 }
 
-// offerCheckpoint persists a freshly recorded matcher checkpoint if the
-// persister has room (worker threads, non-blocking: checkpoints are a
-// recovery accelerator, not a correctness requirement, so a busy store
-// sheds them first). Only suppression-free checkpoints are offered —
-// their prefix depends on no unresolved speculation, so a restart may
-// seed from them against the recovered final consumed set.
-func (p *persister) offerCheckpoint(ck *deptree.Checkpoint) {
-	if p.broken.Load() {
-		return
-	}
-	if len(p.ch) >= cap(p.ch)-8 {
-		p.ckptDropped.Add(1)
-		return
-	}
-	rec := &durable.CheckpointRecord{
-		WindowID:      ck.Win.ID,
-		WindowStart:   ck.Win.StartSeq,
-		WindowStartTS: ck.Win.StartTS,
-		Pos:           ck.Pos,
-		Used:          ck.Used,
-		Skipped:       ck.Skipped,
-		LocalConsumed: ck.LocalConsumed,
-		Buffered:      ck.Buffered,
-		Matcher:       *ck.State.Snapshot(),
-	}
-	select {
-	case p.ch <- persistReq{ck: rec}:
-	default:
-		p.ckptDropped.Add(1)
-	}
-}
-
 // attachDurability opens (and recovers) the shard's WAL log, primes the
 // shard from the recovered state and starts the persister goroutine.
 // Runtime.Submit calls it before the shard is attached to the pool.
@@ -428,10 +387,9 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 // WAL: final consumption marks and the window-id cursor from the cut,
 // the emission watermark split into the already-counted prefix
 // (s.emitted) and the suppression budget for matches the replay will
-// regenerate but the previous process already delivered, plus the
-// persisted matcher checkpoints so the replay seeds windows instead of
-// reprocessing them from scratch. Called before the shard runs; no
-// synchronization needed.
+// regenerate but the previous process already delivered. The replay then
+// re-forms every window past the cut from the journal. Called before the
+// shard runs; no synchronization needed.
 func (s *shardState) primeRecovered(st *durable.ShardState) {
 	faultinject.Hit("recover.prime")
 	var cutW uint64
@@ -452,13 +410,6 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 	if st.Watermark > cutW {
 		s.suppressRemaining = st.Watermark - cutW
 	}
-	for _, cr := range st.Checkpoints {
-		ck, err := s.rebuildCheckpoint(cr)
-		if err != nil {
-			continue // a stale or mismatched checkpoint only costs replay speed
-		}
-		s.ckpts.record(ck)
-	}
 	s.replayRemaining = len(st.Events)
 	if len(st.Events) > 0 {
 		s.replayTarget = st.NextSeq
@@ -467,24 +418,4 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 	if n := uint64(len(st.Events)); n > 0 {
 		s.metrics.add(func(m *Metrics) { m.ReplayedEvents += n })
 	}
-}
-
-// rebuildCheckpoint turns a persisted checkpoint record back into an
-// in-memory checkpoint. The window handle is a placeholder carrying only
-// the persisted identity (id, start) — the checkpoint store keys by
-// window id, and replay re-forms the real window identically.
-func (s *shardState) rebuildCheckpoint(cr *durable.CheckpointRecord) (*deptree.Checkpoint, error) {
-	state, err := s.prog.compiled.StateFromSnapshot(&cr.Matcher)
-	if err != nil {
-		return nil, err
-	}
-	return &deptree.Checkpoint{
-		Pos:           cr.Pos,
-		Win:           window.NewWindow(cr.WindowID, cr.WindowStart, cr.WindowStartTS),
-		State:         state,
-		Used:          cr.Used,
-		Skipped:       cr.Skipped,
-		LocalConsumed: cr.LocalConsumed,
-		Buffered:      cr.Buffered,
-	}, nil
 }

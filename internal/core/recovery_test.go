@@ -13,8 +13,8 @@ import (
 )
 
 // recoveryFixture builds a deterministic Q1-over-NYSE workload small
-// enough for restart loops but busy enough to exercise checkpoints,
-// cuts and watermarks.
+// enough for restart loops but busy enough to exercise cuts and
+// watermarks.
 func recoveryFixture(t *testing.T) (*event.Registry, *pattern.Query, []event.Event) {
 	t.Helper()
 	reg := event.NewRegistry()
@@ -134,23 +134,6 @@ func TestRecoverAcrossManyRestarts(t *testing.T) {
 		all = append(all, part...)
 	}
 	assertKeysEqual(t, "chained restarts", all, want)
-}
-
-// TestRecoverCheckpointIntervals re-runs the clean-restart equivalence
-// at the extreme checkpoint intervals: every event (maximal persisted
-// checkpoints) and effectively never (pure journal replay).
-func TestRecoverCheckpointIntervals(t *testing.T) {
-	reg, q, events := recoveryFixture(t)
-	for _, every := range []int{1, 4096} {
-		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
-			cfg := Config{Instances: 2, CheckpointEvery: every}
-			want := referenceRun(t, reg, q, cfg, events)
-			store := durable.NewMemStore()
-			part1, _ := runLife(t, store, reg, q, cfg, events, len(events)/2)
-			part2, _ := runLife(t, store, reg, q, cfg, events, -1)
-			assertKeysEqual(t, "checkpoint interval", append(part1, part2...), want)
-		})
-	}
 }
 
 // TestRecoverFileStore runs the clean-restart equivalence against the

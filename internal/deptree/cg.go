@@ -228,9 +228,6 @@ type WindowVersion struct {
 	// LastChecked maps suppressed groups to the snapshot version seen by
 	// the last consistency check (parallel to Suppressed).
 	LastChecked []uint64
-	// LastCkpt is the position of the last recorded checkpoint (the
-	// window start when none has been taken).
-	LastCkpt uint64
 	// Rollbacks counts how many times this version was rolled back.
 	Rollbacks int
 	// StatsEligible marks versions whose transitions feed the Markov
@@ -258,6 +255,22 @@ func (wv *WindowVersion) Pos() uint64 { return wv.pos.Load() }
 
 // SetPos publishes the processing position (holder of Mu only).
 func (wv *WindowVersion) SetPos(pos uint64) { wv.pos.Store(pos) }
+
+// ResetToStart resets the version's processing state to the window
+// start with the given fresh matcher state — the restart shared by
+// rollbacks and the final validation gate. The caller must own the
+// version.
+func (wv *WindowVersion) ResetToStart(state *matcher.State) {
+	wv.State = state
+	wv.SetPos(wv.Win.StartSeq)
+	wv.Used = wv.Used[:0]
+	wv.Skipped = wv.Skipped[:0]
+	wv.LocalConsumed = wv.LocalConsumed[:0]
+	wv.Buffered = wv.Buffered[:0]
+	clear(wv.RunCGs)
+	clear(wv.LastChecked)
+	wv.ClearFinished()
+}
 
 // Finished reports whether the version processed its whole window.
 func (wv *WindowVersion) Finished() bool { return wv.finished.Load() }

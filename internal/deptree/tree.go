@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/spectrecep/spectre/internal/window"
 )
@@ -524,33 +523,4 @@ func (t *Tree) Check() error {
 		return fmt.Errorf("deptree: size %d but %d reachable versions", t.size, count)
 	}
 	return nil
-}
-
-func sortedCGs(sup []*CG) []*CG {
-	out := append([]*CG(nil), sup...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Dump renders the tree for debugging.
-func (t *Tree) Dump() string {
-	var b strings.Builder
-	var walk func(n *Node, depth int, label string)
-	walk = func(n *Node, depth int, label string) {
-		if n == nil {
-			return
-		}
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(label)
-		if n.IsWV() {
-			fmt.Fprintf(&b, "WV%d(win=%d sup=%d)\n", n.WV.ID, n.WV.Win.ID, len(n.WV.Suppressed))
-			walk(n.children[0], depth+1, "")
-			return
-		}
-		fmt.Fprintf(&b, "CG%d(owner=WV%d %s)\n", n.CG.ID, n.CG.Owner.ID, n.CG.Outcome())
-		walk(n.children[AbandonEdge], depth+1, "a:")
-		walk(n.children[CompletionEdge], depth+1, "c:")
-	}
-	walk(t.root, 0, "")
-	return b.String()
 }

@@ -1,7 +1,6 @@
 // Package durable persists per-shard query state so a SPECTRE runtime
 // survives process death: a write-ahead log of admitted events (the
-// replay journal), matcher checkpoints, root-pop cut records and an
-// emission watermark. The log is segmented, each record CRC-framed, and
+// replay journal), root-pop cut records and an emission watermark. The log is segmented, each record CRC-framed, and
 // appends reach disk through an explicit Sync — the engine batches and
 // syncs off the hot path (internal/core's persister goroutine).
 //
@@ -13,8 +12,6 @@
 //   - Events at or above the boundary form the replay journal; feeding
 //     them back through the engine re-forms windows and matches
 //     deterministically (window formation depends only on Seq/TS).
-//   - Checkpoints are a pure optimisation: replay seeds window versions
-//     from the deepest consistent one instead of the window start.
 //   - The watermark counts matches delivered to the sink, cumulatively
 //     per shard. It is synced before delivery, so on recovery the first
 //     (Watermark − Cut.Watermark) regenerated matches are suppressed —
@@ -24,6 +21,10 @@
 // carries the full name tables (KindTypes/KindFields); Load re-interns
 // them and remaps every persisted event, making the log portable across
 // restarts that intern names in a different order.
+//
+// Kind 4 is reserved: earlier builds wrote matcher checkpoints under it.
+// Readers skip such records unread, so an old log or export blob still
+// loads; the encoder refuses the kind.
 package durable
 
 import (
@@ -31,7 +32,6 @@ import (
 	"fmt"
 
 	"github.com/spectrecep/spectre/internal/event"
-	"github.com/spectrecep/spectre/internal/matcher"
 )
 
 // Kind discriminates WAL record types.
@@ -46,8 +46,8 @@ const (
 	KindFields
 	// KindEvents is a batch of admitted events, in ingest order.
 	KindEvents
-	// KindCheckpoint is a serialized matcher checkpoint for one window.
-	KindCheckpoint
+	// kindReserved was the matcher-checkpoint record; see the package doc.
+	kindReserved
 	// KindCut is a root-pop cut: the durable floor advances.
 	KindCut
 	// KindWatermark advances the cumulative delivered-match count.
@@ -57,30 +57,12 @@ const (
 // Record is the sum type appended to a shard log. Exactly the fields for
 // its Kind are set.
 type Record struct {
-	Kind       Kind
-	Types      []string
-	Fields     []string
-	Events     []event.Event
-	Checkpoint *CheckpointRecord
-	Cut        *CutRecord
-	Watermark  uint64
-}
-
-// CheckpointRecord is the durable form of a deptree checkpoint: window
-// identity plus the version bookkeeping and a self-contained matcher
-// snapshot (bound events by value — no arena references). Only
-// suppression-free (mainline) checkpoints are persisted, so Skipped is
-// empty by construction and no Sup set is recorded.
-type CheckpointRecord struct {
-	WindowID      uint64
-	WindowStart   uint64
-	WindowStartTS int64
-	Pos           uint64
-	Used          []uint64
-	Skipped       []uint64
-	LocalConsumed []uint64
-	Buffered      []event.Complex
-	Matcher       matcher.Snapshot
+	Kind      Kind
+	Types     []string
+	Fields    []string
+	Events    []event.Event
+	Cut       *CutRecord
+	Watermark uint64
 }
 
 // CutRecord marks a root pop. Everything below Boundary is durably
@@ -110,9 +92,6 @@ type ShardState struct {
 	// Events is the replay journal: admitted events at or above the cut
 	// boundary, in ingest order, remapped to the loading registry.
 	Events []event.Event
-	// Checkpoints are the retained checkpoints for windows at or above
-	// the boundary, remapped, in append order.
-	Checkpoints []*CheckpointRecord
 	// Watermark is the highest cumulative delivered-match count seen.
 	Watermark uint64
 	// NextSeq is one past the last journaled event's sequence number
@@ -245,15 +224,8 @@ func (f *folder) add(rec *Record) error {
 			}
 		}
 		f.st.Events = append(f.st.Events, rec.Events...)
-	case KindCheckpoint:
-		ck := rec.Checkpoint
-		for ri := range ck.Matcher.Runs {
-			evs := ck.Matcher.Runs[ri].Events
-			for i := range evs {
-				f.remapEvent(&evs[i])
-			}
-		}
-		f.st.Checkpoints = append(f.st.Checkpoints, ck)
+	case kindReserved:
+		// An old build's checkpoint: replay re-forms its window anyway.
 	case KindCut:
 		f.st.Cut = rec.Cut
 		if rec.Cut.Watermark > f.st.Watermark {
@@ -302,13 +274,6 @@ func (f *folder) finish() *ShardState {
 			}
 		}
 		st.Events = kept
-		cks := st.Checkpoints[:0]
-		for _, ck := range st.Checkpoints {
-			if ck.WindowStart >= cut.Boundary {
-				cks = append(cks, ck)
-			}
-		}
-		st.Checkpoints = cks
 		if st.NextSeq < cut.Boundary {
 			st.NextSeq = cut.Boundary
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // testEvents builds n events of alternating types A/B with one payload
@@ -120,8 +121,6 @@ func TestCutFoldsState(t *testing.T) {
 				TypesRecord(reg),
 				FieldsRecord(reg),
 				&Record{Kind: KindEvents, Events: testEvents(reg, 0, 20)},
-				&Record{Kind: KindCheckpoint, Checkpoint: &CheckpointRecord{WindowID: 1, WindowStart: 2, Pos: 6}},
-				&Record{Kind: KindCheckpoint, Checkpoint: &CheckpointRecord{WindowID: 4, WindowStart: 12, Pos: 15}},
 				&Record{Kind: KindWatermark, Watermark: 5},
 				&Record{Kind: KindCut, Cut: &CutRecord{Boundary: 10, NextWindowID: 4, Watermark: 5, Consumed: []uint64{11, 13}}},
 			)
@@ -135,9 +134,6 @@ func TestCutFoldsState(t *testing.T) {
 			if len(st.Events) != 10 || st.Events[0].Seq != 10 {
 				t.Fatalf("journal after cut: %d events, first seq %d; want 10 starting at 10",
 					len(st.Events), st.Events[0].Seq)
-			}
-			if len(st.Checkpoints) != 1 || st.Checkpoints[0].WindowID != 4 {
-				t.Fatalf("checkpoints after cut = %d entries, want only window 4", len(st.Checkpoints))
 			}
 			if got := st.Cut.Consumed; len(got) != 2 || got[0] != 11 || got[1] != 13 {
 				t.Fatalf("consumed = %v, want [11 13]", got)
@@ -409,38 +405,125 @@ func TestAppendBeforeLoad(t *testing.T) {
 	}
 }
 
-// walGolden is the segment TestWALBytesStable's records produce, taken at
+// walLegacy is the segment an older build wrote for TestWALBytesStable's
+// records plus a matcher checkpoint (the now reserved kind 4), taken at
 // the commit before internal/wire existed.
-const walGolden = "0f0000002dcabd2e0102000000010000004101000000420e0000000e0b6016020100000005000000707269636565000000d83bf04d03030000000700000000000000070000000000000001000000010000000000000000001c4008000000000000000800000000000000020000000100000000000000000020400900000000000000090000000000000001000000010000000000000000002240f7000000a907f0fb04030000000000000005000000000000006400000000000000070000000000000002000000050000000000000006000000000000000000000001000000060000000000000001000000010000007103000000000000000200000005000000000000000600000000000000010000000600000000000000060000000000000002000000000000000101000000010000000000000001000000020000000300000000000000ffffffff02000000050000000000000064000000000000000200000002000000000000000000f83f00000000000000c00600000000000000650000000000000003000000000000000100000000000000020000002d00000010971a760509000000000000000400000000000000020000000000000002000000060000000000000008000000000000000900000042f3c411060b00000000000000"
+const walLegacy = "0f0000002dcabd2e0102000000010000004101000000420e0000000e0b6016020100000005000000707269636565000000d83bf04d03030000000700000000000000070000000000000001000000010000000000000000001c4008000000000000000800000000000000020000000100000000000000000020400900000000000000090000000000000001000000010000000000000000002240f7000000a907f0fb04030000000000000005000000000000006400000000000000070000000000000002000000050000000000000006000000000000000000000001000000060000000000000001000000010000007103000000000000000200000005000000000000000600000000000000010000000600000000000000060000000000000002000000000000000101000000010000000000000001000000020000000300000000000000ffffffff02000000050000000000000064000000000000000200000002000000000000000000f83f00000000000000c00600000000000000650000000000000003000000000000000100000000000000020000002d00000010971a760509000000000000000400000000000000020000000000000002000000060000000000000008000000000000000900000042f3c411060b00000000000000"
 
-// TestWALBytesStable: the bytes FileStore puts on disk for a fixed record
-// sequence do not move, so a -state-dir written by an older build still
-// recovers.
+// walGolden is the segment the same records minus the checkpoint produce,
+// taken at the last commit whose WAL still carried checkpoints.
+const walGolden = "0f0000002dcabd2e0102000000010000004101000000420e0000000e0b6016020100000005000000707269636565000000d83bf04d03030000000700000000000000070000000000000001000000010000000000000000001c40080000000000000008000000000000000200000001000000000000000000204009000000000000000900000000000000010000000100000000000000000022402d00000010971a760509000000000000000400000000000000020000000000000002000000060000000000000008000000000000000900000042f3c411060b00000000000000"
+
+func legacyBytes(t testing.TB) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(walLegacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// legacyCheckpoint returns walLegacy's kind-4 record payload.
+func legacyCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	for b := legacyBytes(t); len(b) > 0; {
+		payload, rest, err := wire.NextFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Kind(payload[0]) == kindReserved {
+			return payload
+		}
+		b = rest
+	}
+	t.Fatal("walLegacy holds no checkpoint record")
+	return nil
+}
+
+// assertLegacyState checks the state walLegacy folds to: the checkpoint
+// skipped, everything else recovered.
+func assertLegacyState(t *testing.T, st *ShardState) {
+	t.Helper()
+	if st == nil || st.Cut == nil || st.Cut.Boundary != 9 || st.Cut.NextWindowID != 4 {
+		t.Fatalf("cut = %+v, want boundary 9, next window 4", st)
+	}
+	if len(st.Events) != 1 || st.Events[0].Seq != 9 || st.NextSeq != 10 {
+		t.Fatalf("journal = %+v (next %d), want the one event at 9 (next 10)", st.Events, st.NextSeq)
+	}
+	if st.Watermark != 11 {
+		t.Fatalf("watermark = %d, want 11", st.Watermark)
+	}
+}
+
+// TestKindNumbering pins the on-disk kind bytes: kind 4 stays reserved,
+// so the kinds after it keep their values, and the encoder refuses it.
+func TestKindNumbering(t *testing.T) {
+	if KindCut != 5 || KindWatermark != 6 {
+		t.Fatalf("KindCut = %d, KindWatermark = %d; want 5, 6", KindCut, KindWatermark)
+	}
+	if _, err := encodeRecord(nil, &Record{Kind: kindReserved}); err == nil {
+		t.Fatal("the encoder must refuse the reserved kind")
+	}
+}
+
+// TestWALBytesStable: a -state-dir written by an older build — with a
+// checkpoint record in it — still recovers, and the bytes FileStore puts
+// on disk for a fixed record sequence do not move.
 func TestWALBytesStable(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("legacy", func(t *testing.T) {
+		fs, err := NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(fs.Dir(), shardKey("q", 0))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segPath(dir, 1), legacyBytes(t), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, st := openShard(t, fs, event.NewRegistry())
+		defer log.Close()
+		assertLegacyState(t, st)
+	})
+	t.Run("write", func(t *testing.T) {
+		fs, err := NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := event.NewRegistry()
+		evs := testEvents(reg, 7, 3)
+		recs := sampleRecords()
+		log, _ := openShard(t, fs, reg)
+		appendAll(t, log,
+			TypesRecord(reg),
+			FieldsRecord(reg),
+			&Record{Kind: KindEvents, Events: evs},
+			recs[3], // cut
+			recs[4], // watermark
+		)
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(segFiles(t, fs)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(data); got != walGolden {
+			t.Fatalf("WAL bytes moved:\n got  %s\n want %s", got, walGolden)
+		}
+	})
+}
+
+// TestImportLegacyBlob: an export blob from an older build — a segment's
+// frames, checkpoint included — imports and recovers without it.
+func TestImportLegacyBlob(t *testing.T) {
+	ms := NewMemStore()
 	reg := event.NewRegistry()
-	evs := testEvents(reg, 7, 3)
-	recs := sampleRecords()
-	log, _ := openShard(t, fs, reg)
-	appendAll(t, log,
-		TypesRecord(reg),
-		FieldsRecord(reg),
-		&Record{Kind: KindEvents, Events: evs},
-		recs[3], // checkpoint
-		recs[4], // cut
-		recs[5], // watermark
-	)
-	if err := log.Close(); err != nil {
+	if err := ImportShard(ms, reg, "q", 0, legacyBytes(t)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(segFiles(t, fs)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(data); got != walGolden {
-		t.Fatalf("WAL bytes moved:\n got  %s\n want %s", got, walGolden)
-	}
+	log, st := openShard(t, ms, reg)
+	defer log.Close()
+	assertLegacyState(t, st)
 }

@@ -9,8 +9,8 @@ import (
 
 // Shard export/import turns one shard's folded WAL state into a portable
 // byte blob and back. This is the migration primitive of the distributed
-// runtime (internal/cluster): a quiesced shard's journal tail, retained
-// checkpoints, cut record and emission watermark travel inside a handoff
+// runtime (internal/cluster): a quiesced shard's journal tail, cut record
+// and emission watermark travel inside a handoff
 // frame to the shard's next owner, which imports them into its own store
 // and recovers through the ordinary crash-recovery path.
 //
@@ -44,9 +44,6 @@ func ExportShard(st Store, reg *event.Registry, query string, shard int) ([]byte
 		n := min(len(evs), exportChunk)
 		recs = append(recs, &Record{Kind: KindEvents, Events: evs[:n]})
 		evs = evs[n:]
-	}
-	for _, ck := range state.Checkpoints {
-		recs = append(recs, &Record{Kind: KindCheckpoint, Checkpoint: ck})
 	}
 	if state.Cut != nil {
 		recs = append(recs, &Record{Kind: KindCut, Cut: state.Cut})
@@ -101,7 +98,7 @@ func ImportShard(st Store, reg *event.Registry, query string, shard int, blob []
 	return nil
 }
 
-// decodeExport splits a blob back into records.
+// decodeExport splits a blob back into records, dropping reserved ones.
 func decodeExport(blob []byte) ([]*Record, error) {
 	var recs []*Record
 	for len(blob) > 0 {
@@ -113,7 +110,10 @@ func decodeExport(blob []byte) ([]*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		recs, blob = append(recs, rec), rest
+		if rec.Kind != kindReserved {
+			recs = append(recs, rec)
+		}
+		blob = rest
 	}
 	return recs, nil
 }

@@ -341,8 +341,7 @@ func (l *fileLog) rotate(cut *Record) error {
 	// Stop at the first segment that still holds journal suffix events —
 	// later segments may hold older events interleaved with needed ones
 	// only in theory (seqs grow monotonically), so a prefix scan is
-	// exact. Checkpoints lost with a deleted segment only cost replay
-	// time, never correctness.
+	// exact.
 	boundary := cut.Cut.Boundary
 	keep := 0
 	for keep < len(l.segs) {

@@ -30,7 +30,6 @@ import (
 // in internal/core (TestCrashPointCatalog asserts each one fires).
 var Catalog = []string{
 	"wal.ingest.append",  // persister: journaling an admitted-event batch
-	"wal.ckpt.persist",   // persister: writing a checkpoint record
 	"wal.cut.append",     // persister: writing a root-pop cut record
 	"wal.sync",           // persister: fsync of buffered records
 	"emit.before-commit", // splitter: before the watermark commit of a match batch

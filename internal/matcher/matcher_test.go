@@ -434,10 +434,10 @@ func fbKey(f Feedback) string {
 	return b.String()
 }
 
-// TestCloneForkEquivalence is the fork-correctness property behind
-// checkpointed speculation: a state cloned mid-stream and fed the
-// identical suffix must produce byte-identical feedback and matches.
-// Random patterns, selection policies and streams.
+// TestCloneForkEquivalence is the fork-correctness property of Clone: a
+// state cloned mid-stream and fed the identical suffix must produce
+// byte-identical feedback and matches. Random patterns, selection
+// policies and streams.
 func TestCloneForkEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))

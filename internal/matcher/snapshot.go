@@ -1,16 +1,11 @@
 package matcher
 
-import (
-	"fmt"
+import "github.com/spectrecep/spectre/internal/event"
 
-	"github.com/spectrecep/spectre/internal/event"
-)
-
-// Snapshot is a self-contained, serializable image of a matcher State.
-// Unlike Clone — which shares *event.Event pointers with the arena — a
-// Snapshot copies every bound event by value, so it survives process
-// death: restoring it needs no arena and no pointer fix-up. The durable
-// checkpoint WAL (internal/durable) persists these.
+// Snapshot is a self-contained image of a matcher State. Unlike Clone —
+// which shares *event.Event pointers with the arena — a Snapshot copies
+// every bound event by value. The engine no longer takes snapshots; the
+// benchmark harness still times them (matcher.snapshot_ns).
 type Snapshot struct {
 	NextID  int
 	Stopped bool
@@ -62,45 +57,4 @@ func (s *State) Snapshot() *Snapshot {
 		sn.Runs[i] = rs
 	}
 	return sn
-}
-
-// StateFromSnapshot rebuilds a State from a snapshot taken against the
-// same compiled pattern. The snapshot's event copies become the run's
-// backing storage — pointer identity within a run (leader retention,
-// consumed-leader checks) is preserved because every binding points into
-// one freshly allocated slice, exactly like a live run's layout.
-func (c *Compiled) StateFromSnapshot(sn *Snapshot) (*State, error) {
-	s := &State{c: c, nextID: sn.NextID, stopped: sn.Stopped}
-	if len(sn.Runs) > 0 {
-		s.runs = make([]*run, len(sn.Runs))
-	}
-	for i := range sn.Runs {
-		rs := &sn.Runs[i]
-		if len(rs.Spans) != c.numFlat {
-			return nil, fmt.Errorf("matcher: snapshot run %d has %d spans, pattern %q has %d flat steps",
-				rs.ID, len(rs.Spans), c.name, c.numFlat)
-		}
-		evs := make([]event.Event, len(rs.Events))
-		copy(evs, rs.Events)
-		r := &run{
-			id: rs.ID, elem: rs.Elem, kcount: rs.KCount,
-			setMask: rs.SetMask, lastFlat: rs.LastFlat,
-			spans: make([]span, len(rs.Spans)),
-		}
-		if len(evs) > 0 {
-			r.events = make([]*event.Event, len(evs))
-			for j := range evs {
-				r.events[j] = &evs[j]
-			}
-		}
-		for j, sp := range rs.Spans {
-			if int(sp.Start)+int(sp.N) > len(evs) || sp.Start < 0 || sp.N < 0 {
-				return nil, fmt.Errorf("matcher: snapshot run %d span %d [%d,+%d) exceeds %d bound events",
-					rs.ID, j, sp.Start, sp.N, len(evs))
-			}
-			r.spans[j] = span{start: sp.Start, n: sp.N}
-		}
-		s.runs[i] = r
-	}
-	return s, nil
 }

@@ -41,20 +41,13 @@ type Signals struct {
 	QueueCap int
 	// TreeSize is the number of window versions in the dependency tree.
 	TreeSize int
-	// SpecBudget is the tree's current speculation cap.
-	SpecBudget int
-	// Rollbacks and PartialRolls are the shard's cumulative rollback
-	// counters.
-	Rollbacks    uint64
-	PartialRolls uint64
-	// EmitLagP50 and EmitLagP99 are the shard's root-emission latency
-	// quantile estimates in seconds: the time from an event's ingestion
-	// to the root window version that covers it being finalized. Zero
-	// until the first root pops.
-	EmitLagP50 float64
+	// Rollbacks is the shard's cumulative rollback counter.
+	Rollbacks uint64
+	// EmitLagP99 is the shard's p99 root-emission latency estimate in
+	// seconds: the time from an event's ingestion to the root window
+	// version that covers it being finalized. Zero until the first root
+	// pops.
 	EmitLagP99 float64
-	// InputDone reports end of stream.
-	InputDone bool
 }
 
 // Decision is a policy's control output for the next cycle: the slot-pool

@@ -117,8 +117,8 @@
 //
 // A Runtime built with WithDurability(dir) persists every named query's
 // state through a per-shard write-ahead log under dir — the admitted
-// ingest journal, periodic matcher checkpoints, and an emission
-// watermark fsynced before each match batch is delivered. After a crash,
+// ingest journal, root-pop cuts, and an emission watermark fsynced
+// before each match batch is delivered. After a crash,
 // a new process re-creates the runtime on the same directory, re-submits
 // the same queries and calls Runtime.Recover(ctx):
 //
@@ -129,8 +129,8 @@
 //	err = rt.Recover(ctx) // replays the journal, re-forms windows
 //	// resume feeding from h.Recovered()[shard] per shard
 //
-// Each shard seeds from its deepest consistent checkpoint, replays the
-// journal suffix, and suppresses matches the previous process already
+// Each shard restores its last cut, replays the journal suffix from
+// there, and suppresses matches the previous process already
 // delivered (the persisted watermark), so the delivered stream is
 // exactly-once over the journalled substream. Handle.Recovered reports
 // where producers must resume. DESIGN.md §11 specifies the WAL format,
