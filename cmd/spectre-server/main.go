@@ -24,14 +24,15 @@
 // running runtime) on a separate address, e.g. -pprof localhost:6060,
 // plus /debug/spectre/metrics — a JSON snapshot of every live query's
 // runtime counters, including the scheduling control plane's signals
-// (current slot count, slot utilization, policy resizes, speculation
-// budget).
+// (current slot count, slot utilization, policy resizes, lookahead
+// horizon).
 //
 // -sched selects the scheduling policy for every hosted query: "topk"
 // (the paper's fixed top-k, default), "fixed=<p>" (the Fig. 11
 // constant-probability baseline) or "adaptive" (slot pool and
-// speculation budget track observed load). -adaptive-instances and
-// -adaptive-speculation bound the adaptation as "min:max" pairs.
+// lookahead horizon track observed load). -adaptive-instances and
+// -adaptive-speculation bound the adaptation as "min:max" pairs, the
+// latter in windows opened ahead of the oldest unfinished window.
 //
 // -shed enables utility-driven load shedding at every hosted query's
 // intake queues (bounded latency instead of blocked producers under
@@ -281,7 +282,7 @@ func run() error {
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and /debug/spectre/metrics on this address (e.g. localhost:6060); empty disables")
 		schedFlag    = flag.String("sched", "topk", "scheduling policy: topk, fixed=<p> or adaptive")
 		adaptInst    = flag.String("adaptive-instances", "", "adaptive slot-pool bounds as min:max (implies -sched adaptive)")
-		adaptSpec    = flag.String("adaptive-speculation", "", "adaptive speculation-budget bounds as min:max (implies -sched adaptive)")
+		adaptSpec    = flag.String("adaptive-speculation", "", "adaptive lookahead-horizon bounds in windows as min:max (implies -sched adaptive)")
 		shedFlag     = flag.Bool("shed", false, "shed lowest-utility events when a shard queue crosses its watermark instead of blocking")
 		stateDir     = flag.String("state-dir", "", "durable query state: per-shard WALs under this directory; restarted servers recover submitted queries and answer client resume handshakes")
 		weightFlag   = flag.Float64("weight", 0, "admission-arbiter weight for every hosted query (0 = unarbitrated)")

@@ -8,7 +8,7 @@ import (
 )
 
 // Dataset configurations, re-exported so users can regenerate the paper's
-// workloads (see DESIGN.md §4.6 for how the synthetic streams substitute
+// workloads (see DESIGN.md §4.5 for how the synthetic streams substitute
 // the proprietary NYSE data).
 type (
 	// NYSEConfig parameterizes the synthetic NYSE quote stream.

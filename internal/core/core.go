@@ -82,30 +82,16 @@ type Config struct {
 	// BatchSize is the number of events an operator instance processes
 	// per lock acquisition (default 256).
 	BatchSize int
-	// IngestBatch is the number of events the splitter ingests per cycle
-	// (default 1024).
+	// IngestBatch is the most events the splitter ingests per cycle
+	// (default 1024). Ingestion also stops, event by event, at the
+	// scheduling policy's lookahead horizon (sched.Decision.Horizon: 4·k
+	// windows under the default policy), unless the root window still
+	// lacks events.
 	IngestBatch int
-	// MaxTreeSize pauses ingestion while the dependency tree holds more
-	// window versions (backpressure guard; default 16384). Ingestion
-	// always continues while the root window itself is incomplete, so the
-	// pipeline cannot deadlock.
-	MaxTreeSize int
-	// MaxSpeculation caps the dependency tree's speculative growth
-	// (default 256): once the tree holds this many window versions, new
-	// consumption groups are no longer speculated on (treated as
-	// abandoned). The final validation gate reprocesses deterministically
-	// when such a group completes after all, so the cap bounds tree
-	// explosion on adversarial consume-heavy workloads without affecting
-	// the delivered output. The cap is absolute: a stream that keeps
-	// more of its windows than this in flight at once runs unspeculated
-	// (correct, near-sequential) until the backlog drains — raise the
-	// cap for such window-heavy workloads.
-	MaxSpeculation int
-	// Sched selects the scheduling policy of every shard (which window
-	// versions get the operator slots and how the slot pool and
-	// speculation budget are sized at runtime). The zero value is the
-	// paper's static top-k policy with Instances slots. MaxSpeculation
-	// and Instances remain the hard ceilings of the adaptive policy.
+	// Sched selects the scheduling policy of every shard (how the slot
+	// pool and the lookahead horizon are sized at runtime). The zero
+	// value is the paper's static top-k policy with Instances slots and a
+	// horizon of 4·Instances windows.
 	Sched sched.Config
 	// SchedFactory overrides Sched with a custom per-shard policy
 	// (white-box tests and embedders). Each call must return a fresh
@@ -200,12 +186,6 @@ func (c *Config) setDefaults() {
 	if c.IngestBatch <= 0 {
 		c.IngestBatch = 1024
 	}
-	if c.MaxTreeSize <= 0 {
-		c.MaxTreeSize = 16384
-	}
-	if c.MaxSpeculation <= 0 {
-		c.MaxSpeculation = 256
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = defaultQueueCap
 	}
@@ -246,11 +226,11 @@ type Metrics struct {
 	PartialRolls uint64
 
 	// Control-plane counters (the scheduling layer).
-	PolicyResizes    uint64 // slot-pool / speculation-budget resizes applied
+	PolicyResizes    uint64 // slot-pool / lookahead-horizon resizes applied
 	SlotCyclesActive uint64 // Σ over cycles of the active (unparked) slot count
 	SlotCyclesBusy   uint64 // Σ over cycles of active slots holding an assignment
 	CurSlots         int    // current active slot count (gauge; Merge sums shards)
-	CurSpeculation   int    // current speculation budget (gauge; Merge sums shards)
+	CurHorizon       int    // current lookahead horizon in windows (gauge; Merge sums shards)
 
 	// Durability counters (WithDurability, DESIGN.md §11). All zero when
 	// no durable store is configured.
@@ -308,7 +288,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.SlotCyclesActive += o.SlotCyclesActive
 	m.SlotCyclesBusy += o.SlotCyclesBusy
 	m.CurSlots += o.CurSlots
-	m.CurSpeculation += o.CurSpeculation
+	m.CurHorizon += o.CurHorizon
 	m.DurableAppends += o.DurableAppends
 	m.DurableSyncs += o.DurableSyncs
 	m.DurableErrors += o.DurableErrors

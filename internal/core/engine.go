@@ -142,6 +142,9 @@ type shardState struct {
 	activeSlots atomic.Int32
 	// policy is the scheduling policy (splitter only).
 	policy sched.Policy
+	// horizon is the policy's lookahead horizon in windows (splitter
+	// only): see lookaheadFull.
+	horizon int
 	// rollbacks duplicates the metrics counter as a cheap atomic for the
 	// per-cycle policy signals (instances write, the splitter reads).
 	rollbacks    atomic.Uint64
@@ -155,6 +158,11 @@ type shardState struct {
 	// filteredIn counts events the intake prefilter dropped for this
 	// shard (incremented by the feeding side, folded into snapshots).
 	filteredIn atomic.Uint64
+	// Splitter-side counters, folded into snapshots: one atomic add per
+	// window version instead of one metrics-lock closure.
+	windowsOpened   atomic.Uint64
+	versionsCreated atomic.Uint64
+	versionsDropped atomic.Uint64
 	// shedIn counts events the load shedder dropped for this shard
 	// (incremented by the feeding side, folded into snapshots).
 	shedIn atomic.Uint64
@@ -252,19 +260,17 @@ func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
 		// shared across shards and stays immutable.
 		sc := prog.cfg.Sched
 		sc.Ctl = ctl
-		s.policy = sc.New(prog.cfg.Instances, prog.cfg.MaxSpeculation)
+		s.policy = sc.New(prog.cfg.Instances)
 	}
-	s.activeSlots.Store(int32(prog.cfg.Sched.InitialSlots(prog.cfg.Instances)))
-	cur, spec := int(s.activeSlots.Load()), prog.cfg.MaxSpeculation
+	start := prog.cfg.Sched.Initial(prog.cfg.Instances)
+	s.activeSlots.Store(int32(start.Slots))
+	s.horizon = start.Horizon
 	s.metrics.add(func(m *Metrics) {
-		m.CurSlots = cur
-		m.CurSpeculation = spec
+		m.CurSlots = start.Slots
+		m.CurHorizon = start.Horizon
 	})
 	s.tree = deptree.NewTree(s.newVersion)
-	s.tree.CapSize = prog.cfg.MaxSpeculation
-	s.tree.OnDrop = func(wv *deptree.WindowVersion) {
-		s.metrics.add(func(m *Metrics) { m.VersionsDropped++ })
-	}
+	s.tree.OnDrop = func(*deptree.WindowVersion) { s.versionsDropped.Add(1) }
 	s.split = newWorker(s)
 	return s, nil
 }
@@ -279,12 +285,14 @@ func (s *shardState) begin(queue *shardQueue, emit func(event.Complex)) {
 }
 
 // newVersion is the dependency tree's window-version factory: the paper's
-// "modified copy" (Fig. 4), which starts at its window start.
+// "modified copy" (Fig. 4), which starts at its window start. It costs
+// O(1): the processing state is created when a slot first takes the
+// version.
 func (s *shardState) newVersion(win *window.Window, suppressed []*deptree.CG) *deptree.WindowVersion {
 	s.versionSeq++
 	wv := deptree.NewWindowVersion(s.versionSeq, win, suppressed)
 	wv.SetPos(win.StartSeq)
-	s.metrics.add(func(m *Metrics) { m.VersionsCreated++ })
+	s.versionsCreated.Add(1)
 	return wv
 }
 
@@ -324,7 +332,9 @@ func (s *shardState) step() bool {
 	return worked
 }
 
-// splitCycle is one splitter maintenance+scheduling cycle.
+// splitCycle is one splitter maintenance+scheduling cycle: size the
+// cycle (the policy's decision), ingest up to the lookahead horizon,
+// apply feedback, advance roots, schedule.
 func (s *shardState) splitCycle() bool {
 	if s.cancelled.Load() {
 		// Aborted: emit nothing more; the caller's runComplete check
@@ -332,11 +342,10 @@ func (s *shardState) splitCycle() bool {
 		return false
 	}
 	worked := false
+	active, busy := s.tune()
 
-	if !s.inputDone.Load() && (s.tree.Size() < s.prog.cfg.MaxTreeSize || s.rootNeedsIngest()) {
-		if s.ingest() > 0 {
-			worked = true
-		}
+	if !s.inputDone.Load() && s.ingest() > 0 {
+		worked = true
 	}
 
 	s.msgBuf = s.fq.drain(s.msgBuf[:0])
@@ -351,7 +360,7 @@ func (s *shardState) splitCycle() bool {
 		worked = true
 	}
 
-	s.schedule()
+	s.schedule(active, busy)
 	return worked
 }
 
@@ -408,8 +417,8 @@ func (s *shardState) finishRun() {
 }
 
 // rootNeedsIngest reports whether the root window is still waiting for
-// events, in which case ingestion must continue regardless of tree-size
-// backpressure (liveness).
+// events, in which case ingestion must continue regardless of the
+// lookahead horizon (liveness).
 func (s *shardState) rootNeedsIngest() bool {
 	root := s.tree.Root()
 	if root == nil {
@@ -419,12 +428,32 @@ func (s *shardState) rootNeedsIngest() bool {
 	return end == window.UnknownEnd || s.ar.Len() < end
 }
 
+// lookaheadFull reports whether ingestion must pause: the root window has
+// all its events and the splitter has opened the horizon's worth of
+// windows, counted from the root window. What is left stays in the shard
+// queue, where it costs no window versions; every further window would
+// attach a version at every leaf of the tree.
+func (s *shardState) lookaheadFull() bool {
+	return !s.rootNeedsIngest() && s.lookahead() >= s.horizon
+}
+
+// lookahead is the number of windows opened counted from the root window
+// (the root included); 0 with an empty tree.
+func (s *shardState) lookahead() int {
+	root := s.tree.Root()
+	if root == nil {
+		return 0
+	}
+	return int(s.winMgr.Opened() - root.WV.Win.ID)
+}
+
 // ingest appends up to IngestBatch pending events to the arena, forming
-// windows. Events become visible to the operator slots one by one, as
-// they arrive. At end of stream it finalizes the window manager.
+// windows, and stops early right after the event that fills the
+// lookahead horizon. Events become visible to the operator slots one by
+// one, as they arrive. At end of stream it finalizes the window manager.
 func (s *shardState) ingest() int {
 	n := 0
-	for ; n < s.prog.cfg.IngestBatch; n++ {
+	for ; n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); n++ {
 		ev, ok, done := s.queue.next()
 		if !ok {
 			if done {
@@ -469,8 +498,8 @@ func (s *shardState) ingest() int {
 		opened, _ := s.winMgr.Observe(stored)
 		for _, w := range opened {
 			s.tree.NewWindow(w)
-			s.metrics.add(func(m *Metrics) { m.WindowsOpened++ })
 		}
+		s.windowsOpened.Add(uint64(len(opened)))
 	}
 	if n > 0 {
 		// One latency probe per ingest batch: when the arena boundary of a
@@ -540,8 +569,8 @@ func (s *shardState) advanceRoots() bool {
 		child := root.Child()
 		if child != nil && !child.IsWV() {
 			// The root's own consumption group is still unresolved; its
-			// resolution message is in flight (window end abandons every
-			// open group, so it will arrive).
+			// resolution message is in flight (window end and every reset
+			// abandon the open groups, so it will arrive).
 			return changed
 		}
 		s.drainOutputs(wv)
@@ -678,19 +707,19 @@ func (s *shardState) validate(wv *deptree.WindowVersion) {
 // reprocessInline deterministically reprocesses wv (Mu held by caller):
 // its dependents are rebuilt, its state reset, and the whole available
 // window span is processed with suppression from the final consumed set
-// only. Tree updates are applied synchronously.
+// only. Tree updates — the reset's group resolutions included — are
+// applied synchronously.
 func (s *shardState) reprocessInline(wv *deptree.WindowVersion) {
 	s.tree.RebuildBelow(wv)
-	wv.ResetToStart(s.prog.compiled.NewState())
-	wv.Rollbacks++
-
 	w := s.split
+	w.msgs = w.msgs[:0]
+	w.restart(wv)
 	for {
-		w.msgs = w.msgs[:0]
 		progressed := w.processSpan(wv, 1<<20)
 		for i := range w.msgs {
 			s.apply(&w.msgs[i])
 		}
+		w.msgs = w.msgs[:0]
 		if !progressed || wv.Finished() {
 			return
 		}
@@ -774,35 +803,38 @@ func (s *shardState) drainOutputs(wv *deptree.WindowVersion) bool {
 	return true
 }
 
-// schedule is one control-plane round: feed the cycle's signals to the
-// policy, apply its sizing decision (resizing the slot pool and the
-// speculation budget), then walk the tree for the top-k window versions
-// under the predictor and assign the difference to the active slots
-// (paper Fig. 7: already-scheduled versions stay put).
-func (s *shardState) schedule() {
-	active := int(s.activeSlots.Load())
-	busy := 0
+// tune feeds the cycle's signals to the policy and applies its sizing
+// decision — the slot pool and the lookahead horizon — before the cycle
+// ingests anything. It returns the pre-resize active and busy slot
+// counts, which the cycle's utilization counters keep so busy/active
+// stays a true fraction even on resize cycles.
+func (s *shardState) tune() (active, busy int) {
+	active = int(s.activeSlots.Load())
 	for i := 0; i < active; i++ {
 		if s.assigned[i] != nil {
 			busy++
 		}
 	}
-	dec := s.policy.Tune(sched.Signals{
+	s.applyDecision(s.policy.Tune(sched.Signals{
 		SlotsActive: active,
 		SlotsBusy:   busy,
 		Selected:    s.lastSelected,
 		QueueDepth:  s.queue.depth(),
 		QueueCap:    s.prog.cfg.QueueCap,
 		TreeSize:    s.tree.Size(),
+		Lookahead:   s.lookahead(),
 		Rollbacks:   s.rollbacks.Load(),
 		EmitLagP99:  s.lagP99.Value(),
-	})
-	s.applyDecision(dec)
-	// busy was measured against the pre-resize pool; keep the
-	// utilization counters on that same instant so busy/active stays a
-	// true fraction even on resize cycles.
-	sigActive := active
-	active = int(s.activeSlots.Load())
+	}))
+	return active, busy
+}
+
+// schedule walks the tree for the top-k window versions under the
+// predictor and assigns the difference to the active slots (paper Fig. 7:
+// already-scheduled versions stay put). sigActive and busy are the
+// cycle's tune counts.
+func (s *shardState) schedule(sigActive, busy int) {
+	active := int(s.activeSlots.Load())
 
 	arenaLen := s.ar.Len()
 	avgSize := s.winMgr.AvgSize()
@@ -906,7 +938,7 @@ func (s *shardState) schedule() {
 	})
 }
 
-// applyDecision resizes the slot pool and the speculation budget to the
+// applyDecision resizes the slot pool and the lookahead horizon to the
 // policy's decision. Splitter only.
 func (s *shardState) applyDecision(dec sched.Decision) {
 	resized := false
@@ -922,16 +954,16 @@ func (s *shardState) applyDecision(dec sched.Decision) {
 		s.activeSlots.Store(int32(n))
 		resized = true
 	}
-	if b := dec.Spec; b >= 1 && b != s.tree.CapSize {
-		s.tree.CapSize = b
+	if h := max(dec.Horizon, 1); h != s.horizon {
+		s.horizon = h
 		resized = true
 	}
 	if resized {
-		cur, spec := int(s.activeSlots.Load()), s.tree.CapSize
+		cur, h := int(s.activeSlots.Load()), s.horizon
 		s.metrics.add(func(m *Metrics) {
 			m.PolicyResizes++
 			m.CurSlots = cur
-			m.CurSpeculation = spec
+			m.CurHorizon = h
 		})
 	}
 }
@@ -983,7 +1015,7 @@ func (e *Engine) Run(ctx context.Context, src stream.Source, emit func(event.Com
 	defer rt.Close()
 	// No arbiter registration: an engine shares its pool with nobody, so
 	// the adaptive policy keeps the machine's Procs ceiling, and a latency
-	// target only cuts speculation.
+	// target only cuts the lookahead horizon.
 	h, err := rt.start(e.prog, nil, nil, 1, emit, nil)
 	if err != nil {
 		return err
@@ -1014,6 +1046,9 @@ func (e *Engine) Plan() *plan.Plan { return e.prog.plan }
 // metrics copy.
 func (s *shardState) metricsSnapshot() Metrics {
 	m := s.metrics.snapshot()
+	m.WindowsOpened = s.windowsOpened.Load()
+	m.VersionsCreated = s.versionsCreated.Load()
+	m.VersionsDropped = s.versionsDropped.Load()
 	m.FilteredEvents = s.filteredIn.Load()
 	m.ShedEvents = s.shedIn.Load()
 	m.EmitLagP50 = math.Float64frombits(s.lagP50Bits.Load())

@@ -108,8 +108,7 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 	s := w.s
 	win := wv.Win
 	if wv.State == nil {
-		wv.State = s.prog.compiled.NewState()
-		wv.SetPos(win.StartSeq)
+		wv.ResetToStart(s.prog.compiled.NewState())
 	}
 	arenaLen := s.ar.Len()
 	end := win.EndSeq()
@@ -371,17 +370,33 @@ func (w *worker) consistencyCheck(wv *deptree.WindowVersion) bool {
 
 // rollback resets the version to its window start (paper: "the state of
 // the window version is rolled back to the start"). Its own consumption
-// groups are discarded; the splitter rebuilds the dependent subtree on
-// the rollback message.
+// groups are resolved as abandoned; the splitter rebuilds the dependent
+// subtree on the rollback message.
 func (w *worker) rollback(wv *deptree.WindowVersion) {
 	s := w.s
-	wv.ResetToStart(s.prog.compiled.NewState())
-	wv.Rollbacks++
+	w.restart(wv)
 	clear(w.stats)
 	w.statsSet = 0
 	w.msgs = append(w.msgs, msg{kind: msgRolledBack, wv: wv})
 	s.rollbacks.Add(1)
 	s.metrics.add(func(m *Metrics) { m.Rollbacks++ })
+}
+
+// restart resets wv to its window start — the one reset path of
+// rollbacks and the final gate (caller holds wv.Mu). Every consumption
+// group its open runs still hold is resolved as abandoned and reported in
+// w.msgs: the runs that would have resolved it are gone, and a group left
+// open would stay open forever — its creation message, possibly still in
+// flight, would then hang an open vertex under the root that the root
+// waits on.
+func (w *worker) restart(wv *deptree.WindowVersion) {
+	for _, cg := range wv.RunCGs {
+		if cg.Resolve(deptree.CGAbandoned) {
+			w.msgs = append(w.msgs, msg{kind: msgCGResolved, cg: cg})
+		}
+	}
+	wv.ResetToStart(w.s.prog.compiled.NewState())
+	wv.Rollbacks++
 }
 
 // suppressedBy reports whether seq is currently in any suppressed group of

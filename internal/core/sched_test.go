@@ -15,20 +15,20 @@ import (
 )
 
 // oscPolicy is a scripted control plane for tests: the slot pool and
-// speculation budget oscillate between two sizes on a fixed cycle period
+// lookahead horizon oscillate between two sizes on a fixed cycle period
 // — the hardest resize schedule (shrink and grow mid-run, over and over).
 type oscPolicy struct {
-	cycle, period  int
-	loK, hiK       int
-	loSpec, hiSpec int
+	cycle, period int
+	loK, hiK      int
+	loH, hiH      int
 }
 
 func (p *oscPolicy) Tune(sched.Signals) sched.Decision {
 	p.cycle++
 	if (p.cycle/p.period)%2 == 0 {
-		return sched.Decision{Slots: p.hiK, Spec: p.hiSpec}
+		return sched.Decision{Slots: p.hiK, Horizon: p.hiH}
 	}
-	return sched.Decision{Slots: p.loK, Spec: p.loSpec}
+	return sched.Decision{Slots: p.loK, Horizon: p.loH}
 }
 
 // schedPolicies enumerates the scheduling configurations the equivalence
@@ -50,7 +50,7 @@ func schedPolicies(k int) []struct {
 		{"adaptive", func(c *Config) {
 			c.Sched = sched.Config{
 				Kind: sched.Adaptive, MinSlots: 1, MaxSlots: k + 2,
-				MinSpec: 16, AdjustEvery: 4, Procs: k + 2,
+				MinHorizon: 1, AdjustEvery: 4, Procs: k + 2,
 			}
 		}},
 		{"oscillating", func(c *Config) {
@@ -59,7 +59,7 @@ func schedPolicies(k int) []struct {
 				return &oscPolicy{
 					period: 16,
 					loK:    1, hiK: k + 2,
-					loSpec: 16, hiSpec: 256,
+					loH: 1, hiH: 16 * k,
 				}
 			}
 		}},
@@ -69,7 +69,7 @@ func schedPolicies(k int) []struct {
 // TestPolicyEquivalence is the cross-policy flagship: the delivered
 // output must be byte-identical to the sequential reference under every
 // scheduling policy — including mid-run shrinks and grows of the slot
-// pool and the speculation budget. The scheduling layer sits above the
+// pool and the lookahead horizon. The scheduling layer sits above the
 // §4.2 validation gate, so it may only change performance, never output.
 // Each workload runs either as an Engine (workers 0: one pool worker per
 // role) or as a one-shard handle fed event by event on a shared pool with
@@ -201,9 +201,11 @@ func stuckShard(t *testing.T, factory func() sched.Policy) *shardState {
 		}
 	}
 	queue.close()
-	// Ingest everything (one splitter cycle ingests up to IngestBatch,
-	// default 1024) so both windows exist and input is done.
-	s.splitCycle()
+	// Ingest everything so both windows exist and input is done, however
+	// many cycles the policy's horizon takes.
+	for i := 0; i < 100 && !s.inputDone.Load(); i++ {
+		s.splitCycle()
+	}
 	if !s.inputDone.Load() {
 		t.Fatal("input must be done after ingesting the closed queue")
 	}
@@ -237,7 +239,7 @@ func stuckShard(t *testing.T, factory func() sched.Policy) *shardState {
 func TestEndBoundaryEligibleAfterShrink(t *testing.T) {
 	// The policy pins the pool to a single slot: the shrunken regime.
 	s := stuckShard(t, func() sched.Policy {
-		return &oscPolicy{period: 1 << 30, loK: 1, hiK: 1, loSpec: 256, hiSpec: 256}
+		return &oscPolicy{period: 1 << 30, loK: 1, hiK: 1, loH: 64, hiH: 64}
 	})
 	for i := 0; i < 10000 && !s.finished.Load(); i++ {
 		s.step()
@@ -253,7 +255,7 @@ func TestEndBoundaryEligibleAfterShrink(t *testing.T) {
 // as false just before another worker ended the run must not get into the
 // splitter and finish it a second time (done would be closed twice).
 func TestFinishedShardKeepsSplitterClaim(t *testing.T) {
-	s := stuckShard(t, func() sched.Policy { return sched.Config{}.New(1, 256) })
+	s := stuckShard(t, func() sched.Policy { return sched.Config{}.New(1) })
 	for i := 0; i < 10000 && !s.finished.Load(); i++ {
 		s.step()
 	}
@@ -278,9 +280,9 @@ func TestParkedSlotsNeverStep(t *testing.T) {
 	factory := func() sched.Policy {
 		return policyFunc(func() sched.Decision {
 			if grow.Load() {
-				return sched.Decision{Slots: 4, Spec: 256}
+				return sched.Decision{Slots: 4, Horizon: 64}
 			}
-			return sched.Decision{Slots: 1, Spec: 256}
+			return sched.Decision{Slots: 1, Horizon: 64}
 		})
 	}
 	reg := event.NewRegistry()
@@ -314,10 +316,17 @@ func TestParkedSlotsNeverStep(t *testing.T) {
 		}
 	}
 
-	// The first visit ingests everything and applies the shrink to 1 slot.
+	// The first visit applies the shrink to 1 slot; ingest the rest of
+	// the queue, however many passes the horizon takes.
 	s.step()
 	if got := int(s.activeSlots.Load()); got != 1 {
 		t.Fatalf("active slots = %d, want 1", got)
+	}
+	for i := 0; i < 100 && s.queue.depth() > 0; i++ {
+		s.ingest()
+	}
+	if d := s.queue.depth(); d != 0 {
+		t.Fatalf("%d events still queued", d)
 	}
 	sentinel := deptree.NewWindowVersion(1<<40, s.tree.Root().WV.Win, nil)
 	s.slots[3].wv.Store(sentinel)

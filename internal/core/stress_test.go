@@ -79,7 +79,8 @@ func TestAggressiveConsistencyChecking(t *testing.T) {
 }
 
 // TestTinyTreeBackpressure forces the ingestion backpressure path: the
-// dependency tree is capped far below the natural working set.
+// lookahead horizon is one window, far below the natural working set, so
+// ingestion pauses as soon as the root window has its events.
 func TestTinyTreeBackpressure(t *testing.T) {
 	reg := event.NewRegistry()
 	events := dataset.NYSE(reg, dataset.NYSEConfig{Symbols: 30, Leaders: 3, Minutes: 100, Seed: 23})
@@ -88,7 +89,7 @@ func TestTinyTreeBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runSequential(t, q, events)
-	got, eng := runSpectre(t, q, events, Config{Instances: 3, MaxTreeSize: 4})
+	got, eng := runSpectre(t, q, events, Config{Instances: 3, SchedFactory: horizonPolicy(3, 1)})
 	assertSameOutput(t, "backpressure", got, want)
 	if m := eng.MetricsSnapshot(); m.EventsIngested != uint64(len(events)) {
 		t.Fatal("backpressure must not lose events")

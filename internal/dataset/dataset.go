@@ -1,5 +1,5 @@
 // Package dataset generates the two evaluation workloads of the paper
-// (§4.1) as deterministic synthetic equivalents (see DESIGN.md §4.6 for
+// (§4.1) as deterministic synthetic equivalents (see DESIGN.md §4.5 for
 // the substitution rationale):
 //
 //   - NYSE: an intra-day stock-quote stream — ~3000 symbols (the first

@@ -185,8 +185,9 @@ type WindowVersion struct {
 	// Win is the underlying window; boundaries are fixed by the splitter.
 	Win *window.Window
 	// Suppressed are the consumption groups whose completion edge lies on
-	// this version's root path; their events must not be processed.
-	// Immutable after creation.
+	// this version's root path, in no particular order; their events must
+	// not be processed. Immutable after creation, and shared: versions on
+	// one path alias the same slice.
 	Suppressed []*CG
 
 	// node is the tree vertex of this version. Owned by the splitter.
@@ -204,8 +205,8 @@ type WindowVersion struct {
 
 	// Mu guards everything below.
 	Mu sync.Mutex
-	// State is the matcher state; nil until first scheduled (lazily
-	// created by the runtime).
+	// State is the matcher state; nil until first processed (lazily
+	// created by the runtime through ResetToStart).
 	State *matcher.State
 	// Used are the influencing processed events (ascending): events bound
 	// to a run or triggering a negation. Only these matter for
@@ -223,10 +224,12 @@ type WindowVersion struct {
 	// validation (paper §3.3: "kept buffered until the window version
 	// either becomes valid ... or is dropped").
 	Buffered []event.Complex
-	// RunCGs maps open matcher run ids to their consumption groups.
+	// RunCGs maps open matcher run ids to their consumption groups (nil
+	// until the first ResetToStart).
 	RunCGs map[int]*CG
 	// LastChecked maps suppressed groups to the snapshot version seen by
-	// the last consistency check (parallel to Suppressed).
+	// the last consistency check (parallel to Suppressed; nil until the
+	// first ResetToStart).
 	LastChecked []uint64
 	// Rollbacks counts how many times this version was rolled back.
 	Rollbacks int
@@ -236,17 +239,11 @@ type WindowVersion struct {
 }
 
 // NewWindowVersion creates an unscheduled version of win with the given
-// suppression set (sorted by CG ID for deterministic checks).
+// suppression set. The version keeps suppressed as is (the caller must
+// not mutate it afterwards) and allocates no processing state: most
+// versions are dropped before any slot takes them.
 func NewWindowVersion(id uint64, win *window.Window, suppressed []*CG) *WindowVersion {
-	sup := append([]*CG(nil), suppressed...)
-	sort.Slice(sup, func(i, j int) bool { return sup[i].ID < sup[j].ID })
-	return &WindowVersion{
-		ID:          id,
-		Win:         win,
-		Suppressed:  sup,
-		RunCGs:      make(map[int]*CG),
-		LastChecked: make([]uint64, len(sup)),
-	}
+	return &WindowVersion{ID: id, Win: win, Suppressed: suppressed}
 }
 
 // Pos returns the next sequence number to process. It is published
@@ -257,9 +254,9 @@ func (wv *WindowVersion) Pos() uint64 { return wv.pos.Load() }
 func (wv *WindowVersion) SetPos(pos uint64) { wv.pos.Store(pos) }
 
 // ResetToStart resets the version's processing state to the window
-// start with the given fresh matcher state — the restart shared by
-// rollbacks and the final validation gate. The caller must own the
-// version.
+// start with the given fresh matcher state — the first start of a
+// version and the restart shared by rollbacks and the final validation
+// gate. The caller must own the version.
 func (wv *WindowVersion) ResetToStart(state *matcher.State) {
 	wv.State = state
 	wv.SetPos(wv.Win.StartSeq)
@@ -267,8 +264,13 @@ func (wv *WindowVersion) ResetToStart(state *matcher.State) {
 	wv.Skipped = wv.Skipped[:0]
 	wv.LocalConsumed = wv.LocalConsumed[:0]
 	wv.Buffered = wv.Buffered[:0]
-	clear(wv.RunCGs)
-	clear(wv.LastChecked)
+	if wv.RunCGs == nil {
+		wv.RunCGs = make(map[int]*CG)
+		wv.LastChecked = make([]uint64, len(wv.Suppressed))
+	} else {
+		clear(wv.RunCGs)
+		clear(wv.LastChecked)
+	}
 	wv.ClearFinished()
 }
 

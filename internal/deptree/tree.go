@@ -53,15 +53,13 @@ type Tree struct {
 	// OnDrop is invoked for every window version removed from the tree
 	// (wrong speculation path); may be nil.
 	OnDrop func(wv *WindowVersion)
-	// CapSize bounds speculative growth: once the tree holds CapSize
-	// window versions in total, CGCreated stops inserting
-	// consumption-group vertices (the group is treated as abandoned by
-	// the tree). Adverse outcomes are caught by the runtime's final
-	// validation gate, which reprocesses deterministically, so the cap
-	// trades throughput for a bounded tree without affecting the
-	// delivered output. The bound is absolute — a stream keeping more
-	// than CapSize windows in flight runs unspeculated until the backlog
-	// drains. 0 = unlimited.
+	// CapSize, when positive, stops CGCreated from inserting
+	// consumption-group vertices once the tree holds CapSize window
+	// versions (the group is treated as abandoned by the tree).
+	//
+	// Deprecated: the runtime bounds the tree by its lookahead horizon,
+	// in windows, and never sets CapSize; it stays for callers that
+	// drive a Tree directly.
 	CapSize int
 
 	root    *Node
@@ -173,17 +171,21 @@ func appendCG(sup []*CG, cg *CG) []*CG {
 // abandon edge; the completion edge receives versions of the same
 // dependent windows that additionally suppress cg. It returns the window
 // versions created for the completion edge.
+//
+// The tree holds vertices for open groups only: a group already resolved
+// when its creation is applied inserts nothing. An abandoned group's
+// abandon edge is the existing subtree; a completed group's dependents
+// keep running without suppressing it, and the runtime's final
+// validation gate repairs the roots its consumption affects.
 func (t *Tree) CGCreated(cg *CG) []*WindowVersion {
+	if cg.Outcome() != CGOpen {
+		return nil
+	}
 	owner := cg.Owner
 	if owner == nil || owner.Dropped() || owner.node == nil || owner.node.detached {
 		return nil
 	}
 	if t.CapSize > 0 && t.size >= t.CapSize {
-		// Speculation budget exhausted: the structure copy below would grow
-		// the tree combinatorially (and on adversarial streams, livelock
-		// the splitter in copy/drop churn). Dependent versions simply do
-		// not suppress this group; if it completes after all, the final
-		// validation gate reprocesses the affected roots deterministically.
 		return nil
 	}
 	n := owner.node

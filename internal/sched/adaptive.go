@@ -14,7 +14,7 @@ const (
 	// shrinkUtil: below this utilization the pool shrinks toward demand.
 	shrinkUtil = 0.5
 	// overloadFrac: a queue beyond this fraction of its capacity is
-	// overload — degrade gracefully by cutting the speculation budget so
+	// overload — degrade gracefully by cutting the lookahead horizon so
 	// the root chain (the only thing that drains the queue) gets the
 	// cycles.
 	overloadNum, overloadDen = 3, 4
@@ -23,16 +23,16 @@ const (
 	rollStormDen = 8
 )
 
-// adaptive resizes the effective slot count and the speculation budget
+// adaptive resizes the effective slot count and the lookahead horizon
 // per adaptation period. The slot count tracks demand (how many eligible
 // versions there are) and utilization, bounded by [MinSlots, MaxSlots]
-// and by the machine's actual parallelism; the speculation budget shrinks
+// and by the machine's actual parallelism; the horizon shrinks
 // multiplicatively on rollback storms and queue overload and recovers
-// multiplicatively while the tree presses against it.
+// multiplicatively while the lookahead presses against it.
 type adaptive struct {
 	cfg       Config
 	slots     int
-	spec      int
+	horizon   int
 	lagTarget float64 // latency SLO in seconds; 0 = none
 
 	cycle         int
@@ -41,15 +41,14 @@ type adaptive struct {
 	lastRollbacks uint64
 }
 
-func newAdaptive(cfg Config, k, spec int) *adaptive {
-	slots := clamp(k, cfg.MinSlots, cfg.MaxSlots)
+func newAdaptive(cfg Config, start Decision) *adaptive {
 	return &adaptive{
 		cfg:        cfg,
-		slots:      slots,
-		spec:       clamp(spec, cfg.MinSpec, cfg.MaxSpec),
+		slots:      start.Slots,
+		horizon:    start.Horizon,
 		lagTarget:  cfg.LatencyTarget.Seconds(),
 		utilEWMA:   1,
-		demandEWMA: float64(slots),
+		demandEWMA: float64(start.Slots),
 	}
 }
 
@@ -60,7 +59,7 @@ func (a *adaptive) Tune(sig Signals) Decision {
 		a.cycle = 0
 		a.adjust(sig)
 	}
-	return Decision{Slots: a.slots, Spec: a.spec}
+	return Decision{Slots: a.slots, Horizon: a.horizon}
 }
 
 func (a *adaptive) observe(sig Signals) {
@@ -113,10 +112,10 @@ func (a *adaptive) adjust(sig Signals) {
 		a.slots = clamp(shrunk, a.cfg.MinSlots, hi)
 	}
 
-	// Speculation budget: wasted speculation (rollback storms) and queue
+	// Lookahead horizon: wasted speculation (rollback storms) and queue
 	// overload both mean the tree is burning cycles the root chain
 	// needs; degrade it multiplicatively and recover it multiplicatively
-	// once the tree presses against the budget again while healthy.
+	// once the lookahead presses against the horizon again while healthy.
 	rolls := sig.Rollbacks - a.lastRollbacks
 	a.lastRollbacks = sig.Rollbacks
 	overloaded := sig.QueueCap > 0 && sig.QueueDepth*overloadDen > sig.QueueCap*overloadNum
@@ -126,10 +125,11 @@ func (a *adaptive) adjust(sig Signals) {
 	lagOver := a.lagTarget > 0 && sig.EmitLagP99 > a.lagTarget
 	switch {
 	case storm || overloaded || lagOver:
-		a.spec = clamp(a.spec/2, a.cfg.MinSpec, a.cfg.MaxSpec)
-	case sig.TreeSize*4 >= a.spec*3:
-		a.spec = clamp(a.spec*2, a.cfg.MinSpec, a.cfg.MaxSpec)
+		a.horizon /= 2
+	case sig.Lookahead*4 >= a.horizon*3:
+		a.horizon *= 2
 	}
+	a.horizon = clamp(a.horizon, a.cfg.MinHorizon, a.cfg.MaxHorizon)
 
 	if a.cfg.Ctl != nil {
 		a.cfg.Ctl.Report(a.demandEWMA, sig.EmitLagP99)

@@ -107,7 +107,7 @@ func TestAdaptiveRespectsArbiterCeiling(t *testing.T) {
 	}
 
 	cfg := Config{Kind: Adaptive, MaxSlots: 8, AdjustEvery: 1, Procs: 16, Ctl: ctl}
-	p := cfg.New(4, 64).(*adaptive)
+	p := cfg.New(4).(*adaptive)
 	// Saturated + pressured signals that would normally grow to 8.
 	for i := 0; i < 64; i++ {
 		p.Tune(Signals{SlotsActive: p.slots, SlotsBusy: p.slots, Selected: p.slots, QueueDepth: 100, QueueCap: 1000, TreeSize: 50})
@@ -118,12 +118,12 @@ func TestAdaptiveRespectsArbiterCeiling(t *testing.T) {
 }
 
 func TestAdaptiveLatencyTargetCutsSpeculation(t *testing.T) {
-	cfg := Config{Kind: Adaptive, MaxSlots: 4, AdjustEvery: 1, Procs: 4, MinSpec: 16, LatencyTarget: 10 * time.Millisecond}
-	p := cfg.New(4, 256).(*adaptive)
-	before := p.spec
+	cfg := Config{Kind: Adaptive, MaxSlots: 4, AdjustEvery: 1, Procs: 4, MinHorizon: 2, LatencyTarget: 10 * time.Millisecond}
+	p := cfg.New(4).(*adaptive)
+	before := p.horizon
 	p.Tune(Signals{SlotsActive: 4, SlotsBusy: 4, Selected: 4, EmitLagP99: 0.5})
-	if p.spec >= before {
-		t.Fatalf("speculation %d -> %d under a blown latency SLO, want a cut", before, p.spec)
+	if p.horizon >= before {
+		t.Fatalf("horizon %d -> %d windows under a blown latency SLO, want a cut", before, p.horizon)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestAdaptiveReportsToArbiter(t *testing.T) {
 	q := a.Register("q", 1, 0, 1)
 	ctl := q.Shard(0)
 	cfg := Config{Kind: Adaptive, MaxSlots: 4, AdjustEvery: 1, Procs: 8, Ctl: ctl}
-	p := cfg.New(2, 64).(*adaptive)
+	p := cfg.New(2).(*adaptive)
 	p.Tune(Signals{SlotsActive: 2, SlotsBusy: 2, Selected: 2, EmitLagP99: 0.25})
 	if got := ctl.reports.Load(); got == 0 {
 		t.Fatal("adaptive adjust did not report to its ShardCtl")

@@ -1,14 +1,16 @@
 // Package sched is the scheduling control plane of the SPECTRE runtime:
 // it decides, once per splitter maintenance cycle, how many operator-
-// instance slots run and how large the speculation budget is.
+// instance slots run and how far the splitter may look ahead: the
+// lookahead horizon, in windows opened counted from the root window.
 //
-// The paper freezes both at submission time: k is the Instances parameter
-// and the slot assignment is the fixed top-k walk of Fig. 7. Who gets the
-// slots is not a policy here either: the splitter always runs that walk
+// The paper freezes k at submission time (the Instances parameter) and
+// its splitter sees events at line rate, so it never opens more windows
+// than the k instances can use. Who gets the slots is not a policy here
+// either: the splitter always runs the top-k walk of Fig. 7
 // (deptree.Tree.TopK) under its completion predictor, and the Fig. 11
 // constant-probability baseline is a predictor (markov.Fixed). A Policy
-// only sizes: TopK keeps the paper's constants, Adaptive resizes the
-// effective slot count and the speculation budget at runtime from
+// only sizes: TopK keeps k slots and a horizon of 4·k windows, Adaptive
+// resizes the effective slot count and the horizon at runtime from
 // observed load — slot utilization, rollback rate and shard-queue depth —
 // following the adaptive-parallelization-degree argument of Xiao &
 // Aritsugi and the graceful-degradation-under-overload argument of
@@ -41,6 +43,10 @@ type Signals struct {
 	QueueCap int
 	// TreeSize is the number of window versions in the dependency tree.
 	TreeSize int
+	// Lookahead is the number of windows opened counted from the root
+	// window (the root included): the quantity the horizon bounds once
+	// the root window has all its events.
+	Lookahead int
 	// Rollbacks is the shard's cumulative rollback counter.
 	Rollbacks uint64
 	// EmitLagP99 is the shard's p99 root-emission latency estimate in
@@ -51,11 +57,18 @@ type Signals struct {
 }
 
 // Decision is a policy's control output for the next cycle: the slot-pool
-// size to run with and the speculation budget for the dependency tree.
-// The engine clamps Slots to [1, ceiling] and parks the slots beyond it.
+// size to run with and the lookahead horizon. The engine clamps Slots to
+// [1, ceiling] and parks the slots beyond it, and clamps Horizon to at
+// least 1.
 type Decision struct {
 	Slots int
-	Spec  int
+	// Horizon bounds ingestion: once the root window has all its events,
+	// the splitter stops right after the event that brings the number of
+	// windows opened, counted from the root window, to Horizon. The rest
+	// of the stream waits in the shard queue, where it costs no window
+	// versions. Windows opened while the root still lacks events do not
+	// count against it (liveness).
+	Horizon int
 }
 
 // Policy decides control-plane sizing for one shard. A Policy instance is
@@ -76,7 +89,7 @@ const (
 	// completion model.
 	TopK Kind = iota
 	// Adaptive is top-k selection under the learned model, with the
-	// effective slot count and the speculation budget resized at runtime
+	// effective slot count and the lookahead horizon resized at runtime
 	// from observed load.
 	Adaptive
 )
@@ -103,10 +116,9 @@ type Config struct {
 	// MaxSlots also raises the engine's slot-pool ceiling above the
 	// instance count, so an adaptive query can grow past its initial k.
 	MinSlots, MaxSlots int
-	// MinSpec/MaxSpec bound the Adaptive speculation budget. Unset
-	// values default to max(16, spec/8) and the configured
-	// MaxSpeculation respectively.
-	MinSpec, MaxSpec int
+	// MinHorizon/MaxHorizon bound the Adaptive lookahead horizon, in
+	// windows. Unset values default to k and 16·k respectively.
+	MinHorizon, MaxHorizon int
 	// AdjustEvery is the adaptation cadence in scheduling cycles
 	// (default 64). Only Adaptive uses it.
 	AdjustEvery int
@@ -116,7 +128,7 @@ type Config struct {
 	Procs int
 	// LatencyTarget is the query's root-emission latency SLO (0 = none).
 	// Adaptive treats a p99 emission lag beyond the target like queue
-	// overload (cut speculation), and the admission arbiter boosts the
+	// overload (cut the horizon), and the admission arbiter boosts the
 	// query's processor share while the SLO is missed.
 	LatencyTarget time.Duration
 	// Ctl is the shard's admission-arbiter handle on a shared runtime
@@ -126,9 +138,13 @@ type Config struct {
 	Ctl *ShardCtl
 }
 
+// horizonPerSlot is the static policy's lookahead: windows opened counted
+// from a complete root window, per operator slot.
+const horizonPerSlot = 4
+
 // normalized fills Config defaults given the configured fixed instance
-// count k and speculation budget spec.
-func (c Config) normalized(k, spec int) Config {
+// count k.
+func (c Config) normalized(k int) Config {
 	if c.MinSlots <= 0 {
 		c.MinSlots = 1
 	}
@@ -138,19 +154,14 @@ func (c Config) normalized(k, spec int) Config {
 	if c.MaxSlots < c.MinSlots {
 		c.MaxSlots = c.MinSlots
 	}
-	if c.MinSpec <= 0 {
-		c.MinSpec = spec / 8
-		if c.MinSpec < 16 {
-			c.MinSpec = 16
-		}
+	if c.MinHorizon <= 0 {
+		c.MinHorizon = k
 	}
-	// spec (the configured MaxSpeculation) is the hard ceiling: the
-	// adaptive budget never exceeds it, whatever the bounds say.
-	if c.MaxSpec <= 0 || (spec > 0 && c.MaxSpec > spec) {
-		c.MaxSpec = spec
+	if c.MaxHorizon <= 0 {
+		c.MaxHorizon = 16 * k
 	}
-	if c.MinSpec > c.MaxSpec && c.MaxSpec > 0 {
-		c.MinSpec = c.MaxSpec
+	if c.MaxHorizon < c.MinHorizon {
+		c.MaxHorizon = c.MinHorizon
 	}
 	if c.AdjustEvery <= 0 {
 		c.AdjustEvery = 64
@@ -172,31 +183,33 @@ func (c Config) SlotCeiling(k int) int {
 	return k
 }
 
-// InitialSlots returns the slot count a shard starts with: the fixed
-// instance count, clamped into the adaptive bounds when adapting.
-func (c Config) InitialSlots(k int) int {
-	if c.Kind != Adaptive {
-		return k
+// Initial returns the decision a shard starts with: the fixed instance
+// count k and a horizon of 4·k windows, clamped into the adaptive bounds
+// when adapting.
+func (c Config) Initial(k int) Decision {
+	d := Decision{Slots: k, Horizon: horizonPerSlot * k}
+	if c.Kind == Adaptive {
+		n := c.normalized(k)
+		d.Slots = clamp(d.Slots, n.MinSlots, n.MaxSlots)
+		d.Horizon = clamp(d.Horizon, n.MinHorizon, n.MaxHorizon)
 	}
-	n := c.normalized(k, 0)
-	return clamp(k, n.MinSlots, n.MaxSlots)
+	return d
 }
 
-// New builds a fresh Policy instance for one shard. k and spec are the
-// configured instance count and speculation budget; static policies pin
-// their Decision to them, Adaptive uses them as the starting point and
-// to fill unset bounds.
-func (c Config) New(k, spec int) Policy {
+// New builds a fresh Policy instance for one shard. k is the configured
+// instance count; the static policy pins its Decision to Initial(k),
+// Adaptive starts there and uses k to fill unset bounds.
+func (c Config) New(k int) Policy {
 	switch c.Kind {
 	case Adaptive:
-		return newAdaptive(c.normalized(k, spec), k, spec)
+		return newAdaptive(c.normalized(k), c.Initial(k))
 	default:
-		return &topK{dec: Decision{Slots: k, Spec: spec}}
+		return &topK{dec: c.Initial(k)}
 	}
 }
 
-// topK is the paper's fixed sizing (Fig. 7): k slots and the configured
-// speculation budget, whatever the load.
+// topK is the paper's fixed sizing (Fig. 7): k slots and a horizon of
+// 4·k windows, whatever the load.
 type topK struct {
 	dec Decision
 }

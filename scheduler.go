@@ -8,8 +8,8 @@ import (
 )
 
 // Scheduler selects the scheduling policy of an engine or a submitted
-// query: how the pool of operator-instance slots and the speculation
-// budget are sized at runtime. (Which window versions occupy the slots is
+// query: how the pool of operator-instance slots and the lookahead
+// horizon are sized at runtime. (Which window versions occupy the slots is
 // always the paper's top-k walk under the completion model; see
 // WithFixedProbability for the Figure 11 constant-probability baseline.)
 // Obtain one from TopKScheduler or AdaptiveScheduler and install it with
@@ -29,21 +29,23 @@ func (s Scheduler) String() string { return s.cfg.Kind.String() }
 // TopKScheduler is the paper's scheduling policy (Fig. 7) and the
 // default: a fixed pool of k slots (WithInstances) assigned to the k
 // window versions with the highest survival probability under the
-// learned completion model.
+// learned completion model. The splitter looks ahead 4·k windows: once
+// the oldest unfinished window has all its events, ingestion pauses
+// when 4·k windows are open counted from it.
 func TopKScheduler() Scheduler {
 	return Scheduler{cfg: sched.Config{Kind: sched.TopK}}
 }
 
 // AdaptiveScheduler selects versions like TopKScheduler but resizes the
-// effective slot count and the speculation budget at runtime from
+// effective slot count and the lookahead horizon at runtime from
 // observed load: slot utilization, queue depth and the rollback rate.
 // Idle slots are parked (their goroutines block; pool workers skip
-// them); under overload or rollback storms the speculation budget is cut
-// so the root chain gets the cycles, and it recovers once the shard is
-// healthy. Bound the adaptation with WithAdaptiveInstances and
-// WithAdaptiveSpeculation; without explicit bounds the slot pool adapts
-// within [1, WithInstances] and the budget within [32, 256] window
-// versions.
+// them); under overload or rollback storms the horizon is cut so the
+// root chain gets the cycles, and it recovers once the shard is healthy
+// and the lookahead presses against it. Bound the adaptation with
+// WithAdaptiveInstances and WithAdaptiveSpeculation; without explicit
+// bounds the slot pool adapts within [1, k] and the horizon within
+// [k, 16·k] windows, where k is WithInstances.
 func AdaptiveScheduler() Scheduler {
 	return Scheduler{cfg: sched.Config{Kind: sched.Adaptive}}
 }
@@ -78,10 +80,11 @@ func WithAdaptiveInstances(min, max int) Option {
 }
 
 // WithAdaptiveSpeculation selects the adaptive scheduler and bounds its
-// speculation budget: the dependency tree's version cap is cut toward
-// min under overload and rollback storms and recovers toward max while
-// the shard is healthy. max is also the absolute ceiling on speculative
-// growth (256 window versions without this option).
+// lookahead horizon, in windows opened counted from the oldest
+// unfinished window: the horizon is cut toward min under overload and
+// rollback storms and recovers toward max while the shard is healthy.
+// Windows opened while the oldest one still lacks events do not count
+// against it.
 func WithAdaptiveSpeculation(min, max int) Option {
 	return func(c *core.Config) {
 		if min <= 0 || max < min || max > maxOptionValue {
@@ -89,8 +92,7 @@ func WithAdaptiveSpeculation(min, max int) Option {
 			return
 		}
 		c.Sched.Kind = sched.Adaptive
-		c.Sched.MinSpec, c.Sched.MaxSpec = min, max
-		c.MaxSpeculation = max
+		c.Sched.MinHorizon, c.Sched.MaxHorizon = min, max
 		c.SchedSet = true
 	}
 }

@@ -91,13 +91,16 @@
 // # Scheduling
 //
 // Which window versions get the k operator slots — and how large k and
-// the speculation budget are — is a pluggable policy (see Scheduler):
-// TopKScheduler is the paper's fixed top-k default and AdaptiveScheduler
-// resizes the slot pool and the speculation budget at runtime from
-// observed load (WithAdaptiveInstances / WithAdaptiveSpeculation bound
-// it). Policies never change the delivered output, only performance;
-// Metrics exposes their signals (SlotUtilization, PolicyResizes,
-// CurSlots, CurSpeculation).
+// the lookahead horizon are — is a pluggable policy (see Scheduler). The
+// horizon bounds speculation: once the oldest unfinished window has all
+// its events, the splitter opens windows only up to the horizon, counted
+// from that window, and leaves the rest of the stream queued.
+// TopKScheduler is the paper's fixed top-k default (a horizon of 4·k
+// windows) and AdaptiveScheduler resizes the slot pool and the horizon
+// at runtime from observed load (WithAdaptiveInstances /
+// WithAdaptiveSpeculation bound it). Policies never change the delivered
+// output, only performance; Metrics exposes their signals
+// (SlotUtilization, PolicyResizes, CurSlots, CurHorizon).
 //
 // # Overload survival
 //
@@ -334,7 +337,7 @@ func WithWeight(w float64) Option {
 // submission: the time from an event's admission to the emission of the
 // matches it participates in. It is acted on twice. The adaptive
 // scheduler treats a p99 emission lag beyond the target like queue
-// overload and cuts the speculation budget so the root chain gets the
+// overload and cuts the lookahead horizon so the root chain gets the
 // cycles; and on a shared runtime the admission arbiter boosts the
 // query's processor share (up to 4x its weight) while the SLO is
 // missed. Setting a target opts the query into arbitration even without
