@@ -97,10 +97,9 @@ func (cl *Cluster) Close() error { return cl.c.Close() }
 // same query would deliver it.
 //
 // Options are the Runtime partition options
-// (WithShards/WithPartitionBy/WithPartitionByType). Node-local
-// execution policies — WithShedding, WithWeight, WithScheduler,
-// WithDurability — do not travel with a distributed query and are
-// rejected.
+// (WithShards/WithPartitionBy/WithPartitionByType). Only the query text
+// travels to the workers, which compile it with default settings, so
+// every other option is rejected with a *QueryError naming it.
 func (cl *Cluster) Submit(ctx context.Context, text string, sink Sink, opts ...Option) (*ClusterHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,15 +115,8 @@ func (cl *Cluster) Submit(ctx context.Context, text string, sink Sink, opts ...O
 	if cfg.Err != nil {
 		return nil, queryErr(q, cfg.Err)
 	}
-	switch {
-	case cfg.Shed:
-		return nil, queryErr(q, fmt.Errorf("WithShedding is node-local and does not apply to a distributed query"))
-	case cfg.Weight != 0:
-		return nil, queryErr(q, fmt.Errorf("WithWeight is node-local and does not apply to a distributed query"))
-	case cfg.SchedSet:
-		return nil, queryErr(q, fmt.Errorf("WithScheduler is node-local and does not apply to a distributed query"))
-	case cfg.Durable != nil:
-		return nil, queryErr(q, fmt.Errorf("distributed queries are durable on their workers; WithDurability does not apply"))
+	if opt := nodeLocalOption(&cfg); opt != "" {
+		return nil, queryErr(q, fmt.Errorf("%s does not apply to a distributed query: only WithShards, WithPartitionBy and WithPartitionByType travel to the workers", opt))
 	}
 
 	// No planner here: an unpinned shard count defaults to GOMAXPROCS,
@@ -151,6 +143,29 @@ func (cl *Cluster) Submit(ctx context.Context, text string, sink Sink, opts ...O
 	}
 	h.h = qh
 	return h, nil
+}
+
+// nodeLocalOption names the first option cfg carries that a distributed
+// submission cannot honour, or returns "" when only the partition options
+// are set.
+func nodeLocalOption(cfg *core.Config) string {
+	switch {
+	case cfg.Instances != 0:
+		return "WithInstances"
+	case cfg.BatchSize != 0:
+		return "WithBatchSize"
+	case cfg.QueueCap != 0:
+		return "WithQueueCap"
+	case cfg.Predictor != nil:
+		return "WithFixedProbability"
+	case cfg.PlanDisabled:
+		return "WithoutPlanner"
+	case cfg.Reg != nil:
+		return "WithRegistry"
+	case cfg.Shed:
+		return "WithShedding"
+	}
+	return ""
 }
 
 // ClusterHandle is one query submitted to a Cluster. Like a Runtime

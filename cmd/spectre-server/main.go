@@ -23,23 +23,17 @@
 // -pprof serves net/http/pprof (live CPU/heap/goroutine profiles of the
 // running runtime) on a separate address, e.g. -pprof localhost:6060,
 // plus /debug/spectre/metrics — a JSON snapshot of every live query's
-// runtime counters, including the scheduling control plane's signals
-// (current slot count, slot utilization, policy resizes, lookahead
-// horizon).
+// runtime counters (slot utilization, dependency-tree high-water mark,
+// root-emission lag, the evaluation plan).
 //
-// -sched selects the scheduling policy for every hosted query: "topk"
-// (the paper's fixed top-k, default), "fixed=<p>" (the Fig. 11
-// constant-probability baseline) or "adaptive" (slot pool and
-// lookahead horizon track observed load). -adaptive-instances and
-// -adaptive-speculation bound the adaptation as "min:max" pairs, the
-// latter in windows opened ahead of the oldest unfinished window.
+// Every shard runs -instances operator slots and looks ahead at most 4×
+// that many windows. -sched selects the completion predictor the slots
+// are filled by: "topk" (the paper's learned Markov model, default) or
+// "fixed=<p>" (the Fig. 11 constant-probability baseline).
 //
 // -shed enables utility-driven load shedding at every hosted query's
 // intake queues (bounded latency instead of blocked producers under
-// overload); -weight and -latency-target enroll the queries in the
-// cross-query admission arbiter, which splits the worker pool among
-// co-located queries by weight and boosts queries missing their
-// latency SLO.
+// overload).
 //
 // -state-dir makes every hosted query durable (DESIGN.md §11): the
 // ingest journal, root-pop cuts and emission watermarks persist to
@@ -110,27 +104,16 @@ type serverOpts struct {
 	quiet     bool
 	fallback  string // query text for clients that send no query frame
 	schedOpts []spectre.Option
-	shed      bool          // -shed: utility-driven load shedding
-	weight    float64       // -weight: admission-arbiter share (0 = unarbitrated)
-	latency   time.Duration // -latency-target: root-emission SLO (0 = none)
-	durable   bool          // -state-dir: WAL-backed query state + resume handshakes
+	shed      bool // -shed: utility-driven load shedding
+	durable   bool // -state-dir: WAL-backed query state + resume handshakes
 }
 
-// parseSchedFlags converts the -sched / -adaptive-* flags into engine
-// options. schedExplicit reports whether -sched was given on the
-// command line: the -adaptive-* bounds imply the adaptive policy, so
-// combining them with an explicitly different -sched is a
-// contradiction rejected at startup.
-func parseSchedFlags(sched string, schedExplicit bool, instances, speculation string) ([]spectre.Option, error) {
-	if schedExplicit && sched != "adaptive" && (instances != "" || speculation != "") {
-		return nil, fmt.Errorf("-sched %q contradicts -adaptive-instances/-adaptive-speculation (they imply -sched adaptive)", sched)
-	}
-	var opts []spectre.Option
+// parseSchedFlag converts -sched into engine options, rejecting an
+// unknown predictor at startup rather than per connection at Submit time.
+func parseSchedFlag(sched string) ([]spectre.Option, error) {
 	switch {
 	case sched == "" || sched == "topk":
-		opts = append(opts, spectre.WithScheduler(spectre.TopKScheduler()))
-	case sched == "adaptive":
-		opts = append(opts, spectre.WithScheduler(spectre.AdaptiveScheduler()))
+		return nil, nil
 	case strings.HasPrefix(sched, "fixed="):
 		p, err := strconv.ParseFloat(strings.TrimPrefix(sched, "fixed="), 64)
 		if err != nil {
@@ -139,35 +122,9 @@ func parseSchedFlags(sched string, schedExplicit bool, instances, speculation st
 		if !(p >= 0 && p <= 1) { // rejects NaN too
 			return nil, fmt.Errorf("-sched %q: probability must be in [0, 1]", sched)
 		}
-		opts = append(opts, spectre.WithScheduler(spectre.TopKScheduler()), spectre.WithFixedProbability(p))
-	default:
-		return nil, fmt.Errorf("-sched %q: want topk, fixed=<p> or adaptive", sched)
+		return []spectre.Option{spectre.WithFixedProbability(p)}, nil
 	}
-	bounds := func(flag, v string, opt func(min, max int) spectre.Option) error {
-		if v == "" {
-			return nil
-		}
-		lo, hi, ok := strings.Cut(v, ":")
-		min, err1 := strconv.Atoi(lo)
-		max, err2 := strconv.Atoi(hi)
-		if !ok || err1 != nil || err2 != nil {
-			return fmt.Errorf("%s %q: want min:max", flag, v)
-		}
-		// Reject invalid bounds at startup, not per connection at
-		// Submit time.
-		if min <= 0 || max < min {
-			return fmt.Errorf("%s %q: bounds must satisfy 1 <= min <= max", flag, v)
-		}
-		opts = append(opts, opt(min, max))
-		return nil
-	}
-	if err := bounds("-adaptive-instances", instances, spectre.WithAdaptiveInstances); err != nil {
-		return nil, err
-	}
-	if err := bounds("-adaptive-speculation", speculation, spectre.WithAdaptiveSpeculation); err != nil {
-		return nil, err
-	}
-	return opts, nil
+	return nil, fmt.Errorf("-sched %q: want topk or fixed=<p>", sched)
 }
 
 // liveQueries tracks the connections' handles for the metrics endpoint.
@@ -280,13 +237,9 @@ func run() error {
 		quiet        = flag.Bool("quiet", false, "suppress per-event output (throughput measurements)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline after SIGINT/SIGTERM")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and /debug/spectre/metrics on this address (e.g. localhost:6060); empty disables")
-		schedFlag    = flag.String("sched", "topk", "scheduling policy: topk, fixed=<p> or adaptive")
-		adaptInst    = flag.String("adaptive-instances", "", "adaptive slot-pool bounds as min:max (implies -sched adaptive)")
-		adaptSpec    = flag.String("adaptive-speculation", "", "adaptive lookahead-horizon bounds in windows as min:max (implies -sched adaptive)")
+		schedFlag    = flag.String("sched", "topk", "completion predictor that fills the slots: topk (learned Markov model) or fixed=<p> (constant probability p)")
 		shedFlag     = flag.Bool("shed", false, "shed lowest-utility events when a shard queue crosses its watermark instead of blocking")
 		stateDir     = flag.String("state-dir", "", "durable query state: per-shard WALs under this directory; restarted servers recover submitted queries and answer client resume handshakes")
-		weightFlag   = flag.Float64("weight", 0, "admission-arbiter weight for every hosted query (0 = unarbitrated)")
-		latencyFlag  = flag.Duration("latency-target", 0, "root-emission p99 latency SLO per query (0 = none; implies arbitration)")
 		workerMode   = flag.Bool("worker", false, "run as a cluster shard worker (requires -join; most other flags do not apply)")
 		joinAddr     = flag.String("join", "", "coordinator address to join in -worker mode")
 		capacityFlag = flag.Int("capacity", 0, "shard capacity advertised in -worker mode (0 = default)")
@@ -314,13 +267,7 @@ func run() error {
 		return fmt.Errorf("-join only applies in -worker mode")
 	}
 
-	schedExplicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sched" {
-			schedExplicit = true
-		}
-	})
-	schedOpts, err := parseSchedFlags(*schedFlag, schedExplicit, *adaptInst, *adaptSpec)
+	schedOpts, err := parseSchedFlag(*schedFlag)
 	if err != nil {
 		return err
 	}
@@ -346,8 +293,7 @@ func run() error {
 
 	opts := serverOpts{
 		instances: *instances, shards: *shards, quiet: *quiet, schedOpts: schedOpts,
-		shed: *shedFlag, weight: *weightFlag, latency: *latencyFlag,
-		durable: *stateDir != "",
+		shed: *shedFlag, durable: *stateDir != "",
 	}
 	if *queryFile != "" {
 		src, err := os.ReadFile(*queryFile)
@@ -640,12 +586,6 @@ func serveConn(ctx context.Context, rt *spectre.Runtime, conn net.Conn, id int, 
 	}
 	if opts.shed {
 		subOpts = append(subOpts, spectre.WithShedding())
-	}
-	if opts.weight > 0 {
-		subOpts = append(subOpts, spectre.WithWeight(opts.weight))
-	}
-	if opts.latency > 0 {
-		subOpts = append(subOpts, spectre.WithLatencyTarget(opts.latency))
 	}
 	matches := 0
 	h, err := rt.Submit(context.Background(), query, spectre.SinkFunc(func(ce spectre.ComplexEvent) {

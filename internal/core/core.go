@@ -37,7 +37,6 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/markov"
 	"github.com/spectrecep/spectre/internal/pattern"
-	"github.com/spectrecep/spectre/internal/sched"
 )
 
 // ErrOverloaded is the sentinel matched (via errors.Is) by every
@@ -84,20 +83,12 @@ type Config struct {
 	BatchSize int
 	// IngestBatch is the most events the splitter ingests per cycle
 	// (default 1024). Ingestion also stops, event by event, at the
-	// scheduling policy's lookahead horizon (sched.Decision.Horizon: 4·k
-	// windows under the default policy), unless the root window still
-	// lacks events.
+	// lookahead horizon of 4·Instances windows, unless the root window
+	// still lacks events.
 	IngestBatch int
-	// Sched selects the scheduling policy of every shard (how the slot
-	// pool and the lookahead horizon are sized at runtime). The zero
-	// value is the paper's static top-k policy with Instances slots and a
-	// horizon of 4·Instances windows.
-	Sched sched.Config
-	// SchedFactory overrides Sched with a custom per-shard policy
-	// (white-box tests and embedders). Each call must return a fresh
-	// instance: a policy is owned by one shard's splitter. The slot-pool
-	// ceiling still comes from Instances and Sched.MaxSlots.
-	SchedFactory func() sched.Policy
+	// horizon overrides the lookahead horizon in windows (0: 4·Instances);
+	// white-box tests sweep it.
+	horizon int
 	// Partition overrides the query's PARTITION BY specification. It is
 	// interpreted by the public Runtime layer (core itself never routes);
 	// a single Engine ignores it.
@@ -116,19 +107,10 @@ type Config struct {
 	// blocking Feed or failing TryFeed. Off by default — shedding trades
 	// completeness for bounded latency, which only the caller may decide.
 	Shed bool
-	// Weight is the query's share of a shared runtime's processors under
-	// the admission arbiter (WithWeight). 0 means the query does not
-	// opt into arbitration unless it sets a latency target.
-	Weight float64
 	// PlanDisabled skips the cost-based planner (internal/plan): the
 	// query executes verbatim as lowered by the builder. The planner is
 	// on by default; its rewrites are output-invariant.
 	PlanDisabled bool
-	// SchedSet records that the submitter pinned the scheduling policy
-	// explicitly (WithScheduler and friends). When false, the public
-	// runtime lets the planner pick Sched.Kind from the estimated
-	// per-event cost.
-	SchedSet bool
 	// Reg optionally resolves event-type names in plan explanations
 	// (plan.Explain / the metrics endpoint). Never read on the hot path.
 	Reg *event.Registry
@@ -189,7 +171,15 @@ func (c *Config) setDefaults() {
 	if c.QueueCap <= 0 {
 		c.QueueCap = defaultQueueCap
 	}
+	if c.horizon <= 0 {
+		c.horizon = horizonPerSlot * c.Instances
+	}
 }
+
+// horizonPerSlot is the lookahead horizon per operator instance: the
+// splitter keeps at most 4·k windows open past a complete root window
+// (DESIGN.md §4.3, §8).
+const horizonPerSlot = 4
 
 // Metrics exposes runtime counters. All fields are monotone totals
 // gathered during Run; read them with Engine.MetricsSnapshot.
@@ -225,12 +215,9 @@ type Metrics struct {
 	// Deprecated: always 0; every rollback restarts at the window start.
 	PartialRolls uint64
 
-	// Control-plane counters (the scheduling layer).
-	PolicyResizes    uint64 // slot-pool / lookahead-horizon resizes applied
-	SlotCyclesActive uint64 // Σ over cycles of the active (unparked) slot count
-	SlotCyclesBusy   uint64 // Σ over cycles of active slots holding an assignment
-	CurSlots         int    // current active slot count (gauge; Merge sums shards)
-	CurHorizon       int    // current lookahead horizon in windows (gauge; Merge sums shards)
+	// Slot occupancy, counted by every scheduling cycle.
+	SlotCyclesActive uint64 // Σ over cycles of the slot count k
+	SlotCyclesBusy   uint64 // Σ over cycles of slots holding an assignment
 
 	// Durability counters (WithDurability, DESIGN.md §11). All zero when
 	// no durable store is configured.
@@ -251,9 +238,9 @@ type Metrics struct {
 	EmitLagP99 float64
 }
 
-// SlotUtilization reports the cycle-weighted fraction of active slots
-// that held an assignment — the load signal the adaptive policy resizes
-// on. 1.0 means every unparked slot was busy every cycle.
+// SlotUtilization reports the cycle-weighted fraction of slots that held
+// an assignment when a scheduling cycle began. 1.0 means every slot was
+// busy every cycle.
 func (m *Metrics) SlotUtilization() float64 {
 	if m.SlotCyclesActive == 0 {
 		return 0
@@ -284,11 +271,8 @@ func (m *Metrics) Merge(o *Metrics) {
 		m.MaxTreeSize = o.MaxTreeSize
 	}
 	m.SchedulesIssued += o.SchedulesIssued
-	m.PolicyResizes += o.PolicyResizes
 	m.SlotCyclesActive += o.SlotCyclesActive
 	m.SlotCyclesBusy += o.SlotCyclesBusy
-	m.CurSlots += o.CurSlots
-	m.CurHorizon += o.CurHorizon
 	m.DurableAppends += o.DurableAppends
 	m.DurableSyncs += o.DurableSyncs
 	m.DurableErrors += o.DurableErrors

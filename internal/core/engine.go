@@ -17,7 +17,6 @@ import (
 	"github.com/spectrecep/spectre/internal/matcher"
 	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/internal/plan"
-	"github.com/spectrecep/spectre/internal/sched"
 	"github.com/spectrecep/spectre/internal/shed"
 	"github.com/spectrecep/spectre/internal/stats"
 	"github.com/spectrecep/spectre/internal/stream"
@@ -109,9 +108,6 @@ func (p *program) newPredictor() (markov.Predictor, error) {
 // slot is one operator-instance scheduling slot of a shard. The splitter
 // publishes the assigned window version through wv; whichever worker
 // claims busy processes the next batch with the slot's scratch state.
-//
-// The slot pool is resizable: only the first activeSlots slots take
-// assignments; pool workers skip the parked ones entirely.
 type slot struct {
 	wv   atomic.Pointer[deptree.WindowVersion]
 	busy atomic.Bool
@@ -133,23 +129,10 @@ type shardState struct {
 	pred     markov.Predictor
 
 	fq    feedbackQueue
-	slots []slot // capacity: the config's slot ceiling
+	slots []slot // k = Config.Instances
 	// assigned mirrors the slots for the splitter's bookkeeping (Fig. 7).
 	assigned []*deptree.WindowVersion
-	// activeSlots is the effective slot-pool size k; slots beyond it are
-	// parked. Written by the splitter (policy decisions), read by pool
-	// workers.
-	activeSlots atomic.Int32
-	// policy is the scheduling policy (splitter only).
-	policy sched.Policy
-	// horizon is the policy's lookahead horizon in windows (splitter
-	// only): see lookaheadFull.
-	horizon int
-	// rollbacks duplicates the metrics counter as a cheap atomic for the
-	// per-cycle policy signals (instances write, the splitter reads).
-	rollbacks    atomic.Uint64
-	lastSelected int   // versions handed out by the previous Select (splitter only)
-	freeBuf      []int // schedule() scratch (splitter only)
+	freeBuf  []int // schedule() scratch (splitter only)
 
 	cgSeq      atomic.Uint64
 	versionSeq uint64 // splitter only
@@ -163,6 +146,9 @@ type shardState struct {
 	windowsOpened   atomic.Uint64
 	versionsCreated atomic.Uint64
 	versionsDropped atomic.Uint64
+	// maxTreeSize publishes the tree's version high-water mark once per
+	// splitter cycle, so a live query reports it.
+	maxTreeSize atomic.Int64
 	// shedIn counts events the load shedder dropped for this shard
 	// (incremented by the feeding side, folded into snapshots).
 	shedIn atomic.Uint64
@@ -230,22 +216,21 @@ type shardState struct {
 	split   *worker // splitter-side worker for inline reprocessing
 }
 
-// newShard builds one shard of prog. ctl is the shard's admission-
-// arbiter handle (nil for unarbitrated queries).
-func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
+// newShard builds one shard of prog.
+func newShard(prog *program) (*shardState, error) {
 	pred, err := prog.newPredictor()
 	if err != nil {
 		return nil, err
 	}
-	ceiling := prog.cfg.Sched.SlotCeiling(prog.cfg.Instances)
+	k := prog.cfg.Instances
 	s := &shardState{
 		prog:     prog,
 		ar:       arena.New(),
 		consumed: arena.NewConsumedSet(),
 		winMgr:   window.NewManager(prog.query.Window),
 		pred:     pred,
-		slots:    make([]slot, ceiling),
-		assigned: make([]*deptree.WindowVersion, ceiling),
+		slots:    make([]slot, k),
+		assigned: make([]*deptree.WindowVersion, k),
 		done:     make(chan struct{}),
 	}
 	s.lagP50.Q = 0.5
@@ -253,22 +238,6 @@ func newShard(prog *program, ctl *sched.ShardCtl) (*shardState, error) {
 	for i := range s.slots {
 		s.slots[i].w = newWorker(s)
 	}
-	if prog.cfg.SchedFactory != nil {
-		s.policy = prog.cfg.SchedFactory()
-	} else {
-		// The shard's own Config copy carries its arbiter handle; prog is
-		// shared across shards and stays immutable.
-		sc := prog.cfg.Sched
-		sc.Ctl = ctl
-		s.policy = sc.New(prog.cfg.Instances)
-	}
-	start := prog.cfg.Sched.Initial(prog.cfg.Instances)
-	s.activeSlots.Store(int32(start.Slots))
-	s.horizon = start.Horizon
-	s.metrics.add(func(m *Metrics) {
-		m.CurSlots = start.Slots
-		m.CurHorizon = start.Horizon
-	})
 	s.tree = deptree.NewTree(s.newVersion)
 	s.tree.OnDrop = func(*deptree.WindowVersion) { s.versionsDropped.Add(1) }
 	s.split = newWorker(s)
@@ -320,11 +289,10 @@ func (s *shardState) splitterStep() bool {
 }
 
 // step is one pool-worker visit: the splitter cycle if unclaimed, then one
-// batch on every active slot. Only the active prefix of the slot pool
-// takes assignments; parked slots are skipped entirely (zero wake-ups).
+// batch on every slot.
 func (s *shardState) step() bool {
 	worked := s.splitterStep()
-	for i, n := 0, int(s.activeSlots.Load()); i < n; i++ {
+	for i := range s.slots {
 		if s.slotStep(i) {
 			worked = true
 		}
@@ -332,17 +300,15 @@ func (s *shardState) step() bool {
 	return worked
 }
 
-// splitCycle is one splitter maintenance+scheduling cycle: size the
-// cycle (the policy's decision), ingest up to the lookahead horizon,
-// apply feedback, advance roots, schedule.
+// splitCycle is one splitter maintenance+scheduling cycle: ingest up to
+// the lookahead horizon, apply feedback, advance roots, schedule.
 func (s *shardState) splitCycle() bool {
-	if s.cancelled.Load() {
-		// Aborted: emit nothing more; the caller's runComplete check
-		// finishes the run.
+	if s.stopped() {
+		// Aborted or parked: emit and persist nothing more; the caller's
+		// runComplete check finishes the run.
 		return false
 	}
 	worked := false
-	active, busy := s.tune()
 
 	if !s.inputDone.Load() && s.ingest() > 0 {
 		worked = true
@@ -359,18 +325,29 @@ func (s *shardState) splitCycle() bool {
 	if s.advanceRoots() {
 		worked = true
 	}
+	s.maxTreeSize.Store(int64(s.tree.MaxSize()))
 
-	s.schedule(active, busy)
+	s.schedule()
 	return worked
 }
 
 // runComplete reports whether the shard has fully processed its stream —
-// or was cancelled, in which case the remaining tree state is abandoned.
+// or was stopped, in which case the remaining tree state is abandoned (or,
+// parked, left to the WAL).
 func (s *shardState) runComplete() bool {
-	if s.cancelled.Load() || s.parked.Load() {
+	if s.stopped() {
 		return true
 	}
 	return s.inputDone.Load() && s.tree.Empty() && s.fq.empty()
+}
+
+// stopped reports whether the run was cancelled or parked. Neither is end
+// of stream: inputDone stays false, so no window is truncated at the
+// current stream length, finished by a slot or popped on its account — a
+// parked shard's cut would otherwise move past windows recovery never
+// re-forms.
+func (s *shardState) stopped() bool {
+	return s.cancelled.Load() || s.parked.Load()
 }
 
 // cancel requests an abort: the next splitter cycle observes it, skips
@@ -379,7 +356,6 @@ func (s *shardState) runComplete() bool {
 func (s *shardState) cancel() {
 	if s.cancelled.CompareAndSwap(false, true) {
 		s.queue.discard()
-		s.inputDone.Store(true)
 	}
 }
 
@@ -394,15 +370,12 @@ func (s *shardState) cancel() {
 func (s *shardState) park() {
 	if s.parked.CompareAndSwap(false, true) {
 		s.queue.discard()
-		s.inputDone.Store(true)
 	}
 }
 
-// finishRun finalizes metrics, clears the scheduling slots and publishes
-// completion. Called exactly once, by whoever drives the final splitter
-// cycle.
+// finishRun clears the scheduling slots and publishes completion. Called
+// exactly once, by whoever drives the final splitter cycle.
 func (s *shardState) finishRun() {
-	s.metrics.add(func(m *Metrics) { m.MaxTreeSize = s.tree.MaxSize() })
 	for i := range s.slots {
 		s.slots[i].wv.Store(nil)
 	}
@@ -430,11 +403,11 @@ func (s *shardState) rootNeedsIngest() bool {
 
 // lookaheadFull reports whether ingestion must pause: the root window has
 // all its events and the splitter has opened the horizon's worth of
-// windows, counted from the root window. What is left stays in the shard
-// queue, where it costs no window versions; every further window would
-// attach a version at every leaf of the tree.
+// windows (4·k), counted from the root window. What is left stays in the
+// shard queue, where it costs no window versions; every further window
+// would attach a version at every leaf of the tree.
 func (s *shardState) lookaheadFull() bool {
-	return !s.rootNeedsIngest() && s.lookahead() >= s.horizon
+	return !s.rootNeedsIngest() && s.lookahead() >= s.prog.cfg.horizon
 }
 
 // lookahead is the number of windows opened counted from the root window
@@ -456,7 +429,9 @@ func (s *shardState) ingest() int {
 	for ; n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); n++ {
 		ev, ok, done := s.queue.next()
 		if !ok {
-			if done {
+			// A queue a stop discarded is closed too, but only Close ends
+			// the stream.
+			if done && !s.stopped() {
 				s.winMgr.Finish(s.ar.Len())
 				s.inputDone.Store(true)
 			}
@@ -803,38 +778,17 @@ func (s *shardState) drainOutputs(wv *deptree.WindowVersion) bool {
 	return true
 }
 
-// tune feeds the cycle's signals to the policy and applies its sizing
-// decision — the slot pool and the lookahead horizon — before the cycle
-// ingests anything. It returns the pre-resize active and busy slot
-// counts, which the cycle's utilization counters keep so busy/active
-// stays a true fraction even on resize cycles.
-func (s *shardState) tune() (active, busy int) {
-	active = int(s.activeSlots.Load())
-	for i := 0; i < active; i++ {
-		if s.assigned[i] != nil {
+// schedule walks the tree for the top-k window versions under the
+// predictor and assigns the difference to the k slots (paper Fig. 7:
+// already-scheduled versions stay put).
+func (s *shardState) schedule() {
+	k := len(s.slots)
+	busy := 0
+	for _, cur := range s.assigned {
+		if cur != nil {
 			busy++
 		}
 	}
-	s.applyDecision(s.policy.Tune(sched.Signals{
-		SlotsActive: active,
-		SlotsBusy:   busy,
-		Selected:    s.lastSelected,
-		QueueDepth:  s.queue.depth(),
-		QueueCap:    s.prog.cfg.QueueCap,
-		TreeSize:    s.tree.Size(),
-		Lookahead:   s.lookahead(),
-		Rollbacks:   s.rollbacks.Load(),
-		EmitLagP99:  s.lagP99.Value(),
-	}))
-	return active, busy
-}
-
-// schedule walks the tree for the top-k window versions under the
-// predictor and assigns the difference to the active slots (paper Fig. 7:
-// already-scheduled versions stay put). sigActive and busy are the
-// cycle's tune counts.
-func (s *shardState) schedule(sigActive, busy int) {
-	active := int(s.activeSlots.Load())
 
 	arenaLen := s.ar.Len()
 	avgSize := s.winMgr.AvgSize()
@@ -868,9 +822,9 @@ func (s *shardState) schedule(sigActive, busy int) {
 		// its input but still needs one scheduling round to run its
 		// window-end logic. Normally processSpan finishes such a version
 		// in the same batch that reaches the boundary, but a version
-		// released by a slot-pool shrink (its slot withdrawn before the
-		// next batch ran) can be stranded there; without this clause the
-		// root chain would deadlock.
+		// whose slot was withdrawn between batches (it fell out of the
+		// top-k) can be stranded there; without this clause the root
+		// chain would deadlock.
 		if end != window.UnknownEnd && pos >= end {
 			return true
 		}
@@ -880,27 +834,16 @@ func (s *shardState) schedule(sigActive, busy int) {
 		return inputDone && pos >= arenaLen
 	}
 
-	s.topkBuf = s.tree.TopK(active, probOf, eligible, s.topkBuf[:0])
-	s.lastSelected = len(s.topkBuf)
+	s.topkBuf = s.tree.TopK(k, probOf, eligible, s.topkBuf[:0])
 	s.schedMark++
 
 	for _, wv := range s.topkBuf {
 		wv.SchedMark = s.schedMark
 	}
 	// First pass: free slots whose assignment fell out of the top-k (or
-	// was dropped/finished), and strip assignments from slots a shrink
-	// parked — their versions must be free for re-assignment to an
-	// active slot.
+	// was dropped/finished).
 	free := s.freeBuf[:0]
 	for i, cur := range s.assigned {
-		if i >= active {
-			if cur != nil {
-				cur.SetScheduledOn(-1)
-				s.slots[i].wv.Store(nil)
-				s.assigned[i] = nil
-			}
-			continue
-		}
 		if cur == nil {
 			free = append(free, i)
 			continue
@@ -929,48 +872,18 @@ func (s *shardState) schedule(sigActive, busy int) {
 	}
 	s.freeBuf = free[:0]
 	// One metrics acquisition per cycle: the cycle counter rides along
-	// with the control-plane counters.
+	// with the slot-occupancy counters.
 	s.metrics.add(func(m *Metrics) {
 		m.Cycles++
 		m.SchedulesIssued += uint64(scheduled)
-		m.SlotCyclesActive += uint64(sigActive)
+		m.SlotCyclesActive += uint64(k)
 		m.SlotCyclesBusy += uint64(busy)
 	})
 }
 
-// applyDecision resizes the slot pool and the lookahead horizon to the
-// policy's decision. Splitter only.
-func (s *shardState) applyDecision(dec sched.Decision) {
-	resized := false
-	// Decisions are clamped, not rejected: a policy asking for more
-	// slots than the pool ceiling gets the ceiling.
-	n := dec.Slots
-	if n < 1 {
-		n = 1
-	} else if n > len(s.slots) {
-		n = len(s.slots)
-	}
-	if n != int(s.activeSlots.Load()) {
-		s.activeSlots.Store(int32(n))
-		resized = true
-	}
-	if h := max(dec.Horizon, 1); h != s.horizon {
-		s.horizon = h
-		resized = true
-	}
-	if resized {
-		cur, h := int(s.activeSlots.Load()), s.horizon
-		s.metrics.add(func(m *Metrics) {
-			m.PolicyResizes++
-			m.CurSlots = cur
-			m.CurHorizon = h
-		})
-	}
-}
-
 // Engine is the SPECTRE runtime for a single query over a single stream:
 // a one-shard Handle on a private Runtime whose pool has one worker per
-// role of the paper's Fig. 8 — the splitter plus the slot ceiling. The
+// role of the paper's Fig. 8 — the splitter plus the k slots. The
 // query's PARTITION BY clause is ignored: an engine sees one substream.
 // Multi-query, key-partitioned deployments Submit to a shared Runtime
 // instead.
@@ -1010,13 +923,9 @@ func (e *Engine) Run(ctx context.Context, src stream.Source, emit func(event.Com
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	cfg := &e.prog.cfg
-	rt := NewRuntime(RuntimeConfig{Workers: cfg.Sched.SlotCeiling(cfg.Instances) + 1})
+	rt := NewRuntime(RuntimeConfig{Workers: e.prog.cfg.Instances + 1})
 	defer rt.Close()
-	// No arbiter registration: an engine shares its pool with nobody, so
-	// the adaptive policy keeps the machine's Procs ceiling, and a latency
-	// target only cuts the lookahead horizon.
-	h, err := rt.start(e.prog, nil, nil, 1, emit, nil)
+	h, err := rt.start(e.prog, nil, 1, emit, nil)
 	if err != nil {
 		return err
 	}
@@ -1049,6 +958,7 @@ func (s *shardState) metricsSnapshot() Metrics {
 	m.WindowsOpened = s.windowsOpened.Load()
 	m.VersionsCreated = s.versionsCreated.Load()
 	m.VersionsDropped = s.versionsDropped.Load()
+	m.MaxTreeSize = int(s.maxTreeSize.Load())
 	m.FilteredEvents = s.filteredIn.Load()
 	m.ShedEvents = s.shedIn.Load()
 	m.EmitLagP50 = math.Float64frombits(s.lagP50Bits.Load())

@@ -12,17 +12,9 @@ import (
 	"github.com/spectrecep/spectre/internal/parser"
 	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/internal/queries"
-	"github.com/spectrecep/spectre/internal/sched"
 	"github.com/spectrecep/spectre/internal/stream"
 	"github.com/spectrecep/spectre/internal/window"
 )
-
-// horizonPolicy pins k slots and a lookahead horizon of h windows.
-func horizonPolicy(k, h int) func() sched.Policy {
-	return func() sched.Policy {
-		return policyFunc(func() sched.Decision { return sched.Decision{Slots: k, Horizon: h} })
-	}
-}
 
 // riseQuery is the README quickstart query (PARTITION BY is ignored by a
 // single shard).
@@ -73,7 +65,7 @@ func checkHorizon(s *shardState, h int) error {
 }
 
 // driveShard runs one shard single-threaded — splitter cycle, then one
-// batch per active slot, over and over — checking the lookahead bound
+// batch per slot, over and over — checking the lookahead bound
 // after every splitter cycle, and returns the emitted matches.
 func driveShard(t *testing.T, q *pattern.Query, events []event.Event, cfg Config, h int, deadline time.Duration) []event.Complex {
 	t.Helper()
@@ -81,7 +73,7 @@ func driveShard(t *testing.T, q *pattern.Query, events []event.Event, cfg Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newShard(prog, nil)
+	s, err := newShard(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +104,8 @@ func driveShard(t *testing.T, q *pattern.Query, events []event.Event, cfg Config
 }
 
 // TestHorizonSweep drives the README rise query and small Q1/Q2/Q3
-// workloads through a policy pinning the lookahead horizon at 1, 2, k,
-// 4k and 64k windows. Every row must reach the end of the stream within
+// workloads with the lookahead horizon pinned at 1, 2, k, 4k (the
+// default) and 64k windows. Every row must reach the end of the stream within
 // its deadline with output equal to the sequential engine's, both
 // single-threaded with the bound checked after every splitter cycle and
 // as a concurrent Engine.
@@ -156,7 +148,7 @@ func TestHorizonSweep(t *testing.T) {
 		}
 		for _, h := range []int{1, 2, k, 4 * k, 64 * k} {
 			t.Run(fmt.Sprintf("%s/H=%d", wl.label, h), func(t *testing.T) {
-				cfg := Config{Instances: k, BatchSize: 32, IngestBatch: 64, SchedFactory: horizonPolicy(k, h)}
+				cfg := Config{Instances: k, BatchSize: 32, IngestBatch: 64, horizon: h}
 				got := driveShard(t, wl.q, wl.events, cfg, h, 60*time.Second)
 				assertSameOutput(t, "single-threaded", got, want)
 
@@ -173,9 +165,6 @@ func TestHorizonSweep(t *testing.T) {
 					t.Fatalf("engine: %v", err)
 				}
 				assertSameOutput(t, "engine", got, want)
-				if m := eng.MetricsSnapshot(); m.CurHorizon != h {
-					t.Fatalf("CurHorizon = %d, want %d", m.CurHorizon, h)
-				}
 			})
 		}
 	}
@@ -212,7 +201,7 @@ func TestStaleGroupNeverStallsRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newShard(prog, nil)
+	s, err := newShard(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,13 +373,11 @@ func (w *worker) consistencyCheck(wv *deptree.WindowVersion) bool {
 // groups are resolved as abandoned; the splitter rebuilds the dependent
 // subtree on the rollback message.
 func (w *worker) rollback(wv *deptree.WindowVersion) {
-	s := w.s
 	w.restart(wv)
 	clear(w.stats)
 	w.statsSet = 0
 	w.msgs = append(w.msgs, msg{kind: msgRolledBack, wv: wv})
-	s.rollbacks.Add(1)
-	s.metrics.add(func(m *Metrics) { m.Rollbacks++ })
+	w.s.metrics.add(func(m *Metrics) { m.Rollbacks++ })
 }
 
 // restart resets wv to its window start — the one reset path of

@@ -15,7 +15,6 @@ import (
 // whichever shard has work without any per-engine goroutines. With no
 // shards attached, workers park until the next Attach.
 type Pool struct {
-	n      int
 	mu     sync.Mutex // guards writes to the shard list and the park cond
 	parked sync.Cond  // signalled on Attach and Close
 	shards atomic.Pointer[[]*shardState]
@@ -28,7 +27,7 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{n: n}
+	p := &Pool{}
 	p.parked.L = &p.mu
 	empty := make([]*shardState, 0)
 	p.shards.Store(&empty)
@@ -38,9 +37,6 @@ func NewPool(n int) *Pool {
 	}
 	return p
 }
-
-// Workers returns the number of pool workers.
-func (p *Pool) Workers() int { return p.n }
 
 // Attach adds shards to the pool's scan list (copy-on-write, so workers
 // never observe a partially updated slice) and wakes parked workers.

@@ -147,8 +147,8 @@ func (q *shardQueue) discard() {
 	q.mu.Unlock()
 }
 
-// depth reports the pending backlog — the queue-pressure signal of the
-// scheduling control plane.
+// depth reports the pending backlog — the load shedder's queue-pressure
+// signal.
 func (q *shardQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/internal/queries"
+	"github.com/spectrecep/spectre/internal/window"
 )
 
 // recoveryFixture builds a deterministic Q1-over-NYSE workload small
@@ -209,5 +210,76 @@ func TestDurableMetrics(t *testing.T) {
 	}
 	if err := rt.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParkIsNotEndOfStream: parking a shard — a durable query's detach —
+// leaves its in-flight windows for the WAL to resume. Neither the splitter
+// nor a slot may take the park for end of stream: truncate a window still
+// waiting for events at the current stream length, finish it, or pop it.
+// Each would let the persisted cut move past a window that recovery then
+// never re-forms. The interleaving is the one a concurrent Shutdown can
+// produce: the park lands while the splitter is inside ingest, and a pool
+// worker visits the slots before the splitter's last cycle.
+func TestParkIsNotEndOfStream(t *testing.T) {
+	reg := event.NewRegistry()
+	ta, tb := reg.TypeID("A"), reg.TypeID("B")
+	p := pattern.Seq("park",
+		pattern.Step{Name: "A", Types: []event.Type{ta}, Consume: true},
+		pattern.Step{Name: "B", Types: []event.Type{tb}, Consume: true},
+	)
+	q := &pattern.Query{
+		Name:    "park",
+		Pattern: *p,
+		Window: pattern.WindowSpec{
+			StartKind: pattern.StartEvery, Every: 64,
+			EndKind: pattern.EndDuration, Duration: 1000,
+		},
+	}
+	prog, err := compile(q, Config{Instances: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newShard(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := newShardQueue(1024)
+	s.begin(queue, nil)
+	const fed = 40 // the first window's end lies 1000 time units out
+	for i := 0; i < fed; i++ {
+		if err := queue.push(t.Context(), event.Event{TS: int64(i), Type: ta}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if r := s.tree.Root(); r != nil && r.WV.Pos() == fed {
+			break
+		}
+		s.step()
+	}
+	root := s.tree.Root()
+	if root == nil || root.WV.Pos() != fed {
+		t.Fatal("the first window never processed the fed events")
+	}
+	wv := root.WV
+
+	s.park()
+	s.ingest()
+	for i := range s.slots {
+		s.slotStep(i)
+	}
+	s.splitterStep()
+	if !s.finished.Load() {
+		t.Fatal("the parked shard did not finish its run")
+	}
+	if end := wv.Win.EndSeq(); end != window.UnknownEnd {
+		t.Fatalf("the park truncated the in-flight window at %d", end)
+	}
+	if wv.Finished() {
+		t.Fatal("a slot finished a window that was still waiting for events")
+	}
+	if r := s.tree.Root(); r == nil || r.WV != wv {
+		t.Fatal("the splitter popped the in-flight window")
 	}
 }

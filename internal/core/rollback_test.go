@@ -35,7 +35,7 @@ func rollShard(t *testing.T) (*shardState, *deptree.WindowVersion, *deptree.CG) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newShard(prog, nil)
+	s, err := newShard(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

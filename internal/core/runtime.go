@@ -12,7 +12,6 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/internal/plan"
-	"github.com/spectrecep/spectre/internal/sched"
 	"github.com/spectrecep/spectre/internal/shed"
 	"github.com/spectrecep/spectre/internal/stream"
 )
@@ -56,7 +55,6 @@ func (c *RuntimeConfig) SetError(err error) {
 // instead of k goroutines per engine.
 type Runtime struct {
 	pool    *Pool
-	arb     *sched.Arbiter
 	durable durable.Store // default store inherited by submissions
 	mu      sync.Mutex
 	closed  bool
@@ -65,8 +63,7 @@ type Runtime struct {
 
 // NewRuntime starts a runtime with its own worker pool.
 func NewRuntime(cfg RuntimeConfig) *Runtime {
-	pool := NewPool(cfg.Workers)
-	return &Runtime{pool: pool, arb: sched.NewArbiter(pool.Workers()), durable: cfg.Durable}
+	return &Runtime{pool: NewPool(cfg.Workers), durable: cfg.Durable}
 }
 
 // Handle is one submitted query: the routing function, its shards and the
@@ -103,10 +100,6 @@ type Handle struct {
 	sheds       bool
 	shedScratch []uint64 // FeedBatch per-shard shed counts
 	depthBase   []int    // FeedBatch per-shard queue-depth snapshot
-
-	// qc is the query's admission-arbiter registration (nil unless the
-	// submitter set a weight or latency target); released on drain.
-	qc *sched.QueryCtl
 }
 
 // Submit compiles q and starts nShards independent shard states on the
@@ -141,22 +134,14 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 			return nil, errors.New("core: durability requires Config.Reg (WAL records carry the registry's name tables)")
 		}
 	}
-	// A weight or latency target opts the query into the cross-query
-	// admission arbiter; unarbitrated queries keep the historical
-	// whole-machine Procs ceiling.
-	var qc *sched.QueryCtl
-	if prog.cfg.Weight > 0 || prog.cfg.Sched.LatencyTarget > 0 {
-		qc = rt.arb.Register(q.Name, prog.cfg.Weight, prog.cfg.Sched.LatencyTarget, nShards)
-	}
-	return rt.start(prog, qc, route, nShards, emit, onDrain)
+	return rt.start(prog, route, nShards, emit, onDrain)
 }
 
 // start builds the handle of a compiled query — shards, queues, WAL
-// attachment — and attaches its shards to the pool. qc is the query's
-// arbiter registration (nil: unarbitrated); the handle owns it from here.
-func (rt *Runtime) start(prog *program, qc *sched.QueryCtl, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
+// attachment — and attaches its shards to the pool.
+func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
 	name := prog.query.Name
-	h := &Handle{rt: rt, name: name, route: route, onDrain: onDrain, qc: qc}
+	h := &Handle{rt: rt, name: name, route: route, onDrain: onDrain}
 	h.plan = prog.plan
 	if h.intake = prog.stamped && !prog.cfg.PreStamped; h.intake {
 		h.stamp = make([]uint64, nShards)
@@ -166,13 +151,9 @@ func (rt *Runtime) start(prog *program, qc *sched.QueryCtl, route func(*event.Ev
 	if emit == nil {
 		emit = func(event.Complex) {}
 	}
-	// release undoes a partially built handle: the arbiter registration
-	// and any persisters already running (their WAL shard locks must be
-	// freed for a retry).
+	// release undoes a partially built handle: any persisters already
+	// running (their WAL shard locks must be freed for a retry).
 	release := func() {
-		if h.qc != nil {
-			h.qc.Release()
-		}
 		for _, s := range h.shards {
 			if s.persist != nil {
 				s.persist.shutdown()
@@ -180,11 +161,7 @@ func (rt *Runtime) start(prog *program, qc *sched.QueryCtl, route func(*event.Ev
 		}
 	}
 	for i := 0; i < nShards; i++ {
-		var ctl *sched.ShardCtl
-		if h.qc != nil {
-			ctl = h.qc.Shard(i)
-		}
-		s, err := newShard(prog, ctl)
+		s, err := newShard(prog)
 		if err != nil {
 			release()
 			return nil, err
@@ -658,9 +635,6 @@ func (h *Handle) Wait() {
 // forget drops a fully drained handle from the runtime's bookkeeping so
 // long-lived servers do not accumulate dead queries.
 func (rt *Runtime) forget(h *Handle) {
-	if h.qc != nil {
-		h.qc.Release()
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for i, cur := range rt.handles {

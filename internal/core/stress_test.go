@@ -89,7 +89,7 @@ func TestTinyTreeBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runSequential(t, q, events)
-	got, eng := runSpectre(t, q, events, Config{Instances: 3, SchedFactory: horizonPolicy(3, 1)})
+	got, eng := runSpectre(t, q, events, Config{Instances: 3, horizon: 1})
 	assertSameOutput(t, "backpressure", got, want)
 	if m := eng.MetricsSnapshot(); m.EventsIngested != uint64(len(events)) {
 		t.Fatal("backpressure must not lose events")

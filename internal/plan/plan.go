@@ -25,9 +25,8 @@
 //     live traffic) so the most selective conjunct short-circuits the
 //     rest. Reordering is legal because conjunct predicates are pure.
 //
-//  3. Plan-driven configuration. When the submitter pinned neither, the
-//     public runtime picks the shard count and the scheduler policy
-//     (sched.TopK vs sched.Adaptive) from the plan's estimated
+//  3. Plan-driven configuration. When the submitter pinned none, the
+//     public runtime picks the shard count from the plan's estimated
 //     per-event cost (see Estimate).
 //
 // A Plan is an explicit, inspectable value: Explain returns a
@@ -45,7 +44,6 @@ import (
 
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/pattern"
-	"github.com/spectrecep/spectre/internal/sched"
 	"github.com/spectrecep/spectre/internal/stats"
 )
 
@@ -91,9 +89,7 @@ type Plan struct {
 
 	// Deployment facts, recorded by the submitter for Explain/Info.
 	shards    int
-	policy    string
 	autoShard bool
-	autoSched bool
 
 	filtered atomic.Uint64 // events dropped by the intake prefilter
 }
@@ -364,14 +360,12 @@ func (p *Plan) CountFiltered(n uint64) { p.filtered.Add(n) }
 // Filtered returns the cumulative intake-dropped event count.
 func (p *Plan) Filtered() uint64 { return p.filtered.Load() }
 
-// SetDeployment records the submission-time configuration choices so
-// Explain/Info can report them. auto marks values the planner chose
-// (rather than the submitter pinning them).
-func (p *Plan) SetDeployment(shards int, policy sched.Kind, autoShards, autoSched bool) {
+// SetDeployment records the submission-time shard count so Explain/Info
+// can report it. autoShards marks a count the planner chose (rather than
+// the submitter pinning it).
+func (p *Plan) SetDeployment(shards int, autoShards bool) {
 	p.shards = shards
-	p.policy = policy.String()
 	p.autoShard = autoShards
-	p.autoSched = autoSched
 }
 
 // Estimate returns the static cost estimate the plan was built from.
@@ -429,8 +423,6 @@ type Info struct {
 	Steps           []StepInfo `json:"steps,omitempty"`
 	Shards          int        `json:"shards,omitempty"`
 	AutoShards      bool       `json:"auto_shards,omitempty"`
-	Scheduler       string     `json:"scheduler,omitempty"`
-	AutoScheduler   bool       `json:"auto_scheduler,omitempty"`
 	PerEventCost    float64    `json:"per_event_cost"`
 	FilteredEvents  uint64     `json:"filtered_events"`
 }
@@ -445,8 +437,6 @@ func (p *Plan) Info() Info {
 		RelevantTypes:   p.relevantTypeNames(),
 		Shards:          p.shards,
 		AutoShards:      p.autoShard,
-		Scheduler:       p.policy,
-		AutoScheduler:   p.autoSched,
 		PerEventCost:    p.est.PerEventCost,
 		FilteredEvents:  p.filtered.Load(),
 	}
@@ -493,9 +483,6 @@ func (p *Plan) Explain() string {
 	}
 	if info.Shards > 0 {
 		fmt.Fprintf(&b, "  shards: %d%s\n", info.Shards, autoMark(info.AutoShards))
-	}
-	if info.Scheduler != "" {
-		fmt.Fprintf(&b, "  scheduler: %s%s\n", info.Scheduler, autoMark(info.AutoScheduler))
 	}
 	return b.String()
 }
@@ -696,8 +683,7 @@ func cloneStep(st *pattern.Step) {
 }
 
 // Estimate is the static cost model: rough per-event work units used to
-// choose the shard count and scheduler policy when the submitter pinned
-// neither. Units are arbitrary but monotone in real cost (one type
+// choose the shard count when the submitter pinned none. Units are arbitrary but monotone in real cost (one type
 // check ~ 1, one conjunct ~ 1, Kleene and set steps amplify).
 type Estimate struct {
 	Steps        int     `json:"steps"`
@@ -707,13 +693,10 @@ type Estimate struct {
 	// RecommendedShards caps the shard fan-out for cheap queries, where
 	// scatter overhead dominates matching work.
 	RecommendedShards int `json:"recommended_shards"`
-	// RecommendedSched is Adaptive for expensive queries (runtime
-	// resizing pays off) and TopK — the paper's fixed walk — otherwise.
-	RecommendedSched sched.Kind `json:"-"`
 }
 
-// costly is the per-event cost above which Adaptive scheduling and full
-// shard fan-out are recommended.
+// costly is the per-event cost above which full shard fan-out is
+// recommended.
 const costly = 8
 
 // EstimateQuery computes the static cost estimate for q without
@@ -743,10 +726,8 @@ func EstimateQuery(q *pattern.Query) Estimate {
 	procs := defaultProcs()
 	if est.PerEventCost >= costly {
 		est.RecommendedShards = procs
-		est.RecommendedSched = sched.Adaptive
 	} else {
 		est.RecommendedShards = max(1, procs/2)
-		est.RecommendedSched = sched.TopK
 	}
 	return est
 }

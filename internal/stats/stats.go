@@ -5,10 +5,9 @@ package stats
 
 import "math"
 
-// EWMA is an exponentially weighted moving average with the same
-// fixed-alpha update idiom as the scheduler's adaptive controller
-// (internal/sched). The zero value is unseeded: the first observation
-// becomes the average directly, so estimates are unbiased at startup.
+// EWMA is an exponentially weighted moving average with a fixed alpha.
+// The zero value is unseeded: the first observation becomes the average
+// directly, so estimates are unbiased at startup.
 type EWMA struct {
 	Alpha  float64 // per-observation smoothing weight, (0, 1]
 	val    float64

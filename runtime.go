@@ -199,24 +199,12 @@ func (rt *Runtime) Submit(ctx context.Context, q *Query, sink Sink, opts ...Opti
 		cfg.Reg = rt.reg
 	}
 
-	// Plan-driven deployment: unless pinned by explicit options, the shard
-	// count and scheduling policy follow the query's estimated per-event
-	// cost.
-	var est plan.Estimate
-	autoSched := false
-	if !cfg.PlanDisabled {
-		est = plan.EstimateQuery(q)
-		if !cfg.SchedSet {
-			cfg.Sched.Kind = est.RecommendedSched
-			autoSched = true
-		}
-	}
-
-	// When neither WithShards nor the query pins a count: the planner's
-	// recommendation when available, GOMAXPROCS otherwise.
+	// Plan-driven deployment: when neither WithShards nor the query pins a
+	// count, the shard count follows the query's estimated per-event cost
+	// (GOMAXPROCS without the planner).
 	defaultShards := runtime.GOMAXPROCS(0)
 	if !cfg.PlanDisabled {
-		defaultShards = est.RecommendedShards
+		defaultShards = plan.EstimateQuery(q).RecommendedShards
 	}
 	nShards, route, defaulted, err := resolvePartition(q, &cfg, rt.reg, defaultShards)
 	if err != nil {
@@ -242,7 +230,7 @@ func (rt *Runtime) Submit(ctx context.Context, q *Query, sink Sink, opts ...Opti
 	}
 	h.h = ch
 	if p := ch.Plan(); p != nil {
-		p.SetDeployment(nShards, cfg.Sched.Kind, autoShards, autoSched)
+		p.SetDeployment(nShards, autoShards)
 	}
 	if ctx.Done() != nil {
 		h.mu.Lock()

@@ -90,17 +90,16 @@
 //
 // # Scheduling
 //
-// Which window versions get the k operator slots — and how large k and
-// the lookahead horizon are — is a pluggable policy (see Scheduler). The
-// horizon bounds speculation: once the oldest unfinished window has all
-// its events, the splitter opens windows only up to the horizon, counted
-// from that window, and leaves the rest of the stream queued.
-// TopKScheduler is the paper's fixed top-k default (a horizon of 4·k
-// windows) and AdaptiveScheduler resizes the slot pool and the horizon
-// at runtime from observed load (WithAdaptiveInstances /
-// WithAdaptiveSpeculation bound it). Policies never change the delivered
-// output, only performance; Metrics exposes their signals
-// (SlotUtilization, PolicyResizes, CurSlots, CurHorizon).
+// Every shard runs exactly k operator slots (WithInstances), fixed at
+// submission as in the paper. Each splitter cycle hands them the k window
+// versions with the highest survival probability under the completion
+// model (the paper's Fig. 7 top-k walk; WithFixedProbability swaps in the
+// Fig. 11 constant-probability baseline). Speculation is bounded by a
+// lookahead horizon of 4·k windows: once the oldest unfinished window has
+// all its events, the splitter opens windows only up to the horizon,
+// counted from that window, and leaves the rest of the stream queued.
+// Neither choice changes the delivered output, only performance;
+// Metrics.SlotUtilization reports how busy the k slots were.
 //
 // # Overload survival
 //
@@ -110,11 +109,8 @@
 // — bounding queue latency without ever blocking Feed — with the
 // utility learned from the query plan's predicate pass rates and each
 // type's contribution to emitted matches (Metrics.ShedEvents counts the
-// drops). WithWeight and WithLatencyTarget enroll the query in the
-// cross-query admission arbiter, which splits the machine's processors
-// among co-located queries by weight and boosts queries missing their
-// latency SLO; Metrics.EmitLagP50/P99 expose the root-emission lag the
-// SLO is measured against.
+// drops). Metrics.EmitLagP50/P99 expose the root-emission lag: the time
+// from an event's ingestion to the emission of everything before it.
 //
 // # Durability and crash recovery
 //
@@ -146,8 +142,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"github.com/spectrecep/spectre/internal/core"
 	"github.com/spectrecep/spectre/internal/event"
@@ -230,8 +224,11 @@ func validCount(c *core.Config, option string, n int) bool {
 	return true
 }
 
-// WithInstances sets k, the number of parallel operator instances
-// (default 4).
+// WithInstances sets k, the number of parallel operator instances per
+// shard (default 4). k is fixed for the query's lifetime: every splitter
+// cycle fills the k slots with the k most probable window versions, and
+// the splitter looks ahead at most 4·k windows past the oldest
+// unfinished window that has all its events.
 func WithInstances(k int) Option {
 	return func(c *core.Config) {
 		if validCount(c, "WithInstances", k) {
@@ -314,62 +311,23 @@ func WithShedding() Option {
 	return func(c *core.Config) { c.Shed = true }
 }
 
-// WithWeight sets the query's share of a shared Runtime's processors
-// under the cross-query admission arbiter: co-submitted queries with
-// weights w1, w2, ... receive processor budgets proportional to their
-// weights (each shard always keeps a floor of one), and the adaptive
-// scheduler grows a shard's slot pool only up to its granted budget
-// instead of assuming the whole machine. Queries that set neither a
-// weight nor a latency target are not arbitrated and keep the historical
-// whole-machine ceiling. w must be positive and finite; the default
-// weight of an arbitrated query is 1.
-func WithWeight(w float64) Option {
-	return func(c *core.Config) {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			c.SetError(fmt.Errorf("spectre: WithWeight(%v): weight must be positive and finite", w))
-			return
-		}
-		c.Weight = w
-	}
-}
-
-// WithLatencyTarget declares a root-emission latency SLO for a Runtime
-// submission: the time from an event's admission to the emission of the
-// matches it participates in. It is acted on twice. The adaptive
-// scheduler treats a p99 emission lag beyond the target like queue
-// overload and cuts the lookahead horizon so the root chain gets the
-// cycles; and on a shared runtime the admission arbiter boosts the
-// query's processor share (up to 4x its weight) while the SLO is
-// missed. Setting a target opts the query into arbitration even without
-// WithWeight. Observe the lag itself via Metrics.EmitLagP50/P99.
-func WithLatencyTarget(d time.Duration) Option {
-	return func(c *core.Config) {
-		if d <= 0 {
-			c.SetError(fmt.Errorf("spectre: WithLatencyTarget(%v): target must be positive", d))
-			return
-		}
-		c.Sched.LatencyTarget = d
-	}
-}
-
 // WithoutPlanner disables the cost-based query planner, which is on by
 // default. The planner derives, per query, a closed set of acceptable
 // event types and hoists purely type- and field-based guards into an
 // intake prefilter that drops irrelevant events before they are sharded
 // or buffered; splits each step's conjunctive predicate into binding-free
 // and binding-dependent parts and reorders them by observed selectivity;
-// and, when the deployment is not pinned by explicit options, picks the
-// shard count and scheduling policy from the query's estimated per-event
-// cost. Plans never change the delivered output — only where work is
+// and, when WithShards and the query text pin no shard count, picks it
+// from the query's estimated per-event cost. Plans never change the delivered output — only where work is
 // avoided. Inspect the chosen plan with Engine.Plan/Handle.Plan
 // (QueryPlan.Explain renders it; spectre-server serves it as JSON per
 // query at /debug/spectre/metrics). DESIGN.md §9 documents the legality
 // rules.
 //
 // Without it every event reaches every shard's splitter, predicates run
-// in declaration order and the deployment uses only the explicit options
-// and their static defaults; use this to measure the planner or to rule
-// it out while debugging.
+// in declaration order and an unpinned shard count defaults to
+// GOMAXPROCS; use this to measure the planner or to rule it out while
+// debugging.
 func WithoutPlanner() Option {
 	return func(c *core.Config) { c.PlanDisabled = true }
 }
@@ -387,20 +345,12 @@ func NewEngine(q *Query, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// Plan-driven scheduling: unless a policy was pinned with a scheduling
-	// option, let the cost estimate choose it (an engine has one shard, so
-	// only the policy is plannable here).
-	autoSched := false
-	if !cfg.PlanDisabled && !cfg.SchedSet && cfg.Err == nil {
-		cfg.Sched.Kind = plan.EstimateQuery(q).RecommendedSched
-		autoSched = true
-	}
 	inner, err := core.New(q, cfg)
 	if err != nil {
 		return nil, queryErr(q, err)
 	}
 	if p := inner.Plan(); p != nil {
-		p.SetDeployment(1, cfg.Sched.Kind, false, autoSched)
+		p.SetDeployment(1, false)
 	}
 	return &Engine{inner: inner}, nil
 }

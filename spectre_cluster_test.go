@@ -3,6 +3,7 @@ package spectre_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,8 +60,10 @@ func TestClusterEndToEnd(t *testing.T) {
 	assertSameMultiset(t, "cluster rise", got, want)
 }
 
-// TestClusterSubmitRejections checks that node-local execution policies
-// are rejected synchronously with a *QueryError.
+// TestClusterSubmitRejections checks that every option but the partition
+// options is rejected synchronously with a *QueryError naming it: only the
+// query text travels to the workers, so anything else would be silently
+// dropped.
 func TestClusterSubmitRejections(t *testing.T) {
 	reg := spectre.NewRegistry()
 	cl, err := spectre.ListenCluster("127.0.0.1:0", reg, spectre.ClusterOptions{Logf: t.Logf})
@@ -68,22 +71,32 @@ func TestClusterSubmitRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ctx := context.Background()
+	// No worker ever joins: a submission that got past option validation
+	// would wait for one, so the deadline turns that into a failure.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
 
 	cases := []struct {
-		label string
-		text  string
-		opts  []spectre.Option
+		option string
+		opt    spectre.Option
 	}{
-		{"shedding", riseQuerySrc, []spectre.Option{spectre.WithShedding()}},
-		{"weight", riseQuerySrc, []spectre.Option{spectre.WithWeight(2)}},
-		{"scheduler", riseQuerySrc, []spectre.Option{spectre.WithScheduler(spectre.TopKScheduler())}},
+		{"WithShedding", spectre.WithShedding()},
+		{"WithInstances", spectre.WithInstances(2)},
+		{"WithBatchSize", spectre.WithBatchSize(64)},
+		{"WithQueueCap", spectre.WithQueueCap(1024)},
+		{"WithFixedProbability", spectre.WithFixedProbability(0.5)},
+		{"WithoutPlanner", spectre.WithoutPlanner()},
+		{"WithRegistry", spectre.WithRegistry(reg)},
 	}
 	for _, tc := range cases {
-		_, err := cl.Submit(ctx, tc.text, nil, tc.opts...)
+		_, err := cl.Submit(ctx, riseQuerySrc, nil, tc.opt, spectre.WithShards(2))
 		var qe *spectre.QueryError
 		if !errors.As(err, &qe) {
-			t.Errorf("%s: Submit error = %v, want *QueryError", tc.label, err)
+			t.Errorf("%s: Submit error = %v, want *QueryError", tc.option, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.option) {
+			t.Errorf("%s: error %q does not name the option", tc.option, err)
 		}
 	}
 }

@@ -24,22 +24,50 @@ const durableQuerySrc = `
 // a connection breaks), a second runtime against the same state
 // directory recovers, resumes from Handle.Recovered and finishes the
 // stream — and the concatenated output is byte-identical to an
-// uninterrupted sequential run. It parks twice: straight after the
+// uninterrupted sequential run. It parks straight after the
 // asynchronous FeedBatch, so whatever is still queued is discarded and
 // must be re-fed, and once everything fed has been ingested, so the
-// second life must have a journal to replay.
+// second life must have a journal to replay. The private-registry run
+// repeats the second walk the way spectre-server submits: each life
+// parses its query into a registry of its own, pinned with WithRegistry,
+// while the runtime's registry stays empty.
 func TestDurableRestartRoundTrip(t *testing.T) {
-	t.Run("park at once", func(t *testing.T) { durableRestartRoundTrip(t, false) })
-	t.Run("park once ingested", func(t *testing.T) { durableRestartRoundTrip(t, true) })
+	t.Run("park at once", func(t *testing.T) { durableRestartRoundTrip(t, false, false) })
+	t.Run("park once ingested", func(t *testing.T) { durableRestartRoundTrip(t, true, false) })
+	t.Run("private registry", func(t *testing.T) { durableRestartRoundTrip(t, true, true) })
 }
 
-func durableRestartRoundTrip(t *testing.T, ingestBeforePark bool) {
+func durableRestartRoundTrip(t *testing.T, ingestBeforePark, private bool) {
 	dir := t.TempDir()
 	ctx := context.Background()
+	nyse := spectre.NYSEConfig{Symbols: 16, Leaders: 3, Minutes: 60, Seed: 11}
 	reg := spectre.NewRegistry()
-	events := spectre.GenerateNYSE(reg, spectre.NYSEConfig{
-		Symbols: 16, Leaders: 3, Minutes: 60, Seed: 11,
-	})
+	events := spectre.GenerateNYSE(reg, nyse)
+	rtReg := reg
+	if private {
+		rtReg = spectre.NewRegistry()
+	}
+	// life returns one life's query, the stream it is fed and its submit
+	// options. A private second life interns the payload fields in the
+	// opposite order, as a reconnecting client's stream may: only the WAL
+	// name tables of the WithRegistry registry map its journal back.
+	life := func(second bool) (*spectre.Query, []spectre.Event, []spectre.Option) {
+		lreg, evs := reg, events
+		var opts []spectre.Option
+		if private {
+			lreg = spectre.NewRegistry()
+			if second {
+				lreg.FieldIndex("close")
+			}
+			evs = spectre.GenerateNYSE(lreg, nyse)
+			opts = append(opts, spectre.WithRegistry(lreg))
+		}
+		q, err := spectre.ParseQuery(durableQuerySrc, lreg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, evs, opts
+	}
 
 	qRef, err := spectre.ParseQuery(durableQuerySrc, reg)
 	if err != nil {
@@ -62,15 +90,12 @@ func durableRestartRoundTrip(t *testing.T, ingestBeforePark bool) {
 
 	// Life 1: ingest roughly half, then park — the restart-survivable
 	// detach. In-flight windows stay in the WAL.
-	q1, err := spectre.ParseQuery(durableQuerySrc, reg)
+	q1, events1, opts1 := life(false)
+	rt1, err := spectre.NewRuntime(rtReg, spectre.WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt1, err := spectre.NewRuntime(reg, spectre.WithDurability(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := rt1.Submit(ctx, q1, sink)
+	h1, err := rt1.Submit(ctx, q1, sink, opts1...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +105,7 @@ func durableRestartRoundTrip(t *testing.T, ingestBeforePark bool) {
 	if pos := h1.Recovered(); len(pos) != 1 || pos[0] != 0 {
 		t.Fatalf("fresh durable query Recovered() = %v, want [0]", pos)
 	}
-	if err := h1.FeedBatch(ctx, events[:len(events)/2]); err != nil {
+	if err := h1.FeedBatch(ctx, events1[:len(events)/2]); err != nil {
 		t.Fatal(err)
 	}
 	if ingestBeforePark {
@@ -100,15 +125,12 @@ func durableRestartRoundTrip(t *testing.T, ingestBeforePark bool) {
 
 	// Life 2: a fresh runtime over the same directory recovers, tells us
 	// where to resume, and finishes the stream.
-	q2, err := spectre.ParseQuery(durableQuerySrc, reg)
+	q2, events2, opts2 := life(true)
+	rt2, err := spectre.NewRuntime(rtReg, spectre.WithDurability(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt2, err := spectre.NewRuntime(reg, spectre.WithDurability(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := rt2.Submit(ctx, q2, sink)
+	h2, err := rt2.Submit(ctx, q2, sink, opts2...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +147,7 @@ func durableRestartRoundTrip(t *testing.T, ingestBeforePark bool) {
 	if ingestBeforePark && pos[0] == 0 {
 		t.Fatal("recovery replayed nothing: resume position 0 after a fully ingested first life")
 	}
-	if err := h2.FeedBatch(ctx, events[pos[0]:]); err != nil {
+	if err := h2.FeedBatch(ctx, events2[pos[0]:]); err != nil {
 		t.Fatal(err)
 	}
 	h2.Drain()

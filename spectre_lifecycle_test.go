@@ -464,6 +464,7 @@ func TestOptionValidation(t *testing.T) {
 		{"WithShards(0)", spectre.WithShards(0)},
 		{"WithShards(-2)", spectre.WithShards(-2)},
 		{"WithQueueCap(0)", spectre.WithQueueCap(0)},
+		{"WithRegistry(nil)", spectre.WithRegistry(nil)},
 	}
 	for _, tc := range engineCases {
 		if _, err := spectre.NewEngine(q, tc.opt); err == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	spectre "github.com/spectrecep/spectre"
 	"github.com/spectrecep/spectre/internal/shard"
@@ -305,6 +306,129 @@ func TestRuntimeWithPartitionByField(t *testing.T) {
 	}
 	h.Drain()
 	assertSameMultiset(t, "grow", got, want)
+}
+
+// TestRuntimeWithPartitionByType checks the programmatic type partition
+// against the query-text one: the unpartitioned rise query submitted
+// with WithPartitionByType must run shard for shard like the text's
+// PARTITION BY TYPE, and each shard must deliver exactly the sequential
+// engine's output over its partition substream.
+func TestRuntimeWithPartitionByType(t *testing.T) {
+	reg := spectre.NewRegistry()
+	events := spectre.GenerateNYSE(reg, spectre.NYSEConfig{
+		Symbols: 24, Leaders: 4, Minutes: 60, Seed: 9,
+	})
+	const nShards = 8
+	unpartitioned := `
+		QUERY rise
+		PATTERN (X Y)
+		DEFINE X AS X.close > X.open, Y AS Y.close > X.close
+		WITHIN 40 EVENTS FROM X
+		CONSUME ALL
+	`
+	router := shard.NewRouter(nShards, shard.ByType())
+	want := make(map[string]int)
+	wantShard := make([]uint64, nShards)
+	for i, bucket := range router.Split(events) {
+		q, err := spectre.ParseQuery(unpartitioned, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := spectre.RunSequential(q, bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantShard[i] = uint64(len(out))
+		for j := range out {
+			want[out[j].Key()]++
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("per-partition reference produced no matches; test is vacuous")
+	}
+
+	ctx := context.Background()
+	run := func(src string, opts ...spectre.Option) (map[string]int, []spectre.Metrics) {
+		q, err := spectre.ParseQuery(src, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := spectre.NewRuntime(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		got := make(map[string]int)
+		h, err := rt.Submit(ctx, q, spectre.SinkFunc(func(ce spectre.ComplexEvent) { got[ce.Key()]++ }), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Shards() != nShards {
+			t.Fatalf("shards = %d, want %d", h.Shards(), nShards)
+		}
+		if err := h.FeedBatch(ctx, events); err != nil {
+			t.Fatal(err)
+		}
+		h.Drain()
+		return got, h.ShardMetrics()
+	}
+	gotOpt, shardsOpt := run(unpartitioned, spectre.WithPartitionByType(), spectre.WithShards(nShards))
+	gotText, shardsText := run(riseQuerySrc)
+	assertSameMultiset(t, "WithPartitionByType", gotOpt, want)
+	assertSameMultiset(t, "PARTITION BY TYPE", gotText, want)
+	for i := range wantShard {
+		if shardsOpt[i].EventsIngested != shardsText[i].EventsIngested {
+			t.Errorf("shard %d: %d events ingested under the option, %d under the text", i,
+				shardsOpt[i].EventsIngested, shardsText[i].EventsIngested)
+		}
+		if shardsOpt[i].Matches != wantShard[i] || shardsText[i].Matches != wantShard[i] {
+			t.Errorf("shard %d: %d matches under the option, %d under the text, sequential %d", i,
+				shardsOpt[i].Matches, shardsText[i].Matches, wantShard[i])
+		}
+	}
+}
+
+// TestLiveMaxTreeSize checks that a running query reports its
+// dependency-tree high-water mark before its stream ends, not only once
+// it drains.
+func TestLiveMaxTreeSize(t *testing.T) {
+	reg := spectre.NewRegistry()
+	events := spectre.GenerateNYSE(reg, spectre.NYSEConfig{
+		Symbols: 16, Leaders: 3, Minutes: 60, Seed: 11,
+	})
+	q, err := spectre.ParseQuery(`
+		QUERY rise
+		PATTERN (X Y)
+		DEFINE X AS X.close > X.open, Y AS Y.close > X.close
+		WITHIN 40 EVENTS FROM X
+		CONSUME ALL
+	`, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rt, err := spectre.NewRuntime(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	h, err := rt.Submit(ctx, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.FeedBatch(ctx, events); err != nil {
+		t.Fatal(err)
+	}
+	// The handle stays open: the windows at the end of the stream cannot
+	// close, so the query is live for as long as the loop polls.
+	deadline := time.Now().Add(30 * time.Second)
+	for m := h.Metrics(); m.MaxTreeSize == 0; m = h.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("live query reports MaxTreeSize 0 with %d windows opened", m.WindowsOpened)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h.Drain()
 }
 
 func assertSameMultiset(t *testing.T, label string, got, want map[string]int) {
