@@ -152,8 +152,6 @@ func nodeLocalOption(cfg *core.Config) string {
 	switch {
 	case cfg.Instances != 0:
 		return "WithInstances"
-	case cfg.BatchSize != 0:
-		return "WithBatchSize"
 	case cfg.QueueCap != 0:
 		return "WithQueueCap"
 	case cfg.Predictor != nil:

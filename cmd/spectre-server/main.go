@@ -62,9 +62,8 @@
 // plan pushdown drops events the query provably cannot use before they
 // are framed, the v2 wire encodes frames compactly (delta/varint,
 // plan-driven field projection) on workers that negotiate it, and the
-// per-link batch size adapts between -cluster-batch-min and
-// -cluster-batch-max. -cluster-no-pushdown ships every routed event in
-// full; -cluster-static-batch pins the batch size. Per-link transport
+// per-link batch size adapts between 64 and 4096 events.
+// -cluster-no-pushdown ships every routed event in full. Per-link transport
 // counters (bytes, frames, events deduplicated) are printed in each
 // connection summary and exported under "clusterLinks" in the -pprof
 // /debug/spectre/metrics JSON object.
@@ -245,9 +244,6 @@ func run() error {
 		capacityFlag = flag.Int("capacity", 0, "shard capacity advertised in -worker mode (0 = default)")
 		clusterAddr  = flag.String("cluster-listen", "", "accept cluster workers on this address and run every client query distributed across them")
 		clusterMin   = flag.Int("cluster-min-workers", 1, "block distributed submissions until this many workers have joined")
-		clusterBMin  = flag.Int("cluster-batch-min", 0, "adaptive per-link batch floor in events (0 = default 64)")
-		clusterBMax  = flag.Int("cluster-batch-max", 0, "adaptive per-link batch ceiling in events (0 = default 4096)")
-		clusterBFix  = flag.Bool("cluster-static-batch", false, "disable the adaptive batch controller: links keep the initial batch size")
 		clusterNoPD  = flag.Bool("cluster-no-pushdown", false, "disable coordinator-side plan pushdown: ship every routed event to its worker")
 	)
 	flag.Parse()
@@ -327,9 +323,6 @@ func run() error {
 		creg := spectre.NewRegistry()
 		cl, err := spectre.ListenCluster(*clusterAddr, creg, spectre.ClusterOptions{
 			MinWorkers:      *clusterMin,
-			BatchMin:        *clusterBMin,
-			BatchMax:        *clusterBMax,
-			StaticBatch:     *clusterBFix,
 			DisablePushdown: *clusterNoPD,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "spectre-server: "+format+"\n", args...)

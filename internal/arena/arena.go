@@ -4,9 +4,12 @@
 // operator instances), plus an atomic bitset tracking finally consumed
 // events.
 //
-// Events are addressed by their global sequence number. Chunking keeps
-// addresses stable (no reallocation copies), so readers may hold *Event
-// pointers across appends.
+// Events are addressed by their position in the shard's stream, which
+// the feed layer stamps into ev.Seq at admission. Positions the intake
+// filter spent on dropped events are never written: they stay gaps, and
+// Lookup is the one test that tells a gap from an appended event.
+// Chunking keeps addresses stable (no reallocation copies), so readers
+// may hold *Event pointers across appends.
 package arena
 
 import (
@@ -43,6 +46,9 @@ type Arena struct {
 	// chunks themselves are stable while reachable.
 	chunks atomic.Pointer[[]*chunk]
 	length atomic.Uint64 // number of appended events; published last
+	// wrote0 records that position 0 holds an appended event: a gap reads
+	// back as the zero event, whose Seq is 0 too.
+	wrote0 atomic.Bool
 
 	// free holds recycled chunks for reuse (single-writer, like Append).
 	free []*chunk
@@ -94,6 +100,9 @@ func (a *Arena) put(seq uint64, ev event.Event) {
 		dir = grown
 	}
 	dir[ci].events[seq&chunkMask] = ev
+	if seq == 0 {
+		a.wrote0.Store(true)
+	}
 }
 
 // Append stores ev at the next sequence position and returns its assigned
@@ -110,11 +119,10 @@ func (a *Arena) Append(ev event.Event) uint64 {
 	return seq
 }
 
-// AppendAt stores ev at its pre-stamped position ev.Seq, which must be
-// at least Len() (the single writer only moves forward). Positions
-// skipped over — events dropped upstream by the planner's intake
-// prefilter — read back as zero events; detection code recognizes them
-// by Seq mismatch and treats them as no-ops.
+// AppendAt stores ev at its stamped position ev.Seq, which must be at
+// least Len() (the single writer only moves forward). Positions skipped
+// over — events dropped upstream by the planner's intake prefilter —
+// are gaps: Lookup reports them absent.
 func (a *Arena) AppendAt(ev event.Event) uint64 {
 	seq := ev.Seq
 	a.put(seq, ev)
@@ -134,6 +142,13 @@ func (a *Arena) Get(seq uint64) *event.Event {
 		return zeroEvent
 	}
 	return &c.events[seq&chunkMask]
+}
+
+// Lookup returns Get(seq) and whether an event was appended at seq
+// rather than skipped over as a gap. seq must be below Len().
+func (a *Arena) Lookup(seq uint64) (*event.Event, bool) {
+	ev := a.Get(seq)
+	return ev, ev.Seq == seq && (seq != 0 || a.wrote0.Load())
 }
 
 // ReleaseBefore recycles every chunk wholly below boundary onto the
@@ -232,43 +247,11 @@ func (s *ConsumedSet) Contains(seq uint64) bool {
 // Count returns the number of consumed events so far.
 func (s *ConsumedSet) Count() uint64 { return s.count.Load() }
 
-// AppendRange appends every marked sequence number in [lo, hi) to dst,
-// ascending, and returns it. Used by the durability layer to snapshot
-// the live consumption marks into a cut record.
-func (s *ConsumedSet) AppendRange(lo, hi uint64, dst []uint64) []uint64 {
-	words := *s.words.Load()
-	if max := uint64(len(words)) << 6; hi > max {
-		hi = max
-	}
-	for seq := lo; seq < hi; {
-		w := words[seq>>6].v.Load() >> (seq & 63)
-		if w == 0 {
-			seq = (seq | 63) + 1
-			continue
-		}
-		for ; w != 0 && seq < hi; seq++ {
-			if w&1 != 0 {
-				dst = append(dst, seq)
-			}
-			w >>= 1
-		}
-		if w == 0 && seq&63 != 0 {
-			// Skip the rest of the exhausted word — but only when seq is
-			// still inside it: when the word's top bit was set, the inner
-			// loop already advanced seq to the next word's first bit, and
-			// rounding up again would skip that word entirely.
-			seq = (seq | 63) + 1
-		}
-	}
-	return dst
-}
-
 // AppendRuns appends every marked sequence number in [lo, hi) to dst as
 // run-length pairs — start, count, start, count, … in ascending order —
 // and returns it. Consumption marks are dense once windows complete
 // (CONSUME ALL marks every constituent), so runs shrink a cut record's
-// consumed snapshot by orders of magnitude versus the explicit list
-// AppendRange produces.
+// consumed snapshot by orders of magnitude versus an explicit list.
 func (s *ConsumedSet) AppendRuns(lo, hi uint64, dst []uint64) []uint64 {
 	words := *s.words.Load()
 	if max := uint64(len(words)) << 6; hi > max {
@@ -296,8 +279,10 @@ func (s *ConsumedSet) AppendRuns(lo, hi uint64, dst []uint64) []uint64 {
 			w >>= 1
 		}
 		if w == 0 && seq&63 != 0 {
-			// Same word-boundary guard as AppendRange: when the top bit
-			// was set, seq already sits on the next word's first bit.
+			// Skip the rest of the exhausted word — but only when seq is
+			// still inside it: when the word's top bit was set, the inner
+			// loop already advanced seq to the next word's first bit, and
+			// rounding up again would skip that word entirely.
 			seq = (seq | 63) + 1
 		}
 	}

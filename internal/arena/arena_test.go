@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,31 @@ func TestAppendAtGapsReadAsZero(t *testing.T) {
 			t.Fatalf("gap Get(%d) = %+v, want zero event", seq, ev)
 		}
 	}
+	for seq, want := range []bool{true, false, false, true, true} {
+		if _, ok := a.Lookup(uint64(seq)); ok != want {
+			t.Fatalf("Lookup(%d) present = %v, want %v", seq, ok, want)
+		}
+	}
+}
+
+// TestLookupPositionZero: the zero event a gap reads back as has Seq 0,
+// so only the arena knows whether position 0 was written — by Append or
+// by AppendAt.
+func TestLookupPositionZero(t *testing.T) {
+	gap := New()
+	gap.AppendAt(event.Event{Seq: 1, Type: 1})
+	if _, ok := gap.Lookup(0); ok {
+		t.Fatal("position 0 skipped by AppendAt reads as present")
+	}
+	appended := New()
+	appended.Append(event.Event{Type: 1})
+	stamped := New()
+	stamped.AppendAt(event.Event{Seq: 0, Type: 1})
+	for name, a := range map[string]*Arena{"Append": appended, "AppendAt": stamped} {
+		if ev, ok := a.Lookup(0); !ok || ev.Type != 1 {
+			t.Fatalf("position 0 written by %s: Lookup = %+v, %v", name, ev, ok)
+		}
+	}
 }
 
 func TestAppendAtAcrossChunkGap(t *testing.T) {
@@ -248,32 +274,29 @@ func TestReleaseBeforeBoundsAllocations(t *testing.T) {
 	}
 }
 
-// TestConsumedSetAppendRangeWordBoundary is the regression test for the
+// TestConsumedSetAppendRunsWordBoundary is the regression test for the
 // skipped-word bug: when a word's top bit (seq 63 mod 64) is marked, the
 // scan used to round seq past the *following* word, silently dropping up
 // to 64 marks from cut-record snapshots — which surfaced as duplicate
 // deliveries after crash recovery.
-func TestConsumedSetAppendRangeWordBoundary(t *testing.T) {
+func TestConsumedSetAppendRunsWordBoundary(t *testing.T) {
 	s := NewConsumedSet()
-	marks := []uint64{119, 127, 128, 130, 144, 191, 192, 200}
-	for _, m := range marks {
+	for _, m := range []uint64{119, 127, 128, 130, 144, 191, 192, 200} {
 		s.Mark(m)
 	}
-	got := s.AppendRange(0, 256, nil)
-	if len(got) != len(marks) {
-		t.Fatalf("AppendRange = %v, want %v", got, marks)
-	}
-	for i, m := range marks {
-		if got[i] != m {
-			t.Fatalf("AppendRange[%d] = %d, want %d (full: %v)", i, got[i], m, got)
+	for _, tc := range []struct {
+		lo, hi uint64
+		want   []uint64
+	}{
+		{0, 256, []uint64{119, 1, 127, 2, 130, 1, 144, 1, 191, 2, 200, 1}},
+		// Sub-ranges around the boundary behave too.
+		{128, 192, []uint64{128, 1, 130, 1, 144, 1, 191, 1}},
+		{120, 128, []uint64{127, 1}},
+	} {
+		got := s.AppendRuns(tc.lo, tc.hi, nil)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("AppendRuns(%d,%d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
 		}
-	}
-	// Sub-ranges around the boundary behave too.
-	if got := s.AppendRange(128, 192, nil); len(got) != 4 || got[0] != 128 || got[3] != 191 {
-		t.Fatalf("AppendRange(128,192) = %v, want [128 130 144 191]", got)
-	}
-	if got := s.AppendRange(120, 128, nil); len(got) != 1 || got[0] != 127 {
-		t.Fatalf("AppendRange(120,128) = %v, want [127]", got)
 	}
 }
 

@@ -23,17 +23,10 @@ type Options struct {
 	// BatchEvents is the initial per-shard event batch size on a worker
 	// link (default 256): the pump coalesces this many routed events into
 	// one frame before shipping. Each link's batch then adapts within
-	// [BatchMin, BatchMax] — growing while the link keeps shipping full
+	// [batchMin, batchMax] — growing while the link keeps shipping full
 	// batches, shrinking when the link owns the shard that holds back a
-	// query's ordered-merge head — unless StaticBatch pins it.
+	// query's ordered-merge head.
 	BatchEvents int
-	// BatchMin and BatchMax bound the adaptive batch size (defaults 64
-	// and 4096).
-	BatchMin int
-	BatchMax int
-	// StaticBatch disables the adaptive controller: every link keeps
-	// BatchEvents for its lifetime.
-	StaticBatch bool
 	// DisablePushdown turns off coordinator-side plan pushdown: every
 	// routed event ships to its shard owner even when the query's intake
 	// prefilter proves it irrelevant.
@@ -56,21 +49,7 @@ func (o *Options) setDefaults() {
 	if o.BatchEvents <= 0 {
 		o.BatchEvents = 256
 	}
-	if o.BatchMin <= 0 {
-		o.BatchMin = 64
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 4096
-	}
-	if o.BatchMax < o.BatchMin {
-		o.BatchMax = o.BatchMin
-	}
-	if o.BatchEvents < o.BatchMin {
-		o.BatchEvents = o.BatchMin
-	}
-	if o.BatchEvents > o.BatchMax {
-		o.BatchEvents = o.BatchMax
-	}
+	o.BatchEvents = min(max(o.BatchEvents, batchMin), batchMax)
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 2 * time.Millisecond
 	}
@@ -871,10 +850,13 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 
 // controllerTicks is how many flusher ticks pass between adaptive batch
 // controller runs, and fullSendGrow how many full batches a link must
-// ship in that span before its batch doubles.
+// ship in that span before its batch doubles; batchMin and batchMax bound
+// every link's batch size in events.
 const (
 	controllerTicks = 8
 	fullSendGrow    = 4
+	batchMin        = 64
+	batchMax        = 4096
 )
 
 // adjustBatches is the adaptive batch controller (c.mu held): a link
@@ -888,13 +870,13 @@ func (c *Coordinator) adjustBatches() {
 		if b := q.merge.blocker(); b >= 0 {
 			if w := q.shards[b].owner; w != nil && !shrunk[w] {
 				shrunk[w] = true
-				w.batch = max(w.batch/2, c.opts.BatchMin)
+				w.batch = max(w.batch/2, batchMin)
 			}
 		}
 	}
 	for _, w := range c.workers {
 		if !shrunk[w] && w.fullSends >= fullSendGrow {
-			w.batch = min(w.batch*2, c.opts.BatchMax)
+			w.batch = min(w.batch*2, batchMax)
 		}
 		w.fullSends = 0
 	}
@@ -921,7 +903,7 @@ func (c *Coordinator) flusher() {
 				c.pump(q, idx, true)
 			}
 		}
-		if c.ticks++; c.ticks >= controllerTicks && !c.opts.StaticBatch {
+		if c.ticks++; c.ticks >= controllerTicks {
 			c.ticks = 0
 			c.adjustBatches()
 		}

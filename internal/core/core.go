@@ -69,12 +69,9 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 type Config struct {
 	// Instances is k, the number of operator instances (default 4).
 	Instances int
-	// Predictor overrides the completion-probability model. Nil selects a
-	// Markov model with the Markov config below (paper default).
+	// Predictor overrides the completion-probability model. Nil selects
+	// the paper's Markov model (α = 0.7, ℓ = 10).
 	Predictor markov.Predictor
-	// Markov configures the default Markov model (α = 0.7, ℓ = 10 as in
-	// the paper's evaluation when left zero).
-	Markov markov.Config
 	// ConsistencyCheckEvery is the consistency-check frequency in
 	// processed events (paper Fig. 8 `consistencyCheckFreq`; default 64).
 	ConsistencyCheckEvery int
@@ -123,13 +120,13 @@ type Config struct {
 	// and the Runtime Submit path. Nil disables durability.
 	Durable durable.Store
 	// PreStamped declares that the feeder stamps every event's Seq with
-	// its raw-substream position before it reaches the handle — an
-	// upstream stage (the cluster coordinator's plan pushdown) already
-	// ran the intake prefilter and spent the dropped positions. The
-	// engine runs in stamped mode (arena gaps for dropped positions) but
-	// the feed layer neither filters nor re-stamps: wire-carried
-	// positions are trusted verbatim. Positions must be strictly
-	// increasing per shard.
+	// its position in the shard's stream before it reaches the handle —
+	// an upstream stage (the cluster coordinator's plan pushdown) already
+	// ran the intake prefilter and spent the dropped positions. The feed
+	// layer then neither filters nor stamps: wire-carried positions are
+	// trusted verbatim, and the ones between them are arena gaps like
+	// any filtered position. Positions must be strictly increasing per
+	// shard.
 	PreStamped bool
 	// OnAdvance, when set, is notified after every root pop with the new
 	// durable boundary: no match emitted after the call will have a

@@ -49,11 +49,6 @@ type program struct {
 	// plan is the cost-based evaluation plan (nil with PlanDisabled).
 	// query above is the plan's rewritten deep copy when non-nil.
 	plan *plan.Plan
-	// stamped: events arrive pre-stamped with their raw-substream
-	// sequence number and the intake prefilter may have dropped
-	// positions in between (the arena is populated with AppendAt and
-	// gaps are skipped as no-ops).
-	stamped bool
 	// typeFilter: every step is typed, so the matcher-level type skip is
 	// legal (plan.RelevantType).
 	typeFilter bool
@@ -85,20 +80,19 @@ func compile(q *pattern.Query, cfg Config) (*program, error) {
 		compiled:   compiled,
 		durWindow:  q.Window.EndKind == pattern.EndDuration,
 		plan:       pl,
-		stamped:    (pl != nil && pl.IntakeActive()) || cfg.PreStamped,
 		typeFilter: pl != nil && pl.MatcherFilterActive(),
 	}, nil
 }
 
 // newPredictor builds the completion-probability model for one shard. Each
-// shard learns its own Markov model (its substream has its own statistics);
-// a user-supplied predictor is shared by all shards and must be safe for
-// concurrent use.
+// shard learns its own Markov model (its substream has its own statistics)
+// with the paper's α = 0.7, ℓ = 10; a user-supplied predictor is shared by
+// all shards and must be safe for concurrent use.
 func (p *program) newPredictor() (markov.Predictor, error) {
 	if p.cfg.Predictor != nil {
 		return p.cfg.Predictor, nil
 	}
-	model, err := markov.New(p.compiled.MinLength(), p.cfg.Markov)
+	model, err := markov.New(p.compiled.MinLength(), markov.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -165,11 +159,6 @@ type shardState struct {
 	lagP99     stats.QuantileEWMA
 	lagP50Bits atomic.Uint64 // Float64bits for snapshots off the splitter
 	lagP99Bits atomic.Uint64
-	// seq0 records that raw position 0 was actually appended in stamped
-	// mode. The zero Event at a gap position has Seq == 0, so position 0
-	// is the one slot where a Seq match cannot distinguish a real event
-	// from a dropped one.
-	seq0 atomic.Bool
 
 	inputDone atomic.Bool
 	cancelled atomic.Bool // abort requested; the next splitter cycle finishes
@@ -180,7 +169,7 @@ type shardState struct {
 
 	// Durability state (Config.Durable; DESIGN.md §11). persist is nil
 	// without a durable store. emitted, suppressRemaining,
-	// replayRemaining, resumeFloor and journalBuf are splitter-only;
+	// replayRemaining and journalBuf are splitter-only;
 	// replayTarget and recoveredNextSeq are written while priming (before
 	// the shard is attached) and read-only afterwards (Recover barrier,
 	// Handle.Recovered).
@@ -192,12 +181,8 @@ type shardState struct {
 	// already delivered; replay skips delivering exactly that many.
 	suppressRemaining uint64
 	// replayRemaining counts journal events still pending in the intake
-	// queue; while positive, ingest appends at the stamped position and
-	// does not re-journal.
+	// queue; while positive, ingest does not re-journal.
 	replayRemaining int
-	// resumeFloor is the recovered cut boundary: the first post-recovery
-	// append of an unstamped shard with an empty journal lands here.
-	resumeFloor uint64
 	// replayTarget is the arena length at which the journal suffix is
 	// fully replayed (0 when there is nothing to replay).
 	replayTarget uint64
@@ -437,37 +422,14 @@ func (s *shardState) ingest() int {
 			}
 			break
 		}
-		var seq uint64
-		replaying := s.replayRemaining > 0
-		switch {
-		case replaying:
-			// Journal replay: recovered events carry their original
-			// position (stamped or not) and are already in the WAL.
+		// Every event arrives stamped with its position (live input at
+		// admission, journal replay with its original one); positions
+		// the intake filter spent stay gaps.
+		stored := s.ar.Get(s.ar.AppendAt(ev))
+		if s.replayRemaining > 0 {
+			// Recovered events are already in the WAL.
 			s.replayRemaining--
-			if ev.Seq == 0 {
-				s.seq0.Store(true)
-			}
-			seq = s.ar.AppendAt(ev)
-		case s.prog.stamped:
-			// The feed layer stamped ev.Seq with its raw-substream
-			// position; dropped positions in between stay as gaps.
-			if ev.Seq == 0 {
-				s.seq0.Store(true)
-			}
-			seq = s.ar.AppendAt(ev)
-		default:
-			if fl := s.resumeFloor; fl > s.ar.Len() {
-				// Recovered shard whose journal suffix was empty (or
-				// lost): resume appending at the cut boundary so new
-				// events continue the recovered numbering.
-				ev.Seq = fl
-				seq = s.ar.AppendAt(ev)
-			} else {
-				seq = s.ar.Append(ev)
-			}
-		}
-		stored := s.ar.Get(seq)
-		if s.persist != nil && !replaying {
+		} else if s.persist != nil {
 			s.journalBuf = append(s.journalBuf, *stored)
 		}
 		opened, _ := s.winMgr.Observe(stored)

@@ -81,9 +81,7 @@ func driveShard(t *testing.T, q *pattern.Query, events []event.Event, cfg Config
 	queue := newShardQueue(len(events) + 1)
 	s.begin(queue, func(ce event.Complex) { got = append(got, ce) })
 	for i, ev := range events {
-		if prog.stamped {
-			ev.Seq = uint64(i)
-		}
+		ev.Seq = uint64(i)
 		if err := queue.push(t.Context(), ev); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +214,7 @@ func TestStaleGroupNeverStallsRoot(t *testing.T) {
 		case 15:
 			ty = tb
 		}
-		if err := queue.push(t.Context(), event.Event{TS: int64(i), Type: ty}); err != nil {
+		if err := queue.push(t.Context(), event.Event{Seq: uint64(i), TS: int64(i), Type: ty}); err != nil {
 			t.Fatal(err)
 		}
 	}

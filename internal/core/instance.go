@@ -121,15 +121,13 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 
 	processed := 0
 	checkEvery := s.prog.cfg.ConsistencyCheckEvery
-	stamped := s.prog.stamped
-	seq0 := stamped && s.seq0.Load()
 	typeFilter := s.prog.typeFilter
 	for pos < limit && processed < max {
 		seq := pos
-		ev := s.ar.Get(seq)
-		if stamped && (ev.Seq != seq || (seq == 0 && !seq0)) {
-			// Gap left by the intake prefilter: the raw-stream position was
-			// dropped before ingest and reads back as a zero event. Skip it
+		ev, ok := s.ar.Lookup(seq)
+		if !ok {
+			// Gap left by the intake prefilter: the position was spent on
+			// a dropped event and reads back as a zero event. Skip it
 			// entirely — it must not reach the duration check (its TS is
 			// zero) nor the matcher.
 			processed++

@@ -403,7 +403,6 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 			}
 		}
 		s.winMgr.ResumeAt(cut.NextWindowID)
-		s.resumeFloor = cut.Boundary
 		cutW = cut.Watermark
 	}
 	s.emitted = cutW

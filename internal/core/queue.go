@@ -83,12 +83,14 @@ func (q *shardQueue) push(ctx context.Context, ev event.Event) error {
 	return nil
 }
 
-// pushBatch appends evs in one critical section, blocking until the queue
-// has room for the batch's head. The whole batch is admitted at once (the
-// backlog may transiently overshoot cap by len(evs)-1 events) — that is
-// the point: one lock acquisition and one wakeup per batch instead of per
+// pushBatch appends the events of evs that admit keeps, in one critical
+// section, blocking until the queue has room for the batch's head. admit
+// sees (and may stamp) each event in place in the queue, so the batch is
+// never copied twice. The whole batch is admitted at once (the backlog
+// may transiently overshoot cap by len(evs)-1 events) — that is the
+// point: one lock acquisition and one wakeup per batch instead of per
 // event.
-func (q *shardQueue) pushBatch(ctx context.Context, evs []event.Event) error {
+func (q *shardQueue) pushBatch(ctx context.Context, evs []event.Event, admit func(*event.Event) bool) error {
 	if len(evs) == 0 {
 		return nil
 	}
@@ -97,7 +99,12 @@ func (q *shardQueue) pushBatch(ctx context.Context, evs []event.Event) error {
 	if err := q.waitSpace(ctx); err != nil {
 		return err
 	}
-	q.buf = append(q.buf, evs...)
+	for i := range evs {
+		q.buf = append(q.buf, evs[i])
+		if !admit(&q.buf[len(q.buf)-1]) {
+			q.buf = q.buf[:len(q.buf)-1]
+		}
+	}
 	return nil
 }
 

@@ -248,7 +248,7 @@ func TestParkIsNotEndOfStream(t *testing.T) {
 	s.begin(queue, nil)
 	const fed = 40 // the first window's end lies 1000 time units out
 	for i := 0; i < fed; i++ {
-		if err := queue.push(t.Context(), event.Event{TS: int64(i), Type: ta}); err != nil {
+		if err := queue.push(t.Context(), event.Event{Seq: uint64(i), TS: int64(i), Type: ta}); err != nil {
 			t.Fatal(err)
 		}
 	}

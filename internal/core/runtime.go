@@ -81,25 +81,14 @@ type Handle struct {
 	drained sync.Once
 	onDrain func()
 
-	// Intake prefilter state (planner). All raw events — admitted or not —
-	// are routed, so every shard sees the same raw substream positions it
-	// would without the filter; admitted events carry their position in
-	// ev.Seq and dropped positions become arena gaps. stamp[i] is shard
-	// i's next raw position; like scatter it assumes the single-producer
-	// feed discipline. A counter only advances once its event is safely
-	// queued (or dropped), so a rejected TryFeed re-stamps the same seq.
-	plan         *plan.Plan
-	intake       bool
-	stamp        []uint64
-	stampScratch []uint64 // FeedBatch provisional counters
-	dropScratch  []uint64 // FeedBatch per-shard drop counts
-
-	// Load shedding (Config.Shed): sheds reports whether the shards carry
-	// shedders; the scratch slices serve FeedBatch's per-shard shed
-	// bookkeeping under the same single-producer discipline as scatter.
-	sheds       bool
-	shedScratch []uint64 // FeedBatch per-shard shed counts
-	depthBase   []int    // FeedBatch per-shard queue-depth snapshot
+	// Admission state (see admit). plan filters at intake when filter is
+	// set; next[i] is shard i's next position, advanced by kept and
+	// filtered events alike and, like scatter, owned by the single
+	// producer. preStamped handles trust the feeder's positions instead.
+	plan       *plan.Plan
+	filter     bool
+	preStamped bool
+	next       []uint64
 }
 
 // Submit compiles q and starts nShards independent shard states on the
@@ -141,12 +130,15 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 // attachment — and attaches its shards to the pool.
 func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
 	name := prog.query.Name
-	h := &Handle{rt: rt, name: name, route: route, onDrain: onDrain}
-	h.plan = prog.plan
-	if h.intake = prog.stamped && !prog.cfg.PreStamped; h.intake {
-		h.stamp = make([]uint64, nShards)
-		h.stampScratch = make([]uint64, nShards)
-		h.dropScratch = make([]uint64, nShards)
+	h := &Handle{
+		rt:         rt,
+		name:       name,
+		route:      route,
+		onDrain:    onDrain,
+		plan:       prog.plan,
+		filter:     prog.plan != nil && prog.plan.IntakeActive() && !prog.cfg.PreStamped,
+		preStamped: prog.cfg.PreStamped,
+		next:       make([]uint64, nShards),
 	}
 	if emit == nil {
 		emit = func(event.Complex) {}
@@ -172,7 +164,6 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 				scfg.Prior = prog.plan.UtilityPrior
 			}
 			s.shed = shed.New(scfg)
-			h.sheds = true
 		}
 		var rec *durable.ShardState
 		if prog.cfg.Durable != nil {
@@ -183,8 +174,8 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 				release()
 				return nil, err
 			}
-			if h.intake && rec != nil {
-				h.stamp[i] = rec.NextSeq
+			if rec != nil {
+				h.next[i] = rec.NextSeq
 			}
 		}
 		queue := newShardQueue(prog.cfg.QueueCap)
@@ -200,10 +191,6 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 		h.queues = append(h.queues, queue)
 	}
 	h.scatter = make([][]event.Event, nShards)
-	if h.sheds {
-		h.shedScratch = make([]uint64, nShards)
-		h.depthBase = make([]int, nShards)
-	}
 
 	rt.mu.Lock()
 	if rt.closed {
@@ -358,8 +345,9 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 func (h *Handle) Name() string { return h.name }
 
 // Recovered reports, per shard, the raw-substream position a producer
-// should re-feed from after crash recovery (0 for a fresh shard). It
-// returns nil when the handle was not submitted against a durable store.
+// should re-feed from after crash recovery (0 for a fresh shard); shed
+// events hold no position. It returns nil when the handle was not
+// submitted against a durable store.
 func (h *Handle) Recovered() []uint64 {
 	if h.shards[0].persist == nil {
 		return nil
@@ -384,6 +372,20 @@ func (h *Handle) Feed(ctx context.Context, ev event.Event) error {
 	return h.feed(ctx, ev)
 }
 
+func (h *Handle) feed(ctx context.Context, ev event.Event) error {
+	i := h.shardOf(&ev)
+	t := h.openTally(i)
+	// Shedding keeps the queue depth strictly below the high watermark
+	// (everything above it is dropped), so a shedding Feed never blocks.
+	if h.admit(i, &ev, &t) {
+		if err := h.queues[i].push(ctx, ev); err != nil {
+			return err
+		}
+	}
+	h.commit(i, &t)
+	return nil
+}
+
 // TryFeed routes one event to its shard without ever blocking. A full
 // shard queue rejects the event with an *OverloadError (errors.Is
 // ErrOverloaded) — the admission signal load-shedding callers need.
@@ -392,50 +394,17 @@ func (h *Handle) TryFeed(ev event.Event) error {
 		return ErrHandleClosed
 	}
 	i := h.shardOf(&ev)
-	if h.intake {
-		if !h.plan.Admit(&ev) {
-			h.drop(i, 1)
-			return nil
+	t := h.openTally(i)
+	if h.admit(i, &ev, &t) {
+		if pending, ok := h.queues[i].tryPush(ev); !ok {
+			if pending < 0 {
+				return ErrHandleClosed
+			}
+			return &OverloadError{Query: h.name, Shard: i, Pending: pending, Cap: h.queues[i].cap}
 		}
 	}
-	if s := h.shards[i].shed; s != nil && !s.Offer(ev.Type, h.queues[i].depth()) {
-		h.shedDrop(i, 1)
-		return nil
-	}
-	if h.intake {
-		ev.Seq = h.stamp[i]
-	}
-	pending, ok := h.queues[i].tryPush(ev)
-	if ok {
-		if h.intake {
-			h.stamp[i]++
-		}
-		return nil
-	}
-	if pending < 0 {
-		return ErrHandleClosed
-	}
-	return &OverloadError{Query: h.name, Shard: i, Pending: pending, Cap: h.queues[i].cap}
-}
-
-// drop records n filtered events on shard i: their raw positions are
-// spent (logical admission — the arena will read them back as gaps) and
-// the filter counters advance.
-func (h *Handle) drop(i int, n uint64) {
-	h.stamp[i] += n
-	h.plan.CountFiltered(n)
-	h.shards[i].filteredIn.Add(n)
-}
-
-// shedDrop records n shed events on shard i. In stamped mode their raw
-// positions are spent exactly like filtered ones (arena gaps); in
-// unstamped mode a shed event simply never existed as far as the shard
-// is concerned.
-func (h *Handle) shedDrop(i int, n uint64) {
-	if h.intake {
-		h.stamp[i] += n
-	}
-	h.shards[i].shedIn.Add(n)
+	h.commit(i, &t)
+	return nil
 }
 
 // FeedBatch routes a batch of in-order events, enqueueing one slice per
@@ -449,82 +418,32 @@ func (h *Handle) FeedBatch(ctx context.Context, evs []event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed
 	}
-	if !h.intake && !h.sheds {
-		if len(h.queues) == 1 {
-			return h.queues[0].pushBatch(ctx, evs)
-		}
-		for i := range h.scatter {
-			h.scatter[i] = h.scatter[i][:0]
-		}
-		for i := range evs {
-			shard := h.shardOf(&evs[i])
-			h.scatter[shard] = append(h.scatter[shard], evs[i])
-		}
-		for i, chunk := range h.scatter {
-			if err := h.queues[i].pushBatch(ctx, chunk); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(h.queues) == 1 {
+		return h.pushBatch(ctx, 0, evs)
 	}
-	// Intake-filtered / shedding path: stamp against provisional per-shard
-	// counters and commit each shard's counters (stamp, drop and shed
-	// tallies) only after its chunk is safely queued, preserving the
-	// per-shard prefix property on a mid-batch error. Shed decisions use
-	// the shard's queue depth at batch start plus what this batch has
-	// already scattered to it.
 	for i := range h.scatter {
 		h.scatter[i] = h.scatter[i][:0]
-		if h.intake {
-			h.stampScratch[i] = h.stamp[i]
-			h.dropScratch[i] = 0
-		}
-		if h.sheds {
-			h.shedScratch[i] = 0
-			h.depthBase[i] = h.queues[i].depth()
-		}
 	}
 	for i := range evs {
 		shard := h.shardOf(&evs[i])
-		var seq uint64
-		if h.intake {
-			seq = h.stampScratch[shard]
-			h.stampScratch[shard]++
-			if !h.plan.Admit(&evs[i]) {
-				h.dropScratch[shard]++
-				continue
-			}
-		}
-		if s := h.shards[shard].shed; s != nil {
-			depth := h.depthBase[shard] + len(h.scatter[shard])
-			if !s.Offer(evs[i].Type, depth) {
-				h.shedScratch[shard]++
-				continue
-			}
-		}
-		ev := evs[i]
-		if h.intake {
-			ev.Seq = seq
-		}
-		h.scatter[shard] = append(h.scatter[shard], ev)
+		h.scatter[shard] = append(h.scatter[shard], evs[i])
 	}
 	for i, chunk := range h.scatter {
-		if err := h.queues[i].pushBatch(ctx, chunk); err != nil {
+		if err := h.pushBatch(ctx, i, chunk); err != nil {
 			return err
 		}
-		if h.intake {
-			h.stamp[i] = h.stampScratch[i]
-			if n := h.dropScratch[i]; n > 0 {
-				h.plan.CountFiltered(n)
-				h.shards[i].filteredIn.Add(n)
-			}
-		}
-		if h.sheds {
-			if n := h.shedScratch[i]; n > 0 {
-				h.shards[i].shedIn.Add(n)
-			}
-		}
 	}
+	return nil
+}
+
+// pushBatch admits evs to shard i while the queue appends them, in one
+// critical section, and commits the shard's tally once they are queued.
+func (h *Handle) pushBatch(ctx context.Context, i int, evs []event.Event) error {
+	t := h.openTally(i)
+	if err := h.queues[i].pushBatch(ctx, evs, func(ev *event.Event) bool { return h.admit(i, ev, &t) }); err != nil {
+		return err
+	}
+	h.commit(i, &t)
 	return nil
 }
 
@@ -539,29 +458,65 @@ func (h *Handle) shardOf(ev *event.Event) int {
 	return 0
 }
 
-func (h *Handle) feed(ctx context.Context, ev event.Event) error {
-	i := h.shardOf(&ev)
-	if h.intake {
-		if !h.plan.Admit(&ev) {
-			h.drop(i, 1)
-			return nil
-		}
+// tally is one shard's provisional admission state: admit advances it
+// event by event, and commit publishes it only once the kept events are
+// queued, so an event that fails to queue spends nothing.
+type tally struct {
+	next     uint64 // the shard's next position
+	depth    int    // queue depth the shedder sees (shedding shards only)
+	filtered uint64
+	shed     uint64
+}
+
+// openTally starts a tally of shard i's admission state.
+func (h *Handle) openTally(i int) tally {
+	t := tally{next: h.next[i]}
+	if h.shards[i].shed != nil {
+		t.depth = h.queues[i].depth()
 	}
-	// Shedding keeps the queue depth strictly below the high watermark
-	// (everything above it is dropped), so a shedding Feed never blocks.
-	if s := h.shards[i].shed; s != nil && !s.Offer(ev.Type, h.queues[i].depth()) {
-		h.shedDrop(i, 1)
-		return nil
+	return t
+}
+
+// admit decides whether ev, routed to shard i, is queued — the one
+// admission routine of Feed, TryFeed, FeedBatch and Runtime.Run:
+//
+//  1. the intake filter drops an event the query can never use; the
+//     event spends its position, which becomes an arena gap;
+//  2. the shedder drops an event under overload; a shed event — like a
+//     TryFeed rejection — spends no position: it never existed;
+//  3. a kept event is stamped with the shard's next position.
+//
+// Window spans and emitted positions therefore equal those of a
+// sequential run over the kept events.
+func (h *Handle) admit(i int, ev *event.Event, t *tally) bool {
+	if h.filter && !h.plan.Admit(ev) {
+		t.next++
+		t.filtered++
+		return false
 	}
-	if h.intake {
-		ev.Seq = h.stamp[i]
-		if err := h.queues[i].push(ctx, ev); err != nil {
-			return err
-		}
-		h.stamp[i]++
-		return nil
+	if s := h.shards[i].shed; s != nil && !s.Offer(ev.Type, t.depth) {
+		t.shed++
+		return false
 	}
-	return h.queues[i].push(ctx, ev)
+	if !h.preStamped {
+		ev.Seq = t.next
+	}
+	t.next++
+	t.depth++
+	return true
+}
+
+// commit publishes shard i's admission state once its kept events are
+// queued.
+func (h *Handle) commit(i int, t *tally) {
+	h.next[i] = t.next
+	if t.filtered > 0 {
+		h.plan.CountFiltered(t.filtered)
+		h.shards[i].filteredIn.Add(t.filtered)
+	}
+	if t.shed > 0 {
+		h.shards[i].shedIn.Add(t.shed)
+	}
 }
 
 // Close marks end of stream for every shard. Pending events are still

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -172,7 +173,8 @@ func TestShardQueueTryPushAndBatch(t *testing.T) {
 	ctx := context.Background()
 	q := newShardQueue(4)
 	evs := []event.Event{{Seq: 0}, {Seq: 1}, {Seq: 2}}
-	if err := q.pushBatch(ctx, evs); err != nil {
+	keep := func(*event.Event) bool { return true }
+	if err := q.pushBatch(ctx, evs, keep); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := q.tryPush(event.Event{Seq: 3}); !ok {
@@ -182,23 +184,28 @@ func TestShardQueueTryPushAndBatch(t *testing.T) {
 		t.Fatalf("tryPush at capacity = (%d, %v), want (4, false)", pending, ok)
 	}
 	// A batch admits as one unit once there is head-of-queue space, even
-	// if it overshoots the cap.
+	// if it overshoots the cap; admit sees every event in place and what
+	// it rejects is not queued.
 	if _, ok, _ := q.next(); !ok {
 		t.Fatal("pop must succeed")
 	}
-	if err := q.pushBatch(ctx, evs); err != nil {
+	restamp := func(ev *event.Event) bool {
+		ev.Seq += 10
+		return ev.Seq != 11
+	}
+	if err := q.pushBatch(ctx, evs, restamp); err != nil {
 		t.Fatal(err)
 	}
-	got := 0
+	var got []uint64
 	for {
-		_, ok, _ := q.next()
+		ev, ok, _ := q.next()
 		if !ok {
 			break
 		}
-		got++
+		got = append(got, ev.Seq)
 	}
-	if got != 6 {
-		t.Fatalf("drained %d events, want 6", got)
+	if fmt.Sprint(got) != "[1 2 3 10 12]" {
+		t.Fatalf("drained %v, want [1 2 3 10 12]", got)
 	}
 	q.discard()
 	if _, ok := q.tryPush(event.Event{}); ok {

@@ -146,7 +146,7 @@ func stuckShard(t *testing.T) *shardState {
 		if i%2 == 1 {
 			ty = tb
 		}
-		if err := queue.push(t.Context(), event.Event{TS: int64(i), Type: ty}); err != nil {
+		if err := queue.push(t.Context(), event.Event{Seq: uint64(i), TS: int64(i), Type: ty}); err != nil {
 			t.Fatal(err)
 		}
 	}

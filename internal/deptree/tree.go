@@ -429,30 +429,6 @@ func (t *Tree) TopK(k int, prob func(cg *CG) float64, eligible func(wv *WindowVe
 	return out
 }
 
-// SurvivalProbability computes SP(wv) from the consumption groups on the
-// version's root path (paper §3.2): the product of P(c) over completion
-// edges and 1-P(c') over abandon edges.
-func (t *Tree) SurvivalProbability(wv *WindowVersion, prob func(cg *CG) float64) float64 {
-	n := wv.node
-	if n == nil {
-		return 0
-	}
-	sp := 1.0
-	for n.parent != nil {
-		p := n.parent
-		if !p.IsWV() {
-			pc := prob(p.CG)
-			if n.slot == CompletionEdge {
-				sp *= pc
-			} else {
-				sp *= 1 - pc
-			}
-		}
-		n = p
-	}
-	return sp
-}
-
 // Check verifies structural invariants; it returns an error describing the
 // first violation. Used by property-based tests.
 func (t *Tree) Check() error {

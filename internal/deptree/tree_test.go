@@ -223,14 +223,6 @@ func TestTopKOrdering(t *testing.T) {
 	if got[1] != dep || got[2] != copyWV {
 		t.Fatal("with P=0.2 the abandon edge must rank before the completion edge")
 	}
-
-	// SP values must match SurvivalProbability.
-	if sp := h.tree.SurvivalProbability(copyWV, probLow); sp != 0.2 {
-		t.Fatalf("SP(copy) = %g, want 0.2", sp)
-	}
-	if sp := h.tree.SurvivalProbability(dep, probLow); sp != 0.8 {
-		t.Fatalf("SP(dep) = %g, want 0.8", sp)
-	}
 }
 
 // TestTopKEligibleFilter checks that ineligible versions are skipped but

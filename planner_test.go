@@ -97,7 +97,7 @@ func TestPlannerEquivalenceQE(t *testing.T) {
 				Type: reg.TypeID(typeNames[rng.Intn(len(typeNames))]),
 			})
 		}
-		checkPlannerEquivalence(t, reg, q, events, spectre.WithInstances(3), spectre.WithBatchSize(64))
+		checkPlannerEquivalence(t, reg, q, events, spectre.WithInstances(3))
 
 		// QE is fully typed with FROM A: the planner must turn both
 		// filters on.
@@ -228,8 +228,7 @@ func TestPlannerEquivalenceRandomQueries(t *testing.T) {
 				Fields: []float64{rng.Float64()},
 			}
 		}
-		checkPlannerEquivalence(t, reg, q, events,
-			spectre.WithInstances(1+rng.Intn(4)), spectre.WithBatchSize(32+rng.Intn(200)))
+		checkPlannerEquivalence(t, reg, q, events, spectre.WithInstances(1+rng.Intn(4)))
 	}
 }
 

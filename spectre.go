@@ -268,16 +268,6 @@ func WithFixedProbability(p float64) Option {
 	}
 }
 
-// WithBatchSize sets how many events an operator instance processes per
-// scheduling handoff (default 256).
-func WithBatchSize(n int) Option {
-	return func(c *core.Config) {
-		if validCount(c, "WithBatchSize", n) {
-			c.BatchSize = n
-		}
-	}
-}
-
 // WithQueueCap bounds the per-shard intake queue of a Runtime submission
 // (default 65536 events). A full queue blocks Feed/FeedBatch and rejects
 // TryFeed with an *OverloadError, so the cap is the admission-control
@@ -302,11 +292,13 @@ func WithQueueCap(n int) Option {
 // blocking Feed/FeedBatch or failing TryFeed. Above the high watermark
 // (90% of the cap) everything is dropped, so the queue depth, and with
 // it the queueing latency, stays bounded and no Feed caller ever blocks
-// indefinitely. Kept events are never reordered: output equals the
-// sequential processing of exactly the admitted subsequence. Metrics
-// gains ShedEvents; the default is off (shedding trades completeness
-// for bounded latency, which only the caller may decide). A standalone
-// Engine ignores it.
+// indefinitely. Kept events are never reordered, and a shed event
+// spends no stream position (as if it had never been fed), so `WITHIN n
+// EVENTS` windows and emitted positions are those of the kept events:
+// output equals the sequential processing of exactly the admitted
+// subsequence. Metrics gains ShedEvents; the default is off (shedding
+// trades completeness for bounded latency, which only the caller may
+// decide). A standalone Engine ignores it.
 func WithShedding() Option {
 	return func(c *core.Config) { c.Shed = true }
 }

@@ -82,7 +82,6 @@ func TestClusterSubmitRejections(t *testing.T) {
 	}{
 		{"WithShedding", spectre.WithShedding()},
 		{"WithInstances", spectre.WithInstances(2)},
-		{"WithBatchSize", spectre.WithBatchSize(64)},
 		{"WithQueueCap", spectre.WithQueueCap(1024)},
 		{"WithFixedProbability", spectre.WithFixedProbability(0.5)},
 		{"WithoutPlanner", spectre.WithoutPlanner()},

@@ -459,8 +459,6 @@ func TestOptionValidation(t *testing.T) {
 		{"WithInstances(0)", spectre.WithInstances(0)},
 		{"WithInstances(-3)", spectre.WithInstances(-3)},
 		{"WithInstances(1<<30)", spectre.WithInstances(1 << 30)},
-		{"WithBatchSize(0)", spectre.WithBatchSize(0)},
-		{"WithBatchSize(-1)", spectre.WithBatchSize(-1)},
 		{"WithShards(0)", spectre.WithShards(0)},
 		{"WithShards(-2)", spectre.WithShards(-2)},
 		{"WithQueueCap(0)", spectre.WithQueueCap(0)},
@@ -498,7 +496,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 
 	// Valid values still work (no false positives from validation).
-	if _, err := spectre.NewEngine(q, spectre.WithInstances(2), spectre.WithBatchSize(64)); err != nil {
+	if _, err := spectre.NewEngine(q, spectre.WithInstances(2), spectre.WithQueueCap(64)); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }

@@ -149,6 +149,78 @@ func TestTryFeedOverloadKeepsSequentialOrder(t *testing.T) {
 	}
 }
 
+// TestTryFeedSheddingKeepsSequentialOrder is the shedding twin of
+// TestTryFeedOverloadKeepsSequentialOrder: the query's intake filter is
+// on (and drops nothing), the stalled shard sheds instead of rejecting,
+// and the matches must still be exactly a sequential run over the kept
+// events. A shed event spends no position, so windows never stretch over
+// it and emitted positions are those of the kept substream.
+func TestTryFeedSheddingKeepsSequentialOrder(t *testing.T) {
+	reg := spectre.NewRegistry()
+	events := soakEvents(reg, 20_000)
+	q, err := spectre.ParseQuery(soakQuerySrc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rt, err := spectre.NewRuntime(reg, spectre.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	gate := make(chan struct{})
+	defer releaseOnExit(gate)()
+	sink := &gateSink{gate: gate}
+	h, err := rt.Submit(context.Background(), q, sink, spectre.WithShedding(), spectre.WithQueueCap(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := h.Plan().Info(); !info.IntakeFilter {
+		t.Fatalf("intake filter off (%s); the test needs it on", info.IntakeOffReason)
+	}
+
+	var kept []spectre.Event
+	shed := uint64(0)
+	for _, ev := range events {
+		if err := h.TryFeed(ev); err != nil {
+			t.Fatalf("TryFeed with shedding returned %v, want nil", err)
+		}
+		if now := h.Metrics().ShedEvents; now > shed {
+			shed = now
+			continue
+		}
+		kept = append(kept, ev)
+	}
+	close(gate)
+	h.Drain()
+
+	m := h.Metrics()
+	if m.ShedEvents == 0 {
+		t.Fatal("stalled 64-slot queue shed nothing over 20k events; test is vacuous")
+	}
+	if m.FilteredEvents != 0 || m.EventsIngested != uint64(len(kept)) {
+		t.Fatalf("filtered %d, ingested %d; want 0 and the %d kept events", m.FilteredEvents, m.EventsIngested, len(kept))
+	}
+
+	qRef, err := spectre.ParseQuery(soakQuerySrc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := spectre.RunSequential(qRef, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.keys) != len(want) {
+		t.Fatalf("runtime emitted %d matches over the kept substream, sequential %d", len(sink.keys), len(want))
+	}
+	for i := range want {
+		if sink.keys[i] != want[i].Key() {
+			t.Fatalf("match %d = %s, want %s (shed events spent positions)", i, sink.keys[i], want[i].Key())
+		}
+	}
+}
+
 // TestSheddingSurvivesOverload stalls the shard with shedding enabled:
 // every producer call must return nil (shed, not rejected), the queue
 // must stay bounded, and after release the shed/filtered/ingested

@@ -36,10 +36,7 @@ func TestPublicAPIFigure1(t *testing.T) {
 		{TS: at(65), Type: tb},
 	}
 
-	eng, err := spectre.NewEngine(query,
-		spectre.WithInstances(3),
-		spectre.WithBatchSize(2),
-	)
+	eng, err := spectre.NewEngine(query, spectre.WithInstances(3))
 	if err != nil {
 		t.Fatal(err)
 	}
