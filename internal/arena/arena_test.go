@@ -2,7 +2,9 @@ package arena
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -81,75 +83,197 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConsumedSet: the consumption bits mark exactly what was marked,
+// and MarkConsumed reports only the first mark of a position.
 func TestConsumedSet(t *testing.T) {
-	s := NewConsumedSet()
-	if s.Contains(0) || s.Count() != 0 {
-		t.Fatal("new set must be empty")
+	a := New()
+	if a.Consumed(0) {
+		t.Fatal("new arena must have no marks")
 	}
-	s.Mark(3)
-	s.Mark(3) // idempotent
-	s.Mark(64)
-	s.Mark(100000)
-	if !s.Contains(3) || !s.Contains(64) || !s.Contains(100000) {
-		t.Fatal("marked seqs must be contained")
+	for _, seq := range []uint64{3, 64, 100000} {
+		if !a.MarkConsumed(seq) {
+			t.Fatalf("first MarkConsumed(%d) = false", seq)
+		}
 	}
-	if s.Contains(4) || s.Contains(99999) {
-		t.Fatal("unmarked seqs must not be contained")
+	if a.MarkConsumed(3) {
+		t.Fatal("MarkConsumed must be idempotent and report the repeat")
 	}
-	if s.Count() != 3 {
-		t.Fatalf("count = %d, want 3", s.Count())
+	if !a.Consumed(3) || !a.Consumed(64) || !a.Consumed(100000) {
+		t.Fatal("marked seqs must be consumed")
+	}
+	if a.Consumed(4) || a.Consumed(99999) {
+		t.Fatal("unmarked seqs must not be consumed")
 	}
 }
 
 // TestConsumedSetProperty: marking any set of seqs makes exactly those
-// seqs contained.
+// seqs consumed, and ConsumedRuns over any range agrees with a
+// position-by-position scan.
 func TestConsumedSetProperty(t *testing.T) {
-	check := func(seqs []uint16) bool {
-		s := NewConsumedSet()
+	const span = 3 * chunkSize
+	check := func(seqs []uint16, spread uint8, lo, hi uint16) bool {
+		a := New()
 		want := make(map[uint64]bool)
+		stride := uint64(spread%3) + 1 // spread marks over up to three chunks
 		for _, x := range seqs {
-			s.Mark(uint64(x))
-			want[uint64(x)] = true
+			seq := uint64(x) * stride % span
+			a.MarkConsumed(seq)
+			want[seq] = true
 		}
-		for x := uint64(0); x < 1<<16; x += 13 {
-			if s.Contains(x) != want[x] {
+		for x := uint64(0); x < span; x += 13 {
+			if a.Consumed(x) != want[x] {
 				return false
 			}
 		}
-		return uint64(len(want)) == s.Count()
+		from, to := uint64(lo)*stride%span, uint64(hi)*stride%span
+		if from > to {
+			from, to = to, from
+		}
+		return fmt.Sprint(a.ConsumedRuns(from, to, nil)) == fmt.Sprint(naiveRuns(want, from, to))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// naiveRuns is ConsumedRuns one position at a time.
+func naiveRuns(marked map[uint64]bool, lo, hi uint64) []uint64 {
+	var runs []uint64
+	for seq := lo; seq < hi; seq++ {
+		if !marked[seq] {
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-2]+runs[n-1] == seq {
+			runs[n-1]++
+		} else {
+			runs = append(runs, seq, 1)
+		}
+	}
+	return runs
+}
+
+// TestConsumedSetConcurrentReaders exercises the consumption bits'
+// single-writer/multi-reader contract under the race detector while the
+// writer materializes, marks and releases chunks. Each reader pins the
+// lowest position it will read — the engine's root start — and the
+// writer never releases past a pin.
 func TestConsumedSetConcurrentReaders(t *testing.T) {
-	s := NewConsumedSet()
+	a := New()
+	const n = 16 * chunkSize
+	const readers = 3
+	var pins [readers]atomic.Uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
+	for r := range pins {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pin := &pins[r]
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// Monotonicity: once visible, always visible.
-				if s.Contains(10) && !s.Contains(10) {
-					t.Error("consumed bit vanished")
-					return
+				l := a.Len()
+				for seq := pin.Load(); seq < l; seq += 61 {
+					ev, ok := a.Lookup(seq)
+					if !ok || ev.Seq != seq {
+						t.Errorf("Lookup(%d) = %+v, %v below Len %d", seq, ev, ok, l)
+						return
+					}
+					// Odd positions are never marked; a visible mark stays.
+					if a.Consumed(seq) && (seq%2 == 1 || !a.Consumed(seq)) {
+						t.Errorf("consumption bit of %d flickered", seq)
+						return
+					}
+				}
+				if l > chunkSize/2 && l-chunkSize/2 > pin.Load() {
+					pin.Store(l - chunkSize/2)
 				}
 			}
 		}()
 	}
-	for i := 0; i < 10000; i++ {
-		s.Mark(uint64(i))
+	for i := uint64(0); i < n; i++ {
+		a.Append(event.Event{TS: int64(i)})
+		if i%2 == 0 {
+			a.MarkConsumed(i)
+		}
+		if i%1024 == 0 {
+			low := pins[0].Load()
+			for r := 1; r < readers; r++ {
+				low = min(low, pins[r].Load())
+			}
+			a.ReleaseBefore(low)
+		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestMarkConsumedAllocs: one mark costs O(1) — marking every event as
+// it is appended allocates the chunks and a few directory widenings,
+// nothing per mark. A word slice that regrows on every new 64-position
+// word made 32 771 allocations over this stream.
+func TestMarkConsumedAllocs(t *testing.T) {
+	a := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1<<20; i++ {
+		a.MarkConsumed(a.Append(event.Event{Type: 1}))
+	}
+	runtime.ReadMemStats(&after)
+	chunks, _ := a.AllocStats()
+	if got := after.Mallocs - before.Mallocs; got > chunks+64 {
+		t.Fatalf("%d allocations for 1<<20 marks over %d chunks; want at most %d", got, chunks, chunks+64)
+	}
+	if got := a.ConsumedRuns(0, a.Len(), nil); fmt.Sprint(got) != fmt.Sprint([]uint64{0, 1 << 20}) {
+		t.Fatalf("ConsumedRuns = %v, want one run of every position", got)
+	}
+}
+
+// TestRecycledChunkCarriesNoMarks: a chunk released with its marks and
+// reused from the freelist for later positions reads as unconsumed.
+func TestRecycledChunkCarriesNoMarks(t *testing.T) {
+	a := New()
+	for i := uint64(0); i < chunkSize; i++ {
+		a.MarkConsumed(a.Append(event.Event{Type: 1}))
+	}
+	a.Append(event.Event{Type: 1}) // chunk 1, so chunk 0 can go
+	a.ReleaseBefore(chunkSize)
+	far := uint64(2 * chunkSize)
+	a.AppendAt(event.Event{Seq: far, Type: 2})
+	if _, reuses := a.AllocStats(); reuses != 1 {
+		t.Fatalf("reuses = %d, want the released chunk reused", reuses)
+	}
+	for seq := far; seq < far+chunkSize; seq++ {
+		if a.Consumed(seq) {
+			t.Fatalf("recycled chunk reads position %d as consumed", seq)
+		}
+	}
+	if got := a.ConsumedRuns(chunkSize, far+chunkSize, nil); len(got) != 0 {
+		t.Fatalf("ConsumedRuns over the recycled chunk = %v, want none", got)
+	}
+}
+
+// TestDirectorySlides: the directory drops released chunks instead of
+// keeping a slot for every chunk ever appended, so a long stream whose
+// chunks are released one at a time keeps it a few slots long.
+func TestDirectorySlides(t *testing.T) {
+	a := New()
+	for c := uint64(0); c < 4096; c++ {
+		a.AppendAt(event.Event{Seq: c * chunkSize, Type: 1})
+		a.ReleaseBefore(c * chunkSize)
+		if n := len(a.dir.Load().chunks); n > 4 {
+			t.Fatalf("directory holds %d slots after chunk %d", n, c)
+		}
+		if ev, ok := a.Lookup(c * chunkSize); !ok || ev.Type != 1 {
+			t.Fatalf("live chunk %d lost", c)
+		}
+	}
+	if allocs, _ := a.AllocStats(); allocs > maxFree+2 {
+		t.Fatalf("allocs = %d; released chunks must be reused", allocs)
+	}
 }
 
 func TestAppendAtGapsReadAsZero(t *testing.T) {
@@ -280,9 +404,9 @@ func TestReleaseBeforeBoundsAllocations(t *testing.T) {
 // to 64 marks from cut-record snapshots — which surfaced as duplicate
 // deliveries after crash recovery.
 func TestConsumedSetAppendRunsWordBoundary(t *testing.T) {
-	s := NewConsumedSet()
+	a := New()
 	for _, m := range []uint64{119, 127, 128, 130, 144, 191, 192, 200} {
-		s.Mark(m)
+		a.MarkConsumed(m)
 	}
 	for _, tc := range []struct {
 		lo, hi uint64
@@ -293,38 +417,58 @@ func TestConsumedSetAppendRunsWordBoundary(t *testing.T) {
 		{128, 192, []uint64{128, 1, 130, 1, 144, 1, 191, 1}},
 		{120, 128, []uint64{127, 1}},
 	} {
-		got := s.AppendRuns(tc.lo, tc.hi, nil)
+		got := a.ConsumedRuns(tc.lo, tc.hi, nil)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Fatalf("AppendRuns(%d,%d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+			t.Fatalf("ConsumedRuns(%d,%d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
 		}
 	}
 }
 
 func TestConsumedSetAppendRuns(t *testing.T) {
-	s := NewConsumedSet()
-	marks := []uint64{3, 4, 5, 119, 127, 128, 129, 200}
-	for _, seq := range marks {
-		s.Mark(seq)
+	a := New()
+	for _, seq := range []uint64{3, 4, 5, 119, 127, 128, 129, 200} {
+		a.MarkConsumed(seq)
 	}
-	got := s.AppendRuns(0, 256, nil)
-	want := []uint64{3, 3, 119, 1, 127, 3, 200, 1}
-	if len(got) != len(want) {
-		t.Fatalf("AppendRuns(0,256) = %v, want %v", got, want)
+	// Runs across a chunk boundary and into a chunk past an absent one.
+	for seq := uint64(chunkSize - 2); seq < chunkSize+2; seq++ {
+		a.MarkConsumed(seq)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendRuns(0,256) = %v, want %v", got, want)
+	far := uint64(3*chunkSize + 5)
+	a.MarkConsumed(far)
+	a.MarkConsumed(far + 1)
+	for _, tc := range []struct {
+		lo, hi uint64
+		want   []uint64
+	}{
+		{0, 256, []uint64{3, 3, 119, 1, 127, 3, 200, 1}},
+		// A sub-range splits a run at lo and drops marks past hi.
+		{4, 128, []uint64{4, 2, 119, 1, 127, 1}},
+		{chunkSize - 4, chunkSize + 4, []uint64{chunkSize - 2, 4}},
+		{chunkSize, chunkSize + 1, []uint64{chunkSize, 1}},
+		// Chunk 2 was never materialized: all gaps.
+		{2 * chunkSize, 3 * chunkSize, nil},
+		{chunkSize + 1, 4 * chunkSize, []uint64{chunkSize + 1, 1, far, 2}},
+	} {
+		got := a.ConsumedRuns(tc.lo, tc.hi, nil)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("ConsumedRuns(%d,%d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
 		}
 	}
-	// Sub-range splits a run at lo and drops marks past hi.
-	got = s.AppendRuns(4, 128, nil)
-	want = []uint64{4, 2, 119, 1, 127, 1}
-	if len(got) != len(want) {
-		t.Fatalf("AppendRuns(4,128) = %v, want %v", got, want)
+	if allocs, _ := a.AllocStats(); allocs != 3 {
+		t.Fatalf("allocs = %d, want 3 (marks materialize chunks 0, 1, 3; scans none)", allocs)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendRuns(4,128) = %v, want %v", got, want)
-		}
+	// Dst is appended to, never rewritten: an open run does not merge
+	// into the caller's last pair.
+	if got := a.ConsumedRuns(5, 6, []uint64{3, 2}); fmt.Sprint(got) != fmt.Sprint([]uint64{3, 2, 5, 1}) {
+		t.Fatalf("ConsumedRuns appended %v", got)
+	}
+	// A released chunk reads as all gaps, its marks with it.
+	a.AppendAt(event.Event{Seq: far + 2, Type: 1})
+	a.ReleaseBefore(far)
+	if got := a.ConsumedRuns(0, far+3, nil); fmt.Sprint(got) != fmt.Sprint([]uint64{far, 2}) {
+		t.Fatalf("ConsumedRuns after release = %v, want only chunk 3's run", got)
+	}
+	if a.Consumed(chunkSize) {
+		t.Fatal("a released chunk still reads a mark")
 	}
 }

@@ -116,11 +116,10 @@ type slot struct {
 type shardState struct {
 	prog *program
 
-	ar       *arena.Arena
-	consumed *arena.ConsumedSet
-	tree     *deptree.Tree
-	winMgr   *window.Manager
-	pred     markov.Predictor
+	ar     *arena.Arena
+	tree   *deptree.Tree
+	winMgr *window.Manager
+	pred   markov.Predictor
 
 	fq    feedbackQueue
 	slots []slot // k = Config.Instances
@@ -211,7 +210,6 @@ func newShard(prog *program) (*shardState, error) {
 	s := &shardState{
 		prog:     prog,
 		ar:       arena.New(),
-		consumed: arena.NewConsumedSet(),
 		winMgr:   window.NewManager(prog.query.Window),
 		pred:     pred,
 		slots:    make([]slot, k),
@@ -538,7 +536,7 @@ func (s *shardState) persistCut() {
 		Boundary:     boundary,
 		NextWindowID: nextWin,
 		Watermark:    s.emitted,
-		Consumed:     s.consumed.AppendRuns(boundary, s.ar.Len(), nil),
+		Consumed:     s.ar.ConsumedRuns(boundary, s.ar.Len(), nil),
 	})
 }
 
@@ -620,14 +618,14 @@ func (s *shardState) validate(wv *deptree.WindowVersion) {
 	}
 	ok := true
 	for _, u := range wv.Used {
-		if s.consumed.Contains(u) {
+		if s.ar.Consumed(u) {
 			ok = false
 			break
 		}
 	}
 	if ok {
 		for _, sk := range wv.Skipped {
-			if !s.consumed.Contains(sk) {
+			if !s.ar.Consumed(sk) {
 				ok = false
 				break
 			}
@@ -682,8 +680,7 @@ func (s *shardState) drainOutputs(wv *deptree.WindowVersion) bool {
 	consumedCount := 0
 	for i := range out {
 		for _, seq := range out[i].Consumed {
-			if !s.consumed.Contains(seq) {
-				s.consumed.Mark(seq)
+			if s.ar.MarkConsumed(seq) {
 				consumedCount++
 			}
 		}

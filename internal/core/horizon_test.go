@@ -247,7 +247,7 @@ func TestStaleGroupNeverStallsRoot(t *testing.T) {
 	// An earlier window finally consumed the A: the first root pops, and
 	// the gate rejects its successor, which used it, and reprocesses it
 	// before the splitter drains the creation message.
-	s.consumed.Mark(8)
+	s.ar.MarkConsumed(8)
 	s.advanceRoots()
 	if s.tree.Root().WV != next || next.Rollbacks == 0 {
 		t.Fatal("the gate must have reprocessed the new root")

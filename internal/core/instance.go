@@ -164,7 +164,7 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 			wv.SetPos(pos)
 			continue
 		}
-		if s.consumed.Contains(seq) {
+		if s.ar.Consumed(seq) {
 			// Finally consumed by an earlier window.
 			pos++
 			wv.SetPos(pos)

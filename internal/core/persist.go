@@ -395,10 +395,11 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 	var cutW uint64
 	if cut := st.Cut; cut != nil {
 		// Consumed is run-length pairs (start, count, …; see
-		// ConsumedSet.AppendRuns).
+		// Arena.ConsumedRuns). Marking materializes the arena chunks
+		// replay has not appended yet.
 		for i := 0; i+1 < len(cut.Consumed); i += 2 {
 			for seq, n := cut.Consumed[i], cut.Consumed[i+1]; n > 0; n-- {
-				s.consumed.Mark(seq)
+				s.ar.MarkConsumed(seq)
 				seq++
 			}
 		}

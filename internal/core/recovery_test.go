@@ -283,3 +283,148 @@ func TestParkIsNotEndOfStream(t *testing.T) {
 		t.Fatal("the splitter popped the in-flight window")
 	}
 }
+
+// recordingStore keeps every record its shard logs append, in order, so
+// a test can rebuild the log as it stood at any point of the run.
+type recordingStore struct {
+	durable.Store
+	recs []*durable.Record
+}
+
+func (r *recordingStore) OpenShard(query string, shard int) (durable.ShardLog, error) {
+	l, err := r.Store.OpenShard(query, shard)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingLog{ShardLog: l, st: r}, nil
+}
+
+type recordingLog struct {
+	durable.ShardLog
+	st *recordingStore
+}
+
+func (l *recordingLog) Append(rec *durable.Record) error {
+	l.st.recs = append(l.st.recs, rec)
+	return l.ShardLog.Append(rec)
+}
+
+// TestRecoverCutAcrossChunks crashes right after a cut whose consumed
+// runs span two arena chunks. Priming marks them before replay has
+// appended anything, so the marks materialize both chunks, and replay
+// then appends into them. The recovered stream must equal the uncrashed
+// run's.
+func TestRecoverCutAcrossChunks(t *testing.T) {
+	const chunkEvents = 1 << 14 // the arena's chunk size; priming below checks it
+	reg := event.NewRegistry()
+	ta, tb, tc, tx := reg.TypeID("A"), reg.TypeID("B"), reg.TypeID("C"), reg.TypeID("X")
+	p := pattern.Seq("straddle",
+		pattern.Step{Name: "A", Types: []event.Type{ta}, Consume: true},
+		pattern.Step{Name: "B", Types: []event.Type{tb}, Quant: pattern.OneOrMore, Consume: true},
+		pattern.Step{Name: "C", Types: []event.Type{tc}, Consume: true},
+	)
+	q := &pattern.Query{
+		Name:    "straddle",
+		Pattern: *p,
+		Window: pattern.WindowSpec{
+			StartKind: pattern.StartEvery, Every: 100,
+			EndKind: pattern.EndCount, Count: 400,
+		},
+	}
+	// Every 1000 events an A, 150 Bs and a C; the instance at 16 300 runs
+	// across the first chunk boundary, past the next window's start.
+	events := make([]event.Event, 18000)
+	for i := range events {
+		ty := tx
+		switch off := i % 1000; {
+		case off == 300:
+			ty = ta
+		case off > 300 && off <= 450:
+			ty = tb
+		case off == 451:
+			ty = tc
+		}
+		events[i] = event.Event{TS: int64(i), Type: ty}
+	}
+	cfg := Config{Instances: 2}
+	want := referenceRun(t, reg, q, cfg, events)
+
+	rec := &recordingStore{Store: durable.NewMemStore()}
+	recorded, _ := runLife(t, rec, reg, q, cfg, events, -1)
+	assertKeysEqual(t, "durable run", recorded, want)
+	at := -1
+	for i, r := range rec.recs {
+		if r.Kind != durable.KindCut || len(r.Cut.Consumed) == 0 {
+			continue
+		}
+		runs := r.Cut.Consumed
+		first, last := runs[0], runs[len(runs)-2]+runs[len(runs)-1]-1
+		if first/chunkEvents != last/chunkEvents {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("no cut's consumed runs span two chunks; the fixture lost its point")
+	}
+	cut := rec.recs[at].Cut
+
+	prog, err := compile(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newShard(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.primeRecovered(&durable.ShardState{Cut: cut})
+	if allocs, _ := s.ar.AllocStats(); allocs != 2 || s.ar.Len() != 0 {
+		t.Fatalf("priming materialized %d chunks with %d events appended, want 2 and 0", allocs, s.ar.Len())
+	}
+	// Replay appends into the chunks the marks materialized.
+	runs := cut.Consumed
+	for seq := cut.Boundary; seq < runs[len(runs)-2]+runs[len(runs)-1]; seq++ {
+		ev := events[seq]
+		ev.Seq = seq
+		s.ar.AppendAt(ev)
+	}
+	if allocs, _ := s.ar.AllocStats(); allocs != 2 {
+		t.Fatalf("replay materialized %d chunks, want the 2 priming made", allocs)
+	}
+	if got := s.ar.ConsumedRuns(cut.Boundary, s.ar.Len(), nil); fmt.Sprint(got) != fmt.Sprint(cut.Consumed) {
+		t.Fatalf("marks after replay %v, want the cut's %v", got, cut.Consumed)
+	}
+
+	// The log as a crash right after that cut leaves it.
+	store := durable.NewMemStore()
+	log, err := store.OpenShard(q.Name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Load(reg); err != nil {
+		t.Fatal(err)
+	}
+	var delivered uint64
+	for _, r := range rec.recs[:at+1] {
+		if err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		switch r.Kind {
+		case durable.KindWatermark:
+			delivered = max(delivered, r.Watermark)
+		case durable.KindCut:
+			delivered = max(delivered, r.Cut.Watermark)
+		}
+	}
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rest, resumed := runLife(t, store, reg, q, cfg, events, -1)
+	if resumed < cut.Boundary {
+		t.Fatalf("recovery resumed at %d, below the cut boundary %d", resumed, cut.Boundary)
+	}
+	assertKeysEqual(t, "recovered across chunks", append(want[:delivered:delivered], rest...), want)
+}
