@@ -7,12 +7,16 @@
 // Responsibilities are divided exactly as in the paper's shared-memory
 // architecture (Figure 2):
 //
-//   - The splitter owns the event arena (single writer), the window
-//     manager, the dependency tree, the Markov model, the global consumed
-//     set and in-order emission.
+//   - The splitter owns the event arena (single writer; it also carries
+//     the final consumption marks, one bit per position in the event's
+//     own chunk), the window manager, the dependency tree, the Markov
+//     model and in-order emission.
 //   - Operator instances process their assigned window version in batches
 //     under the version's mutex, perform the periodic consistency checks
-//     of Fig. 8 (lines 31-45) and roll back on violations.
+//     of Fig. 8 (lines 31-45) and roll back on violations. Under the
+//     Markov model they count completion-state transitions in a table of
+//     the model's bucketed states and hand it over with the batch's
+//     feedback; the splitter folds it into the model.
 //   - Instances report consumption-group lifecycle events ("the function
 //     calls of the operator instances on the dependency tree are
 //     buffered") through a FIFO feedback queue that the splitter drains
@@ -70,7 +74,8 @@ type Config struct {
 	// Instances is k, the number of operator instances (default 4).
 	Instances int
 	// Predictor overrides the completion-probability model. Nil selects
-	// the paper's Markov model (α = 0.7, ℓ = 10).
+	// the paper's Markov model (α = 0.7, ℓ = 10); any other predictor
+	// gathers no statistics.
 	Predictor markov.Predictor
 	// ConsistencyCheckEvery is the consistency-check frequency in
 	// processed events (paper Fig. 8 `consistencyCheckFreq`; default 64).
@@ -315,35 +320,15 @@ const (
 	// msgRolledBack: the version was rolled back; its dependent subtree
 	// must be rebuilt.
 	msgRolledBack
-	// msgStats carries batched Markov transition observations.
+	// msgStats carries a worker's table of Markov transition counts.
 	msgStats
 )
 
-type statEntry struct {
-	from, to, count int
-}
-
-// statsPool recycles the entry slices carried by msgStats messages: the
-// worker fills one per flushed batch, the splitter returns it after
-// applying.
-var statsPool = sync.Pool{
-	New: func() any { s := make([]statEntry, 0, 64); return &s },
-}
-
-func newStatEntries() []statEntry {
-	return (*statsPool.Get().(*[]statEntry))[:0]
-}
-
-func putStatEntries(s []statEntry) {
-	s = s[:0]
-	statsPool.Put(&s)
-}
-
 type msg struct {
-	kind  msgKind
-	wv    *deptree.WindowVersion
-	cg    *deptree.CG
-	stats []statEntry
+	kind   msgKind
+	wv     *deptree.WindowVersion
+	cg     *deptree.CG
+	counts *markov.Counts
 }
 
 // feedbackQueue is the shared MPSC queue between operator instances and

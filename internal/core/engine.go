@@ -84,21 +84,6 @@ func compile(q *pattern.Query, cfg Config) (*program, error) {
 	}, nil
 }
 
-// newPredictor builds the completion-probability model for one shard. Each
-// shard learns its own Markov model (its substream has its own statistics)
-// with the paper's α = 0.7, ℓ = 10; a user-supplied predictor is shared by
-// all shards and must be safe for concurrent use.
-func (p *program) newPredictor() (markov.Predictor, error) {
-	if p.cfg.Predictor != nil {
-		return p.cfg.Predictor, nil
-	}
-	model, err := markov.New(p.compiled.MinLength(), markov.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return model, nil
-}
-
 // slot is one operator-instance scheduling slot of a shard. The splitter
 // publishes the assigned window version through wv; whichever worker
 // claims busy processes the next batch with the slot's scratch state.
@@ -120,6 +105,7 @@ type shardState struct {
 	tree   *deptree.Tree
 	winMgr *window.Manager
 	pred   markov.Predictor
+	model  *markov.Model // pred when it learns; nil under a fixed predictor
 
 	fq    feedbackQueue
 	slots []slot // k = Config.Instances
@@ -202,9 +188,17 @@ type shardState struct {
 
 // newShard builds one shard of prog.
 func newShard(prog *program) (*shardState, error) {
-	pred, err := prog.newPredictor()
-	if err != nil {
-		return nil, err
+	// Each shard learns its own Markov model (its substream has its own
+	// statistics) with the paper's α = 0.7, ℓ = 10. A user-supplied
+	// predictor is shared by all shards, so safe for concurrent use, and
+	// the shard gathers no statistics for it.
+	pred, model := prog.cfg.Predictor, (*markov.Model)(nil)
+	if pred == nil {
+		m, err := markov.New(prog.compiled.MinLength(), markov.Config{})
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		pred, model = m, m
 	}
 	k := prog.cfg.Instances
 	s := &shardState{
@@ -212,6 +206,7 @@ func newShard(prog *program) (*shardState, error) {
 		ar:       arena.New(),
 		winMgr:   window.NewManager(prog.query.Window),
 		pred:     pred,
+		model:    model,
 		slots:    make([]slot, k),
 		assigned: make([]*deptree.WindowVersion, k),
 		done:     make(chan struct{}),
@@ -223,7 +218,7 @@ func newShard(prog *program) (*shardState, error) {
 	}
 	s.tree = deptree.NewTree(s.newVersion)
 	s.tree.OnDrop = func(*deptree.WindowVersion) { s.versionsDropped.Add(1) }
-	s.split = newWorker(s)
+	s.split = &worker{s: s}
 	return s, nil
 }
 
@@ -473,11 +468,8 @@ func (s *shardState) apply(m *msg) {
 	case msgRolledBack:
 		s.tree.RebuildBelow(m.wv)
 	case msgStats:
-		for _, st := range m.stats {
-			s.pred.RecordTransitionN(st.from, st.to, st.count)
-		}
-		putStatEntries(m.stats)
-		m.stats = nil
+		s.model.Fold(m.counts)
+		m.counts = nil
 	}
 }
 
@@ -635,7 +627,9 @@ func (s *shardState) validate(wv *deptree.WindowVersion) {
 		s.metrics.add(func(m *Metrics) { m.GateReprocessed++ })
 		s.reprocessInline(wv)
 	}
-	wv.StatsEligible = true
+	// Only a learning model takes statistics; the slots that count them
+	// hold tables exactly then.
+	wv.StatsEligible = s.model != nil
 	wv.MarkValidated()
 }
 

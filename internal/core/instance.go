@@ -5,6 +5,7 @@ import (
 
 	"github.com/spectrecep/spectre/internal/deptree"
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/markov"
 	"github.com/spectrecep/spectre/internal/matcher"
 	"github.com/spectrecep/spectre/internal/window"
 )
@@ -38,7 +39,7 @@ func (s *shardState) processBatch(w *worker, wv *deptree.WindowVersion) bool {
 	}
 	w.msgs = w.msgs[:0]
 	worked := w.processSpan(wv, s.prog.cfg.BatchSize)
-	w.flushStats(wv)
+	w.flushStats()
 	s.fq.push(w.msgs)
 	return worked
 }
@@ -54,51 +55,29 @@ type worker struct {
 	runBuf   []matcher.RunInfo
 	touched  []int
 	dirtyCGs []*deptree.CG
-	// stats is a dense (δ_max+1)×(δ_max+1) transition-count matrix,
-	// indexed from*statDim+to and reused across batches. δ is bounded by
-	// the pattern's minimum match length, so the matrix is small.
-	stats    []uint32
-	statDim  int
-	statsSet int // number of nonzero cells
+	// counts tallies the Markov transitions of validated versions in the
+	// model's states until the batch ends. Nil under a fixed predictor,
+	// and on the splitter's worker: inline reprocessing runs before the
+	// version is validated, so it never counts.
+	counts *markov.Counts
 }
 
 func newWorker(s *shardState) *worker {
-	dim := s.prog.compiled.MinLength() + 1
-	return &worker{s: s, stats: make([]uint32, dim*dim), statDim: dim}
+	w := &worker{s: s}
+	if s.model != nil {
+		w.counts = s.model.NewCounts()
+	}
+	return w
 }
 
-// stat records one Markov transition observation.
-func (w *worker) stat(from, to int) {
-	if from < 0 || to < 0 || from >= w.statDim || to >= w.statDim {
+// flushStats hands the batch's transition counts to the splitter, which
+// folds the table into the model; the worker goes on with a fresh one.
+func (w *worker) flushStats() {
+	if w.counts == nil || w.counts.Empty() {
 		return
 	}
-	i := from*w.statDim + to
-	if w.stats[i] == 0 {
-		w.statsSet++
-	}
-	w.stats[i]++
-}
-
-// flushStats converts accumulated transition counts into a feedback
-// message. Only called for stats-eligible (validated) versions' spans.
-// Entry slices come from a pool; the splitter returns them after
-// applying the message.
-func (w *worker) flushStats(wv *deptree.WindowVersion) {
-	if w.statsSet == 0 {
-		return
-	}
-	entries := newStatEntries()
-	for from := 0; from < w.statDim; from++ {
-		row := w.stats[from*w.statDim : (from+1)*w.statDim]
-		for to, c := range row {
-			if c != 0 {
-				entries = append(entries, statEntry{from: from, to: to, count: int(c)})
-				row[to] = 0
-			}
-		}
-	}
-	w.statsSet = 0
-	w.msgs = append(w.msgs, msg{kind: msgStats, stats: entries})
+	w.msgs = append(w.msgs, msg{kind: msgStats, counts: w.counts})
+	w.counts = w.s.model.NewCounts()
 }
 
 // processSpan processes up to max events of wv. The caller must hold
@@ -268,7 +247,7 @@ func (w *worker) applyFeedback(wv *deptree.WindowVersion, ev *event.Event) bool 
 			wv.RunCGs[f.Run] = cg
 			w.msgs = append(w.msgs, msg{kind: msgCGCreated, wv: wv, cg: cg})
 			if eligible {
-				w.stat(f.PrevDelta, f.Delta)
+				w.counts.Add(f.PrevDelta, f.Delta)
 			}
 			influenced = true
 
@@ -281,7 +260,7 @@ func (w *worker) applyFeedback(wv *deptree.WindowVersion, ev *event.Event) bool 
 				cg.SetDelta(f.Delta)
 			}
 			if eligible {
-				w.stat(f.PrevDelta, f.Delta)
+				w.counts.Add(f.PrevDelta, f.Delta)
 			}
 			influenced = true
 
@@ -304,7 +283,7 @@ func (w *worker) applyFeedback(wv *deptree.WindowVersion, ev *event.Event) bool 
 				w.fb = wv.State.AbandonRunsUsing(ce.Consumed, w.fb)
 			}
 			if eligible {
-				w.stat(f.PrevDelta, 0)
+				w.counts.Add(f.PrevDelta, 0)
 			}
 			influenced = true
 
@@ -344,7 +323,7 @@ func (w *worker) recordSelfLoops(wv *deptree.WindowVersion, ev *event.Event) {
 			}
 		}
 		if !seen {
-			w.stat(ri.Delta, ri.Delta)
+			w.counts.Add(ri.Delta, ri.Delta)
 		}
 	}
 }
@@ -372,8 +351,9 @@ func (w *worker) consistencyCheck(wv *deptree.WindowVersion) bool {
 // subtree on the rollback message.
 func (w *worker) rollback(wv *deptree.WindowVersion) {
 	w.restart(wv)
-	clear(w.stats)
-	w.statsSet = 0
+	if w.counts != nil {
+		w.counts.Reset()
+	}
 	w.msgs = append(w.msgs, msg{kind: msgRolledBack, wv: wv})
 	w.s.metrics.add(func(m *Metrics) { m.Rollbacks++ })
 }

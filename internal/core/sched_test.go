@@ -108,6 +108,88 @@ func TestPredictorEquivalence(t *testing.T) {
 	}
 }
 
+// TestWorkerStatsReachModel guards the learner's input, which no output
+// test can see: on the q1 workload of TestPredictorEquivalence, driven
+// single-threaded, the model must receive the workers' count tables and
+// fold them; under a fixed predictor no worker holds a table and no
+// statistics message reaches the splitter. The workload records fewer
+// than the default Rho observations, so the learned row swaps in the
+// default model with a Rho low enough for the folds to show.
+func TestWorkerStatsReachModel(t *testing.T) {
+	reg := event.NewRegistry()
+	nyse := dataset.NYSE(reg, dataset.NYSEConfig{Symbols: 40, Leaders: 4, Minutes: 120, Seed: 11})
+	q1, err := queries.Q1(reg, queries.Q1Config{Q: 8, WindowSize: 300, Leaders: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range predictors {
+		t.Run(pr.label, func(t *testing.T) {
+			prog, err := compile(q1, Config{Instances: 4, BatchSize: 32, ConsistencyCheckEvery: 8, Predictor: pr.pred})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newShard(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.model != nil {
+				if s.model, err = markov.New(prog.compiled.MinLength(), markov.Config{Rho: 1000}); err != nil {
+					t.Fatal(err)
+				}
+				s.pred = s.model
+				for i := range s.slots {
+					s.slots[i].w = newWorker(s)
+				}
+			}
+			queue := newShardQueue(len(nyse) + 1)
+			s.begin(queue, nil)
+			for i, ev := range nyse {
+				ev.Seq = uint64(i)
+				if err := queue.push(t.Context(), ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			queue.close()
+			tables := 0
+			for i := 0; !s.finished.Load(); i++ {
+				if i > 1_000_000 {
+					t.Fatal("run did not drain")
+				}
+				s.step()
+				// Slots push after the splitter's cycle: everything they
+				// queued is still waiting for the next one.
+				s.fq.mu.Lock()
+				for _, m := range s.fq.buf {
+					if m.kind == msgStats {
+						if m.counts == nil || m.counts.Empty() {
+							t.Fatal("a statistics message must carry a non-empty table")
+						}
+						tables++
+					}
+				}
+				s.fq.mu.Unlock()
+			}
+			if pr.pred != nil {
+				if s.model != nil || s.split.counts != nil {
+					t.Fatal("a fixed predictor must leave the shard without a model or tables")
+				}
+				for i := range s.slots {
+					if s.slots[i].w.counts != nil {
+						t.Fatalf("slot %d holds a count table under a fixed predictor", i)
+					}
+				}
+				if tables != 0 {
+					t.Fatalf("%d statistics messages reached the splitter under a fixed predictor", tables)
+				}
+				return
+			}
+			if tables == 0 || s.model.Folds() == 0 {
+				t.Fatalf("the model learned nothing: %d tables handed over, %d folds", tables, s.model.Folds())
+			}
+		})
+	}
+}
+
 // stuckShard builds a one-slot shard over two count windows with the stream
 // ended, whose first window's root version is stranded exactly at the
 // window end boundary (pos == EndSeq) without having run its window-end

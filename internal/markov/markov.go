@@ -3,20 +3,21 @@
 // over the completion state δ (minimum events still required; 0 means
 // complete). A stochastic transition matrix T1 is learned online from
 // statistics gathered while processing validated (independent) window
-// versions, folded by exponential smoothing, and powers T^ℓ, T^2ℓ, … are
-// precomputed so the completion probability after n more events is a
-// two-lookup interpolation.
+// versions, folded by exponential smoothing. The completion probability
+// after n more events is read from rung columns c_i = T1^(iℓ)·e₀, built
+// lazily after each fold, ℓ matrix–vector products apart, and
+// interpolated between the two rungs around n.
 //
 // Engineering parameterization beyond the paper: for very long patterns
-// (Q1 uses q up to 2560) a dense (δ_max+1)² matrix and hundreds of powers
-// are impractical, so δ is bucketed into at most MaxStates states. The
-// paper's exact model is the special case MaxStates > δ_max.
+// (Q1 uses q up to 2560) a dense (δ_max+1)² matrix is impractical, so δ is
+// bucketed into at most MaxStates states. The paper's exact model is the
+// special case MaxStates > δ_max. The model owns that bucketing: workers
+// count transitions in a Counts table it hands out, already bucketed.
 package markov
 
 import (
 	"fmt"
-
-	"github.com/spectrecep/spectre/internal/matrix"
+	"sync"
 )
 
 // Predictor predicts the completion probability of a consumption group
@@ -26,12 +27,6 @@ type Predictor interface {
 	// CompletionProbability returns P(pattern completes within n events |
 	// current completion state δ).
 	CompletionProbability(delta, n int) float64
-	// RecordTransition feeds one observed per-event transition of the
-	// completion state.
-	RecordTransition(deltaFrom, deltaTo int)
-	// RecordTransitionN feeds count identical observations at once (the
-	// runtime batches per-event statistics).
-	RecordTransitionN(deltaFrom, deltaTo, count int)
 }
 
 // Fixed is the constant-probability baseline of Figure 11: every
@@ -48,20 +43,13 @@ func (f Fixed) CompletionProbability(delta, n int) float64 {
 	return f.P
 }
 
-// RecordTransition implements Predictor (statistics are ignored).
-func (f Fixed) RecordTransition(deltaFrom, deltaTo int) {}
-
-// RecordTransitionN implements Predictor (statistics are ignored).
-func (f Fixed) RecordTransitionN(deltaFrom, deltaTo, count int) {}
-
 // Config holds the model parameters. The zero value selects the paper's
 // defaults (α = 0.7, ℓ = 10).
 type Config struct {
 	// Alpha is the exponential-smoothing weight of recent statistics
 	// (paper: α = 0.7).
 	Alpha float64
-	// StepSize is ℓ, the spacing of precomputed matrix powers (paper:
-	// ℓ = 10).
+	// StepSize is ℓ, the spacing of the precomputed rungs (paper: ℓ = 10).
 	StepSize int
 	// Rho is the number of measurements folded into T1 at a time.
 	Rho int
@@ -97,20 +85,26 @@ func (c *Config) setDefaults() {
 }
 
 // Model is the learned Markov predictor. It is not safe for concurrent
-// use; in SPECTRE only the splitter touches it.
+// use — in SPECTRE only the splitter touches it — except for NewCounts,
+// which workers call concurrently.
 type Model struct {
-	cfg      Config
-	deltaMax int
-	scale    int // δ units per bucketed state
-	states   int // bucketed states incl. absorbing state 0
+	cfg    Config
+	scale  int // δ units per bucketed state
+	states int // bucketed states incl. absorbing state 0
+	// buckets maps every 0 ≤ δ ≤ δ_max to its state ⌈δ/scale⌉; never
+	// written after New, so worker tables share it.
+	buckets []int32
 
-	t1     *matrix.M
-	tStep  *matrix.M   // T1^ℓ
-	powers []*matrix.M // powers[i] = T1^(i·ℓ); powers[0] = identity
+	t1 []float64 // T1, states×states, row-major
+	// rungs holds the columns c_i = T1^(i·ℓ)·e₀ back to back: entry s of
+	// rung i is P(complete within i·ℓ events | state s). Rung 0 is e₀.
+	rungs      []float64
+	col, spare []float64 // rung scratch
 
-	counts       *matrix.M // raw transition counts since last fold
+	counts       []float64 // transition counts since the last fold, like t1
 	measurements int
 	folds        uint64
+	tables       sync.Pool // recycled *Counts
 }
 
 var _ Predictor = (*Model)(nil)
@@ -121,41 +115,45 @@ func New(deltaMax int, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("markov: deltaMax must be ≥ 1, got %d", deltaMax)
 	}
 	cfg.setDefaults()
-	m := &Model{cfg: cfg, deltaMax: deltaMax}
-	m.scale = 1
+	m := &Model{cfg: cfg, scale: 1}
 	for (deltaMax+m.scale-1)/m.scale+1 > cfg.MaxStates {
 		m.scale++
 	}
-	m.states = (deltaMax+m.scale-1)/m.scale + 1
-	m.t1 = priorMatrix(m.states, cfg.PriorAdvance)
-	m.counts = matrix.New(m.states)
-	m.invalidatePowers()
+	n := (deltaMax+m.scale-1)/m.scale + 1
+	m.states = n
+	m.buckets = make([]int32, deltaMax+1)
+	for d := range m.buckets {
+		m.buckets[d] = int32((d + m.scale - 1) / m.scale)
+	}
+	// Cold start: stay with probability 1-p, advance one state with
+	// probability p; state 0 absorbs.
+	m.t1 = make([]float64, n*n)
+	m.t1[0] = 1
+	for s := 1; s < n; s++ {
+		m.t1[s*n+s] = 1 - cfg.PriorAdvance
+		m.t1[s*n+s-1] = cfg.PriorAdvance
+	}
+	m.counts = make([]float64, n*n)
+	m.rungs = make([]float64, n)
+	m.col, m.spare = make([]float64, n), make([]float64, n)
+	m.invalidateRungs()
 	return m, nil
 }
 
-// priorMatrix builds the cold-start transition matrix: stay with
-// probability 1-p, advance one state with probability p; state 0 absorbs.
-func priorMatrix(states int, p float64) *matrix.M {
-	t := matrix.New(states)
-	t.Set(0, 0, 1)
-	for s := 1; s < states; s++ {
-		t.Set(s, s, 1-p)
-		t.Set(s, s-1, p)
+// bucket maps a δ value to its state through buckets; δ outside
+// [0, δ_max] clamps to the first or the last state.
+func bucket(buckets []int32, delta int) int {
+	switch {
+	case delta <= 0:
+		return 0
+	case delta >= len(buckets):
+		return int(buckets[len(buckets)-1])
 	}
-	return t
+	return int(buckets[delta])
 }
 
 // State maps a δ value to its bucketed Markov state.
-func (m *Model) State(delta int) int {
-	if delta <= 0 {
-		return 0
-	}
-	s := (delta + m.scale - 1) / m.scale
-	if s >= m.states {
-		s = m.states - 1
-	}
-	return s
-}
+func (m *Model) State(delta int) int { return bucket(m.buckets, delta) }
 
 // States reports the size of the bucketed state space.
 func (m *Model) States() int { return m.states }
@@ -166,93 +164,130 @@ func (m *Model) Scale() int { return m.scale }
 // Folds reports how many times statistics have been folded into T1.
 func (m *Model) Folds() uint64 { return m.folds }
 
-// RecordTransition implements Predictor: one per-event observation of the
-// completion state moving from deltaFrom to deltaTo.
-func (m *Model) RecordTransition(deltaFrom, deltaTo int) {
-	m.RecordTransitionN(deltaFrom, deltaTo, 1)
+// Counts is a table of completion-state transitions counted in its
+// model's bucketed states, at most MaxStates² cells. A worker fills its
+// own table while the model serves predictions: Add reads only the
+// model's bucketing, which never changes. Model.Fold takes the filled
+// table back.
+type Counts struct {
+	buckets []int32 // the model's
+	states  int
+	cells   []uint32 // from*states + to
+	touched []int32  // cells that are non-zero
 }
 
-// RecordTransitionN implements Predictor: count identical observations.
-func (m *Model) RecordTransitionN(deltaFrom, deltaTo, count int) {
-	if count <= 0 {
-		return
+// NewCounts returns an empty table for m, recycled from folded ones when
+// possible. Safe to call concurrently with the model's other methods.
+func (m *Model) NewCounts() *Counts {
+	if c, ok := m.tables.Get().(*Counts); ok {
+		return c
 	}
-	from, to := m.State(deltaFrom), m.State(deltaTo)
-	m.counts.Set(from, to, m.counts.At(from, to)+float64(count))
-	m.measurements += count
+	return &Counts{buckets: m.buckets, states: m.states, cells: make([]uint32, m.states*m.states)}
+}
+
+// Add counts one per-event observation of the completion state moving
+// from deltaFrom to deltaTo.
+func (c *Counts) Add(deltaFrom, deltaTo int) {
+	i := bucket(c.buckets, deltaFrom)*c.states + bucket(c.buckets, deltaTo)
+	if c.cells[i] == 0 {
+		c.touched = append(c.touched, int32(i))
+	}
+	c.cells[i]++
+}
+
+// Empty reports whether nothing has been counted since the last reset.
+func (c *Counts) Empty() bool { return len(c.touched) == 0 }
+
+// Reset discards the counted observations; it costs O(cells touched).
+func (c *Counts) Reset() {
+	for _, i := range c.touched {
+		c.cells[i] = 0
+	}
+	c.touched = c.touched[:0]
+}
+
+// Fold adds the observations of a table from m.NewCounts, folding T1 once
+// if they bring the pending measurements to Rho. The table is recycled:
+// the caller must not use it afterwards.
+func (m *Model) Fold(c *Counts) {
+	for _, i := range c.touched {
+		m.counts[i] += float64(c.cells[i])
+		m.measurements += int(c.cells[i])
+	}
+	c.Reset()
+	m.tables.Put(c)
 	if m.measurements >= m.cfg.Rho {
-		m.fold()
+		m.smooth()
 	}
 }
 
-// fold builds T1_new from the accumulated counts and applies the paper's
+// RecordTransition records one per-event observation of the completion
+// state moving from deltaFrom to deltaTo, folding T1 every Rho of them.
+func (m *Model) RecordTransition(deltaFrom, deltaTo int) {
+	m.counts[m.State(deltaFrom)*m.states+m.State(deltaTo)]++
+	m.measurements++
+	if m.measurements >= m.cfg.Rho {
+		m.smooth()
+	}
+}
+
+// smooth builds T1_new from the accumulated counts and applies the paper's
 // exponential smoothing T1 = (1-α)·T1_old + α·T1_new. Rows without any
-// observation keep their old distribution.
-func (m *Model) fold() {
-	tNew := matrix.New(m.states)
-	for r := 0; r < m.states; r++ {
+// observation keep their old distribution; state 0 always absorbs.
+func (m *Model) smooth() {
+	n, a := m.states, m.cfg.Alpha
+	for r := 1; r < n; r++ {
+		row, cnt := m.t1[r*n:(r+1)*n], m.counts[r*n:(r+1)*n]
 		var sum float64
-		for c := 0; c < m.states; c++ {
-			sum += m.counts.At(r, c)
+		for _, v := range cnt {
+			sum += v
 		}
 		if sum == 0 {
-			for c := 0; c < m.states; c++ {
-				tNew.Set(r, c, m.t1.At(r, c))
-			}
 			continue
 		}
-		for c := 0; c < m.states; c++ {
-			tNew.Set(r, c, m.counts.At(r, c)/sum)
+		for c := range row {
+			row[c] = (1-a)*row[c] + a*(cnt[c]/sum)
 		}
 	}
-	// State 0 always absorbs.
-	for c := 0; c < m.states; c++ {
-		tNew.Set(0, c, 0)
-	}
-	tNew.Set(0, 0, 1)
-
-	blended, err := matrix.Blend(m.t1, tNew, m.cfg.Alpha)
-	if err == nil {
-		m.t1 = blended
-	}
-	m.counts = matrix.New(m.states)
+	clear(m.counts)
 	m.measurements = 0
 	m.folds++
-	m.invalidatePowers()
+	m.invalidateRungs()
 }
 
-func (m *Model) invalidatePowers() {
-	m.tStep = nil
-	m.powers = m.powers[:0]
-	m.powers = append(m.powers, matrix.Identity(m.states))
+// invalidateRungs drops every rung but c_0 = e₀.
+func (m *Model) invalidateRungs() {
+	m.rungs = m.rungs[:m.states]
+	clear(m.rungs)
+	m.rungs[0] = 1
 }
 
-// power returns T1^(idx·ℓ), computing and caching rungs on demand.
-func (m *Model) power(idx int) *matrix.M {
-	if m.tStep == nil {
-		p, err := matrix.Pow(m.t1, m.cfg.StepSize)
-		if err != nil {
-			// Cannot happen: t1 is square. Fall back to identity to stay
-			// total.
-			p = matrix.Identity(m.states)
+// rung returns column c_idx = T1^(idx·ℓ)·e₀, extending the cached rungs
+// on demand: each is ℓ matrix–vector products past the one before.
+func (m *Model) rung(idx int) []float64 {
+	n := m.states
+	for len(m.rungs) <= idx*n {
+		col, next := m.col, m.spare
+		copy(col, m.rungs[len(m.rungs)-n:])
+		for range m.cfg.StepSize {
+			for r := range next {
+				var v float64
+				for c, t := range m.t1[r*n : (r+1)*n] {
+					v += t * col[c]
+				}
+				next[r] = v
+			}
+			col, next = next, col
 		}
-		m.tStep = p
+		m.rungs = append(m.rungs, col...)
 	}
-	for len(m.powers) <= idx {
-		next, err := matrix.Mul(m.powers[len(m.powers)-1], m.tStep)
-		if err != nil {
-			next = m.powers[len(m.powers)-1].Clone()
-		}
-		m.powers = append(m.powers, next)
-	}
-	return m.powers[idx]
+	return m.rungs[idx*n : (idx+1)*n]
 }
 
 // CompletionProbability implements Predictor using the interpolation of
 // the paper's Fig. 5: Tn = (1 - (n mod ℓ)/ℓ)·T_{⌊n/ℓ⌋·ℓ} +
-// ((n mod ℓ)/ℓ)·T_{⌈n/ℓ⌉·ℓ}, and the result is (v_δ · Tn)[state 0] —
-// which reduces to interpolating the (δ, 0) entries of the two rung
-// matrices.
+// ((n mod ℓ)/ℓ)·T_{⌈n/ℓ⌉·ℓ}, and the result is (e_δ · Tn)[state 0] —
+// entry δ of the interpolated rung columns.
 func (m *Model) CompletionProbability(delta, n int) float64 {
 	if delta <= 0 {
 		return 1
@@ -267,18 +302,18 @@ func (m *Model) CompletionProbability(delta, n int) float64 {
 	l := m.cfg.StepSize
 	lo := n / l
 	rem := n % l
-	pLo := m.power(lo).At(s, 0)
+	pLo := m.rung(lo)[s]
 	if rem == 0 {
 		return clamp01(pLo)
 	}
-	pHi := m.power(lo+1).At(s, 0)
+	pHi := m.rung(lo + 1)[s]
 	f := float64(rem) / float64(l)
 	return clamp01((1-f)*pLo + f*pHi)
 }
 
-// T1 returns a copy of the current transition matrix (for tests and
-// diagnostics).
-func (m *Model) T1() *matrix.M { return m.t1.Clone() }
+// T1 returns a copy of the current transition matrix, states×states
+// row-major (for tests and diagnostics).
+func (m *Model) T1() []float64 { return append([]float64(nil), m.t1...) }
 
 func clamp01(v float64) float64 {
 	if v < 0 {

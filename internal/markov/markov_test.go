@@ -1,10 +1,30 @@
 package markov
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// isStochastic reports whether the states×states row-major matrix t has
+// non-negative entries and rows summing to 1 within tol.
+func isStochastic(t []float64, states int, tol float64) bool {
+	for r := 0; r < states; r++ {
+		var sum float64
+		for _, v := range t[r*states : (r+1)*states] {
+			if v < -tol {
+				return false
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > tol {
+			return false
+		}
+	}
+	return true
+}
 
 func TestFixedPredictor(t *testing.T) {
 	f := Fixed{P: 0.3}
@@ -14,8 +34,6 @@ func TestFixedPredictor(t *testing.T) {
 	if got := f.CompletionProbability(0, 100); got != 1 {
 		t.Fatalf("δ=0 must be certain, got %g", got)
 	}
-	f.RecordTransition(3, 2) // must be a no-op
-	f.RecordTransitionN(3, 2, 100)
 }
 
 func TestModelBasics(t *testing.T) {
@@ -26,7 +44,7 @@ func TestModelBasics(t *testing.T) {
 	if m.States() != 6 || m.Scale() != 1 {
 		t.Fatalf("states=%d scale=%d, want 6 and 1", m.States(), m.Scale())
 	}
-	if !m.T1().IsStochastic(1e-9) {
+	if !isStochastic(m.T1(), m.States(), 1e-9) {
 		t.Fatal("initial T1 must be row-stochastic")
 	}
 	if got := m.CompletionProbability(0, 10); got != 1 {
@@ -111,7 +129,7 @@ func TestLearningAdaptsToAdvanceRate(t *testing.T) {
 	if pFast < 0.9 {
 		t.Fatalf("advance 0.5/event over 40 events with δ=4 is near-certain, got %g", pFast)
 	}
-	if !fast.T1().IsStochastic(1e-9) {
+	if !isStochastic(fast.T1(), fast.States(), 1e-9) {
 		t.Fatal("learned T1 must stay row-stochastic")
 	}
 }
@@ -133,7 +151,7 @@ func TestStochasticInvariant(t *testing.T) {
 			}
 			m.RecordTransition(from, to)
 		}
-		if !m.T1().IsStochastic(1e-6) {
+		if !isStochastic(m.T1(), m.States(), 1e-6) {
 			return false
 		}
 		for d := 0; d <= 50; d += 7 {
@@ -151,8 +169,10 @@ func TestStochasticInvariant(t *testing.T) {
 	}
 }
 
-// TestInterpolationBetweenRungs checks the paper's linear interpolation:
-// P at n between two rungs lies between the rung values.
+// TestInterpolationBetweenRungs checks the paper's Fig. 5 interpolation
+// and the rungs it reads: P(n) for n between two rungs is the exact blend
+// (1 − (n mod ℓ)/ℓ)·P(⌊n/ℓ⌋ℓ) + ((n mod ℓ)/ℓ)·P(⌈n/ℓ⌉ℓ), and every rung
+// equals (e_δ·T1ⁿ)[0] computed by brute force from the learned T1.
 func TestInterpolationBetweenRungs(t *testing.T) {
 	m, err := New(3, Config{StepSize: 10, Rho: 100})
 	if err != nil {
@@ -161,19 +181,165 @@ func TestInterpolationBetweenRungs(t *testing.T) {
 	// Feed a strong advance signal so probabilities are non-trivial.
 	for i := 0; i < 1000; i++ {
 		m.RecordTransition(3, 2)
+		m.RecordTransition(3, 3)
 		m.RecordTransition(2, 1)
+		m.RecordTransition(2, 2)
 		m.RecordTransition(1, 0)
+	}
+	if m.Folds() == 0 {
+		t.Fatal("training must fold statistics")
 	}
 	p10 := m.CompletionProbability(3, 10)
 	p14 := m.CompletionProbability(3, 14)
 	p20 := m.CompletionProbability(3, 20)
-	lo, hi := min(p10, p20), max(p10, p20)
-	if p14 < lo-1e-12 || p14 > hi+1e-12 {
-		t.Fatalf("interpolated P(n=14)=%g outside [%g, %g]", p14, lo, hi)
+	if want := 0.6*p10 + 0.4*p20; math.Abs(p14-want) > 1e-12 {
+		t.Fatalf("P(n=14) = %.17g, want 0.6·P(10) + 0.4·P(20) = %.17g", p14, want)
 	}
-	// Exact rung: no interpolation error.
-	want := 0.4*p10 + 0.6*p20
-	_ = want // the exact blend depends on direction; the bound above is the contract
+	if p10 >= p20 || p10 <= 0 || p20 >= 1 {
+		t.Fatalf("rungs must be strictly between 0 and 1 and grow: P(10)=%g P(20)=%g", p10, p20)
+	}
+
+	t1, states := m.T1(), m.States()
+	for _, n := range []int{10, 20, 1000} {
+		for delta := 1; delta <= 3; delta++ {
+			v := make([]float64, states)
+			v[m.State(delta)] = 1
+			for range n {
+				next := make([]float64, states)
+				for r, vr := range v {
+					for c := range next {
+						next[c] += vr * t1[r*states+c]
+					}
+				}
+				v = next
+			}
+			if got := m.CompletionProbability(delta, n); math.Abs(got-v[0]) > 1e-12 {
+				t.Fatalf("rung n=%d δ=%d: P = %.17g, brute-force e_δ·T1ⁿ = %.17g", n, delta, got, v[0])
+			}
+		}
+	}
+}
+
+// TestBucketedCountsFoldLikeRaw is the gate for counting in the model's
+// buckets: the same transitions recorded raw, one RecordTransition each,
+// and counted by two worker tables folded into the model give a
+// bit-identical T1, whether δ maps one-to-one onto the states or twenty
+// δ values share one.
+func TestBucketedCountsFoldLikeRaw(t *testing.T) {
+	for _, tc := range []struct{ deltaMax, scale int }{{5, 1}, {640, 20}} {
+		rng := rand.New(rand.NewSource(int64(tc.deltaMax)))
+		const n = 5000
+		from, to := make([]int, n), make([]int, n)
+		for i := range from {
+			from[i] = rng.Intn(tc.deltaMax + 1)
+			to[i] = from[i]
+			if from[i] > 0 && rng.Intn(3) == 0 {
+				to[i] = from[i] - 1 - rng.Intn(min(from[i], 3))
+			}
+		}
+		cfg := Config{Rho: n}
+		raw, err := New(tc.deltaMax, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bucketed, err := New(tc.deltaMax, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bucketed.Scale() != tc.scale {
+			t.Fatalf("deltaMax %d: scale %d, want %d", tc.deltaMax, bucketed.Scale(), tc.scale)
+		}
+		a, b := bucketed.NewCounts(), bucketed.NewCounts()
+		for i := range from {
+			raw.RecordTransition(from[i], to[i])
+			if i%2 == 0 {
+				a.Add(from[i], to[i])
+			} else {
+				b.Add(from[i], to[i])
+			}
+		}
+		bucketed.Fold(a)
+		if bucketed.Folds() != 0 {
+			t.Fatalf("deltaMax %d: folded before Rho measurements", tc.deltaMax)
+		}
+		bucketed.Fold(b)
+		if raw.Folds() != 1 || bucketed.Folds() != 1 {
+			t.Fatalf("deltaMax %d: folds raw=%d bucketed=%d, want 1 each", tc.deltaMax, raw.Folds(), bucketed.Folds())
+		}
+		rt, bt := raw.T1(), bucketed.T1()
+		for i := range rt {
+			if math.Float64bits(rt[i]) != math.Float64bits(bt[i]) {
+				t.Fatalf("deltaMax %d: T1[%d][%d] raw %.17g, bucketed %.17g",
+					tc.deltaMax, i/raw.States(), i%raw.States(), rt[i], bt[i])
+			}
+		}
+		if c := bucketed.NewCounts(); !c.Empty() {
+			t.Fatalf("deltaMax %d: a recycled table must come back empty", tc.deltaMax)
+		}
+	}
+}
+
+// TestCountsFromConcurrentWorkers runs the handoff the runtime uses:
+// several goroutines take tables from NewCounts and fill them while one
+// goroutine folds the filled ones and serves predictions. Under -race it
+// checks the sharing; the folded T1 must equal the one recorded raw.
+func TestCountsFromConcurrentWorkers(t *testing.T) {
+	const (
+		workers = 4
+		batches = 50
+		perTab  = 100
+	)
+	cfg := Config{Rho: workers * batches * perTab}
+	raw, err := New(40, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(40, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// transition is the i-th observation of every worker, so the multiset
+	// recorded is known whatever the interleaving.
+	transition := func(i int) (int, int) {
+		from := i % 41
+		return from, max(from-i%2, 0)
+	}
+	filled := make(chan *Counts)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				c := m.NewCounts()
+				for i := b * perTab; i < (b+1)*perTab; i++ {
+					c.Add(transition(i))
+				}
+				filled <- c
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(filled) }()
+	for c := range filled {
+		m.Fold(c)
+		if p := m.CompletionProbability(20, 100); p < 0 || p > 1 {
+			t.Fatalf("probability %g outside [0, 1]", p)
+		}
+	}
+	for range workers {
+		for i := 0; i < batches*perTab; i++ {
+			raw.RecordTransition(transition(i))
+		}
+	}
+	if m.Folds() != 1 || raw.Folds() != 1 {
+		t.Fatalf("folds %d and %d, want 1 each", m.Folds(), raw.Folds())
+	}
+	rt, mt := raw.T1(), m.T1()
+	for i := range rt {
+		if rt[i] != mt[i] {
+			t.Fatalf("T1[%d] = %g from worker tables, %g recorded raw", i, mt[i], rt[i])
+		}
+	}
 }
 
 func TestInvalidDeltaMax(t *testing.T) {

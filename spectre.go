@@ -257,7 +257,8 @@ func WithRegistry(reg *Registry) Option {
 // WithFixedProbability uses a constant completion probability p in [0, 1]
 // for every open consumption group (the baseline of the paper's Figure
 // 11) instead of the paper's Markov model (α = 0.7, ℓ = 10). Resolved
-// groups keep their certain outcome.
+// groups keep their certain outcome. No completion statistics are
+// gathered under it: the operator instances count no Markov transitions.
 func WithFixedProbability(p float64) Option {
 	return func(c *core.Config) {
 		if !(p >= 0 && p <= 1) { // negated form rejects NaN too
