@@ -24,8 +24,10 @@ type ClusterError = cluster.Error
 // shutdown, Submit on a closed coordinator.
 var ErrClusterClosed = cluster.ErrClosed
 
-// ClusterOptions configures a coordinator started with ListenCluster.
-// The zero value is usable: one worker, 256-event link batches, 2ms
+// ClusterOptions configures a coordinator started with ListenCluster:
+// how many workers Submit waits for, plan pushdown, the flush interval
+// for partial link batches (batches are a fixed 256 events) and the
+// heartbeat. The zero value is usable: one worker, pushdown on, 2ms
 // flush, 2s heartbeats.
 type ClusterOptions = cluster.Options
 
@@ -72,9 +74,8 @@ func (cl *Cluster) Addr() net.Addr { return cl.c.Addr() }
 func (cl *Cluster) Workers() int { return cl.c.Workers() }
 
 // ClusterLinkStats is a snapshot of one worker link's transport
-// counters: negotiated protocol version, current adaptive batch size,
-// bytes and frames in each direction, events shipped and events saved
-// by shared-stream page dedup.
+// counters: shards owned, bytes and frames in each direction, events
+// shipped and events saved by shared-stream page dedup.
 type ClusterLinkStats = cluster.LinkStats
 
 // LinkStats snapshots the transport counters of every joined worker
@@ -246,6 +247,6 @@ func JoinCluster(ctx context.Context, reg *Registry, addr string, opts ClusterWo
 }
 
 // ClusterWorkerStats is a snapshot of a worker's coordinator-link
-// transport counters: negotiated protocol version, bytes and frames in
-// each direction, and events received through shared-page references.
+// transport counters: bytes and frames in each direction, and events
+// received through shared-page references.
 type ClusterWorkerStats = cluster.WorkerStats

@@ -60,9 +60,9 @@
 //
 // The coordinator minimizes link traffic by default (DESIGN.md §13):
 // plan pushdown drops events the query provably cannot use before they
-// are framed, the v2 wire encodes frames compactly (delta/varint,
-// plan-driven field projection) on workers that negotiate it, and the
-// per-link batch size adapts between 64 and 4096 events.
+// are framed, the wire encodes event frames compactly (delta/varint,
+// plan-driven field projection), and each link ships 256-event batches,
+// with partial ones flushed every 2ms.
 // -cluster-no-pushdown ships every routed event in full. Per-link transport
 // counters (bytes, frames, events deduplicated) are printed in each
 // connection summary and exported under "clusterLinks" in the -pprof
@@ -179,8 +179,7 @@ type queryMetrics struct {
 
 // metricsSnapshot is the /debug/spectre/metrics JSON document: the live
 // queries plus, in coordinator mode, the cluster worker links' transport
-// counters (proto version, adaptive batch, bytes/frames each way, page
-// dedup savings).
+// counters (bytes/frames each way, events sent, page dedup savings).
 type metricsSnapshot struct {
 	Queries      []queryMetrics             `json:"queries"`
 	ClusterLinks []spectre.ClusterLinkStats `json:"clusterLinks,omitempty"`
@@ -421,8 +420,8 @@ func runWorker(ctx context.Context, join string, capacity int) error {
 	report := func() {
 		ws := w.Stats()
 		fmt.Fprintf(os.Stderr,
-			"spectre-server: worker %d link proto v%d: %d B out / %d B in, %d frames out / %d in, %d events deduped\n",
-			w.ID(), ws.Proto, ws.BytesSent, ws.BytesRecv, ws.FramesSent, ws.FramesRecv, ws.EventsDeduped)
+			"spectre-server: worker %d link: %d B out / %d B in, %d frames out / %d in, %d events deduped\n",
+			w.ID(), ws.BytesSent, ws.BytesRecv, ws.FramesSent, ws.FramesRecv, ws.EventsDeduped)
 	}
 	select {
 	case <-ctx.Done():
@@ -528,8 +527,8 @@ func serveClusterConn(ctx context.Context, cluster *clusterFrontend, conn net.Co
 		id, sent, n, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
 	for _, ls := range cluster.cl.LinkStats() {
 		fmt.Fprintf(os.Stderr,
-			"spectre-server: conn %d: link w%d (%s) proto v%d batch %d: %d B out / %d B in, %d frames out / %d in, %d events sent, %d deduped\n",
-			id, ls.WorkerID, ls.Name, ls.Proto, ls.Batch,
+			"spectre-server: conn %d: link w%d (%s): %d B out / %d B in, %d frames out / %d in, %d events sent, %d deduped\n",
+			id, ls.WorkerID, ls.Name,
 			ls.BytesSent, ls.BytesRecv, ls.FramesSent, ls.FramesRecv,
 			ls.EventsSent, ls.EventsDeduped)
 	}

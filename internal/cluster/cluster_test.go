@@ -87,8 +87,10 @@ func refRun(t *testing.T, reg *event.Registry, text string, route func(*event.Ev
 		m.drained(s)
 	}
 	m.release()
-	if m.pending() {
-		t.Fatal("reference merge left matches buffered after drain")
+	for s := range m.shards {
+		if m.shards[s].next < len(m.shards[s].buf) {
+			t.Fatal("reference merge left matches buffered after drain")
+		}
 	}
 	return out
 }
@@ -121,7 +123,13 @@ func startCluster(t *testing.T, reg *event.Registry, n int) *testCluster {
 
 func (tc *testCluster) addWorker(t *testing.T) *Worker {
 	t.Helper()
-	w, err := Join(context.Background(), event.NewRegistry(), tc.c.Addr().String(),
+	return tc.join(t, event.NewRegistry())
+}
+
+// join adds a worker whose process-local registry is wreg.
+func (tc *testCluster) join(t *testing.T, wreg *event.Registry) *Worker {
+	t.Helper()
+	w, err := Join(context.Background(), wreg, tc.c.Addr().String(),
 		WorkerOptions{Heartbeat: 100 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("join: %v", err)
@@ -353,6 +361,38 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestWorkerRegistryRemap: workers whose registries interned the
+// coordinator's type and field names in reverse order before joining must
+// translate every shipped event into their own ids — the non-identity
+// path of the shared translation — and golden Q1 stays byte-identical.
+func TestWorkerRegistryRemap(t *testing.T) {
+	tc := goldenCases[0] // Q1
+	reg := event.NewRegistry()
+	events := tc.events(reg)
+	route := tc.route(reg)
+	want := refRun(t, reg, tc.text, route, distShards, events)
+
+	types, fields := reg.TypeNames(), reg.FieldNames()
+	if len(types) < 2 || len(fields) < 2 {
+		t.Fatalf("%d types, %d fields: reversing cannot move an id", len(types), len(fields))
+	}
+	cl := startCluster(t, reg, 0)
+	for i := 0; i < 2; i++ {
+		wreg := event.NewRegistry()
+		for j := len(types) - 1; j >= 0; j-- {
+			wreg.TypeID(types[j])
+		}
+		for j := len(fields) - 1; j >= 0; j-- {
+			wreg.FieldIndex(fields[j])
+		}
+		cl.join(t, wreg)
+	}
+	h, got := distSubmit(t, cl.c, tc.name, tc.text, route, distShards)
+	feedAll(t, h, events)
+	drain(t, h)
+	compareRuns(t, "Q1 reversed worker registries", want, got())
 }
 
 // TestDistributedWorkerKill: killing a worker mid-stream must lose no

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/spectrecep/spectre/internal/dataset"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/wire"
 )
@@ -59,66 +58,68 @@ func startClusterOpts(t *testing.T, reg *event.Registry, n int, opts Options, wo
 	return tc
 }
 
-// TestHandshakeRefusesOldPeer: the handshake carries a protocol version,
-// and a peer below minProtoVersion is refused on either side — an old
-// worker gets the coordinator's protocol-mismatch error frame and no
-// link, an old coordinator's welcome fails Join with a typed *Error.
+// TestHandshakeRefusesOldPeer: the handshake carries the one protocol
+// version this build speaks, and a peer on any other version — older or
+// newer — is refused on either side: such a worker gets the coordinator's
+// protocol-mismatch error frame and no link, and such a coordinator's
+// welcome fails Join with a typed *Error.
 func TestHandshakeRefusesOldPeer(t *testing.T) {
-	// v2 was the big-endian link; the little-endian one is v3 and nothing
-	// older is spoken.
-	const old = uint32(2)
-	if protoVersion != 3 || minProtoVersion != 3 {
-		t.Fatalf("proto range v%d..v%d, want v3 only", minProtoVersion, protoVersion)
+	// v4 dropped the assign frame's flags byte; v3 peers still send it.
+	if protoVersion != 4 {
+		t.Fatalf("protoVersion = %d, want 4", protoVersion)
 	}
+	for _, peer := range []uint32{protoVersion - 1, protoVersion + 1} {
+		t.Run(fmt.Sprintf("v%d", peer), func(t *testing.T) {
+			c, err := Listen("127.0.0.1:0", event.NewRegistry(), Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			defer c.Close()
+			conn, err := net.Dial("tcp", c.Addr().String())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			hello := helloMsg{Proto: peer, Capacity: 1, Name: "foreign-worker"}
+			if err := writeFrame(conn, kindHello, hello.encode(nil)); err != nil {
+				t.Fatalf("send hello: %v", err)
+			}
+			kind, body, err := wire.ReadFrame(conn, nil)
+			if err != nil {
+				t.Fatalf("read refusal: %v", err)
+			}
+			em, err := decodeError(body)
+			if kind != kindError || err != nil || !strings.Contains(em.Msg, "protocol mismatch") {
+				t.Fatalf("v%d worker got kind %d, %q (%v); want a protocol-mismatch error frame", peer, kind, em.Msg, err)
+			}
+			if n := len(c.Stats()); n != 0 {
+				t.Fatalf("refused worker left %d link(s) registered", n)
+			}
 
-	c, err := Listen("127.0.0.1:0", event.NewRegistry(), Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer c.Close()
-	conn, err := net.Dial("tcp", c.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	hello := helloMsg{Proto: old, Capacity: 1, Name: "old-worker"}
-	if err := writeFrame(conn, kindHello, hello.encode(nil)); err != nil {
-		t.Fatalf("send hello: %v", err)
-	}
-	kind, body, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatalf("read refusal: %v", err)
-	}
-	em, err := decodeError(body)
-	if kind != kindError || err != nil || !strings.Contains(em.Msg, "protocol mismatch") {
-		t.Fatalf("old worker got kind %d, %q (%v); want a protocol-mismatch error frame", kind, em.Msg, err)
-	}
-	if n := len(c.Stats()); n != 0 {
-		t.Fatalf("refused worker left %d link(s) registered", n)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		peer, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer peer.Close()
-		if _, _, err := wire.ReadFrame(peer, nil); err != nil {
-			return
-		}
-		welcome := welcomeMsg{Proto: old, WorkerID: 1}
-		_ = writeFrame(peer, kindWelcome, welcome.encode(nil))
-	}()
-	_, err = Join(context.Background(), event.NewRegistry(), ln.Addr().String(),
-		WorkerOptions{JoinAttempts: 1, Logf: t.Logf})
-	var ce *Error
-	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Fatalf("join to an old coordinator = %v, want a *cluster.Error naming the protocol mismatch", err)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, _, err := wire.ReadFrame(conn, nil); err != nil {
+					return
+				}
+				welcome := welcomeMsg{Proto: peer, WorkerID: 1}
+				_ = writeFrame(conn, kindWelcome, welcome.encode(nil))
+			}()
+			_, err = Join(context.Background(), event.NewRegistry(), ln.Addr().String(),
+				WorkerOptions{JoinAttempts: 1, Logf: t.Logf})
+			var ce *Error
+			if !errors.As(err, &ce) || !strings.Contains(err.Error(), "protocol mismatch") {
+				t.Fatalf("join to a v%d coordinator = %v, want a *cluster.Error naming the protocol mismatch", peer, err)
+			}
+		})
 	}
 }
 
@@ -297,36 +298,4 @@ func distSubmitStream(t *testing.T, c *Coordinator, st *Stream, name, text strin
 		defer mu.Unlock()
 		return append([]string(nil), out...)
 	}
-}
-
-// TestAdaptiveBatchGrows: a sustained full-throughput feed must push a
-// link's batch above its floor. The stream is match-free so the ordered
-// merge never buffers a head — otherwise the blocked-merge shrink signal
-// outvotes growth on a single-link cluster, which is the intended policy.
-func TestAdaptiveBatchGrows(t *testing.T) {
-	gc := goldenCases[0]
-	reg := event.NewRegistry()
-	events := dataset.Rand(reg, dataset.RandConfig{Symbols: 10, Events: 4000, Seed: 7})
-	route := gc.route(reg)
-
-	t.Run("adaptive", func(t *testing.T) {
-		cl := startClusterOpts(t, reg, 1, Options{BatchEvents: batchMin}, WorkerOptions{})
-		h, _ := distSubmit(t, cl.c, gc.name, gc.text, route, distShards)
-		// Feed in whole-stream pulses so each shard's backlog fills
-		// several frames at once, spaced so the controller (every 8
-		// flusher ticks) observes the sustained full sends.
-		for i := 0; i < 10; i++ {
-			if err := h.FeedBatch(events); err != nil {
-				t.Fatalf("feed: %v", err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		drain(t, h)
-		for _, ls := range cl.c.Stats() {
-			if ls.Batch > batchMin {
-				return
-			}
-		}
-		t.Fatal("adaptive batch never grew above the floor under sustained load")
-	})
 }

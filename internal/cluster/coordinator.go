@@ -20,13 +20,6 @@ type Options struct {
 	// MinWorkers makes Submit block until at least this many workers have
 	// joined (default 1).
 	MinWorkers int
-	// BatchEvents is the initial per-shard event batch size on a worker
-	// link (default 256): the pump coalesces this many routed events into
-	// one frame before shipping. Each link's batch then adapts within
-	// [batchMin, batchMax] — growing while the link keeps shipping full
-	// batches, shrinking when the link owns the shard that holds back a
-	// query's ordered-merge head.
-	BatchEvents int
 	// DisablePushdown turns off coordinator-side plan pushdown: every
 	// routed event ships to its shard owner even when the query's intake
 	// prefilter proves it irrelevant.
@@ -46,10 +39,6 @@ func (o *Options) setDefaults() {
 	if o.MinWorkers <= 0 {
 		o.MinWorkers = 1
 	}
-	if o.BatchEvents <= 0 {
-		o.BatchEvents = 256
-	}
-	o.BatchEvents = min(max(o.BatchEvents, batchMin), batchMax)
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 2 * time.Millisecond
 	}
@@ -88,7 +77,6 @@ type Coordinator struct {
 	// copies the body into a pooled frame buffer synchronously, so one
 	// scratch serves every pump.
 	encBuf []byte
-	ticks  int // flusher ticks since the last batch-controller pass
 
 	wg sync.WaitGroup
 }
@@ -98,7 +86,6 @@ type workerLink struct {
 	id       uint32
 	name     string
 	capacity int
-	proto    uint32 // negotiated wire protocol version
 	conn     net.Conn
 
 	// Outbound frame queue (qmu): encoded frames in send order.
@@ -112,10 +99,6 @@ type workerLink struct {
 	load                  int
 	gone                  bool
 	typesSent, fieldsSent int
-	// batch is the link's adaptive event batch size; fullSends counts
-	// full batches shipped since the controller's last pass.
-	batch     int
-	fullSends int
 	// pageSeq numbers shared-stream pages; stage holds the events and
 	// per-shard reference lists accumulated since the last page flush.
 	pageSeq uint64
@@ -131,6 +114,12 @@ type workerLink struct {
 	eventsDeduped atomic.Uint64
 }
 
+// batchEvents sizes a link's frames: the pump ships a shard's retained
+// events once this many are unsent, and a shared-stream page is flushed
+// once it stages this many. The flusher ships whatever is partial every
+// FlushInterval.
+const batchEvents = 256
+
 // framePool recycles encoded outbound frame buffers: enqueue draws from
 // it, writeLoop returns each buffer after the connection write.
 var framePool = sync.Pool{New: func() any { return []byte(nil) }}
@@ -140,8 +129,6 @@ var framePool = sync.Pool{New: func() any { return []byte(nil) }}
 type LinkStats struct {
 	WorkerID      uint32
 	Name          string
-	Proto         uint32
-	Batch         int
 	Shards        int
 	BytesSent     uint64
 	BytesRecv     uint64
@@ -161,8 +148,6 @@ func (c *Coordinator) Stats() []LinkStats {
 		out = append(out, LinkStats{
 			WorkerID:      w.id,
 			Name:          w.name,
-			Proto:         w.proto,
-			Batch:         w.batch,
 			Shards:        w.load,
 			BytesSent:     w.bytesSent.Load(),
 			BytesRecv:     w.bytesRecv.Load(),
@@ -188,11 +173,6 @@ type queryState struct {
 	emit    func(event.Complex)
 	onDrain func()
 
-	// preStamped marks the query as running in pre-stamped mode: workers
-	// trust the wire-carried raw sequence numbers instead of re-stamping
-	// at intake, which is what lets the coordinator drop (pushdown) or
-	// page-share events.
-	preStamped bool
 	// admit is the plan's intake prefilter when pushdown is on (nil
 	// otherwise): events it rejects spend their raw position but are
 	// never retained, encoded or shipped.
@@ -401,12 +381,8 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// Negotiate down to the newest version both sides speak: the worker
-	// advertises its maximum, the coordinator answers with the chosen
-	// version and every frame on the link follows it.
-	chosen := min(hello.Proto, protoVersion)
-	if chosen < minProtoVersion {
-		msg := errorMsg{Msg: fmt.Sprintf("protocol mismatch: coordinator speaks v%d..v%d, worker v%d", minProtoVersion, protoVersion, hello.Proto)}
+	if hello.Proto != protoVersion {
+		msg := errorMsg{Msg: fmt.Sprintf("protocol mismatch: coordinator speaks v%d, worker v%d", protoVersion, hello.Proto)}
 		_ = writeFrame(conn, kindError, msg.encode(nil))
 		_ = conn.Close()
 		return
@@ -414,8 +390,6 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	w := &workerLink{
 		name:     hello.Name,
 		capacity: int(hello.Capacity),
-		proto:    chosen,
-		batch:    c.opts.BatchEvents,
 		conn:     conn,
 	}
 	if w.capacity <= 0 {
@@ -438,7 +412,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	c.workers[w.id] = w
 	c.mu.Unlock()
 
-	welcome := welcomeMsg{Proto: w.proto, WorkerID: w.id}
+	welcome := welcomeMsg{Proto: protoVersion, WorkerID: w.id}
 	if err := writeFrame(conn, kindWelcome, welcome.encode(nil)); err != nil {
 		c.mu.Lock()
 		delete(c.workers, w.id)
@@ -447,7 +421,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	c.opts.Logf("cluster: worker %d (%s) joined, capacity %d, proto v%d", w.id, w.name, w.capacity, w.proto)
+	c.opts.Logf("cluster: worker %d (%s) joined, capacity %d", w.id, w.name, w.capacity)
 
 	c.wg.Add(2)
 	go func() {
@@ -460,7 +434,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	}()
 
 	c.mu.Lock()
-	c.placePending(w)
+	c.placePending()
 	c.rebalance(w)
 	c.signalMembership()
 	c.mu.Unlock()
@@ -653,28 +627,14 @@ func (c *Coordinator) workerLost(w *workerLink, cause error) {
 
 // --- placement ----------------------------------------------------------
 
-// pickWorker returns the least-loaded live worker with spare capacity
-// (c.mu held).
-func (c *Coordinator) pickWorker() *workerLink {
-	var best *workerLink
-	for _, w := range c.workers {
-		if w.gone || w.load >= w.capacity {
-			continue
-		}
-		if best == nil || w.load < best.load || (w.load == best.load && w.id < best.id) {
-			best = w
-		}
-	}
-	return best
-}
-
-// pickWorkerFor returns the best live worker for a shard of q,
-// preferring — for shared-stream queries — the worker that
+// pickWorkerFor returns the best live worker with spare capacity for a
+// shard of q, preferring — for shared-stream queries — the worker that
 // already owns the most shards of the stream's other queries (so pages
-// dedup across them), then least load (c.mu held).
+// dedup across them), then least load, then lowest id. A nil q picks by
+// load alone (c.mu held).
 func (c *Coordinator) pickWorkerFor(q *queryState) *workerLink {
 	shared := map[*workerLink]int{}
-	if q.stream != nil {
+	if q != nil && q.stream != nil {
 		for _, sq := range q.stream.queries {
 			for _, s := range sq.shards {
 				if s.owner != nil {
@@ -700,7 +660,7 @@ func (c *Coordinator) pickWorkerFor(q *queryState) *workerLink {
 }
 
 // placePending assigns every unowned shard (c.mu held).
-func (c *Coordinator) placePending(_ *workerLink) {
+func (c *Coordinator) placePending() {
 	for _, q := range c.queries {
 		for idx, s := range q.shards {
 			if s.owner != nil || s.drained || s.quiescing {
@@ -769,19 +729,12 @@ func (c *Coordinator) rebalance(target *workerLink) {
 // grew past what it has seen (c.mu held; ordered before the frames that
 // need them by the link queue's FIFO).
 func (c *Coordinator) ensureTables(w *workerLink) {
-	nt, nf := c.reg.NumTypes(), c.reg.NumFields()
-	if nt <= w.typesSent && nf <= w.fieldsSent {
+	if c.reg.NumTypes() <= w.typesSent && c.reg.NumFields() <= w.fieldsSent {
 		return
 	}
-	m := tablesMsg{Types: make([]string, 0, nt), Fields: make([]string, 0, nf)}
-	for i := 1; i <= nt; i++ {
-		m.Types = append(m.Types, c.reg.TypeName(event.Type(i)))
-	}
-	for i := 0; i < nf; i++ {
-		m.Fields = append(m.Fields, c.reg.FieldName(i))
-	}
+	m := tablesMsg{Types: c.reg.TypeNames(), Fields: c.reg.FieldNames()}
 	w.enqueue(kindTables, m.encode(nil))
-	w.typesSent, w.fieldsSent = nt, nf
+	w.typesSent, w.fieldsSent = len(m.Types), len(m.Fields)
 }
 
 // assignShard hands shard idx of q to w (c.mu held). The snapshot rides
@@ -799,14 +752,13 @@ func (c *Coordinator) assignShard(q *queryState, idx int, w *workerLink) {
 	}
 	c.ensureTables(w)
 	m := assignMsg{
-		Query:      q.id,
-		Shard:      uint32(idx),
-		NShards:    uint32(q.nShards),
-		EmitBase:   s.snapW,
-		Name:       q.name,
-		Text:       q.text,
-		Snapshot:   s.snap,
-		PreStamped: q.preStamped,
+		Query:    q.id,
+		Shard:    uint32(idx),
+		NShards:  uint32(q.nShards),
+		EmitBase: s.snapW,
+		Name:     q.name,
+		Text:     q.text,
+		Snapshot: s.snap,
 	}
 	w.enqueue(kindAssign, m.encode(nil))
 }
@@ -821,13 +773,12 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 		return
 	}
 	w := s.owner
-	batch := w.batch
 	for {
 		avail := len(s.retained) - s.sent
-		if avail == 0 || (!force && avail < batch) {
+		if avail == 0 || (!force && avail < batchEvents) {
 			break
 		}
-		n := min(avail, batch)
+		n := min(avail, batchEvents)
 		evs := s.retained[s.sent : s.sent+n]
 		c.ensureTables(w)
 		m := eventsMsg{Query: q.id, Shard: uint32(idx), Events: evs}
@@ -837,9 +788,6 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 		c.encBuf = m.encode(c.encBuf[:0])
 		w.enqueue(kindEvents, c.encBuf)
 		w.eventsSent.Add(uint64(n))
-		if n == batch {
-			w.fullSends++
-		}
 		s.sent += n
 	}
 	if q.closing && !s.closeSent && s.sent == len(s.retained) {
@@ -848,43 +796,8 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 	}
 }
 
-// controllerTicks is how many flusher ticks pass between adaptive batch
-// controller runs, and fullSendGrow how many full batches a link must
-// ship in that span before its batch doubles; batchMin and batchMax bound
-// every link's batch size in events.
-const (
-	controllerTicks = 8
-	fullSendGrow    = 4
-	batchMin        = 64
-	batchMax        = 4096
-)
-
-// adjustBatches is the adaptive batch controller (c.mu held): a link
-// that kept shipping full batches is throughput-bound and doubles its
-// batch (fewer frames per event); a link owning the shard that currently
-// holds back a query's ordered-merge head halves it (smaller batches
-// mean fresher progress watermarks and a faster-released merge).
-func (c *Coordinator) adjustBatches() {
-	shrunk := map[*workerLink]bool{}
-	for _, q := range c.queries {
-		if b := q.merge.blocker(); b >= 0 {
-			if w := q.shards[b].owner; w != nil && !shrunk[w] {
-				shrunk[w] = true
-				w.batch = max(w.batch/2, batchMin)
-			}
-		}
-	}
-	for _, w := range c.workers {
-		if !shrunk[w] && w.fullSends >= fullSendGrow {
-			w.batch = min(w.batch*2, batchMax)
-		}
-		w.fullSends = 0
-	}
-}
-
-// flusher periodically flushes staged shared-stream pages, force-pumps
-// partial batches so a trickling stream still makes progress, and runs
-// the adaptive batch controller every controllerTicks intervals.
+// flusher periodically flushes staged shared-stream pages and
+// force-pumps partial batches so a trickling stream still makes progress.
 func (c *Coordinator) flusher() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.opts.FlushInterval)
@@ -902,10 +815,6 @@ func (c *Coordinator) flusher() {
 			for idx := range q.shards {
 				c.pump(q, idx, true)
 			}
-		}
-		if c.ticks++; c.ticks >= controllerTicks {
-			c.ticks = 0
-			c.adjustBatches()
 		}
 		c.mu.Unlock()
 	}
@@ -953,7 +862,7 @@ func (c *Coordinator) handleReady(w *workerLink, m *readyMsg) error {
 	c.pump(q, int(m.Shard), q.closing)
 	// A shard that was not ready at the last membership change was not a
 	// migration candidate then; retry toward the least-loaded worker now.
-	if next := c.pickWorker(); next != nil {
+	if next := c.pickWorkerFor(nil); next != nil {
 		c.rebalance(next)
 	}
 	return nil
@@ -1104,9 +1013,7 @@ func (c *Coordinator) Submit(ctx context.Context, sub Submission) (*QueryHandle,
 		shards:  make([]*shardRun, sub.NShards),
 		done:    make(chan struct{}),
 	}
-	pushdown := pl.IntakeActive() && !c.opts.DisablePushdown
-	q.preStamped = pushdown || sub.Stream != nil
-	if pushdown {
+	if pl.IntakeActive() && !c.opts.DisablePushdown {
 		q.admit = pl.Admit
 	}
 	q.proj, q.projected = pl.Projection()
@@ -1199,14 +1106,8 @@ func (c *Coordinator) routeOne(q *queryState, ev *event.Event, deferPump bool) (
 	e := *ev
 	e.Seq = local
 	s.retained = append(s.retained, e)
-	if !deferPump {
-		threshold := c.opts.BatchEvents
-		if s.owner != nil {
-			threshold = s.owner.batch
-		}
-		if len(s.retained)-s.sent >= threshold {
-			c.pump(q, idx, false)
-		}
+	if !deferPump && len(s.retained)-s.sent >= batchEvents {
+		c.pump(q, idx, false)
 	}
 	return idx, len(s.retained) - 1, nil
 }

@@ -164,45 +164,3 @@ func (m *orderedMerge) release() {
 		m.out(km.match)
 	}
 }
-
-// blocker returns the index of the shard currently holding the merge
-// back — some shard has a buffered head match, and the returned shard's
-// empty-buffer release bound is still below that head's key — or -1 when
-// nothing is blocked. It is the adaptive batcher's shrink signal: the
-// blocking shard's owner benefits from smaller batches (fresher progress
-// watermarks release the head sooner).
-func (m *orderedMerge) blocker() int {
-	best := -1
-	var bestKey uint64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		if sh.next < len(sh.buf) {
-			if k := sh.buf[sh.next].key; best < 0 || k < bestKey {
-				best, bestKey = i, k
-			}
-		}
-	}
-	if best < 0 {
-		return -1
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		if i == best || sh.next < len(sh.buf) || sh.drained {
-			continue
-		}
-		if sh.low < bestKey {
-			return i
-		}
-	}
-	return -1
-}
-
-// pending reports whether any accepted match is still buffered.
-func (m *orderedMerge) pending() bool {
-	for i := range m.shards {
-		if m.shards[i].next < len(m.shards[i].buf) {
-			return true
-		}
-	}
-	return false
-}

@@ -76,11 +76,11 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			if q.closing || q.finished {
 				continue
 			}
-			idx, ridx, err := c.routeOne(q, ev, q.preStamped)
+			idx, ridx, err := c.routeOne(q, ev, true)
 			if err != nil {
 				return err
 			}
-			if ridx < 0 || !q.preStamped {
+			if ridx < 0 {
 				continue
 			}
 			s := q.shards[idx]
@@ -96,10 +96,6 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			// the attached queries' owners coincide — when they don't,
 			// the second link gets its own copy.
 			if stagedOn != w {
-				if stagedOn != nil && staged >= 0 {
-					// Rare split ownership: restage on the other link too.
-					staged = -1
-				}
 				w.stage.events = append(w.stage.events, *ev)
 				staged = len(w.stage.events) - 1
 				stagedOn = w
@@ -117,7 +113,7 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			rl.stageIdx = append(rl.stageIdx, uint32(staged))
 			rl.seqs = append(rl.seqs, s.retained[ridx].Seq)
 		}
-		if stagedOn != nil && len(stagedOn.stage.events) >= stagedOn.batch {
+		if stagedOn != nil && len(stagedOn.stage.events) >= batchEvents {
 			c.flushStage(stagedOn)
 		}
 	}

@@ -28,16 +28,14 @@ import (
 	"github.com/spectrecep/spectre/internal/wire"
 )
 
-// protoVersion is the newest frame grammar this build speaks;
-// minProtoVersion the oldest it still accepts. The handshake negotiates
-// per link: the worker's hello advertises its maximum, the coordinator
-// answers with min(worker max, coordinator max), and a peer below
-// minProtoVersion is refused. Bump protoVersion on any wire-incompatible
-// change.
-const (
-	protoVersion    = 3 // v3: fixed-width integers little-endian (internal/wire)
-	minProtoVersion = 3
-)
+// protoVersion is the one frame grammar this build speaks. Hello and
+// welcome both carry it and each end refuses a peer that differs. Bump it
+// on any wire-incompatible change.
+//
+// v3: fixed-width integers little-endian (internal/wire). v4: the assign
+// frame lost its flags byte (every shard trusts the coordinator's
+// positions).
+const protoVersion = 4
 
 // Frame kinds on a cluster link (the internal/wire frame; DESIGN.md "Wire
 // formats"). Control frames are fixed-width: they are rare. The event
@@ -101,10 +99,6 @@ type assignMsg struct {
 	Name     string
 	Text     string
 	Snapshot []byte
-	// PreStamped (carried in a trailing flags byte) tells the worker that the coordinator runs the plan's intake
-	// prefilter before shipping: wire sequence numbers are raw
-	// substream positions and must be trusted, not re-stamped.
-	PreStamped bool
 }
 
 type readyMsg struct {
@@ -149,9 +143,6 @@ const (
 	evContig    byte = 1 << 0 // seqs are First..First+n-1; no deltas encoded
 	evProjected byte = 1 << 1 // fields carry a fixed projection column set
 )
-
-// assign flags (trailing byte of kindAssign).
-const assignPreStamped byte = 1 << 0
 
 // maxProjFields bounds a projection list; maxProjIndex bounds each
 // projected field index. Registry field tables are tiny, so the index
@@ -232,12 +223,7 @@ func (m *assignMsg) encode(b []byte) []byte {
 	b = wire.AppendU64(b, m.EmitBase)
 	b = wire.AppendStr(b, m.Name)
 	b = wire.AppendStr(b, m.Text)
-	b = wire.AppendBytes(b, m.Snapshot)
-	var flags byte
-	if m.PreStamped {
-		flags |= assignPreStamped
-	}
-	return append(b, flags)
+	return wire.AppendBytes(b, m.Snapshot)
 }
 
 func (m *readyMsg) encode(b []byte) []byte {
@@ -416,7 +402,6 @@ func decodeAssign(b []byte) (assignMsg, error) {
 		Text:     r.Str(),
 		Snapshot: r.Bytes(),
 	}
-	m.PreStamped = r.U8()&assignPreStamped != 0
 	return m, r.Finish()
 }
 

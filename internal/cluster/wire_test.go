@@ -1,7 +1,7 @@
 package cluster
 
 // Codec coverage: round-trips for the compact frame bodies (events,
-// page, pageRefs, assign flags) and a fuzz target over every
+// page, pageRefs, assign) and a fuzz target over every
 // body decoder — corrupt input must come back as a structured error, no
 // panics and no allocations disproportionate to the delivered bytes.
 
@@ -143,7 +143,6 @@ func TestAssignRoundTrip(t *testing.T) {
 	m := assignMsg{
 		Query: 2, Shard: 1, NShards: 4, EmitBase: 99,
 		Name: "Q", Text: "QUERY Q ...", Snapshot: []byte{1, 2, 3},
-		PreStamped: true,
 	}
 	got, err := decodeAssign(m.encode(nil))
 	if err != nil {
@@ -151,6 +150,10 @@ func TestAssignRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("%+v != %+v", got, m)
+	}
+	// A v3 assign body ends in a flags byte; v4 has none and refuses it.
+	if _, err := decodeAssign(append(m.encode(nil), 1)); err == nil {
+		t.Fatal("assign body with a trailing flags byte decoded")
 	}
 }
 
@@ -183,6 +186,7 @@ func TestDecodeEventsCorrupt(t *testing.T) {
 // allocations bounded by the input size.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{kindHello})
+	f.Add(append([]byte{kindWelcome}, (&welcomeMsg{Proto: protoVersion, WorkerID: 3}).encode(nil)...))
 	f.Add(append([]byte{kindEvents},
 		(&eventsMsg{Query: 1, Events: []event.Event{ev(5, 1, 2, 3), ev(9, 2, 2)}}).encode(nil)...))
 	f.Add(append([]byte{kindEvents},
@@ -192,7 +196,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(append([]byte{kindPageRefs},
 		(&pageRefsMsg{Query: 1, PageID: 1, Idx: []uint32{0, 4}, Seqs: []uint64{7, 9}}).encode(nil)...))
 	f.Add(append([]byte{kindAssign},
-		(&assignMsg{Query: 1, NShards: 2, Text: "t", PreStamped: true}).encode(nil)...))
+		(&assignMsg{Query: 1, NShards: 2, Text: "t"}).encode(nil)...))
 	f.Add(append([]byte{kindHandoff},
 		(&handoffMsg{Query: 1, Snapshot: []byte{1}}).encode(nil)...))
 	f.Fuzz(func(t *testing.T, data []byte) {

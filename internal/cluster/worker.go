@@ -59,12 +59,11 @@ const linkTimeoutFactor = 10
 // lives in memory — the WAL is what makes the shard portable: a quiesce
 // parks the runtime, exports the WAL and ships it back in a handoff frame.
 type Worker struct {
-	conn  net.Conn
-	reg   *event.Registry
-	rt    *core.Runtime
-	opts  WorkerOptions
-	id    uint32
-	proto uint32 // negotiated wire protocol version
+	conn net.Conn
+	reg  *event.Registry
+	rt   *core.Runtime
+	opts WorkerOptions
+	id   uint32
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -73,13 +72,13 @@ type Worker struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
+	// tables translates the coordinator's ids into this process's
+	// registry assignment; nil until the first kindTables frame. Only the
+	// serve goroutine touches it.
+	tables *event.Translation
+
 	mu     sync.Mutex
 	shards map[uint64]*workerShard
-	// typeMap/fieldMap translate the coordinator's interned ids (from the
-	// latest kindTables frame) into this process's registry assignment.
-	typeMap  []event.Type
-	fieldMap []int
-	identity bool
 	// pages holds shared event pages awaiting their reference frames;
 	// each page is freed after refsLeft kindPageRefs frames consumed it.
 	pages map[uint64]*workerPage
@@ -108,7 +107,6 @@ type workerPage struct {
 // WorkerStats is a point-in-time snapshot of the worker link's transport
 // counters.
 type WorkerStats struct {
-	Proto         uint32
 	BytesSent     uint64
 	BytesRecv     uint64
 	FramesSent    uint64
@@ -119,7 +117,6 @@ type WorkerStats struct {
 // Stats snapshots the link counters.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		Proto:         w.proto,
 		BytesSent:     w.bytesSent.Load(),
 		BytesRecv:     w.bytesRecv.Load(),
 		FramesSent:    w.framesSent.Load(),
@@ -130,8 +127,6 @@ func (w *Worker) Stats() WorkerStats {
 
 // workerShard is one assigned (query, shard) execution.
 type workerShard struct {
-	query uint32
-	shard uint32
 	name  string
 	h     *core.Handle
 	store *durable.MemStore
@@ -154,30 +149,21 @@ func Join(ctx context.Context, reg *event.Registry, addr string, opts WorkerOpti
 	opts.setDefaults()
 	backoff := transport.Backoff{Min: 100 * time.Millisecond, Max: 2 * time.Second}
 	var conn net.Conn
-	var id, proto uint32
-	var lastErr error
-	attempts := 0
-	for attempts < opts.JoinAttempts {
-		c, wid, p, err := dialCoordinator(ctx, addr, &opts)
-		if err == nil {
-			conn, id, proto = c, wid, p
-			attempts++
+	var id uint32
+	for attempts := 1; ; attempts++ {
+		var err error
+		if conn, id, err = dialCoordinator(ctx, addr, &opts); err == nil {
 			break
 		}
-		lastErr = err
-		opts.Logf("cluster: join %s attempt %d/%d failed: %v", addr, attempts+1, opts.JoinAttempts, err)
-		attempts++
+		opts.Logf("cluster: join %s attempt %d/%d failed: %v", addr, attempts, opts.JoinAttempts, err)
 		if attempts >= opts.JoinAttempts {
-			break
+			return nil, &Error{Op: "join", Addr: addr, Attempts: attempts, Err: err}
 		}
 		select {
 		case <-ctx.Done():
 			return nil, &Error{Op: "join", Addr: addr, Attempts: attempts, Err: ctx.Err()}
 		case <-time.After(backoff.Next(attempts - 1)):
 		}
-	}
-	if conn == nil {
-		return nil, &Error{Op: "join", Addr: addr, Attempts: attempts, Err: lastErr}
 	}
 	wctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{
@@ -186,7 +172,6 @@ func Join(ctx context.Context, reg *event.Registry, addr string, opts WorkerOpti
 		rt:     core.NewRuntime(core.RuntimeConfig{}),
 		opts:   opts,
 		id:     id,
-		proto:  proto,
 		ctx:    wctx,
 		cancel: cancel,
 		shards: make(map[uint64]*workerShard),
@@ -208,49 +193,50 @@ func Join(ctx context.Context, reg *event.Registry, addr string, opts WorkerOpti
 	return w, nil
 }
 
-// dialCoordinator performs one dial + hello/welcome handshake. The hello
-// advertises the worker's newest protocol version; the coordinator
-// answers with the version the link will actually speak, which the range
-// check below accepts only when this build speaks it.
-func dialCoordinator(ctx context.Context, addr string, opts *WorkerOptions) (net.Conn, uint32, uint32, error) {
+// dialCoordinator performs one dial + handshake.
+func dialCoordinator(ctx context.Context, addr string, opts *WorkerOptions) (net.Conn, uint32, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	_ = conn.SetDeadline(deadline)
+	id, err := greet(conn, opts)
+	if err != nil {
+		conn.Close()
+		return nil, 0, err
+	}
+	return conn, id, nil
+}
+
+// greet sends the hello and reads the welcome, returning the worker id.
+// Both frames carry protoVersion; a coordinator speaking any other
+// version is refused.
+func greet(conn net.Conn, opts *WorkerOptions) (uint32, error) {
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	hello := helloMsg{Proto: protoVersion, Capacity: uint32(opts.Capacity), Name: opts.Name}
 	if err := writeFrame(conn, kindHello, hello.encode(nil)); err != nil {
-		conn.Close()
-		return nil, 0, 0, fmt.Errorf("send hello: %w", err)
+		return 0, fmt.Errorf("send hello: %w", err)
 	}
 	kind, body, err := wire.ReadFrame(conn, nil)
 	if err != nil {
-		conn.Close()
-		return nil, 0, 0, fmt.Errorf("read welcome: %w", err)
+		return 0, fmt.Errorf("read welcome: %w", err)
 	}
 	if kind == kindError {
 		if em, derr := decodeError(body); derr == nil {
-			conn.Close()
-			return nil, 0, 0, fmt.Errorf("coordinator rejected join: %s", em.Msg)
+			return 0, fmt.Errorf("coordinator rejected join: %s", em.Msg)
 		}
 	}
 	if kind != kindWelcome {
-		conn.Close()
-		return nil, 0, 0, fmt.Errorf("unexpected frame kind %d during handshake", kind)
+		return 0, fmt.Errorf("unexpected frame kind %d during handshake", kind)
 	}
 	wm, err := decodeWelcome(body)
 	if err != nil {
-		conn.Close()
-		return nil, 0, 0, err
+		return 0, err
 	}
-	if wm.Proto < minProtoVersion || wm.Proto > protoVersion {
-		conn.Close()
-		return nil, 0, 0, fmt.Errorf("protocol mismatch: coordinator chose v%d, worker speaks v%d..v%d", wm.Proto, minProtoVersion, protoVersion)
+	if wm.Proto != protoVersion {
+		return 0, fmt.Errorf("protocol mismatch: coordinator speaks v%d, worker v%d", wm.Proto, protoVersion)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	return conn, wm.WorkerID, wm.Proto, nil
+	return wm.WorkerID, conn.SetDeadline(time.Time{})
 }
 
 // ID returns the coordinator-assigned worker id.
@@ -373,7 +359,11 @@ func (w *Worker) dispatch(kind byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		w.applyTables(&m)
+		if w.tables == nil {
+			w.tables = event.NewTranslation(w.reg)
+		}
+		w.tables.SetTypes(m.Types)
+		w.tables.SetFields(m.Fields)
 		return nil
 	case kindAssign:
 		m, err := decodeAssign(body)
@@ -430,76 +420,14 @@ func (w *Worker) dispatch(kind byte, body []byte) error {
 	}
 }
 
-// applyTables rebuilds the link-id → local-id translation from a full
-// table announcement.
-func (w *Worker) applyTables(m *tablesMsg) {
-	typeMap := make([]event.Type, len(m.Types)+1)
-	identity := true
-	for i, name := range m.Types {
-		id := w.reg.TypeID(name)
-		typeMap[i+1] = id
-		if id != event.Type(i+1) {
-			identity = false
-		}
-	}
-	fieldMap := make([]int, len(m.Fields))
-	for i, name := range m.Fields {
-		idx := w.reg.FieldIndex(name)
-		fieldMap[i] = idx
-		if idx != i {
-			identity = false
-		}
-	}
-	w.mu.Lock()
-	w.typeMap, w.fieldMap, w.identity = typeMap, fieldMap, identity
-	w.mu.Unlock()
-}
-
 // remap translates a batch of link-encoded events into the local registry
 // assignment, in place.
 func (w *Worker) remap(evs []event.Event) error {
-	w.mu.Lock()
-	typeMap, fieldMap, identity := w.typeMap, w.fieldMap, w.identity
-	w.mu.Unlock()
-	if identity && len(typeMap) > 0 {
-		// Ids match the local registry (the common case: the worker's
-		// registry interned the coordinator's tables in order); still
-		// reject ids past the announced table.
-		for i := range evs {
-			if int(evs[i].Type) >= len(typeMap) {
-				return fmt.Errorf("cluster: event type id %d past announced table (%d types)", evs[i].Type, len(typeMap)-1)
-			}
-		}
-		return nil
+	if w.tables == nil {
+		return fmt.Errorf("cluster: events before any tables frame")
 	}
-	for i := range evs {
-		ev := &evs[i]
-		if int(ev.Type) >= len(typeMap) {
-			return fmt.Errorf("cluster: event type id %d past announced table (%d types)", ev.Type, len(typeMap)-1)
-		}
-		ev.Type = typeMap[ev.Type]
-		if len(ev.Fields) == 0 {
-			continue
-		}
-		width := 0
-		for j := range ev.Fields {
-			nj := j
-			if j < len(fieldMap) {
-				nj = fieldMap[j]
-			}
-			if nj+1 > width {
-				width = nj + 1
-			}
-		}
-		out := make([]float64, width)
-		for j, v := range ev.Fields {
-			nj := j
-			if j < len(fieldMap) {
-				nj = fieldMap[j]
-			}
-			out[nj] = v
-		}
-		ev.Fields = out
+	if err := w.tables.Apply(evs); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
@@ -530,11 +458,11 @@ func (w *Worker) handleAssign(m *assignMsg) error {
 	// The WAL shard key is q.Name; pin it to the assignment's name so the
 	// imported snapshot is the state this submission recovers from.
 	q.Name = m.Name
-	ws := &workerShard{query: m.Query, shard: m.Shard, name: m.Name, store: store, emitBase: m.EmitBase}
+	ws := &workerShard{name: m.Name, store: store, emitBase: m.EmitBase}
 	cfg := core.Config{
 		Reg:        w.reg,
 		Durable:    store,
-		PreStamped: m.PreStamped,
+		PreStamped: true,
 		OnAdvance: func(boundary uint64) {
 			if ws.gone.Load() {
 				return
@@ -585,23 +513,28 @@ func (w *Worker) drop(query, shard uint32) {
 	w.mu.Unlock()
 }
 
-// handleEvents feeds one batch. Feeding blocks when the shard's intake
-// queue is full — the link reader stalling is exactly the backpressure
-// the coordinator's TCP window propagates to its batcher.
+// handleEvents remaps and feeds one batch.
 func (w *Worker) handleEvents(m *eventsMsg) error {
-	ws := w.lookup(m.Query, m.Shard)
+	if err := w.remap(m.Events); err != nil {
+		return err
+	}
+	return w.feed(m.Query, m.Shard, m.Events)
+}
+
+// feed hands a remapped batch to its shard. Feeding blocks when the
+// shard's intake queue is full — the link reader stalling is exactly the
+// backpressure the coordinator's TCP window propagates to its batcher.
+func (w *Worker) feed(query, shard uint32, evs []event.Event) error {
+	ws := w.lookup(query, shard)
 	if ws == nil {
 		// A batch can race a completed handoff; the new owner replays it.
 		return nil
 	}
-	if err := w.remap(m.Events); err != nil {
-		return err
-	}
-	if err := ws.h.FeedBatch(w.ctx, m.Events); err != nil {
+	if err := ws.h.FeedBatch(w.ctx, evs); err != nil {
 		if w.ctx.Err() != nil {
 			return nil
 		}
-		return fmt.Errorf("cluster: feed %s/%d: %w", ws.name, m.Shard, err)
+		return fmt.Errorf("cluster: feed %s/%d: %w", ws.name, shard, err)
 	}
 	return nil
 }
@@ -659,18 +592,7 @@ func (w *Worker) handlePageRefs(m *pageRefsMsg) error {
 		delete(w.pages, m.PageID)
 	}
 	w.mu.Unlock()
-	em := eventsMsg{Query: m.Query, Shard: m.Shard, Events: evs}
-	ws := w.lookup(em.Query, em.Shard)
-	if ws == nil {
-		return nil // raced a completed handoff; the new owner replays
-	}
-	if err := ws.h.FeedBatch(w.ctx, em.Events); err != nil {
-		if w.ctx.Err() != nil {
-			return nil
-		}
-		return fmt.Errorf("cluster: feed %s/%d: %w", ws.name, em.Shard, err)
-	}
-	return nil
+	return w.feed(m.Query, m.Shard, evs)
 }
 
 // handleClose ends the shard's stream; the drain completes in the

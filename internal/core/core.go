@@ -126,8 +126,8 @@ type Config struct {
 	Durable durable.Store
 	// PreStamped declares that the feeder stamps every event's Seq with
 	// its position in the shard's stream before it reaches the handle —
-	// an upstream stage (the cluster coordinator's plan pushdown) already
-	// ran the intake prefilter and spent the dropped positions. The feed
+	// every cluster worker runs so: the coordinator stamps each routed
+	// event and, under plan pushdown, spends the dropped positions. The feed
 	// layer then neither filters nor stamps: wire-carried positions are
 	// trusted verbatim, and the ones between them are arena gaps like
 	// any filtered position. Positions must be strictly increasing per

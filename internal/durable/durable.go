@@ -145,80 +145,27 @@ func (c *Corrupt) Unwrap() error { return c.Err }
 // folder accumulates a shard state from a record sequence. Registry
 // remapping is applied as the name tables stream by.
 type folder struct {
-	reg      *event.Registry
-	typeMap  []event.Type // old id -> new id; nil means identity so far
-	fieldMap []int        // old index -> new index
-	identity bool
-
+	tr  *event.Translation
 	st  ShardState
 	any bool
 }
 
 func newFolder(reg *event.Registry) *folder {
-	return &folder{reg: reg, identity: true}
-}
-
-// remapEvent rewrites ev's type id and field layout in place into the
-// loading registry's assignment.
-func (f *folder) remapEvent(ev *event.Event) {
-	if f.identity {
-		return
-	}
-	if int(ev.Type) < len(f.typeMap) {
-		ev.Type = f.typeMap[ev.Type]
-	}
-	if len(ev.Fields) == 0 {
-		return
-	}
-	width := 0
-	for i := range ev.Fields {
-		ni := i
-		if i < len(f.fieldMap) {
-			ni = f.fieldMap[i]
-		}
-		if ni+1 > width {
-			width = ni + 1
-		}
-	}
-	out := make([]float64, width)
-	for i, v := range ev.Fields {
-		ni := i
-		if i < len(f.fieldMap) {
-			ni = f.fieldMap[i]
-		}
-		out[ni] = v
-	}
-	ev.Fields = out
+	return &folder{tr: event.NewTranslation(reg)}
 }
 
 func (f *folder) add(rec *Record) error {
 	f.any = true
 	switch rec.Kind {
 	case KindTypes:
-		f.typeMap = make([]event.Type, len(rec.Types)+1)
-		same := true
-		for i, name := range rec.Types {
-			id := f.reg.TypeID(name)
-			f.typeMap[i+1] = id
-			if id != event.Type(i+1) {
-				same = false
-			}
-		}
-		f.identity = same && fieldMapIdentity(f.fieldMap)
+		f.tr.SetTypes(rec.Types)
 	case KindFields:
-		f.fieldMap = make([]int, len(rec.Fields))
-		same := true
-		for i, name := range rec.Fields {
-			idx := f.reg.FieldIndex(name)
-			f.fieldMap[i] = idx
-			if idx != i {
-				same = false
-			}
-		}
-		f.identity = same && typeMapIdentity(f.typeMap)
+		f.tr.SetFields(rec.Fields)
 	case KindEvents:
+		if err := f.tr.Apply(rec.Events); err != nil {
+			return fmt.Errorf("durable: %w", err)
+		}
 		for i := range rec.Events {
-			f.remapEvent(&rec.Events[i])
 			if rec.Events[i].Seq+1 > f.st.NextSeq {
 				f.st.NextSeq = rec.Events[i].Seq + 1
 			}
@@ -239,24 +186,6 @@ func (f *folder) add(rec *Record) error {
 		return fmt.Errorf("durable: unknown record kind %d", rec.Kind)
 	}
 	return nil
-}
-
-func typeMapIdentity(m []event.Type) bool {
-	for i, id := range m {
-		if i > 0 && id != event.Type(i) {
-			return false
-		}
-	}
-	return true
-}
-
-func fieldMapIdentity(m []int) bool {
-	for i, idx := range m {
-		if idx != i {
-			return false
-		}
-	}
-	return true
 }
 
 // finish applies the final cut filter and returns the state (nil when
@@ -283,20 +212,10 @@ func (f *folder) finish() *ShardState {
 
 // TypesRecord builds a KindTypes record from reg's current table.
 func TypesRecord(reg *event.Registry) *Record {
-	n := reg.NumTypes()
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
-		names[i] = reg.TypeName(event.Type(i + 1))
-	}
-	return &Record{Kind: KindTypes, Types: names}
+	return &Record{Kind: KindTypes, Types: reg.TypeNames()}
 }
 
 // FieldsRecord builds a KindFields record from reg's current table.
 func FieldsRecord(reg *event.Registry) *Record {
-	n := reg.NumFields()
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
-		names[i] = reg.FieldName(i)
-	}
-	return &Record{Kind: KindFields, Fields: names}
+	return &Record{Kind: KindFields, Fields: reg.FieldNames()}
 }

@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +18,8 @@ import (
 )
 
 // testEvents builds n events of alternating types A/B with one payload
-// field, seqs starting at base.
+// field, seqs starting at base. It interns A, B and price, so build the
+// events before the table records that must announce them.
 func testEvents(reg *event.Registry, base uint64, n int) []event.Event {
 	a, b := reg.TypeID("A"), reg.TypeID("B")
 	price := reg.FieldIndex("price")
@@ -61,10 +65,11 @@ func appendAll(t *testing.T, log ShardLog, recs ...*Record) {
 func writeJournal(t *testing.T, s Store, reg *event.Registry, base uint64, n int, watermark uint64) {
 	t.Helper()
 	log, _ := openShard(t, s, reg)
+	evs := testEvents(reg, base, n)
 	appendAll(t, log,
 		TypesRecord(reg),
 		FieldsRecord(reg),
-		&Record{Kind: KindEvents, Events: testEvents(reg, base, n)},
+		&Record{Kind: KindEvents, Events: evs},
 		&Record{Kind: KindWatermark, Watermark: watermark},
 	)
 	if err := log.Close(); err != nil {
@@ -117,10 +122,11 @@ func TestCutFoldsState(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			reg := event.NewRegistry()
 			log, _ := openShard(t, s, reg)
+			evs := testEvents(reg, 0, 20)
 			appendAll(t, log,
 				TypesRecord(reg),
 				FieldsRecord(reg),
-				&Record{Kind: KindEvents, Events: testEvents(reg, 0, 20)},
+				&Record{Kind: KindEvents, Events: evs},
 				&Record{Kind: KindWatermark, Watermark: 5},
 				&Record{Kind: KindCut, Cut: &CutRecord{Boundary: 10, NextWindowID: 4, Watermark: 5, Consumed: []uint64{11, 13}}},
 			)
@@ -321,6 +327,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	fs.SegmentBytes = 512
 	reg := event.NewRegistry()
 	log, _ := openShard(t, fs, reg)
+	testEvents(reg, 0, 2) // intern the names the tables announce
 	appendAll(t, log, TypesRecord(reg), FieldsRecord(reg))
 	var seq uint64
 	for round := 0; round < 8; round++ {
@@ -366,8 +373,9 @@ func TestMemCrashDropsUnsynced(t *testing.T) {
 	ms := NewMemStore()
 	reg := event.NewRegistry()
 	log, _ := openShard(t, ms, reg)
+	evs := testEvents(reg, 0, 4)
 	appendAll(t, log, TypesRecord(reg), FieldsRecord(reg),
-		&Record{Kind: KindEvents, Events: testEvents(reg, 0, 4)})
+		&Record{Kind: KindEvents, Events: evs})
 	// Unsynced tail: must not survive the crash.
 	if err := log.Append(&Record{Kind: KindEvents, Events: testEvents(reg, 4, 4)}); err != nil {
 		t.Fatal(err)
@@ -526,4 +534,184 @@ func TestImportLegacyBlob(t *testing.T) {
 	log, st := openShard(t, ms, reg)
 	defer log.Close()
 	assertLegacyState(t, st)
+}
+
+// TestLoadRejectsTypePastTable: an events record naming a type id its
+// announced table does not hold is damage, not a type to pass through.
+func TestLoadRejectsTypePastTable(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			reg := event.NewRegistry()
+			reg.TypeID("A")
+			log, _ := openShard(t, s, reg)
+			appendAll(t, log, TypesRecord(reg), FieldsRecord(reg),
+				&Record{Kind: KindEvents, Events: []event.Event{{Seq: 0, Type: 1}, {Seq: 1, Type: 2}}})
+			log.Close()
+
+			log, err := s.OpenShard("q", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			_, err = log.Load(reg)
+			if err == nil || !strings.Contains(err.Error(), "past announced table") {
+				t.Fatalf("Load = %v, want the type id past the announced table refused", err)
+			}
+			var c *Corrupt
+			if _, isFile := s.(*FileStore); isFile && !errors.As(err, &c) {
+				t.Fatalf("FileStore Load = %T %v, want *Corrupt", err, err)
+			}
+		})
+	}
+}
+
+// foldRecords folds recs (through the codec, as a store would) into the
+// state a log holding exactly them loads.
+func foldRecords(t *testing.T, reg *event.Registry, recs []*Record) *ShardState {
+	t.Helper()
+	f := newFolder(reg)
+	for _, rec := range recs {
+		p, err := encodeRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := decodeRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.add(dec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f.finish()
+}
+
+// sameState compares two loaded states, an empty journal matching a nil
+// one.
+func sameState(a, b *ShardState) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if len(a.Events) == 0 && len(b.Events) == 0 {
+		ac, bc := *a, *b
+		ac.Events, bc.Events = nil, nil
+		return reflect.DeepEqual(ac, bc)
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestMemStoreReleasesLikeFold: under random record sequences — table
+// growth, events, cuts, watermarks, syncs and crashes — a MemStore that
+// releases what synced cuts and watermarks supersede loads exactly what
+// folding every synced record loads, and holds no more than the live
+// events records, the table records and two.
+func TestMemStoreReleasesLikeFold(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := event.NewRegistry()
+		ms := NewMemStore()
+		log, _ := openShard(t, ms, reg)
+		// synced is every record a Sync made durable, pending the rest.
+		var synced, pending []*Record
+		var seq, boundary, wm uint64
+		announced, held := 0, 0
+		appendRec := func(rec *Record) {
+			if err := log.Append(rec); err != nil {
+				t.Fatalf("seed %d: Append kind %d: %v", seed, rec.Kind, err)
+			}
+			pending = append(pending, rec)
+		}
+		announce := func() {
+			appendRec(TypesRecord(reg))
+			appendRec(FieldsRecord(reg))
+			announced = reg.NumTypes()
+		}
+		// reversed returns a registry holding reg's names in reverse
+		// order, so loading through it remaps every id: an events record
+		// that lost the tables before it would load differently.
+		reversed := func() *event.Registry {
+			r := event.NewRegistry()
+			types, fields := reg.TypeNames(), reg.FieldNames()
+			for i := len(types) - 1; i >= 0; i-- {
+				r.TypeID(types[i])
+			}
+			for i := len(fields) - 1; i >= 0; i-- {
+				r.FieldIndex(fields[i])
+			}
+			return r
+		}
+		// check reopens the log (nothing is pending) and compares.
+		check := func(label string) {
+			t.Helper()
+			log.Close()
+			var got *ShardState
+			log, got = openShard(t, ms, reversed())
+			if want := foldRecords(t, reversed(), synced); !sameState(got, want) {
+				t.Fatalf("seed %d %s: compacted load %+v != full fold %+v", seed, label, got, want)
+			}
+			live, tables := 0, 0
+			var floor uint64
+			for _, rec := range synced {
+				if rec.Kind == KindCut {
+					floor = rec.Cut.Boundary
+				}
+			}
+			for _, rec := range synced {
+				switch rec.Kind {
+				case KindTypes, KindFields:
+					tables++
+				case KindEvents:
+					if rec.Events[len(rec.Events)-1].Seq >= floor {
+						live++
+					}
+				}
+			}
+			held = len(ms.shards["q/0"].synced())
+			if held > live+tables+2 {
+				t.Fatalf("seed %d %s: %d records held, bound %d live events + %d tables + 2", seed, label, held, live, tables)
+			}
+		}
+		for step := 0; step < 800; step++ {
+			switch op := rng.Intn(20); {
+			case op < 1:
+				reg.TypeID(fmt.Sprintf("T%d", reg.NumTypes()))
+				reg.FieldIndex(fmt.Sprintf("f%d", rng.Intn(6)))
+				announce()
+			case op < 10:
+				if announced == 0 {
+					reg.TypeID(fmt.Sprintf("T%d", reg.NumTypes()))
+					announce()
+				}
+				evs := make([]event.Event, 1+rng.Intn(6))
+				for i := range evs {
+					seq += 1 + uint64(rng.Intn(2))
+					evs[i] = event.Event{Seq: seq, TS: int64(seq), Type: event.Type(1 + rng.Intn(announced))}
+					for f := rng.Intn(reg.NumFields() + 1); f > 0; f-- {
+						evs[i].Fields = append(evs[i].Fields, rng.Float64())
+					}
+				}
+				appendRec(&Record{Kind: KindEvents, Events: evs})
+			case op < 13:
+				boundary += uint64(rng.Int63n(int64(seq-boundary) + 1))
+				appendRec(&Record{Kind: KindCut, Cut: &CutRecord{Boundary: boundary, NextWindowID: boundary, Watermark: uint64(rng.Intn(int(wm) + 3))}})
+			case op < 15:
+				wm = uint64(rng.Intn(int(wm) + 4))
+				appendRec(&Record{Kind: KindWatermark, Watermark: wm})
+			case op < 19:
+				if err := log.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				synced, pending = append(synced, pending...), nil
+				check(fmt.Sprintf("step %d sync", step))
+			default:
+				ms.Crash()
+				pending = nil
+				announced = 0 // a restarted writer re-announces its tables
+				check(fmt.Sprintf("step %d crash", step))
+			}
+		}
+		if held*2 > len(synced) {
+			t.Fatalf("seed %d: %d of %d synced records still held; cuts released too little", seed, held, len(synced))
+		}
+	}
 }

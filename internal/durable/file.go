@@ -202,20 +202,10 @@ func (l *fileLog) Load(reg *event.Registry) (*ShardState, error) {
 	l.loaded = true
 	st := f.finish()
 	if st != nil {
-		// Carry the on-disk tables forward so rotation re-emits them
-		// even if the registry never grows again this run.
-		if f.typeMap != nil {
-			l.lastTypes = make([]string, 0, len(f.typeMap)-1)
-			for _, id := range f.typeMap[1:] {
-				l.lastTypes = append(l.lastTypes, reg.TypeName(id))
-			}
-		}
-		if f.fieldMap != nil {
-			l.lastFields = make([]string, 0, len(f.fieldMap))
-			for _, idx := range f.fieldMap {
-				l.lastFields = append(l.lastFields, reg.FieldName(idx))
-			}
-		}
+		// Loading interned every on-disk name, so the registry's tables
+		// cover the log; rotation re-emits them even if the registry never
+		// grows again this run.
+		l.lastTypes, l.lastFields = reg.TypeNames(), reg.FieldNames()
 	}
 	return st, nil
 }

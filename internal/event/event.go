@@ -222,6 +222,93 @@ func (r *Registry) NumFields() int {
 	return len(r.fieldNames)
 }
 
+// TypeNames snapshots the type-name table: element i names type id i+1.
+func (r *Registry) TypeNames() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]string(nil), r.typeNames[1:]...)
+}
+
+// FieldNames snapshots the field-name table: element i names field i.
+func (r *Registry) FieldNames() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]string(nil), r.fieldNames...)
+}
+
+// Translation maps events encoded against a peer registry — a remote
+// coordinator, or the process that wrote a log — into a local registry's
+// assignment. The peer announces its tables (TypeNames/FieldNames
+// snapshots) through SetTypes and SetFields; Apply then rewrites events.
+// Until a type table is announced, type ids pass through unchecked.
+type Translation struct {
+	reg         *Registry
+	types       []Type // peer id → local id (index 0 is NoType); nil until announced
+	fields      []int  // peer index → local index
+	fieldsMoved bool   // some announced field index maps elsewhere
+}
+
+// NewTranslation returns a translation into reg that has seen no tables.
+func NewTranslation(reg *Registry) *Translation {
+	return &Translation{reg: reg}
+}
+
+// SetTypes installs the peer's type-name table, interning every name.
+func (t *Translation) SetTypes(names []string) {
+	t.types = make([]Type, len(names)+1)
+	for i, name := range names {
+		t.types[i+1] = t.reg.TypeID(name)
+	}
+}
+
+// SetFields installs the peer's field-name table, interning every name.
+func (t *Translation) SetFields(names []string) {
+	t.fields = make([]int, len(names))
+	t.fieldsMoved = false
+	for i, name := range names {
+		t.fields[i] = t.reg.FieldIndex(name)
+		t.fieldsMoved = t.fieldsMoved || t.fields[i] != i
+	}
+}
+
+// field maps one peer field index; an index past the announced table
+// passes through.
+func (t *Translation) field(i int) int {
+	if i < len(t.fields) {
+		return t.fields[i]
+	}
+	return i
+}
+
+// Apply rewrites evs in place into the local assignment. A type id past
+// the announced type table is an error (evs may then be partly
+// rewritten). Field slices are copied only when some field index moves,
+// widened to the highest local index they land on.
+func (t *Translation) Apply(evs []Event) error {
+	for i := range evs {
+		ev := &evs[i]
+		if t.types != nil {
+			if int(ev.Type) >= len(t.types) {
+				return fmt.Errorf("event: type id %d past announced table (%d types)", ev.Type, len(t.types)-1)
+			}
+			ev.Type = t.types[ev.Type]
+		}
+		if !t.fieldsMoved || len(ev.Fields) == 0 {
+			continue
+		}
+		width := 0
+		for j := range ev.Fields {
+			width = max(width, t.field(j)+1)
+		}
+		out := make([]float64, width)
+		for j, v := range ev.Fields {
+			out[t.field(j)] = v
+		}
+		ev.Fields = out
+	}
+	return nil
+}
+
 // Format renders an event using the registry's names, for debugging.
 func (r *Registry) Format(e *Event) string {
 	var b strings.Builder

@@ -138,3 +138,101 @@ func TestFormat(t *testing.T) {
 		t.Fatalf("format = %q", got)
 	}
 }
+
+// TestTranslationReordered: a peer that interned the same names in another
+// order has its type ids and field indexes rewritten into the local
+// assignment.
+func TestTranslationReordered(t *testing.T) {
+	local := NewRegistry()
+	local.TypeID("C")
+	local.TypeID("A")
+	local.TypeID("B")
+	local.FieldIndex("y")
+	local.FieldIndex("x")
+	tr := NewTranslation(local)
+	tr.SetTypes([]string{"A", "B", "C"})
+	tr.SetFields([]string{"x", "y"})
+	evs := []Event{
+		{Seq: 1, Type: 1, Fields: []float64{10, 20}},
+		{Seq: 2, Type: 3, Fields: []float64{30}},
+		{Seq: 3, Type: 2},
+	}
+	if err := tr.Apply(evs); err != nil {
+		t.Fatal(err)
+	}
+	x, y := local.FieldIndex("x"), local.FieldIndex("y")
+	for i, want := range []struct {
+		name string
+		x, y float64
+	}{{"A", 10, 20}, {"C", 30, 0}, {"B", 0, 0}} {
+		ev := &evs[i]
+		if got := local.TypeName(ev.Type); got != want.name {
+			t.Fatalf("event %d type %q, want %q", i, got, want.name)
+		}
+		if ev.Field(x) != want.x || ev.Field(y) != want.y {
+			t.Fatalf("event %d fields %v, want x=%v y=%v", i, ev.Fields, want.x, want.y)
+		}
+	}
+}
+
+// TestTranslationFieldPastTable: field indexes past the announced table
+// pass through unchanged while the announced ones move.
+func TestTranslationFieldPastTable(t *testing.T) {
+	local := NewRegistry()
+	local.TypeID("A")
+	local.FieldIndex("y")
+	local.FieldIndex("x")
+	tr := NewTranslation(local)
+	tr.SetTypes([]string{"A"})
+	tr.SetFields([]string{"x", "y"})
+	evs := []Event{{Type: 1, Fields: []float64{1, 2, 3, 4}}}
+	if err := tr.Apply(evs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := evs[0].Fields, []float64{2, 1, 3, 4}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fields %v, want %v", got, want)
+	}
+}
+
+// TestTranslationRejectsTypePastTable: a type id the announced table does
+// not hold is an error on both the identity and the remapping path, and
+// passes through only while no type table was announced.
+func TestTranslationRejectsTypePastTable(t *testing.T) {
+	for _, order := range [][]string{{"A", "B"}, {"B", "A"}} {
+		local := NewRegistry()
+		for _, name := range order {
+			local.TypeID(name)
+		}
+		tr := NewTranslation(local)
+		if err := tr.Apply([]Event{{Type: 9}}); err != nil {
+			t.Fatalf("%v: no table announced yet, Apply = %v", order, err)
+		}
+		tr.SetTypes([]string{"A", "B"})
+		if err := tr.Apply([]Event{{Type: 2}}); err != nil {
+			t.Fatalf("%v: type 2 of 2: %v", order, err)
+		}
+		if err := tr.Apply([]Event{{Type: 3}}); err == nil {
+			t.Fatalf("%v: type 3 past a 2-type table accepted", order)
+		}
+	}
+}
+
+// TestTranslationIdentity: a peer whose tables match the local assignment
+// leaves events untouched — not even the field slices are copied.
+func TestTranslationIdentity(t *testing.T) {
+	local := NewRegistry()
+	local.TypeID("A")
+	local.TypeID("B")
+	local.FieldIndex("x")
+	tr := NewTranslation(local)
+	tr.SetTypes(local.TypeNames())
+	tr.SetFields(local.FieldNames())
+	fields := []float64{7, 8}
+	evs := []Event{{Type: 2, Fields: fields}}
+	if err := tr.Apply(evs); err != nil {
+		t.Fatal(err)
+	}
+	if evs[0].Type != 2 || &evs[0].Fields[0] != &fields[0] {
+		t.Fatalf("identity translation rewrote the event: %+v", evs[0])
+	}
+}
