@@ -69,7 +69,7 @@ type Complex struct {
 	// WindowID is the id of the window the detection happened in.
 	WindowID uint64
 	// Constituents are the sequence numbers of the participating primitive
-	// events in match order.
+	// events, in ascending order.
 	Constituents []uint64
 	// Consumed are the sequence numbers consumed by the consumption policy
 	// (a subset of Constituents), in ascending order.

@@ -24,8 +24,10 @@
 package matcher
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/spectrecep/spectre/internal/event"
@@ -70,8 +72,7 @@ func (k FeedbackKind) String() string {
 
 // Match is a completed pattern instance.
 type Match struct {
-	// Constituents are the bound events in pattern order (binding order
-	// within Kleene steps).
+	// Constituents are the bound events in ascending sequence order.
 	Constituents []*event.Event
 	// Consumed are the constituents bound to consume-flagged steps, sorted
 	// by sequence number.
@@ -125,11 +126,10 @@ type Compiled struct {
 	name      string
 	elems     []pelem
 	selection pattern.SelectionPolicy
-	numFlat   int
 	minLen    int
-	// endGuards are negations trailing the last positive element; an event
-	// matching one of them after the final element has no effect (the
-	// match has already completed), so they are rejected at compile time.
+	// steps maps every flat index — guards, plain steps and set members —
+	// to its compiled step, so a binding's step is one index away.
+	steps []*pattern.Step
 }
 
 // Compile validates and compiles a pattern.
@@ -141,7 +141,7 @@ func Compile(p *pattern.Pattern) (*Compiled, error) {
 	c := &Compiled{
 		name:      p.Name,
 		selection: p.Selection,
-		numFlat:   len(flat),
+		steps:     make([]*pattern.Step, len(flat)),
 		minLen:    p.MinLength(),
 	}
 	// Map (elem, member) to flat index.
@@ -175,9 +175,27 @@ func Compile(p *pattern.Pattern) (*Compiled, error) {
 		pendingGuards = nil
 		c.elems = append(c.elems, pe)
 	}
+	// Negations trailing the last positive element could never fire (the
+	// match has already completed), so they are rejected.
 	if len(pendingGuards) > 0 {
 		return nil, fmt.Errorf("matcher: pattern %q has trailing negated step %q with no following step",
 			p.Name, pendingGuards[0].step.Name)
+	}
+	// The table points into c.elems, so it is filled once c.elems has
+	// stopped growing.
+	for ei := range c.elems {
+		el := &c.elems[ei]
+		for gi := range el.guards {
+			c.steps[el.guards[gi].flat] = &el.guards[gi].step
+		}
+		switch el.kind {
+		case pattern.ElemStep:
+			c.steps[el.flat[0]] = &el.step
+		case pattern.ElemSet:
+			for mi, fi := range el.flat {
+				c.steps[fi] = &el.set[mi]
+			}
+		}
 	}
 	// Suffix minimum lengths.
 	suf := 0
@@ -277,11 +295,15 @@ func (s *State) newRun() *run {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		r.elem, r.kcount, r.setMask, r.lastFlat = 0, 0, 0, -1
-		r.events = r.events[:0]
-		clear(r.spans)
+		// A run that never bound an event — a failed start, the common
+		// case — still has all-zero spans.
+		if len(r.events) > 0 {
+			r.events = r.events[:0]
+			clear(r.spans)
+		}
 		return r
 	}
-	return &run{lastFlat: -1, spans: make([]span, s.c.numFlat)}
+	return &run{lastFlat: -1, spans: make([]span, len(s.c.steps))}
 }
 
 // recycle returns a run to the freelist.
@@ -650,52 +672,32 @@ func (s *State) boundStep(r *run, ev *event.Event) *pattern.Step {
 	if r.lastFlat < 0 || len(r.events) == 0 || r.events[len(r.events)-1] != ev {
 		return nil
 	}
-	return s.flatStep(int(r.lastFlat))
+	return s.c.steps[r.lastFlat]
 }
 
-// flatStep maps a flat index back to its step. Guards occupy flat indices
-// too, so they are searched as well.
-func (s *State) flatStep(fi int) *pattern.Step {
-	for ei := range s.c.elems {
-		el := &s.c.elems[ei]
-		for gi := range el.guards {
-			if el.guards[gi].flat == fi {
-				return &s.c.elems[ei].guards[gi].step
-			}
-		}
-		for j, f := range el.flat {
-			if f == fi {
-				switch el.kind {
-				case pattern.ElemStep:
-					return &s.c.elems[ei].step
-				case pattern.ElemSet:
-					return &s.c.elems[ei].set[j]
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// buildMatch assembles the Match for a completed run.
+// buildMatch assembles the Match for a completed run: three allocations
+// whatever the match length.
 func (s *State) buildMatch(r *run, completedAt *event.Event) *Match {
-	m := &Match{CompletedAt: completedAt}
-	for fi := range r.spans {
-		sp := r.spans[fi]
-		if sp.n == 0 {
+	m := &Match{
+		CompletedAt:  completedAt,
+		Constituents: append(make([]*event.Event, 0, len(r.events)), r.events...),
+	}
+	for fi, sp := range r.spans {
+		if sp.n == 0 || !s.c.steps[fi].Consume {
 			continue
 		}
-		evs := r.events[sp.start : sp.start+sp.n]
-		m.Constituents = append(m.Constituents, evs...)
-		st := s.flatStep(fi)
-		if st != nil && st.Consume {
-			m.Consumed = append(m.Consumed, evs...)
+		if m.Consumed == nil {
+			m.Consumed = make([]*event.Event, 0, len(r.events))
 		}
+		m.Consumed = append(m.Consumed, r.events[sp.start:sp.start+sp.n]...)
 	}
-	sort.Slice(m.Constituents, func(i, j int) bool { return m.Constituents[i].Seq < m.Constituents[j].Seq })
-	sort.Slice(m.Consumed, func(i, j int) bool { return m.Consumed[i].Seq < m.Consumed[j].Seq })
+	// Sequence numbers are unique, so the order is total.
+	slices.SortFunc(m.Constituents, bySeq)
+	slices.SortFunc(m.Consumed, bySeq)
 	return m
 }
+
+func bySeq(a, b *event.Event) int { return cmp.Compare(a.Seq, b.Seq) }
 
 // leaderConsumed reports whether the run's leading-element binding was
 // consumed by m (restart-after-leader cannot keep a consumed leader).

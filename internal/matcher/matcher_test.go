@@ -3,6 +3,7 @@ package matcher
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -527,6 +528,192 @@ func TestCloneForkEquivalence(t *testing.T) {
 		for j := range a {
 			if fbKey(a[j]) != fbKey(b[j]) {
 				t.Fatalf("seed %d window-end fb %d: %s vs %s", seed, j, fbKey(a[j]), fbKey(b[j]))
+			}
+		}
+	}
+}
+
+// tablePattern covers every kind of flat index: a plain leader, a Kleene
+// step, a negation guard before a set, set members, a guard before a
+// plain step and the final step, with per-step consumption. Every step
+// has its own type, so a bound event's type names its step.
+func tablePattern() *pattern.Pattern {
+	return &pattern.Pattern{
+		Name: "table",
+		Elements: []pattern.Element{
+			{Kind: pattern.ElemStep, Step: pattern.Step{Name: "A", Types: []event.Type{1}, Consume: true}},
+			{Kind: pattern.ElemStep, Step: pattern.Step{Name: "B", Types: []event.Type{2}, Quant: pattern.OneOrMore}},
+			{Kind: pattern.ElemStep, Step: pattern.Step{Name: "N", Types: []event.Type{3}, Negated: true}},
+			{Kind: pattern.ElemSet, Set: []pattern.Step{
+				{Name: "X1", Types: []event.Type{4}, Consume: true},
+				{Name: "X2", Types: []event.Type{5}},
+				{Name: "X3", Types: []event.Type{6}, Consume: true},
+			}},
+			{Kind: pattern.ElemStep, Step: pattern.Step{Name: "M", Types: []event.Type{7}, Negated: true}},
+			{Kind: pattern.ElemStep, Step: pattern.Step{Name: "C", Types: []event.Type{8}, Consume: true}},
+		},
+		Selection: pattern.SelectionPolicy{OnCompletion: pattern.RestartFresh},
+	}
+}
+
+// TestFlatStepTable checks the compiled flat-index table against a
+// reference scan of Pattern.FlatSteps, and that every bind feedback's
+// Consumable flag is its step's Consume flag.
+func TestFlatStepTable(t *testing.T) {
+	p := tablePattern()
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := p.FlatSteps()
+	if len(c.steps) != len(flat) {
+		t.Fatalf("table has %d entries, pattern %d flat steps", len(c.steps), len(flat))
+	}
+	consume := make(map[event.Type]bool)
+	for i, fs := range flat {
+		if !reflect.DeepEqual(*c.steps[i], *fs.Step) {
+			t.Fatalf("flat %d: table %+v, FlatSteps %+v", i, *c.steps[i], *fs.Step)
+		}
+		consume[fs.Step.Types[0]] = fs.Step.Consume
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	s := c.NewState()
+	var fb []Feedback
+	checked := 0
+	for i := 0; i < 4000; i++ {
+		fb = s.Process(mk(uint64(i), event.Type(1+rng.Intn(8))), fb[:0])
+		for _, f := range fb {
+			if (f.Kind != EventBound && f.Kind != RunStarted) || f.Carry != nil {
+				continue
+			}
+			if want := consume[f.Event.Type]; f.Consumable != want {
+				t.Fatalf("ev %d (type %d): %s Consumable=%t, step Consume=%t",
+					f.Event.Seq, f.Event.Type, f.Kind, f.Consumable, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("stream produced no bind feedback")
+	}
+}
+
+// TestFailedStartsLeaveNoBindings drives a long pattern through many
+// failed starts, abandoned one-event runs and completed runs. The leader's predicate sees every new
+// run before it binds, and each must report no binding at any step.
+func TestFailedStartsLeaveNoBindings(t *testing.T) {
+	const length = 300
+	starts, accept := 0, false
+	lead := pattern.Step{Name: "S0", Types: []event.Type{1}, Consume: true,
+		Pred: func(ev *event.Event, b pattern.Binder) bool {
+			starts++
+			for i := 0; i < length; i++ {
+				if got := b.Bound(i); got != nil {
+					t.Fatalf("ev %d: new run reports %d bindings at step %d", ev.Seq, len(got), i)
+				}
+			}
+			return accept
+		}}
+	steps := []pattern.Step{lead}
+	for i := 1; i < length; i++ {
+		steps = append(steps, pattern.Step{Name: fmt.Sprintf("S%d", i), Types: []event.Type{2}, Consume: i%2 == 0})
+	}
+	c := compileSeq(t, pattern.SelectionPolicy{MaxConcurrentRuns: 1, OnCompletion: pattern.RestartFresh}, steps...)
+	s := c.NewState()
+	var fb []Feedback
+	matches, seq := 0, uint64(0)
+	for round := 0; round < 3; round++ {
+		// A run abandoned after one binding goes back to the freelist.
+		accept = true
+		fb = s.Process(mk(seq, 1), fb[:0])
+		seq++
+		if fb = s.WindowEnd(fb[:0]); len(fb) != 1 {
+			t.Fatalf("window end abandoned %d runs, want 1", len(fb))
+		}
+		// 50 leader-typed events, of which only the last starts a run,
+		// then enough followers to complete it.
+		for i := 0; i < 50; i++ {
+			accept = i == 49
+			fb = s.Process(mk(seq, 1), fb[:0])
+			seq++
+		}
+		for i := 1; i < length; i++ {
+			fb = s.Process(mk(seq, 2), fb[:0])
+			seq++
+			for _, f := range fb {
+				if f.Kind == RunCompleted {
+					matches++
+					if got := len(f.Match.Constituents); got != length {
+						t.Fatalf("match has %d constituents, want %d", got, length)
+					}
+				}
+			}
+		}
+	}
+	if matches != 3 {
+		t.Fatalf("matches = %d, want 3", matches)
+	}
+	if starts < 100 {
+		t.Fatalf("only %d start attempts", starts)
+	}
+}
+
+// TestProcessAllocs guards the per-event path: an event that neither
+// starts nor advances a run costs no allocation.
+func TestProcessAllocs(t *testing.T) {
+	c := compileSeq(t, pattern.SelectionPolicy{},
+		pattern.Step{Name: "A", Types: []event.Type{1}, Consume: true},
+		pattern.Step{Name: "B", Types: []event.Type{2},
+			Pred: func(ev *event.Event, b pattern.Binder) bool { return ev.Seq > b.Bound(0)[0].Seq+1000 }},
+	)
+	s := c.NewState()
+	fb := s.Process(mk(0, 1), make([]Feedback, 0, 8))
+	if len(fb) != 1 || fb[0].Kind != RunStarted {
+		t.Fatalf("leader feedback = %v", kinds(fb))
+	}
+	// Type 2 is offered to the open run and rejected by its predicate;
+	// type 9 matches nothing. Both attempt a start and fail.
+	for _, ty := range []event.Type{2, 9} {
+		ev := mk(1, ty)
+		if n := testing.AllocsPerRun(200, func() {
+			if fb = s.Process(ev, fb[:0]); len(fb) != 0 {
+				t.Fatalf("type %d produced feedback %v", ty, kinds(fb))
+			}
+		}); n != 0 {
+			t.Errorf("Process(type %d) = %v allocs, want 0", ty, n)
+		}
+	}
+}
+
+// TestBuildMatchAllocs guards match building: the Match, its Constituents
+// and its Consumed slice, whatever the match length.
+func TestBuildMatchAllocs(t *testing.T) {
+	for _, length := range []int{2, 64, 640} {
+		steps := make([]pattern.Step, length)
+		for i := range steps {
+			steps[i] = pattern.Step{Name: fmt.Sprintf("S%d", i), Types: []event.Type{1}, Consume: i%3 != 1}
+		}
+		steps[length/2].Quant = pattern.OneOrMore
+		c := compileSeq(t, pattern.SelectionPolicy{MaxConcurrentRuns: 1}, steps...)
+		s := c.NewState()
+		for i := 0; i < length-1; i++ {
+			s.Process(mk(uint64(i), 1), nil)
+		}
+		if s.OpenRuns() != 1 {
+			t.Fatalf("length %d: %d open runs, want 1", length, s.OpenRuns())
+		}
+		r, last := s.runs[0], mk(uint64(length), 1)
+		var m *Match
+		if n := testing.AllocsPerRun(50, func() { m = s.buildMatch(r, last) }); n > 3 {
+			t.Errorf("length %d: buildMatch = %v allocs, want ≤ 3", length, n)
+		}
+		if len(m.Constituents) != length-1 {
+			t.Fatalf("length %d: %d constituents, want %d", length, len(m.Constituents), length-1)
+		}
+		for i := 1; i < len(m.Constituents); i++ {
+			if m.Constituents[i-1].Seq >= m.Constituents[i].Seq {
+				t.Fatalf("length %d: constituents out of sequence order", length)
 			}
 		}
 	}

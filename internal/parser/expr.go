@@ -39,7 +39,9 @@ type value struct {
 	sym  event.Type
 }
 
-// evalCtx carries the candidate event and the partial-match bindings.
+// evalCtx carries the candidate event and the partial-match bindings. It
+// is passed by value: a pointer handed through the expr interface escapes,
+// which would cost one heap allocation per predicate call.
 type evalCtx struct {
 	ev *event.Event
 	b  pattern.Binder
@@ -50,20 +52,20 @@ type expr interface {
 	kind() valKind
 	// eval returns the node's value; ok is false when a referenced step
 	// has no binding yet (the enclosing comparison then fails).
-	eval(ctx *evalCtx) (value, bool)
+	eval(ctx evalCtx) (value, bool)
 }
 
 type numLit float64
 
 func (numLit) kind() valKind { return vNum }
-func (n numLit) eval(*evalCtx) (value, bool) {
+func (n numLit) eval(evalCtx) (value, bool) {
 	return value{kind: vNum, num: float64(n)}, true
 }
 
 type symLit event.Type
 
 func (symLit) kind() valKind { return vSym }
-func (s symLit) eval(*evalCtx) (value, bool) {
+func (s symLit) eval(evalCtx) (value, bool) {
 	return value{kind: vSym, sym: event.Type(s)}, true
 }
 
@@ -76,7 +78,7 @@ type fieldRef struct {
 }
 
 func (fieldRef) kind() valKind { return vNum }
-func (r fieldRef) eval(ctx *evalCtx) (value, bool) {
+func (r fieldRef) eval(ctx evalCtx) (value, bool) {
 	ev := ctx.ev
 	if !r.self {
 		if ctx.b == nil {
@@ -98,7 +100,7 @@ type symRef struct {
 }
 
 func (symRef) kind() valKind { return vSym }
-func (r symRef) eval(ctx *evalCtx) (value, bool) {
+func (r symRef) eval(ctx evalCtx) (value, bool) {
 	ev := ctx.ev
 	if !r.self {
 		if ctx.b == nil {
@@ -119,7 +121,7 @@ type arith struct {
 }
 
 func (arith) kind() valKind { return vNum }
-func (a arith) eval(ctx *evalCtx) (value, bool) {
+func (a arith) eval(ctx evalCtx) (value, bool) {
 	lv, ok := a.l.eval(ctx)
 	if !ok {
 		return value{}, false
@@ -148,7 +150,7 @@ func (a arith) eval(ctx *evalCtx) (value, bool) {
 type neg struct{ e expr }
 
 func (neg) kind() valKind { return vNum }
-func (n neg) eval(ctx *evalCtx) (value, bool) {
+func (n neg) eval(ctx evalCtx) (value, bool) {
 	v, ok := n.e.eval(ctx)
 	if !ok {
 		return value{}, false
@@ -162,7 +164,7 @@ type cmp struct {
 }
 
 func (cmp) kind() valKind { return vBool }
-func (c cmp) eval(ctx *evalCtx) (value, bool) {
+func (c cmp) eval(ctx evalCtx) (value, bool) {
 	lv, ok := c.l.eval(ctx)
 	if !ok {
 		return value{kind: vBool, b: false}, true
@@ -206,7 +208,7 @@ type inList struct {
 }
 
 func (inList) kind() valKind { return vBool }
-func (in inList) eval(ctx *evalCtx) (value, bool) {
+func (in inList) eval(ctx evalCtx) (value, bool) {
 	v, ok := in.e.eval(ctx)
 	if !ok {
 		return value{kind: vBool, b: false}, true
@@ -233,7 +235,7 @@ type logical struct {
 }
 
 func (logical) kind() valKind { return vBool }
-func (lg logical) eval(ctx *evalCtx) (value, bool) {
+func (lg logical) eval(ctx evalCtx) (value, bool) {
 	lv, ok := lg.l.eval(ctx)
 	if !ok {
 		lv = value{kind: vBool}
@@ -254,7 +256,7 @@ func (lg logical) eval(ctx *evalCtx) (value, bool) {
 type notExpr struct{ e expr }
 
 func (notExpr) kind() valKind { return vBool }
-func (n notExpr) eval(ctx *evalCtx) (value, bool) {
+func (n notExpr) eval(ctx evalCtx) (value, bool) {
 	v, ok := n.e.eval(ctx)
 	if !ok {
 		v = value{kind: vBool}
@@ -615,8 +617,7 @@ func flattenAnd(e expr, out []expr) []expr {
 // check is kept for defense.
 func compileConjunct(e expr) pattern.Predicate {
 	return func(ev *event.Event, b pattern.Binder) bool {
-		ctx := evalCtx{ev: ev, b: b}
-		v, ok := e.eval(&ctx)
+		v, ok := e.eval(evalCtx{ev: ev, b: b})
 		return ok && v.b
 	}
 }

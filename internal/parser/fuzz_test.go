@@ -2,20 +2,25 @@ package parser
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/query"
 )
 
-// FuzzParseQuery asserts three invariants over arbitrary input:
+// FuzzParseQuery asserts four invariants over arbitrary input:
 //
 //  1. Parse never panics (garbage in, *query.Error out);
 //  2. every error is a structured *query.Error with at least one issue;
 //  3. accepted input round-trips its builder lowering: the compiled query
 //     passes validation and re-parsing into a fresh registry yields a
 //     structurally identical query (lowering is deterministic, and
-//     interned ids depend only on first-use order).
+//     interned ids depend only on first-use order);
+//  4. accepted predicates evaluate: every step's Matches runs on a few
+//     fixed events, with no binder and with one event bound per step,
+//     without panicking, and the parse and the re-parse agree.
 //
 // CI runs it as a short -fuzztime smoke.
 func FuzzParseQuery(f *testing.F) {
@@ -74,5 +79,31 @@ func FuzzParseQuery(f *testing.F) {
 		if d := query.Diff(q, q2); d != "" {
 			t.Fatalf("re-parse differs structurally: %s", d)
 		}
+		flat, flat2 := q.Pattern.FlatSteps(), q2.Pattern.FlatSteps()
+		bound := &stepBinder{bound: make([][]*event.Event, len(flat))}
+		for i := range bound.bound {
+			bound.bound[i] = []*event.Event{&fuzzEvents[i%len(fuzzEvents)]}
+		}
+		for _, b := range []pattern.Binder{nil, bound} {
+			for i := range fuzzEvents {
+				ev := &fuzzEvents[i]
+				for j := range flat {
+					if got, want := flat[j].Step.Matches(ev, b), flat2[j].Step.Matches(ev, b); got != want {
+						t.Fatalf("step %s on event %d (binder %t): parse %t, re-parse %t",
+							flat[j].Step.Name, i, b != nil, got, want)
+					}
+				}
+			}
+		}
 	})
+}
+
+// fuzzEvents are the fixed candidates FuzzParseQuery evaluates accepted
+// predicates on: the first interned types, and payloads that are short,
+// zero, negative, huge or NaN, so every comparison and division path runs.
+var fuzzEvents = []event.Event{
+	{Seq: 1, Type: 1},
+	{Seq: 2, Type: 2, Fields: []float64{1, 2, 3}},
+	{Seq: 3, Type: 3, Fields: []float64{0, -1, 0, -2.5, 7}},
+	{Seq: 4, Type: 1, Fields: []float64{1e308, math.Inf(-1), math.NaN(), 1}},
 }

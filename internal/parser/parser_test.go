@@ -391,3 +391,56 @@ func TestParsePartitionBy(t *testing.T) {
 		}
 	})
 }
+
+// stepBinder is a pointer-receiver Binder like the matcher's runs: one
+// slice of bound events per flat step.
+type stepBinder struct{ bound [][]*event.Event }
+
+func (b *stepBinder) Bound(step int) []*event.Event {
+	if step < 0 || step >= len(b.bound) {
+		return nil
+	}
+	return b.bound[step]
+}
+
+// TestConjunctAllocs guards parsed predicate evaluation: a conjunct
+// evaluates without touching the heap, whatever its node types.
+func TestConjunctAllocs(t *testing.T) {
+	q, reg := mustParse(t, `
+		PATTERN (A B C D)
+		DEFINE A AS A.close > A.open,
+		       B AS B.close > A.close,
+		       C AS C.symbol IN ('X', 'Y'),
+		       D AS D.close * 2 - D.open >= (A.open + 1) / 2
+		WITHIN 100 EVENTS FROM A
+	`)
+	open, _ := reg.LookupField("open")
+	closeF, _ := reg.LookupField("close")
+	fields := func(o, c float64) []float64 {
+		f := make([]float64, max(open, closeF)+1)
+		f[open], f[closeF] = o, c
+		return f
+	}
+	tx, _ := reg.LookupType("X")
+	a := &event.Event{Seq: 1, Type: tx, Fields: fields(1, 2)}
+	ev := &event.Event{Seq: 2, Type: tx, Fields: fields(1, 3)}
+	b := &stepBinder{bound: [][]*event.Event{{a}}}
+	flat := q.Pattern.FlatSteps()
+	for i, name := range []string{"self-only", "cross-variable", "IN list", "arithmetic"} {
+		conj := flat[i].Step.Conjuncts
+		if len(conj) != 1 {
+			t.Fatalf("%s: %d conjuncts, want 1", name, len(conj))
+		}
+		pred := conj[0].Pred
+		if !pred(ev, b) {
+			t.Fatalf("%s: conjunct rejects its event", name)
+		}
+		var binder pattern.Binder = b
+		if conj[0].BindingFree {
+			binder = nil
+		}
+		if n := testing.AllocsPerRun(1000, func() { pred(ev, binder) }); n != 0 {
+			t.Errorf("%s conjunct: %v allocs per evaluation, want 0", name, n)
+		}
+	}
+}
