@@ -300,8 +300,9 @@ func (w *worker) applyFeedback(wv *deptree.WindowVersion, ev *event.Event) bool 
 			}
 		}
 	}
-	// Snapshot publication is batched: one new snapshot per touched group
-	// per feedback application instead of one per added event.
+	// Publication is batched: each touched group stores its new size once
+	// per feedback application, not once per added event, and allocates
+	// nothing unless an append gave it a fresh backing.
 	for i, cg := range w.dirtyCGs {
 		cg.Publish()
 		w.dirtyCGs[i] = nil

@@ -6,11 +6,12 @@
 // The tree is owned exclusively by the splitter goroutine. The CG and
 // WindowVersion types carry the small amount of state that operator
 // instances share with the splitter; those fields are explicitly
-// synchronized (atomics or copy-on-write snapshots) and documented below.
+// synchronized (atomics, and consumption-group sets published as growing
+// prefixes of append-only backings) and documented below.
 package deptree
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,21 +50,27 @@ func (o CGOutcome) String() string {
 
 // CGSnapshot is an immutable view of a consumption group's event set.
 type CGSnapshot struct {
-	// Version increases with every event added; dependent window versions
-	// use it to detect membership changes between consistency checks
-	// (paper Fig. 8, lines 31-45).
+	// Version is the size of the set. The set only grows, so two
+	// snapshots with equal versions hold the same events; dependent
+	// window versions use it to detect membership changes between
+	// consistency checks (paper Fig. 8, lines 31-45).
 	Version uint64
 	// Seqs are the would-be-consumed event sequence numbers, ascending.
 	Seqs []uint64
 }
 
 // Contains reports whether seq is in the snapshot.
-func (s *CGSnapshot) Contains(seq uint64) bool {
-	i := sort.Search(len(s.Seqs), func(i int) bool { return s.Seqs[i] >= seq })
-	return i < len(s.Seqs) && s.Seqs[i] == seq
+func (s CGSnapshot) Contains(seq uint64) bool {
+	_, ok := slices.BinarySearch(s.Seqs, seq)
+	return ok
 }
 
-var emptySnapshot = &CGSnapshot{}
+// cgSet is an append-only backing of a group's event set: the first n
+// entries of all are published and never written again.
+type cgSet struct {
+	all []uint64 // fixed length, the backing's capacity
+	n   atomic.Uint64
+}
 
 // CG is a consumption group: the events of one partial match that will be
 // consumed together if the match completes (paper §3.1). A CG is owned by
@@ -78,17 +85,15 @@ type CG struct {
 	// RunID is the owner-matcher run this group mirrors.
 	RunID int
 
-	snap    atomic.Pointer[CGSnapshot]
-	delta   atomic.Int64 // current completion state δ of the partial match
-	outcome atomic.Int32 // CGOutcome
+	set     atomic.Pointer[cgSet] // the published backing
+	delta   atomic.Int64          // current completion state δ of the partial match
+	outcome atomic.Int32          // CGOutcome
 
-	// buf is the writer-owned backing of the event set. Published
-	// snapshots alias immutable prefixes of it: the single writer only
-	// ever appends past every published length (or swaps in a fresh
-	// backing on the rare out-of-order insert), so readers of an old
-	// snapshot never observe a mutated element.
-	buf   []uint64
-	dirty bool // appended but not yet published
+	// Writer-owned: the backing appends go into (the published one unless
+	// growth or an out-of-order insert gave the group a fresh one), how
+	// many of its entries are written, and how many are published.
+	next      *cgSet
+	size, pub int
 
 	// nodes are the tree vertices referencing this group (more than one
 	// when a sibling group's creation copied the structure). Owned by the
@@ -99,53 +104,65 @@ type CG struct {
 // NewCG creates an open consumption group.
 func NewCG(id uint64, owner *WindowVersion, runID int, delta int) *CG {
 	cg := &CG{ID: id, Owner: owner, RunID: runID}
-	cg.snap.Store(emptySnapshot)
+	cg.next = &cgSet{all: make([]uint64, 4)}
+	cg.set.Store(cg.next)
 	cg.delta.Store(int64(delta))
 	return cg
 }
 
-// Snapshot returns the current immutable event set.
-func (cg *CG) Snapshot() *CGSnapshot { return cg.snap.Load() }
-
-// Contains reports whether seq is currently in the group.
-func (cg *CG) Contains(seq uint64) bool { return cg.snap.Load().Contains(seq) }
-
-// Append records seq in the group without publishing a new snapshot.
-// Single writer: the instance processing the owning window version.
-// Events are bound in stream order, so the common case is an O(1)
-// append at the tail; out-of-order seqs swap in a fresh backing so
-// published snapshots stay intact.
-func (cg *CG) Append(seq uint64) {
-	if n := len(cg.buf); n == 0 || cg.buf[n-1] < seq {
-		cg.buf = append(cg.buf, seq)
-		cg.dirty = true
-		return
-	}
-	i := sort.Search(len(cg.buf), func(i int) bool { return cg.buf[i] >= seq })
-	if i < len(cg.buf) && cg.buf[i] == seq {
-		return // already present
-	}
-	grown := make([]uint64, 0, len(cg.buf)+1)
-	grown = append(grown, cg.buf[:i]...)
-	grown = append(grown, seq)
-	grown = append(grown, cg.buf[i:]...)
-	cg.buf = grown
-	cg.dirty = true
+// Snapshot returns the published event set: a prefix of the backing
+// that no writer touches again. It does not allocate.
+func (cg *CG) Snapshot() CGSnapshot {
+	b := cg.set.Load()
+	n := b.n.Load()
+	return CGSnapshot{Version: n, Seqs: b.all[:n:n]}
 }
 
-// Publish makes all appended events visible in a new snapshot. Called
-// once per feedback application rather than per event, so a batch of
-// appends costs one snapshot allocation.
+// Contains reports whether seq is currently in the group.
+func (cg *CG) Contains(seq uint64) bool { return cg.Snapshot().Contains(seq) }
+
+// Append records seq in the group without publishing it. Single writer:
+// the instance processing the owning window version. Events are bound in
+// stream order, so the common case writes one entry past the tail in
+// place. An entry below the published prefix is never written: an
+// out-of-order seq that lands there moves the set to a fresh backing of
+// the same size, a full backing to one of twice the size.
+func (cg *CG) Append(seq uint64) {
+	b, n := cg.next, cg.size
+	i := n
+	if n > 0 && b.all[n-1] >= seq {
+		var found bool
+		if i, found = slices.BinarySearch(b.all[:n], seq); found {
+			return
+		}
+	}
+	if n == len(b.all) || i < cg.pub {
+		size := len(b.all)
+		if n == size {
+			size *= 2
+		}
+		fresh := &cgSet{all: make([]uint64, size)}
+		copy(fresh.all, b.all[:n])
+		b, cg.next, cg.pub = fresh, fresh, 0
+	}
+	copy(b.all[i+1:n+1], b.all[i:n])
+	b.all[i] = seq
+	cg.size++
+}
+
+// Publish makes every appended event visible. It stores the backing's
+// published length before it swaps in a fresh backing, so a reader never
+// sees a shorter set than before, and it allocates nothing.
 func (cg *CG) Publish() {
-	if !cg.dirty {
+	if cg.size == cg.pub {
 		return
 	}
-	cg.dirty = false
-	old := cg.snap.Load()
-	cg.snap.Store(&CGSnapshot{
-		Version: old.Version + 1,
-		Seqs:    cg.buf[:len(cg.buf):len(cg.buf)],
-	})
+	b := cg.next
+	b.n.Store(uint64(cg.size))
+	cg.pub = cg.size
+	if cg.set.Load() != b {
+		cg.set.Store(b)
+	}
 }
 
 // Add appends seq and publishes immediately (Append + Publish).

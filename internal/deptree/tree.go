@@ -1,7 +1,6 @@
 package deptree
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -64,8 +63,9 @@ type Tree struct {
 
 	root    *Node
 	stamp   uint64
-	size    int // current number of WV vertices
-	maxSize int // high-water mark (paper Fig. 10(f))
+	size    int       // current number of WV vertices
+	maxSize int       // high-water mark (paper Fig. 10(f))
+	walk    []topItem // TopK's heap, kept between calls
 }
 
 // NewTree returns an empty tree using the given version factory.
@@ -373,24 +373,58 @@ type topItem struct {
 	sp   float64
 }
 
-type topHeap []topItem
-
-func (h topHeap) Len() int { return len(h) }
-func (h topHeap) Less(i, j int) bool {
-	if h[i].sp != h[j].sp {
-		return h[i].sp > h[j].sp
+// before orders the walk: higher survival probability first, ties by
+// vertex creation order.
+func (a topItem) before(b topItem) bool {
+	if a.sp != b.sp {
+		return a.sp > b.sp
 	}
-	return h[i].node.stamp < h[j].node.stamp
+	return a.node.stamp < b.node.stamp
 }
-func (h topHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *topHeap) Push(x any)   { *h = append(*h, x.(topItem)) }
-func (h *topHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// push adds it to the binary heap h (sift-up as container/heap does).
+func push(h []topItem, it topItem) []topItem {
+	h = append(h, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
+// pop removes and returns the first item of the non-empty heap h
+// (sift-down as container/heap does).
+func pop(h []topItem) ([]topItem, topItem) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].before(h[j]) {
+			j = j2
+		}
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[:n], h[n]
+}
 
 // TopK selects the k schedulable window versions with the highest survival
 // probability (paper §3.2.2, Fig. 6). prob returns the completion
 // probability of an open consumption group; eligible filters versions that
 // actually need processing (finished or empty versions are skipped but
-// their subtrees are still explored). The result is appended to out.
+// their subtrees are still explored). The result is appended to out. The
+// walk's heap is scratch the tree keeps, so a call allocates nothing
+// beyond growing out.
 //
 // Survival probabilities are non-increasing from root to leaves, so the
 // tree is a max-heap under SP and the walk visits the minimal number of
@@ -399,17 +433,17 @@ func (t *Tree) TopK(k int, prob func(cg *CG) float64, eligible func(wv *WindowVe
 	if t.root == nil || k <= 0 {
 		return out
 	}
-	h := make(topHeap, 0, 2*k+2)
-	heap.Push(&h, topItem{node: t.root, sp: 1})
+	h := push(t.walk[:0], topItem{node: t.root, sp: 1})
 	for len(h) > 0 && len(out) < k {
-		it := heap.Pop(&h).(topItem)
+		var it topItem
+		h, it = pop(h)
 		n := it.node
 		if n.IsWV() {
 			if eligible == nil || eligible(n.WV) {
 				out = append(out, n.WV)
 			}
 			if c := n.children[0]; c != nil {
-				heap.Push(&h, topItem{node: c, sp: it.sp})
+				h = push(h, topItem{node: c, sp: it.sp})
 			}
 			continue
 		}
@@ -420,12 +454,14 @@ func (t *Tree) TopK(k int, prob func(cg *CG) float64, eligible func(wv *WindowVe
 			p = 1
 		}
 		if c := n.children[AbandonEdge]; c != nil {
-			heap.Push(&h, topItem{node: c, sp: it.sp * (1 - p)})
+			h = push(h, topItem{node: c, sp: it.sp * (1 - p)})
 		}
 		if c := n.children[CompletionEdge]; c != nil {
-			heap.Push(&h, topItem{node: c, sp: it.sp * p})
+			h = push(h, topItem{node: c, sp: it.sp * p})
 		}
 	}
+	clear(h[:cap(h)]) // hold no vertex past the walk
+	t.walk = h[:0]
 	return out
 }
 

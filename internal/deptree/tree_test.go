@@ -1,7 +1,9 @@
 package deptree
 
 import (
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/spectrecep/spectre/internal/window"
@@ -395,4 +397,130 @@ func TestCGSnapshots(t *testing.T) {
 	if cg.Outcome() != CGCompleted {
 		t.Fatal("outcome must stay completed")
 	}
+}
+
+// refTopK is the top-k walk over container/heap that TopK's typed heap
+// replaced; TestTopKMatchesHeapWalk holds TopK to its order.
+func refTopK(t *Tree, k int, prob func(cg *CG) float64, eligible func(wv *WindowVersion) bool) []*WindowVersion {
+	var out []*WindowVersion
+	if t.root == nil || k <= 0 {
+		return out
+	}
+	h := &refHeap{{node: t.root, sp: 1}}
+	for h.Len() > 0 && len(out) < k {
+		it := heap.Pop(h).(topItem)
+		n := it.node
+		if n.IsWV() {
+			if eligible == nil || eligible(n.WV) {
+				out = append(out, n.WV)
+			}
+			if c := n.children[0]; c != nil {
+				heap.Push(h, topItem{node: c, sp: it.sp})
+			}
+			continue
+		}
+		p := min(max(prob(n.CG), 0), 1)
+		if c := n.children[AbandonEdge]; c != nil {
+			heap.Push(h, topItem{node: c, sp: it.sp * (1 - p)})
+		}
+		if c := n.children[CompletionEdge]; c != nil {
+			heap.Push(h, topItem{node: c, sp: it.sp * p})
+		}
+	}
+	return out
+}
+
+type refHeap []topItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].sp != h[j].sp {
+		return h[i].sp > h[j].sp
+	}
+	return h[i].node.stamp < h[j].node.stamp
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(topItem)) }
+func (h *refHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// randomTree grows a tree through random windows, groups and outcomes.
+func randomTree(rng *rand.Rand, steps int) *harness {
+	h := newHarness()
+	var live []*WindowVersion
+	var open []*CG
+	start := uint64(0)
+	for range steps {
+		switch r := rng.Intn(10); {
+		case r < 4 || len(live) == 0:
+			live = append(live, h.tree.NewWindow(h.window(start, start+100))...)
+			start += uint64(rng.Intn(50) + 1)
+		case r < 8:
+			wv := live[rng.Intn(len(live))]
+			if wv.Dropped() {
+				continue
+			}
+			cg := h.cg(wv)
+			live = append(live, h.tree.CGCreated(cg)...)
+			open = append(open, cg)
+		case len(open) > 0:
+			i := rng.Intn(len(open))
+			cg := open[i]
+			open = append(open[:i], open[i+1:]...)
+			cg.Resolve(CGOutcome(1 + rng.Intn(2)))
+			h.tree.CGResolved(cg)
+		}
+	}
+	return h
+}
+
+// TestTopKMatchesHeapWalk checks, over random trees and probabilities
+// with many tied survival probabilities, that TopK returns the versions
+// of the container/heap walk in the same order, and that a call with a
+// reused out allocates nothing.
+func TestTopKMatchesHeapWalk(t *testing.T) {
+	ps := []float64{0, 0.25, 0.5, 0.5, 1, -1, 2}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := randomTree(rng, 10+rng.Intn(60))
+		if err := h.tree.Check(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		probs := map[*CG]float64{}
+		prob := func(cg *CG) float64 {
+			p, ok := probs[cg]
+			if !ok {
+				if rng.Intn(2) == 0 {
+					p = ps[rng.Intn(len(ps))]
+				} else {
+					p = rng.Float64()
+				}
+				probs[cg] = p
+			}
+			return p
+		}
+		mod := uint64(1 + rng.Intn(4))
+		eligible := func(wv *WindowVersion) bool { return wv.ID%mod != 0 }
+		var out []*WindowVersion
+		for _, k := range []int{1, 2, 4, 8, 64} {
+			for _, el := range []func(*WindowVersion) bool{nil, eligible} {
+				want := refTopK(h.tree, k, prob, el)
+				out = h.tree.TopK(k, prob, el, out[:0])
+				if !slices.Equal(out, want) {
+					t.Fatalf("seed %d k %d: TopK = %v, heap walk = %v", seed, k, ids(out), ids(want))
+				}
+			}
+		}
+		out = h.tree.TopK(64, prob, nil, out[:0])
+		if a := testing.AllocsPerRun(20, func() { out = h.tree.TopK(64, prob, eligible, out[:0]) }); a != 0 {
+			t.Fatalf("seed %d: TopK with a reused out: %v allocs, want 0", seed, a)
+		}
+	}
+}
+
+func ids(wvs []*WindowVersion) []uint64 {
+	out := make([]uint64, len(wvs))
+	for i, wv := range wvs {
+		out[i] = wv.ID
+	}
+	return out
 }

@@ -5,8 +5,8 @@
 // statistics gathered while processing validated (independent) window
 // versions, folded by exponential smoothing. The completion probability
 // after n more events is read from rung columns c_i = T1^(iℓ)·e₀, built
-// lazily after each fold, ℓ matrix–vector products apart, and
-// interpolated between the two rungs around n.
+// lazily after each fold, ℓ matrix–vector products over T1's nonzero
+// cells apart, and interpolated between the two rungs around n.
 //
 // Engineering parameterization beyond the paper: for very long patterns
 // (Q1 uses q up to 2560) a dense (δ_max+1)² matrix is impractical, so δ is
@@ -96,6 +96,15 @@ type Model struct {
 	buckets []int32
 
 	t1 []float64 // T1, states×states, row-major
+	// T1's nonzero cells row by row (CSR): row r holds nzCol[i], nzVal[i]
+	// for i from the previous row's end (0 for row 0) up to rowEnd[r],
+	// columns ascending. nzVal copies the values out of t1 because the
+	// contiguous read is measurably cheaper: reading t1 through nzCol
+	// instead raised rung's share of q1_heavy samples from about 1.9 % to
+	// 2.4 % (medians of CPU profiles, seed 1, 16 s, 2 vCPUs).
+	nzCol  []int32
+	nzVal  []float64
+	rowEnd []int32
 	// rungs holds the columns c_i = T1^(i·ℓ)·e₀ back to back: entry s of
 	// rung i is P(complete within i·ℓ events | state s). Rung 0 is e₀.
 	rungs      []float64
@@ -136,6 +145,7 @@ func New(deltaMax int, cfg Config) (*Model, error) {
 	m.counts = make([]float64, n*n)
 	m.rungs = make([]float64, n)
 	m.col, m.spare = make([]float64, n), make([]float64, n)
+	m.rowEnd = make([]int32, n)
 	m.invalidateRungs()
 	return m, nil
 }
@@ -255,27 +265,44 @@ func (m *Model) smooth() {
 	m.invalidateRungs()
 }
 
-// invalidateRungs drops every rung but c_0 = e₀.
+// invalidateRungs drops every rung but c_0 = e₀ and indexes T1's
+// nonzero cells for the products that rebuild them. New and smooth, the
+// only writers of T1, call it.
 func (m *Model) invalidateRungs() {
 	m.rungs = m.rungs[:m.states]
 	clear(m.rungs)
 	m.rungs[0] = 1
+	m.nzCol, m.nzVal = m.nzCol[:0], m.nzVal[:0]
+	for r := range m.states {
+		for c, t := range m.t1[r*m.states : (r+1)*m.states] {
+			if t != 0 {
+				m.nzCol = append(m.nzCol, int32(c))
+				m.nzVal = append(m.nzVal, t)
+			}
+		}
+		m.rowEnd[r] = int32(len(m.nzCol))
+	}
 }
 
 // rung returns column c_idx = T1^(idx·ℓ)·e₀, extending the cached rungs
-// on demand: each is ℓ matrix–vector products past the one before.
+// on demand: each is ℓ matrix–vector products past the one before. A
+// product sums only T1's nonzero cells, in ascending column order; every
+// skipped term is 0·x with x a finite probability, so each rung is
+// bit-identical to the dense product's.
 func (m *Model) rung(idx int) []float64 {
 	n := m.states
 	for len(m.rungs) <= idx*n {
 		col, next := m.col, m.spare
 		copy(col, m.rungs[len(m.rungs)-n:])
 		for range m.cfg.StepSize {
-			for r := range next {
+			var lo int32
+			for r, hi := range m.rowEnd {
 				var v float64
-				for c, t := range m.t1[r*n : (r+1)*n] {
-					v += t * col[c]
+				for i := lo; i < hi; i++ {
+					v += m.nzVal[i] * col[m.nzCol[i]]
 				}
 				next[r] = v
+				lo = hi
 			}
 			col, next = next, col
 		}

@@ -220,6 +220,89 @@ func TestInterpolationBetweenRungs(t *testing.T) {
 	}
 }
 
+// denseRungs builds rungs 0..last of m by dense products over every cell
+// of T1: the reference the products over T1's nonzero cells must equal
+// bit for bit.
+func denseRungs(m *Model, last int) [][]float64 {
+	n := m.states
+	col := make([]float64, n)
+	col[0] = 1
+	out := [][]float64{append([]float64(nil), col...)}
+	for len(out) <= last {
+		for range m.cfg.StepSize {
+			next := make([]float64, n)
+			for r := range next {
+				var v float64
+				for c, t := range m.t1[r*n : (r+1)*n] {
+					v += t * col[c]
+				}
+				next[r] = v
+			}
+			col = next
+		}
+		out = append(out, append([]float64(nil), col...))
+	}
+	return out
+}
+
+// TestRungsMatchDense checks that every rung built over T1's nonzero
+// cells is bit-identical to the dense product, for T1s learned through
+// several folds in the Q1 shape (stay or advance one state), fully dense,
+// and with rows that are never observed or are all zero; and that a
+// prediction allocates nothing once its rungs are built.
+func TestRungsMatchDense(t *testing.T) {
+	const last = 256
+	for _, deltaMax := range []int{1, 13, 640} {
+		for _, shape := range []string{"bidiagonal", "dense", "empty rows"} {
+			rng := rand.New(rand.NewSource(int64(deltaMax)))
+			m, err := New(deltaMax, Config{Rho: 300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			states := m.States()
+			for range 3000 {
+				from := 1 + rng.Intn(states-1)
+				to := from
+				switch {
+				case shape == "bidiagonal":
+					to -= rng.Intn(2)
+				case shape == "empty rows" && from%3 == 2:
+					continue // these rows keep their prior
+				default:
+					to = rng.Intn(states)
+				}
+				m.RecordTransition(from*m.Scale(), to*m.Scale())
+			}
+			if m.Folds() < 5 {
+				t.Fatalf("deltaMax %d %s: %d folds, want ≥ 5", deltaMax, shape, m.Folds())
+			}
+			if shape == "empty rows" {
+				for r := 0; r < states; r += 3 {
+					clear(m.t1[r*states : (r+1)*states])
+				}
+				m.invalidateRungs()
+			}
+			want := denseRungs(m, last)
+			for i, w := range want {
+				got := m.rung(i)
+				for s := range w {
+					if math.Float64bits(got[s]) != math.Float64bits(w[s]) {
+						t.Fatalf("deltaMax %d %s: rung %d state %d = %.17g, dense %.17g",
+							deltaMax, shape, i, s, got[s], w[s])
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(10, func() {
+				for n := 1; n < last*m.cfg.StepSize; n += 7 {
+					m.CompletionProbability(1+n%deltaMax, n)
+				}
+			}); a != 0 {
+				t.Fatalf("deltaMax %d %s: CompletionProbability: %v allocs, want 0", deltaMax, shape, a)
+			}
+		}
+	}
+}
+
 // TestBucketedCountsFoldLikeRaw is the gate for counting in the model's
 // buckets: the same transitions recorded raw, one RecordTransition each,
 // and counted by two worker tables folded into the model give a
