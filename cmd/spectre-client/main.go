@@ -3,7 +3,8 @@
 // measurement mode of the paper's evaluation) or rate-limited. With
 // -query it first submits its own query to the server's shared runtime
 // (the multi-query deployment); without it the server's fallback query
-// applies.
+// applies. Payload fields travel by the names of the file's "# fields:"
+// header (cmd/datagen writes it).
 //
 // With -reconnect the client survives a server restart: every
 // connection opens with a resume handshake (the server answers with the
@@ -154,14 +155,19 @@ func sendOnce(ctx context.Context, addr string, reg *spectre.Registry, events []
 	defer conn.Close()
 
 	w := transport.NewWriter(conn, reg)
+	if resume {
+		err = w.WriteQueryResume(queryText)
+	} else if queryText != "" {
+		err = w.WriteQuery(queryText)
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		return 0, err
+	}
 	from := 0
 	if resume {
-		if err := w.WriteQueryResume(queryText); err != nil {
-			return 0, err
-		}
-		if err := w.Flush(); err != nil {
-			return 0, err
-		}
 		pos, err := transport.NewReader(conn, reg).ReadResume()
 		if err != nil {
 			return 0, fmt.Errorf("resume handshake: %w", err)
@@ -173,38 +179,20 @@ func sendOnce(ctx context.Context, addr string, reg *spectre.Registry, events []
 		if from > 0 {
 			fmt.Fprintf(os.Stderr, "spectre-client: server resumed at event %d\n", from)
 		}
-	} else if queryText != "" {
-		if err := w.WriteQuery(queryText); err != nil {
-			return 0, err
-		}
-		if err := w.Flush(); err != nil {
-			return 0, err
-		}
-	}
-
-	if rate <= 0 {
-		if err := transport.Send(ctx, conn, reg, events[from:]); err != nil {
-			// Send flushes what it wrote even on error; the server's next
-			// resume answer is the ground truth for what arrived.
-			return len(events) - from, err
-		}
-		return len(events) - from, nil
 	}
 
 	sent := 0
-	interval := time.Second / time.Duration(rate)
 	next := time.Now()
-	for i := from; i < len(events); i++ {
-		if ctx.Err() != nil {
-			break
-		}
+	for i := from; i < len(events) && ctx.Err() == nil; i++ {
 		if err := w.WriteEvent(&events[i]); err != nil {
 			return sent, err
 		}
 		sent++
-		next = next.Add(interval)
-		if err := waitThrottled(ctx, w, next); err != nil {
-			return sent, err
+		if rate > 0 {
+			next = next.Add(time.Second / time.Duration(rate))
+			if err := waitThrottled(ctx, w, next); err != nil {
+				return sent, err
+			}
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -233,11 +221,7 @@ func waitThrottled(ctx context.Context, w *transport.Writer, next time.Time) err
 		if err := w.Flush(); err != nil {
 			return err
 		}
-		wait := d
-		if wait > heartbeatEvery {
-			wait = heartbeatEvery
-		}
-		timer := time.NewTimer(wait)
+		timer := time.NewTimer(min(d, heartbeatEvery))
 		select {
 		case <-timer.C:
 			if time.Until(next) > 0 {

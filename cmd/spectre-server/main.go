@@ -1,8 +1,10 @@
 // Command spectre-server runs a shared SPECTRE runtime fed over TCP. It
 // accepts any number of client connections; each client submits its own
-// query (a leading query control frame, see spectre-client -query) and
-// streams events for it. All queries run concurrently on one key-
-// partitioned runtime multiplexed over a shared worker pool.
+// query (a leading query frame, see spectre-client -query) and streams
+// events for it in pages, which the server admits a page at a time. All
+// queries run concurrently on one key-partitioned runtime multiplexed
+// over a shared worker pool. Payload fields bind by name: a query that
+// reads a field the client does not announce fails its connection.
 //
 // Usage:
 //
@@ -11,7 +13,7 @@
 //	spectre-server -addr :7071 -max-conns 1 -query q.mrq   # one-shot
 //
 // Clients that send no query frame fall back to the -query file (the
-// legacy single-query deployment of the paper's evaluation setup). The
+// single-query deployment of the paper's evaluation setup). The
 // server prints each detected complex event and a per-connection metrics
 // summary; -max-conns N exits after N connections drain.
 //
@@ -75,6 +77,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof
@@ -83,6 +86,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -130,15 +134,9 @@ func parseSchedFlag(sched string) ([]spectre.Option, error) {
 type liveQueries struct {
 	mu sync.Mutex
 	m  map[int]*liveQuery
-	// links, set in coordinator mode, snapshots the cluster worker
-	// links' transport counters for the metrics JSON.
+	// links, set in coordinator mode before the metrics endpoint serves,
+	// snapshots the cluster worker links' transport counters.
 	links func() []spectre.ClusterLinkStats
-}
-
-func (l *liveQueries) setLinks(f func() []spectre.ClusterLinkStats) {
-	l.mu.Lock()
-	l.links = f
-	l.mu.Unlock()
 }
 
 type liveQuery struct {
@@ -146,8 +144,6 @@ type liveQuery struct {
 	Query string `json:"query"`
 	h     *spectre.Handle
 }
-
-func newLiveQueries() *liveQueries { return &liveQueries{m: make(map[int]*liveQuery)} }
 
 func (l *liveQueries) add(id int, name string, h *spectre.Handle) {
 	l.mu.Lock()
@@ -193,7 +189,6 @@ func (l *liveQueries) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, q := range l.m {
 		live = append(live, q)
 	}
-	links := l.links
 	l.mu.Unlock()
 	out := make([]queryMetrics, 0, len(live))
 	for _, q := range live {
@@ -215,8 +210,8 @@ func (l *liveQueries) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		})
 	}
 	snap := metricsSnapshot{Queries: out}
-	if links != nil {
-		snap.ClusterLinks = links()
+	if l.links != nil {
+		snap.ClusterLinks = l.links()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -266,8 +261,32 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	live := newLiveQueries()
+	live := &liveQueries{m: make(map[int]*liveQuery)}
 	http.HandleFunc("/debug/spectre/metrics", live.serveMetrics)
+
+	// Coordinator mode: accept cluster workers on their own listener and
+	// run every client query distributed across them. The worker links
+	// and the connections share one registry (interning is concurrent-
+	// safe) so the event ids clients send are the ids workers decode.
+	var cluster *clusterFrontend
+	if *clusterAddr != "" {
+		creg := spectre.NewRegistry()
+		cl, err := spectre.ListenCluster(*clusterAddr, creg, spectre.ClusterOptions{
+			MinWorkers:      *clusterMin,
+			DisablePushdown: *clusterNoPD,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "spectre-server: "+format+"\n", args...)
+			},
+		})
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		cluster = &clusterFrontend{cl: cl, reg: creg}
+		live.links = cl.LinkStats
+		fmt.Fprintf(os.Stderr, "spectre-server: cluster coordinator on %s (min %d workers)\n",
+			cl.Addr(), *clusterMin)
+	}
 
 	if *pprofAddr != "" {
 		// DefaultServeMux carries the /debug/pprof handlers via the
@@ -311,31 +330,6 @@ func run() error {
 	rt, err := spectre.NewRuntime(spectre.NewRegistry(), rtOpts...)
 	if err != nil {
 		return err
-	}
-
-	// Coordinator mode: accept cluster workers on their own listener and
-	// run every client query distributed across them. The worker links
-	// and the connections share one registry (interning is concurrent-
-	// safe) so the event ids clients send are the ids workers decode.
-	var cluster *clusterFrontend
-	if *clusterAddr != "" {
-		creg := spectre.NewRegistry()
-		cl, err := spectre.ListenCluster(*clusterAddr, creg, spectre.ClusterOptions{
-			MinWorkers:      *clusterMin,
-			DisablePushdown: *clusterNoPD,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "spectre-server: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			rt.Close()
-			return err
-		}
-		defer cl.Close()
-		cluster = &clusterFrontend{cl: cl, reg: creg}
-		live.setLinks(cl.LinkStats)
-		fmt.Fprintf(os.Stderr, "spectre-server: cluster coordinator on %s (min %d workers)\n",
-			cl.Addr(), *clusterMin)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -446,220 +440,225 @@ type clusterFrontend struct {
 	reg *spectre.Registry
 }
 
+// session is one connection's submitted query: the field names it reads,
+// and the three steps in which the local runtime and the cluster differ.
+type session struct {
+	reads  []string
+	feed   func(ctx context.Context, evs []spectre.Event) error
+	finish func(broken bool) error // drain, or park a query whose stream broke
+	report func(sent int, elapsed time.Duration)
+}
+
+// serve is the one connection loop: read the query frame, submit the
+// query, feed the stream page by page, then finish and report. A done
+// ctx unwedges the connection read and finishes what was admitted
+// instead of dying mid-stream.
+func serve(ctx context.Context, conn net.Conn, reg *spectre.Registry, opts serverOpts,
+	submit func(text string, resume bool) (*session, error)) error {
+	defer conn.Close()
+	stopWatch := transport.AbortReadsOnDone(ctx, conn)
+	defer stopWatch()
+
+	r := transport.NewReader(conn, reg)
+	text, resume, ok, err := r.ReadQuery()
+	if err != nil {
+		if transport.IsClosedOrCanceled(err) && ctx.Err() != nil {
+			return nil
+		}
+		return err
+	}
+	if !ok || text == "" {
+		if opts.fallback == "" {
+			return fmt.Errorf("client sent no query frame and no -query fallback is configured")
+		}
+		text = opts.fallback
+	}
+	s, err := submit(text, resume)
+	if err != nil {
+		return err
+	}
+	// Fields bind by name through the stream's announced table, so every
+	// field the query reads must be in it: a missing one would read as 0.
+	r.RequireFields(s.reads)
+	start := time.Now()
+	sent := 0
+	var evs []spectre.Event
+	var feedErr, readErr error
+	for feedErr == nil && readErr == nil {
+		if evs, readErr = r.ReadBatch(); readErr == nil {
+			if feedErr = s.feed(ctx, evs); feedErr == nil {
+				sent += len(evs)
+			}
+		}
+	}
+	if errors.Is(readErr, io.EOF) {
+		readErr = nil
+	}
+	finishErr := s.finish(feedErr != nil || readErr != nil || ctx.Err() != nil)
+	elapsed := time.Since(start)
+	if feedErr != nil && !errors.Is(feedErr, context.Canceled) {
+		return fmt.Errorf("feed error: %w", feedErr)
+	}
+	if readErr != nil && !(transport.IsClosedOrCanceled(readErr) && ctx.Err() != nil) {
+		return fmt.Errorf("stream error: %w", readErr)
+	}
+	if finishErr != nil {
+		return finishErr
+	}
+	s.report(sent, elapsed)
+	return nil
+}
+
 // serveClusterConn handles one client in coordinator mode: its query
 // runs distributed across the joined workers instead of on the local
 // runtime. Resume handshakes are refused — the coordinator keeps no
 // per-client journal; durability lives in the worker WALs and covers
 // worker failure, not client reconnects.
 func serveClusterConn(ctx context.Context, cluster *clusterFrontend, conn net.Conn, id int, opts serverOpts) error {
-	defer conn.Close()
-	stopWatch := transport.AbortReadsOnDone(ctx, conn)
-	defer stopWatch()
-
-	r := transport.NewReader(conn, cluster.reg)
-	queryText, wantResume, ok, err := r.ReadQuery()
-	if err != nil {
-		if transport.IsClosedOrCanceled(err) && ctx.Err() != nil {
-			return nil
+	return serve(ctx, conn, cluster.reg, opts, func(text string, resume bool) (*session, error) {
+		if resume {
+			return nil, fmt.Errorf("resume handshake: distributed queries do not support client resume")
 		}
-		return err
-	}
-	if !ok || queryText == "" {
-		if opts.fallback == "" {
-			return fmt.Errorf("client sent no query frame and no -query fallback is configured")
+		// cluster.reg is shared: a scratch parse finds this query's fields.
+		read := spectre.NewRegistry()
+		if _, err := spectre.ParseQuery(text, read); err != nil {
+			return nil, err
 		}
-		queryText = opts.fallback
-	}
-	if wantResume {
-		return fmt.Errorf("resume handshake: distributed queries do not support client resume")
-	}
-
-	var subOpts []spectre.Option
-	if opts.shards > 0 {
-		subOpts = append(subOpts, spectre.WithShards(opts.shards))
-	}
-	matches := 0
-	var mu sync.Mutex
-	h, err := cluster.cl.Submit(ctx, queryText, spectre.SinkFunc(func(ce spectre.ComplexEvent) {
-		mu.Lock()
-		matches++
-		mu.Unlock()
-		if !opts.quiet {
-			fmt.Printf("[conn %d] %s\n", id, ce.String())
+		var subOpts []spectre.Option
+		if opts.shards > 0 {
+			subOpts = append(subOpts, spectre.WithShards(opts.shards))
 		}
-	}), subOpts...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "spectre-server: conn %d: query %s distributed on %d shard(s)\n",
-		id, h.Name(), h.Shards())
-
-	src, srcErr := transport.SourceFromReader(r)
-	start := time.Now()
-	sent := 0
-	feedErr := func() error {
-		for {
-			ev, more := src.Next()
-			if !more {
+		var matches atomic.Int64
+		h, err := cluster.cl.Submit(ctx, text, spectre.SinkFunc(func(ce spectre.ComplexEvent) {
+			matches.Add(1)
+			if !opts.quiet {
+				fmt.Printf("[conn %d] %s\n", id, ce.String())
+			}
+		}), subOpts...)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "spectre-server: conn %d: query %s distributed on %d shard(s)\n",
+			id, h.Name(), h.Shards())
+		return &session{
+			reads: read.FieldNames(),
+			feed:  h.FeedBatch,
+			finish: func(bool) error {
+				if err := h.Drain(ctx); err != nil && ctx.Err() == nil {
+					return fmt.Errorf("drain: %w", err)
+				}
 				return nil
-			}
-			if err := h.Feed(ctx, ev); err != nil {
-				return err
-			}
-			sent++
-		}
-	}()
-	drainErr := h.Drain(ctx)
-	elapsed := time.Since(start)
-	if feedErr != nil && !errors.Is(feedErr, context.Canceled) {
-		return fmt.Errorf("feed error: %w", feedErr)
-	}
-	if err := srcErr(); err != nil && !(transport.IsClosedOrCanceled(err) && ctx.Err() != nil) {
-		return fmt.Errorf("stream error: %w", err)
-	}
-	if drainErr != nil && ctx.Err() == nil {
-		return fmt.Errorf("drain: %w", drainErr)
-	}
-	mu.Lock()
-	n := matches
-	mu.Unlock()
-	fmt.Fprintf(os.Stderr, "spectre-server: conn %d: %d events, %d matches in %v (%.0f events/sec, distributed)\n",
-		id, sent, n, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
-	for _, ls := range cluster.cl.LinkStats() {
-		fmt.Fprintf(os.Stderr,
-			"spectre-server: conn %d: link w%d (%s): %d B out / %d B in, %d frames out / %d in, %d events sent, %d deduped\n",
-			id, ls.WorkerID, ls.Name,
-			ls.BytesSent, ls.BytesRecv, ls.FramesSent, ls.FramesRecv,
-			ls.EventsSent, ls.EventsDeduped)
-	}
-	return nil
+			},
+			report: func(sent int, elapsed time.Duration) {
+				fmt.Fprintf(os.Stderr, "spectre-server: conn %d: %d events, %d matches in %v (%.0f events/sec, distributed)\n",
+					id, sent, matches.Load(), elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
+				for _, ls := range cluster.cl.LinkStats() {
+					fmt.Fprintf(os.Stderr,
+						"spectre-server: conn %d: link w%d (%s): %d B out / %d B in, %d frames out / %d in, %d events sent, %d deduped\n",
+						id, ls.WorkerID, ls.Name,
+						ls.BytesSent, ls.BytesRecv, ls.FramesSent, ls.FramesRecv,
+						ls.EventsSent, ls.EventsDeduped)
+				}
+			},
+		}, nil
+	})
 }
 
-// serveConn handles one client: read its query, submit it to the shared
-// runtime, feed its event stream, drain and report. A done ctx unwedges
-// the connection read and drains what was admitted instead of dying
-// mid-stream.
+// serveConn handles one client on the shared runtime. Its query is
+// parsed into a private registry, which the stream's names bind into.
 func serveConn(ctx context.Context, rt *spectre.Runtime, conn net.Conn, id int, opts serverOpts, live *liveQueries) error {
-	defer conn.Close()
-	stopWatch := transport.AbortReadsOnDone(ctx, conn)
-	defer stopWatch()
-
-	reg := spectre.NewRegistry()
-	r := transport.NewReader(conn, reg)
-
-	queryText, wantResume, ok, err := r.ReadQuery()
-	if err != nil {
-		if transport.IsClosedOrCanceled(err) && ctx.Err() != nil {
-			return nil
-		}
-		return err
-	}
-	if !ok || queryText == "" {
-		if opts.fallback == "" {
-			return fmt.Errorf("client sent no query frame and no -query fallback is configured")
-		}
-		queryText = opts.fallback
-	}
-	query, err := spectre.ParseQuery(queryText, reg)
-	if err != nil {
-		return err
-	}
-
-	subOpts := []spectre.Option{spectre.WithInstances(opts.instances)}
-	if opts.durable {
-		// The WAL's name tables must be this connection's private
-		// registry — the one the query was parsed against and events
-		// intern into — not the runtime's.
-		subOpts = append(subOpts, spectre.WithRegistry(reg))
-	}
-	subOpts = append(subOpts, opts.schedOpts...)
-	if opts.shards > 0 && query.Partition != nil {
-		subOpts = append(subOpts, spectre.WithShards(opts.shards))
-	}
-	if opts.shed {
-		subOpts = append(subOpts, spectre.WithShedding())
-	}
-	matches := 0
-	h, err := rt.Submit(context.Background(), query, spectre.SinkFunc(func(ce spectre.ComplexEvent) {
-		matches++
-		if !opts.quiet {
-			fmt.Printf("[conn %d] %s\n", id, ce.String())
-		}
-	}), subOpts...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "spectre-server: conn %d: query %s on %d shard(s)\n",
-		id, h.Name(), h.Shards())
-	live.add(id, h.Name(), h)
 	defer live.remove(id)
-
-	if opts.durable {
-		// Block until the query's WAL replay caught up, so the resume
-		// offset below reflects everything already journalled.
-		if err := rt.Recover(ctx); err != nil && ctx.Err() == nil {
-			h.Park()
-			return err
-		}
-	}
-	if wantResume {
-		pos := uint64(0)
-		if rec := h.Recovered(); len(rec) == 1 {
-			pos = rec[0]
-		} else if len(rec) > 1 {
-			// Shard-local offsets cannot be folded into one stream
-			// position; a partitioned durable query has no single resume
-			// point for a global producer.
-			h.Park()
-			return fmt.Errorf("resume handshake: query %s runs on %d shards; resume needs a single shard", h.Name(), len(rec))
-		}
-		rw := transport.NewWriter(conn, reg)
-		if err := rw.WriteResume(pos); err == nil {
-			err = rw.Flush()
-		}
+	reg := spectre.NewRegistry()
+	return serve(ctx, conn, reg, opts, func(text string, resume bool) (*session, error) {
+		query, err := spectre.ParseQuery(text, reg)
 		if err != nil {
-			h.Park()
-			return fmt.Errorf("resume handshake: %w", err)
+			return nil, err
 		}
-	}
+		// reg is fresh: until a WAL replay interns more, it names just the query's fields.
+		reads := reg.FieldNames()
+		subOpts := []spectre.Option{spectre.WithInstances(opts.instances)}
+		if opts.durable {
+			// The WAL's name tables must be this connection's private
+			// registry — the one the query was parsed against and events
+			// bind into — not the runtime's.
+			subOpts = append(subOpts, spectre.WithRegistry(reg))
+		}
+		subOpts = append(subOpts, opts.schedOpts...)
+		if opts.shards > 0 && query.Partition != nil {
+			subOpts = append(subOpts, spectre.WithShards(opts.shards))
+		}
+		if opts.shed {
+			subOpts = append(subOpts, spectre.WithShedding())
+		}
+		matches := 0
+		h, err := rt.Submit(context.Background(), query, spectre.SinkFunc(func(ce spectre.ComplexEvent) {
+			matches++
+			if !opts.quiet {
+				fmt.Printf("[conn %d] %s\n", id, ce.String())
+			}
+		}), subOpts...)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "spectre-server: conn %d: query %s on %d shard(s)\n",
+			id, h.Name(), h.Shards())
+		live.add(id, h.Name(), h)
 
-	src, srcErr := transport.SourceFromReader(r)
-	start := time.Now()
-	feedErr := func() error {
-		for {
-			ev, more := src.Next()
-			if !more {
-				return nil
-			}
-			if err := h.Feed(ctx, ev); err != nil {
-				return err
+		if opts.durable {
+			// Block until the query's WAL replay caught up, so the resume
+			// offset below reflects everything already journalled.
+			if err := rt.Recover(ctx); err != nil && ctx.Err() == nil {
+				h.Park()
+				return nil, err
 			}
 		}
-	}()
-	if opts.durable && (feedErr != nil || srcErr() != nil || ctx.Err() != nil) {
-		// The stream broke (client died, server shutting down) rather
-		// than ended: park the durable query so its in-flight windows
-		// stay in the WAL and a reconnect resumes them. A clean client
-		// EOF is a genuine end of stream and drains below.
-		h.Park()
-	} else {
-		h.Drain()
-	}
-	elapsed := time.Since(start)
-	if feedErr != nil && !errors.Is(feedErr, context.Canceled) {
-		return fmt.Errorf("feed error: %w", feedErr)
-	}
-	if err := srcErr(); err != nil && !(transport.IsClosedOrCanceled(err) && ctx.Err() != nil) {
-		return fmt.Errorf("stream error: %w", err)
-	}
-	m := h.Metrics()
-	fmt.Fprintf(os.Stderr,
-		"spectre-server: conn %d: %d events, %d matches in %v (%.0f events/sec)\n"+
-			"  shards=%d windows=%d versions=%d dropped=%d rollbacks=%d gate-reprocessed=%d max-tree=%d shed=%d emit-lag-p99=%.1fms\n",
-		id, m.EventsIngested, matches, elapsed.Round(time.Millisecond),
-		float64(m.EventsIngested)/elapsed.Seconds(), h.Shards(),
-		m.WindowsOpened, m.VersionsCreated, m.VersionsDropped,
-		m.Rollbacks, m.GateReprocessed, m.MaxTreeSize,
-		m.ShedEvents, m.EmitLagP99*1000)
-	return nil
+		if resume {
+			pos := uint64(0)
+			if rec := h.Recovered(); len(rec) == 1 {
+				pos = rec[0]
+			} else if len(rec) > 1 {
+				// Shard-local offsets cannot be folded into one stream
+				// position; a partitioned durable query has no single
+				// resume point for a global producer.
+				h.Park()
+				return nil, fmt.Errorf("resume handshake: query %s runs on %d shards; resume needs a single shard", h.Name(), len(rec))
+			}
+			rw := transport.NewWriter(conn, reg)
+			if err := rw.WriteResume(pos); err == nil {
+				err = rw.Flush()
+			}
+			if err != nil {
+				h.Park()
+				return nil, fmt.Errorf("resume handshake: %w", err)
+			}
+		}
+		return &session{
+			reads: reads,
+			feed:  h.FeedBatch,
+			finish: func(broken bool) error {
+				if opts.durable && broken {
+					// The stream broke (client died, server shutting
+					// down) rather than ended: park the durable query so
+					// its in-flight windows stay in the WAL and a
+					// reconnect resumes them. A clean client EOF is a
+					// genuine end of stream and drains.
+					h.Park()
+				} else {
+					h.Drain()
+				}
+				return nil
+			},
+			report: func(_ int, elapsed time.Duration) {
+				m := h.Metrics()
+				fmt.Fprintf(os.Stderr,
+					"spectre-server: conn %d: %d events, %d matches in %v (%.0f events/sec)\n"+
+						"  shards=%d windows=%d versions=%d dropped=%d rollbacks=%d gate-reprocessed=%d max-tree=%d shed=%d emit-lag-p99=%.1fms\n",
+					id, m.EventsIngested, matches, elapsed.Round(time.Millisecond),
+					float64(m.EventsIngested)/elapsed.Seconds(), h.Shards(),
+					m.WindowsOpened, m.VersionsCreated, m.VersionsDropped,
+					m.Rollbacks, m.GateReprocessed, m.MaxTreeSize,
+					m.ShedEvents, m.EmitLagP99*1000)
+			},
+		}, nil
+	})
 }

@@ -64,8 +64,8 @@ func run() error {
 	defer ln.Close()
 	fmt.Printf("engine listening on %s\n", ln.Addr())
 
-	// Client side: generate the dataset with its own registry (types
-	// travel by name over the wire) and stream it.
+	// Client side: generate the dataset with its own registry (types and
+	// fields travel by name over the wire) and stream it.
 	clientErr := make(chan error, 1)
 	go func() {
 		clientReg := spectre.NewRegistry()

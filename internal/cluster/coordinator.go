@@ -114,12 +114,6 @@ type workerLink struct {
 	eventsDeduped atomic.Uint64
 }
 
-// batchEvents sizes a link's frames: the pump ships a shard's retained
-// events once this many are unsent, and a shared-stream page is flushed
-// once it stages this many. The flusher ships whatever is partial every
-// FlushInterval.
-const batchEvents = 256
-
 // framePool recycles encoded outbound frame buffers: enqueue draws from
 // it, writeLoop returns each buffer after the connection write.
 var framePool = sync.Pool{New: func() any { return []byte(nil) }}
@@ -775,10 +769,10 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 	w := s.owner
 	for {
 		avail := len(s.retained) - s.sent
-		if avail == 0 || (!force && avail < batchEvents) {
+		if avail == 0 || (!force && avail < wire.PageEvents) {
 			break
 		}
-		n := min(avail, batchEvents)
+		n := min(avail, wire.PageEvents)
 		evs := s.retained[s.sent : s.sent+n]
 		c.ensureTables(w)
 		m := eventsMsg{Query: q.id, Shard: uint32(idx), Events: evs}
@@ -1106,7 +1100,7 @@ func (c *Coordinator) routeOne(q *queryState, ev *event.Event, deferPump bool) (
 	e := *ev
 	e.Seq = local
 	s.retained = append(s.retained, e)
-	if !deferPump && len(s.retained)-s.sent >= batchEvents {
+	if !deferPump && len(s.retained)-s.sent >= wire.PageEvents {
 		c.pump(q, idx, false)
 	}
 	return idx, len(s.retained) - 1, nil

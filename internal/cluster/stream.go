@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 // Stream is a shared event source for several attached queries
@@ -113,7 +114,7 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			rl.stageIdx = append(rl.stageIdx, uint32(staged))
 			rl.seqs = append(rl.seqs, s.retained[ridx].Seq)
 		}
-		if stagedOn != nil && len(stagedOn.stage.events) >= batchEvents {
+		if stagedOn != nil && len(stagedOn.stage.events) >= wire.PageEvents {
 			c.flushStage(stagedOn)
 		}
 	}

@@ -157,12 +157,6 @@ const (
 	maxProjIndex  = 1 << 8
 )
 
-// maxFrameFloats budgets decoded payload floats: a projected batch
-// reconstructs dense field arrays (n events × (maxProjIndex+1) floats),
-// which can exceed the wire bytes that back them, so the decoded total is
-// budgeted independently of frame size.
-const maxFrameFloats = 1 << 22
-
 // eventsMsg is the wire form of one shard's event batch. Events must be in
 // strictly increasing Seq order (the coordinator's retained buffer
 // guarantees it). Proj, when non-nil, lists the payload field indexes
@@ -265,36 +259,6 @@ func (m *errorMsg) encode(b []byte) []byte {
 	return wire.AppendStr(b, m.Msg)
 }
 
-// appendEventCols encodes n events column-major: types (uvarint), then
-// timestamps (first absolute, then zigzag deltas), then payload fields —
-// either the fixed proj columns (raw float64 bits) or per-event
-// length-prefixed full field lists.
-func appendEventCols(b []byte, evs []event.Event, proj []int) []byte {
-	for i := range evs {
-		b = wire.AppendUvarint(b, uint64(evs[i].Type))
-	}
-	var prev int64
-	for i := range evs {
-		b = wire.AppendVarint(b, evs[i].TS-prev)
-		prev = evs[i].TS
-	}
-	if proj != nil {
-		for i := range evs {
-			for _, f := range proj {
-				b = wire.AppendU64(b, math.Float64bits(evs[i].Field(f)))
-			}
-		}
-		return b
-	}
-	for i := range evs {
-		b = wire.AppendUvarint(b, uint64(len(evs[i].Fields)))
-		for _, v := range evs[i].Fields {
-			b = wire.AppendU64(b, math.Float64bits(v))
-		}
-	}
-	return b
-}
-
 func (m *eventsMsg) encode(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(m.Query))
 	b = wire.AppendUvarint(b, uint64(m.Shard))
@@ -329,14 +293,13 @@ func (m *eventsMsg) encode(b []byte) []byte {
 			b = wire.AppendUvarint(b, m.Events[i].Seq-m.Events[i-1].Seq-1)
 		}
 	}
-	return appendEventCols(b, m.Events, m.Proj)
+	return wire.AppendEventCols(b, m.Events, m.Proj)
 }
 
 func (m *pageMsg) encode(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.PageID)
 	b = wire.AppendUvarint(b, uint64(m.Refs))
-	b = wire.AppendUvarint(b, uint64(len(m.Events)))
-	return appendEventCols(b, m.Events, nil)
+	return wire.AppendEvents(b, m.Events)
 }
 
 func (m *pageRefsMsg) encode(b []byte) []byte {
@@ -446,66 +409,6 @@ func decodeError(b []byte) (errorMsg, error) {
 	return m, r.Finish()
 }
 
-// decodeEventCols is the inverse of appendEventCols: it fills evs (len
-// n, Seq already set by the caller or zero) in place. Projected frames
-// reconstruct dense Fields arrays out of one slab; the decoded float
-// total is budgeted by maxFrameFloats because dense reconstruction can
-// exceed the wire bytes backing it.
-func decodeEventCols(r *wire.Reader, evs []event.Event, proj []int) {
-	n := len(evs)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		t := r.Uvarint()
-		if t > math.MaxUint32 {
-			r.Fail("event type %d out of range", t)
-			return
-		}
-		evs[i].Type = event.Type(t)
-	}
-	var prev int64
-	for i := 0; i < n && r.Err() == nil; i++ {
-		prev += r.Varint()
-		evs[i].TS = prev
-	}
-	if r.Err() != nil {
-		return
-	}
-	if proj != nil {
-		width := 0
-		for _, f := range proj {
-			if f+1 > width {
-				width = f + 1
-			}
-		}
-		if n*width > maxFrameFloats {
-			r.Fail("projected batch of %d×%d floats exceeds limit %d", n, width, maxFrameFloats)
-			return
-		}
-		if !r.Need(n, len(proj)*8) {
-			return
-		}
-		slab := make([]float64, n*width)
-		for i := 0; i < n; i++ {
-			fields := slab[i*width : (i+1)*width : (i+1)*width]
-			for _, f := range proj {
-				fields[f] = math.Float64frombits(r.U64())
-			}
-			evs[i].Fields = fields
-		}
-		return
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		nf := r.Uvcount(8)
-		if nf == 0 {
-			continue
-		}
-		fields := make([]float64, nf)
-		for j := range fields {
-			fields[j] = math.Float64frombits(r.U64())
-		}
-		evs[i].Fields = fields
-	}
-}
-
 // decodeProj reads a projection field-index list (strictly bounded; the
 // legal lists come from a registry field table).
 func decodeProj(r *wire.Reader) []int {
@@ -561,7 +464,7 @@ func decodeEvents(b []byte) (eventsMsg, error) {
 		}
 		evs[i].Seq = seq
 	}
-	decodeEventCols(&r, evs, proj)
+	wire.DecodeEventCols(&r, evs, proj)
 	m.Events = evs
 	return m, r.Finish()
 }
@@ -574,14 +477,7 @@ func decodePage(b []byte) (pageMsg, error) {
 		r.Fail("page ref count %d out of range", refs)
 	}
 	m.Refs = uint32(refs)
-	// Type byte + TS byte + field-count byte minimum per event.
-	n := r.Uvcount(3)
-	if n == 0 {
-		return m, r.Finish()
-	}
-	evs := make([]event.Event, n)
-	decodeEventCols(&r, evs, nil)
-	m.Events = evs
+	m.Events = r.Events(nil)
 	return m, r.Finish()
 }
 

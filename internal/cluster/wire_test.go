@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/spectrecep/spectre/internal/event"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
 func ev(seq uint64, ts int64, ty event.Type, fields ...float64) event.Event {
@@ -268,8 +269,8 @@ func checkEventBudget(t *testing.T, evs []event.Event, bodyLen int) {
 	for i := range evs {
 		total += len(evs[i].Fields)
 	}
-	if total > maxFrameFloats {
-		t.Fatalf("decoded %d floats exceeds maxFrameFloats from %dB frame", total, bodyLen)
+	if total > wire.MaxFrameFloats {
+		t.Fatalf("decoded %d floats exceeds wire.MaxFrameFloats from %dB frame", total, bodyLen)
 	}
 	if len(evs) > bodyLen {
 		t.Fatalf("decoded %d events from %dB frame", len(evs), bodyLen)

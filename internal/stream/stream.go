@@ -1,6 +1,5 @@
 // Package stream provides event sources and sinks: in-memory slices,
-// channels, and a line-oriented file codec used by the dataset tools and
-// the TCP transport.
+// channels, and a line-oriented file codec used by the dataset tools.
 package stream
 
 import (
@@ -103,14 +102,22 @@ func Collect(s Source) []event.Event {
 	}
 }
 
+// fieldsHeader starts the comment line that names the payload fields.
+const fieldsHeader = "# fields:"
+
 // WriteEvents encodes events in the repository's line format:
 //
+//	# fields: name0 name1 ...
 //	ts type field0 field1 ...
 //
-// where type is the registry name. The format is the on-disk dataset
-// format of cmd/datagen and the payload of the TCP transport.
+// where type is the registry name and the header, written when reg names
+// any field, names the field positions. The format is the on-disk dataset
+// format of cmd/datagen and the input of spectre-client.
 func WriteEvents(w io.Writer, reg *event.Registry, events []event.Event) error {
 	bw := bufio.NewWriter(w)
+	if names := reg.FieldNames(); len(names) > 0 {
+		fmt.Fprintln(bw, fieldsHeader, strings.Join(names, " ")) // an error sticks to bw
+	}
 	for i := range events {
 		ev := &events[i]
 		if _, err := fmt.Fprintf(bw, "%d %s", ev.TS, reg.TypeName(ev.Type)); err != nil {
@@ -129,15 +136,20 @@ func WriteEvents(w io.Writer, reg *event.Registry, events []event.Event) error {
 }
 
 // ReadEvents decodes the line format produced by WriteEvents, interning
-// event types in reg.
+// event types in reg. Fields named by a header bind by name into reg's
+// field indexes; without one they stay positional.
 func ReadEvents(r io.Reader, reg *event.Registry) ([]event.Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var out []event.Event
+	tr := event.NewTranslation(reg)
 	line := 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
+		if names, ok := strings.CutPrefix(text, fieldsHeader); ok {
+			tr.SetFields(strings.Fields(names))
+		}
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
@@ -158,6 +170,7 @@ func ReadEvents(r io.Reader, reg *event.Registry) ([]event.Event, error) {
 			ev.Fields = append(ev.Fields, f)
 		}
 		out = append(out, ev)
+		tr.Apply(out[len(out)-1:]) // no type table: cannot fail
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("stream: read: %w", err)

@@ -109,6 +109,28 @@ func TestReadEventsSkipsCommentsAndBlank(t *testing.T) {
 	}
 }
 
+// TestReadEventsBindsFieldsByName: the fields header names positions, so
+// a registry that interned the names in another order still reads each
+// value under its own name.
+func TestReadEventsBindsFieldsByName(t *testing.T) {
+	src := event.NewRegistry()
+	src.FieldIndex("open")
+	src.FieldIndex("close")
+	var buf bytes.Buffer
+	if err := WriteEvents(&buf, src, []event.Event{{TS: 1, Type: src.TypeID("A"), Fields: []float64{10, 12}}}); err != nil {
+		t.Fatal(err)
+	}
+	reg := event.NewRegistry()
+	closeIdx, openIdx := reg.FieldIndex("close"), reg.FieldIndex("open")
+	got, err := ReadEvents(&buf, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Field(openIdx) != 10 || got[0].Field(closeIdx) != 12 {
+		t.Fatalf("got %v, want open=10 close=12", got)
+	}
+}
+
 func TestReadEventsErrors(t *testing.T) {
 	reg := event.NewRegistry()
 	for _, bad := range []string{"10\n", "xx A\n", "10 A zz\n"} {

@@ -1,334 +1,331 @@
-// Package transport implements the TCP event transport of the paper's
-// evaluation setup (§4.1): "a client program that reads events from a
-// source file and sends them to SPECTRE over a TCP connection", extended
-// with a query control frame so one server can host many client queries
-// against a shared runtime.
+// Package transport implements the client link of the paper's evaluation
+// setup (§4.1): "a client program that reads events from a source file
+// and sends them to SPECTRE over a TCP connection", extended with a query
+// frame so one server can host many client queries against a shared
+// runtime.
 //
-// Wire format (all integers little-endian):
-//
-//	frame   := length:uint32 payload
-//	payload := ts:int64 typeLen:uint16 type:[typeLen]byte
-//	           nFields:uint16 fields:[nFields]float64
-//
-// A length word with the high bit set marks a control frame instead:
-//
-//	ctrl    := (ctrlFlag|length):uint32 kind:uint8 body:[length-1]byte
-//	kind 1  := query submission; body is the query text
-//	kind 2  := heartbeat (empty body); readers skip it silently
-//	kind 3  := query submission requesting a resume offset (reconnect)
-//	kind 4  := resume offset reply; body is a uint64 stream position
-//
-// Clients may send one query control frame before their event stream
-// (spectre-client -query); event-only streams remain valid (the legacy
-// single-query deployment). Event types travel as names and are interned
-// into the receiver's registry, so client and server need not share id
-// assignments.
+// The link is a sequence of internal/wire frames; this package owns only
+// the kinds and their bodies. A client opens with at most one query
+// frame; an event-only stream runs the server's fallback query. Events
+// then travel in pages of up to 256, with no sequence numbers (the
+// receiver's admission stamps positions).
+// Types and fields are ids and indexes of the sender's registry: a tables
+// frame announces the names behind them before the first page and again
+// whenever the sender's registry grew, and the reader binds them by name
+// into its own registry (event.Translation), so the two ends share no id
+// assignment or field order.
 //
 // Reconnect handshake (durable servers, spectre-server -state-dir): the
-// client opens with kind 3 instead of kind 1; the server recovers the
-// query's WAL state and answers with kind 4 carrying the position the
-// client must re-send events from. Heartbeats (kind 2) keep otherwise
-// idle connections failing fast when the peer dies.
+// client opens with kindQueryResume; the server recovers the query's WAL
+// state and answers with kindResume carrying the position the client
+// must re-send events from. Heartbeats keep otherwise idle connections
+// failing fast when the peer dies.
 package transport
 
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/stream"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
-// Limits guard against corrupt frames.
+// Frame kinds on the client link.
 const (
-	maxFrame    = 1 << 20
-	maxTypeLen  = 1 << 12
-	maxFieldLen = 1 << 12
+	kindQuery       byte = 1 // client → server: the query text
+	kindHeartbeat   byte = 2 // either way, empty: skipped by readers
+	kindQueryResume byte = 3 // client → server: the query text, asking for a resume offset
+	kindResume      byte = 4 // server → client: u64 stream position to re-send from
+	kindTables      byte = 5 // client → server: type names, field names (wire.AppendStrs)
+	kindPage        byte = 6 // client → server: wire.AppendEvents
 )
 
-// Control-frame encoding.
-const (
-	// ctrlFlag marks a control frame in the length word. Event frames
-	// never set it (maxFrame is far below).
-	ctrlFlag = uint32(1) << 31
-	// ctrlQuery is the query-submission control kind.
-	ctrlQuery = byte(1)
-	// ctrlHeartbeat is an application-level keepalive. Readers skip it
-	// silently; its only job is to make a dead peer surface as a write
-	// error at the sender within one heartbeat interval.
-	ctrlHeartbeat = byte(2)
-	// ctrlQueryResume is a query submission that additionally asks the
-	// server for a resume offset (a ctrlResume reply) before events flow —
-	// the reconnect handshake of a durable deployment (-state-dir).
-	ctrlQueryResume = byte(3)
-	// ctrlResume carries the server's answer: the stream position
-	// (uint64) the client must re-send events from.
-	ctrlResume = byte(4)
-)
+// maxEventFields bounds one event's payload, sent or bound by name into
+// the reader's registry, so that a full page decodes within
+// wire.MaxFrameFloats.
+const maxEventFields = wire.MaxFrameFloats / wire.PageEvents
 
-// ErrFrameTooLarge is returned for frames exceeding the limits.
-var ErrFrameTooLarge = errors.New("transport: frame exceeds limit")
+// ErrFrameTooLarge is returned for an event or a page past the page
+// limits: more than wire.PageEvents events, or a field at or above
+// index maxEventFields on either end.
+var ErrFrameTooLarge = errors.New("transport: beyond the page limits")
 
-// Writer encodes events onto a stream.
+// MissingFieldError reports a stream whose announced field table lacks a
+// field the reader requires (Reader.RequireFields). Reading it anyway
+// would evaluate a missing field as zero: a wrong answer, not an error.
+type MissingFieldError struct{ Field string }
+
+func (e *MissingFieldError) Error() string {
+	return fmt.Sprintf("transport: the stream announces no field %q, which the query reads", e.Field)
+}
+
+// Writer encodes events onto a stream, buffering them into pages.
 type Writer struct {
-	w   *bufio.Writer
-	reg *event.Registry
-	buf []byte
+	w    *bufio.Writer
+	reg  *event.Registry
+	page []event.Event // buffered events; their Fields point into vals
+	vals []float64
+	// types and fields are the table sizes last announced (-1: none yet).
+	types, fields int
+	body, frame   []byte
 }
 
-// NewWriter returns a Writer that resolves type names through reg.
+// NewWriter returns a Writer that announces names from reg.
 func NewWriter(w io.Writer, reg *event.Registry) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 64*1024), reg: reg}
+	return &Writer{w: bufio.NewWriterSize(w, 64*1024), reg: reg, types: -1, fields: -1}
 }
 
-// WriteEvent encodes one event.
+// WriteEvent buffers a copy of one event, whose type must be registered
+// in the Writer's registry, and writes a page once wire.PageEvents are
+// buffered.
 func (w *Writer) WriteEvent(ev *event.Event) error {
-	name := w.reg.TypeName(ev.Type)
-	// The same per-field limits the Reader enforces: past them the peer
-	// drops the connection, and past 65535 the uint16 counts wrap.
-	if len(name) > maxTypeLen || len(ev.Fields) > maxFieldLen {
+	if len(ev.Fields) > maxEventFields {
 		return ErrFrameTooLarge
 	}
-	need := 8 + 2 + len(name) + 2 + 8*len(ev.Fields)
-	if need > maxFrame {
-		return ErrFrameTooLarge
+	e, start := *ev, len(w.vals)
+	w.vals = append(w.vals, ev.Fields...)
+	e.Fields = w.vals[start:len(w.vals):len(w.vals)]
+	w.page = append(w.page, e)
+	if len(w.page) == wire.PageEvents {
+		return w.writePage()
 	}
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(need))
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(ev.TS))
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(name)))
-	w.buf = append(w.buf, name...)
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(ev.Fields)))
-	for _, f := range ev.Fields {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
+	return nil
+}
+
+// writePage writes the buffered events as one page, preceded by the name
+// tables when the registry grew past what was announced.
+func (w *Writer) writePage() error {
+	if w.reg.NumTypes() > w.types || w.reg.NumFields() > w.fields {
+		types, fields := w.reg.TypeNames(), w.reg.FieldNames()
+		if err := w.writeFrame(kindTables, wire.AppendStrs(wire.AppendStrs(w.body[:0], types), fields)); err != nil {
+			return err
+		}
+		w.types, w.fields = len(types), len(fields)
 	}
-	_, err := w.w.Write(w.buf)
+	w.body = wire.AppendEvents(w.body[:0], w.page)
+	w.page, w.vals = w.page[:0], w.vals[:0]
+	return w.writeFrame(kindPage, w.body)
+}
+
+func (w *Writer) writeFrame(kind byte, body []byte) error {
+	var err error
+	if w.frame, err = wire.AppendFrame(w.frame[:0], kind, body); err != nil {
+		return err
+	}
+	_, err = w.w.Write(w.frame)
 	return err
 }
 
-// Flush flushes buffered frames.
-func (w *Writer) Flush() error { return w.w.Flush() }
+// Flush writes the buffered partial page, then flushes the stream.
+func (w *Writer) Flush() error {
+	if len(w.page) > 0 {
+		if err := w.writePage(); err != nil {
+			return err
+		}
+	}
+	return w.w.Flush()
+}
 
-// WriteQuery encodes a query-submission control frame. Clients send it
-// once, before the first event frame.
+// WriteQuery encodes a query-submission frame. Clients send it once,
+// before the first event.
 func (w *Writer) WriteQuery(query string) error {
-	return w.writeQueryKind(ctrlQuery, query)
+	return w.writeFrame(kindQuery, append(w.body[:0], query...))
 }
 
 // WriteQueryResume encodes a query-submission frame that requests a
-// resume offset: the server answers with a ctrlResume frame (ReadResume)
+// resume offset: the server answers with a resume frame (ReadResume)
 // once its durable state is recovered. An empty query selects the
 // server's fallback query, like sending no query frame at all.
 func (w *Writer) WriteQueryResume(query string) error {
-	return w.writeQueryKind(ctrlQueryResume, query)
+	return w.writeFrame(kindQueryResume, append(w.body[:0], query...))
 }
 
-func (w *Writer) writeQueryKind(kind byte, query string) error {
-	need := 1 + len(query)
-	if need > maxFrame {
-		return ErrFrameTooLarge
-	}
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, ctrlFlag|uint32(need))
-	w.buf = append(w.buf, kind)
-	w.buf = append(w.buf, query...)
-	_, err := w.w.Write(w.buf)
-	return err
-}
-
-// WriteHeartbeat encodes a keepalive control frame.
-func (w *Writer) WriteHeartbeat() error {
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, ctrlFlag|1)
-	w.buf = append(w.buf, ctrlHeartbeat)
-	_, err := w.w.Write(w.buf)
-	return err
-}
+// WriteHeartbeat encodes a keepalive frame.
+func (w *Writer) WriteHeartbeat() error { return w.writeFrame(kindHeartbeat, nil) }
 
 // WriteResume encodes the server's resume-offset reply to a
 // WriteQueryResume handshake.
 func (w *Writer) WriteResume(pos uint64) error {
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, ctrlFlag|9)
-	w.buf = append(w.buf, ctrlResume)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, pos)
-	_, err := w.w.Write(w.buf)
-	return err
+	return w.writeFrame(kindResume, wire.AppendU64(w.body[:0], pos))
 }
 
-// Reader decodes events from a stream, interning types into reg.
+// Reader decodes a stream, binding announced names into its registry.
 type Reader struct {
-	r   *bufio.Reader
-	reg *event.Registry
-	buf []byte
+	r       *bufio.Reader
+	reg     *event.Registry
+	tr      *event.Translation
+	tables  bool     // a tables frame has been applied
+	require []string // field names every tables frame must carry
+	scratch []byte
+	page    []event.Event // the last decoded page; next is ReadEvent's cursor
+	next    int
 }
 
-// NewReader returns a Reader interning into reg.
+// NewReader returns a Reader binding into reg.
 func NewReader(r io.Reader, reg *event.Registry) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64*1024), reg: reg}
+	return &Reader{r: bufio.NewReaderSize(r, 64*1024), reg: reg, tr: event.NewTranslation(reg)}
 }
 
-// ReadQuery consumes the query control frame when the stream starts with
-// one. ok is false — and nothing is consumed — when the next frame is an
-// event frame (a legacy event-only client) or the stream is empty.
-// resume reports whether the client asked for a resume offset
-// (WriteQueryResume); the server must answer with WriteResume before
-// reading events.
+// RequireFields makes every tables frame that lacks one of names fail the
+// read with a *MissingFieldError.
+func (r *Reader) RequireFields(names []string) { r.require = names }
+
+// frame reads the next frame; io.EOF comes only on a frame boundary.
+func (r *Reader) frame() (byte, []byte, error) {
+	kind, body, err := wire.ReadFrame(r.r, r.scratch)
+	r.scratch = body[:0]
+	return kind, body, err
+}
+
+// ReadQuery consumes the query frame when the stream starts with one. ok
+// is false, and nothing is consumed, when the stream is empty or starts
+// with another frame (an event-only stream). resume reports whether the
+// client asked for a resume offset (WriteQueryResume); the server must
+// answer with WriteResume before reading events.
 func (r *Reader) ReadQuery() (query string, resume bool, ok bool, err error) {
-	head, err := r.r.Peek(4)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return "", false, false, nil
-		}
-		return "", false, false, err
-	}
-	n := binary.LittleEndian.Uint32(head)
-	if n&ctrlFlag == 0 {
+	// The kind byte ends the frame overhead; the CRC covering it is
+	// checked once the frame is read.
+	head, err := r.r.Peek(wire.FrameOverhead)
+	if errors.Is(err, io.EOF) || err == nil && head[len(head)-1] != kindQuery && head[len(head)-1] != kindQueryResume {
 		return "", false, false, nil
 	}
-	_, _ = r.r.Discard(4) // just peeked, so buffered
-	if err := r.readCtrl(n); err != nil {
+	kind, body, err := r.frame()
+	if err != nil {
 		return "", false, false, err
 	}
-	switch r.buf[0] {
-	case ctrlQuery:
-		return string(r.buf[1:]), false, true, nil
-	case ctrlQueryResume:
-		return string(r.buf[1:]), true, true, nil
-	default:
-		return "", false, false, fmt.Errorf("transport: unknown control kind %d", r.buf[0])
-	}
+	return string(body), kind == kindQueryResume, true, nil
 }
 
 // ReadResume consumes the server's resume-offset reply. Heartbeats
 // arriving first are skipped.
 func (r *Reader) ReadResume() (uint64, error) {
 	for {
-		head, err := r.r.Peek(4)
+		kind, body, err := r.frame()
 		if err != nil {
 			return 0, err
 		}
-		n := binary.LittleEndian.Uint32(head)
-		if n&ctrlFlag == 0 {
-			return 0, fmt.Errorf("transport: expected resume frame, got an event frame")
-		}
-		_, _ = r.r.Discard(4) // just peeked, so buffered
-		if err := r.readCtrl(n); err != nil {
-			return 0, err
-		}
-		switch r.buf[0] {
-		case ctrlHeartbeat:
+		if kind == kindHeartbeat {
 			continue
-		case ctrlResume:
-			if len(r.buf) != 9 {
-				return 0, fmt.Errorf("transport: resume frame has %d body bytes, want 8", len(r.buf)-1)
-			}
-			return binary.LittleEndian.Uint64(r.buf[1:]), nil
-		default:
-			return 0, fmt.Errorf("transport: expected resume frame, got control kind %d", r.buf[0])
 		}
+		d := wire.NewReader(body)
+		if pos := d.U64(); kind == kindResume && d.Finish() == nil {
+			return pos, nil
+		}
+		return 0, fmt.Errorf("transport: expected a resume frame, got kind %d with %d body bytes", kind, len(body))
 	}
 }
 
-// readCtrl reads into r.buf the body of a control frame whose length word
-// n is already off the stream.
-func (r *Reader) readCtrl(n uint32) error {
-	n &^= ctrlFlag
-	if n > maxFrame || n < 1 {
-		return fmt.Errorf("transport: bad control frame length %d", n)
+// ReadBatch returns the next events of the stream — the rest of the page
+// ReadEvent is in, or the next page — in the reader's registry. The slice
+// is valid until the next read. io.EOF signals a clean end of stream.
+func (r *Reader) ReadBatch() ([]event.Event, error) {
+	if err := r.fill(); err != nil {
+		return nil, err
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	evs := r.page[r.next:]
+	r.next = len(r.page)
+	return evs, nil
+}
+
+// ReadEvent returns the next event of the stream; io.EOF signals a clean
+// end of stream.
+func (r *Reader) ReadEvent() (event.Event, error) {
+	if err := r.fill(); err != nil {
+		return event.Event{}, err
 	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return fmt.Errorf("transport: short control frame: %w", err)
+	r.next++
+	return r.page[r.next-1], nil
+}
+
+// fill reads frames until r.page has unread events: heartbeats are
+// skipped, tables bind the names they announce, and a page replaces
+// r.page.
+func (r *Reader) fill() error {
+	for r.next == len(r.page) {
+		kind, body, err := r.frame()
+		if err != nil {
+			return err
+		}
+		d := wire.NewReader(body)
+		switch kind {
+		case kindHeartbeat:
+		case kindTables:
+			types, fields := d.Strs(), d.Strs()
+			if err := d.Finish(); err != nil {
+				return fmt.Errorf("transport: tables: %w", err)
+			}
+			for _, name := range r.require {
+				if !slices.Contains(fields, name) {
+					return &MissingFieldError{Field: name}
+				}
+			}
+			if err := r.checkFields(fields); err != nil {
+				return err
+			}
+			r.tr.SetTypes(types)
+			r.tr.SetFields(fields)
+			r.tables = true
+		case kindPage:
+			if !r.tables {
+				return errors.New("transport: event page before any tables frame")
+			}
+			// The page decodes into r.page's backing but replaces r.page
+			// only once it is valid: until then r.page reads as used up.
+			page := d.Events(r.page)
+			if err := d.Finish(); err != nil {
+				return fmt.Errorf("transport: page: %w", err)
+			}
+			if len(page) > wire.PageEvents {
+				return fmt.Errorf("%w: a page of %d events", ErrFrameTooLarge, len(page))
+			}
+			if err := r.tr.Apply(page); err != nil {
+				return fmt.Errorf("transport: page: %w", err)
+			}
+			r.page, r.next = page, 0
+		default:
+			return fmt.Errorf("transport: unexpected frame kind %d in the event stream", kind)
+		}
 	}
 	return nil
 }
 
-// ReadEvent decodes one event, silently skipping heartbeat control
-// frames; io.EOF signals a clean end of stream.
-func (r *Reader) ReadEvent() (event.Event, error) {
-	var n uint32
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r.r, lenBuf[:]); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return event.Event{}, io.ErrUnexpectedEOF
-			}
-			return event.Event{}, err
+// checkFields refuses, before interning any of it, a field table that
+// would bind a name at or above maxEventFields: Apply widens each event
+// to its highest bound index, so this and the page's event limit keep a
+// page within wire.MaxFrameFloats whatever indexes the table remaps to.
+func (r *Reader) checkFields(names []string) error {
+	next := r.reg.NumFields() // where the next new name is interned
+	for _, name := range names {
+		i, ok := r.reg.LookupField(name)
+		if !ok {
+			i, next = next, next+1
 		}
-		n = binary.LittleEndian.Uint32(lenBuf[:])
-		if n&ctrlFlag != 0 {
-			// Only heartbeats are legal mid-stream.
-			if err := r.readCtrl(n); err != nil {
-				return event.Event{}, err
-			}
-			if r.buf[0] != ctrlHeartbeat {
-				return event.Event{}, fmt.Errorf("transport: unexpected control kind %d mid-stream", r.buf[0])
-			}
-			continue
-		}
-		break
-	}
-	if n > maxFrame {
-		return event.Event{}, ErrFrameTooLarge
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return event.Event{}, fmt.Errorf("transport: short frame: %w", err)
-	}
-	p := r.buf
-	if len(p) < 12 {
-		return event.Event{}, fmt.Errorf("transport: frame too short (%d bytes)", len(p))
-	}
-	ts := int64(binary.LittleEndian.Uint64(p))
-	p = p[8:]
-	tl := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	if tl > maxTypeLen || len(p) < tl+2 {
-		return event.Event{}, fmt.Errorf("transport: bad type length %d", tl)
-	}
-	name := string(p[:tl])
-	p = p[tl:]
-	nf := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	if nf > maxFieldLen || len(p) != 8*nf {
-		return event.Event{}, fmt.Errorf("transport: bad field count %d for %d payload bytes", nf, len(p))
-	}
-	ev := event.Event{TS: ts, Type: r.reg.TypeID(name)}
-	if nf > 0 {
-		ev.Fields = make([]float64, nf)
-		for i := 0; i < nf; i++ {
-			ev.Fields[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		if i >= maxEventFields {
+			return fmt.Errorf("%w: field %q binds to index %d", ErrFrameTooLarge, name, i)
 		}
 	}
-	return ev, nil
+	return nil
 }
 
 // Send streams events over conn and closes the write side when done. A
-// done ctx stops mid-stream: already-buffered frames are flushed and the
+// done ctx stops mid-stream: already-buffered events are flushed and the
 // write side is closed cleanly (the receiver sees a short but valid
 // stream), then ctx.Err() is returned.
 func Send(ctx context.Context, conn net.Conn, reg *event.Registry, events []event.Event) error {
 	w := NewWriter(conn, reg)
 	sendErr := func() error {
 		for i := range events {
-			// Poll cheaply: one atomic-ish Err check per frame beats a
-			// select per frame and still stops within one event.
+			// Poll cheaply: one Err check per event beats a select per
+			// event and still stops within one event.
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -361,6 +358,14 @@ func AbortReadsOnDone(ctx context.Context, conn net.Conn) (stop func() bool) {
 	})
 }
 
+// AppendFrame and ReadFrame forward to internal/wire, where the frame
+// lives; their one remaining caller is benchmark/layers.go.
+func AppendFrame(buf []byte, kind byte, body []byte) ([]byte, error) {
+	return wire.AppendFrame(buf, kind, body)
+}
+
+func ReadFrame(r io.Reader, buf []byte) (byte, []byte, error) { return wire.ReadFrame(r, buf) }
+
 // IsClosedOrCanceled reports whether err looks like the read-side fallout
 // of a cancelled connection: a snapped deadline (AbortReadsOnDone) or a
 // concurrently closed socket.
@@ -368,29 +373,21 @@ func IsClosedOrCanceled(err error) bool {
 	return errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, net.ErrClosed)
 }
 
-// connSource adapts a Reader into a stream.Source; decode errors end the
-// stream and are reported through Err.
+// connSource adapts a Reader into a stream.Source; a decode error ends
+// the stream and is kept in err (nil on clean EOF).
 type connSource struct {
 	r   *Reader
 	err error
 }
 
-var _ stream.Source = (*connSource)(nil)
-
 // Next implements stream.Source.
 func (s *connSource) Next() (event.Event, bool) {
 	ev, err := s.r.ReadEvent()
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			s.err = err
-		}
-		return event.Event{}, false
+	if err != nil && !errors.Is(err, io.EOF) {
+		s.err = err
 	}
-	return ev, true
+	return ev, err == nil
 }
-
-// Err returns the first decode error (nil on clean EOF).
-func (s *connSource) Err() error { return s.err }
 
 // SourceFromConn exposes a network connection as an engine Source. Call
 // the returned error function after the engine finishes to learn whether
@@ -400,7 +397,7 @@ func SourceFromConn(conn io.Reader, reg *event.Registry) (stream.Source, func() 
 }
 
 // SourceFromReader exposes an existing Reader as an engine Source — used
-// after ReadQuery consumed the leading control frame, so the event stream
+// after ReadQuery consumed the leading query frame, so the event stream
 // continues on the same buffered reader.
 func SourceFromReader(r *Reader) (stream.Source, func() error) {
 	s := &connSource{r: r}

@@ -3,29 +3,30 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/stream"
+	"github.com/spectrecep/spectre/internal/wire"
 )
 
-func TestRoundTrip(t *testing.T) {
-	sendReg := event.NewRegistry()
-	a := sendReg.TypeID("AAPL")
-	b := sendReg.TypeID("MSFT")
-	events := []event.Event{
-		{TS: 100, Type: a, Fields: []float64{1.5, 2.5}},
-		{TS: 200, Type: b},
-		{TS: 300, Type: a, Fields: []float64{-7}},
-	}
-
+// encode writes query (when non-empty) and events through a Writer.
+func encode(t testing.TB, reg *event.Registry, query string, events []event.Event) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, sendReg)
+	w := NewWriter(&buf, reg)
+	if query != "" {
+		if err := w.WriteQuery(query); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := range events {
 		if err := w.WriteEvent(&events[i]); err != nil {
 			t.Fatal(err)
@@ -34,10 +35,53 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	// The receiver interns into its own registry (ids may differ).
+// frames concatenates wire frames.
+func frames(t testing.TB, kinds []byte, bodies ...[]byte) []byte {
+	t.Helper()
+	var out []byte
+	for i, k := range kinds {
+		var err error
+		if out, err = wire.AppendFrame(out, k, bodies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestRoundTrip(t *testing.T) {
+	sendReg := event.NewRegistry()
+	a := sendReg.TypeID("AAPL")
+	b := sendReg.TypeID("MSFT")
+	sendReg.FieldIndex("x")
+	sendReg.FieldIndex("y")
+	// Three pages: two full, one partial; the registry grows mid-stream.
+	events := make([]event.Event, 2*wire.PageEvents+3)
+	for i := range events {
+		events[i] = event.Event{TS: int64(100 * i), Type: a, Fields: []float64{float64(i), -float64(i) / 2}}
+	}
+	events[1] = event.Event{TS: 100, Type: b}
+	events[2].Fields = []float64{-7}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, sendReg)
+	for i := range events {
+		if i == wire.PageEvents+5 {
+			c := sendReg.TypeID("NVDA")
+			events[i].Type = c
+		}
+		if err := w.WriteEvent(&events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The receiver interns into its own registry (ids differ).
 	recvReg := event.NewRegistry()
-	recvReg.TypeID("ZZZ") // shift id assignment
+	recvReg.TypeID("ZZZ")
 	r := NewReader(&buf, recvReg)
 	for i := range events {
 		got, err := r.ReadEvent()
@@ -47,9 +91,8 @@ func TestRoundTrip(t *testing.T) {
 		if got.TS != events[i].TS {
 			t.Fatalf("event %d ts = %d", i, got.TS)
 		}
-		wantName := sendReg.TypeName(events[i].Type)
-		if recvReg.TypeName(got.Type) != wantName {
-			t.Fatalf("event %d type = %q, want %q", i, recvReg.TypeName(got.Type), wantName)
+		if want := sendReg.TypeName(events[i].Type); recvReg.TypeName(got.Type) != want {
+			t.Fatalf("event %d type = %q, want %q", i, recvReg.TypeName(got.Type), want)
 		}
 		if len(got.Fields) != len(events[i].Fields) {
 			t.Fatalf("event %d fields = %v", i, got.Fields)
@@ -65,24 +108,74 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteEventLimits: the Writer refuses what its own Reader would
-// reject (type name or field count past 4096) and what would wrap the
-// uint16 counts, before anything reaches the stream.
+// TestFieldsBindByName: the reader's registry interned the same fields in
+// the other order, and still reads each value under its own name.
+func TestFieldsBindByName(t *testing.T) {
+	sendReg := event.NewRegistry()
+	open, close := sendReg.FieldIndex("open"), sendReg.FieldIndex("close")
+	fields := make([]float64, 2)
+	fields[open], fields[close] = 10, 12
+	events := []event.Event{{TS: 1, Type: sendReg.TypeID("X"), Fields: fields}}
+
+	recvReg := event.NewRegistry()
+	rClose, rOpen := recvReg.FieldIndex("close"), recvReg.FieldIndex("open")
+	r := NewReader(bytes.NewReader(encode(t, sendReg, "", events)), recvReg)
+	evs, err := r.ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 || evs[0].Field(rOpen) != 10 || evs[0].Field(rClose) != 12 {
+		t.Fatalf("got %+v, want open=10 close=12 at indexes %d, %d", evs, rOpen, rClose)
+	}
+}
+
+// TestRequireFields: a tables frame that lacks a required field fails the
+// read with a *MissingFieldError instead of yielding zeros.
+func TestRequireFields(t *testing.T) {
+	sendReg := event.NewRegistry()
+	sendReg.FieldIndex("open")
+	events := []event.Event{{TS: 1, Type: sendReg.TypeID("X"), Fields: []float64{1}}}
+	data := encode(t, sendReg, "Q", events)
+
+	r := NewReader(bytes.NewReader(data), event.NewRegistry())
+	if _, _, _, err := r.ReadQuery(); err != nil {
+		t.Fatal(err)
+	}
+	r.RequireFields([]string{"open", "close"})
+	var mf *MissingFieldError
+	if _, err := r.ReadBatch(); !errors.As(err, &mf) || mf.Field != "close" {
+		t.Fatalf("err = %v, want *MissingFieldError for close", err)
+	}
+
+	r = NewReader(bytes.NewReader(data), event.NewRegistry())
+	r.ReadQuery()
+	r.RequireFields([]string{"open"})
+	if evs, err := r.ReadBatch(); err != nil || len(evs) != 1 {
+		t.Fatalf("all required fields announced: %v, %v", evs, err)
+	}
+}
+
+// TestWriteEventLimits: the Writer refuses an event past the page limit
+// (maxEventFields, so that a full page decodes within wire.MaxFrameFloats)
+// before anything reaches the stream. Type names have no limit of their
+// own: they travel once, in the tables frame.
 func TestWriteEventLimits(t *testing.T) {
 	for _, tc := range []struct {
 		label           string
 		nameLen, fields int
 		ok              bool
 	}{
-		{"name=4096", maxTypeLen, 1, true},
-		{"name=4097", maxTypeLen + 1, 1, false},
-		{"fields=4096", 4, maxFieldLen, true},
-		{"fields=4097", 4, maxFieldLen + 1, false},
+		{"name=4096", 4096, 1, true},
+		{"name=4097", 4097, 1, true},
+		{"fields=4096", 4, 4096, true},
+		{"fields=4097", 4, 4097, true},
+		{"fields=16384", 4, maxEventFields, true},
+		{"fields=16385", 4, maxEventFields + 1, false},
 		{"fields=65536", 4, 1 << 16, false},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			reg := event.NewRegistry()
-			name := string(bytes.Repeat([]byte{'n'}, tc.nameLen))
+			name := strings.Repeat("n", tc.nameLen)
 			ev := event.Event{TS: 7, Type: reg.TypeID(name), Fields: make([]float64, tc.fields)}
 			ev.Fields[tc.fields-1] = 2.5
 			var buf bytes.Buffer
@@ -106,7 +199,7 @@ func TestWriteEventLimits(t *testing.T) {
 			recvReg := event.NewRegistry()
 			got, err := NewReader(&buf, recvReg).ReadEvent()
 			if err != nil {
-				t.Fatalf("the writer's own frame was rejected: %v", err)
+				t.Fatalf("the writer's own page was rejected: %v", err)
 			}
 			if recvReg.TypeName(got.Type) != name || len(got.Fields) != tc.fields || got.Fields[tc.fields-1] != 2.5 {
 				t.Fatalf("round trip lost the event: name %d bytes, %d fields", len(recvReg.TypeName(got.Type)), len(got.Fields))
@@ -117,38 +210,93 @@ func TestWriteEventLimits(t *testing.T) {
 
 func TestCorruptFrames(t *testing.T) {
 	reg := event.NewRegistry()
-	// Oversized frame length.
-	r := NewReader(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0x7f}), reg)
-	if _, err := r.ReadEvent(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
-	}
-	// Oversized control frame mid-stream.
-	r = NewReader(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), reg)
-	if _, err := r.ReadEvent(); err == nil {
-		t.Fatal("oversized control frame must fail")
-	}
-	// Non-heartbeat control frame mid-stream.
-	var buf bytes.Buffer
-	w := NewWriter(&buf, reg)
-	if err := w.WriteResume(7); err != nil {
+	reg.FieldIndex("x")
+	good := encode(t, reg, "", []event.Event{{TS: 1, Type: reg.TypeID("A"), Fields: []float64{1}}})
+	tables := wire.AppendStrs(wire.AppendStrs(nil, []string{"A"}), []string{"x"})
+	page := func(typ byte) []byte { return []byte{1, typ, 2, 0} } // one event, no fields
+	var resume bytes.Buffer
+	rw := NewWriter(&resume, reg)
+	if err := rw.WriteResume(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := rw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r = NewReader(&buf, reg)
-	if _, err := r.ReadEvent(); err == nil {
-		t.Fatal("resume frame mid event stream must fail")
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x40
+	for name, data := range map[string][]byte{
+		"oversized length":     append(wire.AppendU32(nil, wire.MaxFrameBytes+1), make([]byte, 8)...),
+		"bad checksum":         flipped,
+		"truncated":            good[:len(good)-2],
+		"resume mid-stream":    resume.Bytes(),
+		"page before tables":   frames(t, []byte{kindPage}, page(1)),
+		"type past table":      frames(t, []byte{kindTables, kindPage}, tables, page(2)),
+		"count overrun":        frames(t, []byte{kindTables, kindPage}, tables, []byte{200, 1, 2, 0}),
+		"trailing bytes":       frames(t, []byte{kindTables, kindPage}, tables, append(page(1), 9)),
+		"corrupt tables":       frames(t, []byte{kindTables}, tables[:len(tables)-1]),
+		"unknown kind":         frames(t, []byte{0xEE}, nil),
+		"page past 256":        frames(t, []byte{kindTables, kindPage}, tables, wire.AppendEvents(nil, make([]event.Event, wire.PageEvents+1))),
+		"field bound too high": remapped(t, maxEventFields),
+	} {
+		r := NewReader(bytes.NewReader(data), event.NewRegistry())
+		if _, err := r.ReadEvent(); err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("%s: err = %v, want a decode error", name, err)
+		}
 	}
-	// Truncated frame.
-	r = NewReader(bytes.NewReader([]byte{10, 0, 0, 0, 1, 2}), reg)
-	if _, err := r.ReadEvent(); err == nil {
-		t.Fatal("truncated frame must fail")
+}
+
+// remapped is a stream whose first tables frame interns "open" and n
+// more field names, whose second announces only the last of them as peer
+// field 0, and whose page then carries one-field events: each decodes to
+// n+1 floats.
+func remapped(t testing.TB, n int) []byte {
+	t.Helper()
+	fields := []string{"open"}
+	for i := 1; i <= n; i++ {
+		fields = append(fields, fmt.Sprintf("f%d", i))
 	}
-	// Frame too short for the header.
-	r = NewReader(bytes.NewReader([]byte{2, 0, 0, 0, 1, 2}), reg)
-	if _, err := r.ReadEvent(); err == nil {
-		t.Fatal("short frame must fail")
+	types := []string{"A"}
+	evs := make([]event.Event, wire.PageEvents)
+	for i := range evs {
+		evs[i] = event.Event{TS: int64(i), Type: 1, Fields: []float64{float64(i)}}
+	}
+	return frames(t, []byte{kindTables, kindTables, kindPage},
+		wire.AppendStrs(wire.AppendStrs(nil, types), fields),
+		wire.AppendStrs(wire.AppendStrs(nil, types), []string{fields[n], "open"}),
+		wire.AppendEvents(nil, evs))
+}
+
+// TestFieldRemapLimit: a tables frame may bind a peer field anywhere below
+// maxEventFields in the reader's registry, so a full page decodes to at
+// most wire.MaxFrameFloats floats; one index higher is refused before
+// anything is interned or decoded.
+func TestFieldRemapLimit(t *testing.T) {
+	reg := event.NewRegistry()
+	evs, err := NewReader(bytes.NewReader(remapped(t, maxEventFields-1)), reg).ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != wire.PageEvents || len(evs[9].Fields) != maxEventFields || evs[9].Fields[maxEventFields-1] != 9 {
+		t.Fatalf("%d events, event 9 = %d fields", len(evs), len(evs[9].Fields))
+	}
+
+	reg = event.NewRegistry()
+	_, err = NewReader(bytes.NewReader(remapped(t, maxEventFields)), reg).ReadBatch()
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+	if reg.NumFields() != 0 {
+		t.Fatalf("the refused table interned %d fields", reg.NumFields())
+	}
+
+	// A name a shared registry already binds that high is refused too.
+	reg.FieldIndex("open")
+	for i := 1; i <= maxEventFields; i++ {
+		reg.FieldIndex(fmt.Sprintf("f%d", i))
+	}
+	_, err = NewReader(bytes.NewReader(remapped(t, maxEventFields)), reg).ReadBatch()
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("known name: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -201,31 +349,17 @@ func TestSendOverTCP(t *testing.T) {
 	}
 }
 
-// TestQueryFrameRoundTrip covers the multi-query protocol: a query
-// control frame followed by events on the same buffered reader.
+// TestQueryFrameRoundTrip covers the multi-query protocol: a query frame
+// followed by events on the same buffered reader.
 func TestQueryFrameRoundTrip(t *testing.T) {
 	const queryText = "PATTERN (A B)\nWITHIN 10 EVENTS FROM A\nPARTITION BY TYPE"
 	reg := event.NewRegistry()
-	var buf bytes.Buffer
-	w := NewWriter(&buf, reg)
-	if err := w.WriteQuery(queryText); err != nil {
-		t.Fatal(err)
-	}
 	events := []event.Event{
 		{TS: 1, Type: reg.TypeID("A"), Fields: []float64{1.5}},
 		{TS: 2, Type: reg.TypeID("B")},
 	}
-	for i := range events {
-		if err := w.WriteEvent(&events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	recvReg := event.NewRegistry()
-	r := NewReader(&buf, recvReg)
+	r := NewReader(bytes.NewReader(encode(t, reg, queryText, events)), recvReg)
 	got, _, ok, err := r.ReadQuery()
 	if err != nil || !ok {
 		t.Fatalf("ReadQuery = (%q, %v, %v)", got, ok, err)
@@ -246,21 +380,13 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadQueryLegacyStream checks that event-only streams (legacy
-// clients) pass ReadQuery untouched.
+// TestReadQueryLegacyStream checks that event-only streams pass ReadQuery
+// untouched: the first frame it read is kept for the event reads.
 func TestReadQueryLegacyStream(t *testing.T) {
 	reg := event.NewRegistry()
-	var buf bytes.Buffer
-	w := NewWriter(&buf, reg)
-	ev := event.Event{TS: 7, Type: reg.TypeID("X")}
-	if err := w.WriteEvent(&ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	data := encode(t, reg, "", []event.Event{{TS: 7, Type: reg.TypeID("X")}})
 
-	r := NewReader(&buf, event.NewRegistry())
+	r := NewReader(bytes.NewReader(data), event.NewRegistry())
 	if q, _, ok, err := r.ReadQuery(); err != nil || ok || q != "" {
 		t.Fatalf("ReadQuery on event stream = (%q, %v, %v), want not-a-query", q, ok, err)
 	}
@@ -269,7 +395,7 @@ func TestReadQueryLegacyStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.TS != 7 {
-		t.Fatalf("event not preserved after peek: %+v", got)
+		t.Fatalf("event not preserved after ReadQuery: %+v", got)
 	}
 
 	// Empty stream: no query, no error.
@@ -279,33 +405,29 @@ func TestReadQueryLegacyStream(t *testing.T) {
 	}
 }
 
-// TestReadQueryCorruptControl checks control-frame validation.
+// TestReadQueryCorruptControl checks query-frame validation: a corrupt
+// frame fails ReadQuery, and an unknown kind fails the event read that
+// reaches it.
 func TestReadQueryCorruptControl(t *testing.T) {
-	// Unknown control kind.
-	var buf bytes.Buffer
-	frame := binary.LittleEndian.AppendUint32(nil, (uint32(1)<<31)|2)
-	frame = append(frame, 0xEE, 0x00)
-	buf.Write(frame)
-	r := NewReader(&buf, event.NewRegistry())
-	if _, _, _, err := r.ReadQuery(); err == nil {
-		t.Fatal("unknown control kind must error")
+	query := frames(t, []byte{kindQuery}, []byte("PATTERN (A)"))
+	flipped := append([]byte(nil), query...)
+	flipped[len(flipped)-1] ^= 1
+	for name, data := range map[string][]byte{
+		"bad checksum":     flipped,
+		"truncated body":   query[:len(query)-3],
+		"oversized length": append(wire.AppendU32(nil, wire.MaxFrameBytes+1), 0, 0, 0, 0, kindQuery),
+	} {
+		if _, _, _, err := NewReader(bytes.NewReader(data), event.NewRegistry()).ReadQuery(); err == nil {
+			t.Errorf("%s: ReadQuery accepted a corrupt frame", name)
+		}
 	}
 
-	// Oversized control frame.
-	buf.Reset()
-	buf.Write(binary.LittleEndian.AppendUint32(nil, (uint32(1)<<31)|(2<<20)))
-	r = NewReader(&buf, event.NewRegistry())
-	if _, _, _, err := r.ReadQuery(); err == nil {
-		t.Fatal("oversized control frame must error")
+	r := NewReader(bytes.NewReader(frames(t, []byte{0xEE}, []byte{0})), event.NewRegistry())
+	if _, _, ok, err := r.ReadQuery(); ok || err != nil {
+		t.Fatalf("ReadQuery on an unknown kind = (%v, %v), want it kept for the event reads", ok, err)
 	}
-
-	// Truncated control frame body.
-	buf.Reset()
-	buf.Write(binary.LittleEndian.AppendUint32(nil, (uint32(1)<<31)|100))
-	buf.WriteByte(1)
-	r = NewReader(&buf, event.NewRegistry())
-	if _, _, _, err := r.ReadQuery(); err == nil {
-		t.Fatal("truncated control frame must error")
+	if _, err := r.ReadEvent(); err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("unknown kind: err = %v", err)
 	}
 }
 
@@ -320,6 +442,9 @@ func TestHeartbeatSkipped(t *testing.T) {
 	}
 	ev := event.Event{TS: 42, Type: reg.TypeID("X")}
 	if err := w.WriteEvent(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteHeartbeat(); err != nil {
@@ -342,9 +467,9 @@ func TestHeartbeatSkipped(t *testing.T) {
 	}
 }
 
-// TestResumeHandshake covers the reconnect handshake: a kind-3 query
-// frame, the kind-4 resume reply (possibly preceded by a heartbeat), and
-// the event stream continuing on the same readers.
+// TestResumeHandshake covers the reconnect handshake: a query frame that
+// asks for resume, the resume reply (possibly preceded by a heartbeat),
+// and the event stream continuing on the same readers.
 func TestResumeHandshake(t *testing.T) {
 	reg := event.NewRegistry()
 
@@ -363,7 +488,7 @@ func TestResumeHandshake(t *testing.T) {
 		t.Fatalf("ReadQuery = (%q, resume=%v, ok=%v, %v)", q, resume, ok, err)
 	}
 
-	// Plain kind-1 queries must not request resume.
+	// Plain queries must not request resume.
 	c2s.Reset()
 	if err := cw.WriteQuery("PATTERN (A B)\nWITHIN 10 EVENTS FROM A"); err != nil {
 		t.Fatal(err)
@@ -395,17 +520,10 @@ func TestResumeHandshake(t *testing.T) {
 		t.Fatalf("resume pos = %d, want 12345", pos)
 	}
 
-	// An event frame where the resume reply belongs is a protocol error.
-	s2c.Reset()
-	ev := event.Event{TS: 1, Type: reg.TypeID("A")}
-	if err := sw.WriteEvent(&ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewReader(&s2c, event.NewRegistry()).ReadResume(); err == nil {
-		t.Fatal("event frame in place of resume reply must error")
+	// An event page where the resume reply belongs is a protocol error.
+	data := encode(t, reg, "", []event.Event{{TS: 1, Type: reg.TypeID("A")}})
+	if _, err := NewReader(bytes.NewReader(data), event.NewRegistry()).ReadResume(); err == nil {
+		t.Fatal("event page in place of resume reply must error")
 	}
 }
 
@@ -436,4 +554,84 @@ func TestBackoff(t *testing.T) {
 	if d := zero.Next(3); d <= 0 || d > time.Minute {
 		t.Fatalf("zero-config delay %v", d)
 	}
+}
+
+// FuzzReader reads arbitrary client-link bytes the way spectre-server
+// does (ReadQuery, then ReadBatch to the end), twice: over the input as
+// it is, and over the input cut into chunks [kind][n][n body bytes] that
+// are framed with valid checksums, so the fuzzer reaches the body
+// decoders. Reads must end in io.EOF or an error — never a panic — and
+// what they allocate must stay proportional to the input, but for the
+// floats a remapping tables frame widens events to, which each page
+// bounds by wire.MaxFrameFloats.
+func FuzzReader(f *testing.F) {
+	reg := event.NewRegistry()
+	reg.FieldIndex("open")
+	reg.FieldIndex("close")
+	events := []event.Event{
+		{TS: 5, Type: reg.TypeID("A"), Fields: []float64{1, 2}},
+		{TS: 9, Type: reg.TypeID("B"), Fields: []float64{3}},
+	}
+	f.Add(encode(f, reg, "PATTERN (A)", events))
+	tables := wire.AppendStrs(wire.AppendStrs(nil, reg.TypeNames()), reg.FieldNames())
+	page := wire.AppendEventCols([]byte{2}, events, nil)
+	f.Add(append(append([]byte{kindTables, byte(len(tables))}, tables...), append([]byte{kindPage, byte(len(page))}, page...)...))
+	f.Add([]byte{kindHeartbeat, 0, kindQuery, 1, 'Q'})
+	f.Add(remapped(f, 1000))
+	f.Add(remapped(f, maxEventFields))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var chunked []byte
+		for rest := data; len(rest) >= 2; {
+			kind, n := rest[0], min(int(rest[1]), len(rest)-2)
+			chunked, _ = wire.AppendFrame(chunked, kind, rest[2:2+n])
+			rest = rest[2+n:]
+		}
+		for _, in := range [][]byte{data, chunked} {
+			var decoded, floats int
+			recv := event.NewRegistry()
+			alloc := allocatedBy(func() {
+				r := NewReader(bytes.NewReader(in), recv)
+				if _, _, _, err := r.ReadQuery(); err != nil {
+					return
+				}
+				r.RequireFields([]string{"open"})
+				for {
+					evs, err := r.ReadBatch()
+					if err != nil {
+						return
+					}
+					// A tables frame may bind peer fields to higher
+					// indexes, widening each event past its wire floats;
+					// the page limits bound that per page.
+					page := 0
+					for i := range evs {
+						page += len(evs[i].Fields)
+					}
+					if len(evs) > wire.PageEvents || page > wire.MaxFrameFloats+len(in)/8 {
+						t.Fatalf("a page of %d events with %d floats from %d bytes", len(evs), page, len(in))
+					}
+					decoded += len(evs)
+					floats += page
+				}
+			})
+			if decoded > len(in) {
+				t.Fatalf("%d events from %d bytes", decoded, len(in))
+			}
+			// wire.ReadFrame may grow its buffer two chunks past the bytes
+			// a frame delivered before it fails; the decoded floats are
+			// budgeted per page above.
+			if limit := uint64(4<<20 + 128*len(in) + 8*floats); alloc > limit {
+				t.Fatalf("reading %d bytes allocated %d", len(in), alloc)
+			}
+		}
+	})
+}
+
+// allocatedBy reports the bytes fn allocates on the heap.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

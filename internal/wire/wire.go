@@ -1,8 +1,10 @@
 // Package wire is the one binary codec layer under this tree's message
-// grammars (cluster link, WAL record, shard export blob; DESIGN.md "Wire
-// formats"). It holds three things and no message knowledge: the Append*
-// writers, the bounded Reader that undoes them, and the CRC frame messages
-// travel or rest in. Fixed-width integers are little-endian everywhere.
+// grammars (client link, cluster link, WAL record, shard export blob;
+// DESIGN.md "Wire formats"). It holds the Append* writers, the bounded
+// Reader that undoes them, the CRC frame messages travel or rest in, and
+// the event column codec, the one encoding of an event batch on every
+// link; kinds and what surrounds an event batch belong to each grammar.
+// Fixed-width integers are little-endian everywhere.
 //
 // Everything read here may be hostile: a frame's length word and every
 // collection count are checked against the bytes actually present before
