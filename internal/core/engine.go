@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -86,11 +87,32 @@ func compile(q *pattern.Query, cfg Config) (*program, error) {
 
 // slot is one operator-instance scheduling slot of a shard. The splitter
 // publishes the assigned window version through wv; whichever worker
-// claims busy processes the next batch with the slot's scratch state.
+// claims the slot processes the next batch with the slot's scratch state.
+// claims counts the claims taken and released, so it is odd while a
+// worker holds the slot, and the splitter can tell from a count it read
+// earlier that a claim it saw held has ended since.
 type slot struct {
-	wv   atomic.Pointer[deptree.WindowVersion]
-	busy atomic.Bool
-	w    *worker
+	wv     atomic.Pointer[deptree.WindowVersion]
+	claims atomic.Uint64
+	w      *worker
+}
+
+// claim takes the slot if no worker holds it.
+func (sl *slot) claim() bool {
+	c := sl.claims.Load()
+	return c%2 == 0 && sl.claims.CompareAndSwap(c, c+1)
+}
+
+// release ends a claim on the slot. A splitter that reads the new count
+// sees everything the claim did, its feedback included.
+func (sl *slot) release() { sl.claims.Add(1) }
+
+// limboBatch holds the versions that left the tree in one splitter
+// cycle, with every slot's claim count as read after they were
+// unassigned.
+type limboBatch struct {
+	versions []*deptree.WindowVersion
+	claims   []uint64
 }
 
 // shardState is the complete per-(query, shard) run state of the SPECTRE
@@ -184,6 +206,15 @@ type shardState struct {
 	topkBuf []*deptree.WindowVersion
 	msgBuf  []msg
 	split   *worker // splitter-side worker for inline reprocessing
+
+	// Version recycling (splitter only; DESIGN.md §4.6). departed are the
+	// versions that left the tree this cycle, dropped or popped; limbo
+	// holds earlier cycles' departures, oldest first, until no slot can
+	// still hold them; freeVersions are the versions newVersion reuses.
+	// Released limbo batches keep their buffers past len(limbo).
+	departed     []*deptree.WindowVersion
+	limbo        []limboBatch
+	freeVersions []*deptree.WindowVersion
 }
 
 // newShard builds one shard of prog.
@@ -217,7 +248,10 @@ func newShard(prog *program) (*shardState, error) {
 		s.slots[i].w = newWorker(s)
 	}
 	s.tree = deptree.NewTree(s.newVersion)
-	s.tree.OnDrop = func(*deptree.WindowVersion) { s.versionsDropped.Add(1) }
+	s.tree.OnDrop = func(wv *deptree.WindowVersion) {
+		s.versionsDropped.Add(1)
+		s.departed = append(s.departed, wv)
+	}
 	s.split = &worker{s: s}
 	return s, nil
 }
@@ -233,14 +267,93 @@ func (s *shardState) begin(queue *shardQueue, emit func(event.Complex)) {
 
 // newVersion is the dependency tree's window-version factory: the paper's
 // "modified copy" (Fig. 4), which starts at its window start. It costs
-// O(1): the processing state is created when a slot first takes the
-// version.
+// O(1): it reuses a released version when there is one, and the
+// processing state is (re)set when a slot first takes the version.
 func (s *shardState) newVersion(win *window.Window, suppressed []*deptree.CG) *deptree.WindowVersion {
 	s.versionSeq++
-	wv := deptree.NewWindowVersion(s.versionSeq, win, suppressed)
+	var wv *deptree.WindowVersion
+	if n := len(s.freeVersions); n > 0 {
+		wv = s.freeVersions[n-1]
+		s.freeVersions[n-1] = nil
+		s.freeVersions = s.freeVersions[:n-1]
+		wv.Recycle(s.versionSeq, win, suppressed)
+	} else {
+		wv = deptree.NewWindowVersion(s.versionSeq, win, suppressed)
+	}
 	wv.SetPos(win.StartSeq)
 	s.versionsCreated.Add(1)
 	return wv
+}
+
+// retire moves this cycle's departures to limbo with every slot's claim
+// as read now. It runs after schedule, which unassigned them: a claim
+// taken from here on cannot load them.
+func (s *shardState) retire() {
+	if len(s.departed) == 0 {
+		return
+	}
+	n := len(s.limbo)
+	if n < cap(s.limbo) {
+		s.limbo = s.limbo[:n+1]
+	} else {
+		s.limbo = append(s.limbo, limboBatch{})
+	}
+	b := &s.limbo[n]
+	b.versions, s.departed = s.departed, b.versions[:0]
+	b.claims = b.claims[:0]
+	for i := range s.slots {
+		b.claims = append(b.claims, s.slots[i].claims.Load())
+	}
+}
+
+// quiescent reports whether no slot can still hold a version of b: every
+// slot was unclaimed when b was retired, or has released that claim
+// since.
+func (s *shardState) quiescent(b *limboBatch) bool {
+	for i, c := range b.claims {
+		if c%2 == 1 && s.slots[i].claims.Load() == c {
+			return false
+		}
+	}
+	return true
+}
+
+// readyLimbo counts the leading limbo batches that are quiescent. It is
+// read before the cycle drains the feedback queue, so the drain holds
+// every message a claim on those versions pushed.
+func (s *shardState) readyLimbo() int {
+	n := 0
+	for n < len(s.limbo) && s.quiescent(&s.limbo[n]) {
+		n++
+	}
+	return n
+}
+
+// releaseLimbo moves the first n limbo batches to the free list, once the
+// cycle has applied the feedback that named them. A released version is
+// poisoned: a stale reader that follows its window or suppression set
+// panics instead of reading another window's.
+func (s *shardState) releaseLimbo(n int) {
+	if n == 0 {
+		return
+	}
+	for i := range s.limbo[:n] {
+		b := &s.limbo[i]
+		for j, wv := range b.versions {
+			if wv.Win == nil {
+				panic("core: window version released twice")
+			}
+			wv.Win, wv.Suppressed = nil, nil
+			s.freeVersions = append(s.freeVersions, wv)
+			b.versions[j] = nil
+		}
+		b.versions = b.versions[:0]
+	}
+	// Rotate the released batches behind the rest, keeping their buffers.
+	slices.Reverse(s.limbo[:n])
+	slices.Reverse(s.limbo[n:])
+	slices.Reverse(s.limbo)
+	s.limbo = s.limbo[:len(s.limbo)-n]
 }
 
 // splitterStep runs one splitter cycle — ingest → apply feedback →
@@ -292,6 +405,7 @@ func (s *shardState) splitCycle() bool {
 		worked = true
 	}
 
+	ready := s.readyLimbo()
 	s.msgBuf = s.fq.drain(s.msgBuf[:0])
 	if len(s.msgBuf) > 0 {
 		worked = true
@@ -299,6 +413,7 @@ func (s *shardState) splitCycle() bool {
 	for i := range s.msgBuf {
 		s.apply(&s.msgBuf[i])
 	}
+	s.releaseLimbo(ready)
 
 	if s.advanceRoots() {
 		worked = true
@@ -306,6 +421,7 @@ func (s *shardState) splitCycle() bool {
 	s.maxTreeSize.Store(int64(s.tree.MaxSize()))
 
 	s.schedule()
+	s.retire()
 	return worked
 }
 
@@ -502,6 +618,7 @@ func (s *shardState) advanceRoots() bool {
 		}
 		s.drainOutputs(wv)
 		s.tree.PopRoot()
+		s.departed = append(s.departed, wv)
 		if s.persist != nil {
 			s.persistCut()
 		}

@@ -13,17 +13,26 @@ import (
 // slotStep processes one batch of slot i's assigned window version, if any
 // and if no other worker currently owns the slot. It reports whether any
 // progress was made.
+//
+// The slot is claimed before its version is loaded: the splitter recycles
+// a version once every slot that could have loaded it has released its
+// claim (DESIGN.md §3), so a version loaded before the claim might
+// already belong to another window. The check before the claim is only a
+// hint that spares the claim on an idle slot; it reads nothing but
+// atomic flags, which stay safe to read on a recycled version.
 func (s *shardState) slotStep(i int) bool {
 	sl := &s.slots[i]
-	wv := sl.wv.Load()
-	if wv == nil || wv.Dropped() || wv.Finished() {
+	if wv := sl.wv.Load(); wv == nil || wv.Dropped() || wv.Finished() {
 		return false
 	}
-	if !sl.busy.CompareAndSwap(false, true) {
+	if !sl.claim() {
 		return false
 	}
-	worked := s.processBatch(sl.w, wv)
-	sl.busy.Store(false)
+	worked := false
+	if wv := sl.wv.Load(); wv != nil {
+		worked = s.processBatch(sl.w, wv)
+	}
+	sl.release()
 	return worked
 }
 
@@ -87,7 +96,7 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 	s := w.s
 	win := wv.Win
 	if wv.State == nil {
-		wv.ResetToStart(s.prog.compiled.NewState())
+		wv.ResetToStart(s.prog.compiled)
 	}
 	arenaLen := s.ar.Len()
 	end := win.EndSeq()
@@ -372,7 +381,7 @@ func (w *worker) restart(wv *deptree.WindowVersion) {
 			w.msgs = append(w.msgs, msg{kind: msgCGResolved, cg: cg})
 		}
 	}
-	wv.ResetToStart(w.s.prog.compiled.NewState())
+	wv.ResetToStart(w.s.prog.compiled)
 	wv.Rollbacks++
 }
 
@@ -387,17 +396,20 @@ func suppressedBy(wv *deptree.WindowVersion, seq uint64) bool {
 	return false
 }
 
-// buildComplex converts a matcher match into a complex event.
+// buildComplex converts a matcher match into a complex event. Both seq
+// slices share one backing; each one's capacity ends where its length
+// does, so an append to one cannot write into the other.
 func buildComplex(query string, winID uint64, m *matcher.Match) event.Complex {
 	ce := event.Complex{Query: query, WindowID: winID}
 	if m.CompletedAt != nil {
 		ce.DetectedAt = m.CompletedAt.Seq
 	}
-	ce.Constituents = make([]uint64, len(m.Constituents))
+	n := len(m.Constituents)
+	seqs := make([]uint64, n+len(m.Consumed))
+	ce.Constituents, ce.Consumed = seqs[:n:n], seqs[n:]
 	for i, c := range m.Constituents {
 		ce.Constituents[i] = c.Seq
 	}
-	ce.Consumed = make([]uint64, len(m.Consumed))
 	for i, c := range m.Consumed {
 		ce.Consumed[i] = c.Seq
 	}

@@ -99,12 +99,18 @@ type CG struct {
 	// when a sibling group's creation copied the structure). Owned by the
 	// splitter.
 	nodes []*Node
+
+	// first is the group's first backing, with its four entries, built
+	// into the group so that creating one is a single allocation.
+	first    cgSet
+	firstAll [4]uint64
 }
 
 // NewCG creates an open consumption group.
 func NewCG(id uint64, owner *WindowVersion, runID int, delta int) *CG {
 	cg := &CG{ID: id, Owner: owner, RunID: runID}
-	cg.next = &cgSet{all: make([]uint64, 4)}
+	cg.first.all = cg.firstAll[:]
+	cg.next = &cg.first
 	cg.set.Store(cg.next)
 	cg.delta.Store(int64(delta))
 	return cg
@@ -196,6 +202,10 @@ func (cg *CG) Resolve(o CGOutcome) bool {
 // for rollbacks/validation of unscheduled versions. The flags (dropped,
 // validated, scheduled) are atomics so both sides can consult them without
 // the lock.
+//
+// A runtime may recycle a version once no one can reach it any more
+// (Recycle); the version then carries its buffers and its matcher state
+// into its next life.
 type WindowVersion struct {
 	// ID is unique per engine run (version id, not window id).
 	ID uint64
@@ -207,8 +217,9 @@ type WindowVersion struct {
 	// one path alias the same slice.
 	Suppressed []*CG
 
-	// node is the tree vertex of this version. Owned by the splitter.
-	node *Node
+	// node is the tree vertex of this version (node.WV is nil until the
+	// tree attaches it). Owned by the splitter.
+	node Node
 
 	// SchedMark is the splitter's per-cycle scheduling token (splitter
 	// use only, unsynchronized).
@@ -225,6 +236,9 @@ type WindowVersion struct {
 	// State is the matcher state; nil until first processed (lazily
 	// created by the runtime through ResetToStart).
 	State *matcher.State
+	// kept is the matcher state of the version's previous life, which
+	// ResetToStart reuses (nil unless the version was recycled).
+	kept *matcher.State
 	// Used are the influencing processed events (ascending): events bound
 	// to a run or triggering a negation. Only these matter for
 	// consumption consistency (skip-till-next-match ignores the rest).
@@ -263,6 +277,34 @@ func NewWindowVersion(id uint64, win *window.Window, suppressed []*CG) *WindowVe
 	return &WindowVersion{ID: id, Win: win, Suppressed: suppressed}
 }
 
+// Recycle turns a version no one can reach any more — out of the tree,
+// unassigned, no message naming it in flight — into an unscheduled
+// version of win, as NewWindowVersion would return it. It keeps its
+// buffers and its matcher state, which the first ResetToStart resets;
+// nothing of its previous life stays reachable through it.
+func (wv *WindowVersion) Recycle(id uint64, win *window.Window, suppressed []*CG) {
+	wv.ID, wv.Win, wv.Suppressed = id, win, suppressed
+	wv.node = Node{}
+	wv.SchedMark = 0
+	wv.dropped.Store(false)
+	wv.validated.Store(false)
+	wv.finished.Store(false)
+	wv.scheduled.Store(0)
+	wv.pos.Store(0)
+	if wv.State != nil {
+		wv.kept, wv.State = wv.State, nil
+	}
+	wv.Used = wv.Used[:0]
+	wv.Skipped = wv.Skipped[:0]
+	wv.LocalConsumed = wv.LocalConsumed[:0]
+	clear(wv.Buffered[:cap(wv.Buffered)])
+	wv.Buffered = wv.Buffered[:0]
+	clear(wv.RunCGs)
+	wv.LastChecked = wv.LastChecked[:0] // ResetToStart sizes it to suppressed
+	wv.Rollbacks = 0
+	wv.StatsEligible = false
+}
+
 // Pos returns the next sequence number to process. It is published
 // atomically so the splitter can estimate progress without the lock.
 func (wv *WindowVersion) Pos() uint64 { return wv.pos.Load() }
@@ -271,11 +313,21 @@ func (wv *WindowVersion) Pos() uint64 { return wv.pos.Load() }
 func (wv *WindowVersion) SetPos(pos uint64) { wv.pos.Store(pos) }
 
 // ResetToStart resets the version's processing state to the window
-// start with the given fresh matcher state — the first start of a
-// version and the restart shared by rollbacks and the final validation
-// gate. The caller must own the version.
-func (wv *WindowVersion) ResetToStart(state *matcher.State) {
-	wv.State = state
+// start — the first start of a version and the restart shared by
+// rollbacks and the final validation gate. The matcher state is the
+// version's own (or the one its previous life kept), reset to a fresh
+// one's, or a new state of c when it has none. The caller must own the
+// version.
+func (wv *WindowVersion) ResetToStart(c *matcher.Compiled) {
+	switch {
+	case wv.State != nil:
+		wv.State.Reset()
+	case wv.kept != nil:
+		wv.State, wv.kept = wv.kept, nil
+		wv.State.Reset()
+	default:
+		wv.State = c.NewState()
+	}
 	wv.SetPos(wv.Win.StartSeq)
 	wv.Used = wv.Used[:0]
 	wv.Skipped = wv.Skipped[:0]
@@ -283,9 +335,13 @@ func (wv *WindowVersion) ResetToStart(state *matcher.State) {
 	wv.Buffered = wv.Buffered[:0]
 	if wv.RunCGs == nil {
 		wv.RunCGs = make(map[int]*CG)
-		wv.LastChecked = make([]uint64, len(wv.Suppressed))
 	} else {
 		clear(wv.RunCGs)
+	}
+	if n := len(wv.Suppressed); cap(wv.LastChecked) < n {
+		wv.LastChecked = make([]uint64, n)
+	} else {
+		wv.LastChecked = wv.LastChecked[:n]
 		clear(wv.LastChecked)
 	}
 	wv.ClearFinished()

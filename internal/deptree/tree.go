@@ -1,8 +1,9 @@
 package deptree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/spectrecep/spectre/internal/window"
 )
@@ -66,6 +67,11 @@ type Tree struct {
 	size    int       // current number of WV vertices
 	maxSize int       // high-water mark (paper Fig. 10(f))
 	walk    []topItem // TopK's heap, kept between calls
+
+	// Scratch kept between calls: the versions NewWindow, CGCreated and
+	// RebuildBelow return, and windowsInSubtree's result.
+	created []*WindowVersion
+	wins    []*window.Window
 }
 
 // NewTree returns an empty tree using the given version factory.
@@ -93,10 +99,13 @@ func (t *Tree) nextStamp() uint64 {
 	return t.stamp
 }
 
+// newWVNode creates a version of win and returns its vertex, which is
+// part of the version: a fresh or recycled version's is zero.
 func (t *Tree) newWVNode(win *window.Window, suppressed []*CG) *Node {
 	wv := t.NewVersion(win, suppressed)
-	n := &Node{WV: wv, stamp: t.nextStamp()}
-	wv.node = n
+	n := &wv.node
+	n.WV, n.stamp = wv, t.nextStamp()
+	t.created = append(t.created, wv)
 	t.size++
 	if t.size > t.maxSize {
 		t.maxSize = t.size
@@ -116,46 +125,41 @@ func link(parent *Node, slot int, child *Node) {
 // two at every CG leaf (one per outcome edge), as in the paper's
 // newWindow algorithm (Fig. 4, lines 1-10). When the tree is empty the
 // window becomes the root (the only version of an independent window).
-// It returns the versions created.
+// It returns the versions created, in scratch the tree owns: the slice is
+// valid until the next NewWindow, CGCreated or RebuildBelow.
 func (t *Tree) NewWindow(win *window.Window) []*WindowVersion {
+	t.created = t.created[:0]
 	if t.root == nil {
 		t.root = t.newWVNode(win, nil)
-		return []*WindowVersion{t.root.WV}
+	} else {
+		t.attachAtLeaves(t.root, nil, win)
 	}
-	var created []*WindowVersion
-	t.attachAtLeaves(t.root, nil, win, &created)
-	return created
+	return t.created
 }
 
 // attachAtLeaves walks to the leaves, tracking the suppression set implied
 // by the completion edges on the path.
-func (t *Tree) attachAtLeaves(n *Node, suppressed []*CG, win *window.Window, created *[]*WindowVersion) {
+func (t *Tree) attachAtLeaves(n *Node, suppressed []*CG, win *window.Window) {
 	if n.IsWV() {
 		if n.children[0] == nil {
-			child := t.newWVNode(win, suppressed)
-			link(n, 0, child)
-			*created = append(*created, child.WV)
+			link(n, 0, t.newWVNode(win, suppressed))
 			return
 		}
-		t.attachAtLeaves(n.children[0], suppressed, win, created)
+		t.attachAtLeaves(n.children[0], suppressed, win)
 		return
 	}
 	// CG vertex: recurse into both edges; completion adds the group to
 	// the suppression set.
 	if n.children[AbandonEdge] == nil {
-		child := t.newWVNode(win, suppressed)
-		link(n, AbandonEdge, child)
-		*created = append(*created, child.WV)
+		link(n, AbandonEdge, t.newWVNode(win, suppressed))
 	} else {
-		t.attachAtLeaves(n.children[AbandonEdge], suppressed, win, created)
+		t.attachAtLeaves(n.children[AbandonEdge], suppressed, win)
 	}
 	withCG := appendCG(suppressed, n.CG)
 	if n.children[CompletionEdge] == nil {
-		child := t.newWVNode(win, withCG)
-		link(n, CompletionEdge, child)
-		*created = append(*created, child.WV)
+		link(n, CompletionEdge, t.newWVNode(win, withCG))
 	} else {
-		t.attachAtLeaves(n.children[CompletionEdge], withCG, win, created)
+		t.attachAtLeaves(n.children[CompletionEdge], withCG, win)
 	}
 }
 
@@ -170,7 +174,8 @@ func appendCG(sup []*CG, cg *CG) []*CG {
 // (paper Fig. 4, lines 12-16): the owner's old subtree moves to the
 // abandon edge; the completion edge receives versions of the same
 // dependent windows that additionally suppress cg. It returns the window
-// versions created for the completion edge.
+// versions created for the completion edge, in scratch the tree owns: the
+// slice is valid until the next NewWindow, CGCreated or RebuildBelow.
 //
 // The tree holds vertices for open groups only: a group already resolved
 // when its creation is applied inserts nothing. An abandoned group's
@@ -182,22 +187,21 @@ func (t *Tree) CGCreated(cg *CG) []*WindowVersion {
 		return nil
 	}
 	owner := cg.Owner
-	if owner == nil || owner.Dropped() || owner.node == nil || owner.node.detached {
+	if owner == nil || owner.Dropped() || owner.node.WV == nil || owner.node.detached {
 		return nil
 	}
 	if t.CapSize > 0 && t.size >= t.CapSize {
 		return nil
 	}
-	n := owner.node
+	n := &owner.node
 	old := n.children[0]
 	cgNode := &Node{CG: cg, stamp: t.nextStamp()}
 	cg.nodes = append(cg.nodes, cgNode)
 	link(n, 0, cgNode)
 	link(cgNode, AbandonEdge, old)
-	var created []*WindowVersion
-	copyRoot := t.copyStructure(old, owner, appendCG(owner.Suppressed, cg), &created)
-	link(cgNode, CompletionEdge, copyRoot)
-	return created
+	t.created = t.created[:0]
+	link(cgNode, CompletionEdge, t.copyStructure(old, owner, appendCG(owner.Suppressed, cg)))
+	return t.created
 }
 
 // copyStructure builds the "modified copy" of the paper: consumption-group
@@ -206,30 +210,28 @@ func (t *Tree) CGCreated(cg *CG) []*WindowVersion {
 // original), while dependent windows' versions are created fresh — a
 // different suppression set changes their detection, so their partial
 // matches (and any groups those created) cannot be reused.
-func (t *Tree) copyStructure(n *Node, owner *WindowVersion, suppressed []*CG, created *[]*WindowVersion) *Node {
+func (t *Tree) copyStructure(n *Node, owner *WindowVersion, suppressed []*CG) *Node {
 	if n == nil {
 		return nil
 	}
 	if !n.IsWV() && n.CG.Owner == owner {
 		cn := &Node{CG: n.CG, stamp: t.nextStamp()}
 		n.CG.nodes = append(n.CG.nodes, cn)
-		link(cn, AbandonEdge, t.copyStructure(n.children[AbandonEdge], owner, suppressed, created))
-		link(cn, CompletionEdge, t.copyStructure(n.children[CompletionEdge], owner, appendCG(suppressed, n.CG), created))
+		link(cn, AbandonEdge, t.copyStructure(n.children[AbandonEdge], owner, suppressed))
+		link(cn, CompletionEdge, t.copyStructure(n.children[CompletionEdge], owner, appendCG(suppressed, n.CG)))
 		return cn
 	}
 	// Window-version boundary: everything below collapses into a fresh
 	// linear chain of the windows present in the subtree.
-	wins := windowsInSubtree(n)
-	return t.freshChain(wins, suppressed, created)
+	return t.freshChain(t.windowsInSubtree(n), suppressed)
 }
 
 // freshChain builds a linear chain of fresh versions for wins (ascending
 // window id) under the given suppression set.
-func (t *Tree) freshChain(wins []*window.Window, suppressed []*CG, created *[]*WindowVersion) *Node {
+func (t *Tree) freshChain(wins []*window.Window, suppressed []*CG) *Node {
 	var head, tail *Node
 	for _, w := range wins {
 		nd := t.newWVNode(w, suppressed)
-		*created = append(*created, nd.WV)
 		if head == nil {
 			head = nd
 		} else {
@@ -241,26 +243,26 @@ func (t *Tree) freshChain(wins []*window.Window, suppressed []*CG, created *[]*W
 }
 
 // windowsInSubtree collects the distinct windows of all WV vertices below
-// (and including) n, ascending by window id.
-func windowsInSubtree(n *Node) []*window.Window {
-	seen := make(map[uint64]*window.Window)
-	var walk func(*Node)
-	walk = func(nd *Node) {
-		if nd == nil {
-			return
+// (and including) n, ascending by window id, in scratch the tree owns:
+// the slice is valid until the next call.
+func (t *Tree) windowsInSubtree(n *Node) []*window.Window {
+	wins := appendWindows(t.wins[:0], n)
+	slices.SortFunc(wins, func(a, b *window.Window) int { return cmp.Compare(a.ID, b.ID) })
+	wins = slices.CompactFunc(wins, func(a, b *window.Window) bool { return a.ID == b.ID })
+	t.wins = wins
+	return wins
+}
+
+// appendWindows appends the window of every WV vertex below (and
+// including) n.
+func appendWindows(wins []*window.Window, n *Node) []*window.Window {
+	for ; n != nil; n = n.children[0] {
+		if n.IsWV() {
+			wins = append(wins, n.WV.Win)
+			continue
 		}
-		if nd.IsWV() {
-			seen[nd.WV.Win.ID] = nd.WV.Win
-		}
-		walk(nd.children[0])
-		walk(nd.children[1])
+		wins = appendWindows(wins, n.children[CompletionEdge])
 	}
-	walk(n)
-	wins := make([]*window.Window, 0, len(seen))
-	for _, w := range seen {
-		wins = append(wins, w)
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i].ID < wins[j].ID })
 	return wins
 }
 
@@ -327,23 +329,23 @@ func (t *Tree) dropSubtree(n *Node) {
 // linear chain of the same dependent windows under wv's own suppression
 // set. Used after a rollback: the dependents were built on assumptions the
 // rolled-back version is about to recompute. It returns the fresh
-// versions.
+// versions, in scratch the tree owns: the slice is valid until the next
+// NewWindow, CGCreated or RebuildBelow.
 func (t *Tree) RebuildBelow(wv *WindowVersion) []*WindowVersion {
-	n := wv.node
-	if n == nil || n.detached {
+	n := &wv.node
+	if n.WV == nil || n.detached {
 		return nil
 	}
 	old := n.children[0]
 	if old == nil {
 		return nil
 	}
-	wins := windowsInSubtree(old)
+	wins := t.windowsInSubtree(old)
 	t.dropSubtree(old)
 	n.children[0] = nil
-	var created []*WindowVersion
-	chain := t.freshChain(wins, wv.Suppressed, &created)
-	link(n, 0, chain)
-	return created
+	t.created = t.created[:0]
+	link(n, 0, t.freshChain(wins, wv.Suppressed))
+	return t.created
 }
 
 // PopRoot removes the root vertex (its window is fully resolved and

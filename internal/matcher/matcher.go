@@ -262,6 +262,15 @@ func (r *run) bind(fi int, ev *event.Event) {
 	r.lastFlat = int32(fi)
 }
 
+// unbind drops every binding. It nils the bound prefix of the backing, so
+// no entry past a run's bindings ever points at an event: a run kept for
+// reuse pins no arena chunk once unbound.
+func (r *run) unbind() {
+	clear(r.events)
+	r.events = r.events[:0]
+	clear(r.spans)
+}
+
 // usesAny reports whether the run has bound any event in seqs (sorted).
 func (r *run) usesAny(seqs []uint64) bool {
 	for _, ev := range r.events {
@@ -298,8 +307,7 @@ func (s *State) newRun() *run {
 		// A run that never bound an event — a failed start, the common
 		// case — still has all-zero spans.
 		if len(r.events) > 0 {
-			r.events = r.events[:0]
-			clear(r.spans)
+			r.unbind()
 		}
 		return r
 	}
@@ -309,6 +317,24 @@ func (s *State) newRun() *run {
 // recycle returns a run to the freelist.
 func (s *State) recycle(r *run) {
 	s.free = append(s.free, r)
+}
+
+// Reset returns the state to what NewState returns — no open run, run
+// ids from zero, detection not stopped — and keeps its buffers: open runs
+// move to the freelist. Every run is unbound, so a state kept for reuse
+// holds no event.
+func (s *State) Reset() {
+	for _, r := range s.runs {
+		s.recycle(r)
+	}
+	clear(s.runs)
+	s.runs = s.runs[:0]
+	for _, r := range s.free {
+		if len(r.events) > 0 {
+			r.unbind()
+		}
+	}
+	s.nextID, s.stopped = 0, false
 }
 
 // Clone deep-copies the state. Each cloned run is two slice copies, so
@@ -675,21 +701,27 @@ func (s *State) boundStep(r *run, ev *event.Event) *pattern.Step {
 	return s.c.steps[r.lastFlat]
 }
 
-// buildMatch assembles the Match for a completed run: three allocations
-// whatever the match length.
+// buildMatch assembles the Match for a completed run: two allocations
+// whatever the match length, the Match and one backing that Constituents
+// and Consumed split. Each slice's capacity ends where its length does,
+// so an append to one cannot write into the other.
 func (s *State) buildMatch(r *run, completedAt *event.Event) *Match {
-	m := &Match{
-		CompletedAt:  completedAt,
-		Constituents: append(make([]*event.Event, 0, len(r.events)), r.events...),
-	}
+	n, nc := len(r.events), 0
 	for fi, sp := range r.spans {
-		if sp.n == 0 || !s.c.steps[fi].Consume {
-			continue
+		if s.c.steps[fi].Consume {
+			nc += int(sp.n)
 		}
-		if m.Consumed == nil {
-			m.Consumed = make([]*event.Event, 0, len(r.events))
+	}
+	all := make([]*event.Event, n, n+nc)
+	copy(all, r.events)
+	m := &Match{CompletedAt: completedAt, Constituents: all[:n:n]}
+	if nc > 0 {
+		m.Consumed = all[n : n : n+nc]
+		for fi, sp := range r.spans {
+			if sp.n > 0 && s.c.steps[fi].Consume {
+				m.Consumed = append(m.Consumed, r.events[sp.start:sp.start+sp.n]...)
+			}
 		}
-		m.Consumed = append(m.Consumed, r.events[sp.start:sp.start+sp.n]...)
 	}
 	// Sequence numbers are unique, so the order is total.
 	slices.SortFunc(m.Constituents, bySeq)
@@ -721,8 +753,7 @@ func (s *State) leaderConsumed(r *run, m *Match) bool {
 func (s *State) resetAfterLeader(r *run) {
 	leadFlat := s.c.elems[0].flat[0]
 	lead := r.events[r.spans[leadFlat].start]
-	r.events = r.events[:0]
-	clear(r.spans)
+	r.unbind()
 	r.events = append(r.events, lead)
 	r.spans[leadFlat] = span{start: 0, n: 1}
 	r.lastFlat = int32(leadFlat)

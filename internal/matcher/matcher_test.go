@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -686,8 +687,8 @@ func TestProcessAllocs(t *testing.T) {
 	}
 }
 
-// TestBuildMatchAllocs guards match building: the Match, its Constituents
-// and its Consumed slice, whatever the match length.
+// TestBuildMatchAllocs guards match building: the Match and the one
+// backing its Constituents and Consumed share, whatever the match length.
 func TestBuildMatchAllocs(t *testing.T) {
 	for _, length := range []int{2, 64, 640} {
 		steps := make([]pattern.Step, length)
@@ -705,8 +706,8 @@ func TestBuildMatchAllocs(t *testing.T) {
 		}
 		r, last := s.runs[0], mk(uint64(length), 1)
 		var m *Match
-		if n := testing.AllocsPerRun(50, func() { m = s.buildMatch(r, last) }); n > 3 {
-			t.Errorf("length %d: buildMatch = %v allocs, want ≤ 3", length, n)
+		if n := testing.AllocsPerRun(50, func() { m = s.buildMatch(r, last) }); n > 2 {
+			t.Errorf("length %d: buildMatch = %v allocs, want ≤ 2", length, n)
 		}
 		if len(m.Constituents) != length-1 {
 			t.Fatalf("length %d: %d constituents, want %d", length, len(m.Constituents), length-1)
@@ -714,6 +715,56 @@ func TestBuildMatchAllocs(t *testing.T) {
 		for i := 1; i < len(m.Constituents); i++ {
 			if m.Constituents[i-1].Seq >= m.Constituents[i].Seq {
 				t.Fatalf("length %d: constituents out of sequence order", length)
+			}
+		}
+	}
+}
+
+// TestResetMatchesNewState: a state reset after detecting matches —
+// stopped by one, or holding open runs — behaves exactly as a new one
+// over the same stream, and keeps no event reachable through its runs,
+// past their bindings or not.
+func TestResetMatchesNewState(t *testing.T) {
+	stream := []event.Type{1, 2, 1, 2, 2, 3, 1, 2, 2, 2, 1, 2}
+	feed := func(s *State) []Feedback {
+		var all, fb []Feedback
+		for i, ty := range stream {
+			fb = s.Process(mk(uint64(i), ty), fb[:0])
+			all = append(all, fb...)
+		}
+		return all
+	}
+	for _, onDone := range []pattern.CompletionBehavior{pattern.StopAfterMatch, pattern.RestartAfterLeader} {
+		c := compileSeq(t, pattern.SelectionPolicy{OnCompletion: onDone},
+			pattern.Step{Name: "A", Types: []event.Type{1}, Consume: true},
+			pattern.Step{Name: "B", Types: []event.Type{2}, Quant: pattern.OneOrMore},
+			pattern.Step{Name: "C", Types: []event.Type{3}, Consume: true},
+		)
+		used := c.NewState()
+		if feed(used); !used.Stopped() && used.OpenRuns() == 0 {
+			t.Fatalf("%v: setup left the state neither stopped nor with open runs", onDone)
+		}
+		used.Reset()
+		if used.OpenRuns() != 0 || used.Stopped() || used.nextID != 0 {
+			t.Fatalf("%v: reset state has %d open runs, stopped %v, next run id %d", onDone, used.OpenRuns(), used.Stopped(), used.nextID)
+		}
+		for _, r := range used.free {
+			if slices.ContainsFunc(r.events[:cap(r.events)], func(ev *event.Event) bool { return ev != nil }) {
+				t.Fatalf("%v: a reset state's run still points at an event", onDone)
+			}
+			if slices.ContainsFunc(r.spans, func(sp span) bool { return sp.n != 0 }) {
+				t.Fatalf("%v: a reset state's run still has bindings", onDone)
+			}
+		}
+		got, want := feed(used), feed(c.NewState())
+		if len(got) != len(want) {
+			t.Fatalf("%v: reset state gave %d feedback items, a new state %d", onDone, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Kind != w.Kind || g.Run != w.Run || g.Delta != w.Delta || g.PrevDelta != w.PrevDelta ||
+				(g.Event == nil) != (w.Event == nil) || g.Event != nil && g.Event.Seq != w.Event.Seq {
+				t.Fatalf("%v: feedback %d: reset state %+v, new state %+v", onDone, i, g, w)
 			}
 		}
 	}

@@ -124,11 +124,13 @@ func (e *Engine) applyFeedback(fb []matcher.Feedback, st *matcher.State, w *wind
 				WindowID:   w.ID,
 				DetectedAt: m.CompletedAt.Seq,
 			}
-			ce.Constituents = make([]uint64, len(m.Constituents))
+			// One backing for both slices, each capped at its length.
+			n := len(m.Constituents)
+			seqs := make([]uint64, n+len(m.Consumed))
+			ce.Constituents, ce.Consumed = seqs[:n:n], seqs[n:]
 			for j, c := range m.Constituents {
 				ce.Constituents[j] = c.Seq
 			}
-			ce.Consumed = make([]uint64, len(m.Consumed))
 			for j, c := range m.Consumed {
 				ce.Consumed[j] = c.Seq
 			}

@@ -100,6 +100,9 @@ type Manager struct {
 	// splitter's average window size).
 	sizeSum   float64
 	sizeCount int
+
+	// opened and resolved are Observe's results, reused across calls.
+	opened, resolved []*Window
 }
 
 // NewManager returns a manager for spec. The spec must be valid.
@@ -112,8 +115,9 @@ func (m *Manager) Spec() pattern.WindowSpec { return m.spec }
 
 // Observe ingests the next event and reports newly opened windows and
 // windows whose end boundary just became known. The returned slices are
-// only valid until the next call.
+// scratch the manager owns, only valid until the next call.
 func (m *Manager) Observe(ev *event.Event) (opened, resolved []*Window) {
+	opened, resolved = m.opened[:0], m.resolved[:0]
 	// Resolve pending duration windows first: a window scoped `WITHIN d`
 	// ends right before the first event at or past StartTS+d.
 	if m.spec.EndKind == pattern.EndDuration {
@@ -148,6 +152,7 @@ func (m *Manager) Observe(ev *event.Event) (opened, resolved []*Window) {
 		}
 		opened = append(opened, w)
 	}
+	m.opened, m.resolved = opened, resolved
 	return opened, resolved
 }
 

@@ -247,24 +247,45 @@ func header(hdr []byte) (n int, crc uint32, err error) {
 
 func checkCRC(payload []byte, want uint32) error {
 	if got := crc32.Checksum(payload, crcTable); got != want {
-		return &FrameError{Reason: fmt.Sprintf("checksum mismatch: frame says %08x, payload is %08x", want, got)}
+		return checksumError(want, got)
 	}
 	return nil
 }
 
+func checksumError(want, got uint32) error {
+	return &FrameError{Reason: fmt.Sprintf("checksum mismatch: frame says %08x, payload is %08x", want, got)}
+}
+
 // ReadFrame reads the next frame from r into scratch, reallocating when it
-// is too small; body aliases the buffer used. A bad length or checksum is a
-// *FrameError, a short read the io error (io.EOF only on a frame boundary).
+// is too small; body aliases the buffer used, from its first byte, so
+// passing body[:0] back as the next scratch keeps its full capacity and an
+// equal-sized frame allocates nothing. A bad length or checksum is a
+// *FrameError, a short read the io error (io.EOF only on a frame
+// boundary).
 func ReadFrame(r io.Reader, scratch []byte) (kind byte, body []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header and the kind byte (a payload has at least one) are read
+	// into the buffer, then the body over them: it lands at the buffer's
+	// start, and no header array escapes to the heap.
+	buf := scratch[:0]
+	if cap(buf) < frameHeader+1 {
+		buf = make([]byte, 0, frameHeader+1)
+	}
+	hdr := buf[:frameHeader+1]
+	if got, err := io.ReadFull(r, hdr); err != nil {
+		if got >= frameHeader {
+			if _, _, herr := header(hdr); herr != nil {
+				return 0, nil, herr
+			}
+		}
 		return 0, nil, err
 	}
-	n, crc, err := header(hdr[:])
+	n, crc, err := header(hdr)
 	if err != nil {
 		return 0, nil, err
 	}
-	buf := scratch[:0]
+	kind = hdr[frameHeader]
+	sum := crc32.Update(0, crcTable, hdr[frameHeader:])
+	n-- // the body, past the kind byte
 	for len(buf) < n {
 		step := min(n-len(buf), readChunk)
 		if cap(buf)-len(buf) < step {
@@ -278,10 +299,10 @@ func ReadFrame(r io.Reader, scratch []byte) (kind byte, body []byte, err error) 
 		}
 		buf = buf[:len(buf)+step]
 	}
-	if err := checkCRC(buf, crc); err != nil {
-		return 0, nil, err
+	if sum = crc32.Update(sum, crcTable, buf); sum != crc {
+		return 0, nil, checksumError(crc, sum)
 	}
-	return buf[0], buf[1:], nil
+	return kind, buf, nil
 }
 
 // NextFrame splits the first frame off data, which holds frames back to

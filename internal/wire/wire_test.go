@@ -163,6 +163,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameReusesScratch: a reader that passes body[:0] back, as
+// every link does, reads each equal-sized frame after the first with no
+// allocation, whether the body is empty, small or chunk-sized.
+func TestReadFrameReusesScratch(t *testing.T) {
+	for _, size := range []int{0, 3, 200, 64 << 10} {
+		frame, err := AppendFrame(nil, 9, bytes.Repeat([]byte{0x5A}, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(frame)
+		var scratch []byte
+		read := func() {
+			r.Reset(frame)
+			kind, body, err := ReadFrame(r, scratch)
+			if err != nil || kind != 9 || len(body) != size {
+				t.Fatalf("size %d: kind %d, %d bytes, err %v", size, kind, len(body), err)
+			}
+			scratch = body[:0]
+		}
+		read()
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("size %d: %v allocs per frame after the first, want 0", size, n)
+		}
+	}
+}
+
 func isFrameError(err error) bool {
 	var fe *FrameError
 	return errors.As(err, &fe)
