@@ -199,9 +199,11 @@ func (h *ClusterHandle) Name() string { return h.name }
 // Shards returns how many shards the query runs on.
 func (h *ClusterHandle) Shards() int { return h.shards }
 
-// Feed routes one event to its shard's worker. The coordinator retains
-// events until a worker write-ahead log provably covers them, so
-// feeding never blocks on worker liveness; backpressure is the link's.
+// Feed routes one event to its shard's worker. The coordinator keeps
+// each shard's events from the latest cut its worker reported, so
+// feeding never blocks on worker liveness and a crashed or moved shard
+// replays from that cut. Nothing bounds what a lagging worker leaves
+// retained and queued yet.
 func (h *ClusterHandle) Feed(ctx context.Context, ev Event) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -231,10 +233,10 @@ func (h *ClusterHandle) Drain(ctx context.Context) error {
 }
 
 // ClusterWorker is a worker process's side of a cluster membership: it
-// executes shard assignments shipped by the coordinator, each as an
-// independent durable single-shard pipeline, and hands its state back
-// (write-ahead log export) when the coordinator rebalances a shard
-// away.
+// executes shard assignments shipped by the coordinator, each as a plain
+// single-shard pipeline started from the shard's latest cut, and reports
+// its cuts back. It keeps no write-ahead log: the coordinator's retained
+// events are the shard's journal, and moving a shard away aborts it here.
 type ClusterWorker = cluster.Worker
 
 // JoinCluster dials the coordinator at addr and joins as a worker,

@@ -16,6 +16,7 @@ import (
 
 	"github.com/spectrecep/spectre/internal/core"
 	"github.com/spectrecep/spectre/internal/dataset"
+	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/parser"
 	"github.com/spectrecep/spectre/internal/shard"
@@ -33,8 +34,9 @@ type refOp struct {
 	match    event.Complex
 }
 
-// refRun builds the reference output: each shard's substream through a
-// local single-shard core run (capturing the exact emit/advance
+// refRun builds the reference output: each shard's substream, stamped
+// with its positions as the coordinator stamps it, through a local
+// single-shard core run journaled upstream (capturing the exact emit/cut
 // interleaving), then the same ordered merge the coordinator uses.
 func refRun(t *testing.T, reg *event.Registry, text string, route func(*event.Event) int, nShards int, events []event.Event) []string {
 	t.Helper()
@@ -43,7 +45,9 @@ func refRun(t *testing.T, reg *event.Registry, text string, route func(*event.Ev
 	subs := make([][]event.Event, nShards)
 	for i := range events {
 		s := route(&events[i])
-		subs[s] = append(subs[s], events[i])
+		ev := events[i]
+		ev.Seq = uint64(len(subs[s]))
+		subs[s] = append(subs[s], ev)
 	}
 	ops := make([][]refOp, nShards)
 	for s := 0; s < nShards; s++ {
@@ -54,9 +58,9 @@ func refRun(t *testing.T, reg *event.Registry, text string, route func(*event.Ev
 		}
 		cfg := core.Config{
 			Reg: reg,
-			OnAdvance: func(b uint64) {
-				ops[s] = append(ops[s], refOp{advance: true, boundary: b})
-			},
+			Upstream: &core.Upstream{OnCut: func(c *durable.CutRecord) {
+				ops[s] = append(ops[s], refOp{advance: true, boundary: c.Boundary})
+			}},
 		}
 		h, err := rt.Submit(q, cfg, nil, 1, func(m event.Complex) {
 			ops[s] = append(ops[s], refOp{match: m.Clone()})

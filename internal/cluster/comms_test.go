@@ -64,9 +64,10 @@ func startClusterOpts(t *testing.T, reg *event.Registry, n int, opts Options, wo
 // protocol-mismatch error frame and no link, and such a coordinator's
 // welcome fails Join with a typed *Error.
 func TestHandshakeRefusesOldPeer(t *testing.T) {
-	// v4 dropped the assign frame's flags byte; v3 peers still send it.
-	if protoVersion != 4 {
-		t.Fatalf("protoVersion = %d, want 4", protoVersion)
+	// v5 put a cut on the assign and progress frames; v4 peers send a
+	// bare boundary and expect a handoff.
+	if protoVersion != 5 {
+		t.Fatalf("protoVersion = %d, want 5", protoVersion)
 	}
 	for _, peer := range []uint32{protoVersion - 1, protoVersion + 1} {
 		t.Run(fmt.Sprintf("v%d", peer), func(t *testing.T) {
@@ -176,12 +177,14 @@ func TestPushdownFilters(t *testing.T) {
 
 	// Routing is synchronous, so the counters are final once the feed
 	// returns; sample before drain (finished queries leave the table).
+	// Cuts drop retained events as the workers advance; the retained
+	// ordinals count every event ever kept.
 	cl.c.mu.Lock()
-	var filtered, retained uint64
+	var filtered, kept uint64
 	for _, q := range cl.c.queries {
 		filtered += q.filtered
 		for _, s := range q.shards {
-			retained += uint64(len(s.retained))
+			kept += s.retained.end()
 		}
 	}
 	cl.c.mu.Unlock()
@@ -189,8 +192,8 @@ func TestPushdownFilters(t *testing.T) {
 	if filtered == 0 {
 		t.Fatal("pushdown dropped nothing — plan filter never engaged")
 	}
-	if filtered+retained != uint64(len(events)) {
-		t.Fatalf("filtered %d + retained %d != %d fed", filtered, retained, len(events))
+	if filtered+kept != uint64(len(events)) {
+		t.Fatalf("filtered %d + kept %d != %d fed", filtered, kept, len(events))
 	}
 	t.Logf("pushdown dropped %d of %d events at the coordinator", filtered, len(events))
 }
@@ -269,6 +272,37 @@ func TestSharedStreamDedup(t *testing.T) {
 	// Direct feeds must be rejected on stream-attached queries.
 	if err := subs[0].h.Feed(events[0]); err == nil {
 		t.Fatal("direct feed on a stream-attached query succeeded")
+	}
+}
+
+// TestSharedStreamPlacement: Submit spreads each stream-attached query's
+// shards over the workers by load, and co-locates the next query's
+// shards with the first's (so their pages dedup) — it never stacks a
+// query on one worker for a later move to undo.
+func TestSharedStreamPlacement(t *testing.T) {
+	gc := goldenCases[0]
+	reg := event.NewRegistry()
+	route := gc.route(reg)
+	cl := startCluster(t, reg, 2)
+	st := cl.c.OpenStream()
+	for i := 0; i < 2; i++ {
+		distSubmitStream(t, cl.c, st, fmt.Sprintf("%s%d", gc.name, i), gc.text, route, distShards)
+	}
+	cl.c.mu.Lock()
+	defer cl.c.mu.Unlock()
+	for _, q := range st.queries {
+		owned := map[uint32]int{}
+		for i, s := range q.shards {
+			owned[s.owner.id]++
+			if first := st.queries[0].shards[i].owner; s.owner != first {
+				t.Fatalf("%s shard %d on worker %d, the first query's on %d", q.name, i, s.owner.id, first.id)
+			}
+		}
+		for _, w := range cl.workers {
+			if owned[w.ID()] != distShards/2 {
+				t.Fatalf("%s: worker %d owns %d of %d shards at submit: %v", q.name, w.ID(), owned[w.ID()], distShards, owned)
+			}
+		}
 	}
 }
 

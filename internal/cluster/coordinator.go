@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/parser"
 	"github.com/spectrecep/spectre/internal/plan"
@@ -55,12 +56,16 @@ func (o *Options) setDefaults() {
 // the returned emission streams into sequential-equivalent order
 // (DESIGN.md §12).
 //
+// The coordinator is each shard's only journal: it retains the shard's
+// events from the latest cut its owner reported, drops them
+// below each new cut's boundary, and starts every assignment from that
+// cut.
+//
 // One mutex guards all placement and merge state. Frame writes never
 // happen under it: each link has an unbounded outbound queue drained by a
 // writer goroutine, so a stalled worker can never deadlock the feed path
-// against the emission readers (the queue's memory is bounded by the
-// retained-event buffers, which the coordinator keeps anyway for
-// replay-on-reassignment).
+// against the emission readers. Nothing bounds that queue, or the
+// retention of a shard whose owner lags behind the feed, yet.
 type Coordinator struct {
 	reg  *event.Registry
 	opts Options
@@ -83,17 +88,10 @@ type Coordinator struct {
 
 // workerLink is one joined worker connection.
 type workerLink struct {
+	link
 	id       uint32
 	name     string
 	capacity int
-	conn     net.Conn
-
-	// Outbound frame queue (qmu): encoded frames in send order.
-	qmu     sync.Mutex
-	qcond   *sync.Cond
-	queue   [][]byte
-	qclosed bool
-	qdone   chan struct{} // closed with the queue; wakes the heartbeat loop
 
 	// Coordinator-mutex guarded placement state.
 	load                  int
@@ -104,19 +102,10 @@ type workerLink struct {
 	pageSeq uint64
 	stage   *pageStage
 
-	// Transport counters (atomic: writeLoop and readLink update them
-	// outside c.mu).
-	bytesSent     atomic.Uint64
-	bytesRecv     atomic.Uint64
-	framesSent    atomic.Uint64
-	framesRecv    atomic.Uint64
+	// Event counters (atomic: Stats reads them outside c.mu).
 	eventsSent    atomic.Uint64
 	eventsDeduped atomic.Uint64
 }
-
-// framePool recycles encoded outbound frame buffers: enqueue draws from
-// it, writeLoop returns each buffer after the connection write.
-var framePool = sync.Pool{New: func() any { return []byte(nil) }}
 
 // LinkStats is a point-in-time snapshot of one worker link's transport
 // counters (Coordinator.Stats).
@@ -190,36 +179,31 @@ type queryState struct {
 
 // shardRun is the coordinator-side state of one placed shard.
 type shardRun struct {
-	owner     *workerLink // nil while unassigned
-	ready     bool        // assignment acknowledged; the pump may send
-	quiescing bool        // quiesce sent, handoff pending
-	target    *workerLink // preferred owner once the handoff lands
+	owner *workerLink // nil while unassigned
+	// ready is set by the owner's ready frame: the pump may send, and the
+	// owner's frames belong to this assignment. Frames of an earlier
+	// assignment on the same link precede the ready frame and are ignored.
+	ready bool
 
 	// routed counts every event routed to this shard — dropped ones
 	// included — so raw substream positions stay dense in the merge's
 	// gpos table while retained stays sparse under pushdown.
 	routed uint64
-	// retained buffers every admitted event from base onward, each
-	// stamped with its raw position in Seq; it is the replay source for
-	// crash reassignment and is truncated only when a ready frame proves
-	// the new owner's WAL journal covers the prefix.
-	retained []event.Event
-	// base is the raw-position floor of retained: every retained event
-	// has Seq ≥ base, and resume positions below it are protocol errors.
-	base uint64
-	// sent indexes the next unsent retained event.
-	sent int
-	// gen increments on every assignment and prune; staged shared-stream
-	// reference lists are valid only for the generation they were built
-	// in.
+	// retained is the shard's journal: every admitted event from the
+	// latest cut's boundary on, stamped with its raw position in Seq and
+	// addressed by its admission ordinal.
+	retained tail[event.Event]
+	// cut is the latest cut the shard's owner reported (the zero cut
+	// before the first root pop); every assignment starts from it.
+	cut durable.CutRecord
+	// sent is the ordinal of the next unsent retained event.
+	sent uint64
+	// gen increments on every assignment; staged shared-stream reference
+	// lists are valid only for the generation they were built in.
 	gen uint64
 
 	// accepted counts accepted emissions (the ordinal dedupe cursor R[s]).
 	accepted uint64
-	// snap/snapW hold the latest handed-off WAL snapshot and its emission
-	// watermark; reassignments seed from them.
-	snap  []byte
-	snapW uint64
 
 	closeSent bool
 	drained   bool
@@ -384,16 +368,14 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	w := &workerLink{
 		name:     hello.Name,
 		capacity: int(hello.Capacity),
-		conn:     conn,
 	}
+	w.init(conn)
 	if w.capacity <= 0 {
 		w.capacity = 1
 	}
 	if w.name == "" {
 		w.name = conn.RemoteAddr().String()
 	}
-	w.qcond = sync.NewCond(&w.qmu)
-	w.qdone = make(chan struct{})
 
 	c.mu.Lock()
 	if c.closed {
@@ -424,7 +406,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	}()
 	go func() {
 		defer c.wg.Done()
-		c.heartbeatLink(w)
+		w.heartbeat(c.opts.Heartbeat)
 	}()
 
 	c.mu.Lock()
@@ -436,89 +418,16 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	c.readLink(w)
 }
 
-// enqueue stages one encoded frame on the link's outbound queue. The
-// body is copied into a pooled frame buffer immediately, so callers may
-// reuse their encode scratch.
-func (w *workerLink) enqueue(kind byte, body []byte) {
-	buf, _ := framePool.Get().([]byte)
-	frame, err := wire.AppendFrame(buf[:0], kind, body)
-	if err != nil {
-		framePool.Put(frame) //nolint:staticcheck // same backing array
-		return
-	}
-	w.qmu.Lock()
-	if !w.qclosed {
-		w.queue = append(w.queue, frame)
-		w.qcond.Signal()
-	}
-	w.qmu.Unlock()
-}
-
-func (w *workerLink) closeQueue() {
-	w.qmu.Lock()
-	if !w.qclosed {
-		w.qclosed = true
-		close(w.qdone)
-	}
-	w.qcond.Signal()
-	w.qmu.Unlock()
-}
-
-// writeLoop drains the outbound queue onto the connection.
-func (w *workerLink) writeLoop() {
-	for {
-		w.qmu.Lock()
-		for len(w.queue) == 0 && !w.qclosed {
-			w.qcond.Wait()
-		}
-		if w.qclosed && len(w.queue) == 0 {
-			w.qmu.Unlock()
-			return
-		}
-		batch := w.queue
-		w.queue = nil
-		w.qmu.Unlock()
-		for _, frame := range batch {
-			if _, err := w.conn.Write(frame); err != nil {
-				// The read side observes the broken link and runs the
-				// teardown; here we only stop draining.
-				w.closeQueue()
-				return
-			}
-			w.bytesSent.Add(uint64(len(frame)))
-			w.framesSent.Add(1)
-			framePool.Put(frame) //nolint:staticcheck // recycled via Get
-		}
-	}
-}
-
-// heartbeatLink keeps the link alive while no data flows.
-func (c *Coordinator) heartbeatLink(w *workerLink) {
-	t := time.NewTicker(c.opts.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.qdone:
-			return
-		case <-t.C:
-			w.enqueue(kindHeartbeat, nil)
-		}
-	}
-}
-
 // readLink is the per-link reader; any error tears the worker down and
 // reassigns its shards.
 func (c *Coordinator) readLink(w *workerLink) {
 	var scratch []byte
 	for {
-		_ = w.conn.SetReadDeadline(time.Now().Add(linkTimeoutFactor * c.opts.Heartbeat))
-		kind, body, err := wire.ReadFrame(w.conn, scratch)
+		kind, body, err := w.read(linkTimeoutFactor*c.opts.Heartbeat, scratch)
 		if err != nil {
 			c.workerLost(w, err)
 			return
 		}
-		w.bytesRecv.Add(uint64(wire.FrameOverhead + len(body)))
-		w.framesRecv.Add(1)
 		scratch = body[:0]
 		if err := c.dispatch(w, kind, body); err != nil {
 			c.opts.Logf("cluster: worker %d (%s): %v", w.id, w.name, err)
@@ -533,11 +442,12 @@ func (c *Coordinator) dispatch(w *workerLink, kind byte, body []byte) error {
 	case kindHeartbeat:
 		return nil
 	case kindReady:
-		m, err := decodeReady(body)
+		m, err := decodeShardMsg(body)
 		if err != nil {
 			return err
 		}
-		return c.handleReady(w, &m)
+		c.handleReady(w, &m)
+		return nil
 	case kindEmit:
 		m, err := decodeEmit(body)
 		if err != nil {
@@ -549,15 +459,7 @@ func (c *Coordinator) dispatch(w *workerLink, kind byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		c.handleProgress(w, &m)
-		return nil
-	case kindHandoff:
-		m, err := decodeHandoff(body)
-		if err != nil {
-			return err
-		}
-		c.handleHandoff(w, &m)
-		return nil
+		return c.handleProgress(w, &m)
 	case kindDrained:
 		m, err := decodeShardMsg(body)
 		if err != nil {
@@ -592,25 +494,11 @@ func (c *Coordinator) workerLost(w *workerLink, cause error) {
 	}
 	for _, q := range c.queries {
 		for idx, s := range q.shards {
-			if s.target == w {
-				s.target = nil // the reservation died with the worker
-			}
 			if s.owner != w || s.drained {
 				continue
 			}
 			s.owner = nil
 			s.ready = false
-			s.closeSent = false
-			if s.quiescing {
-				// The handoff will never arrive; release the migration
-				// reservation and fall back to the crash path (stored
-				// snapshot + retained replay).
-				s.quiescing = false
-				if s.target != nil {
-					s.target.load--
-					s.target = nil
-				}
-			}
 			if next := c.pickWorkerFor(q); next != nil {
 				c.assignShard(q, idx, next)
 			}
@@ -624,12 +512,16 @@ func (c *Coordinator) workerLost(w *workerLink, cause error) {
 // pickWorkerFor returns the best live worker with spare capacity for a
 // shard of q, preferring — for shared-stream queries — the worker that
 // already owns the most shards of the stream's other queries (so pages
-// dedup across them), then least load, then lowest id. A nil q picks by
-// load alone (c.mu held).
+// dedup across them), then least load, then lowest id (c.mu held).
 func (c *Coordinator) pickWorkerFor(q *queryState) *workerLink {
 	shared := map[*workerLink]int{}
-	if q != nil && q.stream != nil {
+	if q.stream != nil {
 		for _, sq := range q.stream.queries {
+			if sq == q {
+				// Its own shards spread by load: counting them would
+				// stack the whole query on the first worker.
+				continue
+			}
 			for _, s := range sq.shards {
 				if s.owner != nil {
 					shared[s.owner]++
@@ -657,7 +549,7 @@ func (c *Coordinator) pickWorkerFor(q *queryState) *workerLink {
 func (c *Coordinator) placePending() {
 	for _, q := range c.queries {
 		for idx, s := range q.shards {
-			if s.owner != nil || s.drained || s.quiescing {
+			if s.owner != nil || s.drained {
 				continue
 			}
 			next := c.pickWorkerFor(q)
@@ -669,54 +561,48 @@ func (c *Coordinator) placePending() {
 	}
 }
 
-// rebalance migrates shards toward a newly joined worker until no worker
-// runs more than one shard above another (c.mu held). Migration is a
-// graceful handoff: quiesce on the old owner, WAL snapshot in flight,
-// resume on the target.
+// rebalance moves shards toward a newly joined worker until no worker
+// runs more than one shard of a query above another (c.mu held). Moving
+// is reassignment: the target starts from the shard's latest cut, and the
+// old owner is told to abort.
 func (c *Coordinator) rebalance(target *workerLink) {
 	for _, q := range c.queries {
-		for {
-			if target.load >= target.capacity {
-				return
-			}
-			var max *workerLink
-			var maxIdx int
+		for target.load < target.capacity {
 			// Count per-query ownership — balance each query's shards, not
 			// just the global load, so one query's pipeline parallelism
-			// actually grows when the fleet does. In-flight migrations
-			// count toward their target, or the same imbalance would be
-			// seen again and every shard would migrate.
+			// actually grows when the fleet does.
 			owned := make(map[*workerLink]int)
 			for _, s := range q.shards {
-				switch {
-				case s.quiescing && s.target != nil:
-					owned[s.target]++
-				case s.owner != nil:
+				if s.owner != nil {
 					owned[s.owner]++
 				}
 			}
-			for idx, s := range q.shards {
-				if s.owner == nil || s.owner == target || !s.ready ||
-					s.quiescing || s.drained || s.closeSent {
+			var from *workerLink
+			idx := 0
+			for i, s := range q.shards {
+				if s.owner == nil || s.owner == target || s.closeSent {
 					continue
 				}
-				if owned[s.owner] > owned[target]+1 {
-					if max == nil || owned[s.owner] > owned[max] {
-						max, maxIdx = s.owner, idx
-					}
+				if owned[s.owner] > owned[target]+1 && (from == nil || owned[s.owner] > owned[from]) {
+					from, idx = s.owner, i
 				}
 			}
-			if max == nil {
+			if from == nil {
 				break
 			}
-			s := q.shards[maxIdx]
-			s.quiescing = true
-			s.target = target
-			target.load++ // reserve the slot so placement stays stable
-			c.opts.Logf("cluster: migrating %s shard %d: worker %d -> %d", q.name, maxIdx, max.id, target.id)
-			max.enqueue(kindQuiesce, (&shardMsg{Query: q.id, Shard: uint32(maxIdx)}).encode(nil))
+			c.opts.Logf("cluster: moving %s shard %d: worker %d -> %d", q.name, idx, from.id, target.id)
+			c.moveShard(q, idx, target)
 		}
 	}
+}
+
+// moveShard reassigns shard idx of q to w and aborts it on its current
+// owner (c.mu held).
+func (c *Coordinator) moveShard(q *queryState, idx int, w *workerLink) {
+	old := q.shards[idx].owner
+	old.load--
+	old.enqueue(kindAbort, (&shardMsg{Query: q.id, Shard: uint32(idx)}).encode(nil))
+	c.assignShard(q, idx, w)
 }
 
 // ensureTables re-announces the registry name tables to a link when they
@@ -731,30 +617,27 @@ func (c *Coordinator) ensureTables(w *workerLink) {
 	w.typesSent, w.fieldsSent = len(m.Types), len(m.Fields)
 }
 
-// assignShard hands shard idx of q to w (c.mu held). The snapshot rides
-// along; emissions of the new life start at the snapshot watermark.
+// assignShard hands shard idx of q to w (c.mu held). The assignment
+// starts from the shard's latest cut; once w reports ready, the retained
+// events from the cut's boundary on are replayed to it.
 func (c *Coordinator) assignShard(q *queryState, idx int, w *workerLink) {
 	s := q.shards[idx]
 	s.owner = w
 	s.ready = false
 	s.closeSent = false
 	s.gen++
-	if s.target == w {
-		s.target = nil
-	} else {
-		w.load++
-	}
+	w.load++
 	c.ensureTables(w)
 	m := assignMsg{
-		Query:    q.id,
-		Shard:    uint32(idx),
-		NShards:  uint32(q.nShards),
-		EmitBase: s.snapW,
-		Name:     q.name,
-		Text:     q.text,
-		Snapshot: s.snap,
+		Query:   q.id,
+		Shard:   uint32(idx),
+		NShards: uint32(q.nShards),
+		Name:    q.name,
+		Text:    q.text,
+		Cut:     s.cut,
 	}
-	w.enqueue(kindAssign, m.encode(nil))
+	c.encBuf = m.encode(c.encBuf[:0])
+	w.enqueue(kindAssign, c.encBuf)
 }
 
 // pump ships retained events to the shard's owner: full batches always,
@@ -763,17 +646,17 @@ func (c *Coordinator) assignShard(q *queryState, idx int, w *workerLink) {
 // (sparse under pushdown) and projected fields. Must run with c.mu held.
 func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 	s := q.shards[idx]
-	if s.owner == nil || !s.ready || s.quiescing || s.drained {
+	if s.owner == nil || !s.ready || s.drained {
 		return
 	}
 	w := s.owner
 	for {
-		avail := len(s.retained) - s.sent
+		avail := s.retained.end() - s.sent
 		if avail == 0 || (!force && avail < wire.PageEvents) {
 			break
 		}
 		n := min(avail, wire.PageEvents)
-		evs := s.retained[s.sent : s.sent+n]
+		evs := s.retained.span(s.sent, s.sent+n)
 		c.ensureTables(w)
 		m := eventsMsg{Query: q.id, Shard: uint32(idx), Events: evs}
 		if q.projected {
@@ -784,7 +667,7 @@ func (c *Coordinator) pump(q *queryState, idx int, force bool) {
 		w.eventsSent.Add(uint64(n))
 		s.sent += n
 	}
-	if q.closing && !s.closeSent && s.sent == len(s.retained) {
+	if q.closing && !s.closeSent && s.sent == s.retained.end() {
 		w.enqueue(kindClose, (&shardMsg{Query: q.id, Shard: uint32(idx)}).encode(nil))
 		s.closeSent = true
 	}
@@ -817,7 +700,9 @@ func (c *Coordinator) flusher() {
 // --- worker frame handlers ----------------------------------------------
 
 // lookupShard resolves a worker frame to its shard, returning nil when the
-// frame is stale (query finished, shard reassigned).
+// frame is stale (query finished, shard reassigned). Callers other than
+// handleReady also drop the frames of an owner that is not ready yet:
+// they belong to an earlier assignment on the same link.
 func (c *Coordinator) lookupShard(w *workerLink, query, shard uint32) (*queryState, *shardRun) {
 	q := c.queries[query]
 	if q == nil || int(shard) >= len(q.shards) {
@@ -830,36 +715,18 @@ func (c *Coordinator) lookupShard(w *workerLink, query, shard uint32) (*querySta
 	return q, s
 }
 
-// handleReady records a recovered shard and catches its owner up. The
-// reported resume position proves the owner's WAL journal covers every
-// earlier event, so the retained prefix below it is dropped. Resume is a
-// raw substream position: under pushdown it may fall in a gap of dropped
-// events, so the prune finds the first retained event at or past it.
-func (c *Coordinator) handleReady(w *workerLink, m *readyMsg) error {
+// handleReady starts the replay: the owner runs the assignment, so the
+// retained events from the cut's boundary on go out to it.
+func (c *Coordinator) handleReady(w *workerLink, m *shardMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	q, s := c.lookupShard(w, m.Query, m.Shard)
-	if q == nil {
-		return nil
+	if q == nil || s.ready {
+		return
 	}
-	if m.Resume < s.base || m.Resume > s.routed {
-		return fmt.Errorf("shard %s/%d: resume %d outside retained [%d, %d]", q.name, m.Shard, m.Resume, s.base, s.routed)
-	}
-	drop := sort.Search(len(s.retained), func(i int) bool { return s.retained[i].Seq >= m.Resume })
-	if drop > 0 {
-		s.retained = append([]event.Event(nil), s.retained[drop:]...)
-	}
-	s.base = m.Resume
-	s.sent = 0
-	s.gen++
 	s.ready = true
+	s.sent = s.retained.head
 	c.pump(q, int(m.Shard), q.closing)
-	// A shard that was not ready at the last membership change was not a
-	// migration candidate then; retry toward the least-loaded worker now.
-	if next := c.pickWorkerFor(nil); next != nil {
-		c.rebalance(next)
-	}
-	return nil
 }
 
 // handleEmit accepts one match. The ordinal is the global per-shard
@@ -869,7 +736,7 @@ func (c *Coordinator) handleEmit(w *workerLink, m *emitMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	q, s := c.lookupShard(w, m.Query, m.Shard)
-	if q == nil {
+	if q == nil || !s.ready {
 		return nil
 	}
 	if m.Ordinal < s.accepted {
@@ -886,54 +753,31 @@ func (c *Coordinator) handleEmit(w *workerLink, m *emitMsg) error {
 	return nil
 }
 
-// handleProgress advances the shard's root-window bound in the merge.
-func (c *Coordinator) handleProgress(w *workerLink, m *progressMsg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	q, _ := c.lookupShard(w, m.Query, m.Shard)
-	if q == nil {
-		return
-	}
-	q.merge.progress(int(m.Shard), m.Boundary)
-	q.merge.release()
-}
-
-// handleHandoff installs the parked shard's WAL snapshot and re-places it.
-func (c *Coordinator) handleHandoff(w *workerLink, m *handoffMsg) {
+// handleProgress takes the owner's cut of one root pop: it becomes the
+// shard's latest cut, the retained events and merge positions below its
+// boundary are dropped, and the merge's bound advances. A boundary that
+// moves backwards or past the events routed or sent is a protocol error.
+func (c *Coordinator) handleProgress(w *workerLink, m *progressMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	q, s := c.lookupShard(w, m.Query, m.Shard)
-	if q == nil {
-		return
+	if q == nil || !s.ready {
+		return nil
 	}
-	s.snap = m.Snapshot
-	s.snapW = m.Watermark
-	if m.Watermark != s.accepted {
-		// Frames are FIFO per link, so a graceful handoff watermark always
-		// equals the accept cursor; log the impossible, then trust the
-		// ordinal dedupe to absorb it.
-		c.opts.Logf("cluster: handoff watermark %d != accepted %d for %s/%d", m.Watermark, s.accepted, q.name, m.Shard)
+	b := m.Cut.Boundary
+	if b < s.cut.Boundary || b > s.routed {
+		return fmt.Errorf("shard %s/%d: cut boundary %d outside [%d, %d]", q.name, m.Shard, b, s.cut.Boundary, s.routed)
 	}
-	w.load--
-	s.owner = nil
-	s.ready = false
-	s.quiescing = false
-	next := s.target
-	if next != nil && next.gone {
-		// The reserved slot died with the worker; fall through to a fresh
-		// pick below (workerLost already dropped the dangling target).
-		next = nil
-		s.target = nil
+	live := s.retained.span(s.retained.head, s.retained.end())
+	drop := s.retained.head + uint64(sort.Search(len(live), func(i int) bool { return live[i].Seq >= b }))
+	if drop > s.sent {
+		return fmt.Errorf("shard %s/%d: cut boundary %d past the events sent", q.name, m.Shard, b)
 	}
-	if next == nil {
-		next = c.pickWorkerFor(q)
-		if next == nil {
-			return // re-placed when the next worker joins
-		}
-		next.load++ // consumed by the s.target branch in assignShard
-		s.target = next
-	}
-	c.assignShard(q, int(m.Shard), next)
+	s.cut = m.Cut
+	s.retained.dropBefore(drop)
+	q.merge.progress(int(m.Shard), b)
+	q.merge.release()
+	return nil
 }
 
 // handleDrained finishes one shard's stream.
@@ -941,7 +785,7 @@ func (c *Coordinator) handleDrained(w *workerLink, m *shardMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	q, s := c.lookupShard(w, m.Query, m.Shard)
-	if q == nil || s.drained {
+	if q == nil || !s.ready || s.drained {
 		return
 	}
 	s.drained = true
@@ -1052,8 +896,8 @@ func (h *QueryHandle) Feed(ev event.Event) error {
 	return h.FeedBatch([]event.Event{ev})
 }
 
-// FeedBatch routes a batch of events. Events are retained until a worker
-// WAL provably covers them, so feeding never blocks on worker liveness.
+// FeedBatch routes a batch of events. Events are retained until a cut of
+// their shard passes them, so feeding never blocks on worker liveness.
 func (h *QueryHandle) FeedBatch(evs []event.Event) error {
 	c, q := h.c, h.q
 	c.mu.Lock()
@@ -1065,7 +909,7 @@ func (h *QueryHandle) FeedBatch(evs []event.Event) error {
 		return ErrClosed
 	}
 	for i := range evs {
-		if _, _, err := c.routeOne(q, &evs[i], false); err != nil {
+		if _, _, _, err := c.routeOne(q, &evs[i], false); err != nil {
 			return err
 		}
 	}
@@ -1076,34 +920,34 @@ func (h *QueryHandle) FeedBatch(evs []event.Event) error {
 // spends a raw substream position (the merge's gpos table must stay
 // complete), pushdown then decides whether it is retained at all, and
 // survivors are stamped with that raw position in Seq. It returns the
-// shard index and the retained index (-1 when dropped). deferPump
+// shard index and, when kept, the event's retained ordinal. deferPump
 // suppresses the eager full-batch pump — the shared-stream feeder stages
 // pages instead and flushes on its own cadence.
-func (c *Coordinator) routeOne(q *queryState, ev *event.Event, deferPump bool) (int, int, error) {
+func (c *Coordinator) routeOne(q *queryState, ev *event.Event, deferPump bool) (int, uint64, bool, error) {
 	idx := 0
 	if q.route != nil {
 		idx = q.route(ev)
 	}
 	if idx < 0 || idx >= q.nShards {
-		return 0, -1, fmt.Errorf("cluster: route returned shard %d of %d", idx, q.nShards)
+		return 0, 0, false, fmt.Errorf("cluster: route returned shard %d of %d", idx, q.nShards)
 	}
 	s := q.shards[idx]
 	local := q.merge.route(idx)
 	if local != s.routed {
-		return 0, -1, fmt.Errorf("cluster: shard %d position skew: merge %d, routed %d", idx, local, s.routed)
+		return 0, 0, false, fmt.Errorf("cluster: shard %d position skew: merge %d, routed %d", idx, local, s.routed)
 	}
 	s.routed++
 	if q.admit != nil && !q.admit(ev) {
 		q.filtered++
-		return idx, -1, nil
+		return idx, 0, false, nil
 	}
 	e := *ev
 	e.Seq = local
-	s.retained = append(s.retained, e)
-	if !deferPump && len(s.retained)-s.sent >= wire.PageEvents {
+	s.retained.push(e)
+	if !deferPump && s.retained.end()-s.sent >= wire.PageEvents {
 		c.pump(q, idx, false)
 	}
-	return idx, len(s.retained) - 1, nil
+	return idx, s.retained.end() - 1, true, nil
 }
 
 // Close ends the stream: every shard is flushed and closed, and Wait

@@ -17,8 +17,8 @@ import (
 // root), and root windows pop in stream order. The coordinator therefore
 // keys every match by the global stream position of the first event of
 // the root window it was emitted under: the per-shard progress stream
-// (Config.OnAdvance → kindProgress) announces each new root boundary in
-// exact interleaving with the emissions, and the gpos table maps the
+// (core.Upstream.OnCut → kindProgress) announces each new root boundary
+// in exact interleaving with the emissions, and the gpos table maps the
 // shard-local boundary to the global position of the event routed there.
 // Global positions are unique across shards (every event routes to
 // exactly one shard), so keys never tie and the merge order is total.
@@ -33,15 +33,14 @@ import (
 // mergeShard is the per-shard state of one ordered merge.
 type mergeShard struct {
 	// gpos maps the shard-local stream position of every event routed to
-	// this shard to its global stream position. Never truncated: a match
-	// regenerated after a crash handoff can detect below the resume
-	// position, and its window key must still resolve.
-	gpos []uint64
+	// this shard to its global stream position. Positions below the
+	// latest announced boundary are dropped: every later match keys at or
+	// past it.
+	gpos tail[uint64]
 	// curWin is the shard-local start position of the shard's current
-	// root window, as announced by the progress stream. It is not
-	// monotone across a crash replay (the replayed suffix re-announces
-	// earlier boundaries so regenerated matches key identically); the
-	// release low bound below is.
+	// root window, as announced by the progress stream. It is monotone:
+	// every assignment replays from the latest announced boundary, so a
+	// replay never re-announces an earlier one.
 	curWin uint64
 	// low is the monotone release bound: every future *accepted* match of
 	// this shard has a key at or above it.
@@ -77,8 +76,8 @@ func newOrderedMerge(n int, out func(event.Complex)) *orderedMerge {
 // shard s, and returns its shard-local position.
 func (m *orderedMerge) route(s int) uint64 {
 	sh := &m.shards[s]
-	local := uint64(len(sh.gpos))
-	sh.gpos = append(sh.gpos, m.fed)
+	local := sh.gpos.end()
+	sh.gpos.push(m.fed)
 	m.fed++
 	return local
 }
@@ -89,8 +88,8 @@ func (m *orderedMerge) route(s int) uint64 {
 // fed events (any future event routed here lands at or past it).
 func (m *orderedMerge) keyAt(s int, local uint64) uint64 {
 	sh := &m.shards[s]
-	if local < uint64(len(sh.gpos)) {
-		return sh.gpos[local]
+	if local < sh.gpos.end() {
+		return *sh.gpos.at(local)
 	}
 	return m.fed
 }
@@ -100,7 +99,7 @@ func (m *orderedMerge) keyAt(s int, local uint64) uint64 {
 // was never routed to this shard (a protocol violation).
 func (m *orderedMerge) emit(s int, match event.Complex) bool {
 	sh := &m.shards[s]
-	if match.DetectedAt >= uint64(len(sh.gpos)) {
+	if match.DetectedAt >= sh.gpos.end() {
 		return false
 	}
 	key := m.keyAt(s, sh.curWin)
@@ -111,13 +110,15 @@ func (m *orderedMerge) emit(s int, match event.Complex) bool {
 	return true
 }
 
-// progress records a root-pop boundary from shard s.
+// progress records a root-pop boundary from shard s; boundaries must not
+// decrease. Positions below it are dropped.
 func (m *orderedMerge) progress(s int, boundary uint64) {
 	sh := &m.shards[s]
 	sh.curWin = boundary
 	if k := m.keyAt(s, boundary); k > sh.low {
 		sh.low = k
 	}
+	sh.gpos.dropBefore(min(boundary, sh.gpos.end()))
 }
 
 // drained marks shard s's stream as ended.
@@ -162,5 +163,42 @@ func (m *orderedMerge) release() {
 			sh.next = 0
 		}
 		m.out(km.match)
+	}
+}
+
+// tail is an append-only sequence addressed by absolute ordinal whose
+// prefix can be dropped: ordinal i lives at buf[i-base], and ordinals
+// below head are dropped. Dropped entries stay in buf until they fill
+// half of it; then the live part is copied down, so each entry moves
+// O(1) times.
+type tail[T any] struct {
+	buf  []T
+	base uint64 // ordinal of buf[0]
+	head uint64 // first live ordinal
+}
+
+func (t *tail[T]) push(v T)    { t.buf = append(t.buf, v) }
+func (t *tail[T]) end() uint64 { return t.base + uint64(len(t.buf)) }
+
+// at returns the entry at live ordinal i.
+func (t *tail[T]) at(i uint64) *T { return &t.buf[i-t.base] }
+
+// span returns the live entries with ordinals in [from, to).
+func (t *tail[T]) span(from, to uint64) []T { return t.buf[from-t.base : to-t.base] }
+
+// live counts the entries not dropped.
+func (t *tail[T]) live() int { return int(t.end() - t.head) }
+
+// dropBefore drops every entry below ordinal i (head ≤ i ≤ end).
+func (t *tail[T]) dropBefore(i uint64) {
+	if i <= t.head {
+		return
+	}
+	t.head = i
+	if dead := int(t.head - t.base); dead > len(t.buf)/2 {
+		n := copy(t.buf, t.buf[dead:])
+		clear(t.buf[n:])
+		t.buf = t.buf[:n]
+		t.base = t.head
 	}
 }

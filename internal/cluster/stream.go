@@ -43,14 +43,14 @@ type refKey struct {
 
 // refList is one consumer's staged references: which staged events it
 // needs (stageIdx) and the raw sequence numbers they carry (seqs).
-// Entries record consecutive retained indexes starting at start in
-// generation gen; any retention churn in between marks the list broken.
+// Entries record consecutive retained ordinals starting at start in
+// generation gen; a reassignment in between marks the list broken.
 type refList struct {
 	q        *queryState
 	shard    int
 	gen      uint64
-	start    int
-	count    int
+	start    uint64
+	count    uint64
 	broken   bool
 	stageIdx []uint32
 	seqs     []uint64
@@ -77,16 +77,16 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			if q.closing || q.finished {
 				continue
 			}
-			idx, ridx, err := c.routeOne(q, ev, true)
+			idx, ord, kept, err := c.routeOne(q, ev, true)
 			if err != nil {
 				return err
 			}
-			if ridx < 0 {
+			if !kept {
 				continue
 			}
 			s := q.shards[idx]
 			w := s.owner
-			if w == nil || !s.ready || s.quiescing {
+			if w == nil || !s.ready {
 				continue
 			}
 			if w.stage == nil {
@@ -104,15 +104,15 @@ func (st *Stream) FeedBatch(evs []event.Event) error {
 			key := refKey{query: q.id, shard: uint32(idx)}
 			rl := w.stage.refs[key]
 			if rl == nil {
-				rl = &refList{q: q, shard: idx, gen: s.gen, start: ridx}
+				rl = &refList{q: q, shard: idx, gen: s.gen, start: ord}
 				w.stage.refs[key] = rl
 			}
-			if rl.gen != s.gen || rl.start+rl.count != ridx {
+			if rl.gen != s.gen || rl.start+rl.count != ord {
 				rl.broken = true
 			}
 			rl.count++
 			rl.stageIdx = append(rl.stageIdx, uint32(staged))
-			rl.seqs = append(rl.seqs, s.retained[ridx].Seq)
+			rl.seqs = append(rl.seqs, s.retained.at(ord).Seq)
 		}
 		if stagedOn != nil && len(stagedOn.stage.events) >= wire.PageEvents {
 			c.flushStage(stagedOn)
@@ -154,11 +154,11 @@ func (c *Coordinator) flushStage(w *workerLink) {
 		return
 	}
 	valid := make([]*refList, 0, len(st.refs))
-	total := 0
+	var total uint64
 	for _, rl := range st.refs {
 		s := rl.q.shards[rl.shard]
 		if rl.broken || rl.gen != s.gen || rl.start != s.sent ||
-			s.owner != w || !s.ready || s.quiescing || s.drained {
+			s.owner != w || !s.ready || s.drained {
 			continue
 		}
 		valid = append(valid, rl)
@@ -182,9 +182,9 @@ func (c *Coordinator) flushStage(w *workerLink) {
 			w.enqueue(kindPageRefs, c.encBuf)
 			rl.q.shards[rl.shard].sent += rl.count
 		}
-		w.eventsSent.Add(uint64(total))
-		if total > len(st.events) {
-			w.eventsDeduped.Add(uint64(total - len(st.events)))
+		w.eventsSent.Add(total)
+		if n := uint64(len(st.events)); total > n {
+			w.eventsDeduped.Add(total - n)
 		}
 	}
 	clearStage(st)

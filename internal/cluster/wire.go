@@ -7,23 +7,26 @@
 //   - A Coordinator owns the placement table (shard id → worker link),
 //     routes the submitted stream per shard, batches events per worker
 //     link, and re-interleaves the per-shard emission streams into one
-//     deterministic, sequential-equivalent order (ordered merge).
+//     deterministic, sequential-equivalent order (ordered merge). It is
+//     also each shard's only journal: it keeps the shard's events from
+//     the latest cut on, and drops the rest at every cut.
 //   - A Worker joins a coordinator over TCP, runs each assigned shard as
-//     an independent single-shard durable core runtime (WAL in memory),
-//     and streams emissions and progress watermarks back.
+//     a plain single-shard core runtime started from the cut the assign
+//     frame carries (core.Upstream), and streams emissions and cuts
+//     back.
 //
-// Rebalancing moves a shard between workers by shipping its WAL state
-// (durable.ExportShard) inside a handoff frame; the receiving worker
-// recovers through the ordinary crash-recovery path, with the
-// already-delivered emission prefix suppressed by watermark and any
-// crash-replayed overlap deduplicated by emission ordinal at the
-// coordinator.
+// Every assignment starts from the shard's latest cut, with the retained
+// events from its boundary replayed: a fresh shard, a crashed owner's
+// shard and a rebalanced one alike. Moving a shard is a reassignment plus
+// an abort to the old owner; matches the new owner regenerates below the
+// accept cursor are dropped by emission ordinal at the coordinator.
 package cluster
 
 import (
 	"io"
 	"math"
 
+	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/wire"
 )
@@ -34,8 +37,9 @@ import (
 //
 // v3: fixed-width integers little-endian (internal/wire). v4: the assign
 // frame lost its flags byte (every shard trusts the coordinator's
-// positions).
-const protoVersion = 4
+// positions). v5: assign and progress frames carry a cut, the
+// ready frame no resume position, and quiesce/handoff are retired.
+const protoVersion = 5
 
 // Frame kinds on a cluster link (the internal/wire frame; DESIGN.md "Wire
 // formats"). Control frames are fixed-width: they are rare. The event
@@ -55,15 +59,15 @@ const (
 	kindWelcome   byte = 2  // coordinator → worker: protocol, worker id
 	kindHeartbeat byte = 3  // both ways: liveness while idle
 	kindTables    byte = 4  // coordinator → worker: full type/field name tables
-	kindAssign    byte = 5  // coordinator → worker: run this shard (opt. snapshot)
-	kindReady     byte = 6  // worker → coordinator: shard recovered, resume position
+	kindAssign    byte = 5  // coordinator → worker: run this shard from a cut
+	kindReady     byte = 6  // worker → coordinator: assignment running; its frames follow
 	_             byte = 7  // retired (the fixed-width event batch); never reuse
 	kindEmit      byte = 8  // worker → coordinator: one match, with global ordinal
-	kindProgress  byte = 9  // worker → coordinator: root-pop boundary watermark
+	kindProgress  byte = 9  // worker → coordinator: the cut of one root pop
 	kindClose     byte = 10 // coordinator → worker: end of stream for shard
 	kindDrained   byte = 11 // worker → coordinator: shard fully drained
-	kindQuiesce   byte = 12 // coordinator → worker: park shard and hand it off
-	kindHandoff   byte = 13 // worker → coordinator: parked shard's WAL snapshot
+	_             byte = 12 // retired (quiesce: park a shard for handoff); never reuse
+	_             byte = 13 // retired (handoff: a parked shard's WAL); never reuse
 	kindAbort     byte = 14 // coordinator → worker: discard shard immediately
 	kindError     byte = 15 // either way: fatal protocol/assignment failure
 	kindEvents    byte = 16 // compact per-shard event batch
@@ -91,20 +95,16 @@ type tablesMsg struct {
 	Fields []string
 }
 
+// assignMsg starts a shard from Cut: the worker restores its consumption
+// marks, next window id and emission watermark (the first ordinal it
+// emits), and the coordinator replays the events from its boundary on.
 type assignMsg struct {
-	Query    uint32
-	Shard    uint32
-	NShards  uint32
-	EmitBase uint64
-	Name     string
-	Text     string
-	Snapshot []byte
-}
-
-type readyMsg struct {
-	Query  uint32
-	Shard  uint32
-	Resume uint64
+	Query   uint32
+	Shard   uint32
+	NShards uint32
+	Name    string
+	Text    string
+	Cut     durable.CutRecord
 }
 
 type emitMsg struct {
@@ -114,24 +114,18 @@ type emitMsg struct {
 	Match   event.Complex
 }
 
+// progressMsg is the cut of one root pop (core.Upstream.OnCut).
 type progressMsg struct {
-	Query    uint32
-	Shard    uint32
-	Boundary uint64
+	Query uint32
+	Shard uint32
+	Cut   durable.CutRecord
 }
 
-// shardMsg is the shared body of kindClose, kindDrained, kindQuiesce and
+// shardMsg is the shared body of kindReady, kindClose, kindDrained and
 // kindAbort.
 type shardMsg struct {
 	Query uint32
 	Shard uint32
-}
-
-type handoffMsg struct {
-	Query     uint32
-	Shard     uint32
-	Watermark uint64
-	Snapshot  []byte
 }
 
 type errorMsg struct {
@@ -214,16 +208,9 @@ func (m *assignMsg) encode(b []byte) []byte {
 	b = wire.AppendU32(b, m.Query)
 	b = wire.AppendU32(b, m.Shard)
 	b = wire.AppendU32(b, m.NShards)
-	b = wire.AppendU64(b, m.EmitBase)
 	b = wire.AppendStr(b, m.Name)
 	b = wire.AppendStr(b, m.Text)
-	return wire.AppendBytes(b, m.Snapshot)
-}
-
-func (m *readyMsg) encode(b []byte) []byte {
-	b = wire.AppendU32(b, m.Query)
-	b = wire.AppendU32(b, m.Shard)
-	return wire.AppendU64(b, m.Resume)
+	return durable.AppendCut(b, &m.Cut)
 }
 
 func (m *emitMsg) encode(b []byte) []byte {
@@ -240,19 +227,12 @@ func (m *emitMsg) encode(b []byte) []byte {
 func (m *progressMsg) encode(b []byte) []byte {
 	b = wire.AppendU32(b, m.Query)
 	b = wire.AppendU32(b, m.Shard)
-	return wire.AppendU64(b, m.Boundary)
+	return durable.AppendCut(b, &m.Cut)
 }
 
 func (m *shardMsg) encode(b []byte) []byte {
 	b = wire.AppendU32(b, m.Query)
 	return wire.AppendU32(b, m.Shard)
-}
-
-func (m *handoffMsg) encode(b []byte) []byte {
-	b = wire.AppendU32(b, m.Query)
-	b = wire.AppendU32(b, m.Shard)
-	b = wire.AppendU64(b, m.Watermark)
-	return wire.AppendBytes(b, m.Snapshot)
 }
 
 func (m *errorMsg) encode(b []byte) []byte {
@@ -357,20 +337,13 @@ func decodeTables(b []byte) (tablesMsg, error) {
 func decodeAssign(b []byte) (assignMsg, error) {
 	r := wire.NewReader(b)
 	m := assignMsg{
-		Query:    r.U32(),
-		Shard:    r.U32(),
-		NShards:  r.U32(),
-		EmitBase: r.U64(),
-		Name:     r.Str(),
-		Text:     r.Str(),
-		Snapshot: r.Bytes(),
+		Query:   r.U32(),
+		Shard:   r.U32(),
+		NShards: r.U32(),
+		Name:    r.Str(),
+		Text:    r.Str(),
+		Cut:     durable.ReadCut(&r),
 	}
-	return m, r.Finish()
-}
-
-func decodeReady(b []byte) (readyMsg, error) {
-	r := wire.NewReader(b)
-	m := readyMsg{Query: r.U32(), Shard: r.U32(), Resume: r.U64()}
 	return m, r.Finish()
 }
 
@@ -387,19 +360,13 @@ func decodeEmit(b []byte) (emitMsg, error) {
 
 func decodeProgress(b []byte) (progressMsg, error) {
 	r := wire.NewReader(b)
-	m := progressMsg{Query: r.U32(), Shard: r.U32(), Boundary: r.U64()}
+	m := progressMsg{Query: r.U32(), Shard: r.U32(), Cut: durable.ReadCut(&r)}
 	return m, r.Finish()
 }
 
 func decodeShardMsg(b []byte) (shardMsg, error) {
 	r := wire.NewReader(b)
 	m := shardMsg{Query: r.U32(), Shard: r.U32()}
-	return m, r.Finish()
-}
-
-func decodeHandoff(b []byte) (handoffMsg, error) {
-	r := wire.NewReader(b)
-	m := handoffMsg{Query: r.U32(), Shard: r.U32(), Watermark: r.U64(), Snapshot: r.Bytes()}
 	return m, r.Finish()
 }
 

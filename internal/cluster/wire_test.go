@@ -1,14 +1,17 @@
 package cluster
 
 // Codec coverage: round-trips for the compact frame bodies (events,
-// page, pageRefs, assign) and a fuzz target over every
+// page, pageRefs) and the cut-carrying ones (assign, progress), the
+// retired kinds, and a fuzz target over every
 // body decoder — corrupt input must come back as a structured error, no
 // panics and no allocations disproportionate to the delivered bytes.
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/wire"
 )
@@ -140,11 +143,11 @@ func TestPageRefsRoundTrip(t *testing.T) {
 	}
 }
 
+// testCut carries every cut field, consumed runs included.
+var testCut = durable.CutRecord{Boundary: 40, NextWindowID: 7, Watermark: 99, Consumed: []uint64{41, 3, 50, 1}}
+
 func TestAssignRoundTrip(t *testing.T) {
-	m := assignMsg{
-		Query: 2, Shard: 1, NShards: 4, EmitBase: 99,
-		Name: "Q", Text: "QUERY Q ...", Snapshot: []byte{1, 2, 3},
-	}
+	m := assignMsg{Query: 2, Shard: 1, NShards: 4, Name: "Q", Text: "QUERY Q ...", Cut: testCut}
 	got, err := decodeAssign(m.encode(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -155,6 +158,47 @@ func TestAssignRoundTrip(t *testing.T) {
 	// A v3 assign body ends in a flags byte; v4 has none and refuses it.
 	if _, err := decodeAssign(append(m.encode(nil), 1)); err == nil {
 		t.Fatal("assign body with a trailing flags byte decoded")
+	}
+}
+
+func TestProgressRoundTrip(t *testing.T) {
+	m := progressMsg{Query: 3, Shard: 2, Cut: testCut}
+	got, err := decodeProgress(m.encode(nil))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("%+v != %+v", got, m)
+	}
+	// A v4 progress body is a bare boundary; v5 refuses it.
+	if _, err := decodeProgress(m.encode(nil)[:16]); err == nil {
+		t.Fatal("progress body without a cut decoded")
+	}
+}
+
+// TestReadyCarriesNoResume: the ready frame is the bare shard body; a v4
+// ready frame's trailing resume position is refused.
+func TestReadyCarriesNoResume(t *testing.T) {
+	m := shardMsg{Query: 3, Shard: 2}
+	body := m.encode(nil)
+	if got, err := decodeShardMsg(body); err != nil || got != m {
+		t.Fatalf("ready = %+v, %v; want %+v", got, err, m)
+	}
+	if _, err := decodeShardMsg(wire.AppendU64(body, 12)); err == nil {
+		t.Fatal("ready body with a resume position decoded")
+	}
+}
+
+// TestRetiredKindsUnknown: quiesce (12) and handoff (13) are retired, and
+// both ends refuse them as unknown frame kinds.
+func TestRetiredKindsUnknown(t *testing.T) {
+	for _, kind := range []byte{12, 13} {
+		if err := (&Coordinator{}).dispatch(nil, kind, nil); err == nil || !strings.Contains(err.Error(), "unexpected frame kind") {
+			t.Fatalf("coordinator took kind %d: %v", kind, err)
+		}
+		if err := (&Worker{}).dispatch(kind, nil); err == nil || !strings.Contains(err.Error(), "unexpected frame kind") {
+			t.Fatalf("worker took kind %d: %v", kind, err)
+		}
 	}
 }
 
@@ -198,8 +242,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		(&pageRefsMsg{Query: 1, PageID: 1, Idx: []uint32{0, 4}, Seqs: []uint64{7, 9}}).encode(nil)...))
 	f.Add(append([]byte{kindAssign},
 		(&assignMsg{Query: 1, NShards: 2, Text: "t"}).encode(nil)...))
-	f.Add(append([]byte{kindHandoff},
-		(&handoffMsg{Query: 1, Snapshot: []byte{1}}).encode(nil)...))
+	f.Add(append([]byte{kindProgress},
+		(&progressMsg{Query: 1, Cut: testCut}).encode(nil)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -218,8 +262,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, err = decodeTables(body)
 		case kindAssign:
 			_, err = decodeAssign(body)
-		case kindReady:
-			_, err = decodeReady(body)
 		case kindEvents:
 			var m eventsMsg
 			m, err = decodeEvents(body)
@@ -248,10 +290,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, err = decodeEmit(body)
 		case kindProgress:
 			_, err = decodeProgress(body)
-		case kindClose, kindDrained, kindQuiesce, kindAbort:
+		case kindReady, kindClose, kindDrained, kindAbort:
 			_, err = decodeShardMsg(body)
-		case kindHandoff:
-			_, err = decodeHandoff(body)
 		case kindError:
 			_, err = decodeError(body)
 		default:

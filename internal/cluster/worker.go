@@ -55,11 +55,13 @@ func (o *WorkerOptions) setDefaults() {
 const linkTimeoutFactor = 10
 
 // Worker executes shard assignments for one coordinator. Each assigned
-// shard runs as an independent single-shard durable core runtime whose WAL
-// lives in memory — the WAL is what makes the shard portable: a quiesce
-// parks the runtime, exports the WAL and ships it back in a handoff frame.
+// shard runs as a plain single-shard core runtime journaled upstream
+// (core.Upstream): it starts from the cut its assign frame carries, and
+// its emissions and cuts leave through the link's queued writer.
+// The worker keeps no state the coordinator cannot rebuild: losing it
+// loses nothing.
 type Worker struct {
-	conn net.Conn
+	link
 	reg  *event.Registry
 	rt   *core.Runtime
 	opts WorkerOptions
@@ -67,10 +69,6 @@ type Worker struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	// wmu serializes frame writes; wbuf is the encode scratch it guards.
-	wmu  sync.Mutex
-	wbuf []byte
 
 	// tables translates the coordinator's ids into this process's
 	// registry assignment; nil until the first kindTables frame. Only the
@@ -84,15 +82,11 @@ type Worker struct {
 	pages map[uint64]*workerPage
 
 	closed  atomic.Bool
+	written chan struct{} // closed when the link writer exits
 	done    chan struct{}
 	runErr  error
 	errOnce sync.Once
 
-	// Transport counters (Stats).
-	bytesSent     atomic.Uint64
-	bytesRecv     atomic.Uint64
-	framesSent    atomic.Uint64
-	framesRecv    atomic.Uint64
 	eventsDeduped atomic.Uint64
 }
 
@@ -127,15 +121,35 @@ func (w *Worker) Stats() WorkerStats {
 
 // workerShard is one assigned (query, shard) execution.
 type workerShard struct {
-	name  string
-	h     *core.Handle
-	store *durable.MemStore
-	// emitBase is the global ordinal of the first match this life will
-	// deliver (the assignment's snapshot watermark); delivered counts the
-	// emit callbacks since (persister goroutine only).
-	emitBase  uint64
-	delivered uint64
-	gone      atomic.Bool // parked/aborted: late frames for it are ignored
+	name string
+	h    *core.Handle
+	// ordinal is the global ordinal of the next match (starting at the
+	// assignment cut's watermark) and buf the frame encode scratch; both
+	// belong to the shard's splitter.
+	ordinal uint64
+	buf     []byte
+
+	// mu orders the shard's frames against its abort: once gone is set,
+	// no frame of this assignment reaches the link, so every one it sent
+	// precedes the ready frame of a later assignment of the same shard.
+	mu   sync.Mutex
+	gone bool
+}
+
+// send enqueues one frame of the shard unless it was aborted.
+func (ws *workerShard) send(l *link, kind byte, body []byte) {
+	ws.mu.Lock()
+	if !ws.gone {
+		l.enqueue(kind, body)
+	}
+	ws.mu.Unlock()
+}
+
+// stop makes the shard's later frames vanish.
+func (ws *workerShard) stop() {
+	ws.mu.Lock()
+	ws.gone = true
+	ws.mu.Unlock()
 }
 
 func shardKey(query, shard uint32) uint64 { return uint64(query)<<32 | uint64(shard) }
@@ -167,19 +181,24 @@ func Join(ctx context.Context, reg *event.Registry, addr string, opts WorkerOpti
 	}
 	wctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{
-		conn:   conn,
-		reg:    reg,
-		rt:     core.NewRuntime(core.RuntimeConfig{}),
-		opts:   opts,
-		id:     id,
-		ctx:    wctx,
-		cancel: cancel,
-		shards: make(map[uint64]*workerShard),
-		pages:  make(map[uint64]*workerPage),
-		done:   make(chan struct{}),
+		reg:     reg,
+		rt:      core.NewRuntime(core.RuntimeConfig{}),
+		opts:    opts,
+		id:      id,
+		ctx:     wctx,
+		cancel:  cancel,
+		shards:  make(map[uint64]*workerShard),
+		pages:   make(map[uint64]*workerPage),
+		written: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
+	w.init(conn)
+	go func() {
+		defer close(w.written)
+		w.writeLoop()
+	}()
+	go w.heartbeat(opts.Heartbeat)
 	go w.serve()
-	go w.heartbeat()
 	if ctx.Done() != nil {
 		go func() {
 			select {
@@ -252,9 +271,9 @@ func (w *Worker) Wait() error {
 }
 
 // Close tears the worker down: the link is closed, every shard runtime is
-// aborted, and Wait unblocks. Used both for graceful shutdown (after the
-// coordinator quiesced the shards) and as the crash injection point in
-// tests — state not yet handed off is lost, exactly like a process kill.
+// aborted, and Wait unblocks. Used both for graceful shutdown and as the
+// crash injection point in tests: the coordinator reassigns every shard
+// from its latest cut, exactly as after a process kill.
 func (w *Worker) Close() {
 	if !w.closed.CompareAndSwap(false, true) {
 		return
@@ -271,80 +290,47 @@ func (w *Worker) fail(err error) {
 	})
 }
 
-// heartbeat keeps the link alive while no emissions flow.
-func (w *Worker) heartbeat() {
-	t := time.NewTicker(w.opts.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.ctx.Done():
-			return
-		case <-t.C:
-			_ = w.send(kindHeartbeat, nil)
-		}
-	}
-}
-
-// send writes one frame under the write lock.
-func (w *Worker) send(kind byte, body []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	buf, err := wire.AppendFrame(w.wbuf[:0], kind, body)
-	if err != nil {
-		return err
-	}
-	w.wbuf = buf
-	_, err = w.conn.Write(buf)
-	if err == nil {
-		w.bytesSent.Add(uint64(len(buf)))
-		w.framesSent.Add(1)
-	}
-	return err
-}
-
 // serve is the link reader: frames are processed strictly in order, which
-// is what makes quiesce/close safe — by the time either arrives, every
+// is what makes close and abort safe — by the time either arrives, every
 // event batch sent before it has been fed.
 func (w *Worker) serve() {
 	defer func() {
 		w.closed.Store(true)
 		w.cancel()
-		_ = w.conn.Close()
-		// Abort every shard runtime: state not handed off dies with the
-		// link, exactly as the coordinator assumes when it reassigns.
+		// Abort every shard runtime: the coordinator reassigns them from
+		// their latest cuts.
 		w.mu.Lock()
-		shards := make([]*workerShard, 0, len(w.shards))
-		for _, ws := range w.shards {
-			shards = append(shards, ws)
-		}
+		shards := w.shards
 		w.shards = map[uint64]*workerShard{}
 		w.mu.Unlock()
 		for _, ws := range shards {
-			ws.gone.Store(true)
+			ws.stop()
 			ws.h.Abort()
-			ws.h.Wait()
 		}
 		sctx, scancel := context.WithCancel(context.Background())
 		scancel()
 		_ = w.rt.Shutdown(sctx)
+		// Flush what is queued (an error frame last), briefly: the peer
+		// may be gone.
+		_ = w.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		w.closeQueue()
+		<-w.written
+		_ = w.conn.Close()
 		close(w.done)
 	}()
 	var scratch []byte
 	for {
-		_ = w.conn.SetReadDeadline(time.Now().Add(linkTimeoutFactor * w.opts.Heartbeat))
-		kind, body, err := wire.ReadFrame(w.conn, scratch)
+		kind, body, err := w.read(linkTimeoutFactor*w.opts.Heartbeat, scratch)
 		if err != nil {
 			if !w.closed.Load() {
 				w.fail(&Error{Op: "serve", Addr: w.conn.RemoteAddr().String(), Err: err})
 			}
 			return
 		}
-		w.bytesRecv.Add(uint64(wire.FrameOverhead + len(body)))
-		w.framesRecv.Add(1)
 		scratch = body[:0]
 		if err := w.dispatch(kind, body); err != nil {
 			w.fail(err)
-			_ = w.send(kindError, (&errorMsg{Msg: err.Error()}).encode(nil))
+			w.enqueue(kindError, (&errorMsg{Msg: err.Error()}).encode(nil))
 			return
 		}
 	}
@@ -396,12 +382,6 @@ func (w *Worker) dispatch(kind byte, body []byte) error {
 		}
 		w.handleClose(m.Query, m.Shard)
 		return nil
-	case kindQuiesce:
-		m, err := decodeShardMsg(body)
-		if err != nil {
-			return err
-		}
-		return w.handleQuiesce(m.Query, m.Shard)
 	case kindAbort:
 		m, err := decodeShardMsg(body)
 		if err != nil {
@@ -432,85 +412,61 @@ func (w *Worker) remap(evs []event.Event) error {
 	return nil
 }
 
-// handleAssign starts (or resumes, when a snapshot rides along) one shard.
+// handleAssign starts one shard from the assignment's cut and reports
+// ready: the frames of this assignment follow the ready frame.
 func (w *Worker) handleAssign(m *assignMsg) error {
 	key := shardKey(m.Query, m.Shard)
 	w.mu.Lock()
-	if _, dup := w.shards[key]; dup {
-		w.mu.Unlock()
+	_, dup := w.shards[key]
+	full := len(w.shards) >= w.opts.Capacity
+	w.mu.Unlock()
+	if dup {
 		return fmt.Errorf("cluster: duplicate assignment for query %d shard %d", m.Query, m.Shard)
 	}
-	if len(w.shards) >= w.opts.Capacity {
-		w.mu.Unlock()
-		_ = w.send(kindError, (&errorMsg{Msg: fmt.Sprintf("assignment rejected: capacity %d exhausted", w.opts.Capacity)}).encode(nil))
-		return fmt.Errorf("cluster: capacity %d exhausted", w.opts.Capacity)
-	}
-	w.mu.Unlock()
-
-	store := durable.NewMemStore()
-	if err := durable.ImportShard(store, w.reg, m.Name, 0, m.Snapshot); err != nil {
-		return fmt.Errorf("cluster: import snapshot for %s/%d: %w", m.Name, m.Shard, err)
+	if full {
+		return fmt.Errorf("cluster: assignment rejected: capacity %d exhausted", w.opts.Capacity)
 	}
 	q, err := parser.Parse(m.Text, w.reg)
 	if err != nil {
 		return fmt.Errorf("cluster: parse assigned query %s: %w", m.Name, err)
 	}
-	// The WAL shard key is q.Name; pin it to the assignment's name so the
-	// imported snapshot is the state this submission recovers from.
+	// Matches carry the submission's name, whatever the text calls it.
 	q.Name = m.Name
-	ws := &workerShard{name: m.Name, store: store, emitBase: m.EmitBase}
+	ws := &workerShard{name: m.Name, ordinal: m.Cut.Watermark}
 	cfg := core.Config{
-		Reg:        w.reg,
-		Durable:    store,
-		PreStamped: true,
-		OnAdvance: func(boundary uint64) {
-			if ws.gone.Load() {
-				return
-			}
-			pm := progressMsg{Query: m.Query, Shard: m.Shard, Boundary: boundary}
-			_ = w.send(kindProgress, pm.encode(nil))
+		Reg: w.reg,
+		Upstream: &core.Upstream{
+			From: &m.Cut,
+			OnCut: func(cut *durable.CutRecord) {
+				pm := progressMsg{Query: m.Query, Shard: m.Shard, Cut: *cut}
+				ws.buf = pm.encode(ws.buf[:0])
+				ws.send(&w.link, kindProgress, ws.buf)
+			},
 		},
 	}
 	emit := func(ce event.Complex) {
-		if ws.gone.Load() {
-			return
-		}
-		ord := ws.emitBase + ws.delivered
-		ws.delivered++
-		em := emitMsg{Query: m.Query, Shard: m.Shard, Ordinal: ord, Match: ce}
-		_ = w.send(kindEmit, em.encode(nil))
+		em := emitMsg{Query: m.Query, Shard: m.Shard, Ordinal: ws.ordinal, Match: ce}
+		ws.ordinal++
+		ws.buf = em.encode(ws.buf[:0])
+		ws.send(&w.link, kindEmit, ws.buf)
 	}
 	h, err := w.rt.Submit(q, cfg, nil, 1, emit, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: submit %s/%d: %w", m.Name, m.Shard, err)
 	}
 	ws.h = h
-	if err := w.rt.Recover(w.ctx); err != nil {
-		h.Abort()
-		h.Wait()
-		return fmt.Errorf("cluster: recover %s/%d: %w", m.Name, m.Shard, err)
-	}
-	resume := uint64(0)
-	if rec := h.Recovered(); len(rec) > 0 {
-		resume = rec[0]
-	}
 	w.mu.Lock()
 	w.shards[key] = ws
 	w.mu.Unlock()
-	w.opts.Logf("cluster: worker %d assigned %s shard %d (resume %d, emit base %d)", w.id, m.Name, m.Shard, resume, m.EmitBase)
-	return w.send(kindReady, (&readyMsg{Query: m.Query, Shard: m.Shard, Resume: resume}).encode(nil))
+	w.opts.Logf("cluster: worker %d assigned %s shard %d (cut at %d, emit base %d)", w.id, m.Name, m.Shard, m.Cut.Boundary, m.Cut.Watermark)
+	w.enqueue(kindReady, (&shardMsg{Query: m.Query, Shard: m.Shard}).encode(nil))
+	return nil
 }
 
 func (w *Worker) lookup(query, shard uint32) *workerShard {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.shards[shardKey(query, shard)]
-}
-
-func (w *Worker) drop(query, shard uint32) {
-	w.mu.Lock()
-	delete(w.shards, shardKey(query, shard))
-	w.mu.Unlock()
 }
 
 // handleEvents remaps and feeds one batch.
@@ -527,7 +483,7 @@ func (w *Worker) handleEvents(m *eventsMsg) error {
 func (w *Worker) feed(query, shard uint32, evs []event.Event) error {
 	ws := w.lookup(query, shard)
 	if ws == nil {
-		// A batch can race a completed handoff; the new owner replays it.
+		// A batch can race an abort; the shard's next owner replays it.
 		return nil
 	}
 	if err := ws.h.FeedBatch(w.ctx, evs); err != nil {
@@ -596,7 +552,7 @@ func (w *Worker) handlePageRefs(m *pageRefsMsg) error {
 }
 
 // handleClose ends the shard's stream; the drain completes in the
-// background and reports kindDrained after the final emission flushed.
+// background and reports kindDrained after the final emission.
 func (w *Worker) handleClose(query, shard uint32) {
 	ws := w.lookup(query, shard)
 	if ws == nil {
@@ -605,45 +561,30 @@ func (w *Worker) handleClose(query, shard uint32) {
 	ws.h.Close()
 	go func() {
 		ws.h.Wait()
-		// Wait returns only after the shard's persister drained, so every
-		// emit frame is already written: drained is ordered last.
-		_ = w.send(kindDrained, (&shardMsg{Query: query, Shard: shard}).encode(nil))
-		w.drop(query, shard)
+		// Emissions leave on the splitter, which has finished: drained is
+		// queued after every emit frame.
+		ws.send(&w.link, kindDrained, (&shardMsg{Query: query, Shard: shard}).encode(nil))
+		w.mu.Lock()
+		if key := shardKey(query, shard); w.shards[key] == ws {
+			delete(w.shards, key)
+		}
+		w.mu.Unlock()
 	}()
 }
 
-// handleQuiesce parks the shard, exports its WAL and ships the handoff.
-// Blocking the reader here is deliberate: the coordinator stopped sending
-// for this shard before quiescing, and a handoff must not interleave with
-// anything this worker still had in flight.
-func (w *Worker) handleQuiesce(query, shard uint32) error {
-	ws := w.lookup(query, shard)
-	if ws == nil {
-		return nil
-	}
-	ws.h.Park()
-	ws.h.Wait()
-	ws.gone.Store(true)
-	blob, err := durable.ExportShard(ws.store, w.reg, ws.name, 0)
-	if err != nil {
-		return fmt.Errorf("cluster: export %s/%d: %w", ws.name, shard, err)
-	}
-	watermark := ws.emitBase + ws.delivered
-	w.drop(query, shard)
-	w.opts.Logf("cluster: worker %d handing off %s shard %d (watermark %d, %d bytes)", w.id, ws.name, shard, watermark, len(blob))
-	hm := handoffMsg{Query: query, Shard: shard, Watermark: watermark, Snapshot: blob}
-	return w.send(kindHandoff, hm.encode(nil))
-}
-
+// handleAbort discards the shard at once. It leaves the table before its
+// drain completes: a later assignment of the same shard, next in frame
+// order, must find the slot free.
 func (w *Worker) handleAbort(query, shard uint32) {
-	ws := w.lookup(query, shard)
+	key := shardKey(query, shard)
+	w.mu.Lock()
+	ws := w.shards[key]
+	delete(w.shards, key)
+	w.mu.Unlock()
 	if ws == nil {
 		return
 	}
-	ws.gone.Store(true)
+	ws.stop()
 	ws.h.Abort()
-	go func() {
-		ws.h.Wait()
-		w.drop(query, shard)
-	}()
+	go ws.h.Wait() // the runtime forgets the handle once it drained
 }

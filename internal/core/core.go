@@ -124,29 +124,39 @@ type Config struct {
 	// splitter. Requires Reg (records carry the type/field name tables)
 	// and the Runtime Submit path. Nil disables durability.
 	Durable durable.Store
-	// PreStamped declares that the feeder stamps every event's Seq with
-	// its position in the shard's stream before it reaches the handle —
-	// every cluster worker runs so: the coordinator stamps each routed
-	// event and, under plan pushdown, spends the dropped positions. The feed
-	// layer then neither filters nor stamps: wire-carried positions are
-	// trusted verbatim, and the ones between them are arena gaps like
-	// any filtered position. Positions must be strictly increasing per
-	// shard.
-	PreStamped bool
-	// OnAdvance, when set, is notified after every root pop with the new
-	// durable boundary: no match emitted after the call will have a
-	// DetectedAt below it. Calls are ordered with the emit callback — on
-	// the durable path the notification rides the persister FIFO behind
-	// the deliveries it follows, on the non-durable path it fires on the
-	// splitter right after the pop's emissions. The distributed runtime
-	// turns these into per-shard progress watermarks so the ordered merge
-	// can release buffered matches from other shards without waiting for
-	// this shard's next match.
-	OnAdvance func(boundary uint64)
+	// Upstream runs the shard on a journal its feeder keeps (every cluster
+	// worker shard runs so: the coordinator keeps the events and the
+	// latest cut). Nil runs the shard on its own stream. Incompatible
+	// with Durable.
+	Upstream *Upstream
 	// Err carries the first invalid-option error; constructors check it
 	// before using any other field. Options record violations here (the
 	// option-function signature has no error return).
 	Err error
+}
+
+// Upstream is the contract of a shard whose journal is kept upstream of
+// it: the feeder keeps every event from the latest cut's boundary on and
+// restarts the shard from that cut (DESIGN.md §12).
+//
+// The feeder stamps every event's Seq with its position in the shard's
+// stream, so the feed layer neither filters nor stamps: positions are
+// trusted verbatim, and the ones between them are arena gaps like any
+// filtered position. Positions must be strictly increasing per shard.
+type Upstream struct {
+	// From is the cut the shard starts at; nil starts at the stream's
+	// beginning. It restores the consumption marks, the next window id
+	// and the emission watermark, and the feeder feeds the events from
+	// its Boundary on (Handle.Recovered reports that position). A shard
+	// started from a cut is exactly a shard fed the whole stream, minus
+	// the matches up to the cut's Watermark.
+	From *durable.CutRecord
+	// OnCut receives every cut of the shard's stream — one per root pop
+	// and a few between windows (upstream.go) — on the splitter, after
+	// the emissions it follows: no match emitted after the call detects
+	// below its Boundary. The record and its Consumed slice are reused by
+	// the next call; OnCut must copy what it keeps.
+	OnCut func(*durable.CutRecord)
 }
 
 // SetError records the first option-validation error. Later errors are

@@ -174,9 +174,9 @@ type shardState struct {
 	splitBusy atomic.Bool // cooperative-splitter claim
 	done      chan struct{}
 
-	// Durability state (Config.Durable; DESIGN.md §11). persist is nil
-	// without a durable store. emitted, suppressRemaining,
-	// replayRemaining and journalBuf are splitter-only;
+	// Journal state (Config.Durable, DESIGN.md §11; Config.Upstream,
+	// §12). persist is nil without a durable store. emitted, cut,
+	// suppressRemaining, replayRemaining and journalBuf are splitter-only;
 	// replayTarget and recoveredNextSeq are written while priming (before
 	// the shard is attached) and read-only afterwards (Recover barrier,
 	// Handle.Recovered).
@@ -184,6 +184,10 @@ type shardState struct {
 	// emitted is the cumulative delivered-match count — the emission
 	// watermark committed before each delivery.
 	emitted uint64
+	// cut is the record cutAt hands to Config.Upstream.OnCut, reused cut
+	// after cut; lastCut is its boundary (upstream.go).
+	cut     durable.CutRecord
+	lastCut uint64
 	// suppressRemaining counts regenerated matches the previous process
 	// already delivered; replay skips delivering exactly that many.
 	suppressRemaining uint64
@@ -519,6 +523,7 @@ func (s *shardState) lookahead() int {
 // lookahead horizon. Events become visible to the operator slots one by
 // one, as they arrive. At end of stream it finalizes the window manager.
 func (s *shardState) ingest() int {
+	up := s.prog.cfg.Upstream
 	n := 0
 	for ; n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); n++ {
 		ev, ok, done := s.queue.next()
@@ -530,6 +535,9 @@ func (s *shardState) ingest() int {
 				s.inputDone.Store(true)
 			}
 			break
+		}
+		if up != nil && s.tree.Root() == nil {
+			s.gridCuts(ev.Seq, s.winMgr.Opened())
 		}
 		// Every event arrives stamped with its position (live input at
 		// admission, journal replay with its original one); positions
@@ -621,9 +629,10 @@ func (s *shardState) advanceRoots() bool {
 		s.departed = append(s.departed, wv)
 		if s.persist != nil {
 			s.persistCut()
+		} else if s.prog.cfg.Upstream != nil {
+			s.cutAfterPop(wv.Win.EndSeq())
 		}
 		s.releaseArena()
-		s.notifyAdvance()
 		changed = true
 	}
 }
@@ -647,31 +656,6 @@ func (s *shardState) persistCut() {
 		Watermark:    s.emitted,
 		Consumed:     s.ar.ConsumedRuns(boundary, s.ar.Len(), nil),
 	})
-}
-
-// notifyAdvance reports the post-pop boundary to Config.OnAdvance: every
-// future emission of this shard detects at or past it. The durable path
-// routes the call through the persister FIFO so it lands after the
-// deliveries enqueued by this pop (emit runs on the persister goroutine
-// there); the non-durable path already delivered synchronously, so the
-// callback fires in place. A late progress signal is always safe — it only
-// under-reports how far the shard has advanced — but an early one could
-// let a downstream merge release another shard's match ahead of one still
-// in flight here, so the ordering is load-bearing.
-func (s *shardState) notifyAdvance() {
-	fn := s.prog.cfg.OnAdvance
-	if fn == nil {
-		return
-	}
-	boundary := s.ar.Len()
-	if root := s.tree.Root(); root != nil {
-		boundary = root.WV.Win.StartSeq
-	}
-	if p := s.persist; p != nil {
-		p.enqueueAdvance(func() { fn(boundary) })
-		return
-	}
-	fn(boundary)
 }
 
 // releaseArena recycles arena chunks no run state can reference anymore.
@@ -817,8 +801,8 @@ func (s *shardState) drainOutputs(wv *deptree.WindowVersion) bool {
 	// regenerates the batch and suppresses the first Watermark−CutWatermark
 	// matches. The commit (and the delivery it gates) runs on the
 	// persister goroutine — the splitter never waits for the fsync.
+	s.emitted += uint64(len(out))
 	if p := s.persist; p != nil {
-		s.emitted += uint64(len(out))
 		deliver := out
 		suppressed := 0
 		for len(deliver) > 0 && s.suppressRemaining > 0 {

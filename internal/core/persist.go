@@ -32,10 +32,6 @@ type persistReq struct {
 	watermark uint64
 	deliver   []event.Complex
 	emit      func(event.Complex)
-	// advance is an ordered progress notification (Config.OnAdvance): it
-	// fires on the persister goroutine strictly after every delivery
-	// enqueued before it, and writes nothing to the WAL.
-	advance func()
 }
 
 // persister drains one shard's durability requests onto its WAL shard
@@ -139,10 +135,6 @@ func (p *persister) handle(req persistReq) {
 		p.commitDeliver(req)
 		return
 	}
-	if req.advance != nil {
-		req.advance()
-		return
-	}
 	p.appendReq(req)
 }
 
@@ -194,26 +186,11 @@ func (p *persister) appendReq(req persistReq) {
 func (p *persister) commitDeliver(req persistReq) {
 	group := make([]persistReq, 1, 8)
 	group[0] = req
-	var advances []func()
 	p.commitAppend(req)
 absorb:
 	for len(group) < maxCommitGroup {
 		select {
 		case more := <-p.ch:
-			if more.advance != nil {
-				// Progress notifications absorbed into the group are
-				// deferred past its deliveries: firing one here would let
-				// it overtake matches enqueued before it. But an advance is
-				// also a barrier for the group itself — deliveries enqueued
-				// *after* it belong to the next root window, and absorbing
-				// them would make them precede the notification, breaking
-				// the exact emit/advance interleaving consumers key on. So
-				// the group stops growing here; the deferred advance fires
-				// after this group's deliveries, merely late, which is safe
-				// (the boundary claim stays true).
-				advances = append(advances, more.advance)
-				break absorb
-			}
 			if more.emit == nil {
 				p.appendReq(more)
 				continue
@@ -246,9 +223,6 @@ absorb:
 			g.emit(g.deliver[i])
 		}
 		faultinject.Hit("emit.after-deliver")
-	}
-	for _, fn := range advances {
-		fn()
 	}
 }
 
@@ -345,12 +319,6 @@ func (p *persister) appendCut(cut *durable.CutRecord) {
 	p.ch <- persistReq{cut: cut}
 }
 
-// enqueueAdvance queues an ordered Config.OnAdvance notification behind
-// everything already enqueued (splitter, blocking only on queue room).
-func (p *persister) enqueueAdvance(fn func()) {
-	p.ch <- persistReq{advance: fn}
-}
-
 // commitAndDeliver enqueues a watermark commit plus the match batch it
 // covers (splitter, blocking only on queue room): the persister makes
 // the cumulative delivered-match count durable and then delivers the
@@ -384,7 +352,8 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 }
 
 // primeRecovered rebuilds the shard's pre-crash state from the folded
-// WAL: final consumption marks and the window-id cursor from the cut,
+// WAL — or from an upstream cut (Config.Upstream) with an empty journal:
+// final consumption marks and the window-id cursor from the cut,
 // the emission watermark split into the already-counted prefix
 // (s.emitted) and the suppression budget for matches the replay will
 // regenerate but the previous process already delivered. The replay then

@@ -108,7 +108,12 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 	if nShards > 1 && route == nil {
 		return nil, fmt.Errorf("core: %d shards need a routing function", nShards)
 	}
-	if cfg.Durable == nil {
+	switch {
+	case cfg.Upstream != nil && cfg.Durable != nil:
+		return nil, errors.New("core: a shard journaled upstream (Config.Upstream) keeps no WAL (Config.Durable)")
+	case cfg.Upstream != nil && nShards > 1:
+		return nil, errors.New("core: a journal kept upstream (Config.Upstream) is one shard's")
+	case cfg.Upstream == nil && cfg.Durable == nil:
 		cfg.Durable = rt.durable
 	}
 	prog, err := compile(q, cfg)
@@ -136,8 +141,8 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 		route:      route,
 		onDrain:    onDrain,
 		plan:       prog.plan,
-		filter:     prog.plan != nil && prog.plan.IntakeActive() && !prog.cfg.PreStamped,
-		preStamped: prog.cfg.PreStamped,
+		filter:     prog.plan != nil && prog.plan.IntakeActive() && prog.cfg.Upstream == nil,
+		preStamped: prog.cfg.Upstream != nil,
 		next:       make([]uint64, nShards),
 	}
 	if emit == nil {
@@ -166,6 +171,12 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 			s.shed = shed.New(scfg)
 		}
 		var rec *durable.ShardState
+		if up := prog.cfg.Upstream; up != nil && up.From != nil {
+			// The journal is upstream: start from its cut with nothing to
+			// replay here; the feeder re-feeds from the cut's boundary.
+			s.primeRecovered(&durable.ShardState{Cut: up.From, Watermark: up.From.Watermark, NextSeq: up.From.Boundary})
+			s.lastCut = up.From.Boundary
+		}
 		if prog.cfg.Durable != nil {
 			// Open (and recover) the shard's WAL before it runs; the
 			// recovered journal suffix is preloaded ahead of live input.
@@ -345,11 +356,12 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 func (h *Handle) Name() string { return h.name }
 
 // Recovered reports, per shard, the raw-substream position a producer
-// should re-feed from after crash recovery (0 for a fresh shard); shed
-// events hold no position. It returns nil when the handle was not
-// submitted against a durable store.
+// should re-feed from after crash recovery (0 for a fresh shard) or, for
+// a shard journaled upstream, the boundary of the cut it started from;
+// shed events hold no position. It returns nil when the handle has
+// neither a durable store nor an upstream journal.
 func (h *Handle) Recovered() []uint64 {
-	if h.shards[0].persist == nil {
+	if h.shards[0].persist == nil && h.shards[0].prog.cfg.Upstream == nil {
 		return nil
 	}
 	out := make([]uint64, len(h.shards))

@@ -31,11 +31,7 @@ func encodeRecord(buf []byte, rec *Record) ([]byte, error) {
 			buf = appendEvent(buf, &rec.Events[i])
 		}
 	case KindCut:
-		c := rec.Cut
-		buf = wire.AppendU64(buf, c.Boundary)
-		buf = wire.AppendU64(buf, c.NextWindowID)
-		buf = wire.AppendU64(buf, c.Watermark)
-		buf = wire.AppendU64s(buf, c.Consumed)
+		buf = AppendCut(buf, rec.Cut)
 	case KindWatermark:
 		buf = wire.AppendU64(buf, rec.Watermark)
 	default:
@@ -67,12 +63,8 @@ func decodeRecord(p []byte) (*Record, error) {
 			}
 		}
 	case KindCut:
-		rec.Cut = &CutRecord{
-			Boundary:     d.U64(),
-			NextWindowID: d.U64(),
-			Watermark:    d.U64(),
-			Consumed:     d.U64s(),
-		}
+		cut := ReadCut(&d)
+		rec.Cut = &cut
 	case KindWatermark:
 		rec.Watermark = d.U64()
 	default:
@@ -82,6 +74,25 @@ func decodeRecord(p []byte) (*Record, error) {
 		return nil, fmt.Errorf("durable: kind-%d record: %w", rec.Kind, err)
 	}
 	return rec, nil
+}
+
+// AppendCut appends c's encoding: the body of a KindCut record, and the
+// cut a cluster link carries in its assign and progress frames.
+func AppendCut(b []byte, c *CutRecord) []byte {
+	b = wire.AppendU64(b, c.Boundary)
+	b = wire.AppendU64(b, c.NextWindowID)
+	b = wire.AppendU64(b, c.Watermark)
+	return wire.AppendU64s(b, c.Consumed)
+}
+
+// ReadCut decodes one AppendCut encoding from r; errors stick to r.
+func ReadCut(r *wire.Reader) CutRecord {
+	return CutRecord{
+		Boundary:     r.U64(),
+		NextWindowID: r.U64(),
+		Watermark:    r.U64(),
+		Consumed:     r.U64s(),
+	}
 }
 
 func appendEvent(buf []byte, ev *event.Event) []byte {

@@ -25,6 +25,11 @@
 // Kind 4 is reserved: earlier builds wrote matcher checkpoints under it.
 // Readers skip such records unread, so an old log or export blob still
 // loads; the encoder refuses the kind.
+//
+// The cut record's encoding (AppendCut/ReadCut) is also the cut a
+// cluster link carries: a remote shard keeps no WAL, its journal is the
+// coordinator's retained events from the latest cut (internal/cluster).
+// Export/import (export.go) is no longer how a shard moves.
 package durable
 
 import (

@@ -8,11 +8,11 @@ import (
 )
 
 // Shard export/import turns one shard's folded WAL state into a portable
-// byte blob and back. This is the migration primitive of the distributed
-// runtime (internal/cluster): a quiesced shard's journal tail, cut record
-// and emission watermark travel inside a handoff
-// frame to the shard's next owner, which imports them into its own store
-// and recovers through the ordinary crash-recovery path.
+// byte blob and back: the journal tail, cut record and emission
+// watermark, which an import into another store recovers through the
+// ordinary crash-recovery path. The distributed runtime no longer moves
+// shards this way (internal/cluster reassigns from the coordinator's
+// latest cut); the benchmark's durable layer rows still time it.
 //
 // The blob is a sequence of wire frames holding records in the WAL's own
 // encoding — what a segment file holds — always led by the registry name

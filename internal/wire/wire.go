@@ -203,8 +203,9 @@ func (r *Reader) U64s() []uint64 {
 // it. A payload is a kind byte and a body, so len is at least 1; the kind,
 // which selects the body's grammar, is all this package knows of a message.
 const (
-	// MaxFrameBytes bounds one payload: room for a full shard-handoff
-	// snapshot, small enough that a corrupt length cannot exhaust memory.
+	// MaxFrameBytes bounds one payload: room for a WAL record of a large
+	// ingest batch, small enough that a corrupt length cannot exhaust
+	// memory.
 	MaxFrameBytes = 64 << 20
 	// FrameOverhead is what a frame adds to its body: header and kind byte.
 	FrameOverhead = frameHeader + 1
