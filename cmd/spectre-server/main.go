@@ -38,7 +38,7 @@
 // overload).
 //
 // -state-dir makes every hosted query durable (DESIGN.md §11): the
-// ingest journal, root-pop cuts and emission watermarks persist to
+// ingest journal, cuts and emission watermarks persist to
 // per-shard WALs under the directory. A restarted server recovers each
 // query's state when its client reconnects and re-submits (same query
 // name, spectre-client -reconnect), answers the client's resume

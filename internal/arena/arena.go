@@ -38,7 +38,7 @@ type chunk struct {
 }
 
 // maxFree caps the recycled-chunk freelist: enough for steady-state
-// reuse after root pops without pinning a long burst's worth of memory.
+// reuse after cuts without pinning a long burst's worth of memory.
 const maxFree = 4
 
 // minDir is the directory length of a new arena.
@@ -258,9 +258,9 @@ func (a *Arena) ConsumedRuns(lo, hi uint64, dst []uint64) []uint64 {
 // bits included, and slides the directory past them. The caller — the
 // arena's single writer — must guarantee that no reader holds, or will
 // ever again request, a pointer to or a mark of any event below
-// boundary: the engine calls this after a root window version is
-// popped, when every remaining window starts at or after the new root's
-// start sequence.
+// boundary: the engine calls this at every cut of the shard's stream
+// (internal/core/cut.go), when every window open or opened later starts
+// at or after the boundary.
 func (a *Arena) ReleaseBefore(boundary uint64) {
 	d := a.dir.Load()
 	limit := boundary >> chunkBits // first chunk that may still be live

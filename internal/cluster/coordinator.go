@@ -194,7 +194,7 @@ type shardRun struct {
 	// addressed by its admission ordinal.
 	retained tail[event.Event]
 	// cut is the latest cut the shard's owner reported (the zero cut
-	// before the first root pop); every assignment starts from it.
+	// before the first); every assignment starts from it.
 	cut durable.CutRecord
 	// sent is the ordinal of the next unsent retained event.
 	sent uint64
@@ -753,7 +753,7 @@ func (c *Coordinator) handleEmit(w *workerLink, m *emitMsg) error {
 	return nil
 }
 
-// handleProgress takes the owner's cut of one root pop: it becomes the
+// handleProgress takes one cut from the shard's owner: it becomes the
 // shard's latest cut, the retained events and merge positions below its
 // boundary are dropped, and the merge's bound advances. A boundary that
 // moves backwards or past the events routed or sent is a protocol error.

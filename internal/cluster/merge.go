@@ -110,7 +110,7 @@ func (m *orderedMerge) emit(s int, match event.Complex) bool {
 	return true
 }
 
-// progress records a root-pop boundary from shard s; boundaries must not
+// progress records a cut's boundary from shard s; boundaries must not
 // decrease. Positions below it are dropped.
 func (m *orderedMerge) progress(s int, boundary uint64) {
 	sh := &m.shards[s]

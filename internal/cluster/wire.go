@@ -63,7 +63,7 @@ const (
 	kindReady     byte = 6  // worker → coordinator: assignment running; its frames follow
 	_             byte = 7  // retired (the fixed-width event batch); never reuse
 	kindEmit      byte = 8  // worker → coordinator: one match, with global ordinal
-	kindProgress  byte = 9  // worker → coordinator: the cut of one root pop
+	kindProgress  byte = 9  // worker → coordinator: one cut of the shard's stream
 	kindClose     byte = 10 // coordinator → worker: end of stream for shard
 	kindDrained   byte = 11 // worker → coordinator: shard fully drained
 	_             byte = 12 // retired (quiesce: park a shard for handoff); never reuse
@@ -114,7 +114,7 @@ type emitMsg struct {
 	Match   event.Complex
 }
 
-// progressMsg is the cut of one root pop (core.Upstream.OnCut).
+// progressMsg is one cut of a shard's stream (core.Upstream.OnCut).
 type progressMsg struct {
 	Query uint32
 	Shard uint32

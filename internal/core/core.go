@@ -116,8 +116,8 @@ type Config struct {
 	// Reg optionally resolves event-type names in plan explanations
 	// (plan.Explain / the metrics endpoint). Never read on the hot path.
 	Reg *event.Registry
-	// Durable persists per-shard query state (ingest journal, root-pop
-	// cuts, emission watermarks) through a write-ahead log so the query
+	// Durable persists per-shard query state (ingest journal, cuts,
+	// emission watermarks) through a write-ahead log so the query
 	// survives a crash (DESIGN.md §11).
 	// Persistence runs on a per-shard persister goroutine off the hot
 	// path; only the pre-delivery watermark commit synchronizes with the
@@ -152,7 +152,7 @@ type Upstream struct {
 	// the matches up to the cut's Watermark.
 	From *durable.CutRecord
 	// OnCut receives every cut of the shard's stream — one per root pop
-	// and a few between windows (upstream.go) — on the splitter, after
+	// and a few between windows (cut.go) — on the splitter, after
 	// the emissions it follows: no match emitted after the call detects
 	// below its Boundary. The record and its Consumed slice are reused by
 	// the next call; OnCut must copy what it keeps.

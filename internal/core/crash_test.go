@@ -38,6 +38,19 @@ func qeFixture(t *testing.T) (*event.Registry, *pattern.Query, []event.Event) {
 	return reg, q, events
 }
 
+// qeSparseFixture is QE over 20 000 events with an A every 5 000, so
+// the WAL's cuts between windows are grid cuts and a kill at a cut or a
+// sync lands between two of them.
+func qeSparseFixture(t *testing.T) (*event.Registry, *pattern.Query, []event.Event) {
+	t.Helper()
+	reg := event.NewRegistry()
+	q, events, err := qe(reg, 20_000, 5_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg, q, events
+}
+
 // runCrashLife is one simulated process lifetime under the fault
 // harness: submit, recover, feed until done or killed, then shut down.
 // It reports whether the stream completed (end of stream drained with
@@ -153,7 +166,7 @@ func TestCrashPointCatalog(t *testing.T) {
 }
 
 // TestCrashRecoveryEquivalence is the exhaustive matrix: every crash
-// point x {Q1, QE}. Each cell
+// point x {Q1, QE, QE with windows 5 000 events apart}. Each cell
 // kills the process at the armed point, recovers from the WAL, and
 // asserts the concatenated delivered stream is byte-identical to the
 // uninterrupted run — exactly-once, no loss, no duplicates.
@@ -164,6 +177,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}{
 		{"Q1", recoveryFixture},
 		{"QE", qeFixture},
+		{"QE-sparse", qeSparseFixture},
 	}
 	for _, f := range fixtures {
 		reg, q, events := f.fix(t)

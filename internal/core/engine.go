@@ -24,9 +24,9 @@ import (
 	"github.com/spectrecep/spectre/internal/window"
 )
 
-// lagMark is one root-emission latency probe: when the arena reaches
-// boundary seq as part of a root pop, the events of the mark's ingest
-// batch have been fully validated and emitted.
+// lagMark is one root-emission latency probe: when a cut reaches
+// boundary seq, the events of the mark's ingest batch have been fully
+// validated and emitted.
 type lagMark struct {
 	seq uint64
 	at  time.Time
@@ -159,8 +159,8 @@ type shardState struct {
 	shed *shed.Shedder
 
 	// Root-emission lag tracking (splitter only, except the published
-	// bits): ingest timestamps one mark per batch; when a root pops,
-	// marks at or below the new root boundary become lag samples.
+	// bits): ingest timestamps one mark per batch; at each cut, marks at
+	// or below its boundary become lag samples.
 	lagMarks   []lagMark
 	lagP50     stats.QuantileEWMA
 	lagP99     stats.QuantileEWMA
@@ -176,29 +176,31 @@ type shardState struct {
 
 	// Journal state (Config.Durable, DESIGN.md §11; Config.Upstream,
 	// §12). persist is nil without a durable store. emitted, cut,
-	// suppressRemaining, replayRemaining and journalBuf are splitter-only;
-	// replayTarget and recoveredNextSeq are written while priming (before
-	// the shard is attached) and read-only afterwards (Recover barrier,
-	// Handle.Recovered).
+	// lastCut, gridAt, suppressRemaining and journalBuf are
+	// splitter-only; onCut, replayTarget and recoveredNextSeq are set
+	// before the shard is attached and read-only afterwards (the cut
+	// consumer, the Recover barrier, Handle.Recovered).
 	persist *persister
 	// emitted is the cumulative delivered-match count — the emission
 	// watermark committed before each delivery.
 	emitted uint64
-	// cut is the record cutAt hands to Config.Upstream.OnCut, reused cut
-	// after cut; lastCut is its boundary (upstream.go).
+	// onCut consumes the shard's cuts (cut.go): Config.Upstream.OnCut, the
+	// persister's for a durable shard, or nil. cut is the record cutAt
+	// hands it, reused cut after cut; lastCut is its boundary. gridAt is
+	// the grid position ingest cuts at once an event passes it with the
+	// tree empty, and past every position while a window is open.
+	onCut   func(*durable.CutRecord)
 	cut     durable.CutRecord
 	lastCut uint64
+	gridAt  uint64
 	// suppressRemaining counts regenerated matches the previous process
 	// already delivered; replay skips delivering exactly that many.
 	suppressRemaining uint64
-	// replayRemaining counts journal events still pending in the intake
-	// queue; while positive, ingest does not re-journal.
-	replayRemaining int
 	// replayTarget is the arena length at which the journal suffix is
 	// fully replayed (0 when there is nothing to replay).
 	replayTarget uint64
 	// recoveredNextSeq is the raw-substream position producers should
-	// re-feed from after recovery.
+	// re-feed from after recovery; the journal holds every event below it.
 	recoveredNextSeq uint64
 	journalBuf       []event.Event
 
@@ -245,6 +247,7 @@ func newShard(prog *program) (*shardState, error) {
 		slots:    make([]slot, k),
 		assigned: make([]*deptree.WindowVersion, k),
 		done:     make(chan struct{}),
+		gridAt:   idleCutEvery,
 	}
 	s.lagP50.Q = 0.5
 	s.lagP99.Q = 0.99
@@ -523,7 +526,6 @@ func (s *shardState) lookahead() int {
 // lookahead horizon. Events become visible to the operator slots one by
 // one, as they arrive. At end of stream it finalizes the window manager.
 func (s *shardState) ingest() int {
-	up := s.prog.cfg.Upstream
 	n := 0
 	for ; n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); n++ {
 		ev, ok, done := s.queue.next()
@@ -536,29 +538,30 @@ func (s *shardState) ingest() int {
 			}
 			break
 		}
-		if up != nil && s.tree.Root() == nil {
+		if ev.Seq > s.gridAt {
+			// The tree is empty: cut the gap up to this event.
 			s.gridCuts(ev.Seq, s.winMgr.Opened())
+			s.gridAt = s.nextGrid()
 		}
 		// Every event arrives stamped with its position (live input at
 		// admission, journal replay with its original one); positions
 		// the intake filter spent stay gaps.
 		stored := s.ar.Get(s.ar.AppendAt(ev))
-		if s.replayRemaining > 0 {
-			// Recovered events are already in the WAL.
-			s.replayRemaining--
-		} else if s.persist != nil {
+		if s.persist != nil && ev.Seq >= s.recoveredNextSeq {
+			// Replayed events, below recoveredNextSeq, are in the WAL.
 			s.journalBuf = append(s.journalBuf, *stored)
 		}
-		opened, _ := s.winMgr.Observe(stored)
-		for _, w := range opened {
-			s.tree.NewWindow(w)
+		if opened, _ := s.winMgr.Observe(stored); len(opened) > 0 {
+			for _, w := range opened {
+				s.tree.NewWindow(w)
+			}
+			s.windowsOpened.Add(uint64(len(opened)))
+			s.gridAt = math.MaxUint64
 		}
-		s.windowsOpened.Add(uint64(len(opened)))
 	}
 	if n > 0 {
-		// One latency probe per ingest batch: when the arena boundary of a
-		// future root pop reaches this batch, its events have been fully
-		// validated and emitted.
+		// One latency probe per ingest batch: when a future cut reaches
+		// this batch, its events have been fully validated and emitted.
 		if len(s.lagMarks) < lagMarkCap {
 			s.lagMarks = append(s.lagMarks, lagMark{seq: s.ar.Len(), at: time.Now()})
 		}
@@ -627,52 +630,9 @@ func (s *shardState) advanceRoots() bool {
 		s.drainOutputs(wv)
 		s.tree.PopRoot()
 		s.departed = append(s.departed, wv)
-		if s.persist != nil {
-			s.persistCut()
-		} else if s.prog.cfg.Upstream != nil {
-			s.cutAfterPop(wv.Win.EndSeq())
-		}
-		s.releaseArena()
+		s.cutAfterPop(wv.Win.EndSeq())
 		changed = true
 	}
-}
-
-// persistCut records the post-pop recovery cut (splitter only): the new
-// root boundary (everything below it is final and will never be
-// reprocessed), the next window id, the emission watermark at the pop,
-// and the still-relevant consumption marks at or past the boundary. On
-// recovery the journal below the boundary is compacted away and replay
-// starts at the cut.
-func (s *shardState) persistCut() {
-	boundary := s.ar.Len()
-	nextWin := s.winMgr.Opened()
-	if root := s.tree.Root(); root != nil {
-		boundary = root.WV.Win.StartSeq
-		nextWin = root.WV.Win.ID
-	}
-	s.persist.appendCut(&durable.CutRecord{
-		Boundary:     boundary,
-		NextWindowID: nextWin,
-		Watermark:    s.emitted,
-		Consumed:     s.ar.ConsumedRuns(boundary, s.ar.Len(), nil),
-	})
-}
-
-// releaseArena recycles arena chunks no run state can reference anymore.
-// After a root pop, every live window version starts at or after the new
-// root's start sequence (windows open — and therefore pop — in stream
-// order), so chunks wholly below that boundary are unreachable: workers
-// only read positions inside their version's window span, and emitted
-// complex events carry sequence numbers, not arena pointers. With an
-// empty tree everything appended so far is released; windows opened
-// later start at future positions.
-func (s *shardState) releaseArena() {
-	boundary := s.ar.Len()
-	if root := s.tree.Root(); root != nil {
-		boundary = root.WV.Win.StartSeq
-	}
-	s.observeLag(boundary)
-	s.ar.ReleaseBefore(boundary)
 }
 
 // observeLag resolves the pending latency probes at or below boundary:
@@ -786,8 +746,8 @@ func (s *shardState) drainOutputs(wv *deptree.WindowVersion) bool {
 	})
 	if s.shed != nil {
 		// Feed the match back to the utility estimator: constituents are
-		// arena sequence numbers, and the arena still holds them — release
-		// happens only after the root pops.
+		// arena sequence numbers, and the arena still holds them — the cut
+		// that releases them follows the root's pop.
 		for i := range out {
 			for _, seq := range out[i].Constituents {
 				s.shed.NoteMatch(s.ar.Get(seq).Type)

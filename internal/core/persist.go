@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -311,12 +312,16 @@ func (p *persister) appendEvents(batch []event.Event) {
 	p.ch <- persistReq{events: evs}
 }
 
-// appendCut records a root-pop cut (splitter, blocking).
+// appendCut is a durable shard's cut consumer (shardState.onCut;
+// splitter, blocking): it journals a copy of the cut, whose record the
+// splitter reuses.
 func (p *persister) appendCut(cut *durable.CutRecord) {
 	if p.broken.Load() {
 		return
 	}
-	p.ch <- persistReq{cut: cut}
+	cp := *cut
+	cp.Consumed = slices.Clone(cut.Consumed)
+	p.ch <- persistReq{cut: &cp}
 }
 
 // commitAndDeliver enqueues a watermark commit plus the match batch it
@@ -344,6 +349,7 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 		return nil, fmt.Errorf("core: recover durable shard %s/%d: %w", name, shard, err)
 	}
 	s.persist = newPersister(log, cfg.Reg)
+	s.onCut = s.persist.appendCut
 	if st != nil {
 		s.primeRecovered(st)
 	}
@@ -353,8 +359,8 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 
 // primeRecovered rebuilds the shard's pre-crash state from the folded
 // WAL — or from an upstream cut (Config.Upstream) with an empty journal:
-// final consumption marks and the window-id cursor from the cut,
-// the emission watermark split into the already-counted prefix
+// final consumption marks, the window-id cursor and the last cut from
+// the cut, the emission watermark split into the already-counted prefix
 // (s.emitted) and the suppression budget for matches the replay will
 // regenerate but the previous process already delivered. The replay then
 // re-forms every window past the cut from the journal. Called before the
@@ -373,13 +379,14 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 			}
 		}
 		s.winMgr.ResumeAt(cut.NextWindowID)
+		s.lastCut = cut.Boundary
+		s.gridAt = s.nextGrid()
 		cutW = cut.Watermark
 	}
 	s.emitted = cutW
 	if st.Watermark > cutW {
 		s.suppressRemaining = st.Watermark - cutW
 	}
-	s.replayRemaining = len(st.Events)
 	if len(st.Events) > 0 {
 		s.replayTarget = st.NextSeq
 	}

@@ -171,11 +171,13 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 			s.shed = shed.New(scfg)
 		}
 		var rec *durable.ShardState
-		if up := prog.cfg.Upstream; up != nil && up.From != nil {
-			// The journal is upstream: start from its cut with nothing to
-			// replay here; the feeder re-feeds from the cut's boundary.
-			s.primeRecovered(&durable.ShardState{Cut: up.From, Watermark: up.From.Watermark, NextSeq: up.From.Boundary})
-			s.lastCut = up.From.Boundary
+		if up := prog.cfg.Upstream; up != nil {
+			s.onCut = up.OnCut
+			if up.From != nil {
+				// The journal is upstream: start from its cut with nothing
+				// to replay here; the feeder re-feeds from its boundary.
+				s.primeRecovered(&durable.ShardState{Cut: up.From, Watermark: up.From.Watermark, NextSeq: up.From.Boundary})
+			}
 		}
 		if prog.cfg.Durable != nil {
 			// Open (and recover) the shard's WAL before it runs; the

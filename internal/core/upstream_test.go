@@ -53,19 +53,6 @@ func upstreamLife(t *testing.T, q *pattern.Query, events []event.Event, from *du
 // with windows thousands of positions apart, so grid cuts fall between
 // them.
 func TestResumeFromCut(t *testing.T) {
-	// qe is QE's stream with an A every aEvery events, 7 s apart.
-	qe := func(reg *event.Registry, n, aEvery int) (*pattern.Query, []event.Event, error) {
-		q, err := queries.QE(reg, queries.QEConsumeSelectedB)
-		ta, tb := reg.TypeID("A"), reg.TypeID("B")
-		evs := make([]event.Event, n)
-		for i := range evs {
-			evs[i] = event.Event{TS: int64(i) * int64(7*time.Second), Type: tb}
-			if i%aEvery == 0 {
-				evs[i].Type = ta
-			}
-		}
-		return q, evs, err
-	}
 	cases := []struct {
 		name  string
 		setup func(reg *event.Registry) (*pattern.Query, []event.Event, error)
@@ -141,6 +128,21 @@ func TestResumeFromCut(t *testing.T) {
 			}
 		})
 	}
+}
+
+// qe is QE (CONSUME (B)) over its stream with an A every aEvery events,
+// 7 s apart, so each window holds 9 events and the rest are gaps.
+func qe(reg *event.Registry, n, aEvery int) (*pattern.Query, []event.Event, error) {
+	q, err := queries.QE(reg, queries.QEConsumeSelectedB)
+	ta, tb := reg.TypeID("A"), reg.TypeID("B")
+	evs := make([]event.Event, n)
+	for i := range evs {
+		evs[i] = event.Event{TS: int64(i) * int64(7*time.Second), Type: tb}
+		if i%aEvery == 0 {
+			evs[i].Type = ta
+		}
+	}
+	return q, evs, err
 }
 
 // sameCut compares two cuts, an empty run list equal to a nil one.

@@ -1,14 +1,19 @@
 // Package durable persists per-shard query state so a SPECTRE runtime
 // survives process death: a write-ahead log of admitted events (the
-// replay journal), root-pop cut records and an emission watermark. The log is segmented, each record CRC-framed, and
-// appends reach disk through an explicit Sync — the engine batches and
-// syncs off the hot path (internal/core's persister goroutine).
+// replay journal), the shard's cuts and an emission watermark. The log
+// is segmented, each record CRC-framed, and appends reach disk through
+// an explicit Sync — the engine batches and syncs off the hot path
+// (internal/core's persister goroutine). The cuts are the shard's one
+// cut stream (internal/core/cut.go): one per root pop, and grid cuts
+// while no window is open, so the log rotates and deletes segments in a
+// gap as it does between windows.
 //
 // Recovery contract (consumed by core's recover path):
 //
-//   - The cut record is the durable floor: everything below its Boundary
-//     is released — popped windows, released arena prefix, already-final
-//     consumption marks folded into Consumed.
+//   - The latest cut record is the durable floor: everything below its
+//     Boundary is released — popped windows, released arena prefix,
+//     already-final consumption marks folded into Consumed — and the
+//     shard restarts with it as its last cut.
 //   - Events at or above the boundary form the replay journal; feeding
 //     them back through the engine re-forms windows and matches
 //     deterministically (window formation depends only on Seq/TS).
@@ -53,7 +58,7 @@ const (
 	KindEvents
 	// kindReserved was the matcher-checkpoint record; see the package doc.
 	kindReserved
-	// KindCut is a root-pop cut: the durable floor advances.
+	// KindCut is a cut of the shard's stream: the durable floor advances.
 	KindCut
 	// KindWatermark advances the cumulative delivered-match count.
 	KindWatermark
@@ -70,15 +75,18 @@ type Record struct {
 	Watermark uint64
 }
 
-// CutRecord marks a root pop. Everything below Boundary is durably
-// final: the arena prefix is released, windows below NextWindowID are
-// resolved, and Watermark matches have been delivered.
+// CutRecord is one cut of a shard's stream: after a root pop, or on the
+// grid inside a gap. Everything below Boundary is durably final: the
+// arena prefix is released, windows below NextWindowID are resolved,
+// and Watermark matches have been delivered.
 type CutRecord struct {
-	// Boundary is the new arena floor (the new root window's start, or
-	// the stream length when the tree emptied).
+	// Boundary is the new arena floor: the new root window's start when
+	// it overlaps the popped root, else a position in the gap before the
+	// next window — the popped root's end or a multiple of the grid.
+	// Boundaries strictly increase along a shard's log.
 	Boundary uint64
-	// NextWindowID is the id the window manager will assign next (the
-	// new root's id, or the opened count when the tree emptied).
+	// NextWindowID is the id of the first window at or past Boundary
+	// (the next root's id, or the opened count while the tree is empty).
 	NextWindowID uint64
 	// Watermark is the cumulative delivered-match count at the cut.
 	Watermark uint64

@@ -4,12 +4,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -562,156 +559,5 @@ func TestLoadRejectsTypePastTable(t *testing.T) {
 				t.Fatalf("FileStore Load = %T %v, want *Corrupt", err, err)
 			}
 		})
-	}
-}
-
-// foldRecords folds recs (through the codec, as a store would) into the
-// state a log holding exactly them loads.
-func foldRecords(t *testing.T, reg *event.Registry, recs []*Record) *ShardState {
-	t.Helper()
-	f := newFolder(reg)
-	for _, rec := range recs {
-		p, err := encodeRecord(nil, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := decodeRecord(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.add(dec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return f.finish()
-}
-
-// sameState compares two loaded states, an empty journal matching a nil
-// one.
-func sameState(a, b *ShardState) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Events) == 0 && len(b.Events) == 0 {
-		ac, bc := *a, *b
-		ac.Events, bc.Events = nil, nil
-		return reflect.DeepEqual(ac, bc)
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-// TestMemStoreReleasesLikeFold: under random record sequences — table
-// growth, events, cuts, watermarks, syncs and crashes — a MemStore that
-// releases what synced cuts and watermarks supersede loads exactly what
-// folding every synced record loads, and holds no more than the live
-// events records, the table records and two.
-func TestMemStoreReleasesLikeFold(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		reg := event.NewRegistry()
-		ms := NewMemStore()
-		log, _ := openShard(t, ms, reg)
-		// synced is every record a Sync made durable, pending the rest.
-		var synced, pending []*Record
-		var seq, boundary, wm uint64
-		announced, held := 0, 0
-		appendRec := func(rec *Record) {
-			if err := log.Append(rec); err != nil {
-				t.Fatalf("seed %d: Append kind %d: %v", seed, rec.Kind, err)
-			}
-			pending = append(pending, rec)
-		}
-		announce := func() {
-			appendRec(TypesRecord(reg))
-			appendRec(FieldsRecord(reg))
-			announced = reg.NumTypes()
-		}
-		// reversed returns a registry holding reg's names in reverse
-		// order, so loading through it remaps every id: an events record
-		// that lost the tables before it would load differently.
-		reversed := func() *event.Registry {
-			r := event.NewRegistry()
-			types, fields := reg.TypeNames(), reg.FieldNames()
-			for i := len(types) - 1; i >= 0; i-- {
-				r.TypeID(types[i])
-			}
-			for i := len(fields) - 1; i >= 0; i-- {
-				r.FieldIndex(fields[i])
-			}
-			return r
-		}
-		// check reopens the log (nothing is pending) and compares.
-		check := func(label string) {
-			t.Helper()
-			log.Close()
-			var got *ShardState
-			log, got = openShard(t, ms, reversed())
-			if want := foldRecords(t, reversed(), synced); !sameState(got, want) {
-				t.Fatalf("seed %d %s: compacted load %+v != full fold %+v", seed, label, got, want)
-			}
-			live, tables := 0, 0
-			var floor uint64
-			for _, rec := range synced {
-				if rec.Kind == KindCut {
-					floor = rec.Cut.Boundary
-				}
-			}
-			for _, rec := range synced {
-				switch rec.Kind {
-				case KindTypes, KindFields:
-					tables++
-				case KindEvents:
-					if rec.Events[len(rec.Events)-1].Seq >= floor {
-						live++
-					}
-				}
-			}
-			held = len(ms.shards["q/0"].synced())
-			if held > live+tables+2 {
-				t.Fatalf("seed %d %s: %d records held, bound %d live events + %d tables + 2", seed, label, held, live, tables)
-			}
-		}
-		for step := 0; step < 800; step++ {
-			switch op := rng.Intn(20); {
-			case op < 1:
-				reg.TypeID(fmt.Sprintf("T%d", reg.NumTypes()))
-				reg.FieldIndex(fmt.Sprintf("f%d", rng.Intn(6)))
-				announce()
-			case op < 10:
-				if announced == 0 {
-					reg.TypeID(fmt.Sprintf("T%d", reg.NumTypes()))
-					announce()
-				}
-				evs := make([]event.Event, 1+rng.Intn(6))
-				for i := range evs {
-					seq += 1 + uint64(rng.Intn(2))
-					evs[i] = event.Event{Seq: seq, TS: int64(seq), Type: event.Type(1 + rng.Intn(announced))}
-					for f := rng.Intn(reg.NumFields() + 1); f > 0; f-- {
-						evs[i].Fields = append(evs[i].Fields, rng.Float64())
-					}
-				}
-				appendRec(&Record{Kind: KindEvents, Events: evs})
-			case op < 13:
-				boundary += uint64(rng.Int63n(int64(seq-boundary) + 1))
-				appendRec(&Record{Kind: KindCut, Cut: &CutRecord{Boundary: boundary, NextWindowID: boundary, Watermark: uint64(rng.Intn(int(wm) + 3))}})
-			case op < 15:
-				wm = uint64(rng.Intn(int(wm) + 4))
-				appendRec(&Record{Kind: KindWatermark, Watermark: wm})
-			case op < 19:
-				if err := log.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				synced, pending = append(synced, pending...), nil
-				check(fmt.Sprintf("step %d sync", step))
-			default:
-				ms.Crash()
-				pending = nil
-				announced = 0 // a restarted writer re-announces its tables
-				check(fmt.Sprintf("step %d crash", step))
-			}
-		}
-		if held*2 > len(synced) {
-			t.Fatalf("seed %d: %d of %d synced records still held; cuts released too little", seed, held, len(synced))
-		}
 	}
 }

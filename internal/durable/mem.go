@@ -12,15 +12,9 @@ import (
 // volatile/durable split of a real disk — Append lands in a volatile
 // buffer, Sync promotes it — so tests can call Crash to drop everything
 // that was never synced and exercise the same torn-state recovery paths
-// a machine failure produces. Records are stored encoded; Load decodes
-// them, so every MemStore test also exercises the codec.
-//
-// Like FileStore's segment deletion, a synced cut releases what it
-// supersedes: events records wholly below its boundary and every earlier
-// cut; only the highest watermark is kept. Table records stay, because
-// Load remaps each events record with the tables that precede it.
-// Boundaries never decrease (cuts follow root pops), which makes the
-// release exact.
+// a machine failure produces. Records are stored encoded and kept in
+// log order, every one of them; Load decodes and folds them all, so
+// every MemStore test also exercises the codec.
 type MemStore struct {
 	mu     sync.Mutex
 	shards map[string]*memShard
@@ -28,29 +22,12 @@ type MemStore struct {
 }
 
 type memShard struct {
-	mu sync.Mutex
-	// recs holds the synced table and events records in log order, except
-	// that recs[tables:head] are slots of events records a cut released;
-	// the table records among them moved down into recs[:tables].
-	recs         []memRec
-	tables, head int
-	// cut is the latest synced cut; wm a watermark record carrying top,
-	// the highest synced watermark (nil until one is synced).
-	cut, wm  []byte
-	top      uint64
-	volatile []memRec
+	mu       sync.Mutex
+	recs     [][]byte // synced records, encoded, in log order
+	volatile [][]byte
 	epoch    uint64 // bumped on Crash; stale handles become inert
 	open     bool
 	loaded   bool
-}
-
-// memRec is one encoded record with what release reads: for events the
-// last event's seq, for a cut its boundary; for cuts and watermarks the
-// watermark carried.
-type memRec struct {
-	kind    Kind
-	seq, wm uint64
-	p       []byte
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -106,64 +83,6 @@ func (m *MemStore) Crash() {
 	}
 }
 
-// promote makes one record durable (sh.mu held).
-func (sh *memShard) promote(r memRec) {
-	if r.kind != KindCut && r.kind != KindWatermark {
-		sh.recs = append(sh.recs, r)
-		return
-	}
-	if r.kind == KindCut {
-		sh.cut = r.p
-		sh.release(r.seq)
-	}
-	if sh.wm == nil || r.wm > sh.top {
-		sh.top = r.wm
-		sh.wm, _ = encodeRecord(nil, &Record{Kind: KindWatermark, Watermark: r.wm})
-	}
-}
-
-// release drops the events records wholly below boundary. Seqs increase
-// along the log, so they are a prefix of the events records: the head
-// resumes where the last cut stopped, and table records it passes move
-// down ahead of every live record. Released slots are squeezed out once
-// they fill half the slice, so each record is moved O(1) times.
-func (sh *memShard) release(boundary uint64) {
-	for ; sh.head < len(sh.recs); sh.head++ {
-		r := sh.recs[sh.head]
-		if r.kind == KindEvents {
-			if r.seq >= boundary {
-				break
-			}
-			continue
-		}
-		sh.recs[sh.tables] = r
-		sh.tables++
-	}
-	if sh.head-sh.tables > len(sh.recs)/2 {
-		n := sh.tables + copy(sh.recs[sh.tables:], sh.recs[sh.head:])
-		clear(sh.recs[n:])
-		sh.recs, sh.head = sh.recs[:n], sh.tables
-	}
-}
-
-// synced lists the durable records in an order that folds to the log's
-// state: the cut and the watermark record only set state, so they go last.
-func (sh *memShard) synced() [][]byte {
-	out := make([][]byte, 0, sh.tables+len(sh.recs)-sh.head+2)
-	for _, r := range sh.recs[:sh.tables] {
-		out = append(out, r.p)
-	}
-	for _, r := range sh.recs[sh.head:] {
-		out = append(out, r.p)
-	}
-	for _, p := range [][]byte{sh.cut, sh.wm} {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // memLog is one shard's handle.
 type memLog struct {
 	sh     *memShard
@@ -185,7 +104,7 @@ func (l *memLog) Load(reg *event.Registry) (*ShardState, error) {
 		return nil, ErrNotLoaded
 	}
 	f := newFolder(reg)
-	for _, p := range l.sh.synced() {
+	for _, p := range l.sh.recs {
 		rec, err := decodeRecord(p)
 		if err != nil {
 			return nil, err
@@ -209,18 +128,7 @@ func (l *memLog) Append(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	r := memRec{kind: rec.Kind, p: p}
-	switch rec.Kind {
-	case KindEvents:
-		if n := len(rec.Events); n > 0 {
-			r.seq = rec.Events[n-1].Seq
-		}
-	case KindCut:
-		r.seq, r.wm = rec.Cut.Boundary, rec.Cut.Watermark
-	case KindWatermark:
-		r.wm = rec.Watermark
-	}
-	l.sh.volatile = append(l.sh.volatile, r)
+	l.sh.volatile = append(l.sh.volatile, p)
 	return nil
 }
 
@@ -231,9 +139,7 @@ func (l *memLog) Sync() error {
 	if !l.live() || !l.sh.loaded {
 		return ErrNotLoaded
 	}
-	for _, r := range l.sh.volatile {
-		l.sh.promote(r)
-	}
+	l.sh.recs = append(l.sh.recs, l.sh.volatile...)
 	l.sh.volatile = nil
 	return nil
 }

@@ -30,7 +30,7 @@ import (
 // in internal/core (TestCrashPointCatalog asserts each one fires).
 var Catalog = []string{
 	"wal.ingest.append",  // persister: journaling an admitted-event batch
-	"wal.cut.append",     // persister: writing a root-pop cut record
+	"wal.cut.append",     // persister: writing a cut record
 	"wal.sync",           // persister: fsync of buffered records
 	"emit.before-commit", // splitter: before the watermark commit of a match batch
 	"emit.after-deliver", // splitter: after sink delivery of a committed batch

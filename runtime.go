@@ -36,7 +36,7 @@ func WithWorkers(n int) RuntimeOption {
 
 // WithDurability makes every query submitted to the runtime durable: a
 // per-shard write-ahead log under dir persists the ingest journal,
-// root-pop cuts and emission watermarks, off the hot path. After a
+// cuts and emission watermarks, off the hot path. After a
 // crash, re-submitting the same (named) queries against the same
 // directory rebuilds their state; Runtime.Recover then blocks until the
 // replay completes, and Handle.Recovered reports the positions producers
