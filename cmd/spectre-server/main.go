@@ -34,7 +34,7 @@
 // "fixed=<p>" (the Fig. 11 constant-probability baseline).
 //
 // -shed enables utility-driven load shedding at every hosted query's
-// intake queues (bounded latency instead of blocked producers under
+// admission (bounded latency instead of blocked producers under
 // overload).
 //
 // -state-dir makes every hosted query durable (DESIGN.md §11): the
@@ -231,7 +231,7 @@ func run() error {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline after SIGINT/SIGTERM")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and /debug/spectre/metrics on this address (e.g. localhost:6060); empty disables")
 		schedFlag    = flag.String("sched", "topk", "completion predictor that fills the slots: topk (learned Markov model) or fixed=<p> (constant probability p)")
-		shedFlag     = flag.Bool("shed", false, "shed lowest-utility events when a shard queue crosses its watermark instead of blocking")
+		shedFlag     = flag.Bool("shed", false, "shed lowest-utility events when a shard's unread tail crosses its watermark instead of blocking")
 		stateDir     = flag.String("state-dir", "", "durable query state: per-shard WALs under this directory; restarted servers recover submitted queries and answer client resume handshakes")
 		workerMode   = flag.Bool("worker", false, "run as a cluster shard worker (requires -join; most other flags do not apply)")
 		joinAddr     = flag.String("join", "", "coordinator address to join in -worker mode")

@@ -20,7 +20,7 @@ var (
 	// cancelled).
 	ErrHandleClosed = core.ErrHandleClosed
 	// ErrOverloaded is matched (errors.Is) by the *OverloadError that
-	// Handle.TryFeed returns when the target shard's queue is full.
+	// Handle.TryFeed returns when the target shard's unread tail is full.
 	ErrOverloaded = core.ErrOverloaded
 	// ErrShuttingDown is returned by Submit when it loses the race with a
 	// concurrent Runtime.Close/Shutdown: the query was compiled but never
@@ -30,9 +30,11 @@ var (
 )
 
 // OverloadError is TryFeed's admission rejection: the target shard's
-// intake queue was at capacity. It matches ErrOverloaded with errors.Is
-// and carries the query name, the shard index and the queue occupancy
-// at rejection time — the inputs a load-shedding policy needs. Queries
+// unread tail — the events admitted to its arena that its splitter has
+// not read yet, counted in stream positions — was at capacity. It
+// matches ErrOverloaded with errors.Is and carries the query name, the
+// shard index and the tail's length at rejection time — the inputs a
+// load-shedding policy needs. Queries
 // submitted with WithShedding shed at the intake instead and return
 // nil, so they only produce this error on the rare closed-handle race.
 type OverloadError = core.OverloadError

@@ -90,9 +90,10 @@ func run() error {
 	fmt.Printf("submitted %s on %d shards, %s on %d shards\n",
 		hMomentum.Name(), hMomentum.Shards(), hReversal.Name(), hReversal.Shards())
 
-	// Feed both queries in batches: FeedBatch scatters each slice to its
-	// shards with one queue handoff per (batch, shard) — the cheap intake
-	// path — and each handle routes every event by symbol hash.
+	// Feed both queries in batches: FeedBatch writes each event straight
+	// into its shard's arena, taking a shard's lock once per run of events
+	// routed to it — the cheap intake path — and each handle routes every
+	// event by symbol hash.
 	start := time.Now()
 	const batch = 512
 	for lo := 0; lo < len(events); lo += batch {

@@ -1,12 +1,20 @@
 // Package arena provides the shared-memory event store of the
 // parallelization framework (paper §2.2, Figure 2): a chunked, append-only
-// arena with a single writer (the splitter) and many lock-free readers (the
-// operator instances). Each chunk holds its events and, beside them, one
-// consumption bit per position — the finally consumed set. The bits are
-// released with their chunk, so consumption memory is bounded by the live
-// window span, not by the length of the stream, and they follow the
-// events' reader contract: nobody asks about a position below the release
+// arena that every event is written into once, at admission, and that
+// the splitter and the operator instances read lock-free. Each chunk
+// holds its events and, beside them, one consumption bit per position —
+// the finally consumed set. The bits are released with their chunk, so
+// consumption memory is bounded by the live window span plus the unread
+// tail, not by the length of the stream, and they follow the events'
+// reader contract: nobody asks about a position below the release
 // boundary.
+//
+// Two goroutines write, each its own part. The appender (the feed side)
+// appends events, materializes chunks and is the only one to publish a
+// new chunk directory. The marker (the splitter) sets consumption bits
+// in chunks that already exist and publishes release boundaries with
+// Release; the appender applies the latest boundary the next time it
+// materializes a chunk, so the chunk freelist stays on one goroutine.
 //
 // Events are addressed by their position in the shard's stream, which
 // the feed layer stamps into ev.Seq at admission. Positions the intake
@@ -51,7 +59,7 @@ var zeroEvent = &event.Event{}
 
 // view is one published chunk directory: chunks[i] holds the positions
 // of chunk index base+i. Chunks below base were released. A slot is nil
-// until its chunk is materialized; the writer fills slots in place, and
+// until its chunk is materialized; the appender fills slots in place, and
 // publishes a new view only to drop released chunks or to widen the
 // directory.
 type view struct {
@@ -60,7 +68,9 @@ type view struct {
 }
 
 // Arena is the append-only shared event store. Append/AppendAt/
-// MarkConsumed/ReleaseBefore may be called by a single goroutine only;
+// ReleaseBefore belong to a single appender goroutine; MarkConsumed and
+// Release to a single marker goroutine, which may be the appender (see
+// MarkConsumed for the positions a separate marker may mark).
 // Get/Lookup/Consumed/Len are safe from any goroutine and observe a
 // consistent prefix.
 type Arena struct {
@@ -68,8 +78,11 @@ type Arena struct {
 	// wrote0 records that position 0 holds an appended event: a gap reads
 	// back as the zero event, whose Seq is 0 too.
 	wrote0 atomic.Bool
+	// released is the latest release boundary the marker published; the
+	// appender applies it when it next materializes a chunk.
+	released atomic.Uint64
 
-	// free holds recycled chunks for reuse (single-writer, like Append).
+	// free holds recycled chunks for reuse (appender only).
 	free []*chunk
 	// allocs/reuses count fresh chunk allocations and freelist reuses;
 	// atomics so metrics and regression tests can read them mid-run.
@@ -120,7 +133,9 @@ func (a *Arena) chunkOf(seq uint64) *chunk {
 }
 
 // chunkAt returns the chunk holding seq, materializing it if needed.
-// Writer only; seq must not lie below the release boundary. A slot
+// Appender only; seq must not lie below the release boundary. Before it
+// materializes a chunk it applies the published release boundary, so
+// released chunks return to the freelist just in time for reuse. A slot
 // inside the directory is filled in place; past its end the directory is
 // reallocated at twice the needed length, carrying the live slots over.
 func (a *Arena) chunkAt(seq uint64) *chunk {
@@ -130,6 +145,13 @@ func (a *Arena) chunkAt(seq uint64) *chunk {
 		if c := d.chunks[i].Load(); c != nil {
 			return c
 		}
+	}
+	if b := a.released.Load(); b>>chunkBits > d.base {
+		a.ReleaseBefore(b)
+		d = a.dir.Load()
+		i = seq>>chunkBits - d.base
+	}
+	if i < uint64(len(d.chunks)) {
 		c := a.newChunk()
 		d.chunks[i].Store(c)
 		return c
@@ -146,15 +168,14 @@ func (a *Arena) chunkAt(seq uint64) *chunk {
 
 // Append stores ev at the next sequence position and returns its assigned
 // sequence number (equal to the previous Len). The caller must be the
-// arena's single writer. The event's Seq field is set to the assigned
-// number.
+// arena's appender. The event's Seq field is set to the assigned number.
 func (a *Arena) Append(ev event.Event) uint64 {
 	ev.Seq = a.length.Load()
 	return a.AppendAt(ev)
 }
 
 // AppendAt stores ev at its stamped position ev.Seq, which must be at
-// least Len() (the single writer only moves forward). Positions skipped
+// least Len() (the appender only moves forward). Positions skipped
 // over — events dropped upstream by the planner's intake prefilter —
 // are gaps: Lookup reports them absent.
 func (a *Arena) AppendAt(ev event.Event) uint64 {
@@ -191,8 +212,10 @@ func (a *Arena) Lookup(seq uint64) (*event.Event, bool) {
 // MarkConsumed records the event at seq as finally consumed and reports
 // whether it was not marked before. Marking is monotone while the chunk
 // is live. The position need not be appended yet: recovery marks a cut's
-// positions before replay appends them, so marking materializes the
-// chunk exactly as AppendAt does. Writer only, like AppendAt.
+// positions before replay appends them, so marking materializes an
+// absent chunk exactly as AppendAt does — which only the appender may
+// do. A marker on another goroutine marks only appended positions at or
+// above its last release boundary, whose chunks exist.
 func (a *Arena) MarkConsumed(seq uint64) bool {
 	w := &a.chunkAt(seq).consumed[(seq&chunkMask)>>6]
 	old, bit := w.Load(), uint64(1)<<(seq&63)
@@ -253,14 +276,19 @@ func (a *Arena) ConsumedRuns(lo, hi uint64, dst []uint64) []uint64 {
 	return dst
 }
 
+// Release publishes boundary as the arena's release boundary: the
+// marker's promise that no reader holds, or will ever again request, a
+// pointer to or a mark of any event below it. The engine's splitter
+// calls it at every cut of the shard's stream (internal/core/cut.go),
+// when every window open or opened later starts at or after the
+// boundary. The appender recycles the chunks wholly below it when it
+// next materializes a chunk. Boundaries must not decrease.
+func (a *Arena) Release(boundary uint64) { a.released.Store(boundary) }
+
 // ReleaseBefore recycles every chunk wholly below boundary onto the
-// freelist (beyond maxFree they are dropped for the GC), consumption
-// bits included, and slides the directory past them. The caller — the
-// arena's single writer — must guarantee that no reader holds, or will
-// ever again request, a pointer to or a mark of any event below
-// boundary: the engine calls this at every cut of the shard's stream
-// (internal/core/cut.go), when every window open or opened later starts
-// at or after the boundary.
+// freelist at once (beyond maxFree they are dropped for the GC),
+// consumption bits included, and slides the directory past them.
+// Appender only, under Release's promise for boundary.
 func (a *Arena) ReleaseBefore(boundary uint64) {
 	d := a.dir.Load()
 	limit := boundary >> chunkBits // first chunk that may still be live

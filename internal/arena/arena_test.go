@@ -472,3 +472,102 @@ func TestConsumedSetAppendRuns(t *testing.T) {
 		t.Fatal("a released chunk still reads a mark")
 	}
 }
+
+// TestConcurrentReleaseBoundsChunks runs the arena's two writers on two
+// goroutines, as the engine does: the appender appends — leaving every
+// seventh position a gap — materializes chunks and applies the release
+// boundaries; the marker marks the even appended positions of chunks
+// that exist and publishes boundaries. Readers look up events and
+// consumption marks below the marker's cursor. Each reader pins the
+// lowest position it will read, and the marker never releases past a
+// pin. The appender stays within two chunks of the boundary, so at most
+// three chunks are live at once, and the allocations stay under that
+// bound while the stream grows 4×.
+func TestConcurrentReleaseBoundsChunks(t *testing.T) {
+	const (
+		n       = 8 * chunkSize
+		readers = 2
+		bound   = 3
+	)
+	gap := func(seq uint64) bool { return seq%7 == 3 }
+	a := New()
+	var (
+		marked atomic.Uint64 // every position below is marked, if it is going to be
+		pins   [readers]atomic.Uint64
+		wg     sync.WaitGroup
+		allocs [2]uint64 // after n and after 4n positions
+	)
+	stop := make(chan struct{})
+	for r := range pins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pin := &pins[r]
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m := marked.Load()
+				for seq := pin.Load(); seq < m; seq += 29 {
+					ev, ok := a.Lookup(seq)
+					if ok == gap(seq) || ok && ev.Seq != seq {
+						t.Errorf("Lookup(%d) = %+v, %v below the marker's cursor %d", seq, ev, ok, m)
+						return
+					}
+					if a.Consumed(seq) != (ok && seq%2 == 0) {
+						t.Errorf("Consumed(%d) = %v below the marker's cursor %d", seq, !(ok && seq%2 == 0), m)
+						return
+					}
+				}
+				if m > chunkSize/2 {
+					pin.Store(max(pin.Load(), m-chunkSize/2))
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // the marker
+		defer wg.Done()
+		for seq := uint64(0); seq < 4*n; {
+			for l := a.Len(); seq < l; seq++ {
+				if _, ok := a.Lookup(seq); ok && seq%2 == 0 {
+					a.MarkConsumed(seq)
+				}
+			}
+			marked.Store(seq)
+			low := seq
+			for r := range pins {
+				low = min(low, pins[r].Load())
+			}
+			a.Release(low)
+			runtime.Gosched()
+		}
+	}()
+	for seq := uint64(0); seq < 4*n; seq++ { // the appender
+		if seq == n {
+			allocs[0], _ = a.AllocStats()
+		}
+		if gap(seq) {
+			continue
+		}
+		for a.Len() >= a.released.Load()+2*chunkSize {
+			runtime.Gosched()
+		}
+		a.AppendAt(event.Event{Seq: seq, Type: 1})
+	}
+	for marked.Load() < 4*n {
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	allocs[1], _ = a.AllocStats()
+	if allocs[0] > bound || allocs[1] > bound {
+		t.Fatalf("%d chunks allocated after %d positions, %d after %d; bound %d", allocs[0], n, allocs[1], 4*n, bound)
+	}
+	if _, reuses := a.AllocStats(); reuses == 0 {
+		t.Fatal("no released chunk was reused")
+	}
+}

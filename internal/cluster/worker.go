@@ -478,7 +478,7 @@ func (w *Worker) handleEvents(m *eventsMsg) error {
 }
 
 // feed hands a remapped batch to its shard. Feeding blocks when the
-// shard's intake queue is full — the link reader stalling is exactly the
+// shard's unread tail is full — the link reader stalling is exactly the
 // backpressure the coordinator's TCP window propagates to its batcher.
 func (w *Worker) feed(query, shard uint32, evs []event.Event) error {
 	ws := w.lookup(query, shard)

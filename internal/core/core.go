@@ -7,10 +7,12 @@
 // Responsibilities are divided exactly as in the paper's shared-memory
 // architecture (Figure 2):
 //
-//   - The splitter owns the event arena (single writer; it also carries
-//     the final consumption marks, one bit per position in the event's
-//     own chunk), the window manager, the dependency tree, the Markov
-//     model and in-order emission.
+//   - The event arena is the shard's shared memory and its queue:
+//     admission writes each kept event into it once, at its stamped
+//     position, and the splitter reads the unread tail. The splitter
+//     carries the final consumption marks in it (one bit per position
+//     in the event's own chunk) and owns the window manager, the
+//     dependency tree, the Markov model and in-order emission.
 //   - Operator instances process their assigned window version in batches
 //     under the version's mutex, perform the periodic consistency checks
 //     of Fig. 8 (lines 31-45) and roll back on violations. Under the
@@ -44,25 +46,28 @@ import (
 )
 
 // ErrOverloaded is the sentinel matched (via errors.Is) by every
-// *OverloadError: a non-blocking admission attempt found the shard queue
-// full. Callers shed load or retry; blocking Feed never returns it.
-var ErrOverloaded = errors.New("core: shard queue is full")
+// *OverloadError: a non-blocking admission attempt found the shard's
+// unread tail full. Callers shed load or retry; blocking Feed never
+// returns it.
+var ErrOverloaded = errors.New("core: shard intake is full")
 
 // OverloadError reports a rejected non-blocking admission (TryFeed): the
-// target shard's intake queue was at capacity. It matches ErrOverloaded
-// with errors.Is, so load-shedding callers need not depend on the struct.
+// target shard's unread tail — the positions admitted to its arena that
+// its splitter has not ingested — was at capacity. It matches
+// ErrOverloaded with errors.Is, so load-shedding callers need not depend
+// on the struct.
 type OverloadError struct {
 	Query   string // query name, when the handle is named ("" otherwise)
 	Shard   int    // shard index the event routed to
-	Pending int    // events queued on that shard at rejection time
-	Cap     int    // the shard queue's capacity
+	Pending int    // unread positions of that shard at rejection time
+	Cap     int    // the bound on the shard's unread tail (QueueCap)
 }
 
 func (e *OverloadError) Error() string {
 	if e.Query != "" {
-		return fmt.Sprintf("core: query %q shard %d queue is full (%d/%d events pending)", e.Query, e.Shard, e.Pending, e.Cap)
+		return fmt.Sprintf("core: query %q shard %d intake is full (%d/%d positions unread)", e.Query, e.Shard, e.Pending, e.Cap)
 	}
-	return fmt.Sprintf("core: shard %d queue is full (%d/%d events pending)", e.Shard, e.Pending, e.Cap)
+	return fmt.Sprintf("core: shard %d intake is full (%d/%d positions unread)", e.Shard, e.Pending, e.Cap)
 }
 
 // Is reports ErrOverloaded equivalence for errors.Is.
@@ -98,13 +103,14 @@ type Config struct {
 	// Shards overrides the shard count for partitioned Runtime queries;
 	// 0 defers to the partition spec, then to the runtime default.
 	Shards int
-	// QueueCap bounds the pending backlog of each shard intake queue
-	// (default 1<<16 events). A full queue blocks Feed and rejects
-	// TryFeed with an *OverloadError — unless Shed is on, in which case
-	// low-utility events are dropped before the queue ever fills.
+	// QueueCap bounds each shard's unread tail: the positions admitted
+	// to its arena that its splitter has not ingested yet (default 24576).
+	// A full tail blocks Feed and rejects TryFeed with an
+	// *OverloadError — unless Shed is on, in which case low-utility
+	// events are dropped before the tail ever fills.
 	QueueCap int
-	// Shed enables utility-driven load shedding at the intake queue
-	// (internal/shed, DESIGN.md §10): when a shard queue's depth crosses
+	// Shed enables utility-driven load shedding at admission
+	// (internal/shed, DESIGN.md §10): when a shard's unread tail crosses
 	// a watermark, the lowest-utility events are dropped instead of
 	// blocking Feed or failing TryFeed. Off by default — shedding trades
 	// completeness for bounded latency, which only the caller may decide.
@@ -188,6 +194,18 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// defaultQueueCap bounds a shard's unread tail: the positions admitted
+// to its arena but not yet ingested by its splitter. A full tail blocks
+// Feed, so backpressure propagates from a slow shard to Handle.Feed and,
+// through it, to whatever drives the stream (for the TCP server: the
+// connection's read loop, and thus the client's send window; for an
+// Engine: the goroutine pulling its source). The tail lives in arena
+// chunks, so the default is a chunk and a half of positions (24 576): a
+// shard that opens no window, whose cuts trail its cursor by less than
+// 1024 positions, then holds at most three chunks — the one being
+// written and the two before it.
+const defaultQueueCap = 3 << 13
+
 // horizonPerSlot is the lookahead horizon per operator instance: the
 // splitter keeps at most 4·k windows open past a complete root window
 // (DESIGN.md §4.3, §8).
@@ -198,12 +216,12 @@ const horizonPerSlot = 4
 type Metrics struct {
 	EventsIngested uint64
 	// FilteredEvents counts events dropped by the planner's type-indexed
-	// intake prefilter before touching the shard queue or the arena.
+	// intake prefilter before touching the arena.
 	// Kept strictly separate from EventsIngested: fed = ingested +
 	// filtered on the intake-filtered path.
 	FilteredEvents uint64
 	// ShedEvents counts events dropped by the load shedder (WithShedding)
-	// because the shard queue crossed its watermark. Disjoint from
+	// because the shard's unread tail crossed its watermark. Disjoint from
 	// FilteredEvents: fed = ingested + filtered + shed.
 	ShedEvents      uint64
 	EventsProcessed uint64 // per-version processing, including speculation

@@ -85,10 +85,10 @@ func runCrashLife(t *testing.T, store durable.Store, reg *event.Registry, q *pat
 	}
 	if !final {
 		// Ingestion is asynchronous and a mid-stream shutdown parks the
-		// shard, discarding whatever is still queued. Wait until the fed
-		// prefix was actually processed (or the kill fired) so
-		// intermediate lives make real progress.
-		for !faultinject.Killed() && int(h.shards[0].ar.Len()) < end {
+		// shard, dropping its unread tail. Wait until the fed prefix was
+		// actually ingested (or the kill fired) so intermediate lives
+		// make real progress.
+		for !faultinject.Killed() && int(h.shards[0].ingested.Load()) < end {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}

@@ -37,7 +37,7 @@ func (s *shardState) cutAt(b, nextWin uint64) {
 	}
 	s.lastCut = b
 	s.observeLag(b)
-	s.ar.ReleaseBefore(b)
+	s.ar.Release(b)
 	if s.onCut == nil {
 		return
 	}
@@ -45,7 +45,7 @@ func (s *shardState) cutAt(b, nextWin uint64) {
 		Boundary:     b,
 		NextWindowID: nextWin,
 		Watermark:    s.emitted,
-		Consumed:     s.ar.ConsumedRuns(b, s.ar.Len(), s.cut.Consumed[:0]),
+		Consumed:     s.ar.ConsumedRuns(b, s.cursor, s.cut.Consumed[:0]),
 	}
 	s.onCut(&s.cut)
 }
@@ -68,12 +68,12 @@ func (s *shardState) gridCuts(to, nextWin uint64) {
 // as events arrive (gridAt). A count window the stream's end cut short
 // ends past the stream: its gap starts at the stream's length.
 func (s *shardState) cutAfterPop(end uint64) {
-	end = min(end, s.ar.Len())
+	end = min(end, s.cursor)
 	root := s.tree.Root()
 	if root == nil {
 		next := s.winMgr.Opened()
 		s.cutAt(end, next)
-		s.gridCuts(s.ar.Len()-1, next)
+		s.gridCuts(s.cursor-1, next)
 		s.gridAt = s.nextGrid()
 		return
 	}

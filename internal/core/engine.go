@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,8 +117,8 @@ type limboBatch struct {
 }
 
 // shardState is the complete per-(query, shard) run state of the SPECTRE
-// runtime: the event arena, window manager, dependency tree, feedback
-// queue, predictor and the scheduling slots. A shardState is driven
+// runtime: the event arena (which is also its intake), window manager,
+// dependency tree, feedback queue, predictor and the scheduling slots. A shardState is driven
 // cooperatively by the workers of a Pool: whichever worker claims the
 // splitter runs one cycle, whichever claims a slot runs one batch.
 type shardState struct {
@@ -174,12 +175,29 @@ type shardState struct {
 	splitBusy atomic.Bool // cooperative-splitter claim
 	done      chan struct{}
 
+	// Intake (DESIGN.md §5.1). The arena is the shard's queue: admission
+	// (Handle.admit) appends every kept event at its stamped position,
+	// and the splitter ingests the unread tail [cursor, ar.Len()).
+	// admitMu is taken by producers and by Close/Park/Abort: it orders
+	// the appends against intakeClosed. A producer blocked on a full
+	// tail waits on room, counted in waiters, and the splitter wakes it
+	// after an ingest only when waiters is non-zero. cursor is the
+	// splitter's next position; ingested publishes it once per ingest,
+	// for the slots (they read below it) and the producers (the unread
+	// tail, Len − ingested, is what QueueCap bounds).
+	admitMu      sync.Mutex
+	room         sync.Cond
+	waiters      atomic.Int32
+	intakeClosed atomic.Bool
+	cursor       uint64
+	ingested     atomic.Uint64
+
 	// Journal state (Config.Durable, DESIGN.md §11; Config.Upstream,
 	// §12). persist is nil without a durable store. emitted, cut,
 	// lastCut, gridAt, suppressRemaining and journalBuf are
-	// splitter-only; onCut, replayTarget and recoveredNextSeq are set
-	// before the shard is attached and read-only afterwards (the cut
-	// consumer, the Recover barrier, Handle.Recovered).
+	// splitter-only; onCut and recoveredNextSeq are set before the shard
+	// is attached and read-only afterwards (the cut consumer,
+	// Handle.Recovered).
 	persist *persister
 	// emitted is the cumulative delivered-match count — the emission
 	// watermark committed before each delivery.
@@ -196,16 +214,12 @@ type shardState struct {
 	// suppressRemaining counts regenerated matches the previous process
 	// already delivered; replay skips delivering exactly that many.
 	suppressRemaining uint64
-	// replayTarget is the arena length at which the journal suffix is
-	// fully replayed (0 when there is nothing to replay).
-	replayTarget uint64
 	// recoveredNextSeq is the raw-substream position producers should
 	// re-feed from after recovery; the journal holds every event below it.
 	recoveredNextSeq uint64
 	journalBuf       []event.Event
 
-	queue *shardQueue
-	emit  func(event.Complex)
+	emit func(event.Complex)
 
 	metrics metricsBox
 
@@ -249,6 +263,7 @@ func newShard(prog *program) (*shardState, error) {
 		done:     make(chan struct{}),
 		gridAt:   idleCutEvery,
 	}
+	s.room.L = &s.admitMu
 	s.lagP50.Q = 0.5
 	s.lagP99.Q = 0.99
 	for i := range s.slots {
@@ -263,12 +278,11 @@ func newShard(prog *program) (*shardState, error) {
 	return s, nil
 }
 
-// begin wires the shard's intake and output before it is driven.
-func (s *shardState) begin(queue *shardQueue, emit func(event.Complex)) {
+// begin wires the shard's output before it is driven.
+func (s *shardState) begin(emit func(event.Complex)) {
 	if emit == nil {
 		emit = func(event.Complex) {}
 	}
-	s.queue = queue
 	s.emit = emit
 }
 
@@ -408,7 +422,7 @@ func (s *shardState) splitCycle() bool {
 	}
 	worked := false
 
-	if !s.inputDone.Load() && s.ingest() > 0 {
+	if !s.inputDone.Load() && s.ingest() {
 		worked = true
 	}
 
@@ -452,11 +466,11 @@ func (s *shardState) stopped() bool {
 }
 
 // cancel requests an abort: the next splitter cycle observes it, skips
-// the remaining work and finishes the run. Pending and future intake is
-// discarded. Idempotent.
+// the remaining work and finishes the run. The unread tail is dropped
+// with the shard, and further intake is refused. Idempotent.
 func (s *shardState) cancel() {
 	if s.cancelled.CompareAndSwap(false, true) {
-		s.queue.discard()
+		s.closeIntake()
 	}
 }
 
@@ -465,13 +479,23 @@ func (s *shardState) cancel() {
 // completion at the current stream length and truncated there), parking
 // stops the splitter after its current cycle and leaves the in-flight
 // windows to the WAL. Recovery replays the journal and re-forms them, so
-// a shutdown/restart pair is invisible in the delivered stream. Events
-// still queued but not yet journaled are dropped — the producer re-feeds
-// them from the recovered position. Idempotent.
+// a shutdown/restart pair is invisible in the delivered stream. The
+// unread tail, not yet journaled, is dropped — the producer re-feeds it
+// from the recovered position. Idempotent.
 func (s *shardState) park() {
 	if s.parked.CompareAndSwap(false, true) {
-		s.queue.discard()
+		s.closeIntake()
 	}
+}
+
+// closeIntake refuses further appends: a blocked producer leaves with
+// ErrHandleClosed, and the splitter, once it ingested the tail, sees
+// the end of the stream (unless a stop ended the run first).
+func (s *shardState) closeIntake() {
+	s.admitMu.Lock()
+	s.intakeClosed.Store(true)
+	s.room.Broadcast()
+	s.admitMu.Unlock()
 }
 
 // finishRun clears the scheduling slots and publishes completion. Called
@@ -499,14 +523,14 @@ func (s *shardState) rootNeedsIngest() bool {
 		return true
 	}
 	end := root.WV.Win.EndSeq()
-	return end == window.UnknownEnd || s.ar.Len() < end
+	return end == window.UnknownEnd || s.cursor < end
 }
 
 // lookaheadFull reports whether ingestion must pause: the root window has
 // all its events and the splitter has opened the horizon's worth of
 // windows (4·k), counted from the root window. What is left stays in the
-// shard queue, where it costs no window versions; every further window
-// would attach a version at every leaf of the tree.
+// arena's unread tail, where it costs no window versions; every further
+// window would attach a version at every leaf of the tree.
 func (s *shardState) lookaheadFull() bool {
 	return !s.rootNeedsIngest() && s.lookahead() >= s.prog.cfg.horizon
 }
@@ -521,37 +545,37 @@ func (s *shardState) lookahead() int {
 	return int(s.winMgr.Opened() - root.WV.Win.ID)
 }
 
-// ingest appends up to IngestBatch pending events to the arena, forming
+// ingest reads up to IngestBatch events of the unread tail, forming
 // windows, and stops early right after the event that fills the
-// lookahead horizon. Events become visible to the operator slots one by
-// one, as they arrive. At end of stream it finalizes the window manager.
-func (s *shardState) ingest() int {
-	n := 0
-	for ; n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); n++ {
-		ev, ok, done := s.queue.next()
+// lookahead horizon. Admission already wrote every event at its
+// position; positions the intake filter spent read as gaps and are
+// skipped. The events read become visible to the operator slots at the
+// end of the call, when the cursor is published, and a producer blocked
+// on the tail is woken. Once the intake is closed and its tail read, it
+// finalizes the window manager. It reports whether the cursor moved or
+// the stream ended.
+func (s *shardState) ingest() bool {
+	// The close flag is read before the length: every append precedes
+	// the close, so the tail of a closed intake is final.
+	closed := s.intakeClosed.Load()
+	end := s.ar.Len()
+	from, n := s.cursor, 0
+	for ; s.cursor < end && n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); s.cursor++ {
+		ev, ok := s.ar.Lookup(s.cursor)
 		if !ok {
-			// A queue a stop discarded is closed too, but only Close ends
-			// the stream.
-			if done && !s.stopped() {
-				s.winMgr.Finish(s.ar.Len())
-				s.inputDone.Store(true)
-			}
-			break
+			continue
 		}
+		n++
 		if ev.Seq > s.gridAt {
 			// The tree is empty: cut the gap up to this event.
 			s.gridCuts(ev.Seq, s.winMgr.Opened())
 			s.gridAt = s.nextGrid()
 		}
-		// Every event arrives stamped with its position (live input at
-		// admission, journal replay with its original one); positions
-		// the intake filter spent stay gaps.
-		stored := s.ar.Get(s.ar.AppendAt(ev))
 		if s.persist != nil && ev.Seq >= s.recoveredNextSeq {
 			// Replayed events, below recoveredNextSeq, are in the WAL.
-			s.journalBuf = append(s.journalBuf, *stored)
+			s.journalBuf = append(s.journalBuf, *ev)
 		}
-		if opened, _ := s.winMgr.Observe(stored); len(opened) > 0 {
+		if opened, _ := s.winMgr.Observe(ev); len(opened) > 0 {
 			for _, w := range opened {
 				s.tree.NewWindow(w)
 			}
@@ -559,21 +583,36 @@ func (s *shardState) ingest() int {
 			s.gridAt = math.MaxUint64
 		}
 	}
+	moved := s.cursor > from
+	if moved {
+		s.ingested.Store(s.cursor)
+		if s.waiters.Load() > 0 {
+			s.admitMu.Lock()
+			s.room.Broadcast()
+			s.admitMu.Unlock()
+		}
+	}
 	if n > 0 {
 		// One latency probe per ingest batch: when a future cut reaches
 		// this batch, its events have been fully validated and emitted.
 		if len(s.lagMarks) < lagMarkCap {
-			s.lagMarks = append(s.lagMarks, lagMark{seq: s.ar.Len(), at: time.Now()})
+			s.lagMarks = append(s.lagMarks, lagMark{seq: s.cursor, at: time.Now()})
 		}
 		s.metrics.add(func(m *Metrics) { m.EventsIngested += uint64(n) })
 	}
 	if s.persist != nil && len(s.journalBuf) > 0 {
-		// One WAL batch per ingest batch, after the arena writes: the
-		// persister copies the buffer, so it is reusable next cycle.
+		// One WAL batch per ingest batch: the persister copies the
+		// buffer, so it is reusable next cycle.
 		s.persist.appendEvents(s.journalBuf)
 		s.journalBuf = s.journalBuf[:0]
 	}
-	return n
+	// A stop closes the intake too, but only Close ends the stream.
+	if closed && s.cursor >= end && !s.stopped() {
+		s.winMgr.Finish(s.cursor)
+		s.inputDone.Store(true)
+		return true
+	}
+	return moved
 }
 
 // apply folds one feedback message into the dependency tree.
@@ -804,7 +843,7 @@ func (s *shardState) schedule() {
 		}
 	}
 
-	arenaLen := s.ar.Len()
+	arenaLen := s.cursor
 	avgSize := s.winMgr.AvgSize()
 	inputDone := s.inputDone.Load()
 

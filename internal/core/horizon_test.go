@@ -78,20 +78,13 @@ func driveShard(t *testing.T, q *pattern.Query, events []event.Event, cfg Config
 		t.Fatal(err)
 	}
 	var got []event.Complex
-	queue := newShardQueue(len(events) + 1)
-	s.begin(queue, func(ce event.Complex) { got = append(got, ce) })
-	for i, ev := range events {
-		ev.Seq = uint64(i)
-		if err := queue.push(t.Context(), ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queue.close()
+	s.begin(func(ce event.Complex) { got = append(got, ce) })
+	feedShard(s, events, true)
 	stop := time.Now().Add(deadline)
 	for cycles := 0; !s.finished.Load(); cycles++ {
 		if time.Now().After(stop) {
 			t.Fatalf("no progress to the end of the stream within %v (%d cycles, %d/%d events ingested, tree %d)",
-				deadline, cycles, s.ar.Len(), len(events), s.tree.Size())
+				deadline, cycles, s.cursor, len(events), s.tree.Size())
 		}
 		s.step()
 		if err := checkHorizon(s, h); err != nil {
@@ -203,10 +196,10 @@ func TestStaleGroupNeverStallsRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue := newShardQueue(64)
-	s.begin(queue, nil)
+	s.begin(nil)
 	// Window 0 is eight Cs; window 1 is A C C C C C C B.
-	for i := 0; i < 16; i++ {
+	events := make([]event.Event, 16)
+	for i := range events {
 		ty := tc
 		switch i {
 		case 8:
@@ -214,11 +207,9 @@ func TestStaleGroupNeverStallsRoot(t *testing.T) {
 		case 15:
 			ty = tb
 		}
-		if err := queue.push(t.Context(), event.Event{Seq: uint64(i), TS: int64(i), Type: ty}); err != nil {
-			t.Fatal(err)
-		}
+		events[i] = event.Event{TS: int64(i), Type: ty}
 	}
-	queue.close()
+	feedShard(s, events, true)
 	// One cycle ingests ten events: window 0 complete, window 1 open with
 	// two of its eight events. Both versions get a slot.
 	s.splitCycle()

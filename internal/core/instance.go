@@ -98,7 +98,7 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 	if wv.State == nil {
 		wv.ResetToStart(s.prog.compiled)
 	}
-	arenaLen := s.ar.Len()
+	arenaLen := s.ingested.Load()
 	end := win.EndSeq()
 	limit := arenaLen
 	if end < limit {
@@ -196,7 +196,7 @@ func (w *worker) processSpan(wv *deptree.WindowVersion, max int) bool {
 	finished := false
 	if end != window.UnknownEnd && pos >= end {
 		finished = true
-	} else if s.inputDone.Load() && pos >= s.ar.Len() {
+	} else if s.inputDone.Load() && pos >= s.ingested.Load() {
 		// Stream ended; no further events can arrive for this window.
 		finished = true
 	}

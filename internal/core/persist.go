@@ -335,8 +335,10 @@ func (p *persister) commitAndDeliver(watermark uint64, deliver []event.Complex, 
 }
 
 // attachDurability opens (and recovers) the shard's WAL log, primes the
-// shard from the recovered state and starts the persister goroutine.
-// Runtime.Submit calls it before the shard is attached to the pool.
+// shard from the recovered state, appends the journal suffix to the
+// arena and starts the persister goroutine. Runtime.Submit calls it
+// before the shard is attached to the pool, so the suffix is the head
+// of the unread tail and the splitter replays it ahead of live input.
 func attachDurability(s *shardState, name string, shard int) (*durable.ShardState, error) {
 	cfg := &s.prog.cfg
 	log, err := cfg.Durable.OpenShard(name, shard)
@@ -352,6 +354,9 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 	s.onCut = s.persist.appendCut
 	if st != nil {
 		s.primeRecovered(st)
+		for _, ev := range st.Events {
+			s.ar.AppendAt(ev)
+		}
 	}
 	go s.persist.run()
 	return st, nil
@@ -359,12 +364,12 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 
 // primeRecovered rebuilds the shard's pre-crash state from the folded
 // WAL — or from an upstream cut (Config.Upstream) with an empty journal:
-// final consumption marks, the window-id cursor and the last cut from
-// the cut, the emission watermark split into the already-counted prefix
-// (s.emitted) and the suppression budget for matches the replay will
-// regenerate but the previous process already delivered. The replay then
-// re-forms every window past the cut from the journal. Called before the
-// shard runs; no synchronization needed.
+// final consumption marks, the window-id cursor, the last cut and the
+// ingest cursor from the cut, the emission watermark split into the
+// already-counted prefix (s.emitted) and the suppression budget for
+// matches the replay will regenerate but the previous process already
+// delivered. The replay then re-forms every window past the cut from the
+// journal. Called before the shard runs; no synchronization needed.
 func (s *shardState) primeRecovered(st *durable.ShardState) {
 	faultinject.Hit("recover.prime")
 	var cutW uint64
@@ -381,14 +386,15 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 		s.winMgr.ResumeAt(cut.NextWindowID)
 		s.lastCut = cut.Boundary
 		s.gridAt = s.nextGrid()
+		// Nothing below the boundary is read again: the journal and the
+		// upstream feeder both start there.
+		s.cursor = cut.Boundary
+		s.ingested.Store(cut.Boundary)
 		cutW = cut.Watermark
 	}
 	s.emitted = cutW
 	if st.Watermark > cutW {
 		s.suppressRemaining = st.Watermark - cutW
-	}
-	if len(st.Events) > 0 {
-		s.replayTarget = st.NextSeq
 	}
 	s.recoveredNextSeq = st.NextSeq
 	if n := uint64(len(st.Events)); n > 0 {

@@ -244,14 +244,13 @@ func TestParkIsNotEndOfStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue := newShardQueue(1024)
-	s.begin(queue, nil)
+	s.begin(nil)
 	const fed = 40 // the first window's end lies 1000 time units out
-	for i := 0; i < fed; i++ {
-		if err := queue.push(t.Context(), event.Event{Seq: uint64(i), TS: int64(i), Type: ta}); err != nil {
-			t.Fatal(err)
-		}
+	events := make([]event.Event, fed)
+	for i := range events {
+		events[i] = event.Event{TS: int64(i), Type: ta}
 	}
+	feedShard(s, events, false)
 	for i := 0; i < 1000; i++ {
 		if r := s.tree.Root(); r != nil && r.WV.Pos() == fed {
 			break

@@ -70,13 +70,8 @@ func TestVersionRecycleWaitsForSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []event.Complex
-	queue := newShardQueue(64)
-	s.begin(queue, func(ce event.Complex) { got = append(got, ce) })
-	for _, ev := range events {
-		if err := queue.push(t.Context(), ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s.begin(func(ce event.Complex) { got = append(got, ce) })
+	feedShard(s, events, false)
 
 	// The root's A opens its group; the next cycle forks window 1 on it.
 	s.splitCycle()
@@ -147,7 +142,7 @@ func TestVersionRecycleWaitsForSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	queue.close()
+	s.closeIntake()
 	stop := time.Now().Add(10 * time.Second)
 	for !s.finished.Load() {
 		if time.Now().After(stop) {
@@ -207,15 +202,8 @@ func TestRecycleRiseEquivalence(t *testing.T) {
 				return wv
 			}
 			got = got[:0]
-			queue := newShardQueue(len(events) + 1)
-			s.begin(queue, func(ce event.Complex) { got = append(got, ce) })
-			for i, ev := range events {
-				ev.Seq = uint64(i)
-				if err := queue.push(t.Context(), ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			queue.close()
+			s.begin(func(ce event.Complex) { got = append(got, ce) })
+			feedShard(s, events, true)
 			stop := time.Now().Add(60 * time.Second)
 			for !s.finished.Load() {
 				if time.Now().After(stop) {

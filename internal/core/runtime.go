@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
@@ -74,8 +73,6 @@ type Handle struct {
 	name    string
 	route   func(*event.Event) int
 	shards  []*shardState
-	queues  []*shardQueue
-	scatter [][]event.Event // FeedBatch per-shard scratch (single producer)
 	emitMu  sync.Mutex
 	closed  atomic.Bool
 	drained sync.Once
@@ -83,8 +80,8 @@ type Handle struct {
 
 	// Admission state (see admit). plan filters at intake when filter is
 	// set; next[i] is shard i's next position, advanced by kept and
-	// filtered events alike and, like scatter, owned by the single
-	// producer. preStamped handles trust the feeder's positions instead.
+	// filtered events alike under shard i's admission lock.
+	// preStamped handles trust the feeder's positions instead.
 	plan       *plan.Plan
 	filter     bool
 	preStamped bool
@@ -131,7 +128,7 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 	return rt.start(prog, route, nShards, emit, onDrain)
 }
 
-// start builds the handle of a compiled query — shards, queues, WAL
+// start builds the handle of a compiled query — shards and WAL
 // attachment — and attaches its shards to the pool.
 func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
 	name := prog.query.Name
@@ -181,7 +178,7 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 		}
 		if prog.cfg.Durable != nil {
 			// Open (and recover) the shard's WAL before it runs; the
-			// recovered journal suffix is preloaded ahead of live input.
+			// recovered journal suffix heads the arena's unread tail.
 			rec, err = attachDurability(s, name, i)
 			if err != nil {
 				release()
@@ -191,19 +188,13 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 				h.next[i] = rec.NextSeq
 			}
 		}
-		queue := newShardQueue(prog.cfg.QueueCap)
-		if rec != nil && len(rec.Events) > 0 {
-			queue.load(rec.Events)
-		}
-		s.begin(queue, func(ce event.Complex) {
+		s.begin(func(ce event.Complex) {
 			h.emitMu.Lock()
 			emit(ce)
 			h.emitMu.Unlock()
 		})
 		h.shards = append(h.shards, s)
-		h.queues = append(h.queues, queue)
 	}
-	h.scatter = make([][]event.Event, nShards)
 
 	rt.mu.Lock()
 	if rt.closed {
@@ -222,32 +213,14 @@ func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards in
 	return h, nil
 }
 
-// Recover blocks until every recovering shard of every submitted handle
-// has replayed its persisted journal suffix — the point where each
-// query's in-memory state has caught back up with the WAL and producers
-// may resume feeding live input (from the positions Handle.Recovered
-// reports). Queries submitted against an empty store return immediately.
-// Replay proceeds regardless of whether Recover is called; the barrier
-// only exists so callers can sequence "recovered" side effects (resume
-// frames, producer rewind) after the replay.
-func (rt *Runtime) Recover(ctx context.Context) error {
-	rt.mu.Lock()
-	handles := append([]*Handle(nil), rt.handles...)
-	rt.mu.Unlock()
-	for _, h := range handles {
-		for _, s := range h.shards {
-			for s.replayTarget > 0 && s.ar.Len() < s.replayTarget &&
-				!s.finished.Load() && !s.cancelled.Load() {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(200 * time.Microsecond):
-				}
-			}
-		}
-	}
-	return nil
-}
+// Recover is the point where every recovering shard of every submitted
+// handle has its persisted journal suffix back — producers may resume
+// feeding live input from the positions Handle.Recovered reports.
+// Submit already appended each suffix to its shard's arena, ahead of
+// any live input, so Recover returns at once; the splitters replay the
+// suffix as they ingest. It stays so callers can sequence "recovered"
+// side effects (resume frames, producer rewind) in one place.
+func (rt *Runtime) Recover(context.Context) error { return nil }
 
 // Run feeds src to every currently submitted handle (each handle routes
 // the events through its own partitioner), then closes the handles and
@@ -376,9 +349,9 @@ func (h *Handle) Recovered() []uint64 {
 // Shards returns the number of shards the query runs on.
 func (h *Handle) Shards() int { return len(h.shards) }
 
-// Feed routes one event to its shard, blocking while that shard's queue
-// is full. It returns ErrHandleClosed after Close, or ctx.Err() when ctx
-// is done first (the event is not admitted).
+// Feed routes one event to its shard, blocking while that shard's
+// unread tail is full. It returns ErrHandleClosed after Close, or
+// ctx.Err() when ctx is done first (the event is not admitted).
 func (h *Handle) Feed(ctx context.Context, ev event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed
@@ -387,78 +360,73 @@ func (h *Handle) Feed(ctx context.Context, ev event.Event) error {
 }
 
 func (h *Handle) feed(ctx context.Context, ev event.Event) error {
-	i := h.shardOf(&ev)
-	t := h.openTally(i)
-	// Shedding keeps the queue depth strictly below the high watermark
-	// (everything above it is dropped), so a shedding Feed never blocks.
-	if h.admit(i, &ev, &t) {
-		if err := h.queues[i].push(ctx, ev); err != nil {
-			return err
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	h.commit(i, &t)
-	return nil
+	i := h.shardOf(&ev)
+	var t tally
+	err := h.lockShard(i)
+	if err == nil {
+		err = h.admit(ctx, i, &ev, &t, true)
+		h.unlockShard(i, &t)
+	}
+	return err
 }
 
 // TryFeed routes one event to its shard without ever blocking. A full
-// shard queue rejects the event with an *OverloadError (errors.Is
+// unread tail rejects the event with an *OverloadError (errors.Is
 // ErrOverloaded) — the admission signal load-shedding callers need.
 func (h *Handle) TryFeed(ev event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed
 	}
 	i := h.shardOf(&ev)
-	t := h.openTally(i)
-	if h.admit(i, &ev, &t) {
-		if pending, ok := h.queues[i].tryPush(ev); !ok {
-			if pending < 0 {
-				return ErrHandleClosed
-			}
-			return &OverloadError{Query: h.name, Shard: i, Pending: pending, Cap: h.queues[i].cap}
-		}
+	var t tally
+	err := h.lockShard(i)
+	if err == nil {
+		err = h.admit(context.Background(), i, &ev, &t, false)
+		h.unlockShard(i, &t)
 	}
-	h.commit(i, &t)
-	return nil
+	return err
 }
 
-// FeedBatch routes a batch of in-order events, enqueueing one slice per
-// shard: per-event queue synchronization is paid once per (batch, shard)
-// instead of once per event. Like Feed it blocks on full shard queues and
-// unblocks with ctx.Err() on cancellation; a batch interrupted mid-way
-// reports the error with events of earlier shards already admitted (the
-// per-shard prefix property callers rely on still holds: every shard
-// receives an in-order prefix of its substream).
+// FeedBatch routes a batch of in-order events, taking a shard's
+// admission lock once per run of consecutive events routed to it — once
+// per batch on a single shard. Like Feed it blocks on a full unread tail
+// and unblocks with ctx.Err() on cancellation; a batch interrupted
+// mid-way reports the error with the events before the interruption
+// admitted (every shard receives an in-order prefix of its substream).
 func (h *Handle) FeedBatch(ctx context.Context, evs []event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed
 	}
-	if len(h.queues) == 1 {
-		return h.pushBatch(ctx, 0, evs)
-	}
-	for i := range h.scatter {
-		h.scatter[i] = h.scatter[i][:0]
-	}
-	for i := range evs {
-		shard := h.shardOf(&evs[i])
-		h.scatter[shard] = append(h.scatter[shard], evs[i])
-	}
-	for i, chunk := range h.scatter {
-		if err := h.pushBatch(ctx, i, chunk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pushBatch admits evs to shard i while the queue appends them, in one
-// critical section, and commits the shard's tally once they are queued.
-func (h *Handle) pushBatch(ctx context.Context, i int, evs []event.Event) error {
-	t := h.openTally(i)
-	if err := h.queues[i].pushBatch(ctx, evs, func(ev *event.Event) bool { return h.admit(i, ev, &t) }); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	h.commit(i, &t)
-	return nil
+	var (
+		t   tally
+		err error
+	)
+	cur := -1
+	for j := range evs {
+		if i := h.shardOf(&evs[j]); i != cur {
+			if cur >= 0 {
+				h.unlockShard(cur, &t)
+				cur = -1
+			}
+			if err = h.lockShard(i); err != nil {
+				break
+			}
+			cur = i
+		}
+		if err = h.admit(ctx, cur, &evs[j], &t, true); err != nil {
+			break
+		}
+	}
+	if cur >= 0 {
+		h.unlockShard(cur, &t)
+	}
+	return err
 }
 
 // shardOf maps ev to its shard index.
@@ -466,81 +434,134 @@ func (h *Handle) shardOf(ev *event.Event) int {
 	if h.route == nil {
 		return 0
 	}
-	if i := h.route(ev); i >= 0 && i < len(h.queues) {
+	if i := h.route(ev); i >= 0 && i < len(h.shards) {
 		return i
 	}
 	return 0
 }
 
-// tally is one shard's provisional admission state: admit advances it
-// event by event, and commit publishes it only once the kept events are
-// queued, so an event that fails to queue spends nothing.
+// tally counts the events one hold of a shard's admission lock dropped;
+// unlockShard publishes them.
 type tally struct {
-	next     uint64 // the shard's next position
-	depth    int    // queue depth the shedder sees (shedding shards only)
 	filtered uint64
 	shed     uint64
 }
 
-// openTally starts a tally of shard i's admission state.
-func (h *Handle) openTally(i int) tally {
-	t := tally{next: h.next[i]}
-	if h.shards[i].shed != nil {
-		t.depth = h.queues[i].depth()
+// lockShard takes shard i's admission lock for a run of events, unless
+// the shard stopped taking input.
+func (h *Handle) lockShard(i int) error {
+	s := h.shards[i]
+	s.admitMu.Lock()
+	if s.intakeClosed.Load() {
+		s.admitMu.Unlock()
+		return ErrHandleClosed
 	}
-	return t
+	return nil
 }
 
-// admit decides whether ev, routed to shard i, is queued — the one
-// admission routine of Feed, TryFeed, FeedBatch and Runtime.Run:
+// unlockShard publishes the run's drop counts and releases shard i.
+func (h *Handle) unlockShard(i int, t *tally) {
+	s := h.shards[i]
+	if t.filtered > 0 {
+		h.plan.CountFiltered(t.filtered)
+		s.filteredIn.Add(t.filtered)
+	}
+	if t.shed > 0 {
+		s.shedIn.Add(t.shed)
+	}
+	*t = tally{}
+	s.admitMu.Unlock()
+}
+
+// admit decides whether ev, routed to shard i, enters the shard — the
+// one admission routine of Feed, TryFeed, FeedBatch and Runtime.Run,
+// run under the shard's admission lock:
 //
 //  1. the intake filter drops an event the query can never use; the
 //     event spends its position, which becomes an arena gap;
 //  2. the shedder drops an event under overload; a shed event — like a
 //     TryFeed rejection — spends no position: it never existed;
-//  3. a kept event is stamped with the shard's next position.
+//  3. a kept event waits while the unread tail is full, or, unless
+//     wait is set (TryFeed), is rejected with an *OverloadError;
+//  4. it is written into the arena at the shard's next position, which
+//     it is stamped with there: the one copy between the caller's event
+//     (never modified) and the slots.
 //
 // Window spans and emitted positions therefore equal those of a
 // sequential run over the kept events.
-func (h *Handle) admit(i int, ev *event.Event, t *tally) bool {
+func (h *Handle) admit(ctx context.Context, i int, ev *event.Event, t *tally, wait bool) error {
+	s := h.shards[i]
 	if h.filter && !h.plan.Admit(ev) {
-		t.next++
+		h.next[i]++
 		t.filtered++
-		return false
+		return nil
 	}
-	if s := h.shards[i].shed; s != nil && !s.Offer(ev.Type, t.depth) {
+	unread := s.unread()
+	if s.shed != nil && !s.shed.Offer(ev.Type, int(unread)) {
 		t.shed++
-		return false
+		return nil
 	}
+	if capacity := uint64(s.prog.cfg.QueueCap); unread >= capacity {
+		if !wait {
+			return &OverloadError{Query: h.name, Shard: i, Pending: int(unread), Cap: int(capacity)}
+		}
+		if err := s.waitRoom(ctx); err != nil {
+			return err
+		}
+	}
+	stamped := *ev
 	if !h.preStamped {
-		ev.Seq = t.next
+		stamped.Seq = h.next[i]
 	}
-	t.next++
-	t.depth++
-	return true
+	h.next[i]++
+	s.ar.AppendAt(stamped)
+	return nil
 }
 
-// commit publishes shard i's admission state once its kept events are
-// queued.
-func (h *Handle) commit(i int, t *tally) {
-	h.next[i] = t.next
-	if t.filtered > 0 {
-		h.plan.CountFiltered(t.filtered)
-		h.shards[i].filteredIn.Add(t.filtered)
-	}
-	if t.shed > 0 {
-		h.shards[i].shedIn.Add(t.shed)
-	}
+// unread is the shard's unread tail: the positions admitted but not yet
+// ingested. Shedding reads it as its depth and QueueCap bounds it.
+func (s *shardState) unread() uint64 {
+	// A shard started from a cut ingests from its boundary, which may lie
+	// past everything appended so far.
+	in := s.ingested.Load()
+	return max(s.ar.Len(), in) - in
 }
 
-// Close marks end of stream for every shard. Pending events are still
+// waitRoom blocks, with the admission lock held, until the unread tail
+// has room. It fails with ErrHandleClosed once the intake closed, or
+// with ctx.Err() once ctx is done. Only a blocked producer pays for the
+// cancellation hook, and the splitter wakes it only while waiters
+// counts it: the count is raised before the tail is read again, so an
+// ingest either sees it or left the room this read finds.
+func (s *shardState) waitRoom(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, func() {
+		s.admitMu.Lock()
+		s.room.Broadcast()
+		s.admitMu.Unlock()
+	})
+	defer stop()
+	s.waiters.Add(1)
+	defer s.waiters.Add(-1)
+	for !s.intakeClosed.Load() && s.unread() >= uint64(s.prog.cfg.QueueCap) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.room.Wait()
+	}
+	if s.intakeClosed.Load() {
+		return ErrHandleClosed
+	}
+	return nil
+}
+
+// Close marks end of stream for every shard. Admitted events are still
 // processed; use Wait to block until the query drains. Idempotent.
 func (h *Handle) Close() {
 	if !h.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, q := range h.queues {
-		q.close()
+	for _, s := range h.shards {
+		s.closeIntake()
 	}
 }
 
@@ -548,7 +569,7 @@ func (h *Handle) Close() {
 func (h *Handle) durable() bool { return h.shards[0].persist != nil }
 
 // Park detaches a durable query without ending its stream: feeds are
-// refused, queued-but-uningested events are discarded (the producer
+// refused, admitted-but-uningested events are dropped (the producer
 // re-feeds them from Recovered after the next submit), in-flight windows
 // stay in the WAL, and the shard's persister releases its WAL lock once
 // drained — so the same query name can be resubmitted against the same
@@ -572,8 +593,8 @@ func (h *Handle) park() {
 	}
 }
 
-// Abort closes the handle and cancels its shards: pending events are
-// discarded and the splitters finish within one pool cycle without
+// Abort closes the handle and cancels its shards: the unread tails are
+// dropped and the splitters finish within one pool cycle without
 // emitting further output. Used when a submission context is cancelled
 // and by Shutdown on drain timeout. Idempotent; safe concurrently with
 // Close/Wait/Feed.

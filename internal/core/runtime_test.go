@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
+	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/pattern"
 )
@@ -55,165 +55,241 @@ func TestRuntimeForgetsDrainedHandles(t *testing.T) {
 	}
 }
 
-// TestShardQueueBackpressure checks that push blocks at capacity, resumes
-// when the consumer drains, and is released by close.
-func TestShardQueueBackpressure(t *testing.T) {
-	ctx := context.Background()
-	const cap = 64
-	q := newShardQueue(cap)
-	for i := 0; i < cap; i++ {
-		if err := q.push(ctx, event.Event{Seq: uint64(i)}); err != nil {
-			t.Fatalf("push before capacity must succeed, got %v", err)
-		}
-	}
-	pushed := make(chan error, 1)
-	go func() { pushed <- q.push(ctx, event.Event{Seq: cap}) }()
-	select {
-	case <-pushed:
-		t.Fatal("push beyond capacity must block")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if _, ok, _ := q.next(); !ok {
-		t.Fatal("pop from full queue must succeed")
-	}
-	select {
-	case err := <-pushed:
-		if err != nil {
-			t.Fatalf("unblocked push must succeed, got %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("push must unblock after a pop")
-	}
+// idleRuntime is a runtime whose pool has no workers: nothing drives its
+// shards but the test, which plays the splitter by hand.
+func idleRuntime(store durable.Store) *Runtime {
+	p := &Pool{}
+	p.parked.L = &p.mu
+	p.shards.Store(&[]*shardState{})
+	return &Runtime{pool: p, durable: store}
+}
 
-	// A blocked producer is released (with a drop) when the queue closes.
-	blocked := make(chan error, 1)
-	for {
-		q.mu.Lock()
-		full := len(q.buf)-q.head >= cap
-		q.mu.Unlock()
-		if full {
-			break
-		}
-		if err := q.push(ctx, event.Event{}); err != nil {
-			t.Fatal(err)
-		}
+// feedShard admits events to a hand-driven shard as Handle.admit does —
+// each stamped with its position and appended to the arena, the unread
+// tail's bound aside — and closes the intake (end of stream) when end
+// is set.
+func feedShard(s *shardState, events []event.Event, end bool) {
+	for _, ev := range events {
+		s.ar.Append(ev)
 	}
-	go func() { blocked <- q.push(ctx, event.Event{}) }()
-	time.Sleep(10 * time.Millisecond)
-	q.close()
-	select {
-	case err := <-blocked:
-		if err != ErrHandleClosed {
-			t.Fatalf("push into a closed queue = %v, want ErrHandleClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("close must release blocked producers")
-	}
-	if err := q.push(ctx, event.Event{}); err != ErrHandleClosed {
-		t.Fatalf("push after close = %v, want ErrHandleClosed", err)
-	}
-
-	// Pending events still drain after close; then done is reported.
-	drained := 0
-	for {
-		_, ok, done := q.next()
-		if ok {
-			drained++
-			continue
-		}
-		if !done {
-			t.Fatal("closed empty queue must report done")
-		}
-		break
-	}
-	if drained != cap {
-		t.Fatalf("drained %d pending events, want %d", drained, cap)
+	if end {
+		s.closeIntake()
 	}
 }
 
-// TestShardQueueContextCancel checks that a producer blocked on a full
-// queue is released with the context error — the "cancelled context
-// unblocks Feed within one ingest cycle" contract.
-func TestShardQueueContextCancel(t *testing.T) {
-	q := newShardQueue(2)
+// idleHandle submits testQuery with the given unread-tail bound on an
+// idle runtime. Its events of type B open no window, so one ingest reads
+// the whole tail.
+func idleHandle(t *testing.T, capacity int) (*Handle, *shardState, event.Event) {
+	t.Helper()
+	reg := event.NewRegistry()
+	h, err := idleRuntime(nil).Submit(testQuery(t, reg), Config{Instances: 1, QueueCap: capacity}, nil, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, h.shards[0], event.Event{Type: reg.TypeID("B")}
+}
+
+// feedAsync runs Feed on another goroutine and reports its result.
+func feedAsync(ctx context.Context, h *Handle, ev event.Event) chan error {
+	done := make(chan error, 1)
+	go func() { done <- h.Feed(ctx, ev) }()
+	return done
+}
+
+// TestHandleFeedBackpressure: Feed blocks once the unread tail holds
+// QueueCap positions and resumes once the splitter ingests; Close
+// releases a blocked Feed with ErrHandleClosed, and what was admitted
+// before still drains.
+func TestHandleFeedBackpressure(t *testing.T) {
+	ctx := context.Background()
+	const capacity = 64
+	h, s, ev := idleHandle(t, capacity)
+	admitted := uint64(0)
+	for i := 0; i < capacity; i++ {
+		if err := h.Feed(ctx, ev); err != nil {
+			t.Fatalf("Feed below capacity must succeed, got %v", err)
+		}
+		admitted++
+	}
+	fed := feedAsync(ctx, h, ev)
+	select {
+	case <-fed:
+		t.Fatal("Feed beyond capacity must block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.splitCycle()
+	select {
+	case err := <-fed:
+		if err != nil {
+			t.Fatalf("unblocked Feed must succeed, got %v", err)
+		}
+		admitted++
+	case <-time.After(time.Second):
+		t.Fatal("Feed must unblock once the splitter ingests")
+	}
+
+	// Fill the tail again; Close releases the blocked producer.
+	for s.unread() < capacity {
+		if err := h.Feed(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+		admitted++
+	}
+	blocked := feedAsync(ctx, h, ev)
+	time.Sleep(10 * time.Millisecond)
+	h.Close()
+	select {
+	case err := <-blocked:
+		if err != ErrHandleClosed {
+			t.Fatalf("Feed into a closed handle = %v, want ErrHandleClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close must release a blocked Feed")
+	}
+	if err := h.Feed(ctx, ev); err != ErrHandleClosed {
+		t.Fatalf("Feed after Close = %v, want ErrHandleClosed", err)
+	}
+	for i := 0; !s.finished.Load(); i++ {
+		if i > 1000 {
+			t.Fatal("the closed shard did not drain")
+		}
+		s.step()
+	}
+	if got := h.Metrics().EventsIngested; got != admitted {
+		t.Fatalf("drained %d events, want the %d admitted", got, admitted)
+	}
+}
+
+// TestHandleFeedContextCancel: a cancelled context releases a Feed
+// blocked on a full tail with the context's error, and a context that is
+// already done fails fast even with room.
+func TestHandleFeedContextCancel(t *testing.T) {
+	h, s, ev := idleHandle(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	for i := 0; i < 2; i++ {
-		if err := q.push(ctx, event.Event{Seq: uint64(i)}); err != nil {
+		if err := h.Feed(ctx, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocked := make(chan error, 1)
-	go func() { blocked <- q.push(ctx, event.Event{Seq: 2}) }()
+	blocked := feedAsync(ctx, h, ev)
 	select {
 	case <-blocked:
-		t.Fatal("push beyond capacity must block")
+		t.Fatal("Feed beyond capacity must block")
 	case <-time.After(10 * time.Millisecond):
 	}
 	cancel()
 	select {
 	case err := <-blocked:
 		if err != context.Canceled {
-			t.Fatalf("cancelled push = %v, want context.Canceled", err)
+			t.Fatalf("cancelled Feed = %v, want context.Canceled", err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("cancel must release the blocked producer")
+		t.Fatal("cancel must release the blocked Feed")
 	}
-	// An already-cancelled context fails fast even with queue space.
-	if _, ok, _ := q.next(); !ok {
-		t.Fatal("pop must succeed")
+	s.splitCycle()
+	if s.unread() != 0 {
+		t.Fatalf("unread tail %d after an ingest, want 0", s.unread())
 	}
-	if err := q.push(ctx, event.Event{}); err != context.Canceled {
-		t.Fatalf("push with done ctx = %v, want context.Canceled", err)
+	if err := h.Feed(ctx, ev); err != context.Canceled {
+		t.Fatalf("Feed with a done ctx = %v, want context.Canceled", err)
+	}
+	if err := h.FeedBatch(ctx, []event.Event{ev}); err != context.Canceled {
+		t.Fatalf("FeedBatch with a done ctx = %v, want context.Canceled", err)
+	}
+	if n := s.ar.Len(); n != 2 {
+		t.Fatalf("arena holds %d positions, want the 2 admitted", n)
 	}
 }
 
-// TestShardQueueTryPushAndBatch covers the non-blocking and batched
-// admission paths.
-func TestShardQueueTryPushAndBatch(t *testing.T) {
-	ctx := context.Background()
-	q := newShardQueue(4)
-	evs := []event.Event{{Seq: 0}, {Seq: 1}, {Seq: 2}}
-	keep := func(*event.Event) bool { return true }
-	if err := q.pushBatch(ctx, evs, keep); err != nil {
+// TestHandleTryFeedOverload: TryFeed admits up to QueueCap unread
+// positions and then rejects with an *OverloadError whose Pending equals
+// the cap; an ingest makes room again, and an aborted handle refuses.
+func TestHandleTryFeedOverload(t *testing.T) {
+	const capacity = 4
+	h, s, ev := idleHandle(t, capacity)
+	if err := h.FeedBatch(context.Background(), []event.Event{ev, ev, ev}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.tryPush(event.Event{Seq: 3}); !ok {
-		t.Fatal("tryPush below capacity must succeed")
+	if err := h.TryFeed(ev); err != nil {
+		t.Fatalf("TryFeed below capacity = %v", err)
 	}
-	if pending, ok := q.tryPush(event.Event{Seq: 4}); ok || pending != 4 {
-		t.Fatalf("tryPush at capacity = (%d, %v), want (4, false)", pending, ok)
+	err := h.TryFeed(ev)
+	var oe *OverloadError
+	if !errors.As(err, &oe) || !errors.Is(err, ErrOverloaded) || oe.Pending != capacity || oe.Cap != capacity {
+		t.Fatalf("TryFeed at capacity = %v, want an *OverloadError with Pending == Cap == %d", err, capacity)
 	}
-	// A batch admits as one unit once there is head-of-queue space, even
-	// if it overshoots the cap; admit sees every event in place and what
-	// it rejects is not queued.
-	if _, ok, _ := q.next(); !ok {
-		t.Fatal("pop must succeed")
+	s.splitCycle()
+	if err := h.TryFeed(ev); err != nil {
+		t.Fatalf("TryFeed after an ingest = %v", err)
 	}
-	restamp := func(ev *event.Event) bool {
-		ev.Seq += 10
-		return ev.Seq != 11
+	if n := s.ar.Len(); n != capacity+1 {
+		t.Fatalf("arena holds %d positions, want %d: a rejected event spends none", n, capacity+1)
 	}
-	if err := q.pushBatch(ctx, evs, restamp); err != nil {
+	h.Abort()
+	if err := h.TryFeed(ev); err != ErrHandleClosed {
+		t.Fatalf("TryFeed after Abort = %v, want ErrHandleClosed", err)
+	}
+}
+
+// TestRecoveringSubmitAppendsSuffix: once a recovering Submit returns,
+// the shard's arena already holds the journal suffix — the events the
+// splitter replays ahead of live input — with nothing driving it.
+func TestRecoveringSubmitAppendsSuffix(t *testing.T) {
+	reg, q, events := recoveryFixture(t)
+	cfg := Config{Instances: 2, Reg: reg}
+	store := durable.NewMemStore()
+	// The first life ingests half the stream — so its journal holds it —
+	// and parks with windows in flight.
+	first := NewRuntime(RuntimeConfig{Workers: 2, Durable: store})
+	h, err := first.Submit(q, cfg, nil, 1, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got []uint64
-	for {
-		ev, ok, _ := q.next()
-		if !ok {
-			break
+	half := events[:len(events)/2]
+	if err := h.FeedBatch(context.Background(), half); err != nil {
+		t.Fatal(err)
+	}
+	for m := h.Metrics(); m.EventsIngested+m.FilteredEvents < uint64(len(half)); m = h.Metrics() {
+		time.Sleep(time.Millisecond)
+	}
+	if err := first.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := store.OpenShard(q.Name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := log.Load(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Events) == 0 {
+		t.Fatal("the parked run left no journal suffix; the test is vacuous")
+	}
+
+	rt := idleRuntime(store)
+	h, err = rt.Submit(q, cfg, nil, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := h.shards[0]
+	for _, want := range st.Events {
+		got, ok := s.ar.Lookup(want.Seq)
+		if !ok || got.TS != want.TS || got.Type != want.Type {
+			t.Fatalf("position %d after Submit = %+v (present %v), want the journal's %+v", want.Seq, got, ok, want)
 		}
-		got = append(got, ev.Seq)
 	}
-	if fmt.Sprint(got) != "[1 2 3 10 12]" {
-		t.Fatalf("drained %v, want [1 2 3 10 12]", got)
+	if last := st.Events[len(st.Events)-1].Seq; s.ar.Len() != last+1 {
+		t.Fatalf("arena length %d after Submit, want %d", s.ar.Len(), last+1)
 	}
-	q.discard()
-	if _, ok := q.tryPush(event.Event{}); ok {
-		t.Fatal("tryPush after discard must fail")
-	}
-	if _, ok, done := q.next(); ok || !done {
-		t.Fatal("discarded queue must be empty and done")
-	}
+	h.Abort()
+	s.step()
+	rt.pool.Close()
 }
 
 // TestSubmitShutdownRace guards the Submit/Shutdown serialization: a

@@ -141,15 +141,8 @@ func TestWorkerStatsReachModel(t *testing.T) {
 					s.slots[i].w = newWorker(s)
 				}
 			}
-			queue := newShardQueue(len(nyse) + 1)
-			s.begin(queue, nil)
-			for i, ev := range nyse {
-				ev.Seq = uint64(i)
-				if err := queue.push(t.Context(), ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			queue.close()
+			s.begin(nil)
+			feedShard(s, nyse, true)
 			tables := 0
 			for i := 0; !s.finished.Load(); i++ {
 				if i > 1_000_000 {
@@ -221,25 +214,23 @@ func stuckShard(t *testing.T) *shardState {
 	}
 	// 80 events: window [0,64) resolves its end inside the stream,
 	// window [64,128) is cut short by stream end.
-	queue := newShardQueue(1024)
-	s.begin(queue, nil)
-	for i := 0; i < 80; i++ {
+	s.begin(nil)
+	events := make([]event.Event, 80)
+	for i := range events {
 		ty := ta
 		if i%2 == 1 {
 			ty = tb
 		}
-		if err := queue.push(t.Context(), event.Event{Seq: uint64(i), TS: int64(i), Type: ty}); err != nil {
-			t.Fatal(err)
-		}
+		events[i] = event.Event{TS: int64(i), Type: ty}
 	}
-	queue.close()
+	feedShard(s, events, true)
 	// Ingest everything so both windows exist and input is done, however
 	// many cycles the horizon takes.
 	for i := 0; i < 100 && !s.inputDone.Load(); i++ {
 		s.splitCycle()
 	}
 	if !s.inputDone.Load() {
-		t.Fatal("input must be done after ingesting the closed queue")
+		t.Fatal("input must be done after ingesting the closed intake")
 	}
 	root := s.tree.Root()
 	if root == nil {

@@ -12,7 +12,7 @@
 //     filter). Where legal (see Plan.IntakeActive), the runtime tests
 //     incoming events against a dense type bitmap — plus any hoisted
 //     binding-free guards — at Feed/FeedBatch time and drops irrelevant
-//     events before they touch shard queues, the arena, or matchers.
+//     events before they touch the arena or matchers.
 //     Dropped events still advance the per-shard sequence numbering
 //     (events are stamped with their raw-substream position), so window
 //     extents and match output are byte-identical to unplanned runs.

@@ -1,5 +1,6 @@
 // Package shed implements utility-driven load shedding for the SPECTRE
-// runtime's intake queues (DESIGN.md §10): when a shard queue's depth
+// runtime's admission (DESIGN.md §10): when a shard's unread tail — the
+// positions admitted to its arena that its splitter has not read —
 // crosses a watermark, the events least likely to contribute to a match
 // are dropped first, probabilistically, in the style of eSPICE — instead
 // of blocking Feed or failing TryFeed.
@@ -22,13 +23,13 @@
 // histogram of recently offered utilities and drops an event when its
 // utility rank falls below the shed fraction — 0 at the low watermark,
 // ramping linearly to 1 at the high watermark. Above the high watermark
-// everything is dropped, which bounds the queue depth strictly below its
+// everything is dropped, which bounds the tail strictly below its
 // capacity: a producer can always make progress, and the blocking Feed
-// path never waits on a saturated queue. Ties within a histogram bucket
+// path never waits on a saturated tail. Ties within a histogram bucket
 // break uniformly at random.
 //
 // Shedding never reorders kept events: the decision is made at admission
-// time, in stream order, before the event is stamped and queued, so the
+// time, in stream order, before the event is stamped and appended, so the
 // kept subsequence reaches the splitter in the original relative order
 // and the §4.2 validation gate continues to guarantee exact-sequential
 // output for the events that were admitted.
@@ -44,7 +45,7 @@ import (
 
 const (
 	// defaultLowFrac / defaultHighFrac place the shedding watermarks as
-	// fractions of the queue capacity: below low nothing is shed, above
+	// fractions of the tail's capacity: below low nothing is shed, above
 	// high everything is.
 	defaultLowFrac  = 0.5
 	defaultHighFrac = 0.9
@@ -70,8 +71,8 @@ const (
 
 // Config parameterizes a Shedder.
 type Config struct {
-	// QueueCap is the shard-queue capacity the watermarks are relative
-	// to. Required (> 0).
+	// QueueCap is the capacity of the shard's unread tail the watermarks
+	// are relative to. Required (> 0).
 	QueueCap int
 	// LowFrac / HighFrac override the watermark fractions of QueueCap
 	// (defaults 0.5 and 0.9). 0 < low < high <= 1.
@@ -93,7 +94,7 @@ type typeStat struct {
 }
 
 // Shedder decides, per offered event, whether it is admitted to the
-// shard queue or shed. Offer is single-producer (the Handle feed
+// shard's arena or shed. Offer is single-producer (the Handle feed
 // discipline); NoteMatch may be called concurrently from the emission
 // path.
 type Shedder struct {
@@ -144,8 +145,8 @@ func New(cfg Config) *Shedder {
 	return s
 }
 
-// Offer decides whether an event of type t may enter a queue currently
-// holding depth pending events. true admits, false sheds. Single
+// Offer decides whether an event of type t may enter a shard whose
+// unread tail holds depth positions. true admits, false sheds. Single
 // producer only.
 func (s *Shedder) Offer(t event.Type, depth int) bool {
 	s.offers++

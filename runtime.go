@@ -38,9 +38,10 @@ func WithWorkers(n int) RuntimeOption {
 // per-shard write-ahead log under dir persists the ingest journal,
 // cuts and emission watermarks, off the hot path. After a
 // crash, re-submitting the same (named) queries against the same
-// directory rebuilds their state; Runtime.Recover then blocks until the
-// replay completes, and Handle.Recovered reports the positions producers
-// should re-feed from. Matches delivered before the crash are suppressed
+// directory rebuilds their state: Submit puts each shard's journal
+// suffix back in its arena, the splitter replays it ahead of live input,
+// and Handle.Recovered reports the positions producers should re-feed
+// from. Matches delivered before the crash are suppressed
 // on replay — the delivered stream stays exactly-once on the kept
 // substream (DESIGN.md §11).
 func WithDurability(dir string) RuntimeOption {
@@ -313,13 +314,14 @@ func (rt *Runtime) closeStore(err error) error {
 	return err
 }
 
-// Recover blocks until every durable query submitted so far has finished
-// replaying its recovered ingest journal, or ctx is done. Call it after
-// re-submitting the queries of a crashed process (same names, same state
-// directory) and before feeding new input: once it returns, each shard
-// has re-formed its pre-crash windows and producers may resume from the
-// positions reported by Handle.Recovered. Without durability it returns
-// immediately.
+// Recover marks the point where every durable query submitted so far has
+// its recovered ingest journal back: call it after re-submitting the
+// queries of a crashed process (same names, same state directory) and
+// before feeding new input, which producers resume from the positions
+// reported by Handle.Recovered. Submit already appended each shard's
+// journal suffix to its arena, ahead of any live input, and the splitter
+// replays it — re-forming the pre-crash windows — as it ingests, so
+// Recover returns at once.
 func (rt *Runtime) Recover(ctx context.Context) error { return rt.rt.Recover(ctx) }
 
 // Name returns the query's name.
@@ -328,24 +330,25 @@ func (h *Handle) Name() string { return h.h.Name() }
 // Shards returns how many shards the query runs on.
 func (h *Handle) Shards() int { return h.h.Shards() }
 
-// Feed routes one event to its shard, blocking while the shard's queue is
-// full (backpressure). Events must arrive in stream order per handle. It
+// Feed routes one event to its shard, blocking while the shard's unread
+// tail is full (backpressure). Events must arrive in stream order per handle. It
 // returns ErrHandleClosed after Close, or ctx.Err() when ctx is done
 // before the event is admitted.
 func (h *Handle) Feed(ctx context.Context, ev Event) error { return h.h.Feed(ctx, ev) }
 
-// TryFeed routes one event to its shard without ever blocking: a full
-// shard queue rejects it with an *OverloadError (errors.Is
+// TryFeed routes one event to its shard without ever blocking: the
+// shard's full unread tail rejects it with an *OverloadError (errors.Is
 // ErrOverloaded). This is the admission signal for overload-aware
 // producers — shed, sample or retry instead of stalling.
 func (h *Handle) TryFeed(ev Event) error { return h.h.TryFeed(ev) }
 
-// FeedBatch routes a batch of in-order events with one queue handoff per
-// (batch, shard) instead of one per event — the cheap path for
-// high-throughput producers. It blocks like Feed on full shard queues and
-// unblocks with ctx.Err() on cancellation; on error, events routed to
-// earlier shards may already be admitted (each shard always receives an
-// in-order prefix of its substream).
+// FeedBatch routes a batch of in-order events, taking a shard's
+// admission lock once per run of events routed to it instead of once per
+// event — the cheap path for high-throughput producers. It blocks like
+// Feed on a full unread tail and unblocks with ctx.Err() on
+// cancellation; on error, the events before the interruption are
+// admitted (each shard always receives an in-order prefix of its
+// substream).
 func (h *Handle) FeedBatch(ctx context.Context, evs []Event) error { return h.h.FeedBatch(ctx, evs) }
 
 // Close marks end of stream; pending events are still processed.

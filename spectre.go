@@ -67,16 +67,18 @@
 //
 //   - Run/Submit/Feed/FeedBatch unblock with ctx.Err() as soon as the
 //     context is done — a cancelled run stops within one ingest cycle,
-//     a cancelled Feed stops waiting on a full shard queue.
+//     a cancelled Feed stops waiting on a shard's full unread tail.
 //   - A Sink replaces the bare emit callback: OnMatch receives matches,
 //     OnError asynchronous errors (e.g. a cancelled submission context),
 //     OnDrain fires exactly once when the query has fully drained. Wrap a
 //     plain function with SinkFunc when that is all you need.
-//   - Handle.TryFeed never blocks: a full shard queue rejects the event
-//     with an *OverloadError (errors.Is ErrOverloaded), the admission
-//     signal overload-aware producers shed load on.
-//   - Handle.FeedBatch admits whole batches with one queue handoff per
-//     (batch, shard) — the cheap path for high-throughput producers.
+//   - Handle.TryFeed never blocks: a shard's full unread tail rejects the
+//     event with an *OverloadError (errors.Is ErrOverloaded), the
+//     admission signal overload-aware producers shed load on.
+//   - Handle.FeedBatch admits whole batches, taking a shard's admission
+//     lock once per run of events routed to it — the cheap path for
+//     high-throughput producers. Every feed method writes an event once,
+//     straight into its shard's arena, which the splitter reads.
 //   - Runtime.Shutdown(ctx) drains every query gracefully and aborts
 //     whatever misses the deadline.
 //
@@ -97,7 +99,8 @@
 // Fig. 11 constant-probability baseline). Speculation is bounded by a
 // lookahead horizon of 4·k windows: once the oldest unfinished window has
 // all its events, the splitter opens windows only up to the horizon,
-// counted from that window, and leaves the rest of the stream queued.
+// counted from that window, and leaves the rest of the stream unread in
+// the shard's arena.
 // Neither choice changes the delivered output, only performance;
 // Metrics.SlotUtilization reports how busy the k slots were.
 //
@@ -105,8 +108,8 @@
 //
 // A Runtime submission can opt into graceful degradation under
 // sustained overload (DESIGN.md §10): WithShedding drops the
-// lowest-utility events at the intake queue once it crosses a watermark
-// — bounding queue latency without ever blocking Feed — with the
+// lowest-utility events at admission once a shard's unread tail crosses a
+// watermark — bounding its latency without ever blocking Feed — with the
 // utility learned from the query plan's predicate pass rates and each
 // type's contribution to emitted matches (Metrics.ShedEvents counts the
 // drops). Metrics.EmitLagP50/P99 expose the root-emission lag: the time
@@ -125,8 +128,12 @@
 //	// handle err
 //	h, err := rt.Submit(ctx, query, sink) // same query name as before the crash
 //	// handle err
-//	err = rt.Recover(ctx) // replays the journal, re-forms windows
+//	err = rt.Recover(ctx) // the journal suffix is back in the arena
 //	// resume feeding from h.Recovered()[shard] per shard
+//
+// Submit appends each shard's journal suffix to its arena ahead of live
+// input, and the splitter replays it, re-forming the windows, as it
+// ingests; Recover therefore returns at once.
 //
 // Each shard restores its last cut, replays the journal suffix from
 // there, and suppresses matches the previous process already
@@ -269,8 +276,10 @@ func WithFixedProbability(p float64) Option {
 	}
 }
 
-// WithQueueCap bounds the per-shard intake queue of a Runtime submission
-// (default 65536 events). A full queue blocks Feed/FeedBatch and rejects
+// WithQueueCap bounds each shard's unread tail in a Runtime submission:
+// the events admitted to the shard's arena that its splitter has not
+// read yet, counted in stream positions (default 24576, a chunk and a
+// half of the arena). A full tail blocks Feed/FeedBatch and rejects
 // TryFeed with an *OverloadError, so the cap is the admission-control
 // knob: smaller caps surface overload sooner, larger caps absorb bursts.
 // On an Engine it bounds how far Run reads ahead of the splitter.
@@ -284,15 +293,15 @@ func WithQueueCap(n int) Option {
 	}
 }
 
-// WithShedding enables utility-driven load shedding at the intake queue
-// of a Runtime submission (DESIGN.md §10). When a shard queue's depth
-// crosses a watermark (half the queue cap), the events least likely to
+// WithShedding enables utility-driven load shedding at admission in a
+// Runtime submission (DESIGN.md §10). When a shard's unread tail crosses
+// a watermark (half the WithQueueCap bound), the events least likely to
 // contribute to a match are dropped first — probabilistically, by a
 // utility estimate combining the query plan's predicate pass rates with
 // each type's observed contribution to emitted matches — instead of
 // blocking Feed/FeedBatch or failing TryFeed. Above the high watermark
-// (90% of the cap) everything is dropped, so the queue depth, and with
-// it the queueing latency, stays bounded and no Feed caller ever blocks
+// (90% of the cap) everything is dropped, so the tail, and with it the
+// queueing latency, stays bounded and no Feed caller ever blocks
 // indefinitely. Kept events are never reordered, and a shed event
 // spends no stream position (as if it had never been fed), so `WITHIN n
 // EVENTS` windows and emitted positions are those of the kept events:

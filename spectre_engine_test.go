@@ -170,10 +170,11 @@ func TestEngineIsOneShardHandle(t *testing.T) {
 }
 
 // TestEngineCancelDiscardsBacklog cancels once the whole stream sits
-// admitted in the engine's queue (the first match holds the splitter
-// until the source is exhausted): Run must return ctx.Err() and discard
-// that backlog instead of draining it, tell the sink OnError and never
-// OnDrain, and stop its pool.
+// admitted in the engine's unread tail (the first match holds the
+// splitter until the source is exhausted, so the tail must hold the
+// whole stream): Run must return ctx.Err() and discard that backlog
+// instead of draining it, tell the sink OnError and never OnDrain, and
+// stop its pool.
 func TestEngineCancelDiscardsBacklog(t *testing.T) {
 	reg := spectre.NewRegistry()
 	events := spectre.GenerateNYSE(reg, spectre.NYSEConfig{Symbols: 40, Leaders: 4, Minutes: 1000, Seed: 13})
@@ -185,7 +186,7 @@ func TestEngineCancelDiscardsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := spectre.NewEngine(q, spectre.WithInstances(2))
+	eng, err := spectre.NewEngine(q, spectre.WithInstances(2), spectre.WithQueueCap(len(events)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -459,3 +459,57 @@ func flatten(m map[string]int) []string {
 	sort.Strings(out)
 	return out
 }
+
+// TestCloseRacesFeed: Close on one goroutine races a Feed loop on
+// another, over eight shards whose unread tails are small enough that
+// Feed often blocks. Every event Feed reported admitted is ingested (or
+// filtered at admission), and none after ErrHandleClosed.
+func TestCloseRacesFeed(t *testing.T) {
+	reg := spectre.NewRegistry()
+	events := spectre.GenerateNYSE(reg, spectre.NYSEConfig{Symbols: 24, Leaders: 4, Minutes: 400, Seed: 7})
+	rt, err := spectre.NewRuntime(reg, spectre.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	raced := 0
+	for round := 0; round < 20; round++ {
+		q, err := spectre.ParseQuery(riseQuerySrc, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := rt.Submit(context.Background(), q, spectre.SinkFunc(func(spectre.ComplexEvent) {}), spectre.WithQueueCap(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted := make(chan uint64, 1)
+		go func() {
+			n := uint64(0)
+			for _, ev := range events {
+				if h.Feed(context.Background(), ev) != nil {
+					break
+				}
+				n++
+			}
+			for _, ev := range events[:8] {
+				if h.Feed(context.Background(), ev) == nil {
+					n++ // admitted after ErrHandleClosed
+				}
+			}
+			admitted <- n
+		}()
+		time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
+		h.Close()
+		n := <-admitted
+		h.Wait()
+		if m := h.Metrics(); m.EventsIngested+m.FilteredEvents != n {
+			t.Fatalf("round %d: %d events ingested and %d filtered, %d admitted", round, m.EventsIngested, m.FilteredEvents, n)
+		}
+		if n < uint64(len(events)) {
+			raced++
+		}
+	}
+	if raced == 0 {
+		t.Fatal("every Feed loop finished before Close; nothing raced")
+	}
+}
