@@ -605,8 +605,8 @@ func serveConn(ctx context.Context, rt *spectre.Runtime, conn net.Conn, id int, 
 		live.add(id, h.Name(), h)
 
 		if opts.durable {
-			// Block until the query's WAL replay caught up, so the resume
-			// offset below reflects everything already journalled.
+			// Submit already put the journal suffix at the head of the
+			// unread tail, so the resume offset below is final.
 			if err := rt.Recover(ctx); err != nil && ctx.Err() == nil {
 				h.Park()
 				return nil, err

@@ -30,8 +30,8 @@ var (
 )
 
 // OverloadError is TryFeed's admission rejection: the target shard's
-// unread tail — the events admitted to its arena that its splitter has
-// not read yet, counted in stream positions — was at capacity. It
+// unread tail — the kept events admitted to its arena that its splitter
+// has not read yet — was at capacity. It
 // matches ErrOverloaded with errors.Is and carries the query name, the
 // shard index and the tail's length at rejection time — the inputs a
 // load-shedding policy needs. Queries

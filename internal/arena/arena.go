@@ -31,18 +31,20 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 )
 
-const (
-	// chunkBits sets the chunk size; 1<<chunkBits events per chunk.
-	chunkBits = 14
-	chunkSize = 1 << chunkBits
-	chunkMask = chunkSize - 1
-)
+// chunkBits sets the chunk size; 1<<chunkBits events per chunk.
+const chunkBits = 14
+
+// ChunkSize is the number of positions one chunk holds: the unit in
+// which the arena allocates, recycles and releases memory.
+const ChunkSize = 1 << chunkBits
+
+const chunkMask = ChunkSize - 1
 
 type chunk struct {
-	events [chunkSize]event.Event
+	events [ChunkSize]event.Event
 	// consumed holds one bit per position: set once the splitter marks
 	// the event finally consumed, never cleared while the chunk is live.
-	consumed [chunkSize / 64]atomic.Uint64
+	consumed [ChunkSize / 64]atomic.Uint64
 }
 
 // maxFree caps the recycled-chunk freelist: enough for steady-state

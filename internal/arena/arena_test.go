@@ -16,7 +16,7 @@ func TestAppendGet(t *testing.T) {
 	if a.Len() != 0 {
 		t.Fatal("new arena must be empty")
 	}
-	const n = 3 * chunkSize / 2 // crosses a chunk boundary
+	const n = 3 * ChunkSize / 2 // crosses a chunk boundary
 	for i := 0; i < n; i++ {
 		seq := a.Append(event.Event{TS: int64(i), Type: event.Type(i % 7)})
 		if seq != uint64(i) {
@@ -39,7 +39,7 @@ func TestPointerStability(t *testing.T) {
 	a.Append(event.Event{TS: 42})
 	p := a.Get(0)
 	// Grow across many chunks; the first pointer must stay valid.
-	for i := 0; i < 4*chunkSize; i++ {
+	for i := 0; i < 4*ChunkSize; i++ {
 		a.Append(event.Event{TS: int64(i)})
 	}
 	if p != a.Get(0) || p.TS != 42 {
@@ -51,7 +51,7 @@ func TestPointerStability(t *testing.T) {
 // under the race detector.
 func TestConcurrentReaders(t *testing.T) {
 	a := New()
-	const n = 2 * chunkSize
+	const n = 2 * ChunkSize
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
@@ -110,7 +110,7 @@ func TestConsumedSet(t *testing.T) {
 // seqs consumed, and ConsumedRuns over any range agrees with a
 // position-by-position scan.
 func TestConsumedSetProperty(t *testing.T) {
-	const span = 3 * chunkSize
+	const span = 3 * ChunkSize
 	check := func(seqs []uint16, spread uint8, lo, hi uint16) bool {
 		a := New()
 		want := make(map[uint64]bool)
@@ -159,7 +159,7 @@ func naiveRuns(marked map[uint64]bool, lo, hi uint64) []uint64 {
 // writer never releases past a pin.
 func TestConsumedSetConcurrentReaders(t *testing.T) {
 	a := New()
-	const n = 16 * chunkSize
+	const n = 16 * ChunkSize
 	const readers = 3
 	var pins [readers]atomic.Uint64
 	var wg sync.WaitGroup
@@ -188,8 +188,8 @@ func TestConsumedSetConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				if l > chunkSize/2 && l-chunkSize/2 > pin.Load() {
-					pin.Store(l - chunkSize/2)
+				if l > ChunkSize/2 && l-ChunkSize/2 > pin.Load() {
+					pin.Store(l - ChunkSize/2)
 				}
 			}
 		}()
@@ -236,22 +236,22 @@ func TestMarkConsumedAllocs(t *testing.T) {
 // reused from the freelist for later positions reads as unconsumed.
 func TestRecycledChunkCarriesNoMarks(t *testing.T) {
 	a := New()
-	for i := uint64(0); i < chunkSize; i++ {
+	for i := uint64(0); i < ChunkSize; i++ {
 		a.MarkConsumed(a.Append(event.Event{Type: 1}))
 	}
 	a.Append(event.Event{Type: 1}) // chunk 1, so chunk 0 can go
-	a.ReleaseBefore(chunkSize)
-	far := uint64(2 * chunkSize)
+	a.ReleaseBefore(ChunkSize)
+	far := uint64(2 * ChunkSize)
 	a.AppendAt(event.Event{Seq: far, Type: 2})
 	if _, reuses := a.AllocStats(); reuses != 1 {
 		t.Fatalf("reuses = %d, want the released chunk reused", reuses)
 	}
-	for seq := far; seq < far+chunkSize; seq++ {
+	for seq := far; seq < far+ChunkSize; seq++ {
 		if a.Consumed(seq) {
 			t.Fatalf("recycled chunk reads position %d as consumed", seq)
 		}
 	}
-	if got := a.ConsumedRuns(chunkSize, far+chunkSize, nil); len(got) != 0 {
+	if got := a.ConsumedRuns(ChunkSize, far+ChunkSize, nil); len(got) != 0 {
 		t.Fatalf("ConsumedRuns over the recycled chunk = %v, want none", got)
 	}
 }
@@ -262,12 +262,12 @@ func TestRecycledChunkCarriesNoMarks(t *testing.T) {
 func TestDirectorySlides(t *testing.T) {
 	a := New()
 	for c := uint64(0); c < 4096; c++ {
-		a.AppendAt(event.Event{Seq: c * chunkSize, Type: 1})
-		a.ReleaseBefore(c * chunkSize)
+		a.AppendAt(event.Event{Seq: c * ChunkSize, Type: 1})
+		a.ReleaseBefore(c * ChunkSize)
 		if n := len(a.dir.Load().chunks); n > 4 {
 			t.Fatalf("directory holds %d slots after chunk %d", n, c)
 		}
-		if ev, ok := a.Lookup(c * chunkSize); !ok || ev.Type != 1 {
+		if ev, ok := a.Lookup(c * ChunkSize); !ok || ev.Type != 1 {
 			t.Fatalf("live chunk %d lost", c)
 		}
 	}
@@ -328,12 +328,12 @@ func TestAppendAtAcrossChunkGap(t *testing.T) {
 	a := New()
 	a.AppendAt(event.Event{Seq: 0, Type: 1})
 	// Jump several whole chunks: skipped chunks stay nil.
-	far := uint64(3*chunkSize + 5)
+	far := uint64(3*ChunkSize + 5)
 	a.AppendAt(event.Event{Seq: far, Type: 2})
 	if ev := a.Get(far); ev.Type != 2 || ev.Seq != far {
 		t.Fatalf("Get(%d) = %+v", far, ev)
 	}
-	if ev := a.Get(uint64(chunkSize + 1)); ev != zeroEvent {
+	if ev := a.Get(uint64(ChunkSize + 1)); ev != zeroEvent {
 		t.Fatalf("skipped chunk should read the shared zero event")
 	}
 	allocs, _ := a.AllocStats()
@@ -344,23 +344,23 @@ func TestAppendAtAcrossChunkGap(t *testing.T) {
 
 func TestReleaseBeforeRecyclesChunks(t *testing.T) {
 	a := New()
-	total := uint64(3 * chunkSize)
+	total := uint64(3 * ChunkSize)
 	for i := uint64(0); i < total; i++ {
 		a.Append(event.Event{Type: event.Type(i%5 + 1)})
 	}
 	// Boundary inside chunk 2: chunks 0 and 1 are wholly below it.
-	a.ReleaseBefore(2*chunkSize + 10)
-	for _, seq := range []uint64{0, chunkSize, 2*chunkSize - 1} {
+	a.ReleaseBefore(2*ChunkSize + 10)
+	for _, seq := range []uint64{0, ChunkSize, 2*ChunkSize - 1} {
 		if a.Get(seq) != zeroEvent {
 			t.Fatalf("Get(%d) should be released", seq)
 		}
 	}
-	if ev := a.Get(2 * chunkSize); ev.Seq != 2*chunkSize {
+	if ev := a.Get(2 * ChunkSize); ev.Seq != 2*ChunkSize {
 		t.Fatalf("live chunk lost: %+v", ev)
 	}
 	// New appends must reuse the freed chunks, zeroed.
 	before, _ := a.AllocStats()
-	for i := uint64(0); i < 2*chunkSize; i++ {
+	for i := uint64(0); i < 2*ChunkSize; i++ {
 		a.Append(event.Event{Type: 9})
 	}
 	allocs, reuses := a.AllocStats()
@@ -382,11 +382,11 @@ func TestReleaseBeforeBoundsAllocations(t *testing.T) {
 	a := New()
 	const chunks = 64
 	for c := uint64(0); c < chunks; c++ {
-		for i := 0; i < chunkSize; i++ {
+		for i := 0; i < ChunkSize; i++ {
 			a.Append(event.Event{Type: 1})
 		}
 		if c >= 1 {
-			a.ReleaseBefore(c * chunkSize) // keep only the current chunk
+			a.ReleaseBefore(c * ChunkSize) // keep only the current chunk
 		}
 	}
 	allocs, reuses := a.AllocStats()
@@ -430,10 +430,10 @@ func TestConsumedSetAppendRuns(t *testing.T) {
 		a.MarkConsumed(seq)
 	}
 	// Runs across a chunk boundary and into a chunk past an absent one.
-	for seq := uint64(chunkSize - 2); seq < chunkSize+2; seq++ {
+	for seq := uint64(ChunkSize - 2); seq < ChunkSize+2; seq++ {
 		a.MarkConsumed(seq)
 	}
-	far := uint64(3*chunkSize + 5)
+	far := uint64(3*ChunkSize + 5)
 	a.MarkConsumed(far)
 	a.MarkConsumed(far + 1)
 	for _, tc := range []struct {
@@ -443,11 +443,11 @@ func TestConsumedSetAppendRuns(t *testing.T) {
 		{0, 256, []uint64{3, 3, 119, 1, 127, 3, 200, 1}},
 		// A sub-range splits a run at lo and drops marks past hi.
 		{4, 128, []uint64{4, 2, 119, 1, 127, 1}},
-		{chunkSize - 4, chunkSize + 4, []uint64{chunkSize - 2, 4}},
-		{chunkSize, chunkSize + 1, []uint64{chunkSize, 1}},
+		{ChunkSize - 4, ChunkSize + 4, []uint64{ChunkSize - 2, 4}},
+		{ChunkSize, ChunkSize + 1, []uint64{ChunkSize, 1}},
 		// Chunk 2 was never materialized: all gaps.
-		{2 * chunkSize, 3 * chunkSize, nil},
-		{chunkSize + 1, 4 * chunkSize, []uint64{chunkSize + 1, 1, far, 2}},
+		{2 * ChunkSize, 3 * ChunkSize, nil},
+		{ChunkSize + 1, 4 * ChunkSize, []uint64{ChunkSize + 1, 1, far, 2}},
 	} {
 		got := a.ConsumedRuns(tc.lo, tc.hi, nil)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
@@ -468,7 +468,7 @@ func TestConsumedSetAppendRuns(t *testing.T) {
 	if got := a.ConsumedRuns(0, far+3, nil); fmt.Sprint(got) != fmt.Sprint([]uint64{far, 2}) {
 		t.Fatalf("ConsumedRuns after release = %v, want only chunk 3's run", got)
 	}
-	if a.Consumed(chunkSize) {
+	if a.Consumed(ChunkSize) {
 		t.Fatal("a released chunk still reads a mark")
 	}
 }
@@ -485,7 +485,7 @@ func TestConsumedSetAppendRuns(t *testing.T) {
 // bound while the stream grows 4×.
 func TestConcurrentReleaseBoundsChunks(t *testing.T) {
 	const (
-		n       = 8 * chunkSize
+		n       = 8 * ChunkSize
 		readers = 2
 		bound   = 3
 	)
@@ -521,8 +521,8 @@ func TestConcurrentReleaseBoundsChunks(t *testing.T) {
 						return
 					}
 				}
-				if m > chunkSize/2 {
-					pin.Store(max(pin.Load(), m-chunkSize/2))
+				if m > ChunkSize/2 {
+					pin.Store(max(pin.Load(), m-ChunkSize/2))
 				}
 				runtime.Gosched()
 			}
@@ -553,7 +553,7 @@ func TestConcurrentReleaseBoundsChunks(t *testing.T) {
 		if gap(seq) {
 			continue
 		}
-		for a.Len() >= a.released.Load()+2*chunkSize {
+		for a.Len() >= a.released.Load()+2*ChunkSize {
 			runtime.Gosched()
 		}
 		a.AppendAt(event.Event{Seq: seq, Type: 1})

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/spectrecep/spectre/internal/arena"
 	"github.com/spectrecep/spectre/internal/deptree"
 	"github.com/spectrecep/spectre/internal/durable"
 	"github.com/spectrecep/spectre/internal/event"
@@ -52,22 +53,22 @@ import (
 var ErrOverloaded = errors.New("core: shard intake is full")
 
 // OverloadError reports a rejected non-blocking admission (TryFeed): the
-// target shard's unread tail — the positions admitted to its arena that
-// its splitter has not ingested — was at capacity. It matches
+// target shard's unread tail — the kept events admitted to its arena
+// that its splitter has not ingested — was at capacity. It matches
 // ErrOverloaded with errors.Is, so load-shedding callers need not depend
 // on the struct.
 type OverloadError struct {
 	Query   string // query name, when the handle is named ("" otherwise)
 	Shard   int    // shard index the event routed to
-	Pending int    // unread positions of that shard at rejection time
+	Pending int    // unread events of that shard at rejection time
 	Cap     int    // the bound on the shard's unread tail (QueueCap)
 }
 
 func (e *OverloadError) Error() string {
 	if e.Query != "" {
-		return fmt.Sprintf("core: query %q shard %d intake is full (%d/%d positions unread)", e.Query, e.Shard, e.Pending, e.Cap)
+		return fmt.Sprintf("core: query %q shard %d intake is full (%d/%d events unread)", e.Query, e.Shard, e.Pending, e.Cap)
 	}
-	return fmt.Sprintf("core: shard %d intake is full (%d/%d positions unread)", e.Shard, e.Pending, e.Cap)
+	return fmt.Sprintf("core: shard %d intake is full (%d/%d events unread)", e.Shard, e.Pending, e.Cap)
 }
 
 // Is reports ErrOverloaded equivalence for errors.Is.
@@ -103,7 +104,7 @@ type Config struct {
 	// Shards overrides the shard count for partitioned Runtime queries;
 	// 0 defers to the partition spec, then to the runtime default.
 	Shards int
-	// QueueCap bounds each shard's unread tail: the positions admitted
+	// QueueCap bounds each shard's unread tail: the kept events admitted
 	// to its arena that its splitter has not ingested yet (default 24576).
 	// A full tail blocks Feed and rejects TryFeed with an
 	// *OverloadError — unless Shed is on, in which case low-utility
@@ -194,17 +195,17 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// defaultQueueCap bounds a shard's unread tail: the positions admitted
+// defaultQueueCap bounds a shard's unread tail: the kept events admitted
 // to its arena but not yet ingested by its splitter. A full tail blocks
 // Feed, so backpressure propagates from a slow shard to Handle.Feed and,
 // through it, to whatever drives the stream (for the TCP server: the
 // connection's read loop, and thus the client's send window; for an
 // Engine: the goroutine pulling its source). The tail lives in arena
-// chunks, so the default is a chunk and a half of positions (24 576): a
-// shard that opens no window, whose cuts trail its cursor by less than
-// 1024 positions, then holds at most three chunks — the one being
-// written and the two before it.
-const defaultQueueCap = 3 << 13
+// chunks, and each unread event pins at most one, so the default is a
+// chunk and a half: a shard that opens no window, whose cuts trail its
+// cursor by less than idleCutEvery positions, then holds at most three
+// chunks — the one being written and the two before it.
+const defaultQueueCap = 3 * arena.ChunkSize / 2
 
 // horizonPerSlot is the lookahead horizon per operator instance: the
 // splitter keeps at most 4·k windows open past a complete root window

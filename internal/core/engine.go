@@ -179,18 +179,22 @@ type shardState struct {
 	// (Handle.admit) appends every kept event at its stamped position,
 	// and the splitter ingests the unread tail [cursor, ar.Len()).
 	// admitMu is taken by producers and by Close/Park/Abort: it orders
-	// the appends against intakeClosed. A producer blocked on a full
-	// tail waits on room, counted in waiters, and the splitter wakes it
-	// after an ingest only when waiters is non-zero. cursor is the
-	// splitter's next position; ingested publishes it once per ingest,
-	// for the slots (they read below it) and the producers (the unread
-	// tail, Len − ingested, is what QueueCap bounds).
+	// the appends against intakeClosed and guards appended, the count of
+	// kept events appended. A producer blocked on a full tail waits on
+	// room, counted in waiters, and the splitter wakes it after an
+	// ingest only when waiters is non-zero. cursor is the splitter's
+	// next position; ingested publishes it once per ingest, for the
+	// slots (they read below it), and taken counts the events read, for
+	// the producers (the unread tail, appended − taken, is what
+	// QueueCap bounds).
 	admitMu      sync.Mutex
 	room         sync.Cond
 	waiters      atomic.Int32
 	intakeClosed atomic.Bool
+	appended     uint64
 	cursor       uint64
 	ingested     atomic.Uint64
+	taken        atomic.Uint64
 
 	// Journal state (Config.Durable, DESIGN.md §11; Config.Upstream,
 	// §12). persist is nil without a durable store. emitted, cut,
@@ -586,6 +590,7 @@ func (s *shardState) ingest() bool {
 	moved := s.cursor > from
 	if moved {
 		s.ingested.Store(s.cursor)
+		s.taken.Add(uint64(n))
 		if s.waiters.Load() > 0 {
 			s.admitMu.Lock()
 			s.room.Broadcast()

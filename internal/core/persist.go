@@ -357,6 +357,7 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 		for _, ev := range st.Events {
 			s.ar.AppendAt(ev)
 		}
+		s.appended += uint64(len(st.Events))
 	}
 	go s.persist.run()
 	return st, nil

@@ -515,31 +515,33 @@ func (h *Handle) admit(ctx context.Context, i int, ev *event.Event, t *tally, wa
 	}
 	h.next[i]++
 	s.ar.AppendAt(stamped)
+	s.appended++
 	return nil
 }
 
-// unread is the shard's unread tail: the positions admitted but not yet
-// ingested. Shedding reads it as its depth and QueueCap bounds it.
-func (s *shardState) unread() uint64 {
-	// A shard started from a cut ingests from its boundary, which may lie
-	// past everything appended so far.
-	in := s.ingested.Load()
-	return max(s.ar.Len(), in) - in
-}
+// unread is the shard's unread tail: the kept events admitted but not
+// yet ingested, read under the admission lock. Positions the intake
+// filter spent do not count — they hold no event, and a chunk of gaps
+// alone is never materialized — so each unread event pins at most one
+// arena chunk. Shedding reads it as its depth and QueueCap bounds it.
+func (s *shardState) unread() uint64 { return s.appended - s.taken.Load() }
 
 // waitRoom blocks, with the admission lock held, until the unread tail
 // has room. It fails with ErrHandleClosed once the intake closed, or
-// with ctx.Err() once ctx is done. Only a blocked producer pays for the
-// cancellation hook, and the splitter wakes it only while waiters
-// counts it: the count is raised before the tail is read again, so an
-// ingest either sees it or left the room this read finds.
+// with ctx.Err() once ctx is done. Only a blocked producer with a
+// cancellable ctx pays for the cancellation hook, and the splitter wakes
+// it only while waiters counts it: the count is raised before the tail
+// is read again, so an ingest either sees it or left the room this read
+// finds.
 func (s *shardState) waitRoom(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		s.admitMu.Lock()
-		s.room.Broadcast()
-		s.admitMu.Unlock()
-	})
-	defer stop()
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			s.admitMu.Lock()
+			s.room.Broadcast()
+			s.admitMu.Unlock()
+		})
+		defer stop()
+	}
 	s.waiters.Add(1)
 	defer s.waiters.Add(-1)
 	for !s.intakeClosed.Load() && s.unread() >= uint64(s.prog.cfg.QueueCap) {

@@ -71,6 +71,7 @@ func idleRuntime(store durable.Store) *Runtime {
 func feedShard(s *shardState, events []event.Event, end bool) {
 	for _, ev := range events {
 		s.ar.Append(ev)
+		s.appended++
 	}
 	if end {
 		s.closeIntake()
@@ -82,12 +83,20 @@ func feedShard(s *shardState, events []event.Event, end bool) {
 // the whole tail.
 func idleHandle(t *testing.T, capacity int) (*Handle, *shardState, event.Event) {
 	t.Helper()
+	h, s, ev, _ := idleHandleCfg(t, Config{Instances: 1, QueueCap: capacity})
+	return h, s, ev
+}
+
+// idleHandleCfg is idleHandle with a whole Config; it also returns an
+// event of type C, which the query's intake filter drops.
+func idleHandleCfg(t *testing.T, cfg Config) (*Handle, *shardState, event.Event, event.Event) {
+	t.Helper()
 	reg := event.NewRegistry()
-	h, err := idleRuntime(nil).Submit(testQuery(t, reg), Config{Instances: 1, QueueCap: capacity}, nil, 1, nil, nil)
+	h, err := idleRuntime(nil).Submit(testQuery(t, reg), cfg, nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, h.shards[0], event.Event{Type: reg.TypeID("B")}
+	return h, h.shards[0], event.Event{Type: reg.TypeID("B")}, event.Event{Type: reg.TypeID("C")}
 }
 
 // feedAsync runs Feed on another goroutine and reports its result.
@@ -98,7 +107,7 @@ func feedAsync(ctx context.Context, h *Handle, ev event.Event) chan error {
 }
 
 // TestHandleFeedBackpressure: Feed blocks once the unread tail holds
-// QueueCap positions and resumes once the splitter ingests; Close
+// QueueCap events and resumes once the splitter ingests; Close
 // releases a blocked Feed with ErrHandleClosed, and what was admitted
 // before still drains.
 func TestHandleFeedBackpressure(t *testing.T) {
@@ -203,7 +212,7 @@ func TestHandleFeedContextCancel(t *testing.T) {
 }
 
 // TestHandleTryFeedOverload: TryFeed admits up to QueueCap unread
-// positions and then rejects with an *OverloadError whose Pending equals
+// events and then rejects with an *OverloadError whose Pending equals
 // the cap; an ingest makes room again, and an aborted handle refuses.
 func TestHandleTryFeedOverload(t *testing.T) {
 	const capacity = 4
@@ -229,6 +238,44 @@ func TestHandleTryFeedOverload(t *testing.T) {
 	h.Abort()
 	if err := h.TryFeed(ev); err != ErrHandleClosed {
 		t.Fatalf("TryFeed after Abort = %v, want ErrHandleClosed", err)
+	}
+}
+
+// TestHandleUnreadCountsKeptEvents: the unread tail counts kept events,
+// not the positions the intake filter spent between them. A selective
+// query whose few kept events sit behind long filtered runs is not
+// overloaded: TryFeed admits up to QueueCap kept events and the shedder,
+// whose low watermark is half the cap, drops nothing below it.
+func TestHandleUnreadCountsKeptEvents(t *testing.T) {
+	const capacity = 8
+	for _, shedding := range []bool{false, true} {
+		h, s, kept, dropped := idleHandleCfg(t, Config{Instances: 1, QueueCap: capacity, Shed: shedding})
+		want := capacity
+		if shedding {
+			want = capacity / 2
+		}
+		for i := 0; i < want; i++ {
+			for j := 0; j < 4*capacity; j++ {
+				if err := h.TryFeed(dropped); err != nil {
+					t.Fatalf("shedding %v: TryFeed of a filtered event = %v", shedding, err)
+				}
+			}
+			if err := h.TryFeed(kept); err != nil {
+				t.Fatalf("shedding %v: TryFeed of kept event %d behind %d filtered positions = %v", shedding, i, s.ar.Len()-1, err)
+			}
+		}
+		m := h.Metrics()
+		if m.ShedEvents != 0 || m.FilteredEvents != uint64(want*4*capacity) || s.unread() != uint64(want) {
+			t.Fatalf("shedding %v: shed %d, filtered %d, unread %d; want 0, %d, %d",
+				shedding, m.ShedEvents, m.FilteredEvents, s.unread(), want*4*capacity, want)
+		}
+		if !shedding {
+			var oe *OverloadError
+			if err := h.TryFeed(kept); !errors.As(err, &oe) || oe.Pending != capacity {
+				t.Fatalf("TryFeed at capacity = %v, want an *OverloadError with Pending %d", err, capacity)
+			}
+		}
+		h.Abort()
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package shed implements utility-driven load shedding for the SPECTRE
 // runtime's admission (DESIGN.md §10): when a shard's unread tail — the
-// positions admitted to its arena that its splitter has not read —
+// kept events admitted to its arena that its splitter has not read —
 // crosses a watermark, the events least likely to contribute to a match
 // are dropped first, probabilistically, in the style of eSPICE — instead
 // of blocking Feed or failing TryFeed.
@@ -146,7 +146,7 @@ func New(cfg Config) *Shedder {
 }
 
 // Offer decides whether an event of type t may enter a shard whose
-// unread tail holds depth positions. true admits, false sheds. Single
+// unread tail holds depth events. true admits, false sheds. Single
 // producer only.
 func (s *Shedder) Offer(t event.Type, depth int) bool {
 	s.offers++

@@ -278,8 +278,8 @@ func WithFixedProbability(p float64) Option {
 
 // WithQueueCap bounds each shard's unread tail in a Runtime submission:
 // the events admitted to the shard's arena that its splitter has not
-// read yet, counted in stream positions (default 24576, a chunk and a
-// half of the arena). A full tail blocks Feed/FeedBatch and rejects
+// read yet; positions the intake filter spent are not counted (default
+// 24576, a chunk and a half of the arena). A full tail blocks Feed/FeedBatch and rejects
 // TryFeed with an *OverloadError, so the cap is the admission-control
 // knob: smaller caps surface overload sooner, larger caps absorb bursts.
 // On an Engine it bounds how far Run reads ahead of the splitter.

@@ -380,13 +380,13 @@ func TestFeedBatchDeadlineNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestSheddingIdleIsByteIdentical keeps the queue far below the low
+// TestSheddingIdleIsByteIdentical keeps the unread tail below the low
 // watermark: shedding enabled but never engaged must be invisible — the
 // exact sequential match stream, zero ShedEvents, and live emission-lag
 // gauges.
 func TestSheddingIdleIsByteIdentical(t *testing.T) {
 	reg := spectre.NewRegistry()
-	events := soakEvents(reg, 10_000) // well under the 32768 low watermark
+	events := soakEvents(reg, 10_000) // under the 12 288 low watermark
 	q, err := spectre.ParseQuery(soakQuerySrc, reg)
 	if err != nil {
 		t.Fatal(err)
