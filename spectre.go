@@ -277,11 +277,11 @@ func WithFixedProbability(p float64) Option {
 }
 
 // WithQueueCap bounds each shard's unread tail in a Runtime submission:
-// the events admitted to the shard's arena that its splitter has not
-// read yet; positions the intake filter spent are not counted (default
-// 24576, a chunk and a half of the arena). A full tail blocks Feed/FeedBatch and rejects
-// TryFeed with an *OverloadError, so the cap is the admission-control
-// knob: smaller caps surface overload sooner, larger caps absorb bursts.
+// the kept events admitted to the shard's arena that its splitter has
+// not read yet (default 24576, a chunk and a half of the arena). A full
+// tail blocks Feed/FeedBatch and rejects TryFeed with an *OverloadError,
+// so the cap is the admission-control knob: smaller caps surface
+// overload sooner, larger caps absorb bursts.
 // On an Engine it bounds how far Run reads ahead of the splitter.
 func WithQueueCap(n int) Option {
 	return func(c *core.Config) {

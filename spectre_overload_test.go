@@ -38,7 +38,7 @@ func soakEvents(reg *spectre.Registry, n int) []spectre.Event {
 }
 
 // gateSink records match keys and blocks every OnMatch until the gate
-// closes, stalling the shard loop so the intake queue fills on demand.
+// closes, stalling the shard loop so the unread tail fills on demand.
 // entered (optional) is closed when the first OnMatch arrives, so tests
 // can wait until the shard is provably stalled.
 type gateSink struct {
