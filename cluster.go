@@ -127,12 +127,16 @@ func (cl *Cluster) Submit(ctx context.Context, text string, sink Sink, opts ...O
 		return nil, queryErr(q, err)
 	}
 
+	var routeFn func(*event.Event) int
+	if route != nil {
+		routeFn = route.Route
+	}
 	h := &ClusterHandle{sink: sink, name: q.Name, shards: nShards}
 	qh, err := cl.c.Submit(ctx, cluster.Submission{
 		Name:    q.Name,
 		Text:    text,
 		NShards: nShards,
-		Route:   route,
+		Route:   routeFn,
 		Emit:    h.notifyMatch,
 		OnDrain: h.notifyDrain,
 	})

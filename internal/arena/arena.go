@@ -16,6 +16,12 @@
 // Release; the appender applies the latest boundary the next time it
 // materializes a chunk, so the chunk freelist stays on one goroutine.
 //
+// The appender makes its writes visible in runs: AppendAt writes an
+// event without publishing it, and Publish stores the appender's
+// high-water mark as the new Len in one atomic store. Readers look only
+// below Len, so a run of appends costs one store to the cache line the
+// readers poll, not one per event. Append publishes on every call.
+//
 // Events are addressed by their position in the shard's stream, which
 // the feed layer stamps into ev.Seq at admission. Positions the intake
 // filter spent on dropped events are never written: they stay gaps, and
@@ -69,7 +75,7 @@ type view struct {
 	chunks []atomic.Pointer[chunk]
 }
 
-// Arena is the append-only shared event store. Append/AppendAt/
+// Arena is the append-only shared event store. Append/AppendAt/Publish/
 // ReleaseBefore belong to a single appender goroutine; MarkConsumed and
 // Release to a single marker goroutine, which may be the appender (see
 // MarkConsumed for the positions a separate marker may mark).
@@ -91,10 +97,14 @@ type Arena struct {
 	allocs atomic.Uint64
 	reuses atomic.Uint64
 
-	// length is stored once per append; the padding keeps it off the
-	// cache line of dir, which readers load on every Get and Consumed.
+	// length is published once per run of appends; the padding keeps it
+	// off the cache line of dir, which readers load on every Get and
+	// Consumed. high, the appender's high-water mark, shares length's
+	// line: only the appender writes either, and readers poll length
+	// once per ingest, not once per event.
 	_      [64]byte
-	length atomic.Uint64 // number of appended events; published last
+	length atomic.Uint64 // published high-water mark: what readers see
+	high   uint64        // one past the last appended position (appender only)
 }
 
 // New returns an empty arena.
@@ -168,29 +178,38 @@ func (a *Arena) chunkAt(seq uint64) *chunk {
 	return c
 }
 
-// Append stores ev at the next sequence position and returns its assigned
-// sequence number (equal to the previous Len). The caller must be the
-// arena's appender. The event's Seq field is set to the assigned number.
+// Append stores ev at the next sequence position, publishes it, and
+// returns its assigned sequence number (one past the last appended
+// position). The caller must be the arena's appender. The event's Seq
+// field is set to the assigned number.
 func (a *Arena) Append(ev event.Event) uint64 {
-	ev.Seq = a.length.Load()
-	return a.AppendAt(ev)
+	ev.Seq = a.high
+	a.AppendAt(ev)
+	a.Publish()
+	return ev.Seq
 }
 
-// AppendAt stores ev at its stamped position ev.Seq, which must be at
-// least Len() (the appender only moves forward). Positions skipped
-// over — events dropped upstream by the planner's intake prefilter —
-// are gaps: Lookup reports them absent.
+// AppendAt stores ev at its stamped position ev.Seq, which must lie past
+// every position appended before (the appender only moves forward), and
+// raises the appender's high-water mark past it without publishing it:
+// readers see the event once a later Publish covers it. Positions
+// skipped over — events dropped upstream by the planner's intake
+// prefilter — are gaps: Lookup reports them absent.
 func (a *Arena) AppendAt(ev event.Event) uint64 {
 	seq := ev.Seq
 	a.chunkAt(seq).events[seq&chunkMask] = ev
 	if seq == 0 {
 		a.wrote0.Store(true)
 	}
-	// Publish after the write so readers that observe the new length also
-	// observe the event contents.
-	a.length.Store(seq + 1)
+	a.high = seq + 1
 	return seq
 }
+
+// Publish makes every event appended so far visible: it stores the
+// appender's high-water mark as Len. The store follows the event writes,
+// so a reader that observes the new length also observes their
+// contents. Appender only.
+func (a *Arena) Publish() { a.length.Store(a.high) }
 
 // Get returns a pointer to the event with the given sequence number,
 // or a shared zero event when the position's chunk was skipped or
@@ -312,6 +331,7 @@ func (a *Arena) AllocStats() (allocs, reuses uint64) {
 	return a.allocs.Load(), a.reuses.Load()
 }
 
-// Len reports the number of appended events. All events with Seq < Len()
-// are fully visible.
+// Len reports the published length: one past the last position the
+// latest Publish covered. Every appended event with Seq < Len() is fully
+// visible; appends after that Publish are not counted yet.
 func (a *Arena) Len() uint64 { return a.length.Load() }

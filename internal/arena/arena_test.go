@@ -282,6 +282,10 @@ func TestAppendAtGapsReadAsZero(t *testing.T) {
 	for _, seq := range []uint64{0, 3, 4} {
 		a.AppendAt(event.Event{Seq: seq, Type: 7, TS: int64(seq)})
 	}
+	if got := a.Len(); got != 0 {
+		t.Fatalf("Len before Publish = %d, want 0", got)
+	}
+	a.Publish()
 	if got := a.Len(); got != 5 {
 		t.Fatalf("Len = %d, want 5", got)
 	}
@@ -557,6 +561,7 @@ func TestConcurrentReleaseBoundsChunks(t *testing.T) {
 			runtime.Gosched()
 		}
 		a.AppendAt(event.Event{Seq: seq, Type: 1})
+		a.Publish()
 	}
 	for marked.Load() < 4*n {
 		runtime.Gosched()
@@ -569,5 +574,69 @@ func TestConcurrentReleaseBoundsChunks(t *testing.T) {
 	}
 	if _, reuses := a.AllocStats(); reuses == 0 {
 		t.Fatal("no released chunk was reused")
+	}
+}
+
+// TestPublishRunBoundaries: the appender appends in runs — gapped, of
+// varying length, some crossing a chunk boundary — and publishes once
+// after each run, while readers poll Len. Under the race detector it
+// checks both halves of the publish contract: Len only ever lands on a
+// run boundary, and every position below it is fully written (gaps read
+// absent).
+func TestPublishRunBoundaries(t *testing.T) {
+	const runs = 400
+	gap := func(seq uint64) bool { return seq%5 == 2 }
+	// ends[i] is one past the last position of run i: Len's only values.
+	ends := make([]uint64, runs)
+	var end uint64
+	for i := range ends {
+		end += uint64(1 + (i*7919)%(ChunkSize/8))
+		if gap(end - 1) {
+			end++ // a run ends on an appended event, as admission's do
+		}
+		ends[i] = end
+	}
+	boundary := make(map[uint64]bool, runs+1)
+	boundary[0] = true
+	for _, e := range ends {
+		boundary[e] = true
+	}
+	a := New()
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var checked uint64
+			for checked < end {
+				l := a.Len()
+				if !boundary[l] {
+					t.Errorf("Len = %d is not a run boundary", l)
+					return
+				}
+				for ; checked < l; checked++ {
+					ev, ok := a.Lookup(checked)
+					if ok == gap(checked) || ok && (ev.Seq != checked || ev.TS != int64(3*checked) || len(ev.Fields) != 1 || ev.Fields[0] != float64(checked)) {
+						t.Errorf("Lookup(%d) = %+v, %v below Len %d", checked, ev, ok, l)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	var seq uint64
+	for _, e := range ends {
+		for ; seq < e; seq++ {
+			if !gap(seq) {
+				a.AppendAt(event.Event{Seq: seq, TS: int64(3 * seq), Type: 1, Fields: []float64{float64(seq)}})
+			}
+		}
+		a.Publish()
+		runtime.Gosched()
+	}
+	wg.Wait()
+	if a.Len() != end {
+		t.Fatalf("Len = %d after the last run, want %d", a.Len(), end)
 	}
 }

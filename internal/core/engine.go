@@ -176,13 +176,14 @@ type shardState struct {
 	done      chan struct{}
 
 	// Intake (DESIGN.md §5.1). The arena is the shard's queue: admission
-	// (Handle.admit) appends every kept event at its stamped position,
-	// and the splitter ingests the unread tail [cursor, ar.Len()).
-	// admitMu is taken by producers and by Close/Park/Abort: it orders
-	// the appends against intakeClosed and guards appended, the count of
-	// kept events appended. A producer blocked on a full tail waits on
-	// room, counted in waiters, and the splitter wakes it after an
-	// ingest only when waiters is non-zero. cursor is the splitter's
+	// (Handle.admit) appends every kept event at its stamped position
+	// and publishes once per run, and the splitter ingests the published
+	// unread tail [cursor, ar.Len()). admitMu is taken by producers and
+	// by Close/Park/Abort: it orders the appends against intakeClosed
+	// and guards appended, the count of kept events appended, and stage,
+	// the copy Feed and TryFeed admit (Handle.stage). A producer blocked
+	// on a full tail waits on room, counted in waiters, and the splitter
+	// wakes it after an ingest only when waiters is non-zero. cursor is the splitter's
 	// next position; ingested publishes it once per ingest, for the
 	// slots (they read below it), and taken counts the events read, for
 	// the producers (the unread tail, appended − taken, is what
@@ -192,6 +193,7 @@ type shardState struct {
 	waiters      atomic.Int32
 	intakeClosed atomic.Bool
 	appended     uint64
+	stage        event.Event
 	cursor       uint64
 	ingested     atomic.Uint64
 	taken        atomic.Uint64
@@ -518,25 +520,22 @@ func (s *shardState) finishRun() {
 	close(s.done)
 }
 
-// rootNeedsIngest reports whether the root window is still waiting for
-// events, in which case ingestion must continue regardless of the
-// lookahead horizon (liveness).
-func (s *shardState) rootNeedsIngest() bool {
-	root := s.tree.Root()
-	if root == nil {
-		return true
+// ingestStop is the position at which ingestion must pause, given the
+// tree as it is: the root window's end once the splitter has opened the
+// horizon's worth of windows (4·k) counted from the root, and the
+// largest position otherwise. A root whose end is unknown still lacks
+// events, and its UnknownEnd is the largest position too (liveness).
+// What is left stays in the arena's unread tail, where it costs no
+// window versions; every further window would attach a version at
+// every leaf of the tree. Within one ingest the root changes only when
+// a window opens into an empty tree, and its end only when Observe
+// resolves it, so ingest recomputes the stop only after Observe opened
+// or resolved a window.
+func (s *shardState) ingestStop() uint64 {
+	if s.lookahead() < s.prog.cfg.horizon {
+		return math.MaxUint64
 	}
-	end := root.WV.Win.EndSeq()
-	return end == window.UnknownEnd || s.cursor < end
-}
-
-// lookaheadFull reports whether ingestion must pause: the root window has
-// all its events and the splitter has opened the horizon's worth of
-// windows (4·k), counted from the root window. What is left stays in the
-// arena's unread tail, where it costs no window versions; every further
-// window would attach a version at every leaf of the tree.
-func (s *shardState) lookaheadFull() bool {
-	return !s.rootNeedsIngest() && s.lookahead() >= s.prog.cfg.horizon
+	return s.tree.Root().WV.Win.EndSeq()
 }
 
 // lookahead is the number of windows opened counted from the root window
@@ -564,7 +563,9 @@ func (s *shardState) ingest() bool {
 	closed := s.intakeClosed.Load()
 	end := s.ar.Len()
 	from, n := s.cursor, 0
-	for ; s.cursor < end && n < s.prog.cfg.IngestBatch && !s.lookaheadFull(); s.cursor++ {
+	// No position at or past stop is read this call.
+	stop := min(end, s.ingestStop())
+	for ; s.cursor < stop && n < s.prog.cfg.IngestBatch; s.cursor++ {
 		ev, ok := s.ar.Lookup(s.cursor)
 		if !ok {
 			continue
@@ -579,12 +580,16 @@ func (s *shardState) ingest() bool {
 			// Replayed events, below recoveredNextSeq, are in the WAL.
 			s.journalBuf = append(s.journalBuf, *ev)
 		}
-		if opened, _ := s.winMgr.Observe(ev); len(opened) > 0 {
+		opened, resolved := s.winMgr.Observe(ev)
+		if len(opened) > 0 {
 			for _, w := range opened {
 				s.tree.NewWindow(w)
 			}
 			s.windowsOpened.Add(uint64(len(opened)))
 			s.gridAt = math.MaxUint64
+		}
+		if len(opened)+len(resolved) > 0 {
+			stop = min(end, s.ingestStop())
 		}
 	}
 	moved := s.cursor > from

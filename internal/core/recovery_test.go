@@ -387,6 +387,7 @@ func TestRecoverCutAcrossChunks(t *testing.T) {
 		ev.Seq = seq
 		s.ar.AppendAt(ev)
 	}
+	s.ar.Publish()
 	if allocs, _ := s.ar.AllocStats(); allocs != 2 {
 		t.Fatalf("replay materialized %d chunks, want the 2 priming made", allocs)
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/pattern"
 	"github.com/spectrecep/spectre/internal/plan"
+	"github.com/spectrecep/spectre/internal/shard"
 	"github.com/spectrecep/spectre/internal/shed"
 	"github.com/spectrecep/spectre/internal/stream"
 )
@@ -71,7 +72,7 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 type Handle struct {
 	rt      *Runtime
 	name    string
-	route   func(*event.Event) int
+	route   *shard.Router
 	shards  []*shardState
 	emitMu  sync.Mutex
 	closed  atomic.Bool
@@ -90,12 +91,13 @@ type Handle struct {
 
 // Submit compiles q and starts nShards independent shard states on the
 // shared pool. route maps an event to a shard index (ignored — and may be
-// nil — when nShards is 1); emit receives every complex event of the
-// query, serialized per handle (shard order within a shard is canonical,
-// interleaving across shards is arrival-order); onDrain, if non-nil, fires
-// exactly once when the handle has fully drained (or aborted). The handle
-// is live immediately: Feed before, during and after other queries' runs.
-func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
+// nil — when nShards is 1; an index out of range reads as shard 0); emit
+// receives every complex event of the query, serialized per handle
+// (shard order within a shard is canonical, interleaving across shards
+// is arrival-order); onDrain, if non-nil, fires exactly once when the
+// handle has fully drained (or aborted). The handle is live immediately:
+// Feed before, during and after other queries' runs.
+func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route *shard.Router, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
 	if cfg.Err != nil {
 		return nil, cfg.Err
 	}
@@ -130,7 +132,7 @@ func (rt *Runtime) Submit(q *pattern.Query, cfg Config, route func(*event.Event)
 
 // start builds the handle of a compiled query — shards and WAL
 // attachment — and attaches its shards to the pool.
-func (rt *Runtime) start(prog *program, route func(*event.Event) int, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
+func (rt *Runtime) start(prog *program, route *shard.Router, nShards int, emit func(event.Complex), onDrain func()) (*Handle, error) {
 	name := prog.query.Name
 	h := &Handle{
 		rt:         rt,
@@ -367,7 +369,7 @@ func (h *Handle) feed(ctx context.Context, ev event.Event) error {
 	var t tally
 	err := h.lockShard(i)
 	if err == nil {
-		err = h.admit(ctx, i, &ev, &t, true)
+		err = h.admit(ctx, i, h.stage(i, &ev), &t, true)
 		h.unlockShard(i, &t)
 	}
 	return err
@@ -384,7 +386,7 @@ func (h *Handle) TryFeed(ev event.Event) error {
 	var t tally
 	err := h.lockShard(i)
 	if err == nil {
-		err = h.admit(context.Background(), i, &ev, &t, false)
+		err = h.admit(context.Background(), i, h.stage(i, &ev), &t, false)
 		h.unlockShard(i, &t)
 	}
 	return err
@@ -434,10 +436,22 @@ func (h *Handle) shardOf(ev *event.Event) int {
 	if h.route == nil {
 		return 0
 	}
-	if i := h.route(ev); i >= 0 && i < len(h.shards) {
+	if i := h.route.Route(ev); i < len(h.shards) {
 		return i
 	}
 	return 0
+}
+
+// stage copies a single event into shard i's staging slot, under its
+// admission lock, and returns the copy for admit. The intake filter
+// hands the event to predicate funcs, so a pointer to the caller's copy
+// would move it to the heap on every Feed; the slot already lives there.
+// The next holder of the lock may overwrite the slot, so admit reads it
+// only before it can wait.
+func (h *Handle) stage(i int, ev *event.Event) *event.Event {
+	s := h.shards[i]
+	s.stage = *ev
+	return &s.stage
 }
 
 // tally counts the events one hold of a shard's admission lock dropped;
@@ -459,9 +473,11 @@ func (h *Handle) lockShard(i int) error {
 	return nil
 }
 
-// unlockShard publishes the run's drop counts and releases shard i.
+// unlockShard publishes the run's appends and drop counts and releases
+// shard i. The splitter sees no event of the run before this Publish.
 func (h *Handle) unlockShard(i int, t *tally) {
 	s := h.shards[i]
+	s.ar.Publish()
 	if t.filtered > 0 {
 		h.plan.CountFiltered(t.filtered)
 		s.filteredIn.Add(t.filtered)
@@ -482,10 +498,12 @@ func (h *Handle) unlockShard(i int, t *tally) {
 //  2. the shedder drops an event under overload; a shed event — like a
 //     TryFeed rejection — spends no position: it never existed;
 //  3. a kept event waits while the unread tail is full, or, unless
-//     wait is set (TryFeed), is rejected with an *OverloadError;
+//     wait is set (TryFeed), is rejected with an *OverloadError; a
+//     waiting producer first publishes the run's appends, which the
+//     splitter must see to make room;
 //  4. it is written into the arena at the shard's next position, which
 //     it is stamped with there: the one copy between the caller's event
-//     (never modified) and the slots.
+//     (never modified) and the slots. unlockShard publishes it.
 //
 // Window spans and emitted positions therefore equal those of a
 // sequential run over the kept events.
@@ -501,15 +519,18 @@ func (h *Handle) admit(ctx context.Context, i int, ev *event.Event, t *tally, wa
 		t.shed++
 		return nil
 	}
+	// Copied before waitRoom lets another producer in: ev may be the
+	// shard's staging slot.
+	stamped := *ev
 	if capacity := uint64(s.prog.cfg.QueueCap); unread >= capacity {
 		if !wait {
 			return &OverloadError{Query: h.name, Shard: i, Pending: int(unread), Cap: int(capacity)}
 		}
+		s.ar.Publish()
 		if err := s.waitRoom(ctx); err != nil {
 			return err
 		}
 	}
-	stamped := *ev
 	if !h.preStamped {
 		stamped.Seq = h.next[i]
 	}

@@ -13,33 +13,43 @@ import (
 	"github.com/spectrecep/spectre/internal/pattern"
 )
 
-// KeyFunc extracts the partition key of an event as a raw 64-bit value.
-// The router finalizes it with a mixing hash, so key functions may return
-// low-entropy values (small integers, float bit patterns) directly.
-type KeyFunc func(*event.Event) uint64
-
-// ByType keys on the interned event type (e.g. the stock symbol).
-func ByType() KeyFunc {
-	return func(ev *event.Event) uint64 { return uint64(ev.Type) }
+// Key extracts the partition key of an event as a raw 64-bit value: its
+// interned type, or the bit pattern of one payload field. The router
+// finalizes it with a mixing hash, so keys may be low-entropy values
+// (small integers, float bit patterns). It is a value, not a func, so
+// routing reads the event in place: an event routed from the caller's
+// stack stays there.
+type Key struct {
+	byType bool
+	field  int
 }
 
+// ByType keys on the interned event type (e.g. the stock symbol).
+func ByType() Key { return Key{byType: true} }
+
 // ByField keys on the bit pattern of the idx-th payload field.
-func ByField(idx int) KeyFunc {
-	return func(ev *event.Event) uint64 { return math.Float64bits(ev.Field(idx)) }
+func ByField(idx int) Key { return Key{field: idx} }
+
+// Of returns ev's raw partition key.
+func (k Key) Of(ev *event.Event) uint64 {
+	if k.byType {
+		return uint64(ev.Type)
+	}
+	return math.Float64bits(ev.Field(k.field))
 }
 
 // FromSpec builds the key extractor for a partition spec. Field-based
 // specs must be resolved (Field >= 0); use event.Registry.FieldIndex to
 // resolve FieldName first.
-func FromSpec(spec *pattern.PartitionSpec) (KeyFunc, error) {
+func FromSpec(spec *pattern.PartitionSpec) (Key, error) {
 	if spec == nil {
-		return nil, fmt.Errorf("shard: nil partition spec")
+		return Key{}, fmt.Errorf("shard: nil partition spec")
 	}
 	if spec.ByType {
 		return ByType(), nil
 	}
 	if spec.Field < 0 {
-		return nil, fmt.Errorf("shard: unresolved partition field %q", spec.FieldName)
+		return Key{}, fmt.Errorf("shard: unresolved partition field %q", spec.FieldName)
 	}
 	return ByField(spec.Field), nil
 }
@@ -58,11 +68,11 @@ func mix64(x uint64) uint64 {
 // Router routes events onto n shards by hashed key.
 type Router struct {
 	n   int
-	key KeyFunc
+	key Key
 }
 
 // NewRouter builds a router over n shards; n < 1 is clamped to 1.
-func NewRouter(n int, key KeyFunc) *Router {
+func NewRouter(n int, key Key) *Router {
 	if n < 1 {
 		n = 1
 	}
@@ -74,10 +84,10 @@ func (r *Router) Shards() int { return r.n }
 
 // Route returns the shard index of ev: hash(key) % shards.
 func (r *Router) Route(ev *event.Event) int {
-	if r.n == 1 || r.key == nil {
+	if r.n == 1 {
 		return 0
 	}
-	return int(mix64(r.key(ev)) % uint64(r.n))
+	return int(mix64(r.key.Of(ev)) % uint64(r.n))
 }
 
 // Split partitions events into per-shard substreams in stream order. It

@@ -95,14 +95,14 @@ func TestFromSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key(&event.Event{Type: 9}) != 9 {
+	if key.Of(&event.Event{Type: 9}) != 9 {
 		t.Fatal("ByType key must be the type id")
 	}
 	key, err = FromSpec(&pattern.PartitionSpec{Field: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key(&event.Event{Fields: []float64{1.5}}) == key(&event.Event{Fields: []float64{2.5}}) {
+	if key.Of(&event.Event{Fields: []float64{1.5}}) == key.Of(&event.Event{Fields: []float64{2.5}}) {
 		t.Fatal("distinct field values must produce distinct keys")
 	}
 }

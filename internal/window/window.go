@@ -103,6 +103,14 @@ type Manager struct {
 
 	// opened and resolved are Observe's results, reused across calls.
 	opened, resolved []*Window
+
+	// nextOpen is, for FROM EVERY, the least multiple of Every past the
+	// last observed position (0 before any): the next position where a
+	// window may open. quietUntil is the position below which Observe
+	// returns at once, because no event there can open or resolve a
+	// window: nextOpen for FROM EVERY count windows, 0 for every other
+	// spec, whose windows open on a predicate or end on a timestamp.
+	nextOpen, quietUntil uint64
 }
 
 // NewManager returns a manager for spec. The spec must be valid.
@@ -115,8 +123,18 @@ func (m *Manager) Spec() pattern.WindowSpec { return m.spec }
 
 // Observe ingests the next event and reports newly opened windows and
 // windows whose end boundary just became known. The returned slices are
-// scratch the manager owns, only valid until the next call.
+// scratch the manager owns, only valid until the next call. Positions
+// must strictly increase but may have gaps. An event below quietUntil
+// costs one comparison: it can neither open nor resolve a window.
 func (m *Manager) Observe(ev *event.Event) (opened, resolved []*Window) {
+	if ev.Seq < m.quietUntil {
+		return nil, nil
+	}
+	return m.observe(ev)
+}
+
+// observe is Observe for an event that may open or resolve a window.
+func (m *Manager) observe(ev *event.Event) (opened, resolved []*Window) {
 	opened, resolved = m.opened[:0], m.resolved[:0]
 	// Resolve pending duration windows first: a window scoped `WITHIN d`
 	// ends right before the first event at or past StartTS+d.
@@ -136,7 +154,7 @@ func (m *Manager) Observe(ev *event.Event) (opened, resolved []*Window) {
 	opens := false
 	switch m.spec.StartKind {
 	case pattern.StartEvery:
-		opens = ev.Seq%uint64(m.spec.Every) == 0
+		opens = m.opensEvery(ev.Seq)
 	case pattern.StartOnMatch:
 		opens = m.spec.StartMatches(ev)
 	}
@@ -154,6 +172,30 @@ func (m *Manager) Observe(ev *event.Event) (opened, resolved []*Window) {
 	}
 	m.opened, m.resolved = opened, resolved
 	return opened, resolved
+}
+
+// opensEvery reports whether seq is a multiple of Every, the FROM EVERY
+// opening rule, and advances nextOpen past seq. Positions run in order,
+// so only a gap that jumps past nextOpen — a dropped or foreign stretch
+// of the stream, or the first position after ResumeAt — costs a
+// division. For count windows it raises quietUntil to nextOpen: until
+// then, no event opens a window, and none resolves one.
+func (m *Manager) opensEvery(seq uint64) bool {
+	every := uint64(m.spec.Every)
+	if seq > m.nextOpen {
+		m.nextOpen = seq / every * every
+		if m.nextOpen < seq {
+			m.nextOpen += every
+		}
+	}
+	opens := seq == m.nextOpen
+	if opens {
+		m.nextOpen += every
+	}
+	if m.spec.EndKind == pattern.EndCount {
+		m.quietUntil = m.nextOpen
+	}
+	return opens
 }
 
 // Finish resolves all still-pending windows at stream end: their boundary

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -200,5 +202,134 @@ func TestFinishWithoutResolutions(t *testing.T) {
 	// Finish is terminal: a second call has nothing left to resolve.
 	if again := m.Finish(99); len(again) != 0 {
 		t.Fatalf("second Finish resolved %d windows", len(again))
+	}
+}
+
+// gappedStream returns n events at strictly increasing random positions
+// from start, with gaps up to 3·every long, increasing timestamps and
+// random types 1..3.
+func gappedStream(rng *rand.Rand, start uint64, n, every int) []event.Event {
+	events := make([]event.Event, n)
+	seq, ts := start, int64(0)
+	for i := range events {
+		events[i] = event.Event{Seq: seq, TS: ts, Type: event.Type(1 + rng.Intn(3))}
+		seq += 1 + uint64(rng.Intn(3*every))
+		ts += int64(rng.Intn(4))
+	}
+	return events
+}
+
+// TestEveryOpensOnMultiples: over random, strictly increasing, gapped
+// positions, FROM EVERY opens a window exactly at the positions that
+// are multiples of Every — from position 0, and on a manager resumed
+// mid-stream with ResumeAt — with dense ids, whatever the end kind.
+func TestEveryOpensOnMultiples(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, every := range []int{1, 2, 7, 64} {
+		for _, end := range []pattern.EndKind{pattern.EndCount, pattern.EndDuration} {
+			for _, start := range []uint64{0, 1, 12345} {
+				spec := pattern.WindowSpec{StartKind: pattern.StartEvery, Every: every, EndKind: end, Count: 3 * every, Duration: 10}
+				m := NewManager(spec)
+				nextID := uint64(0)
+				if start > 0 {
+					nextID = 40
+					m.ResumeAt(nextID)
+				}
+				events := gappedStream(rng, start, 2000, every)
+				opens := 0
+				for i := range events {
+					ev := &events[i]
+					opened, _ := m.Observe(ev)
+					want := ev.Seq%uint64(every) == 0
+					if want != (len(opened) == 1) || len(opened) > 1 {
+						t.Fatalf("every %d, end %v, from %d: position %d opened %d windows, want open=%v", every, end, start, ev.Seq, len(opened), want)
+					}
+					if want {
+						if w := opened[0]; w.StartSeq != ev.Seq || w.ID != nextID {
+							t.Fatalf("every %d: opened %v at position %d, want id %d", every, w, ev.Seq, nextID)
+						}
+						nextID++
+						opens++
+					}
+				}
+				if opens == 0 {
+					t.Fatalf("every %d, end %v, from %d: no window opened; the case is vacuous", every, end, start)
+				}
+			}
+		}
+	}
+}
+
+// refManager is window formation as Observe performed it with no quiet
+// positions: every event runs the whole body, and FROM EVERY tests
+// seq % Every.
+type refManager struct {
+	spec    pattern.WindowSpec
+	nextID  uint64
+	pending []*Window
+}
+
+func (r *refManager) observe(ev *event.Event) (opened, resolved []*Window) {
+	if r.spec.EndKind == pattern.EndDuration {
+		for len(r.pending) > 0 && ev.TS-r.pending[0].StartTS >= int64(r.spec.Duration) {
+			r.pending[0].SetEndSeq(ev.Seq)
+			resolved = append(resolved, r.pending[0])
+			r.pending = r.pending[1:]
+		}
+	}
+	opens := false
+	switch r.spec.StartKind {
+	case pattern.StartEvery:
+		opens = ev.Seq%uint64(r.spec.Every) == 0
+	case pattern.StartOnMatch:
+		opens = r.spec.StartMatches(ev)
+	}
+	if opens {
+		w := NewWindow(r.nextID, ev.Seq, ev.TS)
+		r.nextID++
+		if r.spec.EndKind == pattern.EndCount {
+			w.SetEndSeq(w.StartSeq + uint64(r.spec.Count))
+			resolved = append(resolved, w)
+		} else {
+			r.pending = append(r.pending, w)
+		}
+		opened = append(opened, w)
+	}
+	return opened, resolved
+}
+
+// TestQuietPositionsFormNothing: for a FROM EVERY, a WITHIN d duration
+// and a StartOnMatch spec, Observe forms exactly the windows the whole
+// body forms on every event, and whenever it returns at once — the
+// event lies below quietUntil — the whole body opens and resolves
+// nothing there either.
+func TestQuietPositionsFormNothing(t *testing.T) {
+	specs := map[string]pattern.WindowSpec{
+		"every":          {StartKind: pattern.StartEvery, Every: 5, EndKind: pattern.EndCount, Count: 12},
+		"every-within":   {StartKind: pattern.StartEvery, Every: 5, EndKind: pattern.EndDuration, Duration: 9},
+		"onmatch-within": {StartKind: pattern.StartOnMatch, StartTypes: []event.Type{2}, EndKind: pattern.EndDuration, Duration: 9},
+		"onmatch":        {StartKind: pattern.StartOnMatch, StartTypes: []event.Type{2}, EndKind: pattern.EndCount, Count: 12},
+	}
+	for name, spec := range specs {
+		rng := rand.New(rand.NewSource(2))
+		m, ref := NewManager(spec), &refManager{spec: spec}
+		quiet := 0
+		for _, ev := range gappedStream(rng, 0, 5000, 5) {
+			fast := ev.Seq < m.quietUntil
+			opened, resolved := m.Observe(&ev)
+			wantOpened, wantResolved := ref.observe(&ev)
+			if fast {
+				quiet++
+				if len(wantOpened)+len(wantResolved) > 0 {
+					t.Fatalf("%s: position %d is quiet, but the whole body opens %v and resolves %v", name, ev.Seq, wantOpened, wantResolved)
+				}
+			}
+			if fmt.Sprint(opened, resolved) != fmt.Sprint(wantOpened, wantResolved) {
+				t.Fatalf("%s: position %d opened %v and resolved %v, want %v and %v", name, ev.Seq, opened, resolved, wantOpened, wantResolved)
+			}
+		}
+		if (quiet > 0) != (name == "every") {
+			t.Fatalf("%s: %d quiet positions; only FROM EVERY count windows have any", name, quiet)
+		}
 	}
 }

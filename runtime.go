@@ -143,7 +143,7 @@ type Handle struct {
 // and Cluster.Submit alike. The count is WithShards, else the spec's, else
 // defaultShards (defaulted reports that last case). An unpartitioned query
 // runs on one shard with a nil router.
-func resolvePartition(q *Query, cfg *core.Config, reg *Registry, defaultShards int) (nShards int, route func(*event.Event) int, defaulted bool, err error) {
+func resolvePartition(q *Query, cfg *core.Config, reg *Registry, defaultShards int) (nShards int, route *shard.Router, defaulted bool, err error) {
 	spec := cfg.Partition
 	if spec == nil {
 		spec = q.Partition
@@ -172,7 +172,7 @@ func resolvePartition(q *Query, cfg *core.Config, reg *Registry, defaultShards i
 	if err != nil {
 		return 0, nil, false, err
 	}
-	return nShards, shard.NewRouter(nShards, key).Route, defaulted, nil
+	return nShards, shard.NewRouter(nShards, key), defaulted, nil
 }
 
 // Submit compiles and starts q on the runtime. The sink receives the
