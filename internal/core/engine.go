@@ -177,8 +177,8 @@ type shardState struct {
 
 	// Intake (DESIGN.md §5.1). The arena is the shard's queue: admission
 	// (Handle.admit) appends every kept event at its stamped position
-	// and publishes once per run, and the splitter ingests the published
-	// unread tail [cursor, ar.Len()). admitMu is taken by producers and
+	// and publishes once per run (every event on a shedding shard), and
+	// the splitter ingests the published unread tail [cursor, ar.Len()). admitMu is taken by producers and
 	// by Close/Park/Abort: it orders the appends against intakeClosed
 	// and guards appended, the count of kept events appended, and stage,
 	// the copy Feed and TryFeed admit (Handle.stage). A producer blocked

@@ -204,3 +204,34 @@ func TestFeedDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestHandleFeedBatchShedsOnlyOnLag: a shedding shard reads the unread
+// tail as the splitter's lag, so events the splitter has ingested in the
+// middle of a run must not count. The test holds one admission run as
+// FeedBatch does, for eight times QueueCap events, and plays the
+// splitter by hand after every admit; nothing may be shed. Were a run's
+// appends published only when it ends, the splitter would see none of
+// them and the shedder would drop most of the run, as it would on a
+// FeedBatch into an idle shard.
+func TestHandleFeedBatchShedsOnlyOnLag(t *testing.T) {
+	const capacity = 64
+	h, s, ev, _ := idleHandleCfg(t, Config{Instances: 1, QueueCap: capacity, Shed: true})
+	if err := h.lockShard(0); err != nil {
+		t.Fatal(err)
+	}
+	var tl tally
+	for i := 0; i < 8*capacity; i++ {
+		if err := h.admit(context.Background(), 0, &ev, &tl, true); err != nil {
+			t.Fatal(err)
+		}
+		s.splitCycle()
+	}
+	shed := tl.shed
+	h.unlockShard(0, &tl)
+	if shed != 0 {
+		t.Fatalf("shed %d of %d events the splitter kept up with, want 0", shed, 8*capacity)
+	}
+	if s.appended != 8*capacity {
+		t.Fatalf("appended %d, want %d", s.appended, 8*capacity)
+	}
+}

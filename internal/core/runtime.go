@@ -503,7 +503,8 @@ func (h *Handle) unlockShard(i int, t *tally) {
 //     splitter must see to make room;
 //  4. it is written into the arena at the shard's next position, which
 //     it is stamped with there: the one copy between the caller's event
-//     (never modified) and the slots. unlockShard publishes it.
+//     (never modified) and the slots. unlockShard publishes it, or,
+//     on a shedding shard, admit does at once.
 //
 // Window spans and emitted positions therefore equal those of a
 // sequential run over the kept events.
@@ -537,6 +538,12 @@ func (h *Handle) admit(ctx context.Context, i int, ev *event.Event, t *tally, wa
 	h.next[i]++
 	s.ar.AppendAt(stamped)
 	s.appended++
+	if s.shed != nil {
+		// The shedder reads the unread tail as the splitter's lag, so a
+		// shedding shard publishes every append: events held back for
+		// the run's end would read as lag the splitter cannot drain.
+		s.ar.Publish()
+	}
 	return nil
 }
 

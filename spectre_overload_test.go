@@ -435,3 +435,56 @@ func TestSheddingIdleIsByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// sparseQuerySrc opens a short window once per 1024 events, so its
+// splitter ingests about as fast as a producer admits.
+const sparseQuerySrc = `
+	QUERY sparse
+	PATTERN (A B)
+	DEFINE A AS A.symbol = 'A', B AS B.symbol = 'B'
+	WITHIN 8 EVENTS FROM EVERY 1024 EVENTS
+	CONSUME ALL
+`
+
+// TestSheddingFeedBatchShedsOnlyOnLag: one FeedBatch of about four
+// times the default QueueCap into an idle shard sheds only what the
+// splitter falls behind on. The shedder reads the unread tail as the
+// splitter's lag, so each kept event must reach the splitter as soon as
+// it is admitted: were the batch's events held back until FeedBatch
+// returned, the tail would grow with the batch past the high watermark,
+// and every later event would be shed however fast the splitter ran —
+// 77 883 of these 100 000. A splitter that starts late sheds a share
+// too, so the test passes when any of five attempts sheds less than
+// half.
+func TestSheddingFeedBatchShedsOnlyOnLag(t *testing.T) {
+	reg := spectre.NewRegistry()
+	events := soakEvents(reg, 100_000)
+	var shed []uint64
+	for attempt := 0; attempt < 5; attempt++ {
+		q, err := spectre.ParseQuery(sparseQuerySrc, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := spectre.NewRuntime(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := rt.Submit(context.Background(), q,
+			spectre.SinkFunc(func(spectre.ComplexEvent) {}), spectre.WithShedding())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = h.FeedBatch(context.Background(), events)
+		h.Drain()
+		rt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := h.Metrics().ShedEvents
+		if n < uint64(len(events)/2) {
+			return
+		}
+		shed = append(shed, n)
+	}
+	t.Fatalf("ShedEvents %v of %d in five attempts on an idle runtime, want one below half", shed, len(events))
+}
