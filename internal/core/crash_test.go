@@ -65,9 +65,6 @@ func runCrashLife(t *testing.T, store durable.Store, reg *event.Registry, q *pat
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Recover(ctx); err != nil {
-		t.Fatal(err)
-	}
 	pos := int(h.Recovered()[0])
 	end := len(events)
 	final := stopAfter < 0 || stopAfter >= end

@@ -147,7 +147,7 @@ func TestHorizonSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx, cancel := context.WithTimeout(t.Context(), 60*time.Second)
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
 				got = got[:0]
 				if err := eng.Run(ctx, stream.FromSlice(wl.events), func(ce event.Complex) {

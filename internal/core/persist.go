@@ -69,31 +69,22 @@ type persister struct {
 	typesDone, fieldsDone int
 
 	// evFree recycles event-batch copies between the splitter (appendEvents)
-	// and the persister (appendReq), only when the log discards records
-	// after Append. Without it the durable mode's dominant measurable cost
-	// on small machines is the garbage of one fresh copy per ingest batch,
+	// and the persister (appendReq): ShardLog.Append keeps nothing it is
+	// handed. Without it the durable mode's dominant measurable cost on
+	// small machines is the garbage of one fresh copy per ingest batch,
 	// not the WAL I/O itself.
 	evFree chan []event.Event
 }
 
-// recordDiscarder is the optional ShardLog facet that permits buffer
-// recycling: Append keeps no reference to the record once it returns.
-// The file-backed WAL implements it; the in-memory store (which retains
-// records for Load) and the fault-injection wrappers do not.
-type recordDiscarder interface{ DiscardsRecords() bool }
-
 func newPersister(log durable.ShardLog, reg *event.Registry) *persister {
-	p := &persister{
-		log:  log,
-		reg:  reg,
-		ch:   make(chan persistReq, persistQueueCap),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+	return &persister{
+		log:    log,
+		reg:    reg,
+		ch:     make(chan persistReq, persistQueueCap),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		evFree: make(chan []event.Event, 8),
 	}
-	if d, ok := log.(recordDiscarder); ok && d.DiscardsRecords() {
-		p.evFree = make(chan []event.Event, 8)
-	}
-	return p
 }
 
 // run is the persister goroutine: drain requests until shutdown, then
@@ -153,11 +144,9 @@ func (p *persister) appendReq(req persistReq) {
 	case req.events != nil:
 		faultinject.Hit("wal.ingest.append")
 		err = p.log.Append(&durable.Record{Kind: durable.KindEvents, Events: req.events})
-		if p.evFree != nil {
-			select {
-			case p.evFree <- req.events[:0]:
-			default:
-			}
+		select {
+		case p.evFree <- req.events[:0]:
+		default:
 		}
 	case req.cut != nil:
 		faultinject.Hit("wal.cut.append")
@@ -290,25 +279,20 @@ func (p *persister) finish() {
 // appendEvents journals one admitted-event batch (splitter, blocking:
 // a slow store backpressures ingest rather than growing an unbounded
 // write backlog). The batch is copied — the caller reuses its buffer —
-// into a recycled copy when the log permits it (see evFree).
+// into a recycled copy when one is free and large enough (see evFree).
 func (p *persister) appendEvents(batch []event.Event) {
 	if len(batch) == 0 || p.broken.Load() {
 		return
 	}
 	var evs []event.Event
-	if p.evFree != nil {
-		select {
-		case buf := <-p.evFree:
-			if cap(buf) >= len(batch) {
-				evs = buf[:len(batch)]
-			}
-		default:
-		}
+	select {
+	case evs = <-p.evFree:
+	default:
 	}
-	if evs == nil {
+	if cap(evs) < len(batch) {
 		evs = make([]event.Event, len(batch))
 	}
-	copy(evs, batch)
+	evs = append(evs[:0], batch...)
 	p.ch <- persistReq{events: evs}
 }
 
@@ -334,11 +318,10 @@ func (p *persister) commitAndDeliver(watermark uint64, deliver []event.Complex, 
 	p.ch <- persistReq{watermark: watermark, deliver: deliver, emit: emit}
 }
 
-// attachDurability opens (and recovers) the shard's WAL log, primes the
-// shard from the recovered state, appends the journal suffix to the
-// arena and starts the persister goroutine. Runtime.Submit calls it
-// before the shard is attached to the pool, so the suffix is the head
-// of the unread tail and the splitter replays it ahead of live input.
+// attachDurability opens the shard's WAL log, loads it and attaches a
+// persister as the shard's cut consumer. It returns the loaded state (nil
+// for an empty log), which Runtime.start primes the shard from, as it
+// primes an upstream shard from its cut, before it starts the persister.
 func attachDurability(s *shardState, name string, shard int) (*durable.ShardState, error) {
 	cfg := &s.prog.cfg
 	log, err := cfg.Durable.OpenShard(name, shard)
@@ -352,15 +335,6 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 	}
 	s.persist = newPersister(log, cfg.Reg)
 	s.onCut = s.persist.appendCut
-	if st != nil {
-		s.primeRecovered(st)
-		for _, ev := range st.Events {
-			s.ar.AppendAt(ev)
-		}
-		s.ar.Publish()
-		s.appended += uint64(len(st.Events))
-	}
-	go s.persist.run()
 	return st, nil
 }
 
@@ -370,8 +344,10 @@ func attachDurability(s *shardState, name string, shard int) (*durable.ShardStat
 // ingest cursor from the cut, the emission watermark split into the
 // already-counted prefix (s.emitted) and the suppression budget for
 // matches the replay will regenerate but the previous process already
-// delivered. The replay then re-forms every window past the cut from the
-// journal. Called before the shard runs; no synchronization needed.
+// delivered. It then appends the replay suffix to the arena, as the head
+// of the unread tail, so the splitter re-forms every window past the cut
+// ahead of live input. Called before the shard runs; no synchronization
+// needed.
 func (s *shardState) primeRecovered(st *durable.ShardState) {
 	faultinject.Hit("recover.prime")
 	var cutW uint64
@@ -400,6 +376,11 @@ func (s *shardState) primeRecovered(st *durable.ShardState) {
 	}
 	s.recoveredNextSeq = st.NextSeq
 	if n := uint64(len(st.Events)); n > 0 {
+		for _, ev := range st.Events {
+			s.ar.AppendAt(ev)
+		}
+		s.ar.Publish()
+		s.appended += n
 		s.metrics.add(func(m *Metrics) { m.ReplayedEvents += n })
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/spectrecep/spectre/internal/dataset"
@@ -44,9 +45,6 @@ func runLife(t *testing.T, store durable.Store, reg *event.Registry, q *pattern.
 		delivered = append(delivered, ce.Key())
 	}, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Recover(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if pos := h.Recovered(); pos != nil {
@@ -156,7 +154,7 @@ func TestRecoverFileStore(t *testing.T) {
 }
 
 // TestRecoverEmptyStore: durability on a fresh store changes nothing
-// about the delivered stream, and Recover returns immediately.
+// about the delivered stream, and the shard resumes from position 0.
 func TestRecoverEmptyStore(t *testing.T) {
 	reg, q, events := recoveryFixture(t)
 	cfg := Config{Instances: 2}
@@ -303,8 +301,12 @@ type recordingLog struct {
 	st *recordingStore
 }
 
+// Append keeps a copy: the persister recycles event batches once
+// Append returns.
 func (l *recordingLog) Append(rec *durable.Record) error {
-	l.st.recs = append(l.st.recs, rec)
+	cp := *rec
+	cp.Events = slices.Clone(rec.Events)
+	l.st.recs = append(l.st.recs, &cp)
 	return l.ShardLog.Append(rec)
 }
 

@@ -177,7 +177,7 @@ func TestRecycleRiseEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, cancel := context.WithTimeout(t.Context(), 60*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			var got []event.Complex
 			if err := eng.Run(ctx, stream.FromSlice(events), func(ce event.Complex) { got = append(got, ce) }); err != nil {

@@ -169,26 +169,27 @@ func (rt *Runtime) start(prog *program, route *shard.Router, nShards int, emit f
 			}
 			s.shed = shed.New(scfg)
 		}
+		// The state the shard restarts from: an upstream cut (the feeder
+		// re-feeds from its boundary) or what its WAL loads to.
 		var rec *durable.ShardState
 		if up := prog.cfg.Upstream; up != nil {
 			s.onCut = up.OnCut
 			if up.From != nil {
-				// The journal is upstream: start from its cut with nothing
-				// to replay here; the feeder re-feeds from its boundary.
-				s.primeRecovered(&durable.ShardState{Cut: up.From, Watermark: up.From.Watermark, NextSeq: up.From.Boundary})
+				rec = &durable.ShardState{Cut: up.From, Watermark: up.From.Watermark, NextSeq: up.From.Boundary}
 			}
 		}
 		if prog.cfg.Durable != nil {
-			// Open (and recover) the shard's WAL before it runs; the
-			// recovered journal suffix heads the arena's unread tail.
-			rec, err = attachDurability(s, name, i)
-			if err != nil {
+			if rec, err = attachDurability(s, name, i); err != nil {
 				release()
 				return nil, err
 			}
-			if rec != nil {
-				h.next[i] = rec.NextSeq
-			}
+		}
+		if rec != nil {
+			s.primeRecovered(rec)
+			h.next[i] = rec.NextSeq
+		}
+		if s.persist != nil {
+			go s.persist.run()
 		}
 		s.begin(func(ce event.Complex) {
 			h.emitMu.Lock()
@@ -214,15 +215,6 @@ func (rt *Runtime) start(prog *program, route *shard.Router, nShards int, emit f
 	rt.mu.Unlock()
 	return h, nil
 }
-
-// Recover is the point where every recovering shard of every submitted
-// handle has its persisted journal suffix back — producers may resume
-// feeding live input from the positions Handle.Recovered reports.
-// Submit already appended each suffix to its shard's arena, ahead of
-// any live input, so Recover returns at once; the splitters replay the
-// suffix as they ingest. It stays so callers can sequence "recovered"
-// side effects (resume frames, producer rewind) in one place.
-func (rt *Runtime) Recover(context.Context) error { return nil }
 
 // Run feeds src to every currently submitted handle (each handle routes
 // the events through its own partitioner), then closes the handles and
@@ -354,6 +346,8 @@ func (h *Handle) Shards() int { return len(h.shards) }
 // Feed routes one event to its shard, blocking while that shard's
 // unread tail is full. It returns ErrHandleClosed after Close, or
 // ctx.Err() when ctx is done first (the event is not admitted).
+// The arena, and for a durable shard the WAL batch, keep ev.Fields: the
+// caller must not reuse the array (ROADMAP item 27(a)).
 func (h *Handle) Feed(ctx context.Context, ev event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed
@@ -378,6 +372,7 @@ func (h *Handle) feed(ctx context.Context, ev event.Event) error {
 // TryFeed routes one event to its shard without ever blocking. A full
 // unread tail rejects the event with an *OverloadError (errors.Is
 // ErrOverloaded) — the admission signal load-shedding callers need.
+// Like Feed, it keeps an admitted event's Fields array.
 func (h *Handle) TryFeed(ev event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed
@@ -398,6 +393,7 @@ func (h *Handle) TryFeed(ev event.Event) error {
 // and unblocks with ctx.Err() on cancellation; a batch interrupted
 // mid-way reports the error with the events before the interruption
 // admitted (every shard receives an in-order prefix of its substream).
+// Like Feed, it keeps each admitted event's Fields array.
 func (h *Handle) FeedBatch(ctx context.Context, evs []event.Event) error {
 	if h.closed.Load() {
 		return ErrHandleClosed

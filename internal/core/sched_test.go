@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/spectrecep/spectre/internal/dataset"
@@ -89,7 +90,7 @@ func TestPredictorEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, ev := range wl.events {
-						if err := h.Feed(t.Context(), ev); err != nil {
+						if err := h.Feed(context.Background(), ev); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -3,6 +3,7 @@ package durable
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/spectrecep/spectre/internal/event"
 	"github.com/spectrecep/spectre/internal/wire"
@@ -58,8 +59,12 @@ func decodeRecord(p []byte) (*Record, error) {
 	case KindEvents:
 		if n := d.Count(minEventBytes); n > 0 {
 			rec.Events = make([]event.Event, n)
+			// One slab holds every event's fields: each field takes 8 of
+			// the bytes the n event headers leave (a malformed record may
+			// grow it before it fails).
+			slab := make([]float64, 0, (len(p)-n*minEventBytes)/minU64Bytes)
 			for i := range rec.Events {
-				rec.Events[i] = decodeEvent(&d)
+				rec.Events[i], slab = decodeEvent(&d, slab)
 			}
 		}
 	case KindCut:
@@ -106,17 +111,20 @@ func appendEvent(buf []byte, ev *event.Event) []byte {
 	return buf
 }
 
-func decodeEvent(d *wire.Reader) event.Event {
+// decodeEvent decodes one event, appending its fields to slab.
+func decodeEvent(d *wire.Reader, slab []float64) (event.Event, []float64) {
 	ev := event.Event{
 		Seq:  d.U64(),
 		TS:   int64(d.U64()),
 		Type: event.Type(d.U32()),
 	}
 	if nf := d.Count(minU64Bytes); nf > 0 {
-		ev.Fields = make([]float64, nf)
+		at := len(slab)
+		slab = slices.Grow(slab, nf)[:at+nf]
+		ev.Fields = slab[at : at+nf : at+nf]
 		for i := range ev.Fields {
 			ev.Fields[i] = math.Float64frombits(d.U64())
 		}
 	}
-	return ev
+	return ev, slab
 }

@@ -113,3 +113,38 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeEventsAllocs: an events record decodes into one event slice
+// and one slab for all of its fields, whatever its length.
+func TestDecodeEventsAllocs(t *testing.T) {
+	evs := make([]event.Event, 1024)
+	for i := range evs {
+		evs[i] = event.Event{Seq: uint64(i), TS: int64(i), Type: 1, Fields: []float64{float64(i), -1}}
+	}
+	evs[7].Fields = nil
+	b, err := encodeRecord(nil, &Record{Kind: KindEvents, Events: evs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *Record
+	allocs := testing.AllocsPerRun(20, func() {
+		if rec, err = decodeRecord(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("decoding a %d-event record made %v allocations, want at most 3 (record, events, field slab)", len(evs), allocs)
+	}
+	for i := range evs {
+		got := rec.Events[i]
+		if got.Seq != evs[i].Seq || !slices.Equal(got.Fields, evs[i].Fields) || (got.Fields == nil) != (evs[i].Fields == nil) {
+			t.Fatalf("event %d decoded to %+v, want %+v", i, got, evs[i])
+		}
+	}
+	// Each event's fields end at its own length: appending to one must
+	// not overwrite its neighbour's.
+	_ = append(rec.Events[0].Fields, 99)
+	if rec.Events[1].Fields[0] != 1 {
+		t.Fatal("an event's fields share capacity with the next event's")
+	}
+}

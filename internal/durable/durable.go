@@ -8,7 +8,8 @@
 // while no window is open, so the log rotates and deletes segments in a
 // gap as it does between windows.
 //
-// Recovery contract (consumed by core's recover path):
+// Recovery contract (consumed by core's priming path, which also starts
+// an upstream shard from its cut):
 //
 //   - The latest cut record is the durable floor: everything below its
 //     Boundary is released — popped windows, released arena prefix,
@@ -16,7 +17,8 @@
 //     shard restarts with it as its last cut.
 //   - Events at or above the boundary form the replay journal; feeding
 //     them back through the engine re-forms windows and matches
-//     deterministically (window formation depends only on Seq/TS).
+//     deterministically (window formation depends only on Seq/TS). Load
+//     keeps only this suffix, dropping events below each cut it passes.
 //   - The watermark counts matches delivered to the sink, cumulatively
 //     per shard. It is synced before delivery, so on recovery the first
 //     (Watermark − Cut.Watermark) regenerated matches are suppressed —
@@ -40,6 +42,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/spectrecep/spectre/internal/event"
 )
@@ -124,7 +127,8 @@ type Store interface {
 // first Append: it repairs a torn tail, folds the retained records into
 // a ShardState (nil when the log is empty) and readies the log for
 // appending. Append buffers; Sync makes everything appended so far
-// durable. Append takes ownership of the record and its slices.
+// durable. Append keeps nothing it is handed: it encodes the record
+// before it returns, so the caller may reuse the record and its slices.
 type ShardLog interface {
 	Load(reg *event.Registry) (*ShardState, error)
 	Append(rec *Record) error
@@ -155,16 +159,26 @@ func (c *Corrupt) Error() string {
 // Unwrap implements errors.Unwrap.
 func (c *Corrupt) Unwrap() error { return c.Err }
 
-// folder accumulates a shard state from a record sequence. Registry
-// remapping is applied as the name tables stream by.
+// folder folds a record sequence into a shard state, keeping only the
+// replay suffix; registry remapping is applied as the name tables stream
+// by. Journaled seqs ascend, but a grid cut is enqueued mid-ingest, ahead
+// of its batch's record, so events below a cut may follow it.
 type folder struct {
 	tr  *event.Translation
 	st  ShardState
 	any bool
+	// floor is the latest cut's boundary; st.Events[:dead] lie below it.
+	floor uint64
+	dead  int
 }
 
 func newFolder(reg *event.Registry) *folder {
 	return &folder{tr: event.NewTranslation(reg)}
+}
+
+// below returns how many of evs, ascending by seq, lie below b.
+func below(evs []event.Event, b uint64) int {
+	return sort.Search(len(evs), func(i int) bool { return evs[i].Seq >= b })
 }
 
 func (f *folder) add(rec *Record) error {
@@ -175,50 +189,52 @@ func (f *folder) add(rec *Record) error {
 	case KindFields:
 		f.tr.SetFields(rec.Fields)
 	case KindEvents:
-		if err := f.tr.Apply(rec.Events); err != nil {
+		if len(rec.Events) == 0 {
+			break
+		}
+		f.st.NextSeq = max(f.st.NextSeq, rec.Events[len(rec.Events)-1].Seq+1)
+		live := rec.Events[below(rec.Events, f.floor):]
+		if err := f.tr.Apply(live); err != nil {
 			return fmt.Errorf("durable: %w", err)
 		}
-		for i := range rec.Events {
-			if rec.Events[i].Seq+1 > f.st.NextSeq {
-				f.st.NextSeq = rec.Events[i].Seq + 1
-			}
-		}
-		f.st.Events = append(f.st.Events, rec.Events...)
+		f.st.Events = append(f.st.Events, live...)
 	case kindReserved:
 		// An old build's checkpoint: replay re-forms its window anyway.
 	case KindCut:
 		f.st.Cut = rec.Cut
-		if rec.Cut.Watermark > f.st.Watermark {
-			f.st.Watermark = rec.Cut.Watermark
-		}
+		f.st.Watermark = max(f.st.Watermark, rec.Cut.Watermark)
+		f.cutAt(rec.Cut.Boundary)
 	case KindWatermark:
-		if rec.Watermark > f.st.Watermark {
-			f.st.Watermark = rec.Watermark
-		}
+		f.st.Watermark = max(f.st.Watermark, rec.Watermark)
 	default:
 		return fmt.Errorf("durable: unknown record kind %d", rec.Kind)
 	}
 	return nil
 }
 
-// finish applies the final cut filter and returns the state (nil when
-// the log held no records).
+// cutAt drops the held events below boundary b. The dead prefix is
+// compacted away once it outgrows the live part, so each event is moved
+// amortized O(1) times however many cuts pass over it.
+func (f *folder) cutAt(b uint64) {
+	f.floor = max(f.floor, b)
+	evs := f.st.Events
+	f.dead += below(evs[f.dead:], f.floor)
+	if f.dead > len(evs)-f.dead {
+		n := copy(evs, evs[f.dead:])
+		clear(evs[n:])
+		f.st.Events, f.dead = evs[:n], 0
+	}
+}
+
+// finish returns the state (nil when the log held no records).
 func (f *folder) finish() *ShardState {
 	if !f.any {
 		return nil
 	}
 	st := f.st
-	if cut := st.Cut; cut != nil {
-		kept := st.Events[:0]
-		for i := range st.Events {
-			if st.Events[i].Seq >= cut.Boundary {
-				kept = append(kept, st.Events[i])
-			}
-		}
-		st.Events = kept
-		if st.NextSeq < cut.Boundary {
-			st.NextSeq = cut.Boundary
-		}
+	st.Events = st.Events[f.dead:]
+	if st.Cut != nil {
+		st.NextSeq = max(st.NextSeq, st.Cut.Boundary)
 	}
 	return &st
 }

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,10 +106,9 @@ func (fs *FileStore) release(key string) {
 
 // segInfo tracks one on-disk segment for compaction decisions.
 type segInfo struct {
-	path      string
-	index     uint64
-	maxSeq    uint64 // highest event seq in the segment
-	hasEvents bool
+	path  string
+	index uint64
+	end   uint64 // one past the highest event seq in the segment; 0 without events
 }
 
 // fileLog is one shard's segmented WAL handle.
@@ -234,12 +234,7 @@ func (l *fileLog) scanSegment(seg *segInfo, last bool, f *folder) error {
 			// this is real damage (or a format break), never a torn tail.
 			return &Corrupt{Path: seg.path, Off: int64(off), Err: err}
 		}
-		if rec.Kind == KindEvents && len(rec.Events) > 0 {
-			seg.hasEvents = true
-			if s := rec.Events[len(rec.Events)-1].Seq; s > seg.maxSeq {
-				seg.maxSeq = s
-			}
-		}
+		seg.note(rec)
 		if err := f.add(rec); err != nil {
 			return &Corrupt{Path: seg.path, Off: int64(off), Err: err}
 		}
@@ -255,9 +250,9 @@ func (l *fileLog) Append(rec *Record) error {
 	}
 	switch rec.Kind {
 	case KindTypes:
-		l.lastTypes = rec.Types
+		l.lastTypes = slices.Clone(rec.Types)
 	case KindFields:
-		l.lastFields = rec.Fields
+		l.lastFields = slices.Clone(rec.Fields)
 	case KindCut:
 		if l.curSize >= l.segLimit {
 			return l.rotate(rec)
@@ -280,13 +275,15 @@ func (l *fileLog) writeFrame(rec *Record) error {
 		return err
 	}
 	l.curSize += int64(len(l.frame))
-	if rec.Kind == KindEvents && len(rec.Events) > 0 {
-		l.cur.hasEvents = true
-		if s := rec.Events[len(rec.Events)-1].Seq; s > l.cur.maxSeq {
-			l.cur.maxSeq = s
-		}
-	}
+	l.cur.note(rec)
 	return nil
+}
+
+// note raises the segment's end past rec's events, which ascend.
+func (s *segInfo) note(rec *Record) {
+	if rec.Kind == KindEvents && len(rec.Events) > 0 {
+		s.end = max(s.end, rec.Events[len(rec.Events)-1].Seq+1)
+	}
 }
 
 // rotate closes the live segment, starts the next one seeded with the
@@ -327,16 +324,12 @@ func (l *fileLog) rotate(cut *Record) error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	// Delete the released prefix: segments wholly below the boundary.
-	// Stop at the first segment that still holds journal suffix events —
-	// later segments may hold older events interleaved with needed ones
-	// only in theory (seqs grow monotonically), so a prefix scan is
-	// exact.
-	boundary := cut.Cut.Boundary
+	// Delete the released prefix: segments wholly below the boundary, up
+	// to the first holding suffix events (seqs ascend along the log).
 	keep := 0
 	for keep < len(l.segs) {
 		s := l.segs[keep]
-		if s.hasEvents && s.maxSeq >= boundary {
+		if s.end > cut.Cut.Boundary {
 			break
 		}
 		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
@@ -347,11 +340,6 @@ func (l *fileLog) rotate(cut *Record) error {
 	l.segs = append([]segInfo(nil), l.segs[keep:]...)
 	return nil
 }
-
-// DiscardsRecords reports that Append encodes the record into the
-// segment and keeps no reference to it afterwards, so callers may reuse
-// record-owned buffers (notably event batches) once Append returns.
-func (l *fileLog) DiscardsRecords() bool { return true }
 
 // Sync implements ShardLog.
 func (l *fileLog) Sync() error {

